@@ -69,7 +69,7 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty
   let hb =
     Stdx.Heartbeat.create ~label ~interval_s:1.0 ~out:hb_oc ()
   in
-  let cell_cost = Sim.Harness.default_cell_cost ~n:spec.Algo.Spec.n rounds in
+  let cell_cost = Sim.Campaign.cell_cost ~n:spec.Algo.Spec.n rounds in
   Stdx.Heartbeat.set_totals hb ~cells:5 ~cost:(5.0 *. cell_cost);
   let cell_m = Stdx.Metrics.create () in
   let spans = Stdx.Span.create ~metrics:cell_m () in

@@ -40,7 +40,7 @@ let duel_reps = 3
 
 type cell = { n : int; rounds : int; seed : int }
 
-(* The scheduler cost model (Harness.default_cell_cost): one all-to-all
+(* The scheduler cost model (Campaign.cell_cost): one all-to-all
    message round costs n^2, and Full_horizon runs all [rounds] of them. *)
 let cell_cost c = float_of_int c.rounds *. float_of_int (c.n * c.n)
 

@@ -29,8 +29,8 @@ let sampled_sweep () =
     (* Seeds are independent runs (each constructs its own responder and
        RNG stream), so they map over the domain pool. *)
     let fractions =
-      Stdx.Pool.map ~jobs
-        (fun seed ->
+      Stdx.Pool.exec ~jobs 3 (fun i ->
+          let seed = i + 1 in
           let run =
             Pulling.Pull_sim.run ~spec:s.Pulling.Sampled.spec
               ~responder:(Pulling.Pull_sim.random_responder ()) ~faulty
@@ -39,9 +39,8 @@ let sampled_sweep () =
           Bench_common.clean_fraction ~c:8
             ~correct:(Pulling.Pull_sim.correct_ids run)
             run.Pulling.Pull_sim.outputs ~from_round:1500 ~to_round:3000)
-        [ 1; 2; 3 ]
     in
-    Stdx.Stats.mean fractions
+    Stdx.Stats.mean (Array.to_list fractions)
   in
   List.iter
     (fun samples ->
@@ -82,7 +81,7 @@ let oblivious_sweep () =
           (* One independent (link seed, run seed) pair per slot, spread
              over the domain pool; counting survivors is order-blind. *)
           let stabilised =
-            Stdx.Pool.run ~jobs seeds (fun i ->
+            Stdx.Pool.exec ~jobs seeds (fun i ->
                 let seed = i + 1 in
                 let s =
                   Pulling.Sampled.construct_oblivious ~inner ~k:3 ~big_f:3

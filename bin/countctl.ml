@@ -286,7 +286,9 @@ let sweep_flags =
    [Meta] header line) when --trace was given, a heartbeat stream
    (appended to --heartbeat-file, terminal line owned here) when
    --heartbeat was given, and the metrics table printed after the
-   wrapped action returns. *)
+   wrapped action returns. Both files are opened before any work
+   starts; one that cannot be opened ends the command with a
+   [countctl: cannot open ...] error. *)
 let with_telemetry ~meta opts
     (f :
       metrics:Stdx.Metrics.t option ->
@@ -294,6 +296,22 @@ let with_telemetry ~meta opts
       spans:bool ->
       heartbeat:Stdx.Heartbeat.t option ->
       'a) =
+  let open_or_exit open_ path =
+    try open_ path
+    with Sys_error msg ->
+      Printf.eprintf "countctl: cannot open %s\n%!" msg;
+      exit Cmd.Exit.some_error
+  in
+  let hb_oc =
+    Option.map
+      (fun interval_s ->
+        ( interval_s,
+          open_or_exit
+            (open_out_gen [ Open_append; Open_creat ] 0o644)
+            opts.heartbeat_file ))
+      opts.heartbeat
+  in
+  let trace_oc = Option.map (open_or_exit open_out) opts.trace in
   let metrics = if opts.metrics then Some (Stdx.Metrics.create ()) else None in
   let go ~trace ~heartbeat =
     (match trace with
@@ -309,14 +327,11 @@ let with_telemetry ~meta opts
     r
   in
   let with_heartbeat k =
-    match opts.heartbeat with
+    match hb_oc with
     | None -> k None
-    | Some interval_s ->
+    | Some (interval_s, oc) ->
       let label =
         match meta with Sim.Trace.Meta { label; _ } -> label | _ -> ""
-      in
-      let oc =
-        open_out_gen [ Open_append; Open_creat ] 0o644 opts.heartbeat_file
       in
       let hb = Stdx.Heartbeat.create ~label ~interval_s ~out:oc () in
       Fun.protect
@@ -328,10 +343,9 @@ let with_telemetry ~meta opts
         (fun () -> k (Some hb))
   in
   with_heartbeat @@ fun heartbeat ->
-  match opts.trace with
+  match trace_oc with
   | None -> go ~trace:None ~heartbeat
-  | Some path ->
-    let oc = open_out path in
+  | Some oc ->
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () -> go ~trace:(Some (Sim.Trace.jsonl oc)) ~heartbeat)
@@ -393,110 +407,32 @@ let run_cmd =
         in
         with_telemetry ~meta opts @@ fun ~metrics ~trace ~spans ~heartbeat ->
         (* One independent engine run per seed, spread over the pool;
-           output order follows the seed list regardless of --jobs. Like
-           the harness sweeps, each seed records telemetry into private
-           sinks that are merged/replayed in seed order afterwards. *)
-        let trace_level =
-          match trace with
-          | None -> Sim.Trace.Off
-          | Some tr -> Sim.Trace.level tr
-        in
-        let want_metrics = metrics <> None in
-        let want_cell_metrics =
-          want_metrics || spans || heartbeat <> None
-        in
-        let instrumented =
-          want_cell_metrics || trace_level <> Sim.Trace.Off
-        in
+           output order follows the seed list regardless of --jobs, and
+           per-seed telemetry is merged in seed order, as in the harness
+           sweeps. *)
         let seed_arr = Array.of_list seeds in
-        let cell_cost =
-          Sim.Harness.default_cell_cost ~n:spec.Algo.Spec.n rounds
-        in
-        Option.iter
-          (fun hb ->
-            Stdx.Heartbeat.set_totals hb ~cells:(Array.length seed_arr)
-              ~cost:(float_of_int (Array.length seed_arr) *. cell_cost))
-          heartbeat;
-        let pool_stats = ref None in
-        let stats_cb =
-          let base = Sim.Harness.pool_stats_sink metrics in
-          if spans then
-            Some
-              (fun s ->
-                pool_stats := Some s;
-                match base with Some f -> f s | None -> ())
-          else base
+        let label i =
+          Printf.sprintf "%s f=[%s] seed=%d"
+            (Sim.Adversary.name adversary)
+            (String.concat ";" (List.map string_of_int faulty))
+            seed_arr.(i)
         in
         let results =
-          (* Seeds share one spec and horizon, so the cost-sorted
-             default degenerates to in-order claiming here; the policy
-             flag still selects chunked claiming if asked. *)
-          Stdx.Pool.exec ~jobs:opts.jobs
-            ?schedule:opts.schedule ?stats:stats_cb
-            ?on_task:(Sim.Harness.heartbeat_on_task heartbeat)
-            (Array.length seed_arr)
-            (fun i ->
-              let seed = seed_arr.(i) in
-              let cell_m =
-                if want_cell_metrics then Some (Stdx.Metrics.create ())
-                else None
-              in
-              let cell_tr =
-                if trace_level = Sim.Trace.Off then Sim.Trace.null
-                else Sim.Trace.memory ~level:trace_level ()
-              in
-              let cell_sp = Sim.Harness.span_context ~spans cell_m cell_tr in
-              let t0 =
-                if instrumented then Stdx.Metrics.wall_clock () else 0.0
-              in
+          Sim.Campaign.exec ?metrics ?trace ~spans ?heartbeat ~jobs:opts.jobs
+            ?schedule:opts.schedule ~prefix:"run" ~n:spec.Algo.Spec.n
+            ~horizon:(fun _ -> rounds)
+            ~label (Array.length seed_arr)
+            (fun cell i ->
               let o =
-                Sim.Engine.run ?metrics:cell_m ~tracer:cell_tr ~spans:cell_sp
-                  ~mode ?min_suffix:opts.min_suffix ~spec ~adversary ~faulty
-                  ~rounds ~seed ()
+                Sim.Engine.run ?metrics:cell.Sim.Campaign.metrics
+                  ~tracer:cell.Sim.Campaign.tracer
+                  ~spans:cell.Sim.Campaign.spans ~mode
+                  ?min_suffix:opts.min_suffix ~spec ~adversary ~faulty ~rounds
+                  ~seed:seed_arr.(i) ()
               in
-              let wall =
-                if instrumented then
-                  Float.max 0.0 (Stdx.Metrics.wall_clock () -. t0)
-                else 0.0
-              in
-              let snap = Option.map Stdx.Metrics.snapshot cell_m in
-              Option.iter
-                (fun hb ->
-                  Stdx.Heartbeat.cell_done ?snapshot:snap
-                    ~rounds:o.Sim.Engine.rounds_simulated ~cost:cell_cost hb)
-                heartbeat;
-              (seed, o, snap, Sim.Trace.events cell_tr, wall))
+              (o, o.Sim.Engine.rounds_simulated))
         in
-        let results = Array.to_list results in
-        List.iteri
-          (fun i (seed, _, snap, events, wall) ->
-            (match (metrics, snap) with
-            | Some m, Some s ->
-              Stdx.Metrics.merge m s;
-              Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets m
-                "run.cell_wall_s" wall;
-              Stdx.Metrics.incr m "run.cells"
-            | _ -> ());
-            match trace with
-            | Some tr when Sim.Trace.seams_on tr ->
-              Sim.Trace.emit tr
-                (Sim.Trace.Cell_start
-                   {
-                     cell = i;
-                     label =
-                       Printf.sprintf "%s f=[%s] seed=%d"
-                         (Sim.Adversary.name adversary)
-                         (String.concat ";"
-                            (List.map string_of_int faulty))
-                         seed;
-                   });
-              List.iter (Sim.Trace.emit tr) events;
-              Sim.Trace.emit tr
-                (Sim.Trace.Cell_end { cell = i; wall_s = wall })
-            | _ -> ())
-          results;
-        Sim.Harness.emit_pool_spans ?trace ~spans !pool_stats;
-        let outcomes = List.map (fun (s, o, _, _, _) -> (s, o)) results in
+        let outcomes = List.combine seeds (Array.to_list results) in
         Printf.printf "%s\n" spec.Algo.Spec.name;
         List.iter
           (fun (seed, outcome) ->
@@ -1315,7 +1251,7 @@ let hunt_cmd =
   let replay_arg =
     Arg.(
       value
-      & opt (some string) None
+      & opt (some file) None
       & info [ "replay" ] ~docv:"FILE"
           ~doc:
             "Replay the corpus at $(docv) instead of hunting: re-execute \

@@ -2,6 +2,17 @@
 # Tier-1 verification: build everything and run the full test suite.
 set -eu
 cd "$(dirname "$0")"
+
+# One grid driver: Sim.Campaign.exec is the only caller of the domain
+# pool in the simulator and the CLI.
+stray="$(grep -rn 'Pool\.exec' lib/sim bin --include='*.ml' \
+  | grep -v '^lib/sim/campaign\.ml:' || true)"
+if [ -n "$stray" ]; then
+  echo "Stdx.Pool.exec called outside lib/sim/campaign.ml:" >&2
+  echo "$stray" >&2
+  exit 1
+fi
+
 dune build
 dune runtest
 
@@ -12,7 +23,8 @@ dune runtest
 # path and every claiming order even when the default jobs count is 1.
 # sim.flat rides the loop because its differentials (flat vs boxed
 # codec, flat crafters vs the forced boxed bridge) include chaos
-# campaigns through the parallel harness.
+# campaigns through the parallel harness; sim.campaign checks the one
+# grid driver every campaign runs through.
 for schedule in inorder cost chunk:3 chunk:auto; do
   REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
     dune exec test/main.exe -- test 'stdx.pool' -q
@@ -22,6 +34,8 @@ for schedule in inorder cost chunk:3 chunk:auto; do
     dune exec test/main.exe -- test 'sim.harness.chaos' -q
   REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
     dune exec test/main.exe -- test 'sim.flat' -q
+  REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
+    dune exec test/main.exe -- test 'sim.campaign' -q
 done
 REPRO_JOBS=4 dune exec test/main.exe -- test 'stdx.metrics' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.telemetry' -q
@@ -52,6 +66,36 @@ dune exec bin/countctl.exe -- chaos --corollary1 1 --campaigns 2 \
 dune exec bin/countctl.exe -- report "$trace_file" > /dev/null
 dune exec bin/jsonlint.exe -- --jsonl "$trace_file"
 rm -f "$trace_file"
+
+# Run smoke: parallel seeds with every telemetry sink on; the trace
+# must be analysable by `countctl report` and lint clean as JSONL.
+run_trace="$(mktemp)"
+dune exec bin/countctl.exe -- run --levels 4:1 --seeds 1,2,3 --jobs 2 \
+  --trace "$run_trace" --metrics --spans > /dev/null
+dune exec bin/countctl.exe -- report "$run_trace" > /dev/null
+dune exec bin/jsonlint.exe -- --jsonl "$run_trace"
+rm -f "$run_trace"
+
+# Unopenable files are clean CLI errors: non-zero exit, no uncaught
+# exception.
+expect_clean_failure() {
+  err="$(mktemp)"
+  if dune exec bin/countctl.exe -- "$@" > /dev/null 2> "$err"; then
+    echo "expected failure: countctl $*" >&2
+    exit 1
+  fi
+  if grep -q 'internal error' "$err"; then
+    cat "$err" >&2
+    exit 1
+  fi
+  rm -f "$err"
+}
+expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 \
+  --replay /nonexistent.jsonl
+expect_clean_failure run --levels 4:1 --rounds 50 \
+  --trace /nonexistent/dir/t.jsonl
+expect_clean_failure run --levels 4:1 --rounds 50 --heartbeat 0 \
+  --heartbeat-file /nonexistent/dir/hb.jsonl
 
 # Heartbeat smoke: the same campaign shape with spans on and a
 # zero-interval heartbeat must stream JSONL that lints clean, render

@@ -47,80 +47,6 @@ module Config = struct
   let with_schedule schedule t = { t with schedule = Some schedule }
 end
 
-(* The default cost model: a cell's work is proportional to its horizon
-   times n^2 (one all-to-all message round per simulated round). Within
-   a single sweep this is constant — LPT with equal costs claims in
-   index order — but heterogeneous grids (chaos campaigns with random
-   phase durations, bench grids mixing instances) get genuine
-   cost-sorted claiming from the same default. *)
-let default_cell_cost ~n horizon =
-  float_of_int horizon *. float_of_int n *. float_of_int n
-
-(* Per-worker busy/claim/idle seconds land in the caller's registry as
-   [pool.worker_busy_s]/[pool.worker_claim_s]/[pool.worker_idle_s]
-   histograms — the load-imbalance, claiming-overhead and straggler
-   signals. Like the cell wall-clock samples they are
-   scheduling-dependent (sample count = actual worker count), which is
-   why they ride the Pool stats side channel and not the deterministic
-   per-cell sinks. *)
-let pool_stats_sink metrics =
-  Option.map
-    (fun m (s : Stdx.Pool.stats) ->
-      let observe name v =
-        Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets m name v
-      in
-      Array.iteri
-        (fun w busy ->
-          let claim = s.Stdx.Pool.worker_claim_s.(w) in
-          observe "pool.worker_busy_s" busy;
-          observe "pool.worker_claim_s" claim;
-          observe "pool.worker_idle_s"
-            (Float.max 0.0 (s.Stdx.Pool.wall_s -. busy -. claim)))
-        s.Stdx.Pool.worker_busy_s)
-    metrics
-
-(* Per-cell span context: records into the cell's private registry
-   (merged deterministically afterwards) and mirrors each recording as
-   a [Trace.Span] event on the cell's private trace. *)
-let span_context ~spans cell_m cell_tr =
-  if not spans then Stdx.Span.disabled
-  else
-    let on_record =
-      if Trace.level cell_tr = Trace.Off then None
-      else
-        Some
-          (fun name count wall_s ->
-            Trace.emit cell_tr (Trace.Span { name; count; wall_s }))
-    in
-    Stdx.Span.create ?metrics:cell_m ?on_record ()
-
-(* Pool-level spans ride the stats side channel: one [pool.busy] /
-   [pool.claim] / [pool.idle] Span event per drain, emitted after the
-   deterministic cell streams (count = actual worker count, so the
-   determinism tests drop these wholesale along with the wall fields). *)
-let emit_pool_spans ?trace ~spans stats =
-  match (trace, stats) with
-  | Some tr, Some (s : Stdx.Pool.stats) when spans && Trace.seams_on tr ->
-    let busy = Array.fold_left ( +. ) 0.0 s.Stdx.Pool.worker_busy_s in
-    let claim = Array.fold_left ( +. ) 0.0 s.Stdx.Pool.worker_claim_s in
-    let idle =
-      Float.max 0.0
-        ((s.Stdx.Pool.wall_s *. float_of_int s.Stdx.Pool.actual_jobs)
-        -. busy -. claim)
-    in
-    let jobs = s.Stdx.Pool.actual_jobs in
-    Trace.emit tr (Trace.Span { name = "pool.busy"; count = jobs; wall_s = busy });
-    Trace.emit tr
-      (Trace.Span { name = "pool.claim"; count = jobs; wall_s = claim });
-    Trace.emit tr (Trace.Span { name = "pool.idle"; count = jobs; wall_s = idle })
-  | _ -> ()
-
-let heartbeat_on_task heartbeat =
-  Option.map
-    (fun hb ~worker ~index:_ ~wall_s ->
-      Stdx.Heartbeat.task_done hb ~worker ~busy_s:wall_s)
-    heartbeat
-
 let spread_fault_set ~n ~f =
   if f = 0 then []
   else List.init f (fun i -> i * n / f)
@@ -135,9 +61,6 @@ let default_fault_sets ~n ~f =
     let candidates = ([] :: prefix :: suffix :: spread :: singles) in
     List.sort_uniq compare (List.map (List.sort_uniq Int.compare) candidates)
   end
-
-let resolve_min_suffix ~c ~rounds requested =
-  Min_suffix.resolve ~c ~rounds requested
 
 let aggregate_of ~horizon outcomes =
   let times =
@@ -159,35 +82,8 @@ let aggregate_of ~horizon outcomes =
   in
   { outcomes; all_stabilized; worst; times; horizon; total_rounds_simulated }
 
-(* Per-cell telemetry. Pool workers never share a sink: each grid cell
-   gets a private registry and memory buffer (created only when the
-   caller asked for telemetry), and [merge_cells] folds them into the
-   caller's sinks in cell-index order after the pool finishes — so the
-   merged metrics and the replayed trace are identical at any [jobs]
-   count. Each cell's stream is bracketed by [Cell_start]/[Cell_end]. *)
-let cell_trace_level trace =
-  match trace with None -> Trace.Off | Some tr -> Trace.level tr
-
-let merge_cells ?metrics ?trace ~wall_metric ~cells_metric ~label results =
-  Array.iteri
-    (fun i (_, snap, events, wall) ->
-      (match metrics with
-      | Some m ->
-        (match snap with Some s -> Stdx.Metrics.merge m s | None -> ());
-        Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets m wall_metric
-          wall;
-        Stdx.Metrics.incr m cells_metric
-      | None -> ());
-      match trace with
-      | Some tr when Trace.seams_on tr ->
-        Trace.emit tr (Trace.Cell_start { cell = i; label = label i });
-        List.iter (Trace.emit tr) events;
-        Trace.emit tr (Trace.Cell_end { cell = i; wall_s = wall })
-      | _ -> ())
-    results
-
-let run ?metrics ?trace ?(spans = false) ?heartbeat
-    ?(config = Config.default) ~(spec : 's Algo.Spec.t) ~adversaries () =
+let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
+    ~(spec : 's Algo.Spec.t) ~adversaries () =
   let { Config.fault_sets; seeds; min_suffix; mode; rounds; jobs; schedule } =
     config
   in
@@ -195,7 +91,7 @@ let run ?metrics ?trace ?(spans = false) ?heartbeat
   let fault_sets =
     match fault_sets with Some fs -> fs | None -> default_fault_sets ~n ~f
   in
-  let min_suffix = resolve_min_suffix ~c:spec.Algo.Spec.c ~rounds min_suffix in
+  let min_suffix = Min_suffix.resolve ~c:spec.Algo.Spec.c ~rounds min_suffix in
   (* The grid is flattened up front so results land in pre-sized slots:
      every run is keyed by its own (adversary, faulty, seed) — the engine
      derives all randomness from the seed — so [~jobs:n] is
@@ -210,85 +106,35 @@ let run ?metrics ?trace ?(spans = false) ?heartbeat
              fault_sets)
          adversaries)
   in
-  let trace_level = cell_trace_level trace in
-  let want_metrics = metrics <> None in
-  let want_cell_metrics = want_metrics || spans || heartbeat <> None in
-  let instrumented = want_metrics || trace_level <> Trace.Off in
-  let cell_cost = default_cell_cost ~n rounds in
-  Option.iter
-    (fun hb ->
-      Stdx.Heartbeat.set_totals hb ~cells:(Array.length grid)
-        ~cost:(float_of_int (Array.length grid) *. cell_cost))
-    heartbeat;
-  let schedule =
-    match schedule with
-    | Some (Stdx.Pool.Chunked_auto None) ->
-      (* "chunk:auto" with no cost model of its own: tune under the
-         harness cost model, like the [None] default below. *)
-      Stdx.Pool.Chunked_auto (Some (fun _ -> cell_cost))
-    | Some s -> s
-    | None -> Stdx.Pool.Cost_sorted (fun _ -> cell_cost)
-  in
-  let pool_stats = ref None in
-  let stats_cb =
-    let base = pool_stats_sink metrics in
-    if spans then
-      Some
-        (fun s ->
-          pool_stats := Some s;
-          match base with Some f -> f s | None -> ())
-    else base
-  in
-  let results =
-    Stdx.Pool.exec ~jobs ~schedule ?stats:stats_cb
-      ?on_task:(heartbeat_on_task heartbeat) (Array.length grid) (fun i ->
+  let outcomes =
+    Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ?schedule
+      ~prefix:"harness" ~n
+      ~horizon:(fun _ -> rounds)
+      ~label:(fun i ->
         let adversary, faulty, seed = grid.(i) in
-        let cell_m =
-          if want_cell_metrics then Some (Stdx.Metrics.create ()) else None
-        in
-        let cell_tr =
-          if trace_level = Trace.Off then Trace.null
-          else Trace.memory ~level:trace_level ()
-        in
-        let cell_sp = span_context ~spans cell_m cell_tr in
-        let t0 = if instrumented then Stdx.Metrics.wall_clock () else 0.0 in
+        Printf.sprintf "%s f=[%s] seed=%d"
+          (Adversary.name adversary)
+          (String.concat ";" (List.map string_of_int faulty))
+          seed)
+      (Array.length grid)
+      (fun cell i ->
+        let adversary, faulty, seed = grid.(i) in
         let o =
-          Engine.run ?metrics:cell_m ~tracer:cell_tr ~spans:cell_sp ~mode
-            ~min_suffix ~spec ~adversary ~faulty ~rounds ~seed ()
+          Engine.run ?metrics:cell.Campaign.metrics ~tracer:cell.Campaign.tracer
+            ~spans:cell.Campaign.spans ~mode ~min_suffix ~spec ~adversary
+            ~faulty ~rounds ~seed ()
         in
-        let wall =
-          if instrumented then Stdx.Metrics.wall_clock () -. t0 else 0.0
-        in
-        let snap = Option.map Stdx.Metrics.snapshot cell_m in
-        Option.iter
-          (fun hb ->
-            Stdx.Heartbeat.cell_done ?snapshot:snap
-              ~rounds:o.Engine.rounds_simulated ~cost:cell_cost hb)
-          heartbeat;
-        let outcome =
-          {
+        ( {
             adversary = Adversary.name adversary;
             faulty;
             seed;
             verdict = o.Engine.verdict;
             rounds_simulated = o.Engine.rounds_simulated;
             early_exit = o.Engine.early_exit;
-          }
-        in
-        (outcome, snap, Trace.events cell_tr, wall))
+          },
+          o.Engine.rounds_simulated ))
   in
-  merge_cells ?metrics ?trace ~wall_metric:"harness.cell_wall_s"
-    ~cells_metric:"harness.cells"
-    ~label:(fun i ->
-      let adversary, faulty, seed = grid.(i) in
-      Printf.sprintf "%s f=[%s] seed=%d"
-        (Adversary.name adversary)
-        (String.concat ";" (List.map string_of_int faulty))
-        seed)
-    results;
-  emit_pool_spans ?trace ~spans !pool_stats;
-  aggregate_of ~horizon:rounds
-    (Array.to_list (Array.map (fun (o, _, _, _) -> o) results))
+  aggregate_of ~horizon:rounds (Array.to_list outcomes)
 
 module Chaos = struct
   module Config = struct
@@ -390,32 +236,8 @@ module Chaos = struct
         List.fold_left (fun acc o -> acc + o.rounds_simulated) 0 outcomes;
     }
 
-  (* One executed cell of a chaos-shaped pool: run the schedule, fold
-     the phase reports into an [outcome], capture the private telemetry
-     sinks. Shared by [run] (generated schedules) and [replay] (corpus
-     schedules). *)
-  let run_cell ~mode ~min_suffix ~spec ~want_cell_metrics ~spans ~heartbeat
-      ~cost ~trace_level ~instrumented ~schedule_seed ~schedule ~run_seed () =
-    let cell_m =
-      if want_cell_metrics then Some (Stdx.Metrics.create ()) else None
-    in
-    let cell_tr =
-      if trace_level = Trace.Off then Trace.null
-      else Trace.memory ~level:trace_level ()
-    in
-    let cell_sp = span_context ~spans cell_m cell_tr in
-    let t0 = if instrumented then Stdx.Metrics.wall_clock () else 0.0 in
-    let o =
-      Engine.run_schedule ?metrics:cell_m ~tracer:cell_tr ~spans:cell_sp ~mode
-        ?min_suffix ~spec ~schedule ~seed:run_seed ()
-    in
-    let wall = if instrumented then Stdx.Metrics.wall_clock () -. t0 else 0.0 in
-    let snap = Option.map Stdx.Metrics.snapshot cell_m in
-    Option.iter
-      (fun hb ->
-        Stdx.Heartbeat.cell_done ?snapshot:snap
-          ~rounds:o.Engine.rounds_simulated ~cost hb)
-      heartbeat;
+  let outcome_of ~schedule_seed ~schedule ~run_seed
+      (o : _ Engine.schedule_outcome) =
     let phases = o.Engine.phases in
     let recovered =
       List.for_all
@@ -431,22 +253,50 @@ module Chaos = struct
              0 phases)
       else None
     in
-    let outcome =
-      {
-        schedule_seed;
-        schedule = Schedule.describe schedule;
-        run_seed;
-        phases;
-        recovered;
-        worst_recovery;
-        rounds_simulated = o.Engine.rounds_simulated;
-        horizon = o.Engine.horizon;
-      }
-    in
-    (outcome, snap, Trace.events cell_tr, wall)
+    {
+      schedule_seed;
+      schedule = Schedule.describe schedule;
+      run_seed;
+      phases;
+      recovered;
+      worst_recovery;
+      rounds_simulated = o.Engine.rounds_simulated;
+      horizon = o.Engine.horizon;
+    }
 
-  let run ?metrics ?trace ?(spans = false) ?heartbeat
-      ?(config = Config.default) ~(spec : 's Algo.Spec.t) ~adversaries () =
+  (* The one chaos-shaped grid: every entry is a (schedule, run seed,
+     min-suffix request) triple fully keyed by its own contents, so the
+     aggregate is identical at any [jobs]/[schedule]. [run] generates
+     its entries; [replay] takes them from a corpus. Cell [i] reports
+     [schedule_seed i] and is labelled "<kind> <schedule_seed i> seed
+     <run seed>". *)
+  let exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ?schedule ~mode
+      ~(spec : 's Algo.Spec.t) ~kind ~schedule_seed entries =
+    Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ?schedule
+      ~prefix:"chaos" ~n:spec.Algo.Spec.n
+      ~horizon:(fun i ->
+        let sched, _, _ = entries.(i) in
+        Schedule.total_rounds sched)
+      ~label:(fun i ->
+        let _, run_seed, _ = entries.(i) in
+        Printf.sprintf "%s %d seed %d" kind (schedule_seed i) run_seed)
+      (Array.length entries)
+      (fun cell i ->
+        let sched, run_seed, min_suffix = entries.(i) in
+        let o =
+          Engine.run_schedule ?metrics:cell.Campaign.metrics
+            ~tracer:cell.Campaign.tracer ~spans:cell.Campaign.spans ~mode
+            ?min_suffix ~spec ~schedule:sched ~seed:run_seed ()
+        in
+        let outcome =
+          outcome_of ~schedule_seed:(schedule_seed i) ~schedule:sched
+            ~run_seed o
+        in
+        (outcome, o.Engine.rounds_simulated))
+    |> Array.to_list |> aggregate_outcomes
+
+  let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
+      ~(spec : 's Algo.Spec.t) ~adversaries () =
     let {
       Config.campaigns;
       phases;
@@ -477,87 +327,26 @@ module Chaos = struct
       | Some m -> m
       | None -> Min_suffix.default ~c:spec.Algo.Spec.c
     in
-    let schedules =
-      Array.init campaigns (fun i ->
-          let schedule_seed = i + 1 in
-          let schedule =
-            Schedule.random ~spec ~adversaries ~phases ~phase_rounds ~events
-              ~max_victims ~event_margin ~seed:schedule_seed ()
-          in
-          let min_suffix =
-            Min_suffix.resolve ~c:spec.Algo.Spec.c
-              ~rounds:(Schedule.total_rounds schedule)
-              min_suffix
-          in
-          (schedule_seed, schedule, min_suffix))
-    in
     let seeds = Array.of_list seeds in
     let num_seeds = Array.length seeds in
-    let trace_level = cell_trace_level trace in
-    let want_metrics = metrics <> None in
-    let want_cell_metrics = want_metrics || spans || heartbeat <> None in
-    let instrumented = want_metrics || trace_level <> Trace.Off in
-    let n = spec.Algo.Spec.n in
-    (* Campaigns draw random phase durations, so horizons — and costs —
-       genuinely differ per campaign here. *)
-    let campaign_cost i =
-      let _, sched, _ = schedules.(i / num_seeds) in
-      default_cell_cost ~n (Schedule.total_rounds sched)
+    let campaign i =
+      let schedule =
+        Schedule.random ~spec ~adversaries ~phases ~phase_rounds ~events
+          ~max_victims ~event_margin ~seed:(i + 1) ()
+      in
+      let min_suffix =
+        Min_suffix.resolve ~c:spec.Algo.Spec.c
+          ~rounds:(Schedule.total_rounds schedule)
+          min_suffix
+      in
+      Array.map (fun run_seed -> (schedule, run_seed, Some min_suffix)) seeds
     in
-    let cells = campaigns * num_seeds in
-    Option.iter
-      (fun hb ->
-        let total = ref 0.0 in
-        for i = 0 to cells - 1 do
-          total := !total +. campaign_cost i
-        done;
-        Stdx.Heartbeat.set_totals hb ~cells ~cost:!total)
-      heartbeat;
-    let pool_schedule =
-      match schedule with
-      | Some (Stdx.Pool.Chunked_auto None) ->
-        Stdx.Pool.Chunked_auto (Some campaign_cost)
-      | Some s -> s
-      | None -> Stdx.Pool.Cost_sorted campaign_cost
-    in
-    let pool_stats = ref None in
-    let stats_cb =
-      let base = pool_stats_sink metrics in
-      if spans then
-        Some
-          (fun s ->
-            pool_stats := Some s;
-            match base with Some f -> f s | None -> ())
-      else base
-    in
-    let results =
-      Stdx.Pool.exec ~jobs ~schedule:pool_schedule ?stats:stats_cb
-        ?on_task:(heartbeat_on_task heartbeat) cells (fun i ->
-          let schedule_seed, schedule, min_suffix =
-            schedules.(i / num_seeds)
-          in
-          let run_seed = seeds.(i mod num_seeds) in
-          run_cell ~mode ~min_suffix:(Some min_suffix) ~spec
-            ~want_cell_metrics ~spans ~heartbeat ~cost:(campaign_cost i)
-            ~trace_level ~instrumented ~schedule_seed ~schedule ~run_seed ())
-    in
-    merge_cells ?metrics ?trace ~wall_metric:"chaos.cell_wall_s"
-      ~cells_metric:"chaos.cells"
-      ~label:(fun i ->
-        let schedule_seed, _, _ = schedules.(i / num_seeds) in
-        Printf.sprintf "campaign %d seed %d" schedule_seed
-          seeds.(i mod num_seeds))
-      results;
-    emit_pool_spans ?trace ~spans !pool_stats;
-    aggregate_outcomes
-      (Array.to_list (Array.map (fun (o, _, _, _) -> o) results))
+    exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ?schedule ~mode ~spec
+      ~kind:"campaign"
+      ~schedule_seed:(fun i -> (i / num_seeds) + 1)
+      (Array.concat (List.init campaigns campaign))
 
-  (* Corpus mode: re-execute recorded (schedule, run seed, min-suffix
-     request) triples — e.g. hunt reproducers — through the same pool
-     machinery. Each entry is fully keyed by its own contents, so the
-     aggregate is identical at any [jobs]/[schedule]; [schedule_seed] in
-     the outcomes is the entry's index in [entries]. *)
-  let replay ?metrics ?trace ?(spans = false) ?heartbeat ?(jobs = 1) ?schedule
+  let replay ?metrics ?trace ?spans ?heartbeat ?(jobs = 1) ?schedule
       ?(mode = Engine.Streaming) ~(spec : 's Algo.Spec.t) ~entries () =
     if entries = [] then invalid_arg "Harness.Chaos.replay: no entries";
     let entries = Array.of_list entries in
@@ -569,58 +358,8 @@ module Chaos = struct
         with Invalid_argument msg ->
           invalid_arg (Printf.sprintf "Harness.Chaos.replay: entry %d: %s" i msg))
       entries;
-    let n = spec.Algo.Spec.n in
-    let entry_cost i =
-      let sched, _, _ = entries.(i) in
-      default_cell_cost ~n (Schedule.total_rounds sched)
-    in
-    let pool_schedule =
-      match schedule with
-      | Some (Stdx.Pool.Chunked_auto None) ->
-        Stdx.Pool.Chunked_auto (Some entry_cost)
-      | Some s -> s
-      | None -> Stdx.Pool.Cost_sorted entry_cost
-    in
-    let trace_level = cell_trace_level trace in
-    let want_metrics = metrics <> None in
-    let want_cell_metrics = want_metrics || spans || heartbeat <> None in
-    let instrumented = want_metrics || trace_level <> Trace.Off in
-    Option.iter
-      (fun hb ->
-        let total = ref 0.0 in
-        for i = 0 to Array.length entries - 1 do
-          total := !total +. entry_cost i
-        done;
-        Stdx.Heartbeat.set_totals hb ~cells:(Array.length entries)
-          ~cost:!total)
-      heartbeat;
-    let pool_stats = ref None in
-    let stats_cb =
-      let base = pool_stats_sink metrics in
-      if spans then
-        Some
-          (fun s ->
-            pool_stats := Some s;
-            match base with Some f -> f s | None -> ())
-      else base
-    in
-    let results =
-      Stdx.Pool.exec ~jobs ~schedule:pool_schedule ?stats:stats_cb
-        ?on_task:(heartbeat_on_task heartbeat) (Array.length entries) (fun i ->
-          let sched, run_seed, min_suffix = entries.(i) in
-          run_cell ~mode ~min_suffix ~spec ~want_cell_metrics ~spans
-            ~heartbeat ~cost:(entry_cost i) ~trace_level ~instrumented
-            ~schedule_seed:i ~schedule:sched ~run_seed ())
-    in
-    merge_cells ?metrics ?trace ~wall_metric:"chaos.cell_wall_s"
-      ~cells_metric:"chaos.cells"
-      ~label:(fun i ->
-        let _, run_seed, _ = entries.(i) in
-        Printf.sprintf "corpus %d seed %d" i run_seed)
-      results;
-    emit_pool_spans ?trace ~spans !pool_stats;
-    aggregate_outcomes
-      (Array.to_list (Array.map (fun (o, _, _, _) -> o) results))
+    exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ?schedule ~mode ~spec
+      ~kind:"corpus" ~schedule_seed:Fun.id entries
 
   let pp_aggregate ppf agg =
     Format.fprintf ppf "%d runs, %d/%d phase verdicts recovered"

@@ -6,19 +6,20 @@
     as its verdict is decided (set [Config.mode] to [Engine.Full_horizon]
     to force full-horizon simulation; verdicts are identical — see
     [engine.mli]). The grid is embarrassingly parallel: {!Config.t} has
-    [jobs] and [schedule] fields and the runs are distributed over a
-    deterministic {!Stdx.Pool}. Every run derives all of its randomness
-    from its own [(adversary, faulty, seed)] key, so any [jobs] count
-    under any claiming policy is outcome-for-outcome identical to
-    [jobs = 1] — same order, same verdicts, same [rounds_simulated]
-    (enforced by a test).
+    [jobs] and [schedule] fields and the runs are distributed by
+    {!Campaign.exec} over a deterministic {!Stdx.Pool}. Every run
+    derives all of its randomness from its own [(adversary, faulty,
+    seed)] key, so any [jobs] count under any claiming policy is
+    outcome-for-outcome identical to [jobs = 1] — same order, same
+    verdicts, same [rounds_simulated] (enforced by a test).
 
-    The default claiming policy is [Pool.Cost_sorted] with the harness
-    cost model — a cell costs its horizon times [n²]. Within one sweep
-    that cost is constant (LPT with equal costs claims in index order);
-    chaos campaigns and heterogeneous bench grids, whose horizons vary
-    per cell, get genuine longest-task-first claiming from the same
-    default. Override with {!Config.with_schedule}.
+    The default claiming policy is [Pool.Cost_sorted] with the campaign
+    cost model ({!Campaign.cell_cost}) — a cell costs its horizon times
+    [n²]. Within one sweep that cost is constant (LPT with equal costs
+    claims in index order); chaos campaigns and heterogeneous bench
+    grids, whose horizons vary per cell, get genuine longest-task-first
+    claiming from the same default. Override with
+    {!Config.with_schedule}.
 
     {2 The [min_suffix] contract}
 
@@ -71,7 +72,7 @@ module Config : sig
             value yields identical outcomes — see {!Stdx.Pool}. *)
     schedule : Stdx.Pool.schedule option;
         (** claiming policy for the pool; [None] (the default) means
-            [Pool.Cost_sorted] under the harness cost model
+            [Pool.Cost_sorted] under the campaign cost model
             (horizon × n² per cell), and [Chunked_auto None] has its
             chunk size tuned under the same cost model. Any policy
             yields identical outcomes — only wall clock and the
@@ -96,65 +97,6 @@ val default_fault_sets : n:int -> f:int -> int list list
 
 val spread_fault_set : n:int -> f:int -> int list
 (** [f] ids spread evenly over [\[0, n)]. *)
-
-val resolve_min_suffix : c:int -> rounds:int -> int option -> int
-(** {!Min_suffix.resolve} (kept here for callers of the historical
-    name). Raises [Invalid_argument] if [rounds < c]. *)
-
-(** {2 Pool plumbing shared with other grid executors}
-
-    {!Hunt} runs trial grids with exactly the harness's execution
-    discipline; these are the pieces it reuses. *)
-
-val default_cell_cost : n:int -> int -> float
-(** [default_cell_cost ~n horizon] — the harness cost model,
-    [horizon × n²]: one all-to-all message round per simulated round. *)
-
-val pool_stats_sink :
-  Stdx.Metrics.t option -> (Stdx.Pool.stats -> unit) option
-(** Feed a pool execution's per-worker busy/claim/idle seconds into the
-    [pool.worker_busy_s] / [pool.worker_claim_s] / [pool.worker_idle_s]
-    histograms of the given registry ([None] = no sink). Wall-clock
-    values are the one scheduling-dependent instrument, which is why
-    they ride the {!Stdx.Pool.exec} [stats] side channel and not the
-    deterministic per-cell sinks. *)
-
-val span_context : spans:bool -> Stdx.Metrics.t option -> Trace.t -> Stdx.Span.t
-(** The per-cell span context: {!Stdx.Span.disabled} when [spans] is
-    false, otherwise a context recording [span.*_s] observations into
-    the cell's private registry and mirroring each recording as a
-    {!Trace.Span} event on the cell's private trace (when it is on).
-    Both sinks are merged deterministically by {!merge_cells}. *)
-
-val emit_pool_spans :
-  ?trace:Trace.t -> spans:bool -> Stdx.Pool.stats option -> unit
-(** Emit the drain-level [pool.busy] / [pool.claim] / [pool.idle]
-    {!Trace.Span} triple (count = actual worker count) onto the caller's
-    trace, after the deterministic cell streams. Wall-clock and
-    scheduling-dependent, like everything on the stats side channel —
-    the determinism suites drop [pool.*] spans wholesale. No-op without
-    a trace, without stats, or when [spans] is false. *)
-
-val heartbeat_on_task :
-  Stdx.Heartbeat.t option ->
-  (worker:int -> index:int -> wall_s:float -> unit) option
-(** The {!Stdx.Pool.exec} [on_task] hook feeding per-worker busy time
-    into a heartbeat's utilization gauge ([None] = no hook). Runs on
-    worker domains; the heartbeat is mutex-protected. *)
-
-val merge_cells :
-  ?metrics:Stdx.Metrics.t ->
-  ?trace:Trace.t ->
-  wall_metric:string ->
-  cells_metric:string ->
-  label:(int -> string) ->
-  ('a * Stdx.Metrics.snapshot option * Trace.event list * float) array ->
-  unit
-(** Fold per-cell telemetry — [(result, metrics snapshot, buffered
-    events, wall seconds)] per cell — into the caller's sinks in
-    cell-index order, bracketing each cell's event stream with
-    [Cell_start]/[Cell_end]. This is what makes merged telemetry
-    identical at any [jobs] count. *)
 
 val run :
   ?metrics:Stdx.Metrics.t ->

@@ -220,8 +220,8 @@ type 's report = {
   worst : 's hit option;
 }
 
-let run ?metrics ?trace ?(spans = false) ?heartbeat
-    ?(config = Config.default) ~(spec : 's Algo.Spec.t) ~adversaries () =
+let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
+    ~(spec : 's Algo.Spec.t) ~adversaries () =
   let {
     Config.trials;
     phases;
@@ -292,54 +292,19 @@ let run ?metrics ?trace ?(spans = false) ?heartbeat
         go base steps)
       trial_seeds
   in
-  let trial_cost i =
-    Harness.default_cell_cost ~n (Schedule.total_rounds schedules.(i))
-  in
-  let pool_schedule =
-    match schedule with
-    | Some (Stdx.Pool.Chunked_auto None) ->
-      Stdx.Pool.Chunked_auto (Some trial_cost)
-    | Some s -> s
-    | None -> Stdx.Pool.Cost_sorted trial_cost
-  in
-  let trace_level =
-    match trace with None -> Trace.Off | Some tr -> Trace.level tr
-  in
-  let want_metrics = metrics <> None in
-  let want_cell_metrics = want_metrics || spans || heartbeat <> None in
-  let instrumented = want_cell_metrics || trace_level <> Trace.Off in
-  Option.iter
-    (fun hb ->
-      let cost = ref 0.0 in
-      for i = 0 to trials - 1 do
-        cost := !cost +. trial_cost i
-      done;
-      Stdx.Heartbeat.set_totals hb ~cells:trials ~cost:!cost)
-    heartbeat;
-  let pool_stats = ref None in
-  let stats_cb =
-    let base = Harness.pool_stats_sink metrics in
-    if spans then
-      Some
-        (fun s ->
-          pool_stats := Some s;
-          match base with Some f -> f s | None -> ())
-    else base
-  in
   let results =
-    Stdx.Pool.exec ~jobs ~schedule:pool_schedule ?stats:stats_cb
-      ?on_task:(Harness.heartbeat_on_task heartbeat) trials (fun trial ->
+    Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ?schedule
+      ~prefix:"hunt" ~n
+      ~horizon:(fun i -> Schedule.total_rounds schedules.(i))
+      ~label:(fun i -> Printf.sprintf "trial %d" i)
+      trials
+      (fun cell trial ->
+        let { Campaign.metrics = cell_m; tracer = cell_tr; spans = cell_sp } =
+          cell
+        in
+        Stdx.Span.with_ cell_sp "hunt.trial" @@ fun () ->
         let gen_seed, mut_seed = trial_seeds.(trial) in
         let sched = schedules.(trial) in
-        let cell_m =
-          if want_cell_metrics then Some (Stdx.Metrics.create ()) else None
-        in
-        let cell_tr =
-          if trace_level = Trace.Off then Trace.null
-          else Trace.memory ~level:trace_level ()
-        in
-        let cell_sp = Harness.span_context ~spans cell_m cell_tr in
-        let t0 = if instrumented then Stdx.Metrics.wall_clock () else 0.0 in
         let execs = ref 0 in
         let rounds = ref 0 in
         let eval s =
@@ -412,31 +377,10 @@ let run ?metrics ?trace ?(spans = false) ?heartbeat
                 shrink_kept = kept;
               }
         in
-        let wall =
-          if instrumented then
-            Float.max 0.0 (Stdx.Metrics.wall_clock () -. t0)
-          else 0.0
-        in
-        Stdx.Span.record cell_sp "hunt.trial" wall;
-        let snap = Option.map Stdx.Metrics.snapshot cell_m in
-        Option.iter
-          (fun hb ->
-            Stdx.Heartbeat.cell_done ?snapshot:snap ~rounds:!rounds
-              ~cost:(trial_cost trial) hb)
-          heartbeat;
-        ((hit, !execs), snap, Trace.events cell_tr, wall))
+        ((hit, !execs), !rounds))
   in
-  Harness.merge_cells ?metrics ?trace ~wall_metric:"hunt.cell_wall_s"
-    ~cells_metric:"hunt.cells"
-    ~label:(fun i -> Printf.sprintf "trial %d" i)
-    results;
-  Harness.emit_pool_spans ?trace ~spans !pool_stats;
-  let hits =
-    List.filter_map (fun ((h, _), _, _, _) -> h) (Array.to_list results)
-  in
-  let executions =
-    Array.fold_left (fun acc ((_, e), _, _, _) -> acc + e) 0 results
-  in
+  let hits = List.filter_map fst (Array.to_list results) in
+  let executions = Array.fold_left (fun acc (_, e) -> acc + e) 0 results in
   let worst =
     List.fold_left
       (fun acc h ->

@@ -214,7 +214,7 @@ val run :
     spans for each execution (original and shrink candidates alike),
     plus a [hunt.trial] span per trial and a [hunt.shrink] span per
     descent — all merged like the rest of the cell telemetry, with the
-    drain-level [pool.*] span triple after ({!Harness.emit_pool_spans}).
+    drain-level [pool.*] span triple after ({!Campaign.exec}).
     [heartbeat] streams live progress: trial count and horizon×n² cost
     totals are announced up front, each finished trial advances the
     ledger with its simulated rounds and merged snapshot, and every hit

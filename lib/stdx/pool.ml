@@ -188,11 +188,3 @@ let exec ?(jobs = 1) ?(schedule = In_order) ?stats ?on_task n f =
       | None -> ())
     failures;
   Array.map (function Some v -> v | None -> assert false) results
-
-let run ?jobs ?schedule n f = exec ?jobs ?schedule n f
-
-let map_array ?jobs ?schedule f a =
-  exec ?jobs ?schedule (Array.length a) (fun i -> f a.(i))
-
-let map ?jobs ?schedule f l =
-  Array.to_list (map_array ?jobs ?schedule f (Array.of_list l))

@@ -126,18 +126,3 @@ val exec :
     [f] must not rely on shared mutable state: task order within the
     grid is policy- and scheduling-dependent (only the {e placement} of
     results is fixed). *)
-
-(** {2 Aliases}
-
-    The historical entry points. Each is a thin wrapper over {!exec} —
-    one claiming implementation, three spellings. *)
-
-val run : ?jobs:int -> ?schedule:schedule -> int -> (int -> 'a) -> 'a array
-(** [run ?jobs ?schedule n f] is [exec ?jobs ?schedule n f]. *)
-
-val map_array :
-  ?jobs:int -> ?schedule:schedule -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array ~jobs f a] is [Array.map f a], parallelised as {!exec}. *)
-
-val map : ?jobs:int -> ?schedule:schedule -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f l] is [List.map f l], parallelised as {!exec}. *)

@@ -1,0 +1,131 @@
+(* Sim.Campaign.exec on its own: a synthetic per-cell function (no
+   engine) whose results, trace events and metrics are known in
+   advance, run at jobs {1, REPRO_JOBS} under every claiming policy
+   (REPRO_SCHEDULE pins one, as in test_sim.ml). *)
+
+let check = Alcotest.check
+let case name f = Alcotest.test_case name `Quick f
+
+let cells = 11
+let n = 3
+let horizon i = 10 + (i * 7 mod 13)
+let label i = Printf.sprintf "cell %d" i
+
+(* Every (jobs, policy) pair the group exercises, labelled. *)
+let configs =
+  List.concat_map
+    (fun jobs ->
+      List.map
+        (fun schedule ->
+          ( Printf.sprintf "jobs=%d policy=%s" jobs
+              (Test_sim.schedule_label schedule),
+            jobs,
+            schedule ))
+        Test_sim.parallel_schedules)
+    (List.sort_uniq compare [ 1; Test_sim.parallel_jobs ])
+
+(* Cell [i] emits one seam event and one span, bumps a counter by [i],
+   returns [i * i] and reports [horizon i] simulated rounds. *)
+let synthetic (cell : Sim.Campaign.cell) i =
+  if Sim.Trace.seams_on cell.Sim.Campaign.tracer then
+    Sim.Trace.emit cell.Sim.Campaign.tracer
+      (Sim.Trace.Detector_reset { round = i; phase = 0 });
+  Stdx.Span.record cell.Sim.Campaign.spans "synthetic" 0.0;
+  Option.iter
+    (fun m -> Stdx.Metrics.incr ~by:i m "synthetic.sum")
+    cell.Sim.Campaign.metrics;
+  (i * i, horizon i)
+
+let expected_stream =
+  List.concat
+    (List.init cells (fun i ->
+         [
+           Sim.Trace.Cell_start { cell = i; label = label i };
+           Sim.Trace.Detector_reset { round = i; phase = 0 };
+           Sim.Trace.Span { name = "synthetic"; count = 1; wall_s = 0.0 };
+           Sim.Trace.Cell_end { cell = i; wall_s = 0.0 };
+         ]))
+
+let sum f = List.fold_left ( + ) 0 (List.init cells f)
+
+let test_all_sinks () =
+  List.iter
+    (fun (name, jobs, schedule) ->
+      let m = Stdx.Metrics.create () in
+      let tr = Sim.Trace.memory () in
+      let results = ref [||] in
+      let lines =
+        Test_obs.with_heartbeat ~interval_s:1.0e9 (fun hb ->
+            results :=
+              Sim.Campaign.exec ~metrics:m ~trace:tr ~spans:true ~heartbeat:hb
+                ~jobs ?schedule ~prefix:"synthetic" ~n ~horizon ~label cells
+                synthetic;
+            Stdx.Heartbeat.finish hb)
+      in
+      check (Alcotest.array Alcotest.int) (name ^ ": results in index order")
+        (Array.init cells (fun i -> i * i))
+        !results;
+      let events = Sim.Trace.events tr in
+      check Alcotest.bool (name ^ ": merged trace in index order") true
+        (Test_telemetry.normalise_wall events = expected_stream);
+      let rec after_last_cell_end acc = function
+        | [] -> acc
+        | Sim.Trace.Cell_end _ :: rest -> after_last_cell_end rest rest
+        | _ :: rest -> after_last_cell_end acc rest
+      in
+      check
+        (Alcotest.list Alcotest.string)
+        (name ^ ": one pool triple after the last Cell_end")
+        [ "pool.busy"; "pool.claim"; "pool.idle" ]
+        (List.map
+           (function Sim.Trace.Span { name; _ } -> name | _ -> "?")
+           (after_last_cell_end events events));
+      let snap = Stdx.Metrics.snapshot m in
+      check Alcotest.bool (name ^ ": <prefix>.cells = N") true
+        (Stdx.Metrics.find snap "synthetic.cells"
+        = Some (Stdx.Metrics.Counter cells));
+      (match Stdx.Metrics.find snap "synthetic.cell_wall_s" with
+      | Some (Stdx.Metrics.Histogram h) ->
+        check Alcotest.int (name ^ ": one wall sample per cell") cells h.count
+      | _ -> Alcotest.fail "synthetic.cell_wall_s missing");
+      check Alcotest.bool (name ^ ": cell registries merged") true
+        (Stdx.Metrics.find snap "synthetic.sum"
+        = Some (Stdx.Metrics.Counter (sum Fun.id)));
+      let j = Stdx.Json.parse (List.hd lines) in
+      let field f conv = conv f (Stdx.Json.field j f) in
+      check (Alcotest.float 0.0) (name ^ ": heartbeat cost total")
+        (float_of_int (sum (fun i -> horizon i * n * n)))
+        (field "cost_total" Stdx.Json.to_float);
+      check (Alcotest.float 0.0) (name ^ ": heartbeat cost done")
+        (float_of_int (sum (fun i -> horizon i * n * n)))
+        (field "cost_done" Stdx.Json.to_float);
+      check Alcotest.int (name ^ ": heartbeat cells") cells
+        (field "cells_done" Stdx.Json.to_int);
+      check Alcotest.int (name ^ ": heartbeat rounds") (sum horizon)
+        (field "rounds" Stdx.Json.to_int))
+    configs
+
+let test_no_sinks_inert () =
+  List.iter
+    (fun (name, jobs, schedule) ->
+      let inert =
+        Sim.Campaign.exec ~jobs ?schedule ~prefix:"synthetic" ~n ~horizon
+          ~label cells (fun cell i ->
+            ( cell.Sim.Campaign.metrics = None
+              && cell.Sim.Campaign.tracer == Sim.Trace.null
+              && cell.Sim.Campaign.spans == Stdx.Span.disabled,
+              i ))
+      in
+      check Alcotest.bool (name ^ ": no private sinks without caller sinks")
+        true
+        (Array.for_all Fun.id inert))
+    configs
+
+let suite =
+  [
+    ( "sim.campaign",
+      [
+        case "all sinks: order, merge, heartbeat, pool spans" test_all_sinks;
+        case "no sinks: inert cells" test_no_sinks_inert;
+      ] );
+  ]

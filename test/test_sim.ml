@@ -646,15 +646,15 @@ let test_sweep_aggregates () =
 let test_resolve_min_suffix () =
   (* default max(2c, 16), capped by rounds/4, floored at c *)
   check Alcotest.int "long horizon keeps the default" 16
-    (Sim.Harness.resolve_min_suffix ~c:2 ~rounds:100 None);
+    (Sim.Min_suffix.resolve ~c:2 ~rounds:100 None);
   check Alcotest.int "short horizon caps at rounds/4" 10
-    (Sim.Harness.resolve_min_suffix ~c:2 ~rounds:40 None);
+    (Sim.Min_suffix.resolve ~c:2 ~rounds:40 None);
   check Alcotest.int "cap never drops below c" 16
-    (Sim.Harness.resolve_min_suffix ~c:16 ~rounds:23 None);
+    (Sim.Min_suffix.resolve ~c:16 ~rounds:23 None);
   check Alcotest.int "explicit request floored at c too" 16
-    (Sim.Harness.resolve_min_suffix ~c:16 ~rounds:23 (Some 4));
+    (Sim.Min_suffix.resolve ~c:16 ~rounds:23 (Some 4));
   check Alcotest.bool "horizon below c is an error" true
-    (try ignore (Sim.Harness.resolve_min_suffix ~c:16 ~rounds:10 None); false
+    (try ignore (Sim.Min_suffix.resolve ~c:16 ~rounds:10 None); false
      with Invalid_argument _ -> true)
 
 (* Regression for the silent min_suffix clamp: a deterministic counter

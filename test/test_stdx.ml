@@ -245,37 +245,26 @@ let test_stats_order_with_infinities () =
 
 exception Boom of int
 
-let test_pool_map_matches_list_map =
-  qcheck "Pool.map = List.map at any jobs count"
-    QCheck.(pair (list small_int) (int_range 1 8))
-    (fun (xs, jobs) ->
-      Stdx.Pool.map ~jobs (fun x -> x * x + 1) xs
-      = List.map (fun x -> x * x + 1) xs)
-
 let test_pool_run_in_order () =
-  let a = Stdx.Pool.run ~jobs:4 10 (fun i -> i * 3) in
+  let a = Stdx.Pool.exec ~jobs:4 10 (fun i -> i * 3) in
   check (Alcotest.array Alcotest.int) "slot i holds f i"
     (Array.init 10 (fun i -> i * 3))
     a
 
-let test_pool_map_array () =
-  let a = Stdx.Pool.map_array ~jobs:3 String.length [| "a"; "bb"; ""; "cccc" |] in
-  check (Alcotest.array Alcotest.int) "map_array" [| 1; 2; 0; 4 |] a
-
 let test_pool_empty_and_oversubscribed () =
   check (Alcotest.array Alcotest.int) "n = 0" [||]
-    (Stdx.Pool.run ~jobs:4 0 (fun i -> i));
+    (Stdx.Pool.exec ~jobs:4 0 (fun i -> i));
   check (Alcotest.array Alcotest.int) "jobs > n" [| 0; 1 |]
-    (Stdx.Pool.run ~jobs:16 2 (fun i -> i))
+    (Stdx.Pool.exec ~jobs:16 2 (fun i -> i))
 
 let test_pool_invalid_args () =
   let raises name f =
     check Alcotest.bool name true
       (try ignore (f ()); false with Invalid_argument _ -> true)
   in
-  raises "jobs = 0 rejected" (fun () -> Stdx.Pool.run ~jobs:0 3 (fun i -> i));
+  raises "jobs = 0 rejected" (fun () -> Stdx.Pool.exec ~jobs:0 3 (fun i -> i));
   raises "negative n rejected" (fun () ->
-      Stdx.Pool.run ~jobs:2 (-1) (fun i -> i));
+      Stdx.Pool.exec ~jobs:2 (-1) (fun i -> i));
   raises "chunk size 0 rejected" (fun () ->
       Stdx.Pool.exec ~jobs:2 ~schedule:(Stdx.Pool.Chunked 0) 3 (fun i -> i));
   raises "non-finite cost rejected" (fun () ->
@@ -290,7 +279,7 @@ let test_pool_propagates_lowest_failure () =
   let observed =
     try
       ignore
-        (Stdx.Pool.run ~jobs:4 16 (fun i ->
+        (Stdx.Pool.exec ~jobs:4 16 (fun i ->
              if i mod 5 = 2 then raise (Boom i) else i));
       None
     with Boom i -> Some i
@@ -443,20 +432,6 @@ let test_pool_auto_chunk () =
        (fun i -> i));
   check Alcotest.int "uniform auto chunk in stats" 8 !seen
 
-let test_pool_aliases_carry_schedule () =
-  check
-    (Alcotest.list Alcotest.int)
-    "map under chunked"
-    [ 2; 4; 6 ]
-    (Stdx.Pool.map ~jobs:2 ~schedule:(Stdx.Pool.Chunked 2) (fun x -> 2 * x)
-       [ 1; 2; 3 ]);
-  check (Alcotest.array Alcotest.int) "map_array under cost-sorted"
-    [| 1; 2; 0; 4 |]
-    (Stdx.Pool.map_array ~jobs:3
-       ~schedule:(Stdx.Pool.Cost_sorted (fun i -> float_of_int (10 - i)))
-       String.length
-       [| "a"; "bb"; ""; "cccc" |])
-
 (* ------------------------------------------------------------------ *)
 (* Table                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -540,9 +515,7 @@ let suite =
       ] );
     ( "stdx.pool",
       [
-        test_pool_map_matches_list_map;
         case "results land in index order" test_pool_run_in_order;
-        case "map_array" test_pool_map_array;
         case "empty and oversubscribed" test_pool_empty_and_oversubscribed;
         case "invalid arguments" test_pool_invalid_args;
         case "lowest failing index re-raised" test_pool_propagates_lowest_failure;
@@ -552,7 +525,6 @@ let suite =
         case "stats report the execution" test_pool_stats;
         case "schedule names" test_pool_schedule_names;
         case "auto-tuned chunk size" test_pool_auto_chunk;
-        case "aliases carry the schedule" test_pool_aliases_carry_schedule;
       ] );
     ( "stdx.table",
       [

@@ -92,7 +92,7 @@ let test_concurrent_increments_sum_exactly () =
   let m = Stdx.Metrics.create () in
   let tasks = 400 in
   ignore
-    (Stdx.Pool.run ~jobs:parallel_jobs tasks (fun i ->
+    (Stdx.Pool.exec ~jobs:parallel_jobs tasks (fun i ->
          Stdx.Metrics.incr m "hits";
          Stdx.Metrics.incr ~by:2 m "double";
          Stdx.Metrics.observe ~buckets:[| 100.0; 200.0; 400.0 |] m "obs"
