@@ -9,7 +9,9 @@
 
    Headlines: benign throughput on A(12,3) (the boxed engine made that
    scale unaffordable), and hostile throughput on A(12,3) under the
-   split-brain equivocator — the flat adversary-kernel hot loop.
+   split-brain equivocator — the flat adversary-kernel hot loop. A
+   greedy-confusion row measures the lookahead kernel, where crafting
+   rather than stepping dominates.
 
    Results land in BENCH_engine.json. *)
 
@@ -180,13 +182,20 @@ let run () =
       measure ~label:"A(12,3) split-brain" ~spec:a12_3
         ~adversary:(Sim.Adversary.split_brain ()) ~faulty:[ 0; 4; 8 ]
         ~rounds:4000 ~seed:1 ();
+      (* The one-step lookahead: every round steps a private kernel once
+         per (faulty sender, correct recipient, candidate), so crafting,
+         not the engine's own step, is what this row measures. *)
+      measure ~label:"A(12,3) greedy-confusion(2)" ~spec:a12_3
+        ~adversary:(Sim.Adversary.greedy_confusion ~pool:2 ())
+        ~faulty:[ 0; 4; 8 ] ~rounds:200 ~seed:1 ();
     ]
   in
   let t =
     Stdx.Table.create
       [
-        "instance"; "adversary"; "rounds"; "flat nr/s"; "boxed nr/s";
-        "speedup"; "flat minW/nr"; "bridge minW/nr"; "identical";
+        "instance"; "adversary"; "rounds"; "flat nr/s"; "bridge nr/s";
+        "boxed nr/s"; "speedup"; "flat minW/nr"; "bridge minW/nr";
+        "identical";
       ]
   in
   List.iter
@@ -197,6 +206,9 @@ let run () =
           r.adversary;
           string_of_int r.rounds;
           Printf.sprintf "%.0f" r.flat.node_rounds_per_s;
+          (match r.bridge with
+          | None -> "-"
+          | Some p -> Printf.sprintf "%.0f" p.node_rounds_per_s);
           Printf.sprintf "%.0f" r.boxed.node_rounds_per_s;
           Printf.sprintf "%.1fx" (r.boxed.wall_s /. Float.max 1e-9 r.flat.wall_s);
           Printf.sprintf "%.2f" r.flat.gc.minor_w_nr;

@@ -670,17 +670,20 @@ let chaos_cmd =
 
 let read_file_content path = In_channel.with_open_bin path In_channel.input_all
 
-(* Newline-terminated, non-blank lines only: a beat mid-write is picked
-   up whole on the next poll. *)
+(* Newline-terminated, non-blank lines only, each with its 1-based line
+   number in the file (blank lines still count), so parse errors can
+   name it: a beat mid-write is picked up whole on the next poll. *)
 let complete_lines content =
-  let rec go acc start =
+  let rec go acc lineno start =
     match String.index_from_opt content start '\n' with
     | None -> List.rev acc
     | Some i ->
       let line = String.sub content start (i - start) in
-      go (if String.trim line = "" then acc else line :: acc) (i + 1)
+      go
+        (if String.trim line = "" then acc else (lineno, line) :: acc)
+        (lineno + 1) (i + 1)
   in
-  go [] 0
+  go [] 1 0
 
 let is_heartbeat_line line =
   match Stdx.Json.parse_result line with
@@ -738,6 +741,17 @@ let heartbeat_view line =
     hv_utilization = to_float "utilization" (field workers "utilization");
     hv_heap_words = to_int "heap_words" (field gc "heap_words");
   }
+
+(* The rendering of the latest beat, or a parse error that names the
+   file and line, like [Sim.Trace.read_jsonl]'s. *)
+let last_heartbeat path lines =
+  match List.rev lines with
+  | [] -> Error (Printf.sprintf "%s: no heartbeat lines" path)
+  | (lineno, last) :: _ -> (
+    match heartbeat_view last with
+    | exception Stdx.Json.Parse_error msg ->
+      Error (Printf.sprintf "%s: line %d: %s" path lineno msg)
+    | v -> Ok (last, v))
 
 let hb_progress_pct v =
   if v.hv_cost_total > 0.0 then 100.0 *. v.hv_cost_done /. v.hv_cost_total
@@ -831,11 +845,9 @@ let report_cmd =
   in
   let ids l = String.concat ";" (List.map string_of_int l) in
   let report_heartbeat ~json path lines =
-    let last = List.nth lines (List.length lines - 1) in
-    match heartbeat_view last with
-    | exception Stdx.Json.Parse_error msg ->
-      `Error (false, Printf.sprintf "%s: %s" path msg)
-    | v ->
+    match last_heartbeat path lines with
+    | Error msg -> `Error (false, msg)
+    | Ok (last, v) ->
       if json then print_endline last else hb_block v;
       `Ok ()
   in
@@ -847,7 +859,7 @@ let report_cmd =
     with
     | Error msg -> `Error (false, msg)
     | Ok [] -> `Error (false, Printf.sprintf "%s: empty file" path)
-    | Ok (first :: _ as lines) when is_heartbeat_line first ->
+    | Ok ((_, first) :: _ as lines) when is_heartbeat_line first ->
       report_heartbeat ~json path lines
     | Ok _ ->
     let ic = open_in path in
@@ -1466,15 +1478,11 @@ let watch_cmd =
       match read_file_content path with
       | exception Sys_error msg -> `Error (false, msg)
       | content -> (
-        match List.rev (complete_lines content) with
-        | [] -> `Error (false, Printf.sprintf "%s: no heartbeat lines" path)
-        | last :: _ -> (
-          match heartbeat_view last with
-          | exception Stdx.Json.Parse_error msg ->
-            `Error (false, Printf.sprintf "%s: %s" path msg)
-          | v ->
-            hb_block v;
-            `Ok ()))
+        match last_heartbeat path (complete_lines content) with
+        | Error msg -> `Error (false, msg)
+        | Ok (_, v) ->
+          hb_block v;
+          `Ok ())
     end
     else begin
       (* Tail loop: one status line per fresh complete beat; lines that
@@ -1490,7 +1498,7 @@ let watch_cmd =
           let total = List.length lines in
           if total > !seen then begin
             List.iteri
-              (fun i line ->
+              (fun i (_, line) ->
                 if i >= !seen && not !finished then
                   match heartbeat_view line with
                   | exception Stdx.Json.Parse_error _ -> ()

@@ -67,6 +67,29 @@ dune exec bin/countctl.exe -- report "$trace_file" > /dev/null
 dune exec bin/jsonlint.exe -- --jsonl "$trace_file"
 rm -f "$trace_file"
 
+# Greedy-heavy chaos smoke: the `countctl chaos --levels 4:1,3:3` shape
+# on A(12,3), whose campaign 4 has a greedy-confusion phase. Every
+# crafted phase must run on a flat adversary kernel (none bridged), and
+# the trace must be analysable by `countctl report` and lint as JSONL.
+greedy_trace="$(mktemp)"
+greedy_out="$(mktemp)"
+dune exec bin/countctl.exe -- chaos --levels 4:1,3:3 --campaigns 4 \
+  --phases 3 --rounds 600 --seeds 1 --jobs 2 --trace "$greedy_trace" \
+  --metrics > "$greedy_out"
+dune exec bin/countctl.exe -- report "$greedy_trace" > /dev/null
+dune exec bin/jsonlint.exe -- --jsonl "$greedy_trace"
+metric_value() {
+  awk -v name="$1" '$1 == name { print $3 }' "$greedy_out"
+}
+bridged="$(metric_value engine.bridged_craft_phases)"
+flat="$(metric_value engine.flat_craft_phases)"
+if [ "${bridged:-0}" != 0 ] || [ "$flat" != 12 ]; then
+  echo "greedy chaos smoke: expected 12 flat and 0 bridged craft phases," \
+    "got flat=${flat:-absent} bridged=${bridged:-absent}" >&2
+  exit 1
+fi
+rm -f "$greedy_trace" "$greedy_out"
+
 # Run smoke: parallel seeds with every telemetry sink on; the trace
 # must be analysable by `countctl report` and lint clean as JSONL.
 run_trace="$(mktemp)"
@@ -111,6 +134,22 @@ report_json="$(mktemp)"
 dune exec bin/countctl.exe -- report "$hb_file" --json > "$report_json"
 dune exec bin/jsonlint.exe -- "$report_json"
 rm -f "$hb_file" "$report_json"
+
+# A malformed heartbeat file is a clean error that names the line:
+# non-zero exit, "line" in stderr, no uncaught exception.
+bad_hb="$(mktemp)"
+bad_err="$(mktemp)"
+printf '{"ev":"meta"\n' > "$bad_hb"
+if dune exec bin/countctl.exe -- watch "$bad_hb" --once > /dev/null \
+     2> "$bad_err"; then
+  echo "expected failure: countctl watch on a malformed heartbeat file" >&2
+  exit 1
+fi
+if ! grep -q 'line' "$bad_err" || grep -q 'internal error' "$bad_err"; then
+  cat "$bad_err" >&2
+  exit 1
+fi
+rm -f "$bad_hb" "$bad_err"
 
 # Hunt smoke: a fixed-seed hunt against a deliberately over-claimed
 # spec (follow-leader claims f=1 but tolerates none) must find failed

@@ -8,7 +8,12 @@ type 's crafter = {
     's array array;
 }
 
-type flat_env = { n : int; random_code : Stdx.Rng.t -> int }
+type flat_env = {
+  n : int;
+  random_code : Stdx.Rng.t -> int;
+  output_code : self:int -> int -> int;
+  fresh_kernel : unit -> Algo.Spec.kernel;
+}
 
 type flat_crafter = {
   craft_flat :
@@ -43,17 +48,18 @@ let matrix ~n ~faulty msg =
 
 (* --- flat-kernel plumbing ------------------------------------------- *)
 
-(* Allocation-free membership test for the small faulty arrays. *)
-(* A while-loop, not an inner recursive function — a closure here would
-   allocate on every call, and [fill_correct] probes every node id each
-   crafted round. *)
-let mem_int (a : int array) x =
-  let len = Array.length a in
+(* Allocation-free membership test for the small faulty arrays, and
+   for the first [len] slots of a scratch row. A while-loop, not an
+   inner recursive function — a closure here would allocate on every
+   call, and [fill_correct] probes every node id each crafted round. *)
+let mem_prefix (a : int array) len x =
   let i = ref 0 in
   while !i < len && a.(!i) <> x do
     incr i
   done;
   !i < len
+
+let mem_int (a : int array) x = mem_prefix a (Array.length a) x
 
 let fill_row (out : int array) ~base ~n code =
   for r = 0 to n - 1 do
@@ -454,14 +460,19 @@ let distinct_count compare values =
   let sorted = List.sort_uniq compare values in
   List.length sorted
 
+(* [distinct_count] over the first [len] slots of a scratch row, without
+   allocating: quadratic, but [len] is at most the node count. *)
+let distinct_prefix (a : int array) len =
+  let d = ref 0 in
+  for i = 0 to len - 1 do
+    if not (mem_prefix a i a.(i)) then incr d
+  done;
+  !d
+
 let greedy_confusion ~pool () =
   {
     name = Printf.sprintf "greedy-confusion(%d)" pool;
     benign = false;
-    (* One-step lookahead simulates recipients' transitions on boxed
-       states and splits probe rngs — intrinsically boxed; the engine
-       bridges it (decode, craft, re-encode) on the flat path. *)
-    fresh_flat = None;
     fresh =
       (fun () ->
         {
@@ -475,9 +486,9 @@ let greedy_confusion ~pool () =
                   (Array.init pool (fun _ -> spec.Algo.Spec.random_state rng))
               in
               (* For each recipient, simulate its transition assuming every
-                 other sender is truthful and score each candidate by how
-                 far the recipient's next output drifts from the current
-                 majority next-output. *)
+                 other sender is truthful and score each candidate by the
+                 spread (distinct values) of the recipient's next output
+                 together with the correct nodes' truthful next outputs. *)
               let truthful_next r =
                 let received = Array.copy states in
                 let probe_rng = Stdx.Rng.split rng in
@@ -514,6 +525,75 @@ let greedy_confusion ~pool () =
                     !best
                   end));
         });
+    fresh_flat =
+      Some
+        (fun env ->
+          let n = env.n in
+          (* A private kernel: the probes must not disturb the engine's
+             own kernel cache. Consecutive probes differ in about one
+             slot of [recv], which a kernel with an incremental
+             received-vector cache (the boost tower's) makes cheap. *)
+          let kernel = env.fresh_kernel () in
+          let cur = Array.make n 0 in
+          let recv = Array.make n 0 in
+          let correct = Array.make n 0 in
+          let cands = Array.make (n + pool) 0 in
+          let baseline = Array.make n 0 in
+          (* One split per probe, like the boxed [Stdx.Rng.split] calls;
+             the recipient's transition runs on [recv] as it stands. *)
+          let probe ~self ~rng =
+            env.output_code ~self
+              (kernel.Algo.Spec.step ~self ~rng:(Stdx.Rng.split rng) recv)
+          in
+          {
+            craft_flat =
+              (fun ~rng ~round:_ ~states ~faulty ~out ->
+                Statebuf.blit_to states cur n;
+                let nc = fill_correct correct ~n ~faulty in
+                let ncand = nc + pool in
+                (* Candidates: correct nodes' codes, then [pool] draws. *)
+                for i = 0 to nc - 1 do
+                  cands.(i) <- cur.(correct.(i))
+                done;
+                for i = nc to ncand - 1 do
+                  cands.(i) <- env.random_code rng
+                done;
+                Array.blit cur 0 recv 0 n;
+                for i = 0 to nc - 1 do
+                  baseline.(i) <- probe ~self:correct.(i) ~rng
+                done;
+                let d = distinct_prefix baseline nc in
+                (* Draws in matrix order: fi outer, recipient inner. Only
+                   the sender's slot of [recv] moves, and it is restored
+                   after each recipient, so other faulty slots keep their
+                   true codes — the boxed "everyone else is truthful". *)
+                for fi = 0 to Array.length faulty - 1 do
+                  let sender = faulty.(fi) in
+                  let base = fi * n in
+                  for r = 0 to n - 1 do
+                    if mem_int faulty r then out.(base + r) <- cur.(sender)
+                    else begin
+                      (* Score = distinct_count (o :: baseline); strict
+                         [>] keeps the first best candidate. *)
+                      let best = ref 0 in
+                      let best_score = ref min_int in
+                      for ci = 0 to ncand - 1 do
+                        recv.(sender) <- cands.(ci);
+                        let o = probe ~self:r ~rng in
+                        let score =
+                          if mem_prefix baseline nc o then d else d + 1
+                        in
+                        if score > !best_score then begin
+                          best_score := score;
+                          best := ci
+                        end
+                      done;
+                      recv.(sender) <- cur.(sender);
+                      out.(base + r) <- cands.(!best)
+                    end
+                  done
+                done);
+          });
   }
 
 let standard_suite () =

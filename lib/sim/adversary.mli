@@ -31,10 +31,22 @@ type flat_env = {
       (** the spec codec's {!Algo.Spec.codec.random_code}: a random
           state in code space, consuming the rng exactly like the
           spec's [random_state] *)
+  output_code : self:int -> int -> int;
+      (** the spec codec's {!Algo.Spec.codec.output_code}: a node's
+          output read straight off a state code *)
+  fresh_kernel : unit -> Algo.Spec.kernel;
+      (** the spec codec's {!Algo.Spec.codec.fresh_kernel}. A flat
+          kernel that simulates recipients' transitions calls it at
+          most once per phase (when [fresh_flat] builds the crafter)
+          and owns the result: the engine's own kernel is never
+          shared, so probing cannot disturb the engine's scratch or
+          caches. Stepping it consumes the given rng exactly like the
+          spec's [transition]. *)
 }
 (** Everything a flat kernel may know about the algorithm it attacks:
-    the node count and a code-space random sampler. Deliberately no
-    decoder — flat kernels are zero-decode by construction. *)
+    the node count, a code-space random sampler, the output map and
+    the code-space transition. Deliberately no decoder — flat kernels
+    are zero-decode by construction. *)
 
 type flat_crafter = {
   craft_flat :
@@ -70,11 +82,11 @@ type 's t = {
   fresh_flat : (flat_env -> flat_crafter) option;
       (** Code-level kernel of the same strategy, used by the engine's
           flat path; a fresh stateful instance per phase, like {!fresh}.
-          [None] ({!greedy_confusion}, and strategies added without a
-          kernel) makes the flat engine fall back to the boxed crafting
-          bridge — decode, [craft], re-encode — per phase, so chaos
-          schedules can mix flat-kerneled and bridged adversaries
-          freely. *)
+          Every strategy in this module ships one. [None] (a strategy
+          added without a kernel, or one stripped by {!without_flat})
+          makes the flat engine fall back to the boxed crafting bridge
+          — decode, [craft], re-encode — per phase, so chaos schedules
+          can mix flat-kerneled and bridged adversaries freely. *)
 }
 
 val name : 's t -> string
@@ -84,8 +96,9 @@ val has_flat : 's t -> bool
 
 val without_flat : 's t -> 's t
 (** Same strategy with the flat kernel stripped: the engine's flat path
-    is forced through the boxed crafting bridge. For differential tests
-    of the bridge itself. *)
+    is forced through the boxed crafting bridge. The bridge is the
+    differential oracle for every kernel (tests and [bench engine]
+    compare the two) and the fallback for kernel-less strategies. *)
 
 val benign : unit -> 's t
 (** Faulty nodes behave exactly like correct ones. *)
@@ -138,9 +151,19 @@ val greedy_confusion : pool:int -> unit -> 's t
 (** One-step lookahead attack: for each recipient, pick from a candidate
     pool (true states of all correct nodes plus [pool] random states) the
     message that, assuming everyone else tells the truth, maximises the
-    spread of next-round outputs among correct nodes. The strongest
-    generic strategy in the suite; costs O(pool * n * transition) per
-    faulty node per round. *)
+    spread (number of distinct values) of next-round outputs among the
+    correct nodes' truthful next outputs and the recipient's; ties go to
+    the first candidate. The strongest generic strategy in the suite;
+    costs O((n + pool) * n * transition) per faulty node per round.
+
+    Each round consumes the rng as: [pool] random states, then one
+    [Stdx.Rng.split] per correct node (ascending; its truthful next
+    state), then one split per (faulty sender, correct recipient,
+    candidate) probe in that nesting order. Faulty recipients get the
+    sender's own state and cost no draw. The flat kernel does the same
+    in code space, stepping a private {!flat_env.fresh_kernel} built
+    once per phase, so each probe differs from the kernel's previous
+    input in about one slot. *)
 
 val standard_suite : unit -> 's t list
 (** The adversaries used by tests and experiments: benign, stuck,

@@ -117,7 +117,13 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
   in
   let flat_env =
     Option.map
-      (fun c -> { Adversary.n; random_code = c.Algo.Spec.random_code })
+      (fun c ->
+        {
+          Adversary.n;
+          random_code = c.Algo.Spec.random_code;
+          output_code = c.Algo.Spec.output_code;
+          fresh_kernel = c.Algo.Spec.fresh_kernel;
+        })
       flat_codec
   in
   (* Per-phase fault bookkeeping, refreshed at every phase boundary. *)

@@ -211,11 +211,8 @@ let test_zoo_flat_coverage () =
         (Sim.Adversary.name a ^ ": without_flat strips it")
         false
         (Sim.Adversary.has_flat (Sim.Adversary.without_flat a)))
-    (Sim.Adversary.standard_suite ());
-  (* One-step lookahead over boxed states is intrinsically boxed: the
-     zoo's only always-bridged member. *)
-  check Alcotest.bool "greedy-confusion has no flat kernel" false
-    (Sim.Adversary.has_flat (Sim.Adversary.greedy_confusion ~pool:8 ()))
+    (Sim.Adversary.standard_suite ()
+    @ [ Sim.Adversary.greedy_confusion ~pool:8 () ])
 
 let assert_bridge_static_differential ~label ~rounds
     ?(fault_sets = [ []; [ 0 ] ]) ?(seeds = [ 1; 2 ]) (spec : 's Algo.Spec.t) =
@@ -391,8 +388,127 @@ let test_craft_phase_counters () =
     (phases (Sim.Adversary.without_flat (Sim.Adversary.split_brain ())));
   check
     (Alcotest.pair Alcotest.int Alcotest.int)
-    "intrinsically boxed adversary rides the bridge" (0, 1)
-    (phases (Sim.Adversary.greedy_confusion ~pool:8 ()))
+    "lookahead kernel phase counted as flat" (1, 0)
+    (phases (Sim.Adversary.greedy_confusion ~pool:8 ()));
+  check
+    (Alcotest.pair Alcotest.int Alcotest.int)
+    "stripped lookahead kernel phase counted as bridged" (0, 1)
+    (phases
+       (Sim.Adversary.without_flat (Sim.Adversary.greedy_confusion ~pool:8 ())))
+
+(* ------------------------------------------------------------------ *)
+(* Craft-level differential: one phase's crafter, kernel vs boxed       *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine-level differentials above see a kernel only through the
+   states it drives. Here the two crafters of one strategy face the same
+   random state vectors directly, for a few consecutive rounds of one
+   phase: the kernel's [out] matrix must be the encoded boxed matrix,
+   and the two adversary rngs must stay in lockstep (same next draw
+   after every round). Randomised specs make the lookahead's probe rngs
+   observable, so a skipped or extra split shows up as a different
+   matrix as well as a different next draw. *)
+
+let qcheck ?(count = 100) name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
+
+let a12_3 () =
+  (Counting.Boost.construct
+     ~inner:
+       (Counting.Boost.construct
+          ~inner:(Counting.Trivial.single ~c:2304)
+          ~k:4 ~big_f:1 ~big_c:960)
+         .Counting.Boost.spec
+     ~k:3 ~big_f:3 ~big_c:1728)
+    .Counting.Boost.spec
+
+(* The environment the engine hands a flat kernel. *)
+let flat_env (spec : 's Algo.Spec.t) =
+  let c = Option.get spec.Algo.Spec.codec in
+  {
+    Sim.Adversary.n = spec.Algo.Spec.n;
+    random_code = c.Algo.Spec.random_code;
+    output_code = c.Algo.Spec.output_code;
+    fresh_kernel = c.Algo.Spec.fresh_kernel;
+  }
+
+let craft_lockstep (spec : 's Algo.Spec.t) adversary ~faulty ~seed =
+  let codec = Option.get spec.Algo.Spec.codec in
+  let n = spec.Algo.Spec.n in
+  let nf = Array.length faulty in
+  let kernel =
+    (Option.get adversary.Sim.Adversary.fresh_flat) (flat_env spec)
+  in
+  let crafter = adversary.Sim.Adversary.fresh () in
+  let state_rng = Stdx.Rng.create seed in
+  let flat_rng = Stdx.Rng.create (seed + 1) in
+  let boxed_rng = Stdx.Rng.create (seed + 1) in
+  let out = Array.make (max 1 (nf * n)) (-1) in
+  let buf = Sim.Statebuf.create ~num_states:codec.Algo.Spec.num_states n in
+  List.for_all
+    (fun round ->
+      let states =
+        Array.init n (fun _ -> spec.Algo.Spec.random_state state_rng)
+      in
+      Array.iteri
+        (fun v s -> Sim.Statebuf.set buf v (codec.Algo.Spec.encode_state s))
+        states;
+      kernel.Sim.Adversary.craft_flat ~rng:flat_rng ~round ~states:buf
+        ~faulty ~out;
+      let m =
+        crafter.Sim.Adversary.craft ~spec ~rng:boxed_rng ~round ~states
+          ~faulty
+      in
+      let encoded =
+        Array.concat
+          (Array.to_list
+             (Array.map (Array.map codec.Algo.Spec.encode_state) m))
+      in
+      Array.length m = nf
+      && encoded = Array.sub out 0 (nf * n)
+      && Int64.equal (Stdx.Rng.next_int64 flat_rng)
+           (Stdx.Rng.next_int64 boxed_rng))
+    [ 0; 1; 2 ]
+
+let pools = [| 0; 1; 2; 8 |]
+
+(* Random faulty sets of [min_faulty .. f] nodes (in sampled, not sorted,
+   order), pool sizes from [pools], three rounds per case. *)
+let craft_differential ?count ?min_faulty ~label (spec : 's Algo.Spec.t) =
+  let n = spec.Algo.Spec.n and f = spec.Algo.Spec.f in
+  let lo = Option.value min_faulty ~default:0 in
+  qcheck ?count
+    (Printf.sprintf "craft differential: greedy-confusion on %s" label)
+    QCheck.(
+      triple (int_range lo f) (int_range 0 (Array.length pools - 1)) small_nat)
+    (fun (size, pi, seed) ->
+      let faulty =
+        Array.of_list
+          (Stdx.Rng.sample_without_replacement (Stdx.Rng.create seed) size n)
+      in
+      craft_lockstep spec
+        (Sim.Adversary.greedy_confusion ~pool:pools.(pi) ())
+        ~faulty ~seed)
+
+let test_craft_differential_leader =
+  craft_differential ~label:"follow-leader f=2" leader_f2
+
+(* Two faulty senders whose slots both feed a vote quorum: probing the
+   second must see the first at its true code, not a leftover
+   candidate. *)
+let test_craft_differential_rand =
+  craft_differential ~label:"rand-counter n=7 f=2"
+    (Counting.Rand_counter.make ~n:7 ~f:2)
+
+let test_craft_differential_a41 = craft_differential ~label:"A(4,1)" (a41 ())
+
+let test_craft_differential_a12 =
+  craft_differential ~count:25 ~label:"A(12,3)" (a12_3 ())
+
+(* n = f: no correct recipient, so a round is just the pool draws. *)
+let test_craft_differential_all_faulty =
+  craft_differential ~count:40 ~min_faulty:4 ~label:"n = f = 4"
+    (Algo.Combinators.with_claimed_resilience leader ~f:4)
 
 (* ------------------------------------------------------------------ *)
 (* end_round convention (regression: final phase was reported one past   *)
@@ -586,6 +702,11 @@ let suite =
           test_bridge_chaos_campaign_differential;
         case "craft phase counters split flat vs bridged"
           test_craft_phase_counters;
+        test_craft_differential_leader;
+        test_craft_differential_rand;
+        test_craft_differential_a41;
+        test_craft_differential_a12;
+        test_craft_differential_all_faulty;
       ] );
     ( "sim.engine.end_round",
       [
