@@ -13,6 +13,11 @@
    greedy-confusion row measures the lookahead kernel, where crafting
    rather than stepping dominates.
 
+   Kernel set-up rows time [fresh_kernel ()] itself on the Theorem 1
+   towers A(4,1), A(12,3) and A(36,7) (modulus 2): the fixed cost every
+   flat engine run pays before its first round, which dominates short
+   early-exiting runs.
+
    Results land in BENCH_engine.json. *)
 
 let json_path = "BENCH_engine.json"
@@ -133,6 +138,89 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
     bridged_craft_phases = counter "engine.bridged_craft_phases";
   }
 
+(* [fresh_kernel ()] cost. Cold: the first call on a freshly built tower,
+   which also builds the tower's shared lookup tables at every level
+   (median over [cold_reps] towers). Warm: any later call, which
+   allocates only private scratch (median over [warm_batches] batches of
+   [warm_batch] calls, per call). Words are counted on one warm call
+   between two minor collections; the instance is dead by the second, so
+   the major count is just the arrays too large for the minor heap (the
+   phase-king histograms), not promotion. *)
+type setup_row = {
+  tower : string;
+  tower_n : int;
+  cold_s : float;
+  warm_s : float;
+  warm_minor_words : float;
+  warm_major_words : float;
+}
+
+let kernel_setup ~tower levels =
+  let build () =
+    let (Algo.Spec.Packed spec) =
+      Counting.Build.tower (Counting.Plan.plan_tower_exn ~target_c:2 levels)
+    in
+    match spec.Algo.Spec.codec with
+    | Some codec -> (spec.Algo.Spec.n, codec.Algo.Spec.fresh_kernel)
+    | None -> failwith (tower ^ ": no codec")
+  in
+  let time f =
+    let t0 = Stdx.Metrics.wall_clock () in
+    f ();
+    Stdx.Metrics.wall_clock () -. t0
+  in
+  let median xs = Stdx.Stats.percentile 0.5 xs in
+  let cold_reps = 15 and warm_batches = 21 and warm_batch = 100 in
+  let cold_s =
+    median
+      (List.init cold_reps (fun _ ->
+           let _, fresh = build () in
+           time (fun () -> ignore (Sys.opaque_identity (fresh ())))))
+  in
+  let tower_n, fresh = build () in
+  ignore (fresh ());
+  let warm_s =
+    median
+      (List.init warm_batches (fun _ ->
+           time (fun () ->
+               for _ = 1 to warm_batch do
+                 ignore (Sys.opaque_identity (fresh ()))
+               done)
+           /. float_of_int warm_batch))
+  in
+  let words f =
+    Gc.minor ();
+    let j0 = (Gc.quick_stat ()).Gc.major_words in
+    let m0 = Gc.minor_words () in
+    f ();
+    let m1 = Gc.minor_words () in
+    (* A domain's major-heap allocation reaches quick_stat only at its
+       next minor collection. *)
+    Gc.minor ();
+    (m1 -. m0, (Gc.quick_stat ()).Gc.major_words -. j0)
+  in
+  (* The probe's own allocation, measured with nothing in between, after
+     one discarded probe: the first after heavy allocation reads a few
+     dozen major words off. *)
+  ignore (words ignore);
+  let minor0, major0 = words ignore in
+  let minor, major = words (fun () -> ignore (Sys.opaque_identity (fresh ()))) in
+  {
+    tower;
+    tower_n;
+    cold_s;
+    warm_s;
+    warm_minor_words = minor -. minor0;
+    warm_major_words = major -. major0;
+  }
+
+let json_of_setup r =
+  Printf.sprintf
+    "    {\"tower\": %S, \"n\": %d, \"cold_first_s\": %.7f, \
+     \"warm_median_s\": %.7f,\n\
+    \     \"warm_minor_words\": %.0f, \"warm_major_words\": %.0f}"
+    r.tower r.tower_n r.cold_s r.warm_s r.warm_minor_words r.warm_major_words
+
 let json_of_row r =
   let path_fields tag p =
     Printf.sprintf
@@ -219,6 +307,31 @@ let run () =
         ])
     rows;
   Stdx.Table.print t;
+  let setup =
+    [
+      kernel_setup ~tower:"A(4,1)" [ { Counting.Plan.k = 4; big_f = 1 } ];
+      kernel_setup ~tower:"A(12,3)"
+        [ { Counting.Plan.k = 4; big_f = 1 }; { k = 3; big_f = 3 } ];
+      kernel_setup ~tower:"A(36,7)" Counting.Plan.figure2_levels;
+    ]
+  in
+  Bench_common.subsection "Kernel set-up: fresh_kernel () per engine run";
+  let st =
+    Stdx.Table.create
+      [ "tower"; "cold first us"; "warm us"; "warm minor W"; "warm major W" ]
+  in
+  List.iter
+    (fun r ->
+      Stdx.Table.add_row st
+        [
+          r.tower;
+          Printf.sprintf "%.1f" (r.cold_s *. 1e6);
+          Printf.sprintf "%.1f" (r.warm_s *. 1e6);
+          Printf.sprintf "%.0f" r.warm_minor_words;
+          Printf.sprintf "%.0f" r.warm_major_words;
+        ])
+    setup;
+  Stdx.Table.print st;
   let headline = List.find (fun r -> r.label = "A(12,3) benign") rows in
   let hostile = List.find (fun r -> r.label = "A(12,3) split-brain") rows in
   let hostile_bridge = Option.get hostile.bridge in
@@ -248,6 +361,7 @@ let run () =
     \               \"minor_alloc_reduction_vs_bridge\": %.1f},\n\
     \  \"all_identical_outcomes\": %b,\n\
     \  \"measurements\": [\n%s\n  ],\n\
+    \  \"kernel_setup\": [\n%s\n  ],\n\
     \  \"metrics\": %s\n\
      }\n"
     headline.label headline.flat.node_rounds_per_s
@@ -257,6 +371,7 @@ let run () =
     hostile.flat.gc.minor_w_nr hostile_bridge.gc.minor_w_nr alloc_reduction
     all_identical
     (String.concat ",\n" (List.map json_of_row rows))
+    (String.concat ",\n" (List.map json_of_setup setup))
     (Stdx.Metrics.to_json (Stdx.Metrics.snapshot metrics));
   close_out oc;
   Printf.printf "[engine throughput record written to %s]\n" json_path;

@@ -384,11 +384,24 @@ let run_cmd =
     | Error (`Msg m) -> `Error (false, m)
     | Ok tower -> (
       let (Algo.Spec.Packed spec) = Counting.Build.tower tower in
-      match adversary_of_name adversary with
-      | None -> `Error (false, "unknown adversary; see `countctl adversaries'")
-      | Some _ when (match opts.min_suffix with Some m -> m < 1 | None -> false)
-        -> `Error (false, "--min-suffix must be >= 1")
-      | Some adversary ->
+      let faulty_error =
+        match
+          Sim.Schedule.validate_faulty ~who:"--faulty" ~n:spec.Algo.Spec.n
+            ~f:spec.Algo.Spec.f faulty
+        with
+        | _ -> None
+        | exception Invalid_argument msg -> Some msg
+      in
+      match (adversary_of_name adversary, faulty_error) with
+      | None, _ -> `Error (false, "unknown adversary; see `countctl adversaries'")
+      | Some _, Some msg -> `Error (false, msg)
+      | Some _, None
+        when match opts.min_suffix with Some m -> m < 1 | None -> false ->
+        `Error (false, "--min-suffix must be >= 1")
+      | Some _, None
+        when match opts.rounds with Some r -> r < 1 | None -> false ->
+        `Error (false, "--rounds must be >= 1")
+      | Some adversary, None ->
         let rounds = Option.value opts.rounds ~default:4000 in
         let seeds = Option.value opts.seeds ~default:[ 1 ] in
         let mode =

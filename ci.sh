@@ -119,6 +119,11 @@ expect_clean_failure run --levels 4:1 --rounds 50 \
   --trace /nonexistent/dir/t.jsonl
 expect_clean_failure run --levels 4:1 --rounds 50 --heartbeat 0 \
   --heartbeat-file /nonexistent/dir/hb.jsonl
+# So are bad run parameters: more faulty ids than the resilience, an id
+# outside the tower, an empty horizon.
+expect_clean_failure run --levels 4:1,3:3 --faulty 0,4,8,9
+expect_clean_failure run --faulty 99
+expect_clean_failure run --rounds 0
 
 # Heartbeat smoke: the same campaign shape with spans on and a
 # zero-interval heartbeat must stream JSONL that lints clean, render

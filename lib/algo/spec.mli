@@ -27,8 +27,9 @@
 type kernel = { step : self:int -> rng:Stdx.Rng.t -> int array -> int }
 (** A transition kernel operating directly on packed integer state codes:
     [step ~self ~rng received] is [encode (g(self, decode received))].
-    Kernels may own mutable scratch buffers, so a kernel value must be
-    confined to one simulation run (see {!codec.fresh_kernel}). *)
+    A kernel value may own private mutable scratch buffers, so it must be
+    confined to one simulation run (see {!codec.fresh_kernel}); immutable
+    per-spec tables it reads may be shared with other kernels. *)
 
 type 's codec = {
   num_states : int;  (** [|X|]; codes are dense in [\[0, num_states)] *)
@@ -46,8 +47,12 @@ type 's codec = {
           draw count) breaks the flat/boxed bit-identity contract.
           {!validate} spot-checks both on fresh streams. *)
   fresh_kernel : unit -> kernel;
-      (** a fresh kernel with private scratch; called once per engine run
-          so concurrent runs over a shared spec never race *)
+      (** a fresh kernel; called once per engine run, possibly from
+          several domains at once. Every instance's mutable scratch is
+          private, so concurrent runs over a shared spec never race.
+          Immutable per-spec tables (lookup tables, say) may be shared by
+          all instances and across domains, and may be built on the first
+          call — safely if two domains make it at once. *)
 }
 (** Dense integer encoding of the state set [X], the contract behind the
     flat (packed state vector) simulation path. The encoding is a bijection

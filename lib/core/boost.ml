@@ -146,42 +146,38 @@ let naive_phase_king_step ~cap ~big_n ~index ~(self : Phase_king.reg) ~received
     in
     { Phase_king.a; d = true }
 
-(* Flat transition kernel: the exact computation of [transition] below, but
-   over packed integer codes. The code layout is
+(* The flat kernel's lookup tables: pure functions of the plan, so every
+   kernel instance of one codec shares them, across domains too.
+   [pow_level]/[modulus] are the per-level view constants of
+   Counter_view.make_params ~tau ~m ~level with the default base 2m (the
+   flat kernel is never used for ablated variants, which fall back to the
+   generic kernel).
 
-     code = (inner_code * (C + 1) + a_code) * 2 + d_code
+   Division is the dominant cost of decoding (an idiv per mod/div, and
+   [load_slot] runs on every cache miss), so everything with a small
+   domain is tabulated: block/slot of a node id, and the (r, b) view of a
+   reduced counter value. The view tables hold one entry per residue mod
+   [modulus.(blk)] — their total size is bounded by k * 3(F+2)(2m)^k,
+   tiny for every practical tower — and are left empty ([view_tabs] is
+   false, the kernel falls back to the division chain) if a pathological
+   parameterisation would make them large. *)
+type tables = {
+  pow_level : int array;
+  modulus : int array;
+  blk_of : int array;
+  slot_of : int array;
+  tab_base : int array;
+  view_tabs : bool;
+  r_tab : int array;
+  b_tab : int array;
+}
 
-   with [a_code = 0] for the reset register (None) and [x + 1] for [Some x]
-   — the same order as the polymorphic compare on [int option], so code
-   order agrees with [compare_state] whenever the inner codec's does.
-
-   All scratch lives in the kernel closure; a kernel instance must not be
-   shared across concurrent runs (see Algo.Spec.codec.fresh_kernel). *)
-let flat_kernel (ic : _ Algo.Spec.codec) p ~big_c view_params () =
-  ignore (view_params : Counter_view.params array);
-  let num_a = big_c + 1 in
-  let cap = big_c in
-  let big_n = p.big_n
-  and n_inner = p.n_inner
-  and k = p.k
-  and big_f = p.big_f
-  and m = p.m
-  and tau = p.tau in
-  (* Per-level view constants of Counter_view.make_params ~tau ~m ~level
-     with the default base 2m (the flat kernel is never used for ablated
-     variants, which fall back to the generic kernel). *)
+let build_tables p =
+  let k = p.k and m = p.m and tau = p.tau in
   let pow_level = Array.init k (fun l -> Stdx.Imath.pow (2 * m) l) in
   let modulus = Array.init k (fun l -> tau * pow_level.(l) * 2 * m) in
-  (* Division is the dominant cost of decoding (an idiv per mod/div, and
-     [load_slot] runs on every cache miss), so everything with a small
-     domain is tabulated once per kernel: block/slot of a node id, and
-     the (r, b) view of a reduced counter value. The view tables hold
-     one entry per residue mod [modulus.(blk)] — their total size is
-     bounded by k * 3(F+2)(2m)^k, tiny for every practical tower — and
-     fall back to the division chain if a pathological parameterisation
-     would make them large. *)
-  let blk_of = Array.init big_n (fun u -> u / n_inner) in
-  let slot_of = Array.init big_n (fun u -> u mod n_inner) in
+  let blk_of = Array.init p.big_n (fun u -> u / p.n_inner) in
+  let slot_of = Array.init p.big_n (fun u -> u mod p.n_inner) in
   let tab_base = Array.make k 0 in
   let tab_total =
     let t = ref 0 in
@@ -202,6 +198,30 @@ let flat_kernel (ic : _ Algo.Spec.codec) p ~big_c view_params () =
         b_tab.(base + v') <- v' / tau / pow_level.(l) mod m
       done
     done;
+  { pow_level; modulus; blk_of; slot_of; tab_base; view_tabs; r_tab; b_tab }
+
+(* Flat transition kernel: the exact computation of [transition] below, but
+   over packed integer codes. The code layout is
+
+     code = (inner_code * (C + 1) + a_code) * 2 + d_code
+
+   with [a_code = 0] for the reset register (None) and [x + 1] for [Some x]
+   — the same order as the polymorphic compare on [int option], so code
+   order agrees with [compare_state] whenever the inner codec's does.
+
+   One instance: the shared [tables] plus private mutable scratch, so an
+   instance must not be shared across concurrent runs (see
+   Algo.Spec.codec.fresh_kernel). *)
+let kernel_instance (ic : _ Algo.Spec.codec) p ~big_c
+    { pow_level; modulus; blk_of; slot_of; tab_base; view_tabs; r_tab; b_tab } =
+  let num_a = big_c + 1 in
+  let cap = big_c in
+  let big_n = p.big_n
+  and n_inner = p.n_inner
+  and k = p.k
+  and big_f = p.big_f
+  and m = p.m
+  and tau = p.tau in
   (* Scratch: the decoded (r, b) views and a-registers of all N nodes, the
      per-block leader ballots, the inner-block message codes, and the
      phase-king histogram (kept in sync with [cached]). *)
@@ -401,6 +421,27 @@ let flat_kernel (ic : _ Algo.Spec.codec) p ~big_c view_params () =
   in
   { Algo.Spec.step }
 
+(* The codec's [fresh_kernel]. The first call builds the [tables] (tower
+   construction does not: every command pays for it in set-up, run or
+   not) and every call shares them, allocating only its private scratch,
+   so a short run pays for its buffers, not for re-tabulating the tower.
+   The tables sit in an [Atomic.t], not a [Lazy.t]: kernels are created
+   inside pool workers, and forcing one lazy value from two domains at
+   once raises. Racing builders produce equal pure tables and
+   [compare_and_set] keeps one of them. *)
+let flat_kernel ic p ~big_c =
+  let shared = Atomic.make None in
+  fun () ->
+    let t =
+      match Atomic.get shared with
+      | Some t -> t
+      | None ->
+        let t = build_tables p in
+        if Atomic.compare_and_set shared None (Some t) then t
+        else Option.get (Atomic.get shared)
+    in
+    kernel_instance ic p ~big_c t
+
 let construct_gen ?ablation ~(inner : 's Algo.Spec.t) ~k ~big_f ~big_c () =
   let p =
     plan_exn ~k ~big_f ~big_c ~n_inner:inner.Algo.Spec.n
@@ -521,7 +562,7 @@ let construct_gen ?ablation ~(inner : 's Algo.Spec.t) ~k ~big_f ~big_c () =
         in
         let fresh_kernel =
           match ablation with
-          | None -> flat_kernel ic p ~big_c view_params
+          | None -> flat_kernel ic p ~big_c
           | Some _ ->
             (* Ablated variants stay on the reference kernel so their
                deliberately broken semantics are preserved verbatim. *)

@@ -7,7 +7,8 @@
    all_states are exactly 0 .. num_states - 1. Checked for every family
    that ships a codec — the trivial counters, the randomised 1-bit
    counter, a synthesised/derived codec, and the boost towers A(4,1)
-   and A(12,3) from Theorem 1's recursion. *)
+   and A(12,3) from Theorem 1's recursion. The towers A(4,1), A(12,3)
+   and A(36,7) also pin how fresh_kernel instances may share state. *)
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -17,26 +18,24 @@ let qcheck ?(count = 300) name gen prop =
 
 type family = F : string * 's Algo.Spec.t -> family
 
+let a41 ~c =
+  Counting.Boost.construct ~inner:(Counting.Trivial.single ~c:2304) ~k:4
+    ~big_f:1 ~big_c:c
+
+let a12_3 ~c =
+  Counting.Boost.construct ~inner:(a41 ~c:960).Counting.Boost.spec ~k:3
+    ~big_f:3 ~big_c:c
+
+let a36_7 ~c =
+  Counting.Boost.construct ~inner:(a12_3 ~c:1728).Counting.Boost.spec ~k:3
+    ~big_f:7 ~big_c:c
+
 (* Each family under test, with its spec. Boost towers exercise the
    structural codec composition; [derived] exercises derive_codec's
    all_states enumeration. *)
 let families () =
-  let a41 =
-    (Counting.Boost.construct
-       ~inner:(Counting.Trivial.single ~c:2304)
-       ~k:4 ~big_f:1 ~big_c:2)
-      .Counting.Boost.spec
-  in
-  let a12_3 =
-    (Counting.Boost.construct
-       ~inner:
-         (Counting.Boost.construct
-            ~inner:(Counting.Trivial.single ~c:2304)
-            ~k:4 ~big_f:1 ~big_c:960)
-           .Counting.Boost.spec
-       ~k:3 ~big_f:3 ~big_c:1728)
-      .Counting.Boost.spec
-  in
+  let a41 = (a41 ~c:2).Counting.Boost.spec in
+  let a12_3 = (a12_3 ~c:1728).Counting.Boost.spec in
   let leader = Counting.Trivial.follow_leader ~n:4 ~c:5 in
   let derived =
     Algo.Spec.with_derived_codec { leader with Algo.Spec.codec = None }
@@ -151,6 +150,112 @@ let test_families_validate () =
       | Error msg -> Alcotest.failf "%s: validate failed: %s" label msg)
     (families ())
 
+(* The flat-kernel sharing contract of Algo.Spec.codec.fresh_kernel: a
+   Boost tower's kernels share the tower's immutable lookup tables (built
+   on the first fresh_kernel () call) but never their mutable scratch —
+   the decode cache, histogram and per-block inner kernels. Kernels are
+   driven through the codec's code-space view, free of the state type. *)
+
+let flat_of (F (label, spec)) =
+  let c = codec_of spec label in
+  {
+    Sim.Adversary.n = spec.Algo.Spec.n;
+    random_code = c.Algo.Spec.random_code;
+    output_code = c.Algo.Spec.output_code;
+    fresh_kernel = c.Algo.Spec.fresh_kernel;
+  }
+
+(* Each builder constructs its tower anew, so no kernel table of any
+   level has been built when it returns. *)
+let towers =
+  let tower label build = (label, fun () -> flat_of (F (label, build ()))) in
+  [
+    tower "A(4,1)" (fun () -> (a41 ~c:2).Counting.Boost.spec);
+    tower "A(12,3)" (fun () -> (a12_3 ~c:1728).Counting.Boost.spec);
+    tower "A(36,7)" (fun () -> (a36_7 ~c:2).Counting.Boost.spec);
+  ]
+
+(* [len] (recipient, received vector) steps drawn with random_code. Every
+   fifth vector is redrawn whole; the others change 0-2 slots of their
+   predecessor, so a replay drives a kernel's cache through full
+   refreshes, hits and incremental patches. *)
+let step_sequence (t : Sim.Adversary.flat_env) ~seed ~len =
+  let rng = Stdx.Rng.create seed in
+  let cur = Array.make t.n 0 in
+  Array.init len (fun i ->
+      if i mod 5 = 0 then
+        Array.iteri (fun u _ -> cur.(u) <- t.random_code rng) cur
+      else
+        for _ = 1 to Stdx.Rng.int rng 3 do
+          cur.(Stdx.Rng.int rng t.n) <- t.random_code rng
+        done;
+      (Stdx.Rng.int rng t.n, Array.copy cur))
+
+let replay (kernel : Algo.Spec.kernel) ~seed seq =
+  let rng = Stdx.Rng.create seed in
+  Array.map (fun (self, received) -> kernel.Algo.Spec.step ~self ~rng received) seq
+
+let codes = Alcotest.(array int)
+
+(* Two kernels of one codec, stepped in alternation on different
+   sequences, each return what a lone kernel returns on its sequence. *)
+let test_kernel_isolation (build : unit -> Sim.Adversary.flat_env) () =
+  let t = build () in
+  let len = 60 in
+  let s1 = step_sequence t ~seed:1 ~len and s2 = step_sequence t ~seed:2 ~len in
+  let k1 = t.fresh_kernel () and k2 = t.fresh_kernel () in
+  let rng1 = Stdx.Rng.create 11 and rng2 = Stdx.Rng.create 12 in
+  let out1 = Array.make len 0 and out2 = Array.make len 0 in
+  for i = 0 to len - 1 do
+    let self, received = s1.(i) in
+    out1.(i) <- k1.Algo.Spec.step ~self ~rng:rng1 received;
+    let self, received = s2.(i) in
+    out2.(i) <- k2.Algo.Spec.step ~self ~rng:rng2 received
+  done;
+  check codes "first kernel = lone kernel"
+    (replay (t.fresh_kernel ()) ~seed:11 s1)
+    out1;
+  check codes "second kernel = lone kernel"
+    (replay (t.fresh_kernel ()) ~seed:12 s2)
+    out2
+
+(* Four domains, released together, make the first fresh_kernel () calls
+   of a new tower (so they race to build its tables) and replay one
+   sequence; each must match a reference from a separately built tower. *)
+let test_concurrent_first_use (build : unit -> Sim.Adversary.flat_env) () =
+  let reference = build () in
+  let seq = step_sequence reference ~seed:3 ~len:60 in
+  let expected = replay (reference.fresh_kernel ()) ~seed:13 seq in
+  let t = build () in
+  let workers = 4 in
+  let ready = Atomic.make 0 in
+  let domains =
+    List.init workers (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < workers do
+              Domain.cpu_relax ()
+            done;
+            replay (t.fresh_kernel ()) ~seed:13 seq))
+  in
+  List.iteri
+    (fun i d ->
+      check codes
+        (Printf.sprintf "worker %d = sequential reference" i)
+        expected (Domain.join d))
+    domains
+
+let sharing_cases =
+  List.concat_map
+    (fun (label, build) ->
+      [
+        case (label ^ ": kernels of one codec are isolated")
+          (test_kernel_isolation build);
+        case (label ^ ": concurrent first fresh_kernel")
+          (test_concurrent_first_use build);
+      ])
+    towers
+
 let suite =
   [
     ( "algo.codec",
@@ -164,5 +269,6 @@ let suite =
             case "num_states exact on big towers" test_big_tower_num_states;
             case "families validate" test_families_validate;
           ];
+          sharing_cases;
         ] );
   ]
