@@ -1,11 +1,11 @@
 (* Experiment E1: flat-state engine throughput and allocation profile.
 
    Runs the same (spec, adversary, faulty, rounds, seed) execution on
-   three paths — the flat packed-code path (the spec's codec), the flat
-   path with the adversary's flat kernel stripped (the boxed crafting
-   bridge, [Adversary.without_flat]), and the fully boxed per-node path
-   (codec stripped) — verifies all outcomes are identical, and reports
-   node-rounds/sec plus GC words allocated per node-round for each.
+   both state representations — the flat packed-code path (the spec's
+   codec and the adversary's flat kernel) and the boxed per-node path
+   (codec stripped, the adversary's boxed crafter) — verifies the
+   outcomes are identical, and reports node-rounds/sec plus GC words
+   allocated per node-round for each.
 
    Headlines: benign throughput on A(12,3) (the boxed engine made that
    scale unaffordable), and hostile throughput on A(12,3) under the
@@ -36,13 +36,9 @@ type row = {
   adversary : string;
   faulty : int list;
   rounds : int;
-  identical : bool;  (** flat = bridged = boxed outcomes *)
-  has_flat : bool;  (** the adversary ships a flat kernel *)
+  identical : bool;  (** flat = boxed outcomes *)
   flat : path;
   boxed : path;
-  bridge : path option;  (** hostile rows only: forced boxed crafting *)
-  flat_craft_phases : int;
-  bridged_craft_phases : int;
 }
 
 let metrics = Stdx.Metrics.create ()
@@ -66,9 +62,9 @@ let timed_gc f =
 let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
     ~seed () =
   let boxed_spec = { spec with Algo.Spec.codec = None } in
-  let run ?metrics sp adv () =
-    Sim.Engine.run ?metrics ~mode:Sim.Engine.Full_horizon ~spec:sp
-      ~adversary:adv ~faulty ~rounds ~seed ()
+  let run sp () =
+    Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec:sp ~adversary ~faulty
+      ~rounds ~seed ()
   in
   (* Warm-up pass so allocation of the flat buffers and any lazy setup is
      off the clock for every path. *)
@@ -80,11 +76,11 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
   in
   (* Wall = best of [reps] passes (first pass also yields outcome + GC),
      so one slow scheduler hiccup does not pollute the record. *)
-  let profile ?coverage ~reps sp adv =
-    let o, wall0, minor, major = timed_gc (run ?metrics:coverage sp adv) in
+  let profile ~reps sp =
+    let o, wall0, minor, major = timed_gc (run sp) in
     let wall = ref wall0 in
     for _ = 2 to reps do
-      let _, w, _, _ = timed_gc (run sp adv) in
+      let _, w, _, _ = timed_gc (run sp) in
       if w < !wall then wall := w
     done;
     Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets metrics
@@ -97,16 +93,8 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
         gc = { minor_w_nr = minor /. nr; major_w_nr = major /. nr };
       } )
   in
-  let coverage = Stdx.Metrics.create () in
-  let flat_o, flat = profile ~coverage ~reps:3 spec adversary in
-  let boxed_o, boxed = profile ~reps:1 boxed_spec adversary in
-  let bridge =
-    (* The bridge only exists where crafting happens: with no faulty
-       nodes the stripped adversary runs the very same execution. *)
-    if faulty = [] then None
-    else
-      Some (profile ~reps:3 spec (Sim.Adversary.without_flat adversary))
-  in
+  let flat_o, flat = profile ~reps:3 spec in
+  let boxed_o, boxed = profile ~reps:1 boxed_spec in
   let same o2 =
     Sim.Online.equal_verdict flat_o.Sim.Engine.verdict o2.Sim.Engine.verdict
     && flat_o.Sim.Engine.rounds_simulated = o2.Sim.Engine.rounds_simulated
@@ -116,26 +104,15 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
          (fun a b -> spec.Algo.Spec.equal_state a b)
          flat_o.Sim.Engine.final_states o2.Sim.Engine.final_states
   in
-  let counter name =
-    match Stdx.Metrics.find (Stdx.Metrics.snapshot coverage) name with
-    | Some (Stdx.Metrics.Counter c) -> c
-    | _ -> 0
-  in
   {
     label;
     n = spec.Algo.Spec.n;
     adversary = Sim.Adversary.name adversary;
     faulty;
     rounds;
-    identical =
-      same boxed_o
-      && (match bridge with None -> true | Some (o, _) -> same o);
-    has_flat = Sim.Adversary.has_flat adversary;
+    identical = same boxed_o;
     flat;
     boxed;
-    bridge = Option.map snd bridge;
-    flat_craft_phases = counter "engine.flat_craft_phases";
-    bridged_craft_phases = counter "engine.bridged_craft_phases";
   }
 
 (* [fresh_kernel ()] cost. Cold: the first call on a freshly built tower,
@@ -230,22 +207,15 @@ let json_of_row r =
       tag p.wall_s tag p.node_rounds_per_s tag p.gc.minor_w_nr tag
       p.gc.major_w_nr
   in
-  let bridge_fields =
-    match r.bridge with
-    | None -> ""
-    | Some p -> Printf.sprintf "     %s,\n" (path_fields "bridge" p)
-  in
   Printf.sprintf
     "    {\"label\": %S, \"n\": %d, \"adversary\": %S, \"faulty\": [%s],\n\
-    \     \"rounds\": %d, \"identical_outcomes\": %b, \"has_flat_kernel\": \
-     %b,\n\
-    \     \"flat_craft_phases\": %d, \"bridged_craft_phases\": %d,\n\
-    \     %s,\n%s     %s,\n\
+    \     \"rounds\": %d, \"identical_outcomes\": %b,\n\
+    \     %s,\n\
+    \     %s,\n\
     \     \"speedup\": %.2f}"
     r.label r.n r.adversary
     (String.concat "," (List.map string_of_int r.faulty))
-    r.rounds r.identical r.has_flat r.flat_craft_phases r.bridged_craft_phases
-    (path_fields "flat" r.flat) bridge_fields
+    r.rounds r.identical (path_fields "flat" r.flat)
     (path_fields "boxed" r.boxed)
     (r.boxed.wall_s /. Float.max 1e-9 r.flat.wall_s)
 
@@ -281,9 +251,8 @@ let run () =
   let t =
     Stdx.Table.create
       [
-        "instance"; "adversary"; "rounds"; "flat nr/s"; "bridge nr/s";
-        "boxed nr/s"; "speedup"; "flat minW/nr"; "bridge minW/nr";
-        "identical";
+        "instance"; "adversary"; "rounds"; "flat nr/s"; "boxed nr/s";
+        "speedup"; "flat minW/nr"; "boxed minW/nr"; "identical";
       ]
   in
   List.iter
@@ -294,15 +263,10 @@ let run () =
           r.adversary;
           string_of_int r.rounds;
           Printf.sprintf "%.0f" r.flat.node_rounds_per_s;
-          (match r.bridge with
-          | None -> "-"
-          | Some p -> Printf.sprintf "%.0f" p.node_rounds_per_s);
           Printf.sprintf "%.0f" r.boxed.node_rounds_per_s;
           Printf.sprintf "%.1fx" (r.boxed.wall_s /. Float.max 1e-9 r.flat.wall_s);
           Printf.sprintf "%.2f" r.flat.gc.minor_w_nr;
-          (match r.bridge with
-          | None -> "-"
-          | Some p -> Printf.sprintf "%.2f" p.gc.minor_w_nr);
+          Printf.sprintf "%.2f" r.boxed.gc.minor_w_nr;
           (if r.identical then "yes" else "NO");
         ])
     rows;
@@ -334,9 +298,8 @@ let run () =
   Stdx.Table.print st;
   let headline = List.find (fun r -> r.label = "A(12,3) benign") rows in
   let hostile = List.find (fun r -> r.label = "A(12,3) split-brain") rows in
-  let hostile_bridge = Option.get hostile.bridge in
   let alloc_reduction =
-    hostile_bridge.gc.minor_w_nr /. Float.max 1e-9 hostile.flat.gc.minor_w_nr
+    hostile.boxed.gc.minor_w_nr /. Float.max 1e-9 hostile.flat.gc.minor_w_nr
   in
   Printf.printf
     "\nheadline: %.0f node-rounds/sec flat on A(12,3) (boxed: %.0f, %.1fx)\n"
@@ -344,9 +307,9 @@ let run () =
     (headline.boxed.wall_s /. Float.max 1e-9 headline.flat.wall_s);
   Printf.printf
     "hostile:  %.0f node-rounds/sec flat on A(12,3)/split-brain\n\
-    \          (%.2f minor words/nr vs %.2f bridged: %.0fx less allocation)\n"
+    \          (%.2f minor words/nr vs %.2f boxed: %.0fx less allocation)\n"
     hostile.flat.node_rounds_per_s hostile.flat.gc.minor_w_nr
-    hostile_bridge.gc.minor_w_nr alloc_reduction;
+    hostile.boxed.gc.minor_w_nr alloc_reduction;
   let all_identical = List.for_all (fun r -> r.identical) rows in
   let oc = open_out json_path in
   Printf.fprintf oc
@@ -357,8 +320,8 @@ let run () =
     \  \"hostile_headline\": {\"instance\": %S, \"adversary\": %S,\n\
     \               \"node_rounds_per_s\": %.1f,\n\
     \               \"minor_words_per_node_round\": %.2f,\n\
-    \               \"bridge_minor_words_per_node_round\": %.2f,\n\
-    \               \"minor_alloc_reduction_vs_bridge\": %.1f},\n\
+    \               \"boxed_minor_words_per_node_round\": %.2f,\n\
+    \               \"minor_alloc_reduction_vs_boxed\": %.1f},\n\
     \  \"all_identical_outcomes\": %b,\n\
     \  \"measurements\": [\n%s\n  ],\n\
     \  \"kernel_setup\": [\n%s\n  ],\n\
@@ -368,7 +331,7 @@ let run () =
     headline.boxed.node_rounds_per_s
     (headline.boxed.wall_s /. Float.max 1e-9 headline.flat.wall_s)
     hostile.label hostile.adversary hostile.flat.node_rounds_per_s
-    hostile.flat.gc.minor_w_nr hostile_bridge.gc.minor_w_nr alloc_reduction
+    hostile.flat.gc.minor_w_nr hostile.boxed.gc.minor_w_nr alloc_reduction
     all_identical
     (String.concat ",\n" (List.map json_of_row rows))
     (String.concat ",\n" (List.map json_of_setup setup))
@@ -376,6 +339,6 @@ let run () =
   close_out oc;
   Printf.printf "[engine throughput record written to %s]\n" json_path;
   if not all_identical then begin
-    print_endline "ERROR: flat, bridged and boxed outcomes differ!";
+    print_endline "ERROR: flat and boxed outcomes differ!";
     exit 1
   end

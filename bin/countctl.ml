@@ -118,6 +118,9 @@ type sweep_opts = {
   heartbeat_file : string;
 }
 
+let bad_min_suffix opts =
+  match opts.min_suffix with Some m -> m < 1 | None -> false
+
 (* --schedule {inorder,cost,chunk:N,chunk:auto}: "cost" maps to None —
    the harness's own cost-sorted default, with its horizon x n^2 model —
    so an explicit "cost" and an omitted flag mean the same policy.
@@ -395,8 +398,7 @@ let run_cmd =
       match (adversary_of_name adversary, faulty_error) with
       | None, _ -> `Error (false, "unknown adversary; see `countctl adversaries'")
       | Some _, Some msg -> `Error (false, msg)
-      | Some _, None
-        when match opts.min_suffix with Some m -> m < 1 | None -> false ->
+      | Some _, None when bad_min_suffix opts ->
         `Error (false, "--min-suffix must be >= 1")
       | Some _, None
         when match opts.rounds with Some r -> r < 1 | None -> false ->
@@ -488,7 +490,21 @@ let verify_cmd =
   let run algo opts =
     match parse_algo algo with
     | None -> `Error (false, "unknown algorithm spec")
+    | Some _ when bad_min_suffix opts ->
+      `Error (false, "--min-suffix must be >= 1")
     | Some (Algo.Spec.Packed spec) -> (
+      let period = spec.Algo.Spec.c in
+      let rounds = Option.value opts.rounds ~default:(max (8 * period) 128) in
+      (* The cross-check's sweep needs a horizon that can witness one
+         full mod-c period (Sim.Min_suffix.resolve); reject a shorter
+         one before the model check runs. *)
+      if rounds < period then
+        `Error
+          ( false,
+            Printf.sprintf
+              "--rounds must be >= %d (one full mod-%d counting period)"
+              period period )
+      else
       match Mc.Checker.check ~jobs:opts.jobs spec with
       | Ok report ->
         Printf.printf "VERIFIED: exact worst-case stabilisation T = %d\n"
@@ -496,9 +512,6 @@ let verify_cmd =
         (* Cross-check the exact bound against the streaming simulator:
            worst observed stabilisation over the hostile suite must not
            exceed the model checker's T. *)
-        let rounds =
-          Option.value opts.rounds ~default:(max (8 * spec.Algo.Spec.c) 128)
-        in
         let config =
           let open Sim.Harness.Config in
           let c = default |> with_rounds rounds |> with_jobs opts.jobs in

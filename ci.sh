@@ -21,9 +21,8 @@ dune runtest
 # jobs-determinism tests read REPRO_JOBS (worker count) and
 # REPRO_SCHEDULE (pinned policy), so this exercises the multi-domain
 # path and every claiming order even when the default jobs count is 1.
-# sim.flat rides the loop because its differentials (flat vs boxed
-# codec, flat crafters vs the forced boxed bridge) include chaos
-# campaigns through the parallel harness; sim.campaign checks the one
+# sim.flat rides the loop because its flat-vs-boxed differentials
+# include chaos campaigns through the parallel harness; sim.campaign checks the one
 # grid driver every campaign runs through.
 for schedule in inorder cost chunk:3 chunk:auto; do
   REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
@@ -68,9 +67,9 @@ dune exec bin/jsonlint.exe -- --jsonl "$trace_file"
 rm -f "$trace_file"
 
 # Greedy-heavy chaos smoke: the `countctl chaos --levels 4:1,3:3` shape
-# on A(12,3), whose campaign 4 has a greedy-confusion phase. Every
-# crafted phase must run on a flat adversary kernel (none bridged), and
-# the trace must be analysable by `countctl report` and lint as JSONL.
+# on A(12,3), whose campaign 4 has a greedy-confusion phase. Every run
+# must take the flat path (engine.flat_runs = engine.runs), and the
+# trace must be analysable by `countctl report` and lint as JSONL.
 greedy_trace="$(mktemp)"
 greedy_out="$(mktemp)"
 dune exec bin/countctl.exe -- chaos --levels 4:1,3:3 --campaigns 4 \
@@ -81,11 +80,11 @@ dune exec bin/jsonlint.exe -- --jsonl "$greedy_trace"
 metric_value() {
   awk -v name="$1" '$1 == name { print $3 }' "$greedy_out"
 }
-bridged="$(metric_value engine.bridged_craft_phases)"
-flat="$(metric_value engine.flat_craft_phases)"
-if [ "${bridged:-0}" != 0 ] || [ "$flat" != 12 ]; then
-  echo "greedy chaos smoke: expected 12 flat and 0 bridged craft phases," \
-    "got flat=${flat:-absent} bridged=${bridged:-absent}" >&2
+runs="$(metric_value engine.runs)"
+flat="$(metric_value engine.flat_runs)"
+if [ -z "$runs" ] || [ "$flat" != "$runs" ]; then
+  echo "greedy chaos smoke: expected every run on the flat path," \
+    "got flat_runs=${flat:-absent} runs=${runs:-absent}" >&2
   exit 1
 fi
 rm -f "$greedy_trace" "$greedy_out"
@@ -124,6 +123,11 @@ expect_clean_failure run --levels 4:1 --rounds 50 --heartbeat 0 \
 expect_clean_failure run --levels 4:1,3:3 --faulty 0,4,8,9
 expect_clean_failure run --faulty 99
 expect_clean_failure run --rounds 0
+# verify rejects a horizon too short for one counting period, and a
+# zero min-suffix, before running the model check.
+expect_clean_failure verify --algorithm leader:4:5 --rounds 0
+expect_clean_failure verify --algorithm leader:4:5 --rounds 3
+expect_clean_failure verify --algorithm leader:4:5 --min-suffix 0
 
 # Heartbeat smoke: the same campaign shape with spans on and a
 # zero-interval heartbeat must stream JSONL that lints clean, render
@@ -184,10 +188,9 @@ dune exec bin/countctl.exe -- hunt --algorithm leader:4:5 --claim-f 1 \
 # covers a fresh BENCH_chaos.json.
 dune exec bench/main.exe -- chaos > /dev/null
 
-# Regenerate the engine throughput record (flat with adversary
-# kernels, flat on the boxed crafting bridge, fully boxed — plus GC
-# accounting per path); the bench itself exits non-zero if any of the
-# three paths' outcomes ever differ.
+# Regenerate the engine throughput record (flat with adversary kernels
+# vs fully boxed — plus GC accounting per path); the bench itself exits
+# non-zero if the two paths' outcomes ever differ.
 dune exec bench/main.exe -- engine > /dev/null
 
 # Regenerate the scheduler record: the jobs ladder and the

@@ -26,16 +26,3 @@ let rename (spec : 's Spec.t) name = { spec with name }
 let with_claimed_resilience (spec : 's Spec.t) ~f =
   if f < 0 then invalid_arg "Combinators.with_claimed_resilience: f < 0";
   { spec with f }
-
-let observe (spec : 's Spec.t) ~on_transition =
-  {
-    spec with
-    transition =
-      (fun ~self ~rng received ->
-        let next = spec.transition ~self ~rng received in
-        on_transition ~self received next;
-        next);
-    (* A codec kernel would bypass the wrapped transition and silently skip
-       the hook; dropping it forces the boxed path. *)
-    codec = None;
-  }

@@ -18,10 +18,3 @@ val with_claimed_resilience : 's Spec.t -> f:int -> 's Spec.t
 (** Override the resilience tag (used when a construction is known to
     tolerate fewer faults than the generic formula suggests, or in tests
     that deliberately weaken a spec). *)
-
-val observe :
-  's Spec.t -> on_transition:(self:int -> 's array -> 's -> unit) -> 's Spec.t
-(** [observe spec ~on_transition] calls the hook after every transition
-    with the received vector and the new state; behaviour is otherwise
-    identical. Used by the experiment harness to probe internal variables
-    without changing the algorithm. *)

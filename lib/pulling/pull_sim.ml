@@ -72,14 +72,10 @@ type 's run = {
 let simulate ?init ~(spec : 's Pull_spec.t) ~responder ~faulty ~rounds ~seed
     ~observe () =
   let n = spec.Pull_spec.n in
-  let sorted = List.sort_uniq Int.compare faulty in
-  if List.length sorted <> List.length faulty then
-    invalid_arg "Pull_sim.run: duplicate faulty ids";
-  if List.exists (fun v -> v < 0 || v >= n) faulty then
-    invalid_arg "Pull_sim.run: faulty id out of range";
-  if List.length faulty > spec.Pull_spec.f then
-    invalid_arg "Pull_sim.run: too many faulty nodes";
-  let faulty = Array.of_list sorted in
+  let faulty =
+    Sim.Schedule.validate_faulty ~who:"Pull_sim.run" ~n ~f:spec.Pull_spec.f
+      faulty
+  in
   let is_faulty = Array.make n false in
   Array.iter (fun v -> is_faulty.(v) <- true) faulty;
   let master = Stdx.Rng.create seed in

@@ -29,12 +29,10 @@ type 's t = {
   name : string;
   benign : bool;
   fresh : unit -> 's crafter;
-  fresh_flat : (flat_env -> flat_crafter) option;
+  fresh_flat : flat_env -> flat_crafter;
 }
 
 let name t = t.name
-let has_flat t = t.fresh_flat <> None
-let without_flat t = { t with fresh_flat = None }
 
 let is_faulty faulty v = Array.exists (fun u -> u = v) faulty
 
@@ -124,17 +122,15 @@ let benign () =
                 (fun ~fi:_ ~sender ~recipient:_ -> states.(sender)));
         });
     fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          {
-            craft_flat =
-              (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
-                for fi = 0 to Array.length faulty - 1 do
-                  fill_row out ~base:(fi * n) ~n
-                    (Statebuf.get states faulty.(fi))
-                done);
-          });
+      (fun env ->
+        let n = env.n in
+        {
+          craft_flat =
+            (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
+              for fi = 0 to Array.length faulty - 1 do
+                fill_row out ~base:(fi * n) ~n (Statebuf.get states faulty.(fi))
+              done);
+        });
   }
 
 let stuck () =
@@ -159,25 +155,24 @@ let stuck () =
                 (fun ~fi ~sender:_ ~recipient:_ -> frozen_states.(fi)));
         });
     fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          let frozen = Array.make n 0 in
-          let have = ref false in
-          {
-            craft_flat =
-              (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
-                let nf = Array.length faulty in
-                if not !have then begin
-                  for fi = 0 to nf - 1 do
-                    frozen.(fi) <- Statebuf.get states faulty.(fi)
-                  done;
-                  have := true
-                end;
+      (fun env ->
+        let n = env.n in
+        let frozen = Array.make n 0 in
+        let have = ref false in
+        {
+          craft_flat =
+            (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
+              let nf = Array.length faulty in
+              if not !have then begin
                 for fi = 0 to nf - 1 do
-                  fill_row out ~base:(fi * n) ~n frozen.(fi)
-                done);
-          });
+                  frozen.(fi) <- Statebuf.get states faulty.(fi)
+                done;
+                have := true
+              end;
+              for fi = 0 to nf - 1 do
+                fill_row out ~base:(fi * n) ~n frozen.(fi)
+              done);
+        });
   }
 
 let random_consistent () =
@@ -194,18 +189,17 @@ let random_consistent () =
                 (fun ~fi ~sender:_ ~recipient:_ -> per_round.(fi)));
         });
     fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          {
-            craft_flat =
-              (fun ~rng ~round:_ ~states:_ ~faulty ~out ->
-                (* One draw per faulty node in fi order — the boxed
-                   per-round Array.map draw order. *)
-                for fi = 0 to Array.length faulty - 1 do
-                  fill_row out ~base:(fi * n) ~n (env.random_code rng)
-                done);
-          });
+      (fun env ->
+        let n = env.n in
+        {
+          craft_flat =
+            (fun ~rng ~round:_ ~states:_ ~faulty ~out ->
+              (* One draw per faulty node in fi order — the boxed
+                 per-round Array.map draw order. *)
+              for fi = 0 to Array.length faulty - 1 do
+                fill_row out ~base:(fi * n) ~n (env.random_code rng)
+              done);
+        });
   }
 
 let random_equivocate () =
@@ -221,20 +215,19 @@ let random_equivocate () =
                 (fun ~fi:_ ~sender:_ ~recipient:_ -> spec.Algo.Spec.random_state rng));
         });
     fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          {
-            craft_flat =
-              (fun ~rng ~round:_ ~states:_ ~faulty ~out ->
-                (* Draws in matrix order: fi outer, recipient inner. *)
-                for fi = 0 to Array.length faulty - 1 do
-                  let base = fi * n in
-                  for r = 0 to n - 1 do
-                    out.(base + r) <- env.random_code rng
-                  done
-                done);
-          });
+      (fun env ->
+        let n = env.n in
+        {
+          craft_flat =
+            (fun ~rng ~round:_ ~states:_ ~faulty ~out ->
+              (* Draws in matrix order: fi outer, recipient inner. *)
+              for fi = 0 to Array.length faulty - 1 do
+                let base = fi * n in
+                for r = 0 to n - 1 do
+                  out.(base + r) <- env.random_code rng
+                done
+              done);
+        });
   }
 
 let mimic ~offset () =
@@ -258,22 +251,21 @@ let mimic ~offset () =
                   states.(victim)));
         });
     fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          let correct = Array.make n 0 in
-          {
-            craft_flat =
-              (fun ~rng:_ ~round ~states ~faulty ~out ->
-                let nc = fill_correct correct ~n ~faulty in
-                for fi = 0 to Array.length faulty - 1 do
-                  let victim =
-                    if nc = 0 then faulty.(fi)
-                    else correct.((fi + offset + round) mod nc)
-                  in
-                  fill_row out ~base:(fi * n) ~n (Statebuf.get states victim)
-                done);
-          });
+      (fun env ->
+        let n = env.n in
+        let correct = Array.make n 0 in
+        {
+          craft_flat =
+            (fun ~rng:_ ~round ~states ~faulty ~out ->
+              let nc = fill_correct correct ~n ~faulty in
+              for fi = 0 to Array.length faulty - 1 do
+                let victim =
+                  if nc = 0 then faulty.(fi)
+                  else correct.((fi + offset + round) mod nc)
+                in
+                fill_row out ~base:(fi * n) ~n (Statebuf.get states victim)
+              done);
+        });
   }
 
 let split_brain () =
@@ -298,27 +290,26 @@ let split_brain () =
                   end));
         });
     fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          let correct = Array.make n 0 in
-          {
-            craft_flat =
-              (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
-                let nc = fill_correct correct ~n ~faulty in
-                for fi = 0 to Array.length faulty - 1 do
-                  let base = fi * n in
-                  if nc = 0 then
-                    fill_row out ~base ~n (Statebuf.get states faulty.(fi))
-                  else begin
-                    let a = Statebuf.get states correct.(0) in
-                    let b = Statebuf.get states correct.(nc - 1) in
-                    for r = 0 to n - 1 do
-                      out.(base + r) <- (if r mod 2 = 0 then a else b)
-                    done
-                  end
-                done);
-          });
+      (fun env ->
+        let n = env.n in
+        let correct = Array.make n 0 in
+        {
+          craft_flat =
+            (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
+              let nc = fill_correct correct ~n ~faulty in
+              for fi = 0 to Array.length faulty - 1 do
+                let base = fi * n in
+                if nc = 0 then
+                  fill_row out ~base ~n (Statebuf.get states faulty.(fi))
+                else begin
+                  let a = Statebuf.get states correct.(0) in
+                  let b = Statebuf.get states correct.(nc - 1) in
+                  for r = 0 to n - 1 do
+                    out.(base + r) <- (if r mod 2 = 0 then a else b)
+                  done
+                end
+              done);
+        });
   }
 
 (* Bounded history of past state vectors, newest first. *)
@@ -353,19 +344,18 @@ let stale ~delay () =
                 (fun ~fi:_ ~sender ~recipient:_ -> old.(sender)));
         });
     fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          let ring = ring_create ~depth:(delay + 1) ~n in
-          {
-            craft_flat =
-              (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
-                ring_push ring states n;
-                let old = ring_nth ring ~delay in
-                for fi = 0 to Array.length faulty - 1 do
-                  fill_row out ~base:(fi * n) ~n old.(faulty.(fi))
-                done);
-          });
+      (fun env ->
+        let n = env.n in
+        let ring = ring_create ~depth:(delay + 1) ~n in
+        {
+          craft_flat =
+            (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
+              ring_push ring states n;
+              let old = ring_nth ring ~delay in
+              for fi = 0 to Array.length faulty - 1 do
+                fill_row out ~base:(fi * n) ~n old.(faulty.(fi))
+              done);
+        });
   }
 
 let replay_correct ~delay () =
@@ -389,22 +379,21 @@ let replay_correct ~delay () =
                   else old.(correct.(fi mod Array.length correct))));
         });
     fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          let ring = ring_create ~depth:(delay + 1) ~n in
-          let correct = Array.make n 0 in
-          {
-            craft_flat =
-              (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
-                ring_push ring states n;
-                let old = ring_nth ring ~delay in
-                let nc = fill_correct correct ~n ~faulty in
-                for fi = 0 to Array.length faulty - 1 do
-                  let src = if nc = 0 then faulty.(fi) else correct.(fi mod nc) in
-                  fill_row out ~base:(fi * n) ~n old.(src)
-                done);
-          });
+      (fun env ->
+        let n = env.n in
+        let ring = ring_create ~depth:(delay + 1) ~n in
+        let correct = Array.make n 0 in
+        {
+          craft_flat =
+            (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
+              ring_push ring states n;
+              let old = ring_nth ring ~delay in
+              let nc = fill_correct correct ~n ~faulty in
+              for fi = 0 to Array.length faulty - 1 do
+                let src = if nc = 0 then faulty.(fi) else correct.(fi mod nc) in
+                fill_row out ~base:(fi * n) ~n old.(src)
+              done);
+        });
   }
 
 let flip_flop () =
@@ -431,28 +420,27 @@ let flip_flop () =
                   if phase = 0 then s0 else s1));
         });
     fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          let pair = ref None in
-          {
-            craft_flat =
-              (fun ~rng ~round ~states:_ ~faulty ~out ->
-                let s0, s1 =
-                  match !pair with
-                  | Some p -> p
-                  | None ->
-                    let p = (env.random_code rng, env.random_code rng) in
-                    pair := Some p;
-                    p
-                in
-                for fi = 0 to Array.length faulty - 1 do
-                  let base = fi * n in
-                  for r = 0 to n - 1 do
-                    out.(base + r) <- (if (round + r) mod 2 = 0 then s0 else s1)
-                  done
-                done);
-          });
+      (fun env ->
+        let n = env.n in
+        let pair = ref None in
+        {
+          craft_flat =
+            (fun ~rng ~round ~states:_ ~faulty ~out ->
+              let s0, s1 =
+                match !pair with
+                | Some p -> p
+                | None ->
+                  let p = (env.random_code rng, env.random_code rng) in
+                  pair := Some p;
+                  p
+              in
+              for fi = 0 to Array.length faulty - 1 do
+                let base = fi * n in
+                for r = 0 to n - 1 do
+                  out.(base + r) <- (if (round + r) mod 2 = 0 then s0 else s1)
+                done
+              done);
+        });
   }
 
 (* Spread of a multiset of outputs: number of distinct values. *)
@@ -526,74 +514,73 @@ let greedy_confusion ~pool () =
                   end));
         });
     fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          (* A private kernel: the probes must not disturb the engine's
-             own kernel cache. Consecutive probes differ in about one
-             slot of [recv], which a kernel with an incremental
-             received-vector cache (the boost tower's) makes cheap. *)
-          let kernel = env.fresh_kernel () in
-          let cur = Array.make n 0 in
-          let recv = Array.make n 0 in
-          let correct = Array.make n 0 in
-          let cands = Array.make (n + pool) 0 in
-          let baseline = Array.make n 0 in
-          (* One split per probe, like the boxed [Stdx.Rng.split] calls;
-             the recipient's transition runs on [recv] as it stands. *)
-          let probe ~self ~rng =
-            env.output_code ~self
-              (kernel.Algo.Spec.step ~self ~rng:(Stdx.Rng.split rng) recv)
-          in
-          {
-            craft_flat =
-              (fun ~rng ~round:_ ~states ~faulty ~out ->
-                Statebuf.blit_to states cur n;
-                let nc = fill_correct correct ~n ~faulty in
-                let ncand = nc + pool in
-                (* Candidates: correct nodes' codes, then [pool] draws. *)
-                for i = 0 to nc - 1 do
-                  cands.(i) <- cur.(correct.(i))
-                done;
-                for i = nc to ncand - 1 do
-                  cands.(i) <- env.random_code rng
-                done;
-                Array.blit cur 0 recv 0 n;
-                for i = 0 to nc - 1 do
-                  baseline.(i) <- probe ~self:correct.(i) ~rng
-                done;
-                let d = distinct_prefix baseline nc in
-                (* Draws in matrix order: fi outer, recipient inner. Only
-                   the sender's slot of [recv] moves, and it is restored
-                   after each recipient, so other faulty slots keep their
-                   true codes — the boxed "everyone else is truthful". *)
-                for fi = 0 to Array.length faulty - 1 do
-                  let sender = faulty.(fi) in
-                  let base = fi * n in
-                  for r = 0 to n - 1 do
-                    if mem_int faulty r then out.(base + r) <- cur.(sender)
-                    else begin
-                      (* Score = distinct_count (o :: baseline); strict
-                         [>] keeps the first best candidate. *)
-                      let best = ref 0 in
-                      let best_score = ref min_int in
-                      for ci = 0 to ncand - 1 do
-                        recv.(sender) <- cands.(ci);
-                        let o = probe ~self:r ~rng in
-                        let score =
-                          if mem_prefix baseline nc o then d else d + 1
-                        in
-                        if score > !best_score then begin
-                          best_score := score;
-                          best := ci
-                        end
-                      done;
-                      recv.(sender) <- cur.(sender);
-                      out.(base + r) <- cands.(!best)
-                    end
-                  done
-                done);
-          });
+      (fun env ->
+        let n = env.n in
+        (* A private kernel: the probes must not disturb the engine's
+           own kernel cache. Consecutive probes differ in about one
+           slot of [recv], which a kernel with an incremental
+           received-vector cache (the boost tower's) makes cheap. *)
+        let kernel = env.fresh_kernel () in
+        let cur = Array.make n 0 in
+        let recv = Array.make n 0 in
+        let correct = Array.make n 0 in
+        let cands = Array.make (n + pool) 0 in
+        let baseline = Array.make n 0 in
+        (* One split per probe, like the boxed [Stdx.Rng.split] calls;
+           the recipient's transition runs on [recv] as it stands. *)
+        let probe ~self ~rng =
+          env.output_code ~self
+            (kernel.Algo.Spec.step ~self ~rng:(Stdx.Rng.split rng) recv)
+        in
+        {
+          craft_flat =
+            (fun ~rng ~round:_ ~states ~faulty ~out ->
+              Statebuf.blit_to states cur n;
+              let nc = fill_correct correct ~n ~faulty in
+              let ncand = nc + pool in
+              (* Candidates: correct nodes' codes, then [pool] draws. *)
+              for i = 0 to nc - 1 do
+                cands.(i) <- cur.(correct.(i))
+              done;
+              for i = nc to ncand - 1 do
+                cands.(i) <- env.random_code rng
+              done;
+              Array.blit cur 0 recv 0 n;
+              for i = 0 to nc - 1 do
+                baseline.(i) <- probe ~self:correct.(i) ~rng
+              done;
+              let d = distinct_prefix baseline nc in
+              (* Draws in matrix order: fi outer, recipient inner. Only
+                 the sender's slot of [recv] moves, and it is restored
+                 after each recipient, so other faulty slots keep their
+                 true codes — the boxed "everyone else is truthful". *)
+              for fi = 0 to Array.length faulty - 1 do
+                let sender = faulty.(fi) in
+                let base = fi * n in
+                for r = 0 to n - 1 do
+                  if mem_int faulty r then out.(base + r) <- cur.(sender)
+                  else begin
+                    (* Score = distinct_count (o :: baseline); strict
+                       [>] keeps the first best candidate. *)
+                    let best = ref 0 in
+                    let best_score = ref min_int in
+                    for ci = 0 to ncand - 1 do
+                      recv.(sender) <- cands.(ci);
+                      let o = probe ~self:r ~rng in
+                      let score =
+                        if mem_prefix baseline nc o then d else d + 1
+                      in
+                      if score > !best_score then begin
+                        best_score := score;
+                        best := ci
+                      end
+                    done;
+                    recv.(sender) <- cur.(sender);
+                    out.(base + r) <- cands.(!best)
+                  end
+                done
+              done);
+        });
   }
 
 let standard_suite () =

@@ -79,26 +79,18 @@ type 's t = {
           not on the display name. *)
   fresh : unit -> 's crafter;
       (** A new stateful crafter per run (history buffers etc.). *)
-  fresh_flat : (flat_env -> flat_crafter) option;
-      (** Code-level kernel of the same strategy, used by the engine's
-          flat path; a fresh stateful instance per phase, like {!fresh}.
-          Every strategy in this module ships one. [None] (a strategy
-          added without a kernel, or one stripped by {!without_flat})
-          makes the flat engine fall back to the boxed crafting bridge
-          — decode, [craft], re-encode — per phase, so chaos schedules
-          can mix flat-kerneled and bridged adversaries freely. *)
+  fresh_flat : flat_env -> flat_crafter;
+      (** Code-level kernel of the same strategy: a fresh stateful
+          instance per phase, like {!fresh}. The engine's flat path
+          crafts only through it, and the boxed path only through
+          {!fresh}; there is no fallback between the two. So a new
+          strategy must ship both, and its kernel must meet the RNG
+          stream contract of {!flat_crafter.craft_flat}, or flat and
+          boxed runs of the same seed diverge. The craft-level lockstep
+          and flat-vs-boxed differentials in [test_flat.ml] check it. *)
 }
 
 val name : 's t -> string
-
-val has_flat : 's t -> bool
-(** [fresh_flat <> None]: this strategy runs natively on the flat path. *)
-
-val without_flat : 's t -> 's t
-(** Same strategy with the flat kernel stripped: the engine's flat path
-    is forced through the boxed crafting bridge. The bridge is the
-    differential oracle for every kernel (tests and [bench engine]
-    compare the two) and the fallback for kernel-less strategies. *)
 
 val benign : unit -> 's t
 (** Faulty nodes behave exactly like correct ones. *)

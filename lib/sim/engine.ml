@@ -36,22 +36,15 @@ type 's outcome = {
   bits_per_round : int;
 }
 
-let validate_faulty ~n ~f faulty =
-  Schedule.validate_faulty ~who:"Engine.run" ~n ~f faulty
-
-(* The per-phase crafting mode of the flat path: a code-level adversary
-   kernel when the strategy ships one, otherwise the boxed bridge
-   (decode the state vector, call the boxed crafter, re-encode). The
-   boxed representation always holds a [Boxed_crafter]. *)
-type 's crafting =
-  | Flat_kernel of Adversary.flat_crafter
-  | Boxed_crafter of 's Adversary.crafter
-
 (* The two state-vector representations behind [run_schedule]'s single
    scheduler loop. All phase/event/detector/report logic is shared; only
-   these seven operations differ between the boxed and the flat path, so
+   these eight operations differ between the boxed and the flat path, so
    the differential certification reduces to certifying these closures. *)
 type 's rep = {
+  new_crafter : 's Adversary.t -> unit;
+      (** called when a later phase starts: a fresh crafter of its
+          adversary, in this representation's one crafting path (phase
+          0's is built with the representation) *)
   probe_hook : round:int -> unit;
   outputs_row : unit -> int array;
       (** output row of the current states; the flat path reuses one
@@ -115,54 +108,9 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
     | Some codec, None, None -> Some codec
     | _ -> None
   in
-  let flat_env =
-    Option.map
-      (fun c ->
-        {
-          Adversary.n;
-          random_code = c.Algo.Spec.random_code;
-          output_code = c.Algo.Spec.output_code;
-          fresh_kernel = c.Algo.Spec.fresh_kernel;
-        })
-      flat_codec
-  in
   (* Per-phase fault bookkeeping, refreshed at every phase boundary. *)
   let faulty = ref [||] in
   let correct = ref [] in
-  let crafting =
-    ref (Boxed_crafter (phases.(0).Schedule.adversary.Adversary.fresh ()))
-  in
-  let flat_phases = ref 0 in
-  let bridged_phases = ref 0 in
-  let enter_phase i =
-    let p = phases.(i) in
-    let fa =
-      Schedule.validate_faulty ~who:"Engine.run_schedule" ~n
-        ~f:spec.Algo.Spec.f p.Schedule.faulty
-    in
-    let is_faulty = Array.make n false in
-    Array.iter (fun v -> is_faulty.(v) <- true) fa;
-    faulty := fa;
-    correct := List.filter (fun v -> not is_faulty.(v)) (List.init n Fun.id);
-    (crafting :=
-       match (flat_env, p.Schedule.adversary.Adversary.fresh_flat) with
-       | Some env, Some ff ->
-         incr flat_phases;
-         Flat_kernel (ff env)
-       | Some _, None ->
-         incr bridged_phases;
-         Boxed_crafter (p.Schedule.adversary.Adversary.fresh ())
-       | None, _ -> Boxed_crafter (p.Schedule.adversary.Adversary.fresh ()));
-    if tr_seams then
-      Trace.emit tracer
-        (Trace.Phase_start
-           {
-             round = starts.(i);
-             phase = i;
-             adversary = Adversary.name p.Schedule.adversary;
-             faulty = Array.to_list fa;
-           })
-  in
   (* Sampled span accumulators, shared with the advance closures below.
      [sample] is recomputed at the top of every round; everything here is
      wall-clock-only state — it never feeds back into the execution. *)
@@ -181,7 +129,9 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
           | Some states -> Array.copy states
           | None -> Array.init n (fun _ -> spec.Algo.Spec.random_state init_rng))
       in
+      let crafter = ref (phases.(0).Schedule.adversary.Adversary.fresh ()) in
       {
+        new_crafter = (fun a -> crafter := a.Adversary.fresh ());
         probe_hook =
           (fun ~round ->
             match probe with
@@ -208,14 +158,8 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
             let crafted =
               if Array.length fa = 0 then [||]
               else
-                match !crafting with
-                | Boxed_crafter c ->
-                  c.Adversary.craft ~spec ~rng:adv_rng ~round ~states:cur
-                    ~faulty:fa
-                | Flat_kernel _ ->
-                  (* [enter_phase] never picks a flat kernel without a
-                     flat codec. *)
-                  assert false
+                !crafter.Adversary.craft ~spec ~rng:adv_rng ~round ~states:cur
+                  ~faulty:fa
             in
             let s0 = if !sample then Stdx.Span.now spans else 0.0 in
             if !sample then craft_s := !craft_s +. (s0 -. c0);
@@ -242,9 +186,20 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
       let kernel = codec.Algo.Spec.fresh_kernel () in
       let recv = Array.make n 0 in
       let outs = Array.make n 0 in
+      let env =
+        {
+          Adversary.n;
+          random_code = codec.Algo.Spec.random_code;
+          output_code = codec.Algo.Spec.output_code;
+          fresh_kernel = codec.Algo.Spec.fresh_kernel;
+        }
+      in
+      let crafter =
+        ref (phases.(0).Schedule.adversary.Adversary.fresh_flat env)
+      in
       (* Crafted message codes, [crafted.(fi * n + r)] = code the fi-th
          faulty node sends recipient r. Sized once for the worst legal
-         faulty set; flat kernels and the bridge both write into it. *)
+         faulty set; the phase's flat kernel writes into it. *)
       let crafted = Array.make (max 1 (spec.Algo.Spec.f * n)) 0 in
       (* Recipient visit order. Recipients whose crafted columns are
          identical are stepped consecutively, so kernels that cache
@@ -253,9 +208,6 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
          between hostile and benign throughput. Reordering is sound
          because every node draws from its own [node_rng] stream. *)
       let visit = Array.init n Fun.id in
-      (* Boxed mirror of the current states, rebuilt only on rounds where
-         a bridged (no flat kernel) crafter must look at them. *)
-      let mirror = Array.make n (decode 0) in
       (match init with
       | Some states ->
         Array.iteri (fun v s -> Statebuf.set !cur v (encode s)) states
@@ -291,6 +243,7 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
         done
       in
       {
+        new_crafter = (fun a -> crafter := a.Adversary.fresh_flat env);
         probe_hook = (fun ~round:_ -> ());
         outputs_row =
           (fun () ->
@@ -310,25 +263,8 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
             let nf = Array.length fa in
             let c0 = if !sample then Stdx.Span.now spans else 0.0 in
             if nf > 0 then begin
-              (match !crafting with
-              | Flat_kernel fc ->
-                fc.Adversary.craft_flat ~rng:adv_rng ~round ~states:!cur
-                  ~faulty:fa ~out:crafted
-              | Boxed_crafter c ->
-                for v = 0 to n - 1 do
-                  mirror.(v) <- decode (Statebuf.get !cur v)
-                done;
-                let m =
-                  c.Adversary.craft ~spec ~rng:adv_rng ~round ~states:mirror
-                    ~faulty:fa
-                in
-                for fi = 0 to nf - 1 do
-                  let row = m.(fi) in
-                  let base = fi * n in
-                  for r = 0 to n - 1 do
-                    crafted.(base + r) <- encode row.(r)
-                  done
-                done);
+              !crafter.Adversary.craft_flat ~rng:adv_rng ~round ~states:!cur
+                ~faulty:fa ~out:crafted;
               group_recipients nf
             end;
             let s0 = if !sample then Stdx.Span.now spans else 0.0 in
@@ -351,6 +287,27 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
         final_states =
           (fun () -> Array.init n (fun v -> decode (Statebuf.get !cur v)));
       }
+  in
+  let enter_phase i =
+    let p = phases.(i) in
+    let fa =
+      Schedule.validate_faulty ~who:"Engine.run_schedule" ~n
+        ~f:spec.Algo.Spec.f p.Schedule.faulty
+    in
+    let is_faulty = Array.make n false in
+    Array.iter (fun v -> is_faulty.(v) <- true) fa;
+    faulty := fa;
+    correct := List.filter (fun v -> not is_faulty.(v)) (List.init n Fun.id);
+    if i > 0 then rep.new_crafter p.Schedule.adversary;
+    if tr_seams then
+      Trace.emit tracer
+        (Trace.Phase_start
+           {
+             round = starts.(i);
+             phase = i;
+             adversary = Adversary.name p.Schedule.adversary;
+             faulty = Array.to_list fa;
+           })
   in
   enter_phase 0;
   let detector =
@@ -504,11 +461,7 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
   | None -> ()
   | Some m ->
     Stdx.Metrics.incr m "engine.runs";
-    if flat_codec <> None then begin
-      Stdx.Metrics.incr m "engine.flat_runs";
-      Stdx.Metrics.incr ~by:!flat_phases m "engine.flat_craft_phases";
-      Stdx.Metrics.incr ~by:!bridged_phases m "engine.bridged_craft_phases"
-    end;
+    if flat_codec <> None then Stdx.Metrics.incr m "engine.flat_runs";
     if span_on then
       Stdx.Metrics.incr ~by:!sampled_rounds m "engine.sampled_rounds";
     Stdx.Metrics.incr ~by:!t m "engine.rounds";

@@ -16,30 +16,30 @@
     passes over int arrays, double-buffered, with no per-node allocation
     in the steady state.
 
-    Adversaries run flat too: each phase whose strategy ships a
-    {!Adversary.flat_crafter} crafts message {e codes} directly into a
+    Adversaries run flat too: each phase crafts message {e codes}
+    through its strategy's {!Adversary.flat_crafter} straight into a
     preallocated scratch matrix — no boxed mirror, no per-round message
-    matrix, zero decode/encode in the hostile hot loop. Strategies
-    without a flat kernel ([fresh_flat = None]) fall back, per phase, to
-    the boxed crafting bridge (decode the state vector, call the boxed
-    [craft], re-encode), so chaos schedules can mix both freely. On
-    hostile rounds the engine additionally visits recipients grouped by
-    identical crafted columns, which keeps received-vector caches inside
-    counting kernels hot under equivocating adversaries — sound because
-    every node owns its private RNG stream.
+    matrix, zero decode/encode in the hostile hot loop. Each state
+    representation has exactly one crafting path: the flat one always
+    steps the phase's flat kernel, the boxed one always calls the
+    phase's boxed crafter. On hostile rounds the engine additionally
+    visits recipients grouped by identical crafted columns, which keeps
+    received-vector caches inside counting kernels hot under
+    equivocating adversaries — sound because every node owns its
+    private RNG stream.
 
     The flat path is {e bit-identical} to the boxed
     path — same RNG stream consumption, same verdicts, rounds, phase
     reports, final states and trace events (certified by the
     differential suites in [test_chaos.ml] and [test_flat.ml], which
-    also pit flat kernels against their boxed twins and against the
-    forced bridge, {!Adversary.without_flat}). The boxed path remains for
-    specs without a codec and whenever a ['s]-typed [probe]/[trace] hook
-    is passed (those need real state vectors every round); to force it,
-    strip the codec: [{ spec with codec = None }]. The [metrics] sink
-    records per-run flat coverage: [engine.flat_craft_phases] counts
-    phases crafted by a flat kernel, [engine.bridged_craft_phases]
-    phases that went through the bridge.
+    also step every flat kernel in lockstep with its boxed twin).
+    The boxed path stays for two cases the flat one cannot serve:
+    specs without a codec (a boost tower whose state codes pass 63
+    bits, e.g. five levels, has none) and runs with an ['s]-typed
+    [probe]/[trace] hook, which needs real state vectors every round.
+    It is also the differential reference; to force it, strip the
+    codec: [{ spec with codec = None }]. The [metrics] sink counts
+    flat runs as [engine.flat_runs].
 
     {2 Verdict equivalence}
 
@@ -219,7 +219,3 @@ val run_schedule :
     differential test). Raises [Invalid_argument] on invalid schedules
     ({!Schedule.validate}) or [init] length. *)
 
-val validate_faulty : n:int -> f:int -> int list -> int array
-(** Shared faulty-set validation (delegates to {!Schedule.validate_faulty}
-    with this module's error prefix): sorted array, or [Invalid_argument]
-    on duplicates, out-of-range ids, or more than [f] members. *)

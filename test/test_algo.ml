@@ -77,22 +77,6 @@ let test_rename () =
   let r = Algo.Combinators.rename trivial "fancy" in
   check Alcotest.string "renamed" "fancy" r.Algo.Spec.name
 
-let test_observe () =
-  let hits = ref 0 in
-  let spec =
-    Algo.Combinators.observe trivial ~on_transition:(fun ~self:_ _ _ -> incr hits)
-  in
-  let rng = Stdx.Rng.create 1 in
-  ignore (spec.Algo.Spec.transition ~self:0 ~rng [| 3 |]);
-  ignore (spec.Algo.Spec.transition ~self:0 ~rng [| 4 |]);
-  check Alcotest.int "hook fired per transition" 2 !hits
-
-let test_observe_preserves_semantics () =
-  let spec = Algo.Combinators.observe trivial ~on_transition:(fun ~self:_ _ _ -> ()) in
-  let rng = Stdx.Rng.create 1 in
-  check Alcotest.int "same transition" (trivial.Algo.Spec.transition ~self:0 ~rng [| 3 |])
-    (spec.Algo.Spec.transition ~self:0 ~rng [| 3 |])
-
 (* ------------------------------------------------------------------ *)
 (* Voting                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -171,8 +155,6 @@ let suite =
         case "project_counter invalid" test_project_counter_invalid;
         test_project_counter_prop;
         case "rename" test_rename;
-        case "observe hook" test_observe;
-        case "observe transparent" test_observe_preserves_semantics;
       ] );
     ( "algo.vote",
       [

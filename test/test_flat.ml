@@ -84,6 +84,11 @@ let assert_static_differential ~label ~rounds ?(fault_sets = [ []; [ 0 ] ])
 let test_static_differential_leader () =
   assert_static_differential ~label:"follow-leader" ~rounds:120 leader_f1
 
+(* Two faulty senders, so crafted columns from both feed every view. *)
+let test_static_differential_leader_f2 () =
+  assert_static_differential ~label:"follow-leader-f2" ~rounds:120
+    ~fault_sets:[ [ 0 ]; [ 0; 2 ] ] ~seeds:[ 1 ] leader_f2
+
 let test_static_differential_rand () =
   assert_static_differential ~label:"rand-counter" ~rounds:400
     (Counting.Rand_counter.make ~n:4 ~f:1)
@@ -190,211 +195,31 @@ let test_chaos_campaign_differential () =
     true
     (go leader_f2 = go (boxed leader_f2))
 
-(* ------------------------------------------------------------------ *)
-(* Bridge differential: flat adversary kernels vs forced boxed crafting *)
-(* ------------------------------------------------------------------ *)
-
-(* The RNG stream contract: an adversary's flat kernel must consume its
-   phase rng draw-for-draw like its boxed crafter, so stripping the
-   kernel ([Adversary.without_flat] — crafting drops to the per-phase
-   decode/craft/re-encode bridge) changes nothing observable. Every
-   test in this section runs the flat engine twice, kernel vs bridge,
-   and demands bit-identical outcomes. *)
-
-let test_zoo_flat_coverage () =
-  List.iter
-    (fun a ->
-      check Alcotest.bool
-        (Sim.Adversary.name a ^ ": ships a flat kernel")
-        true (Sim.Adversary.has_flat a);
-      check Alcotest.bool
-        (Sim.Adversary.name a ^ ": without_flat strips it")
-        false
-        (Sim.Adversary.has_flat (Sim.Adversary.without_flat a)))
-    (Sim.Adversary.standard_suite ()
-    @ [ Sim.Adversary.greedy_confusion ~pool:8 () ])
-
-let assert_bridge_static_differential ~label ~rounds
-    ?(fault_sets = [ []; [ 0 ] ]) ?(seeds = [ 1; 2 ]) (spec : 's Algo.Spec.t) =
-  check Alcotest.bool (label ^ ": spec carries a codec") true
-    (spec.Algo.Spec.codec <> None);
-  let adversaries =
-    Sim.Adversary.greedy_confusion ~pool:8 ()
-    :: Sim.Adversary.standard_suite ()
+(* Why the boxed representation stays: a boost level whose state codes
+   would pass 63 bits drops its codec, so the tower has no flat path at
+   all. This A(4,1) over a huge trivial counter has 64 state bits; it
+   must still run, boxed, under a crafting adversary. *)
+let test_codecless_tower_runs_boxed () =
+  let spec =
+    (Counting.Boost.construct
+       ~inner:(Counting.Trivial.single ~c:(2304 * (1 lsl 49)))
+       ~k:4 ~big_f:1 ~big_c:2)
+      .Counting.Boost.spec
   in
-  List.iter
-    (fun adversary ->
-      List.iter
-        (fun faulty ->
-          List.iter
-            (fun seed ->
-              List.iter
-                (fun mode ->
-                  let ctx =
-                    Printf.sprintf "%s-bridge/%s/faulty=[%s]/seed=%d" label
-                      (Sim.Adversary.name adversary)
-                      (String.concat ";" (List.map string_of_int faulty))
-                      seed
-                  in
-                  let go adv =
-                    Sim.Engine.run ~mode ~spec ~adversary:adv ~faulty ~rounds
-                      ~seed ()
-                  in
-                  assert_outcomes_equal ~ctx spec (go adversary)
-                    (go (Sim.Adversary.without_flat adversary)))
-                [ Sim.Engine.Streaming; Sim.Engine.Full_horizon ])
-            seeds)
-        fault_sets)
-    adversaries
-
-let test_bridge_static_differential_leader () =
-  assert_bridge_static_differential ~label:"follow-leader" ~rounds:120
-    leader_f1
-
-let test_bridge_static_differential_leader_f2 () =
-  assert_bridge_static_differential ~label:"follow-leader-f2" ~rounds:120
-    ~fault_sets:[ [ 0 ]; [ 0; 2 ] ] ~seeds:[ 1 ] leader_f2
-
-let test_bridge_static_differential_rand () =
-  assert_bridge_static_differential ~label:"rand-counter" ~rounds:400
-    (Counting.Rand_counter.make ~n:4 ~f:1)
-
-let test_bridge_static_differential_boost () =
-  assert_bridge_static_differential ~label:"A(4,1)" ~rounds:150 ~seeds:[ 1 ]
-    (a41 ())
-
-(* Same execution, crafting forced onto the bridge in every phase. *)
-let without_flat_schedule (s : _ Sim.Schedule.t) =
-  {
-    s with
-    Sim.Schedule.phases =
-      List.map
-        (fun (p : _ Sim.Schedule.phase) ->
-          {
-            p with
-            Sim.Schedule.adversary =
-              Sim.Adversary.without_flat p.Sim.Schedule.adversary;
-          })
-        s.Sim.Schedule.phases;
-  }
-
-let assert_bridge_schedule_differential ~ctx (spec : 's Algo.Spec.t) ~schedule
-    ~seed ~mode =
-  let go schedule =
-    let tracer = Sim.Trace.memory ~level:Sim.Trace.Rounds () in
-    let o = Sim.Engine.run_schedule ~tracer ~mode ~spec ~schedule ~seed () in
-    (o, Sim.Trace.events tracer)
+  check Alcotest.int "64 state bits" 64 spec.Algo.Spec.state_bits;
+  check Alcotest.bool "no codec" true (spec.Algo.Spec.codec = None);
+  let metrics = Stdx.Metrics.create () in
+  let o =
+    Sim.Engine.run ~metrics ~spec ~adversary:(Sim.Adversary.split_brain ())
+      ~faulty:[ 1 ] ~rounds:400 ~seed:1 ()
   in
-  let flat, flat_events = go schedule in
-  let bridged, bridged_events = go (without_flat_schedule schedule) in
-  check Alcotest.bool (ctx ^ ": same phase reports") true
-    (flat.Sim.Engine.phases = bridged.Sim.Engine.phases);
-  check Alcotest.bool (ctx ^ ": same verdict") true
-    (Sim.Online.equal_verdict flat.Sim.Engine.verdict
-       bridged.Sim.Engine.verdict);
-  check Alcotest.int (ctx ^ ": same rounds_simulated")
-    bridged.Sim.Engine.rounds_simulated flat.Sim.Engine.rounds_simulated;
-  check Alcotest.bool (ctx ^ ": same early_exit")
-    bridged.Sim.Engine.early_exit flat.Sim.Engine.early_exit;
-  check Alcotest.bool (ctx ^ ": same final states") true
-    (Array.for_all2 spec.Algo.Spec.equal_state flat.Sim.Engine.final_states
-       bridged.Sim.Engine.final_states);
-  check Alcotest.bool (ctx ^ ": same recent outputs") true
-    (flat.Sim.Engine.recent_outputs = bridged.Sim.Engine.recent_outputs);
-  check Alcotest.int
-    (ctx ^ ": same trace length")
-    (List.length bridged_events) (List.length flat_events);
-  List.iteri
-    (fun i (fe, be) ->
-      check Alcotest.bool
-        (Format.asprintf "%s: trace event %d (%a)" ctx i Sim.Trace.pp_event be)
-        true
-        (Sim.Trace.equal_event fe be))
-    (List.combine flat_events bridged_events)
-
-let test_bridge_schedule_differential_random () =
-  List.iter
-    (fun seed ->
-      let schedule =
-        Sim.Schedule.random ~spec:leader_f2
-          ~adversaries:(Sim.Adversary.standard_suite ())
-          ~phases:3 ~phase_rounds:50 ~events:2 ~max_victims:2 ~seed ()
-      in
-      List.iter
-        (fun mode ->
-          let ctx = Printf.sprintf "random-schedule-bridge/seed=%d" seed in
-          assert_bridge_schedule_differential ~ctx leader_f2 ~schedule ~seed
-            ~mode)
-        [ Sim.Engine.Streaming; Sim.Engine.Full_horizon ])
-    [ 1; 2; 3 ]
-
-let test_bridge_schedule_differential_boost () =
-  let spec = a41 () in
-  let schedule =
-    {
-      Sim.Schedule.phases =
-        [
-          { Sim.Schedule.adversary = Sim.Adversary.split_brain ();
-            faulty = [ 2 ]; duration = 60 };
-          { Sim.Schedule.adversary = Sim.Adversary.random_equivocate ();
-            faulty = [ 0 ]; duration = 60 };
-        ];
-      events = [ { Sim.Schedule.round = 30; victims = 2 } ];
-    }
-  in
-  assert_bridge_schedule_differential ~ctx:"A(4,1) schedule-bridge" spec
-    ~schedule ~seed:5 ~mode:Sim.Engine.Full_horizon
-
-(* Whole chaos campaigns through the parallel harness: the kernel and
-   the bridge aggregate identically at the REPRO_JOBS worker count. *)
-let test_bridge_chaos_campaign_differential () =
-  let config =
-    Sim.Harness.Chaos.Config.(
-      default |> with_campaigns 2 |> with_phases 2 |> with_phase_rounds 60
-      |> with_events 1 |> with_seeds [ 1; 2 ] |> with_jobs parallel_jobs)
-  in
-  let go adversaries =
-    Sim.Harness.Chaos.run ~config ~spec:leader_f2 ~adversaries ()
-  in
-  let suite = Sim.Adversary.standard_suite () in
-  check Alcotest.bool
-    (Printf.sprintf "kernel and bridged campaigns agree at jobs=%d"
-       parallel_jobs)
-    true
-    (go suite = go (List.map Sim.Adversary.without_flat suite))
-
-(* The engine's coverage counters: a crafting phase is counted against
-   exactly one of the two paths, and stripping the kernel moves it. *)
-let test_craft_phase_counters () =
-  let phases adversary =
-    let metrics = Stdx.Metrics.create () in
-    ignore
-      (Sim.Engine.run ~metrics ~mode:Sim.Engine.Full_horizon ~spec:leader_f1
-         ~adversary ~faulty:[ 0 ] ~rounds:40 ~seed:1 ());
-    let counter name =
-      match Stdx.Metrics.find (Stdx.Metrics.snapshot metrics) name with
-      | Some (Stdx.Metrics.Counter c) -> c
-      | _ -> 0
-    in
-    (counter "engine.flat_craft_phases", counter "engine.bridged_craft_phases")
-  in
-  check
-    (Alcotest.pair Alcotest.int Alcotest.int)
-    "flat kernel phase counted as flat" (1, 0)
-    (phases (Sim.Adversary.split_brain ()));
-  check
-    (Alcotest.pair Alcotest.int Alcotest.int)
-    "stripped kernel phase counted as bridged" (0, 1)
-    (phases (Sim.Adversary.without_flat (Sim.Adversary.split_brain ())));
-  check
-    (Alcotest.pair Alcotest.int Alcotest.int)
-    "lookahead kernel phase counted as flat" (1, 0)
-    (phases (Sim.Adversary.greedy_confusion ~pool:8 ()));
-  check
-    (Alcotest.pair Alcotest.int Alcotest.int)
-    "stripped lookahead kernel phase counted as bridged" (0, 1)
-    (phases
-       (Sim.Adversary.without_flat (Sim.Adversary.greedy_confusion ~pool:8 ())))
+  check Alcotest.bool "stabilises" true
+    (match o.Sim.Engine.verdict with
+    | Sim.Online.Stabilized _ -> true
+    | Sim.Online.Not_stabilized -> false);
+  check Alcotest.bool "no flat run counted" true
+    (Stdx.Metrics.find (Stdx.Metrics.snapshot metrics) "engine.flat_runs"
+    = None)
 
 (* ------------------------------------------------------------------ *)
 (* Craft-level differential: one phase's crafter, kernel vs boxed       *)
@@ -432,13 +257,12 @@ let flat_env (spec : 's Algo.Spec.t) =
     fresh_kernel = c.Algo.Spec.fresh_kernel;
   }
 
-let craft_lockstep (spec : 's Algo.Spec.t) adversary ~faulty ~seed =
+let craft_lockstep ?(rounds = 3) (spec : 's Algo.Spec.t) adversary ~faulty
+    ~seed =
   let codec = Option.get spec.Algo.Spec.codec in
   let n = spec.Algo.Spec.n in
   let nf = Array.length faulty in
-  let kernel =
-    (Option.get adversary.Sim.Adversary.fresh_flat) (flat_env spec)
-  in
+  let kernel = adversary.Sim.Adversary.fresh_flat (flat_env spec) in
   let crafter = adversary.Sim.Adversary.fresh () in
   let state_rng = Stdx.Rng.create seed in
   let flat_rng = Stdx.Rng.create (seed + 1) in
@@ -468,24 +292,29 @@ let craft_lockstep (spec : 's Algo.Spec.t) adversary ~faulty ~seed =
       && encoded = Array.sub out 0 (nf * n)
       && Int64.equal (Stdx.Rng.next_int64 flat_rng)
            (Stdx.Rng.next_int64 boxed_rng))
-    [ 0; 1; 2 ]
+    (List.init rounds Fun.id)
 
 let pools = [| 0; 1; 2; 8 |]
 
-(* Random faulty sets of [min_faulty .. f] nodes (in sampled, not sorted,
-   order), pool sizes from [pools], three rounds per case. *)
+(* [size] distinct node ids, in sampled (not sorted) order. *)
+let random_faulty (spec : 's Algo.Spec.t) ~size ~seed =
+  Array.of_list
+    (Stdx.Rng.sample_without_replacement (Stdx.Rng.create seed) size
+       spec.Algo.Spec.n)
+
+(* Random faulty sets of [min_faulty .. f] nodes, pool sizes from
+   [pools], three rounds per case. *)
 let craft_differential ?count ?min_faulty ~label (spec : 's Algo.Spec.t) =
-  let n = spec.Algo.Spec.n and f = spec.Algo.Spec.f in
   let lo = Option.value min_faulty ~default:0 in
   qcheck ?count
     (Printf.sprintf "craft differential: greedy-confusion on %s" label)
     QCheck.(
-      triple (int_range lo f) (int_range 0 (Array.length pools - 1)) small_nat)
+      triple
+        (int_range lo spec.Algo.Spec.f)
+        (int_range 0 (Array.length pools - 1))
+        small_nat)
     (fun (size, pi, seed) ->
-      let faulty =
-        Array.of_list
-          (Stdx.Rng.sample_without_replacement (Stdx.Rng.create seed) size n)
-      in
+      let faulty = random_faulty spec ~size ~seed in
       craft_lockstep spec
         (Sim.Adversary.greedy_confusion ~pool:pools.(pi) ())
         ~faulty ~seed)
@@ -509,6 +338,33 @@ let test_craft_differential_a12 =
 let test_craft_differential_all_faulty =
   craft_differential ~count:40 ~min_faulty:4 ~label:"n = f = 4"
     (Algo.Combinators.with_claimed_resilience leader ~f:4)
+
+(* Every standard strategy's kernel in isolation against its boxed
+   crafter: a random strategy and faulty set of [0 .. f] nodes per case.
+   Six rounds, so the history-replaying strategies ([stale ~delay:3],
+   [replay_correct ~delay:2]) move past their fill-up fallback. *)
+let suite_lockstep ~label (spec : 's Algo.Spec.t) =
+  let suite = Array.of_list (Sim.Adversary.standard_suite ()) in
+  qcheck
+    (Printf.sprintf "craft lockstep: standard suite on %s" label)
+    QCheck.(
+      triple
+        (int_range 0 (Array.length suite - 1))
+        (int_range 0 spec.Algo.Spec.f)
+        small_nat)
+    (fun (ai, size, seed) ->
+      craft_lockstep ~rounds:6 spec suite.(ai)
+        ~faulty:(random_faulty spec ~size ~seed)
+        ~seed)
+
+let test_suite_lockstep_leader =
+  suite_lockstep ~label:"follow-leader f=2" leader_f2
+
+let test_suite_lockstep_rand =
+  suite_lockstep ~label:"rand-counter n=7 f=2"
+    (Counting.Rand_counter.make ~n:7 ~f:2)
+
+let test_suite_lockstep_a41 = suite_lockstep ~label:"A(4,1)" (a41 ())
 
 (* ------------------------------------------------------------------ *)
 (* end_round convention (regression: final phase was reported one past   *)
@@ -674,6 +530,8 @@ let suite =
       [
         case "static differential: follow-leader"
           test_static_differential_leader;
+        case "static differential: follow-leader f=2"
+          test_static_differential_leader_f2;
         case "static differential: rand-counter" test_static_differential_rand;
         case "static differential: boost tower A(4,1)"
           test_static_differential_boost;
@@ -685,28 +543,15 @@ let suite =
           test_schedule_differential_boost;
         case "chaos campaign differential at REPRO_JOBS"
           test_chaos_campaign_differential;
-        case "zoo flat-kernel coverage" test_zoo_flat_coverage;
-        case "bridge differential: follow-leader"
-          test_bridge_static_differential_leader;
-        case "bridge differential: follow-leader f=2"
-          test_bridge_static_differential_leader_f2;
-        case "bridge differential: rand-counter"
-          test_bridge_static_differential_rand;
-        case "bridge differential: boost tower A(4,1)"
-          test_bridge_static_differential_boost;
-        case "bridge differential: random chaos schedules"
-          test_bridge_schedule_differential_random;
-        case "bridge differential: boost tower with event"
-          test_bridge_schedule_differential_boost;
-        case "bridge chaos campaign differential at REPRO_JOBS"
-          test_bridge_chaos_campaign_differential;
-        case "craft phase counters split flat vs bridged"
-          test_craft_phase_counters;
+        case "codec-less tower runs boxed" test_codecless_tower_runs_boxed;
         test_craft_differential_leader;
         test_craft_differential_rand;
         test_craft_differential_a41;
         test_craft_differential_a12;
         test_craft_differential_all_faulty;
+        test_suite_lockstep_leader;
+        test_suite_lockstep_rand;
+        test_suite_lockstep_a41;
       ] );
     ( "sim.engine.end_round",
       [
