@@ -195,6 +195,54 @@ let test_chaos_campaign_differential () =
     true
     (go leader_f2 = go (boxed leader_f2))
 
+(* Every phase builds its own crafter on both representations: one phase
+   per strategy (the lookahead included), and one strategy value run in
+   two consecutive phases, whose history must restart at the boundary. *)
+let test_schedule_differential_every_strategy () =
+  let spec = a41 () in
+  let strategies =
+    Sim.Adversary.greedy_confusion ~pool:2 ()
+    :: Sim.Adversary.standard_suite ()
+  in
+  let stale = Sim.Adversary.stale ~delay:3 () in
+  let phases =
+    List.mapi
+      (fun i adversary ->
+        { Sim.Schedule.adversary; faulty = [ i mod 4 ]; duration = 25 })
+      (strategies @ [ stale; stale ])
+  in
+  let schedule =
+    {
+      Sim.Schedule.phases;
+      events =
+        [
+          { Sim.Schedule.round = 40; victims = 2 };
+          { Sim.Schedule.round = 160; victims = 1 };
+        ];
+    }
+  in
+  assert_schedule_differential ~ctx:"A(4,1) every strategy" spec ~schedule
+    ~seed:3 ~mode:Sim.Engine.Full_horizon
+
+(* The lookahead kernel inside whole campaigns, at REPRO_JOBS. *)
+let test_chaos_campaign_differential_greedy () =
+  let config =
+    Sim.Harness.Chaos.Config.(
+      default |> with_campaigns 2 |> with_phases 2 |> with_phase_rounds 60
+      |> with_events 1 |> with_seeds [ 1; 2 ] |> with_jobs parallel_jobs)
+  in
+  let go sp =
+    Sim.Harness.Chaos.run ~config ~spec:sp
+      ~adversaries:
+        [ Sim.Adversary.greedy_confusion ~pool:2 (); Sim.Adversary.split_brain () ]
+      ()
+  in
+  check Alcotest.bool
+    (Printf.sprintf "flat and boxed greedy campaigns agree at jobs=%d"
+       parallel_jobs)
+    true
+    (go leader_f2 = go (boxed leader_f2))
+
 (* Why the boxed representation stays: a boost level whose state codes
    would pass 63 bits drops its codec, so the tower has no flat path at
    all. This A(4,1) over a huge trivial counter has 64 state bits; it
@@ -343,14 +391,15 @@ let test_craft_differential_all_faulty =
    crafter: a random strategy and faulty set of [0 .. f] nodes per case.
    Six rounds, so the history-replaying strategies ([stale ~delay:3],
    [replay_correct ~delay:2]) move past their fill-up fallback. *)
-let suite_lockstep ~label (spec : 's Algo.Spec.t) =
+let suite_lockstep ?count ?min_faulty ~label (spec : 's Algo.Spec.t) =
   let suite = Array.of_list (Sim.Adversary.standard_suite ()) in
-  qcheck
+  let lo = Option.value min_faulty ~default:0 in
+  qcheck ?count
     (Printf.sprintf "craft lockstep: standard suite on %s" label)
     QCheck.(
       triple
         (int_range 0 (Array.length suite - 1))
-        (int_range 0 spec.Algo.Spec.f)
+        (int_range lo spec.Algo.Spec.f)
         small_nat)
     (fun (ai, size, seed) ->
       craft_lockstep ~rounds:6 spec suite.(ai)
@@ -365,6 +414,13 @@ let test_suite_lockstep_rand =
     (Counting.Rand_counter.make ~n:7 ~f:2)
 
 let test_suite_lockstep_a41 = suite_lockstep ~label:"A(4,1)" (a41 ())
+
+let test_suite_lockstep_a12 =
+  suite_lockstep ~count:25 ~label:"A(12,3)" (a12_3 ())
+
+let test_suite_lockstep_all_faulty =
+  suite_lockstep ~count:40 ~min_faulty:4 ~label:"n = f = 4"
+    (Algo.Combinators.with_claimed_resilience leader ~f:4)
 
 (* ------------------------------------------------------------------ *)
 (* end_round convention (regression: final phase was reported one past   *)
@@ -543,6 +599,10 @@ let suite =
           test_schedule_differential_boost;
         case "chaos campaign differential at REPRO_JOBS"
           test_chaos_campaign_differential;
+        case "schedule differential: every strategy, fresh crafter per phase"
+          test_schedule_differential_every_strategy;
+        case "chaos campaign differential with greedy-confusion at REPRO_JOBS"
+          test_chaos_campaign_differential_greedy;
         case "codec-less tower runs boxed" test_codecless_tower_runs_boxed;
         test_craft_differential_leader;
         test_craft_differential_rand;
@@ -552,6 +612,8 @@ let suite =
         test_suite_lockstep_leader;
         test_suite_lockstep_rand;
         test_suite_lockstep_a41;
+        test_suite_lockstep_a12;
+        test_suite_lockstep_all_faulty;
       ] );
     ( "sim.engine.end_round",
       [

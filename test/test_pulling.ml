@@ -87,6 +87,23 @@ let test_pull_sim_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* Both entry points share the engine's faulty-set checks and messages. *)
+let assert_pull_rejects ~faulty msg =
+  let spec = pull_leader ~n:4 ~c:3 in
+  let responder = Pulling.Pull_sim.truthful_responder () in
+  Alcotest.check_raises "run" (Invalid_argument msg) (fun () ->
+      ignore (Pulling.Pull_sim.run ~spec ~responder ~faulty ~rounds:1 ~seed:1 ()));
+  Alcotest.check_raises "run_stream" (Invalid_argument msg) (fun () ->
+      ignore
+        (Pulling.Pull_sim.run_stream ~min_suffix:1 ~spec ~responder ~faulty
+           ~rounds:1 ~seed:1 ()))
+
+let test_pull_sim_duplicate_faulty () =
+  assert_pull_rejects ~faulty:[ 1; 1 ] "Pull_sim.run: duplicate faulty ids"
+
+let test_pull_sim_faulty_out_of_range () =
+  assert_pull_rejects ~faulty:[ 4 ] "Pull_sim.run: faulty id out of range"
+
 (* The streaming path replays the exact same execution (identical RNG
    stream) as the full-trace path, so without early exit its verdict must
    equal the offline checker on run's trace; with early exit it may only
@@ -296,6 +313,9 @@ let suite =
         case "pull-leader stabilises" test_pull_sim_stabilises_leader;
         case "reproducible" test_pull_sim_reproducible;
         case "validation" test_pull_sim_validation;
+        case "validation: duplicate faulty ids" test_pull_sim_duplicate_faulty;
+        case "validation: faulty id out of range"
+          test_pull_sim_faulty_out_of_range;
         case "stream matches offline checker" test_pull_sim_stream_matches_offline;
         case "responders answer" test_responders_answer;
         case "mirror responder" test_mirror_responder;
