@@ -1,17 +1,16 @@
-(* Experiment E1: flat-state engine throughput and allocation profile.
+(* Experiment E1: engine throughput and allocation profile.
 
-   Runs the same (spec, adversary, faulty, rounds, seed) execution on
-   both state representations — the flat packed-code path (the spec's
-   codec and the adversary's flat kernel) and the boxed per-node path
-   (codec stripped, the adversary's boxed crafter) — verifies the
-   outcomes are identical, and reports node-rounds/sec plus GC words
-   allocated per node-round for each.
+   Runs fixed (spec, adversary, faulty, rounds, seed) executions over
+   the full horizon and reports node-rounds/sec plus GC words allocated
+   per node-round for each. The engine has one representation — packed
+   state codes stepped by the spec codec's kernel, messages crafted by
+   the adversary's code-space kernel — so there is nothing to compare
+   against here; the boxed reference lives in the test suite.
 
-   Headlines: benign throughput on A(12,3) (the boxed engine made that
-   scale unaffordable), and hostile throughput on A(12,3) under the
-   split-brain equivocator — the flat adversary-kernel hot loop. A
-   greedy-confusion row measures the lookahead kernel, where crafting
-   rather than stepping dominates.
+   Headlines: benign throughput on A(12,3), and hostile throughput on
+   A(12,3) under the split-brain equivocator — the adversary-kernel hot
+   loop. A greedy-confusion row measures the lookahead kernel, where
+   crafting rather than stepping dominates.
 
    Kernel set-up rows time [fresh_kernel ()] itself on the Theorem 1
    towers A(4,1), A(12,3) and A(36,7) (modulus 2): the fixed cost every
@@ -24,21 +23,15 @@ let json_path = "BENCH_engine.json"
 
 type gc_profile = { minor_w_nr : float; major_w_nr : float }
 
-type path = {
-  wall_s : float;
-  node_rounds_per_s : float;
-  gc : gc_profile;
-}
-
 type row = {
   label : string;
   n : int;
   adversary : string;
   faulty : int list;
   rounds : int;
-  identical : bool;  (** flat = boxed outcomes *)
-  flat : path;
-  boxed : path;
+  wall_s : float;
+  node_rounds_per_s : float;
+  gc : gc_profile;
 }
 
 let metrics = Stdx.Metrics.create ()
@@ -61,58 +54,36 @@ let timed_gc f =
 
 let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
     ~seed () =
-  let boxed_spec = { spec with Algo.Spec.codec = None } in
-  let run sp () =
-    Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec:sp ~adversary ~faulty
+  let run () =
+    Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec ~adversary ~faulty
       ~rounds ~seed ()
   in
-  (* Warm-up pass so allocation of the flat buffers and any lazy setup is
-     off the clock for every path. *)
+  (* Warm-up pass so allocation of the engine buffers and any lazy setup
+     (the boost tower's shared lookup tables) is off the clock. *)
   ignore
     (Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec ~adversary ~faulty
        ~rounds:(min rounds 50) ~seed ());
-  let node_rounds o =
-    float_of_int (spec.Algo.Spec.n * o.Sim.Engine.rounds_simulated)
-  in
-  (* Wall = best of [reps] passes (first pass also yields outcome + GC),
-     so one slow scheduler hiccup does not pollute the record. *)
-  let profile ~reps sp =
-    let o, wall0, minor, major = timed_gc (run sp) in
-    let wall = ref wall0 in
-    for _ = 2 to reps do
-      let _, w, _, _ = timed_gc (run sp) in
-      if w < !wall then wall := w
-    done;
-    Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets metrics
-      "bench.engine_wall_s" !wall;
-    let nr = node_rounds o in
-    ( o,
-      {
-        wall_s = !wall;
-        node_rounds_per_s = nr /. Float.max 1e-9 !wall;
-        gc = { minor_w_nr = minor /. nr; major_w_nr = major /. nr };
-      } )
-  in
-  let flat_o, flat = profile ~reps:3 spec in
-  let boxed_o, boxed = profile ~reps:1 boxed_spec in
-  let same o2 =
-    Sim.Online.equal_verdict flat_o.Sim.Engine.verdict o2.Sim.Engine.verdict
-    && flat_o.Sim.Engine.rounds_simulated = o2.Sim.Engine.rounds_simulated
-    && flat_o.Sim.Engine.early_exit = o2.Sim.Engine.early_exit
-    && flat_o.Sim.Engine.recent_outputs = o2.Sim.Engine.recent_outputs
-    && Array.for_all2
-         (fun a b -> spec.Algo.Spec.equal_state a b)
-         flat_o.Sim.Engine.final_states o2.Sim.Engine.final_states
-  in
+  (* Wall = best of three passes (the first also yields the outcome and
+     GC counts), so one slow scheduler hiccup does not pollute the
+     record. *)
+  let o, wall0, minor, major = timed_gc run in
+  let wall = ref wall0 in
+  for _ = 2 to 3 do
+    let _, w, _, _ = timed_gc run in
+    if w < !wall then wall := w
+  done;
+  Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets metrics
+    "bench.engine_wall_s" !wall;
+  let nr = float_of_int (spec.Algo.Spec.n * o.Sim.Engine.rounds_simulated) in
   {
     label;
     n = spec.Algo.Spec.n;
     adversary = Sim.Adversary.name adversary;
     faulty;
     rounds;
-    identical = same boxed_o;
-    flat;
-    boxed;
+    wall_s = !wall;
+    node_rounds_per_s = nr /. Float.max 1e-9 !wall;
+    gc = { minor_w_nr = minor /. nr; major_w_nr = major /. nr };
   }
 
 (* [fresh_kernel ()] cost. Cold: the first call on a freshly built tower,
@@ -199,29 +170,17 @@ let json_of_setup r =
     r.tower r.tower_n r.cold_s r.warm_s r.warm_minor_words r.warm_major_words
 
 let json_of_row r =
-  let path_fields tag p =
-    Printf.sprintf
-      "\"%s_wall_s\": %.6f, \"%s_node_rounds_per_s\": %.1f,\n\
-      \     \"%s_minor_words_per_node_round\": %.2f, \
-       \"%s_major_words_per_node_round\": %.4f"
-      tag p.wall_s tag p.node_rounds_per_s tag p.gc.minor_w_nr tag
-      p.gc.major_w_nr
-  in
   Printf.sprintf
     "    {\"label\": %S, \"n\": %d, \"adversary\": %S, \"faulty\": [%s],\n\
-    \     \"rounds\": %d, \"identical_outcomes\": %b,\n\
-    \     %s,\n\
-    \     %s,\n\
-    \     \"speedup\": %.2f}"
+    \     \"rounds\": %d, \"wall_s\": %.6f, \"node_rounds_per_s\": %.1f,\n\
+    \     \"minor_words_per_node_round\": %.2f, \
+     \"major_words_per_node_round\": %.4f}"
     r.label r.n r.adversary
     (String.concat "," (List.map string_of_int r.faulty))
-    r.rounds r.identical (path_fields "flat" r.flat)
-    (path_fields "boxed" r.boxed)
-    (r.boxed.wall_s /. Float.max 1e-9 r.flat.wall_s)
+    r.rounds r.wall_s r.node_rounds_per_s r.gc.minor_w_nr r.gc.major_w_nr
 
 let run () =
-  Bench_common.section
-    "Flat-state engine - packed codes vs boxed states, full horizon";
+  Bench_common.section "Engine throughput - packed state codes, full horizon";
   let a41 = (Bench_common.a41 ~c:2).Counting.Boost.spec in
   let a12_3 = (Bench_common.a12_3 ~c:1728).Counting.Boost.spec in
   let rows =
@@ -250,10 +209,7 @@ let run () =
   in
   let t =
     Stdx.Table.create
-      [
-        "instance"; "adversary"; "rounds"; "flat nr/s"; "boxed nr/s";
-        "speedup"; "flat minW/nr"; "boxed minW/nr"; "identical";
-      ]
+      [ "instance"; "adversary"; "rounds"; "node-rounds/s"; "minor W/nr"; "major W/nr" ]
   in
   List.iter
     (fun r ->
@@ -262,12 +218,9 @@ let run () =
           r.label;
           r.adversary;
           string_of_int r.rounds;
-          Printf.sprintf "%.0f" r.flat.node_rounds_per_s;
-          Printf.sprintf "%.0f" r.boxed.node_rounds_per_s;
-          Printf.sprintf "%.1fx" (r.boxed.wall_s /. Float.max 1e-9 r.flat.wall_s);
-          Printf.sprintf "%.2f" r.flat.gc.minor_w_nr;
-          Printf.sprintf "%.2f" r.boxed.gc.minor_w_nr;
-          (if r.identical then "yes" else "NO");
+          Printf.sprintf "%.0f" r.node_rounds_per_s;
+          Printf.sprintf "%.2f" r.gc.minor_w_nr;
+          Printf.sprintf "%.4f" r.gc.major_w_nr;
         ])
     rows;
   Stdx.Table.print t;
@@ -298,47 +251,28 @@ let run () =
   Stdx.Table.print st;
   let headline = List.find (fun r -> r.label = "A(12,3) benign") rows in
   let hostile = List.find (fun r -> r.label = "A(12,3) split-brain") rows in
-  let alloc_reduction =
-    hostile.boxed.gc.minor_w_nr /. Float.max 1e-9 hostile.flat.gc.minor_w_nr
-  in
+  Printf.printf "\nheadline: %.0f node-rounds/sec on A(12,3)\n"
+    headline.node_rounds_per_s;
   Printf.printf
-    "\nheadline: %.0f node-rounds/sec flat on A(12,3) (boxed: %.0f, %.1fx)\n"
-    headline.flat.node_rounds_per_s headline.boxed.node_rounds_per_s
-    (headline.boxed.wall_s /. Float.max 1e-9 headline.flat.wall_s);
-  Printf.printf
-    "hostile:  %.0f node-rounds/sec flat on A(12,3)/split-brain\n\
-    \          (%.2f minor words/nr vs %.2f boxed: %.0fx less allocation)\n"
-    hostile.flat.node_rounds_per_s hostile.flat.gc.minor_w_nr
-    hostile.boxed.gc.minor_w_nr alloc_reduction;
-  let all_identical = List.for_all (fun r -> r.identical) rows in
+    "hostile:  %.0f node-rounds/sec on A(12,3)/split-brain, %.2f minor \
+     words/nr\n"
+    hostile.node_rounds_per_s hostile.gc.minor_w_nr;
   let oc = open_out json_path in
   Printf.fprintf oc
     "{\n\
-    \  \"experiment\": \"flat-vs-boxed-engine\",\n\
-    \  \"headline\": {\"instance\": %S, \"node_rounds_per_s\": %.1f,\n\
-    \               \"boxed_node_rounds_per_s\": %.1f, \"speedup\": %.2f},\n\
+    \  \"experiment\": \"engine-throughput\",\n\
+    \  \"headline\": {\"instance\": %S, \"node_rounds_per_s\": %.1f},\n\
     \  \"hostile_headline\": {\"instance\": %S, \"adversary\": %S,\n\
     \               \"node_rounds_per_s\": %.1f,\n\
-    \               \"minor_words_per_node_round\": %.2f,\n\
-    \               \"boxed_minor_words_per_node_round\": %.2f,\n\
-    \               \"minor_alloc_reduction_vs_boxed\": %.1f},\n\
-    \  \"all_identical_outcomes\": %b,\n\
+    \               \"minor_words_per_node_round\": %.2f},\n\
     \  \"measurements\": [\n%s\n  ],\n\
     \  \"kernel_setup\": [\n%s\n  ],\n\
     \  \"metrics\": %s\n\
      }\n"
-    headline.label headline.flat.node_rounds_per_s
-    headline.boxed.node_rounds_per_s
-    (headline.boxed.wall_s /. Float.max 1e-9 headline.flat.wall_s)
-    hostile.label hostile.adversary hostile.flat.node_rounds_per_s
-    hostile.flat.gc.minor_w_nr hostile.boxed.gc.minor_w_nr alloc_reduction
-    all_identical
+    headline.label headline.node_rounds_per_s hostile.label hostile.adversary
+    hostile.node_rounds_per_s hostile.gc.minor_w_nr
     (String.concat ",\n" (List.map json_of_row rows))
     (String.concat ",\n" (List.map json_of_setup setup))
     (Stdx.Metrics.to_json (Stdx.Metrics.snapshot metrics));
   close_out oc;
-  Printf.printf "[engine throughput record written to %s]\n" json_path;
-  if not all_identical then begin
-    print_endline "ERROR: flat and boxed outcomes differ!";
-    exit 1
-  end
+  Printf.printf "[engine throughput record written to %s]\n" json_path

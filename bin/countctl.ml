@@ -121,6 +121,24 @@ type sweep_opts = {
 let bad_min_suffix opts =
   match opts.min_suffix with Some m -> m < 1 | None -> false
 
+(* Up-front checks shared by the simulating subcommands (run, chaos,
+   hunt). The engine runs on packed state codes only, so a tower whose
+   states do not fit one int code — it has no codec — is refused here
+   with its bit count; [plan] still describes it. *)
+let sim_error (spec : _ Algo.Spec.t) opts =
+  if Option.is_none spec.Algo.Spec.codec then
+    Some
+      (Printf.sprintf
+         "A(%d, %d) needs %d state bits per node, more than one packed \
+          state code holds (62), so it cannot be simulated; `countctl \
+          plan' still describes it"
+         spec.Algo.Spec.n spec.Algo.Spec.f spec.Algo.Spec.state_bits)
+  else if bad_min_suffix opts then Some "--min-suffix must be >= 1"
+  else
+    match opts.rounds with
+    | Some r when r < 1 -> Some "--rounds must be >= 1"
+    | _ -> None
+
 (* --schedule {inorder,cost,chunk:N,chunk:auto}: "cost" maps to None —
    the harness's own cost-sorted default, with its horizon x n^2 model —
    so an explicit "cost" and an omitted flag mean the same policy.
@@ -395,15 +413,11 @@ let run_cmd =
         | _ -> None
         | exception Invalid_argument msg -> Some msg
       in
-      match (adversary_of_name adversary, faulty_error) with
-      | None, _ -> `Error (false, "unknown adversary; see `countctl adversaries'")
-      | Some _, Some msg -> `Error (false, msg)
-      | Some _, None when bad_min_suffix opts ->
-        `Error (false, "--min-suffix must be >= 1")
-      | Some _, None
-        when match opts.rounds with Some r -> r < 1 | None -> false ->
-        `Error (false, "--rounds must be >= 1")
-      | Some adversary, None ->
+      match (adversary_of_name adversary, faulty_error, sim_error spec opts) with
+      | None, _, _ ->
+        `Error (false, "unknown adversary; see `countctl adversaries'")
+      | Some _, Some msg, _ | Some _, None, Some msg -> `Error (false, msg)
+      | Some adversary, None, None ->
         let rounds = Option.value opts.rounds ~default:4000 in
         let seeds = Option.value opts.seeds ~default:[ 1 ] in
         let mode =
@@ -606,6 +620,9 @@ let chaos_cmd =
     | Error (`Msg m) -> `Error (false, m)
     | Ok tower ->
       let (Algo.Spec.Packed spec) = Counting.Build.tower tower in
+      match sim_error spec opts with
+      | Some msg -> `Error (false, msg)
+      | None ->
       if campaigns < 1 then `Error (false, "--campaigns must be >= 1")
       else if phases < 1 then `Error (false, "--phases must be >= 1")
       else if events < 0 then `Error (false, "--events must be >= 0")
@@ -696,138 +713,55 @@ let chaos_cmd =
 
 let read_file_content path = In_channel.with_open_bin path In_channel.input_all
 
-(* Newline-terminated, non-blank lines only, each with its 1-based line
-   number in the file (blank lines still count), so parse errors can
-   name it: a beat mid-write is picked up whole on the next poll. *)
-let complete_lines content =
-  let rec go acc lineno start =
-    match String.index_from_opt content start '\n' with
-    | None -> List.rev acc
-    | Some i ->
-      let line = String.sub content start (i - start) in
-      go
-        (if String.trim line = "" then acc else (lineno, line) :: acc)
-        (lineno + 1) (i + 1)
-  in
-  go [] 1 0
-
-let is_heartbeat_line line =
-  match Stdx.Json.parse_result line with
-  | Error _ -> false
-  | Ok j -> (
-    match Stdx.Json.field_opt j "kind" with
-    | Some (Stdx.Json.String "heartbeat") -> true
-    | _ -> false
-    | exception Stdx.Json.Parse_error _ -> false)
-
-(* The fields of one heartbeat line the human renderings use (the full
-   schema additionally carries per-worker busy seconds, the remaining GC
-   gauges and a whole metrics snapshot). *)
-type hb_view = {
-  hv_label : string;
-  hv_seq : int;
-  hv_final : bool;
-  hv_t_s : float;
-  hv_eta_s : float option;
-  hv_cells_done : int;
-  hv_cells_total : int;
-  hv_cost_done : float;
-  hv_cost_total : float;
-  hv_rounds : int;
-  hv_hits : (string * int) list;
-  hv_workers : int;
-  hv_utilization : float;
-  hv_heap_words : int;
-}
-
-let heartbeat_view line =
-  let open Stdx.Json in
-  let j = parse line in
-  let workers = field j "workers" in
-  let gc = field j "gc" in
-  {
-    hv_label = to_string "label" (field j "label");
-    hv_seq = to_int "seq" (field j "seq");
-    hv_final = to_bool "final" (field j "final");
-    hv_t_s = to_float "t_s" (field j "t_s");
-    hv_eta_s =
-      (match field j "eta_s" with
-      | Null -> None
-      | v -> Some (to_float "eta_s" v));
-    hv_cells_done = to_int "cells_done" (field j "cells_done");
-    hv_cells_total = to_int "cells_total" (field j "cells_total");
-    hv_cost_done = to_float "cost_done" (field j "cost_done");
-    hv_cost_total = to_float "cost_total" (field j "cost_total");
-    hv_rounds = to_int "rounds" (field j "rounds");
-    hv_hits =
-      (match field j "hits" with
-      | Object kvs -> List.map (fun (k, v) -> (k, to_int k v)) kvs
-      | _ -> raise (Parse_error "heartbeat: hits must be an object"));
-    hv_workers = to_int "count" (field workers "count");
-    hv_utilization = to_float "utilization" (field workers "utilization");
-    hv_heap_words = to_int "heap_words" (field gc "heap_words");
-  }
-
-(* The rendering of the latest beat, or a parse error that names the
-   file and line, like [Sim.Trace.read_jsonl]'s. *)
-let last_heartbeat path lines =
-  match List.rev lines with
-  | [] -> Error (Printf.sprintf "%s: no heartbeat lines" path)
-  | (lineno, last) :: _ -> (
-    match heartbeat_view last with
-    | exception Stdx.Json.Parse_error msg ->
-      Error (Printf.sprintf "%s: line %d: %s" path lineno msg)
-    | v -> Ok (last, v))
-
-let hb_progress_pct v =
-  if v.hv_cost_total > 0.0 then 100.0 *. v.hv_cost_done /. v.hv_cost_total
-  else if v.hv_cells_total > 0 then
-    100.0 *. float_of_int v.hv_cells_done /. float_of_int v.hv_cells_total
+let hb_progress_pct (v : Stdx.Heartbeat.view) =
+  if v.cost_total > 0.0 then 100.0 *. v.cost_done /. v.cost_total
+  else if v.cells_total > 0 then
+    100.0 *. float_of_int v.cells_done /. float_of_int v.cells_total
   else 0.0
 
-let hb_hits_string v =
+let hb_hits_string (v : Stdx.Heartbeat.view) =
   String.concat " "
-    (List.map (fun (cls, n) -> Printf.sprintf "%s=%d" cls n) v.hv_hits)
+    (List.map (fun (cls, n) -> Printf.sprintf "%s=%d" cls n) v.hits)
 
 (* One status line per beat — the follow-mode rendering. *)
-let hb_line v =
+let hb_line (v : Stdx.Heartbeat.view) =
   let b = Buffer.create 96 in
-  if v.hv_label <> "" then Buffer.add_string b (v.hv_label ^ "  ");
+  if v.label <> "" then Buffer.add_string b (v.label ^ "  ");
   Buffer.add_string b
     (Printf.sprintf "beat %d: %d/%d cells (%.1f%%), %d rounds, %.1fs"
-       v.hv_seq v.hv_cells_done v.hv_cells_total (hb_progress_pct v)
-       v.hv_rounds v.hv_t_s);
-  (match v.hv_eta_s with
+       v.seq v.cells_done v.cells_total (hb_progress_pct v)
+       v.rounds v.t_s);
+  (match v.eta_s with
   | Some eta -> Buffer.add_string b (Printf.sprintf ", eta %.1fs" eta)
   | None -> ());
-  if v.hv_workers > 0 then
+  if v.workers > 0 then
     Buffer.add_string b
-      (Printf.sprintf ", %d worker(s) %.0f%% busy" v.hv_workers
-         (100.0 *. v.hv_utilization));
-  if v.hv_hits <> [] then Buffer.add_string b (", hits " ^ hb_hits_string v);
-  if v.hv_final then Buffer.add_string b "  [final]";
+      (Printf.sprintf ", %d worker(s) %.0f%% busy" v.workers
+         (100.0 *. v.utilization));
+  if v.hits <> [] then Buffer.add_string b (", hits " ^ hb_hits_string v);
+  if v.final then Buffer.add_string b "  [final]";
   Buffer.contents b
 
 (* The full status block — watch --once and report on heartbeat files. *)
-let hb_block v =
+let hb_block (v : Stdx.Heartbeat.view) =
   let t = Stdx.Table.create [ "field"; "value" ] in
   let add k value = Stdx.Table.add_row t [ k; value ] in
-  if v.hv_label <> "" then add "label" v.hv_label;
-  add "status" (if v.hv_final then "final" else "running");
+  if v.label <> "" then add "label" v.label;
+  add "status" (if v.final then "final" else "running");
   add "progress"
-    (Printf.sprintf "%d/%d cells (%.1f%% of modelled cost)" v.hv_cells_done
-       v.hv_cells_total (hb_progress_pct v));
-  add "rounds" (string_of_int v.hv_rounds);
-  add "elapsed" (Printf.sprintf "%.1fs" v.hv_t_s);
-  (match v.hv_eta_s with
+    (Printf.sprintf "%d/%d cells (%.1f%% of modelled cost)" v.cells_done
+       v.cells_total (hb_progress_pct v));
+  add "rounds" (string_of_int v.rounds);
+  add "elapsed" (Printf.sprintf "%.1fs" v.t_s);
+  (match v.eta_s with
   | Some eta -> add "eta" (Printf.sprintf "%.1fs" eta)
   | None -> ());
-  if v.hv_workers > 0 then
+  if v.workers > 0 then
     add "workers"
-      (Printf.sprintf "%d, utilization %.0f%%" v.hv_workers
-         (100.0 *. v.hv_utilization));
-  add "gc heap" (Printf.sprintf "%d words" v.hv_heap_words);
-  if v.hv_hits <> [] then add "hits" (hb_hits_string v);
+      (Printf.sprintf "%d, utilization %.0f%%" v.workers
+         (100.0 *. v.utilization));
+  add "gc heap" (Printf.sprintf "%d words" v.heap_words);
+  if v.hits <> [] then add "hits" (hb_hits_string v);
   Stdx.Table.print t
 
 (* ------------------------------------------------------------------ *)
@@ -870,24 +804,23 @@ let report_cmd =
              failure counts travel in the JSON).")
   in
   let ids l = String.concat ";" (List.map string_of_int l) in
-  let report_heartbeat ~json path lines =
-    match last_heartbeat path lines with
+  let report_heartbeat ~json path content =
+    match Stdx.Heartbeat.latest ~path content with
     | Error msg -> `Error (false, msg)
     | Ok (last, v) ->
       if json then print_endline last else hb_block v;
       `Ok ()
   in
   let run path json =
-    match
-      match read_file_content path with
-      | exception Sys_error msg -> Error msg
-      | content -> Ok (complete_lines content)
-    with
-    | Error msg -> `Error (false, msg)
-    | Ok [] -> `Error (false, Printf.sprintf "%s: empty file" path)
-    | Ok ((_, first) :: _ as lines) when is_heartbeat_line first ->
-      report_heartbeat ~json path lines
-    | Ok _ ->
+    match read_file_content path with
+    | exception Sys_error msg -> `Error (false, msg)
+    | content when String.trim content = "" ->
+      `Error (false, Printf.sprintf "%s: empty file" path)
+    | content ->
+    match Stdx.Heartbeat.complete_lines content with
+    | (_, first) :: _ when Stdx.Heartbeat.is_heartbeat_line first ->
+      report_heartbeat ~json path content
+    | _ ->
     let ic = open_in path in
     let parsed =
       Fun.protect
@@ -1320,6 +1253,9 @@ let hunt_cmd =
     match resolved with
     | Error (`Msg m) -> `Error (false, m)
     | Ok (Algo.Spec.Packed spec, time_bound) -> (
+      match sim_error spec opts with
+      | Some msg -> `Error (false, msg)
+      | None ->
       let analyse () =
         let spec =
           match claim_f with
@@ -1504,7 +1440,7 @@ let watch_cmd =
       match read_file_content path with
       | exception Sys_error msg -> `Error (false, msg)
       | content -> (
-        match last_heartbeat path (complete_lines content) with
+        match Stdx.Heartbeat.latest ~path content with
         | Error msg -> `Error (false, msg)
         | Ok (_, v) ->
           hb_block v;
@@ -1520,18 +1456,18 @@ let watch_cmd =
         (match read_file_content path with
         | exception Sys_error _ -> ()
         | content ->
-          let lines = complete_lines content in
+          let lines = Stdx.Heartbeat.complete_lines content in
           let total = List.length lines in
           if total > !seen then begin
             List.iteri
               (fun i (_, line) ->
                 if i >= !seen && not !finished then
-                  match heartbeat_view line with
-                  | exception Stdx.Json.Parse_error _ -> ()
-                  | v ->
+                  match Stdx.Heartbeat.view_of_line line with
+                  | Error _ -> ()
+                  | Ok v ->
                     print_endline (hb_line v);
                     flush stdout;
-                    if v.hv_final then finished := true)
+                    if v.final then finished := true)
               lines;
             seen := total
           end);

@@ -42,9 +42,10 @@ type 's codec = {
   random_code : Stdx.Rng.t -> int;
       (** [random_state] in code space: [random_code rng =
           encode_state (random_state rng)], {e consuming the rng
-          stream identically} — flat adversary kernels fabricate
-          random messages through this, so any divergence (value or
-          draw count) breaks the flat/boxed bit-identity contract.
+          stream identically} — adversary kernels fabricate random
+          messages through this, so any divergence (value or draw
+          count) makes the engine's runs differ from the boxed
+          reference's.
           {!validate} spot-checks both on fresh streams. *)
   fresh_kernel : unit -> kernel;
       (** a fresh kernel; called once per engine run, possibly from
@@ -55,10 +56,11 @@ type 's codec = {
           call — safely if two domains make it at once. *)
 }
 (** Dense integer encoding of the state set [X], the contract behind the
-    flat (packed state vector) simulation path. The encoding is a bijection
+    simulation engine's packed state vectors. The encoding is a bijection
     between [X] and [\[0, num_states)] that agrees with [compare_state]'s
     order, and the kernel computes exactly the spec's [transition] in code
-    space — the flat engine is certified bit-identical to the boxed one. *)
+    space — the engine is certified against a boxed reference simulator
+    that runs [transition] itself. *)
 
 type 's t = {
   name : string;  (** human-readable, e.g. ["boost(k=3,F=3) over triv"] *)
@@ -83,8 +85,9 @@ type 's t = {
           [received.(self)] is the node's own state) *)
   output : self:int -> 's -> int;  (** [h(self, state)], in [\[0, c)] *)
   codec : 's codec option;
-      (** dense int encoding of [X] enabling the flat engine path; [None]
-          falls back to the boxed per-node simulation *)
+      (** dense int encoding of [X]; the simulation engine requires it
+          and rejects specs with [None] (e.g. towers whose codes would
+          pass 62 bits) *)
 }
 
 val generic_kernel :

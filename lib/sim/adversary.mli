@@ -11,19 +11,14 @@
     nodes (current or past), or by simulating recipients' transitions.
     This is exactly the power a real adversary has without knowing the
     state type's internal semantics, and it is enough to break naive
-    algorithms (see the ablation benches). *)
+    algorithms (see the ablation benches).
 
-type 's crafter = {
-  craft :
-    spec:'s Algo.Spec.t ->
-    rng:Stdx.Rng.t ->
-    round:int ->
-    states:'s array ->
-    faulty:int array ->
-    's array array;
-      (** [craft ... ] returns [msgs] with [msgs.(fi).(r)] = the message
-          the [fi]-th faulty node sends to recipient [r] this round. *)
-}
+    Every strategy works in the code space of the spec's
+    {!Algo.Spec.codec}: it reads the engine's packed state vector and
+    writes message codes, never decoding a state. A boxed twin of each
+    strategy, over ['s] state vectors, lives only in the test suite
+    ([test/reference.ml]), as the slow reference the kernels are
+    certified against. *)
 
 type flat_env = {
   n : int;  (** node count — fixes the [out] row stride *)
@@ -56,19 +51,20 @@ type flat_crafter = {
     faulty:int array ->
     out:int array ->
     unit;
-      (** Code-space twin of {!crafter.craft}: read the packed current
-          states, write the crafted message codes into the preallocated
-          [out] with [out.(fi * n + r)] = the code the [fi]-th faulty
-          node sends to recipient [r]. Only slots of the current faulty
-          set may be written ([out] is engine-owned scratch, not
-          cleared between rounds).
+      (** Read the packed current states, write the crafted message
+          codes into the preallocated [out] with [out.(fi * n + r)] =
+          the code the [fi]-th faulty node sends to recipient [r]. Only
+          slots of the current faulty set may be written ([out] is
+          engine-owned scratch, not cleared between rounds).
 
-          {b RNG stream contract:} a flat kernel must consume [rng]
-          draw-for-draw like its boxed twin on the same round — same
-          number of draws, same order, each random state drawn through
-          {!flat_env.random_code}. This is what keeps flat-crafted runs
-          bit-identical to boxed-crafted ones (certified by the
-          differential suite in [test_flat.ml]). *)
+          {b RNG stream contract:} a kernel consumes [rng] exactly as
+          its strategy's documentation says — same number of draws,
+          same order, each random state drawn through
+          {!flat_env.random_code} — so that runs are reproducible from
+          the seed alone. The boxed reference crafters in the test suite
+          draw the same way, and the craft-level lockstep and
+          per-round trajectory differentials in [test_flat.ml] check
+          each kernel against them. *)
 }
 
 type 's t = {
@@ -77,18 +73,17 @@ type 's t = {
       (** Structural marker for non-attacking strategies: [true] only for
           {!benign}. Suite membership ({!hostile_suite}) keys on this tag,
           not on the display name. *)
-  fresh : unit -> 's crafter;
-      (** A new stateful crafter per run (history buffers etc.). *)
   fresh_flat : flat_env -> flat_crafter;
-      (** Code-level kernel of the same strategy: a fresh stateful
-          instance per phase, like {!fresh}. The engine's flat path
-          crafts only through it, and the boxed path only through
-          {!fresh}; there is no fallback between the two. So a new
-          strategy must ship both, and its kernel must meet the RNG
-          stream contract of {!flat_crafter.craft_flat}, or flat and
-          boxed runs of the same seed diverge. The craft-level lockstep
-          and flat-vs-boxed differentials in [test_flat.ml] check it. *)
+      (** The strategy's code-space kernel: a fresh stateful instance
+          (history ring, frozen codes, private probe kernel) per phase.
+          The engine crafts only through it. A new strategy ships its
+          kernel here and a boxed twin in the test suite's reference
+          module, which looks crafters up by {!name}; the two must meet
+          the RNG stream contract of {!flat_crafter.craft_flat}. *)
 }
+(** A strategy. The type parameter is the state type of the specs it
+    may attack; kernels work on codes, so it is phantom, kept so that
+    schedules and sweeps stay typed by their spec. *)
 
 val name : 's t -> string
 

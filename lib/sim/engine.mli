@@ -7,39 +7,36 @@
     as soon as the clean counting suffix reaches [min_suffix] — typically
     cutting long-horizon sweeps by an order of magnitude.
 
-    {2 Flat fast path}
+    {2 One representation: packed state codes}
 
-    When the spec carries a {!Algo.Spec.codec} — every built-in family
-    does — the engine keeps the state vector as a packed {!Statebuf.t}
+    The engine requires the spec's {!Algo.Spec.codec} — every built-in
+    family has one. It keeps the state vector as a packed {!Statebuf.t}
     (one byte per node for small state spaces, an unboxed int bigarray
     otherwise) and advances rounds through the codec's kernel: counting
     passes over int arrays, double-buffered, with no per-node allocation
-    in the steady state.
+    in the steady state. A spec without a codec — a boost tower whose
+    state codes would pass 62 bits, e.g. five levels — is rejected with
+    [Invalid_argument] naming the spec and its [state_bits].
 
-    Adversaries run flat too: each phase crafts message {e codes}
+    Adversaries run in code space too: each phase crafts message codes
     through its strategy's {!Adversary.flat_crafter} straight into a
-    preallocated scratch matrix — no boxed mirror, no per-round message
-    matrix, zero decode/encode in the hostile hot loop. Each state
-    representation has exactly one crafting path: the flat one always
-    steps the phase's flat kernel, the boxed one always calls the
-    phase's boxed crafter. On hostile rounds the engine additionally
-    visits recipients grouped by identical crafted columns, which keeps
-    received-vector caches inside counting kernels hot under
-    equivocating adversaries — sound because every node owns its
-    private RNG stream.
+    preallocated scratch matrix — no per-round message matrix, zero
+    decode/encode in the hostile hot loop. On hostile rounds the engine
+    additionally visits recipients grouped by identical crafted columns,
+    which keeps received-vector caches inside counting kernels hot under
+    equivocating adversaries — sound because every node owns its private
+    RNG stream.
 
-    The flat path is {e bit-identical} to the boxed
-    path — same RNG stream consumption, same verdicts, rounds, phase
-    reports, final states and trace events (certified by the
-    differential suites in [test_chaos.ml] and [test_flat.ml], which
-    also step every flat kernel in lockstep with its boxed twin).
-    The boxed path stays for two cases the flat one cannot serve:
-    specs without a codec (a boost tower whose state codes pass 63
-    bits, e.g. five levels, has none) and runs with an ['s]-typed
-    [probe]/[trace] hook, which needs real state vectors every round.
-    It is also the differential reference; to force it, strip the
-    codec: [{ spec with codec = None }]. The [metrics] sink counts
-    flat runs as [engine.flat_runs].
+    States are decoded only where ['s] values are asked for: the
+    [final_states] of the outcome, and the rows handed to a [probe] or
+    [trace] hook — decoded once per round, after that round's events,
+    into a fresh array the hook may keep.
+
+    The test suite certifies the engine against a slow boxed reference
+    simulator ([test/reference.ml]): same RNG stream consumption, and
+    every round's decoded states and output rows equal to the
+    reference's ([test_flat.ml]), which also steps every adversary
+    kernel in lockstep with its boxed twin.
 
     {2 Verdict equivalence}
 
@@ -155,7 +152,9 @@ val run :
     {!Min_suffix}.)
     [probe] sees the start-of-round states of every simulated round
     (including round 0); [trace] additionally receives the output row and
-    is how {!Network.run} materialises full traces. [window] bounds
+    is how {!Network.run} materialises full traces. Every call gets
+    freshly decoded arrays that the hook may keep; passing either hook
+    costs one decode per node per round. [window] bounds
     [recent_outputs] (default 8).
 
     [tracer] (default {!Trace.null}) receives structured {!Trace.event}s
@@ -179,7 +178,7 @@ val run :
     differential certification, wall-clock values excepted.
 
     Raises [Invalid_argument] on invalid faulty sets or [init] length,
-    like {!Network.run}. *)
+    like {!Network.run}, and on a spec without a codec. *)
 
 val run_schedule :
   ?probe:(round:int -> states:'s array -> unit) ->
@@ -201,7 +200,8 @@ val run_schedule :
     crafter, and the {!Online} detector is reset (with the new correct
     set); each transient event corrupts up to [victims] correct nodes'
     states to spec-random values before that round's row is observed
-    (traces keep pre-event rows — the corruption happens on a copy).
+    (traces keep pre-event rows: each row a hook receives is its own
+    array).
     Every perturbation restarts the recovery clock, so each
     {!phase_report} carries the phase's own re-stabilisation verdict and
     recovery time rather than one global verdict.
@@ -217,5 +217,6 @@ val run_schedule :
     with the same [(spec, adversary, faulty, rounds, seed)] — identical
     verdict, [rounds_simulated] and final states (enforced by a
     differential test). Raises [Invalid_argument] on invalid schedules
-    ({!Schedule.validate}) or [init] length. *)
+    ({!Schedule.validate}), [init] length, or a spec without a codec
+    (the message names the spec and its [state_bits]). *)
 

@@ -1,4 +1,4 @@
-(* Packed state vector of the flat engine path: one slot per node
+(* Packed state vector of the simulation engine: one slot per node
    holding the spec's integer state code. Codes below 256 pack into a
    byte string; larger state spaces use an unboxed int bigarray (up to
    2^62 codes). Lives in its own module (rather than inside [Engine])

@@ -1,4 +1,4 @@
-(** Packed state vector of the flat engine path.
+(** Packed state vector of the simulation engine.
 
     One slot per node, holding the spec's dense integer state code
     (see {!Algo.Spec.codec}). State spaces of up to 256 codes pack into

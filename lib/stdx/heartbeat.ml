@@ -173,3 +173,83 @@ let finish t =
         emit_line t ~final:true;
         t.finished <- true
       end)
+
+(* --- reading a stream ------------------------------------------------- *)
+
+type view = {
+  label : string;
+  seq : int;
+  final : bool;
+  t_s : float;
+  eta_s : float option;
+  cells_done : int;
+  cells_total : int;
+  cost_done : float;
+  cost_total : float;
+  rounds : int;
+  hits : (string * int) list;
+  workers : int;
+  utilization : float;
+  heap_words : int;
+}
+
+let complete_lines content =
+  let rec go acc lineno start =
+    match String.index_from_opt content start '\n' with
+    | None -> List.rev acc
+    | Some i ->
+      let line = String.sub content start (i - start) in
+      go
+        (if String.trim line = "" then acc else (lineno, line) :: acc)
+        (lineno + 1) (i + 1)
+  in
+  go [] 1 0
+
+let is_heartbeat_line line =
+  match Json.parse_result line with
+  | Error _ -> false
+  | Ok j -> (
+    match Json.field_opt j "kind" with
+    | Some (Json.String "heartbeat") -> true
+    | _ -> false
+    | exception Json.Parse_error _ -> false)
+
+let view_of_line line =
+  let open Json in
+  match
+    let j = parse line in
+    let workers = field j "workers" in
+    let gc = field j "gc" in
+    {
+      label = to_string "label" (field j "label");
+      seq = to_int "seq" (field j "seq");
+      final = to_bool "final" (field j "final");
+      t_s = to_float "t_s" (field j "t_s");
+      eta_s =
+        (match field j "eta_s" with
+        | Null -> None
+        | v -> Some (to_float "eta_s" v));
+      cells_done = to_int "cells_done" (field j "cells_done");
+      cells_total = to_int "cells_total" (field j "cells_total");
+      cost_done = to_float "cost_done" (field j "cost_done");
+      cost_total = to_float "cost_total" (field j "cost_total");
+      rounds = to_int "rounds" (field j "rounds");
+      hits =
+        (match field j "hits" with
+        | Object kvs -> List.map (fun (k, v) -> (k, to_int k v)) kvs
+        | _ -> raise (Parse_error "heartbeat: hits must be an object"));
+      workers = to_int "count" (field workers "count");
+      utilization = to_float "utilization" (field workers "utilization");
+      heap_words = to_int "heap_words" (field gc "heap_words");
+    }
+  with
+  | v -> Ok v
+  | exception Parse_error msg -> Error msg
+
+let latest ~path content =
+  match List.rev (complete_lines content) with
+  | [] -> Error (Printf.sprintf "%s: no heartbeat lines" path)
+  | (lineno, last) :: _ -> (
+    match view_of_line last with
+    | Error msg -> Error (Printf.sprintf "%s: line %d: %s" path lineno msg)
+    | Ok v -> Ok (last, v))

@@ -60,3 +60,44 @@ val finish : t -> unit
 (** Emit the terminal ["final":true] line unconditionally and stop the
     stream. Idempotent: later calls (and later {!beat}s) do nothing, so
     both a harness and its CLI wrapper may call it. *)
+
+(** {2 Reading a stream}
+
+    What [countctl watch] and [countctl report] render. Every reader
+    returns errors instead of raising. *)
+
+type view = {
+  label : string;
+  seq : int;
+  final : bool;
+  t_s : float;  (** seconds since the heartbeat was created *)
+  eta_s : float option;
+  cells_done : int;
+  cells_total : int;
+  cost_done : float;
+  cost_total : float;
+  rounds : int;
+  hits : (string * int) list;  (** hunt hits by class *)
+  workers : int;
+  utilization : float;
+  heap_words : int;
+}
+(** The fields of one line that the human renderings use; the line
+    additionally carries per-worker busy seconds, the other GC gauges
+    and a whole metrics snapshot. *)
+
+val complete_lines : string -> (int * string) list
+(** The newline-terminated, non-blank lines of a file's content, each
+    with its 1-based line number (blank lines still count). A last line
+    without its newline — a beat mid-write — is left out, to be picked
+    up whole on the next read. *)
+
+val is_heartbeat_line : string -> bool
+(** The line is a JSON object tagged [{"kind":"heartbeat"}]. *)
+
+val view_of_line : string -> (view, string) result
+
+val latest : path:string -> string -> (string * view, string) result
+(** The last complete line of a stream's content, raw and parsed. The
+    error names [path], and the line number when that line does not
+    parse. *)

@@ -125,7 +125,8 @@ let density_cases =
 
 (* A(12,3) has ~1.5e10 states per node: num_states must still be exact,
    positive, and covered by state_bits (the codec composition refuses to
-   build — falls back to boxed — on overflow instead of wrapping). *)
+   build — leaving the tower without a codec, which the engine rejects —
+   on overflow instead of wrapping). *)
 let test_big_tower_num_states () =
   List.iter
     (fun (F (label, spec)) ->

@@ -105,10 +105,10 @@ let test_benign_equals_faultless () =
 
 let craft_once adversary =
   let spec = Algo.Combinators.with_claimed_resilience leader ~f:2 in
-  let crafter = adversary.Sim.Adversary.fresh () in
+  let crafter = Reference.fresh adversary in
   let rng = Stdx.Rng.create 5 in
   let states = [| 0; 1; 2; 3 |] in
-  crafter.Sim.Adversary.craft ~spec ~rng ~round:0 ~states ~faulty:[| 1; 3 |]
+  crafter.Reference.craft ~spec ~rng ~round:0 ~states ~faulty:[| 1; 3 |]
 
 let test_adversary_matrix_shapes () =
   List.iter
@@ -133,14 +133,14 @@ let test_benign_sends_truth () =
 let test_stuck_freezes () =
   let adv = Sim.Adversary.stuck () in
   let spec = Algo.Combinators.with_claimed_resilience leader ~f:1 in
-  let crafter = adv.Sim.Adversary.fresh () in
+  let crafter = Reference.fresh adv in
   let rng = Stdx.Rng.create 5 in
   let m0 =
-    crafter.Sim.Adversary.craft ~spec ~rng ~round:0 ~states:[| 7; 1; 2; 3 |]
+    crafter.Reference.craft ~spec ~rng ~round:0 ~states:[| 7; 1; 2; 3 |]
       ~faulty:[| 0 |]
   in
   let m1 =
-    crafter.Sim.Adversary.craft ~spec ~rng ~round:1 ~states:[| 9; 1; 2; 3 |]
+    crafter.Reference.craft ~spec ~rng ~round:1 ~states:[| 9; 1; 2; 3 |]
       ~faulty:[| 0 |]
   in
   check Alcotest.int "round 0 sends initial" 7 m0.(0).(1);
@@ -162,10 +162,10 @@ let test_mimic_copies_correct () =
 let test_random_equivocate_varies () =
   let adv = Sim.Adversary.random_equivocate () in
   let spec = Algo.Combinators.with_claimed_resilience (Counting.Trivial.single ~c:1024) ~f:1 in
-  let crafter = adv.Sim.Adversary.fresh () in
+  let crafter = Reference.fresh adv in
   let rng = Stdx.Rng.create 5 in
   let msgs =
-    crafter.Sim.Adversary.craft ~spec ~rng ~round:0
+    crafter.Reference.craft ~spec ~rng ~round:0
       ~states:(Array.make 8 0) ~faulty:[| 0 |]
   in
   let distinct = List.sort_uniq compare (Array.to_list msgs.(0)) in
@@ -215,12 +215,12 @@ let test_delay_validated () =
    pushed this round. *)
 let test_stale_delay_zero_truthful () =
   let spec = Algo.Combinators.with_claimed_resilience leader ~f:2 in
-  let crafter = (Sim.Adversary.stale ~delay:0 ()).Sim.Adversary.fresh () in
+  let crafter = Reference.fresh (Sim.Adversary.stale ~delay:0 ()) in
   let rng = Stdx.Rng.create 5 in
   List.iteri
     (fun round states ->
       let msgs =
-        crafter.Sim.Adversary.craft ~spec ~rng ~round ~states ~faulty:[| 1; 3 |]
+        crafter.Reference.craft ~spec ~rng ~round ~states ~faulty:[| 1; 3 |]
       in
       check Alcotest.int
         (Printf.sprintf "round %d: node 1 sends its current state" round)
@@ -239,17 +239,17 @@ let test_delay_history_fallback () =
   let spec = Algo.Combinators.with_claimed_resilience leader ~f:2 in
   let rng = Stdx.Rng.create 5 in
   let states_at r = [| 10 * r; 10 * r + 1; 10 * r + 2; 10 * r + 3 |] in
-  let stale = (Sim.Adversary.stale ~delay:2 ()).Sim.Adversary.fresh () in
+  let stale = Reference.fresh (Sim.Adversary.stale ~delay:2 ()) in
   let replay =
-    (Sim.Adversary.replay_correct ~delay:2 ()).Sim.Adversary.fresh ()
+    Reference.fresh (Sim.Adversary.replay_correct ~delay:2 ())
   in
   for round = 0 to 3 do
     let states = states_at round in
     let s =
-      stale.Sim.Adversary.craft ~spec ~rng ~round ~states ~faulty:[| 1; 3 |]
+      stale.Reference.craft ~spec ~rng ~round ~states ~faulty:[| 1; 3 |]
     in
     let r =
-      replay.Sim.Adversary.craft ~spec ~rng ~round ~states ~faulty:[| 1; 3 |]
+      replay.Reference.craft ~spec ~rng ~round ~states ~faulty:[| 1; 3 |]
     in
     let expect_round = if round >= 2 then round - 2 else round in
     check Alcotest.int
@@ -286,12 +286,12 @@ let test_craft_total_qcheck =
       let states = Array.init n (fun _ -> spec.Algo.Spec.random_state rng) in
       List.for_all
         (fun adv ->
-          let crafter = adv.Sim.Adversary.fresh () in
+          let crafter = Reference.fresh adv in
           let adv_rng = Stdx.Rng.split rng in
           List.for_all
             (fun round ->
               let msgs =
-                crafter.Sim.Adversary.craft ~spec ~rng:adv_rng ~round ~states
+                crafter.Reference.craft ~spec ~rng:adv_rng ~round ~states
                   ~faulty
               in
               Array.length msgs = Array.length faulty
@@ -315,11 +315,11 @@ let test_adversaries_all_faulty_craft () =
   List.iter
     (fun adv ->
       let name = Sim.Adversary.name adv in
-      let crafter = adv.Sim.Adversary.fresh () in
+      let crafter = Reference.fresh adv in
       let rng = Stdx.Rng.create 5 in
       let states = [| 4; 0; 3; 1 |] in
       let msgs =
-        crafter.Sim.Adversary.craft ~spec:all_faulty_spec ~rng ~round:0 ~states
+        crafter.Reference.craft ~spec:all_faulty_spec ~rng ~round:0 ~states
           ~faulty:[| 0; 1; 2; 3 |]
       in
       check Alcotest.int (name ^ ": one row per faulty node") 4
@@ -679,6 +679,7 @@ let periodic_spec : int Algo.Spec.t =
     output = (fun ~self:_ s -> s);
     codec = None;
   }
+  |> Algo.Spec.with_derived_codec
 
 let test_sweep_rejects_shorter_period () =
   (* The trap really is armed: the trace has a clean suffix of 7 rounds,

@@ -296,6 +296,93 @@ let test_read_jsonl_errors () =
     (parse "\n{\"ev\":\"round\",\"round\":1,\"phase\":0}\n\n"
     = Ok [ Sim.Trace.Round { round = 1; phase = 0 } ])
 
+(* Fuzz: every line-oriented reader takes damaged input without raising.
+   Valid lines of each format (trace events, a schedule, a heartbeat
+   beat) are truncated and byte-flipped at random; the single-value
+   parsers must return a result, and the file readers must return either
+   events or an error naming the damaged line. Flips never write a
+   newline, so the damaged line keeps its line number. *)
+
+let valid_lines =
+  lazy
+    (let spec =
+       Algo.Combinators.with_claimed_resilience
+         (Counting.Trivial.follow_leader ~n:4 ~c:5)
+         ~f:1
+     in
+     let schedule =
+       Sim.Schedule.random ~spec
+         ~adversaries:(Sim.Adversary.standard_suite ())
+         ~phases:3 ~phase_rounds:20 ~events:2 ~seed:3 ()
+     in
+     let path = Filename.temp_file "hb" ".jsonl" in
+     let beat =
+       Fun.protect
+         ~finally:(fun () -> Sys.remove path)
+         (fun () ->
+           let oc = open_out path in
+           let hb =
+             Stdx.Heartbeat.create ~label:"fuzz" ~interval_s:0.0 ~out:oc ()
+           in
+           Stdx.Heartbeat.set_totals hb ~cells:2 ~cost:2.0;
+           Stdx.Heartbeat.hit hb "failed";
+           Stdx.Heartbeat.finish hb;
+           close_out oc;
+           In_channel.with_open_bin path In_channel.input_line |> Option.get)
+     in
+     Array.of_list
+       ((beat :: Sim.Schedule.to_json schedule
+        :: List.map Sim.Trace.to_json sample_events)))
+
+let damage line ~cut ~flips =
+  let b = Bytes.of_string line in
+  List.iter
+    (fun (pos, byte) ->
+      if Bytes.length b > 0 then
+        Bytes.set b (pos mod Bytes.length b)
+          (Char.chr (if byte = Char.code '\n' then Char.code ' ' else byte)))
+    flips;
+  Bytes.sub_string b 0 (min (Bytes.length b) cut)
+
+let read_trace_file content =
+  let path = Filename.temp_file "trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc content);
+      In_channel.with_open_bin path Sim.Trace.read_jsonl)
+
+let test_readers_survive_damage =
+  qcheck ~count:300 "damaged lines: no reader raises, errors name the line"
+    QCheck.(
+      triple small_nat (int_bound 400)
+        (small_list (pair small_nat (int_bound 255))))
+    (fun (which, cut, flips) ->
+      let lines = Lazy.force valid_lines in
+      let good = lines.(which mod Array.length lines) in
+      let bad = damage good ~cut ~flips in
+      let names_line n = function
+        | Ok _ -> true
+        | Error msg -> Astring.String.is_infix ~affix:(Printf.sprintf "line %d:" n) msg
+      in
+      let trace_line = Sim.Trace.to_json (List.hd sample_events) in
+      match
+        ignore (Stdx.Json.parse_result bad);
+        ignore
+          (Sim.Schedule.of_json ~adversaries:(Sim.Adversary.standard_suite ())
+             bad
+            : (int Sim.Schedule.t, string) result);
+        ignore (Stdx.Heartbeat.is_heartbeat_line bad);
+        ( read_trace_file (String.concat "\n" [ trace_line; bad; trace_line; "" ]),
+          (* A file whose only line was cut off mid-write. *)
+          read_trace_file bad,
+          Stdx.Heartbeat.latest ~path:"hb" (lines.(0) ^ "\n" ^ bad ^ "\n") )
+      with
+      | exception e ->
+        QCheck.Test.fail_reportf "%S raised %s" bad (Printexc.to_string e)
+      | middle, alone, beat ->
+        names_line 2 middle && names_line 1 alone && names_line 2 beat)
+
 (* ------------------------------------------------------------------ *)
 (* Engine/Harness integration and the differential guarantee            *)
 (* ------------------------------------------------------------------ *)
@@ -630,6 +717,7 @@ let suite =
         test_jsonl_round_trip_qcheck;
         case "jsonl writer/reader round trip" test_jsonl_writer_and_reader;
         case "reader reports line numbers" test_read_jsonl_errors;
+        test_readers_survive_damage;
       ] );
     ( "sim.telemetry",
       [
