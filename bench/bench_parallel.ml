@@ -9,26 +9,22 @@
 
    Two experiments share the grid:
 
-   - the jobs ladder: requested jobs in {1, 2, 4, 8} under the default
-     Cost_sorted policy, checking every run's outcomes against the
+   - the jobs ladder: requested jobs in {1, 2, 4, 8} with cost-sorted
+     (LPT) claiming, checking every run's outcomes against the
      sequential reference (the Stdx.Pool determinism guarantee) and
      recording requested vs actual jobs — the pool clamps jobs only to
      the grid size, so a box with fewer cores simply timeshares and the
      row is flagged [oversubscribed] rather than silently collapsed;
 
-   - the imbalance duel: In_order vs Cost_sorted vs Chunked 32 vs
-     Chunked_auto at jobs = 4, comparing per-worker busy seconds from
-     Pool stats. The makespan (max worker busy) is the wall clock the
-     schedule would need on dedicated cores, so it is the scheduling
-     metric that survives timesharing: LPT keeps the expensive tail off
-     a single straggler and its makespan/mean ratio stays near 1, while
-     a fixed chunk:32 bundles the tail spikes into one claim.
-     Chunked_auto resolves its size from the same cost model
-     (Pool.auto_chunk) — on this grid the spike tail forces it to 1 —
-     and the chosen size is recorded per measurement.
+   - the imbalance duel: index order (no ~cost) vs ~cost at jobs = 4,
+     comparing per-worker busy seconds from Pool stats. The makespan
+     (max worker busy) is the wall clock the claim order would need on
+     dedicated cores, so it is the scheduling metric that survives
+     timesharing: LPT keeps the expensive tail off a single straggler
+     and its makespan/mean ratio stays near 1.
 
    Results land in BENCH_parallel.json: the jobs curve, outcome parity
-   per row, the per-policy worker_busy_s spread, and a registry snapshot
+   per row, the per-order worker_busy_s spread, and a registry snapshot
    with the pool.worker_busy_s histogram. *)
 
 let json_path = "BENCH_parallel.json"
@@ -92,8 +88,7 @@ let run_cell cell =
 type measurement = {
   requested_jobs : int;
   actual_jobs : int;
-  policy : string;
-  chunk : int;  (** claim positions per mutex acquisition (resolved) *)
+  order : string;  (** "inorder" (no ~cost) or "cost" *)
   wall_s : float;
   makespan_s : float;  (** max worker busy seconds *)
   imbalance : float;  (** makespan / mean worker busy; 1.0 = balanced *)
@@ -107,54 +102,38 @@ type measurement = {
   parity : bool;  (** outcomes identical to the sequential reference *)
 }
 
-(* Replay the claiming discipline offline: the earliest-free worker
-   claims the next [chunk] positions of the order array. Deterministic —
-   on a timeshared box the measured wall clocks of two policies with
-   equal total work coincide up to noise, so this is the comparison that
-   shows what the schedule costs on dedicated cores. *)
-let modeled_wall_s ~cells ~seq_wall_s ~total_cost ~jobs ~schedule =
-  let n = Array.length cells in
-  let order =
-    match schedule with
-    | Stdx.Pool.In_order | Stdx.Pool.Chunked _ | Stdx.Pool.Chunked_auto _ ->
-      Array.init n (fun i -> i)
-    | Stdx.Pool.Cost_sorted cost ->
-      let c = Array.init n cost in
-      let order = Array.init n (fun i -> i) in
-      Array.sort
-        (fun a b ->
-          match Float.compare c.(b) c.(a) with
-          | 0 -> Int.compare a b
-          | r -> r)
-        order;
-      order
-  in
-  let chunk =
-    match schedule with
-    | Stdx.Pool.Chunked k -> k
-    | Stdx.Pool.Chunked_auto cost -> Stdx.Pool.auto_chunk ~jobs ?cost n
-    | _ -> 1
-  in
+(* The claim order the pool uses, read back from a jobs = 1 drain of
+   no-op tasks ([on_task] sees indices in claim order there). *)
+let claim_order ?cost n =
+  let order = ref [] in
+  ignore
+    (Stdx.Pool.exec ?cost
+       ~on_task:(fun ~worker:_ ~index ~wall_s:_ -> order := index :: !order)
+       n ignore);
+  Array.of_list (List.rev !order)
+
+(* Replay the claim order offline: the earliest-free worker claims the
+   next index. Deterministic — on a timeshared box the measured wall
+   clocks of two orders with equal total work coincide up to noise, so
+   this is the comparison that shows what the order costs on dedicated
+   cores. *)
+let modeled_wall_s ~cells ~seq_wall_s ~total_cost ~jobs ?cost () =
   let free = Array.make jobs 0.0 in
-  let pos = ref 0 in
-  while !pos < n do
-    let w = ref 0 in
-    for j = 1 to jobs - 1 do
-      if free.(j) < free.(!w) then w := j
-    done;
-    let hi = min n (!pos + chunk) in
-    for p = !pos to hi - 1 do
-      free.(!w) <- free.(!w) +. cell_cost cells.(order.(p))
-    done;
-    pos := hi
-  done;
+  Array.iter
+    (fun i ->
+      let w = ref 0 in
+      for j = 1 to jobs - 1 do
+        if free.(j) < free.(!w) then w := j
+      done;
+      free.(!w) <- free.(!w) +. cell_cost cells.(i))
+    (claim_order ?cost (Array.length cells));
   Array.fold_left Float.max 0.0 free /. total_cost *. seq_wall_s
 
-let execute ?(modeled_s = 0.0) ~cells ~reference ~jobs ~schedule () =
+let execute ?(modeled_s = 0.0) ~cells ~reference ~jobs ?cost () =
   let stats = ref None in
   let t0 = Stdx.Metrics.wall_clock () in
   let outs =
-    Stdx.Pool.exec ~jobs ~schedule
+    Stdx.Pool.exec ~jobs ?cost
       ~stats:(fun s -> stats := Some s)
       (Array.length cells)
       (fun i -> run_cell cells.(i))
@@ -174,8 +153,7 @@ let execute ?(modeled_s = 0.0) ~cells ~reference ~jobs ~schedule () =
     {
       requested_jobs = jobs;
       actual_jobs = s.Stdx.Pool.actual_jobs;
-      policy = s.Stdx.Pool.policy;
-      chunk = s.Stdx.Pool.chunk;
+      order = (if Option.is_none cost then "inorder" else "cost");
       wall_s;
       makespan_s;
       imbalance;
@@ -196,13 +174,12 @@ let json_ints a =
 
 let json_of_measurement ~ncores m =
   Printf.sprintf
-    "    {\"policy\": %S, \"chunk\": %d, \"requested_jobs\": %d, \
-     \"actual_jobs\": %d,\n\
+    "    {\"order\": %S, \"requested_jobs\": %d, \"actual_jobs\": %d,\n\
     \     \"clamped\": %b, \"oversubscribed\": %b, \"outcome_parity\": %b,\n\
     \     \"wall_clock_s\": %.6f, \"makespan_s\": %.6f, \"imbalance\": %.4f,\n\
     \     \"dedicated_wall_s\": %.6f,\n\
     \     \"worker_busy_s\": [%s], \"worker_tasks\": [%s]}"
-    m.policy m.chunk m.requested_jobs m.actual_jobs
+    m.order m.requested_jobs m.actual_jobs
     (m.actual_jobs < m.requested_jobs)
     (m.requested_jobs > ncores)
     m.parity m.wall_s m.makespan_s m.imbalance m.modeled_s
@@ -230,21 +207,21 @@ let run () =
   (* Sequential in-order run: the reference outcomes every other
      configuration must reproduce bit-for-bit. *)
   let reference, seq =
-    execute ~cells ~reference:None ~jobs:1 ~schedule:Stdx.Pool.In_order ()
+    execute ~cells ~reference:None ~jobs:1 ()
   in
   let seq = { seq with modeled_s = seq.wall_s } in
-  let modeled ~jobs schedule =
-    modeled_wall_s ~cells ~seq_wall_s:seq.wall_s ~total_cost ~jobs ~schedule
+  let modeled ~jobs ?cost () =
+    modeled_wall_s ~cells ~seq_wall_s:seq.wall_s ~total_cost ~jobs ?cost ()
   in
-  let cost_schedule = Stdx.Pool.Cost_sorted (fun i -> cell_cost cells.(i)) in
-  (* The jobs ladder under the default Cost_sorted policy. *)
+  let cost i = cell_cost cells.(i) in
+  (* The jobs ladder under cost-sorted claiming. *)
   let ladder =
     List.map
       (fun jobs ->
         snd
           (execute
-             ~modeled_s:(modeled ~jobs cost_schedule)
-             ~cells ~reference:(Some reference) ~jobs ~schedule:cost_schedule ()))
+             ~modeled_s:(modeled ~jobs ~cost ())
+             ~cells ~reference:(Some reference) ~jobs ~cost ()))
       jobs_ladder
   in
   let metrics = Stdx.Metrics.create () in
@@ -262,7 +239,7 @@ let run () =
   let t =
     Stdx.Table.create
       [
-        "requested"; "actual"; "policy"; "wall (s)"; "speedup";
+        "requested"; "actual"; "order"; "wall (s)"; "speedup";
         "dedicated (s)"; "parity";
       ]
   in
@@ -273,7 +250,7 @@ let run () =
           string_of_int m.requested_jobs;
           (string_of_int m.actual_jobs
           ^ if m.requested_jobs > ncores then " (oversubscribed)" else "");
-          m.policy;
+          m.order;
           Printf.sprintf "%.3f" m.wall_s;
           Printf.sprintf "%.2fx" (base_wall /. Float.max 1e-9 m.wall_s);
           Printf.sprintf "%.3f" m.modeled_s;
@@ -283,48 +260,37 @@ let run () =
   Stdx.Table.print t;
   Printf.printf "recommended_domain_count = %d (rows above it timeshare)\n"
     ncores;
-  (* The imbalance duel: same grid, same jobs, three claiming policies.
-     [duel_reps] repetitions per policy; the minimum-wall repetition is
+  (* The imbalance duel: same grid, same jobs, index order vs ~cost.
+     [duel_reps] repetitions per order; the minimum-wall repetition is
      kept (wall clocks on a shared box are noisy upward, never downward). *)
   Bench_common.subsection
-    (Printf.sprintf "claiming-policy duel at jobs = %d" duel_jobs);
-  let auto_schedule =
-    Stdx.Pool.Chunked_auto (Some (fun i -> cell_cost cells.(i)))
+    (Printf.sprintf "claim-order duel at jobs = %d" duel_jobs);
+  let duel_rep ?cost () =
+    let reps =
+      List.init duel_reps (fun _ ->
+          snd
+            (execute
+               ~modeled_s:(modeled ~jobs:duel_jobs ?cost ())
+               ~cells ~reference:(Some reference) ~jobs:duel_jobs ?cost ()))
+    in
+    List.fold_left
+      (fun best m -> if m.wall_s < best.wall_s then m else best)
+      (List.hd reps) (List.tl reps)
   in
-  let duel_policies =
-    [
-      Stdx.Pool.In_order; cost_schedule; Stdx.Pool.Chunked 32; auto_schedule;
-    ]
-  in
-  let duel =
-    List.map
-      (fun schedule ->
-        let reps =
-          List.init duel_reps (fun _ ->
-              snd
-                (execute
-                   ~modeled_s:(modeled ~jobs:duel_jobs schedule)
-                   ~cells ~reference:(Some reference) ~jobs:duel_jobs
-                   ~schedule ()))
-        in
-        List.fold_left
-          (fun best m -> if m.wall_s < best.wall_s then m else best)
-          (List.hd reps) (List.tl reps))
-      duel_policies
-  in
+  let inorder = duel_rep () and cost = duel_rep ~cost () in
+  let duel = [ inorder; cost ] in
   let dt =
     Stdx.Table.create
       [
-        "policy"; "chunk"; "wall (s)"; "makespan (s)"; "imbalance";
-        "dedicated (s)"; "parity";
+        "order"; "wall (s)"; "makespan (s)"; "imbalance"; "dedicated (s)";
+        "parity";
       ]
   in
   List.iter
     (fun m ->
       Stdx.Table.add_row dt
         [
-          m.policy;
-          string_of_int m.chunk;
+          m.order;
           Printf.sprintf "%.3f" m.wall_s;
           Printf.sprintf "%.3f" m.makespan_s;
           Printf.sprintf "%.3f" m.imbalance;
@@ -333,12 +299,8 @@ let run () =
         ])
     duel;
   Stdx.Table.print dt;
-  let find_policy p = List.find (fun m -> m.policy = p) duel in
-  let inorder = find_policy "inorder" and cost = find_policy "cost" in
-  let fixed_chunk = find_policy "chunk:32"
-  and auto = find_policy "chunk:auto" in
   (* The imbalance ratio and the dedicated-core replay are the
-     structural comparisons: on a timeshared box the two policies'
+     structural comparisons: on a timeshared box the two orders'
      measured wall clocks coincide (total CPU work is identical;
      differences are noise), but in-order claiming still strands the
      expensive tail on a subset of workers, which the per-worker busy
@@ -353,18 +315,6 @@ let run () =
      %.3fs vs %.3fs (%s)\n"
     cost.imbalance inorder.imbalance cost.modeled_s inorder.modeled_s
     (if cost_wins then "cost-sorted wins" else "in-order wins");
-  (* The satellite headline: the auto-tuned chunk size must not repeat
-     chunk:32's mistake of bundling the expensive tail into one claim. *)
-  let auto_wins =
-    auto.modeled_s <= fixed_chunk.modeled_s
-    && auto.imbalance <= fixed_chunk.imbalance
-  in
-  Printf.printf
-    "chunk:auto chose %d (cap'd by the spike tail): dedicated-core wall \
-     %.3fs vs chunk:32's %.3fs, imbalance %.3f vs %.3f (%s)\n"
-    auto.chunk auto.modeled_s fixed_chunk.modeled_s auto.imbalance
-    fixed_chunk.imbalance
-    (if auto_wins then "auto wins" else "fixed chunk wins");
   let all_parity = List.for_all (fun m -> m.parity) (seq :: ladder @ duel) in
   let oc = open_out json_path in
   Printf.fprintf oc
@@ -379,15 +329,11 @@ let run () =
     \  \"measurements\": [\n%s\n  ],\n\
     \  \"imbalance_experiment\": {\n\
     \    \"jobs\": %d,\n\
-    \    \"reps_per_policy\": %d,\n\
-    \    \"policies\": [\n%s\n    ],\n\
+    \    \"reps_per_order\": %d,\n\
+    \    \"orders\": [\n%s\n    ],\n\
     \    \"cost_sorted_beats_in_order\": %b,\n\
     \    \"cost_sorted_beats_in_order_makespan\": %b,\n\
-    \    \"cost_sorted_beats_in_order_wall\": %b,\n\
-    \    \"auto_chunk\": {\"chosen\": %d, \"fixed_chunk\": %d,\n\
-    \                   \"dedicated_wall_s\": %.6f, \
-     \"fixed_dedicated_wall_s\": %.6f,\n\
-    \                   \"beats_fixed_chunk\": %b}\n\
+    \    \"cost_sorted_beats_in_order_wall\": %b\n\
     \  },\n\
     \  \"metrics\": %s\n\
      }\n"
@@ -396,8 +342,7 @@ let run () =
        (List.map (json_of_measurement ~ncores) (seq :: ladder)))
     duel_jobs duel_reps
     (String.concat ",\n" (List.map (json_of_measurement ~ncores) duel))
-    cost_wins cost_wins_makespan cost_wins_wall auto.chunk fixed_chunk.chunk
-    auto.modeled_s fixed_chunk.modeled_s auto_wins
+    cost_wins cost_wins_makespan cost_wins_wall
     (Stdx.Metrics.to_json (Stdx.Metrics.snapshot metrics));
   close_out oc;
   Printf.printf "[scheduler record written to %s]\n" json_path;

@@ -98,8 +98,8 @@ let parse_algo s =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Flags shared by the sweep-shaped subcommands (run, verify, chaos):
-   horizon, seeds, min-suffix, worker domains, claiming policy.
+(* Flags shared by the sweep-shaped subcommands (run, verify, chaos, hunt):
+   horizon, seeds, min-suffix, worker domains, telemetry sinks.
    Defaults that depend on the subcommand (rounds, seeds) stay optional
    and are resolved there. *)
 
@@ -108,8 +108,6 @@ type sweep_opts = {
   seeds : int list option;
   min_suffix : int option;
   jobs : int;
-  schedule : Stdx.Pool.schedule option;
-      (* None = the harness default (cost-sorted claiming) *)
   trace : string option;
   metrics : bool;
   spans : bool;
@@ -138,28 +136,6 @@ let sim_error (spec : _ Algo.Spec.t) opts =
     match opts.rounds with
     | Some r when r < 1 -> Some "--rounds must be >= 1"
     | _ -> None
-
-(* --schedule {inorder,cost,chunk:N,chunk:auto}: "cost" maps to None —
-   the harness's own cost-sorted default, with its horizon x n^2 model —
-   so an explicit "cost" and an omitted flag mean the same policy.
-   "chunk:auto" is Chunked_auto with the same harness cost model
-   (the harness fills it in for a [Chunked_auto None]). *)
-let parse_schedule s =
-  match s with
-  | "inorder" -> Ok (Some Stdx.Pool.In_order)
-  | "cost" -> Ok None
-  | "chunk:auto" -> Ok (Some (Stdx.Pool.Chunked_auto None))
-  | _ -> (
-    match String.split_on_char ':' s with
-    | [ "chunk"; k ] -> (
-      match int_of_string_opt k with
-      | Some k when k >= 1 -> Ok (Some (Stdx.Pool.Chunked k))
-      | _ -> Error (`Msg "chunk size must be an int >= 1"))
-    | _ -> Error (`Msg "schedule must be inorder, cost, chunk:N or chunk:auto"))
-
-let pp_schedule ppf = function
-  | None -> Format.fprintf ppf "cost"
-  | Some s -> Format.fprintf ppf "%s" (Stdx.Pool.schedule_name s)
 
 let sweep_flags =
   let rounds_arg =
@@ -209,24 +185,7 @@ let sweep_flags =
           ~doc:
             "Worker domains for independent runs and faulty-set checks \
              (default: the machine's recommended domain count). Results \
-             are identical at any J.")
-  in
-  let schedule_arg =
-    let schedule_conv =
-      Arg.conv ~docv:"POLICY" (parse_schedule, pp_schedule)
-    in
-    Arg.(
-      value
-      & opt schedule_conv None
-      & info [ "schedule" ] ~docv:"POLICY"
-          ~doc:
-            "Claiming policy for the worker pool: $(b,inorder) (grid \
-             order), $(b,cost) (cost-sorted, the default: most \
-             expensive cells first under the horizon x n^2 model), \
-             $(b,chunk:N) (N consecutive cells per claim), or \
-             $(b,chunk:auto) (chunk size tuned from the same cost \
-             model). Outcomes are identical under every policy; only \
-             wall clock and load balance change.")
+             are identical at any J >= 1.")
   in
   let trace_arg =
     Arg.(
@@ -284,23 +243,25 @@ let sweep_flags =
              campaigns extend one stream); default heartbeat.jsonl.")
   in
   Term.(
-    const (fun rounds seeds min_suffix jobs schedule trace metrics spans
-               heartbeat heartbeat_file ->
-        {
-          rounds;
-          seeds;
-          min_suffix;
-          jobs;
-          schedule;
-          trace;
-          metrics;
-          spans;
-          heartbeat;
-          heartbeat_file;
-        })
-    $ rounds_arg $ seeds_arg $ min_suffix_arg $ jobs_arg $ schedule_arg
-    $ trace_arg $ metrics_arg $ spans_arg $ heartbeat_arg
-    $ heartbeat_file_arg)
+    ret
+      (const (fun rounds seeds min_suffix jobs trace metrics spans heartbeat
+                  heartbeat_file ->
+           if jobs < 1 then `Error (false, "--jobs must be >= 1")
+           else
+             `Ok
+               {
+                 rounds;
+                 seeds;
+                 min_suffix;
+                 jobs;
+                 trace;
+                 metrics;
+                 spans;
+                 heartbeat;
+                 heartbeat_file;
+               })
+      $ rounds_arg $ seeds_arg $ min_suffix_arg $ jobs_arg $ trace_arg
+      $ metrics_arg $ spans_arg $ heartbeat_arg $ heartbeat_file_arg))
 
 (* Telemetry plumbing shared by run/verify/chaos/hunt: a metrics
    registry when --metrics was given, a JSONL sink (prefixed with one
@@ -448,7 +409,7 @@ let run_cmd =
         in
         let results =
           Sim.Campaign.exec ?metrics ?trace ~spans ?heartbeat ~jobs:opts.jobs
-            ?schedule:opts.schedule ~prefix:"run" ~n:spec.Algo.Spec.n
+            ~prefix:"run" ~n:spec.Algo.Spec.n
             ~horizon:(fun _ -> rounds)
             ~label (Array.length seed_arr)
             (fun cell i ->
@@ -529,11 +490,6 @@ let verify_cmd =
         let config =
           let open Sim.Harness.Config in
           let c = default |> with_rounds rounds |> with_jobs opts.jobs in
-          let c =
-            match opts.schedule with
-            | Some s -> with_schedule s c
-            | None -> c
-          in
           let c =
             match opts.seeds with Some s -> with_seeds s c | None -> c
           in
@@ -641,9 +597,6 @@ let chaos_cmd =
             default |> with_campaigns campaigns |> with_phases phases
             |> with_events events |> with_max_victims max_victims
             |> with_phase_rounds phase_rounds |> with_jobs jobs
-          in
-          let c =
-            match opts.schedule with Some s -> with_schedule s c | None -> c
           in
           let c = match run_seeds with Some s -> with_seeds s c | None -> c in
           match min_suffix with Some m -> with_min_suffix m c | None -> c
@@ -1128,7 +1081,7 @@ let hunt_cmd =
      minimal reproducer. Hits are written to a JSONL corpus with \
      --corpus; --replay re-executes a corpus as a regression gate and \
      exits non-zero if any entry stops reproducing. The hunt is \
-     bit-identical at any --jobs/--schedule setting."
+     bit-identical at any --jobs setting."
   in
   let algo_arg =
     Arg.(
@@ -1233,13 +1186,14 @@ let hunt_cmd =
       max_victims mutations shrink_budget near_bound hunt_seed corpus
       replay_path opts =
     let resolved =
-      match algo with
-      | Some s -> (
+      match (algo, bound) with
+      | _, Some b when b < 1 -> Error (`Msg "--bound must be >= 1")
+      | Some s, _ -> (
         match parse_algo s with
         | Some p -> Ok (p, bound)
         | None ->
           Error (`Msg "unknown algorithm spec (trivial:C or leader:N:C)"))
-      | None -> (
+      | None, _ -> (
         match plan_tower levels corollary1 modulus with
         | Error e -> Error e
         | Ok tower ->
@@ -1295,7 +1249,7 @@ let hunt_cmd =
               with_telemetry ~meta opts
               @@ fun ~metrics ~trace ~spans ~heartbeat ->
               Sim.Hunt.Corpus.replay ?metrics ?trace ~spans ?heartbeat
-                ~jobs:opts.jobs ?schedule:opts.schedule ~spec ~entries ()
+                ~jobs:opts.jobs ~spec ~entries ()
             in
             let diverged = ref 0 in
             List.iter
@@ -1338,11 +1292,6 @@ let hunt_cmd =
             let cfg =
               match time_bound with
               | Some b -> with_time_bound b cfg
-              | None -> cfg
-            in
-            let cfg =
-              match opts.schedule with
-              | Some s -> with_schedule s cfg
               | None -> cfg
             in
             match opts.min_suffix with

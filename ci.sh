@@ -16,33 +16,24 @@ fi
 dune build
 dune runtest
 
-# Re-run the pool, sweep, flat-certification and telemetry suites with
-# real concurrency forced, once under each claiming policy: the
-# jobs-determinism tests read REPRO_JOBS (worker count) and
-# REPRO_SCHEDULE (pinned policy), so this exercises the multi-domain
-# path and every claiming order even when the default jobs count is 1.
-# sim.flat rides the loop because its engine-vs-reference differentials
-# include chaos campaigns through the parallel harness, each cell checked
-# round by round against the boxed reference simulator in
-# test/reference.ml; sim.campaign checks the one grid driver every
-# campaign runs through.
-for schedule in inorder cost chunk:3 chunk:auto; do
-  REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
-    dune exec test/main.exe -- test 'stdx.pool' -q
-  REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
-    dune exec test/main.exe -- test 'sim.harness' -q
-  REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
-    dune exec test/main.exe -- test 'sim.harness.chaos' -q
-  REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
-    dune exec test/main.exe -- test 'sim.flat' -q
-  REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
-    dune exec test/main.exe -- test 'sim.campaign' -q
-done
+# Re-run the pool, sweep, flat-certification and campaign suites with
+# real concurrency forced: the jobs-determinism tests read REPRO_JOBS
+# (worker count), so this exercises the multi-domain path even when the
+# default jobs count is 1. sim.flat is here because its
+# engine-vs-reference differentials include chaos campaigns through the
+# parallel harness, each cell checked round by round against the boxed
+# reference simulator in test/reference.ml; sim.campaign checks the one
+# grid driver every campaign runs through.
+REPRO_JOBS=4 dune exec test/main.exe -- test 'stdx.pool' -q
+REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.harness' -q
+REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.harness.chaos' -q
+REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.flat' -q
+REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.campaign' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'stdx.metrics' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.telemetry' -q
 
 # The live-observability layer's own determinism suite (span streams
-# and heartbeat terminal lines identical at any jobs count / policy)
+# and heartbeat terminal lines identical at any jobs count)
 # with real concurrency forced.
 REPRO_JOBS=4 dune exec test/main.exe -- test 'stdx.span' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'stdx.heartbeat' -q
@@ -50,9 +41,8 @@ REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.obs' -q
 
 # The hunt's determinism contract (byte-identical corpus at any jobs
 # count) and the committed regression corpus, with real concurrency:
-# sim.hunt re-runs its fixed-seed hunt at REPRO_JOBS under every
-# claiming policy; sim.hunt.corpus replays test/corpus/*.jsonl at
-# jobs 1 and REPRO_JOBS.
+# sim.hunt re-runs its fixed-seed hunt at REPRO_JOBS; sim.hunt.corpus
+# replays test/corpus/*.jsonl at jobs 1 and REPRO_JOBS.
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.hunt' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.hunt.corpus' -q
 
@@ -125,6 +115,26 @@ expect_clean_failure chaos --corollary1 1 --min-suffix 0
 expect_clean_failure chaos --corollary1 1 --rounds 0
 expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 --min-suffix 0
 expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 --rounds 0
+# A worker count below 1 is refused by the shared sweep flags, before
+# the pool sees it.
+expect_jobs_rejected() {
+  expect_clean_failure "$@"
+  case "$last_err" in
+    *'--jobs must be >= 1'*) ;;
+    *)
+      echo "countctl $* does not reject its worker count cleanly:" >&2
+      echo "$last_err" >&2
+      exit 1
+      ;;
+  esac
+}
+expect_jobs_rejected run --levels 4:1 --jobs 0
+expect_jobs_rejected verify --algorithm leader:4:5 --jobs=-1
+expect_jobs_rejected chaos --corollary1 1 --jobs 0
+expect_jobs_rejected hunt --algorithm leader:4:5 --claim-f 1 --jobs 0
+# A hunt bound below 1 would score every recovery ratio as 0.
+expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 --bound 0
+expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 --bound=-5
 # The engine runs packed state codes only: a tower too wide for one
 # code (here 65 state bits) is refused up front, naming its bit count,
 # while `plan` still describes it.
@@ -194,34 +204,43 @@ rm -f "$corpus_file"
 dune exec bin/countctl.exe -- hunt --algorithm leader:4:5 --claim-f 1 \
   --replay test/corpus/leader4c5_f1.jsonl --jobs 4 > /dev/null
 
-# Regenerate the chaos recovery distributions so the JSON lint below
-# covers a fresh BENCH_chaos.json.
-dune exec bench/main.exe -- chaos > /dev/null
+# The bench records below are regenerated into a scratch directory so
+# the committed BENCH_*.json files stay as they are; refresh a committed
+# record by running `dune exec bench/main.exe -- <name>` from the repo
+# root. Each bench writes its record to the current directory.
+bench_out="$PWD/_build/bench-out"
+bench_exe="$PWD/_build/default/bench/main.exe"
+rm -rf "$bench_out"
+mkdir -p "$bench_out"
+bench() {
+  (cd "$bench_out" && "$bench_exe" "$@") > /dev/null
+}
 
-# Regenerate the engine throughput record: node-rounds/sec and GC words
-# per node-round for each workload, plus fresh_kernel set-up cost.
-dune exec bench/main.exe -- engine > /dev/null
+# The chaos recovery distributions.
+bench chaos
 
-# Regenerate the scheduler record: the jobs ladder and the
-# claiming-policy duel (now including the auto-tuned chunk policy,
-# whose chosen size the record carries) both exit non-zero if any
-# configuration's outcomes diverge from the sequential reference.
-dune exec bench/main.exe -- parallel > /dev/null
+# The engine throughput record: node-rounds/sec and GC words per
+# node-round for each workload, plus fresh_kernel set-up cost.
+bench engine
 
-# Regenerate the hunt record with real workers; the bench exits
-# non-zero if the corpus bytes differ between jobs=1 and parallel.
-REPRO_JOBS=4 dune exec bench/main.exe -- hunt > /dev/null
+# The scheduler record: the jobs ladder and the index-order vs
+# cost-sorted duel both exit non-zero if any configuration's outcomes
+# diverge from the sequential reference.
+bench parallel
 
-# Regenerate the observability overhead record; the bench exits
-# non-zero if the instrumented path's outcomes ever diverge from the
-# bare engine's.
-dune exec bench/main.exe -- obs > /dev/null
+# The hunt record with real workers; the bench exits non-zero if the
+# corpus bytes differ between jobs=1 and parallel.
+(export REPRO_JOBS=4 && bench hunt)
+
+# The observability overhead record; the bench exits non-zero if the
+# instrumented path's outcomes ever diverge from the bare engine's.
+bench obs
 
 # The bench logs must always be well-formed JSON (the at_exit flush is
 # crash-safe; a malformed file means that guarantee broke).
 for log in BENCH_sweep.json BENCH_parallel.json BENCH_chaos.json \
            BENCH_engine.json BENCH_hunt.json BENCH_obs.json; do
-  if [ -f "$log" ]; then
-    dune exec bin/jsonlint.exe -- "$log"
+  if [ -f "$bench_out/$log" ]; then
+    dune exec bin/jsonlint.exe -- "$bench_out/$log"
   fi
 done

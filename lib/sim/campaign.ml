@@ -1,9 +1,8 @@
-(* The default cost model: a cell's work is proportional to its horizon
-   times n^2 (one all-to-all message round per simulated round). Within
-   a single sweep this is constant — LPT with equal costs claims in
-   index order — but heterogeneous grids (chaos campaigns with random
-   phase durations, hunt trials) get genuine cost-sorted claiming from
-   the same default. *)
+(* The cost model: a cell's work is proportional to its horizon times
+   n^2 (one all-to-all message round per simulated round). Within a
+   single sweep this is constant — LPT with equal costs claims in index
+   order — but heterogeneous grids (chaos campaigns with random phase
+   durations, hunt trials) get genuine cost-sorted claiming. *)
 let cell_cost ~n horizon =
   float_of_int horizon *. float_of_int n *. float_of_int n
 
@@ -48,16 +47,10 @@ let emit_pool_spans tr (s : Stdx.Pool.stats) =
       Trace.emit tr (Trace.Span { name; count = jobs; wall_s }))
     [ ("pool.busy", busy); ("pool.claim", claim); ("pool.idle", idle) ]
 
-let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ?schedule ~prefix
-    ~n ~horizon ~label cells run_cell =
+let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
+    ~label cells run_cell =
   let costs = Array.init cells (fun i -> cell_cost ~n (horizon i)) in
   let cost i = costs.(i) in
-  let schedule =
-    match schedule with
-    | None -> Stdx.Pool.Cost_sorted cost
-    | Some (Stdx.Pool.Chunked_auto None) -> Stdx.Pool.Chunked_auto (Some cost)
-    | Some s -> s
-  in
   Option.iter
     (fun hb ->
       Stdx.Heartbeat.set_totals hb ~cells
@@ -85,7 +78,7 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ?schedule ~prefix
       heartbeat
   in
   let results =
-    Stdx.Pool.exec ~jobs ~schedule ?stats ?on_task cells (fun i ->
+    Stdx.Pool.exec ~jobs ~cost ?stats ?on_task cells (fun i ->
         let cell_m =
           if want_cell_metrics then Some (Stdx.Metrics.create ()) else None
         in

@@ -4,9 +4,8 @@
     {!exec}. A caller builds its grid, writes the per-cell function and
     aggregates the results; {!exec} owns everything in between:
 
-    - the claiming policy: the [horizon × n²] cost model ({!cell_cost}),
-      with [None] resolving to [Pool.Cost_sorted] under it and
-      [Chunked_auto None] tuned under it;
+    - the claim order: cost-sorted (LPT) under the [horizon × n²] cost
+      model ({!cell_cost});
     - per-cell private sinks (a metrics registry, a memory trace, a span
       context), created only when a caller-side sink asks for them;
     - cell timing, the deterministic merge into the caller's sinks in
@@ -20,7 +19,7 @@
 
     Each cell must be fully keyed by its index (all randomness derived
     from its own inputs), so results and all non-wall-clock telemetry
-    are identical at any [jobs] count and under any claiming policy. *)
+    are identical at any [jobs] count. *)
 
 val cell_cost : n:int -> int -> float
 (** [cell_cost ~n horizon] — the campaign cost model, [horizon × n²]:
@@ -44,7 +43,6 @@ val exec :
   ?spans:bool ->
   ?heartbeat:Stdx.Heartbeat.t ->
   jobs:int ->
-  ?schedule:Stdx.Pool.schedule ->
   prefix:string ->
   n:int ->
   horizon:(int -> int) ->

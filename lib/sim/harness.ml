@@ -24,7 +24,6 @@ module Config = struct
     mode : Engine.mode;
     rounds : int;
     jobs : int;
-    schedule : Stdx.Pool.schedule option;
   }
 
   let default =
@@ -35,7 +34,6 @@ module Config = struct
       mode = Engine.Streaming;
       rounds = 4000;
       jobs = 1;
-      schedule = None;
     }
 
   let with_fault_sets fault_sets t = { t with fault_sets = Some fault_sets }
@@ -44,7 +42,6 @@ module Config = struct
   let with_mode mode t = { t with mode }
   let with_rounds rounds t = { t with rounds }
   let with_jobs jobs t = { t with jobs }
-  let with_schedule schedule t = { t with schedule = Some schedule }
 end
 
 let spread_fault_set ~n ~f =
@@ -84,9 +81,7 @@ let aggregate_of ~horizon outcomes =
 
 let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
     ~(spec : 's Algo.Spec.t) ~adversaries () =
-  let { Config.fault_sets; seeds; min_suffix; mode; rounds; jobs; schedule } =
-    config
-  in
+  let { Config.fault_sets; seeds; min_suffix; mode; rounds; jobs } = config in
   let n = spec.Algo.Spec.n and f = spec.Algo.Spec.f in
   let fault_sets =
     match fault_sets with Some fs -> fs | None -> default_fault_sets ~n ~f
@@ -107,8 +102,7 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
          adversaries)
   in
   let outcomes =
-    Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ?schedule
-      ~prefix:"harness" ~n
+    Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ~prefix:"harness" ~n
       ~horizon:(fun _ -> rounds)
       ~label:(fun i ->
         let adversary, faulty, seed = grid.(i) in
@@ -148,7 +142,6 @@ module Chaos = struct
       min_suffix : int option;
       mode : Engine.mode;
       jobs : int;
-      schedule : Stdx.Pool.schedule option;
     }
 
     let default =
@@ -162,7 +155,6 @@ module Chaos = struct
         min_suffix = None;
         mode = Engine.Streaming;
         jobs = 1;
-        schedule = None;
       }
 
     let with_campaigns campaigns t = { t with campaigns }
@@ -174,7 +166,6 @@ module Chaos = struct
     let with_min_suffix min_suffix t = { t with min_suffix = Some min_suffix }
     let with_mode mode t = { t with mode }
     let with_jobs jobs t = { t with jobs }
-    let with_schedule schedule t = { t with schedule = Some schedule }
   end
 
   type outcome = {
@@ -266,14 +257,13 @@ module Chaos = struct
 
   (* The one chaos-shaped grid: every entry is a (schedule, run seed,
      min-suffix request) triple fully keyed by its own contents, so the
-     aggregate is identical at any [jobs]/[schedule]. [run] generates
+     aggregate is identical at any [jobs]. [run] generates
      its entries; [replay] takes them from a corpus. Cell [i] reports
      [schedule_seed i] and is labelled "<kind> <schedule_seed i> seed
      <run seed>". *)
-  let exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ?schedule ~mode
+  let exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ~mode
       ~(spec : 's Algo.Spec.t) ~kind ~schedule_seed entries =
-    Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ?schedule
-      ~prefix:"chaos" ~n:spec.Algo.Spec.n
+    Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ~prefix:"chaos" ~n:spec.Algo.Spec.n
       ~horizon:(fun i ->
         let sched, _, _ = entries.(i) in
         Schedule.total_rounds sched)
@@ -307,7 +297,6 @@ module Chaos = struct
       min_suffix;
       mode;
       jobs;
-      schedule;
     } =
       config
     in
@@ -341,12 +330,12 @@ module Chaos = struct
       in
       Array.map (fun run_seed -> (schedule, run_seed, Some min_suffix)) seeds
     in
-    exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ?schedule ~mode ~spec
+    exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ~mode ~spec
       ~kind:"campaign"
       ~schedule_seed:(fun i -> (i / num_seeds) + 1)
       (Array.concat (List.init campaigns campaign))
 
-  let replay ?metrics ?trace ?spans ?heartbeat ?(jobs = 1) ?schedule
+  let replay ?metrics ?trace ?spans ?heartbeat ?(jobs = 1)
       ?(mode = Engine.Streaming) ~(spec : 's Algo.Spec.t) ~entries () =
     if entries = [] then invalid_arg "Harness.Chaos.replay: no entries";
     let entries = Array.of_list entries in
@@ -358,7 +347,7 @@ module Chaos = struct
         with Invalid_argument msg ->
           invalid_arg (Printf.sprintf "Harness.Chaos.replay: entry %d: %s" i msg))
       entries;
-    exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ?schedule ~mode ~spec
+    exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ~mode ~spec
       ~kind:"corpus" ~schedule_seed:Fun.id entries
 
   let pp_aggregate ppf agg =

@@ -6,20 +6,17 @@
     as its verdict is decided (set [Config.mode] to [Engine.Full_horizon]
     to force full-horizon simulation; verdicts are identical — see
     [engine.mli]). The grid is embarrassingly parallel: {!Config.t} has
-    [jobs] and [schedule] fields and the runs are distributed by
-    {!Campaign.exec} over a deterministic {!Stdx.Pool}. Every run
-    derives all of its randomness from its own [(adversary, faulty,
-    seed)] key, so any [jobs] count under any claiming policy is
-    outcome-for-outcome identical to [jobs = 1] — same order, same
-    verdicts, same [rounds_simulated] (enforced by a test).
+    a [jobs] field and the runs are distributed by {!Campaign.exec}
+    over a deterministic {!Stdx.Pool}. Every run derives all of its
+    randomness from its own [(adversary, faulty, seed)] key, so any
+    [jobs] count is outcome-for-outcome identical to [jobs = 1] — same
+    order, same verdicts, same [rounds_simulated] (enforced by a test).
 
-    The default claiming policy is [Pool.Cost_sorted] with the campaign
-    cost model ({!Campaign.cell_cost}) — a cell costs its horizon times
-    [n²]. Within one sweep that cost is constant (LPT with equal costs
-    claims in index order); chaos campaigns and heterogeneous bench
-    grids, whose horizons vary per cell, get genuine longest-task-first
-    claiming from the same default. Override with
-    {!Config.with_schedule}.
+    Cells are claimed longest-task-first under the campaign cost model
+    ({!Campaign.cell_cost}) — a cell costs its horizon times [n²].
+    Within one sweep that cost is constant (LPT with equal costs claims
+    in index order); chaos campaigns and hunts, whose horizons vary per
+    cell, get genuine longest-task-first claiming.
 
     {2 The [min_suffix] contract}
 
@@ -70,13 +67,6 @@ module Config : sig
     jobs : int;
         (** worker domains for the grid; default 1 (sequential). Any
             value yields identical outcomes — see {!Stdx.Pool}. *)
-    schedule : Stdx.Pool.schedule option;
-        (** claiming policy for the pool; [None] (the default) means
-            [Pool.Cost_sorted] under the campaign cost model
-            (horizon × n² per cell), and [Chunked_auto None] has its
-            chunk size tuned under the same cost model. Any policy
-            yields identical outcomes — only wall clock and the
-            [pool.worker_busy_s] spread change. *)
   }
 
   val default : t
@@ -87,7 +77,6 @@ module Config : sig
   val with_mode : Engine.mode -> t -> t
   val with_rounds : int -> t -> t
   val with_jobs : int -> t -> t
-  val with_schedule : Stdx.Pool.schedule -> t -> t
 end
 
 val default_fault_sets : n:int -> f:int -> int list list
@@ -121,8 +110,8 @@ val run :
     [Cell_start]/[Cell_end] — so apart from the scheduling-dependent
     wall-clock instruments ([harness.cell_wall_s] and the per-worker
     [pool.worker_busy_s] load histogram, whose sample count is the
-    actual worker count) the telemetry is identical at any [jobs] count
-    and under any claiming policy, and the sweep outcomes are
+    actual worker count) the telemetry is identical at any [jobs] count,
+    and the sweep outcomes are
     bit-identical with telemetry on or off.
 
     [spans] (default [false]) gives every cell a {!Stdx.Span} context:
@@ -167,14 +156,12 @@ module Chaos : sig
           (** [None] = the {!Min_suffix} default, resolved per schedule
               against its own total horizon with {!Min_suffix.resolve} *)
       mode : Engine.mode;  (** default [Engine.Streaming] *)
-      jobs : int;  (** worker domains; any value, identical outcomes *)
-      schedule : Stdx.Pool.schedule option;
-          (** claiming policy; [None] = [Pool.Cost_sorted] with each
-              campaign's own total horizon × n² as its cost — campaign
-              durations are random, so the default LPT ordering is
-              non-trivial here, unlike {!Harness.run}'s constant-cost
-              grids. [Chunked_auto None] tunes its chunk size under
-              the same per-campaign cost model. *)
+      jobs : int;
+          (** worker domains; any value, identical outcomes. Cells are
+              claimed longest-first by each campaign's own total
+              horizon × n² — campaign durations are random, so the LPT
+              order is non-trivial here, unlike {!Harness.run}'s
+              constant-cost grids. *)
     }
 
     val default : t
@@ -188,7 +175,6 @@ module Chaos : sig
     val with_min_suffix : int -> t -> t
     val with_mode : Engine.mode -> t -> t
     val with_jobs : int -> t -> t
-    val with_schedule : Stdx.Pool.schedule -> t -> t
   end
 
   type outcome = {
@@ -243,7 +229,6 @@ module Chaos : sig
     ?spans:bool ->
     ?heartbeat:Stdx.Heartbeat.t ->
     ?jobs:int ->
-    ?schedule:Stdx.Pool.schedule ->
     ?mode:Engine.mode ->
     spec:'s Algo.Spec.t ->
     entries:('s Schedule.t * int * int option) list ->
@@ -257,7 +242,7 @@ module Chaos : sig
       [min_suffix] requests pass straight to {!Engine.run_schedule},
       which clamps them against each schedule's own horizon — so a
       recorded request replays to the same effective value. [mode]
-      defaults to [Engine.Streaming]; any [jobs]/[schedule] yields an
+      defaults to [Engine.Streaming]; any [jobs] yields an
       identical aggregate. Raises [Invalid_argument] on an empty entry
       list or an entry whose schedule fails {!Schedule.validate}
       (the message carries the entry index). *)

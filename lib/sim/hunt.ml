@@ -157,7 +157,6 @@ module Config = struct
     min_suffix : int option;
     mode : Engine.mode;
     jobs : int;
-    schedule : Stdx.Pool.schedule option;
   }
 
   let default =
@@ -176,7 +175,6 @@ module Config = struct
       min_suffix = None;
       mode = Engine.Streaming;
       jobs = 1;
-      schedule = None;
     }
 
   let with_trials trials t = { t with trials }
@@ -193,7 +191,6 @@ module Config = struct
   let with_min_suffix min_suffix t = { t with min_suffix = Some min_suffix }
   let with_mode mode t = { t with mode }
   let with_jobs jobs t = { t with jobs }
-  let with_schedule schedule t = { t with schedule = Some schedule }
 end
 
 type 's hit = {
@@ -237,11 +234,13 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
     min_suffix;
     mode;
     jobs;
-    schedule;
   } =
     config
   in
   if trials < 1 then invalid_arg "Hunt.run: trials < 1";
+  (match time_bound with
+  | Some b when b < 1 -> invalid_arg "Hunt.run: time_bound < 1"
+  | _ -> ());
   if adversaries = [] then invalid_arg "Hunt.run: no adversaries";
   if not (near_bound > 0.0) then invalid_arg "Hunt.run: near_bound <= 0";
   if shrink_budget < 0 then invalid_arg "Hunt.run: shrink_budget < 0";
@@ -259,12 +258,10 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
   (* Shrunk phases must stay long enough for a genuine recovery to be
      observed — otherwise shrinking would converge on vacuous failures
      that say nothing about the algorithm. *)
-  let min_duration =
-    (match time_bound with Some b when b > 0 -> b | _ -> 0) + margin + 2
-  in
+  let min_duration = Option.value time_bound ~default:0 + margin + 2 in
   (* Every per-trial seed is drawn from the master stream before the
      pool starts: trial i is fully keyed by trial_seeds.(i), so any
-     [jobs] under any claiming policy yields a bit-identical hunt. *)
+     [jobs] yields a bit-identical hunt. *)
   let master = Stdx.Rng.create seed in
   let trial_seeds = Array.make trials (0, 0) in
   for i = 0 to trials - 1 do
@@ -293,8 +290,7 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
       trial_seeds
   in
   let results =
-    Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ?schedule
-      ~prefix:"hunt" ~n
+    Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ~prefix:"hunt" ~n
       ~horizon:(fun i -> Schedule.total_rounds schedules.(i))
       ~label:(fun i -> Printf.sprintf "trial %d" i)
       trials
@@ -509,7 +505,7 @@ module Corpus = struct
     in
     go 1 []
 
-  let replay ?metrics ?trace ?spans ?heartbeat ?jobs ?schedule ?mode
+  let replay ?metrics ?trace ?spans ?heartbeat ?jobs ?mode
       ~(spec : 's Algo.Spec.t) ~entries () =
     List.iteri
       (fun i e ->
@@ -528,8 +524,8 @@ module Corpus = struct
       List.map (fun e -> (e.schedule, e.run_seed, Some e.min_suffix)) entries
     in
     let agg =
-      Harness.Chaos.replay ?metrics ?trace ?spans ?heartbeat ?jobs ?schedule
-        ?mode ~spec ~entries:chaos_entries ()
+      Harness.Chaos.replay ?metrics ?trace ?spans ?heartbeat ?jobs ?mode ~spec
+        ~entries:chaos_entries ()
     in
     List.map2
       (fun e (o : Harness.Chaos.outcome) ->

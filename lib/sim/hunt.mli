@@ -22,8 +22,8 @@
     schedule — is derived from the hunt seed {e before} the
     {!Stdx.Pool} starts, and shrinking happens inside the trial's own
     pool task, so a hunt is bit-identical (same hits, same shrunk
-    reproducers, same corpus bytes) at any [jobs] count under any
-    claiming policy — the same contract as {!Harness}. Telemetry rides
+    reproducers, same corpus bytes) at any [jobs] count — the same
+    contract as {!Harness}. Telemetry rides
     the harness's per-cell sinks and is merged in trial order.
 
     {2 Corpus}
@@ -133,10 +133,9 @@ module Config : sig
             {!Min_suffix} default for the spec's [c]. Also the event
             margin schedules are generated and shrunk with. *)
     mode : Engine.mode;  (** default [Engine.Streaming] *)
-    jobs : int;  (** worker domains; any value, identical hunts *)
-    schedule : Stdx.Pool.schedule option;
-        (** claiming policy; [None] = [Pool.Cost_sorted] with each
-            trial's horizon × n² as its cost *)
+    jobs : int;
+        (** worker domains; any value, identical hunts. Trials are
+            claimed longest-first by horizon × n². *)
   }
 
   val default : t
@@ -155,7 +154,6 @@ module Config : sig
   val with_min_suffix : int -> t -> t
   val with_mode : Engine.mode -> t -> t
   val with_jobs : int -> t -> t
-  val with_schedule : Stdx.Pool.schedule -> t -> t
 end
 
 (** One confirmed, shrunk reproducer. *)
@@ -197,8 +195,8 @@ val run :
   's report
 (** Run the hunt. [adversaries] is the registry schedules draw from and
     mutate within. Raises [Invalid_argument] on [trials < 1], an empty
-    adversary list, [near_bound <= 0], [shrink_budget < 0] or
-    [mutations < 0].
+    adversary list, [time_bound < 1], [near_bound <= 0],
+    [shrink_budget < 0] or [mutations < 0].
 
     [metrics] receives [hunt.schedules_tried] / [hunt.hits] /
     [hunt.shrink_steps] counters and the [hunt.badness] histogram (one
@@ -271,14 +269,13 @@ module Corpus : sig
     ?spans:bool ->
     ?heartbeat:Stdx.Heartbeat.t ->
     ?jobs:int ->
-    ?schedule:Stdx.Pool.schedule ->
     ?mode:Engine.mode ->
     spec:'s Algo.Spec.t ->
     entries:'s entry list ->
     unit ->
     ('s entry * badness * bool) list
   (** Re-execute every entry through {!Harness.Chaos.replay} (so any
-      [jobs]/[schedule] yields identical results) and score it afresh
+      [jobs] yields identical results) and score it afresh
       against the entry's own [time_bound]. The boolean is [true] iff
       the recomputed badness equals the recorded one exactly
       ([compare_badness = 0] — score equality follows). Raises

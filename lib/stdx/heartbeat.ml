@@ -7,8 +7,8 @@
    they complete. Completion order is scheduling-dependent, but the
    merged instruments are counters and histograms — commutative adds —
    so the *final* registry (and hence the terminal heartbeat line) is
-   deterministic at any jobs count and claiming policy; only wall-time
-   fields and intermediate beats depend on the schedule.
+   deterministic at any jobs count; only wall-time fields and
+   intermediate beats depend on the completion order.
 
    One JSON object per line, every line tagged {"kind":"heartbeat"};
    the last line carries "final":true. [beat]s are rate-limited by the

@@ -9,8 +9,8 @@
     the instruments merged so far. {!finish} always emits a terminal
     line with ["final":true] — even when the run was shorter than one
     interval — whose non-wall-time fields are deterministic at any jobs
-    count and claiming policy (merged instruments are counters and
-    histograms, whose adds commute across completion orders).
+    count (merged instruments are counters and histograms, whose adds
+    commute across completion orders).
 
     All operations are mutex-protected; pool workers may report
     concurrently. The heartbeat never touches RNG streams or outcomes —

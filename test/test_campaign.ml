@@ -1,7 +1,7 @@
 (* Sim.Campaign.exec on its own: a synthetic per-cell function (no
    engine) whose results, trace events and metrics are known in
-   advance, run at jobs {1, REPRO_JOBS} under every claiming policy
-   (REPRO_SCHEDULE pins one, as in test_sim.ml). *)
+   advance, run at jobs {1, REPRO_JOBS} (REPRO_JOBS as in
+   test_sim.ml). *)
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -11,17 +11,10 @@ let n = 3
 let horizon i = 10 + (i * 7 mod 13)
 let label i = Printf.sprintf "cell %d" i
 
-(* Every (jobs, policy) pair the group exercises, labelled. *)
+(* Every jobs count the group exercises, labelled. *)
 let configs =
-  List.concat_map
-    (fun jobs ->
-      List.map
-        (fun schedule ->
-          ( Printf.sprintf "jobs=%d policy=%s" jobs
-              (Test_sim.schedule_label schedule),
-            jobs,
-            schedule ))
-        Test_sim.parallel_schedules)
+  List.map
+    (fun jobs -> (Printf.sprintf "jobs=%d" jobs, jobs))
     (List.sort_uniq compare [ 1; Test_sim.parallel_jobs ])
 
 (* Cell [i] emits one seam event and one span, bumps a counter by [i],
@@ -50,7 +43,7 @@ let sum f = List.fold_left ( + ) 0 (List.init cells f)
 
 let test_all_sinks () =
   List.iter
-    (fun (name, jobs, schedule) ->
+    (fun (name, jobs) ->
       let m = Stdx.Metrics.create () in
       let tr = Sim.Trace.memory () in
       let results = ref [||] in
@@ -58,7 +51,7 @@ let test_all_sinks () =
         Test_obs.with_heartbeat ~interval_s:1.0e9 (fun hb ->
             results :=
               Sim.Campaign.exec ~metrics:m ~trace:tr ~spans:true ~heartbeat:hb
-                ~jobs ?schedule ~prefix:"synthetic" ~n ~horizon ~label cells
+                ~jobs ~prefix:"synthetic" ~n ~horizon ~label cells
                 synthetic;
             Stdx.Heartbeat.finish hb)
       in
@@ -107,9 +100,9 @@ let test_all_sinks () =
 
 let test_no_sinks_inert () =
   List.iter
-    (fun (name, jobs, schedule) ->
+    (fun (name, jobs) ->
       let inert =
-        Sim.Campaign.exec ~jobs ?schedule ~prefix:"synthetic" ~n ~horizon
+        Sim.Campaign.exec ~jobs ~prefix:"synthetic" ~n ~horizon
           ~label cells (fun cell i ->
             ( cell.Sim.Campaign.metrics = None
               && cell.Sim.Campaign.tracer == Sim.Trace.null
@@ -121,11 +114,38 @@ let test_no_sinks_inert () =
         (Array.for_all Fun.id inert))
     configs
 
+(* Cells are claimed longest-horizon first: at jobs = 1 the run order
+   is the grid sorted by decreasing horizon, ties by lower index. *)
+let test_longest_cell_first () =
+  let ran = ref [] in
+  ignore
+    (Sim.Campaign.exec ~jobs:1 ~prefix:"synthetic" ~n ~horizon ~label cells
+       (fun _ i ->
+         ran := i :: !ran;
+         (i, horizon i)));
+  let ran = List.rev !ran in
+  let longest =
+    List.fold_left
+      (fun best i -> if horizon i > horizon best then i else best)
+      0
+      (List.init cells Fun.id)
+  in
+  check Alcotest.int "the longest-horizon cell runs first" longest
+    (List.hd ran);
+  check
+    (Alcotest.list Alcotest.int)
+    "run order: decreasing horizon, ties by index"
+    (List.stable_sort
+       (fun a b -> Int.compare (horizon b) (horizon a))
+       (List.init cells Fun.id))
+    ran
+
 let suite =
   [
     ( "sim.campaign",
       [
         case "all sinks: order, merge, heartbeat, pool spans" test_all_sinks;
         case "no sinks: inert cells" test_no_sinks_inert;
+        case "longest cell claimed first" test_longest_cell_first;
       ] );
   ]

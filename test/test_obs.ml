@@ -465,22 +465,10 @@ let deterministic_view line =
       kvs
   | _ -> Alcotest.fail "heartbeat line must be an object"
 
-let obs_schedules =
-  [
-    ("inorder", Some Stdx.Pool.In_order);
-    ("cost(default)", None);
-    ("chunk:3", Some (Stdx.Pool.Chunked 3));
-  ]
-
 let test_heartbeat_jobs_determinism () =
   let adversaries = Sim.Adversary.standard_suite () in
-  let at ?schedule jobs =
+  let at jobs =
     let config = chaos_config ~jobs in
-    let config =
-      match schedule with
-      | None -> config
-      | Some s -> Sim.Harness.Chaos.Config.with_schedule s config
-    in
     let lines =
       with_heartbeat ~interval_s:1.0e9 (fun hb ->
           ignore
@@ -492,40 +480,31 @@ let test_heartbeat_jobs_determinism () =
       (List.length lines);
     deterministic_view (List.hd lines)
   in
-  let base = at ~schedule:Stdx.Pool.In_order 1 in
+  let base = at 1 in
   check Alcotest.bool "terminal line carries progress" true
     (List.assoc "cells_done" base <> Stdx.Json.Int 0);
-  List.iter
-    (fun (label, schedule) ->
-      check Alcotest.bool
-        (Printf.sprintf "heartbeat identical at jobs=%d policy=%s"
-           parallel_jobs label)
-        true
-        (base = at ?schedule parallel_jobs))
-    obs_schedules
+  check Alcotest.bool
+    (Printf.sprintf "heartbeat identical at jobs=%d" parallel_jobs)
+    true
+    (base = at parallel_jobs)
 
 let test_span_stream_jobs_determinism () =
   (* With spans on, the merged trace gains Span events; after zeroing
      wall payloads and dropping the drain-level pool triple they must be
-     identical at any jobs count under any policy — and the engine span
+     identical at any jobs count — and the engine span
      counts must actually be there. *)
   let adversaries = Sim.Adversary.standard_suite () in
-  let at ?schedule jobs =
+  let at jobs =
     let m = Stdx.Metrics.create () in
     let tr = Sim.Trace.memory () in
     let config = harness_config ~jobs in
-    let config =
-      match schedule with
-      | None -> config
-      | Some s -> Sim.Harness.Config.with_schedule s config
-    in
     ignore
       (Sim.Harness.run ~metrics:m ~trace:tr ~spans:true ~config ~spec:leader
          ~adversaries ());
     ( Test_telemetry.drop_wall (Stdx.Metrics.snapshot m),
       Test_telemetry.normalise_wall (Sim.Trace.events tr) )
   in
-  let m1, t1 = at ~schedule:Stdx.Pool.In_order 1 in
+  let m1, t1 = at 1 in
   check Alcotest.bool "span events present in the merged stream" true
     (List.exists
        (function
@@ -534,18 +513,13 @@ let test_span_stream_jobs_determinism () =
        t1);
   check Alcotest.bool "span histograms landed in metrics (then dropped)" true
     (not (List.mem_assoc "span.engine.step_s" m1));
-  List.iter
-    (fun (label, schedule) ->
-      let mn, tn = at ?schedule parallel_jobs in
-      check Alcotest.bool
-        (Printf.sprintf "metrics identical at jobs=%d policy=%s" parallel_jobs
-           label)
-        true (m1 = mn);
-      check Alcotest.bool
-        (Printf.sprintf "span stream identical at jobs=%d policy=%s"
-           parallel_jobs label)
-        true (t1 = tn))
-    obs_schedules
+  let mn, tn = at parallel_jobs in
+  check Alcotest.bool
+    (Printf.sprintf "metrics identical at jobs=%d" parallel_jobs)
+    true (m1 = mn);
+  check Alcotest.bool
+    (Printf.sprintf "span stream identical at jobs=%d" parallel_jobs)
+    true (t1 = tn)
 
 let suite =
   [

@@ -725,14 +725,11 @@ let test_sweep_rejects_shorter_period () =
 
 (* ------------------------------------------------------------------ *)
 (* Parallel determinism: the Stdx.Pool contract says a sweep at any
-   jobs count under any claiming policy is outcome-for-outcome
-   identical to jobs = 1 — same order, same verdicts, same
-   rounds_simulated. Exercised on a deterministic spec, a randomised
-   one (coin flips are seeded per run inside Engine.run, so scheduling
-   cannot perturb them), and a boosted tower. REPRO_JOBS forces a
-   specific worker count; REPRO_SCHEDULE pins one claiming policy
-   (inorder | cost | chunk:N — the countctl spellings), otherwise all
-   three are exercised. *)
+   jobs count is outcome-for-outcome identical to jobs = 1 — same
+   order, same verdicts, same rounds_simulated. Exercised on a
+   deterministic spec, a randomised one (coin flips are seeded per run
+   inside Engine.run, so scheduling cannot perturb them), and a boosted
+   tower. REPRO_JOBS forces a specific worker count. *)
 
 let parallel_jobs =
   match Sys.getenv_opt "REPRO_JOBS" with
@@ -741,60 +738,22 @@ let parallel_jobs =
     | _ -> 8)
   | None -> 8
 
-(* [None] = the harness default (Cost_sorted under the horizon x n^2
-   model); [Some _] overrides via [Config.with_schedule]. [Chunked_auto
-   None] gets its cost model filled in by the harness. *)
-let parallel_schedules =
-  let all =
-    [
-      Some Stdx.Pool.In_order; None; Some (Stdx.Pool.Chunked 3);
-      Some (Stdx.Pool.Chunked_auto None);
-    ]
-  in
-  match Sys.getenv_opt "REPRO_SCHEDULE" with
-  | None -> all
-  | Some s -> (
-    match String.trim s with
-    | "inorder" -> [ Some Stdx.Pool.In_order ]
-    | "cost" -> [ None ]
-    | "chunk:auto" -> [ Some (Stdx.Pool.Chunked_auto None) ]
-    | s -> (
-      match String.split_on_char ':' s with
-      | [ "chunk"; k ] -> (
-        match int_of_string_opt k with
-        | Some k when k >= 1 -> [ Some (Stdx.Pool.Chunked k) ]
-        | _ -> all)
-      | _ -> all))
-
-let schedule_label = function
-  | None -> "cost(default)"
-  | Some s -> Stdx.Pool.schedule_name s
-
 let default_jobs_ladder = List.sort_uniq compare [ 2; 4; 8; parallel_jobs ]
 
 let check_jobs_invariant ?(jobs_ladder = default_jobs_ladder) ~name ~config
     ~spec ~adversaries () =
-  let at ~jobs ~schedule =
+  let at ~jobs =
     let config = Sim.Harness.Config.with_jobs jobs config in
-    let config =
-      match schedule with
-      | None -> config
-      | Some s -> Sim.Harness.Config.with_schedule s config
-    in
     Sim.Harness.run ~config ~spec ~adversaries ()
   in
-  let seq = at ~jobs:1 ~schedule:(Some Stdx.Pool.In_order) in
+  let seq = at ~jobs:1 in
   List.iter
-    (fun schedule ->
-      List.iter
-        (fun jobs ->
-          check Alcotest.bool
-            (Printf.sprintf "%s: outcomes identical at jobs=%d policy=%s"
-               name jobs (schedule_label schedule))
-            true
-            (at ~jobs ~schedule = seq))
-        (1 :: jobs_ladder))
-    parallel_schedules
+    (fun jobs ->
+      check Alcotest.bool
+        (Printf.sprintf "%s: outcomes identical at jobs=%d" name jobs)
+        true
+        (at ~jobs = seq))
+    jobs_ladder
 
 let test_parallel_matches_sequential_trivial () =
   check_jobs_invariant ~name:"follow-leader"

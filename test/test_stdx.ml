@@ -265,13 +265,8 @@ let test_pool_invalid_args () =
   raises "jobs = 0 rejected" (fun () -> Stdx.Pool.exec ~jobs:0 3 (fun i -> i));
   raises "negative n rejected" (fun () ->
       Stdx.Pool.exec ~jobs:2 (-1) (fun i -> i));
-  raises "chunk size 0 rejected" (fun () ->
-      Stdx.Pool.exec ~jobs:2 ~schedule:(Stdx.Pool.Chunked 0) 3 (fun i -> i));
   raises "non-finite cost rejected" (fun () ->
-      Stdx.Pool.exec
-        ~schedule:(Stdx.Pool.Cost_sorted (fun _ -> Float.nan))
-        3
-        (fun i -> i))
+      Stdx.Pool.exec ~cost:(fun _ -> Float.nan) 3 (fun i -> i))
 
 let test_pool_propagates_lowest_failure () =
   (* Several tasks fail; the pool must deterministically re-raise the
@@ -287,58 +282,68 @@ let test_pool_propagates_lowest_failure () =
   check (Alcotest.option Alcotest.int) "lowest failing index wins" (Some 2)
     observed
 
-(* A representative policy zoo: the pseudo-random cost has ties (so the
-   index tie-break is exercised), the reversed cost claims the highest
-   index first, and the constant cost must degrade to in-order. *)
-let pool_schedules =
+(* A representative cost zoo: the pseudo-random cost has ties (so the
+   index tie-break is exercised), the increasing cost claims the highest
+   index first, and the constant cost must degrade to index order. *)
+let pool_costs =
   [
-    Stdx.Pool.In_order;
-    Stdx.Pool.Cost_sorted (fun i -> float_of_int ((i * 2654435761) land 0xff));
-    Stdx.Pool.Cost_sorted float_of_int;
-    Stdx.Pool.Cost_sorted (fun _ -> 1.0);
-    Stdx.Pool.Chunked 3;
-    Stdx.Pool.Chunked_auto None;
-    Stdx.Pool.Chunked_auto (Some (fun i -> float_of_int (1 lsl (i land 7))));
+    None;
+    Some (fun i -> float_of_int ((i * 2654435761) land 0xff));
+    Some float_of_int;
+    Some (fun _ -> 1.0);
   ]
 
-let test_pool_exec_policy_invariant =
-  qcheck "Pool.exec = sequential under every policy and jobs count"
-    QCheck.(
-      quad (list small_int) (int_range 1 8) (int_range 0 7) (int_range 1 5))
-    (fun (xs, jobs, tag, k) ->
+let test_pool_exec_cost_invariant =
+  qcheck "Pool.exec = sequential under any cost model and jobs count"
+    QCheck.(triple (list small_int) (int_range 1 8) (int_range 0 3))
+    (fun (xs, jobs, tag) ->
       let a = Array.of_list xs in
       let n = Array.length a in
-      let schedule =
-        if tag = 7 then Stdx.Pool.Chunked k else List.nth pool_schedules tag
-      in
-      Stdx.Pool.exec ~jobs ~schedule n (fun i -> (a.(i) * 7) - i)
+      Stdx.Pool.exec ~jobs ?cost:(List.nth pool_costs tag) n (fun i ->
+          (a.(i) * 7) - i)
       = Array.init n (fun i -> (a.(i) * 7) - i))
 
-let test_pool_policy_error_propagation () =
-  (* The reversed-cost policy executes index 15 first and hits Boom 12
+let test_pool_cost_error_propagation () =
+  (* The increasing cost executes index 15 first and hits Boom 12
      chronologically before Boom 2 — the pool must still re-raise
      Boom 2, the lowest failing index. *)
-  List.iter
-    (fun schedule ->
+  List.iteri
+    (fun tag cost ->
       let observed =
         try
           ignore
-            (Stdx.Pool.exec ~jobs:4 ~schedule 16 (fun i ->
+            (Stdx.Pool.exec ~jobs:4 ?cost 16 (fun i ->
                  if i mod 5 = 2 then raise (Boom i) else i));
           None
         with Boom i -> Some i
       in
       check
         (Alcotest.option Alcotest.int)
-        (Stdx.Pool.schedule_name schedule ^ ": lowest failing index wins")
+        (Printf.sprintf "cost model %d: lowest failing index wins" tag)
         (Some 2) observed)
-    pool_schedules
+    pool_costs
+
+(* The indices [on_task] sees at jobs = 1, i.e. the claim order. *)
+let claim_order ?cost n =
+  let seen = ref [] in
+  ignore
+    (Stdx.Pool.exec ?cost
+       ~on_task:(fun ~worker:_ ~index ~wall_s:_ -> seen := index :: !seen)
+       n Fun.id);
+  List.rev !seen
+
+let test_pool_claim_order () =
+  let ints = Alcotest.(list int) in
+  check ints "no cost: index order" [ 0; 1; 2; 3; 4; 5 ] (claim_order 6);
+  check ints "decreasing cost, ties by lower index" [ 4; 1; 3; 5; 0; 2 ]
+    (claim_order ~cost:(fun i -> [| 1.; 5.; 1.; 2.; 9.; 2. |].(i)) 6);
+  check ints "constant cost: index order" [ 0; 1; 2; 3 ]
+    (claim_order ~cost:(fun _ -> 7.0) 4)
 
 let test_pool_stats () =
   let seen = ref None in
   let a =
-    Stdx.Pool.exec ~jobs:3
-      ~schedule:(Stdx.Pool.Chunked 2)
+    Stdx.Pool.exec ~jobs:3 ~cost:float_of_int
       ~stats:(fun s -> seen := Some s)
       10
       (fun i -> i)
@@ -349,7 +354,6 @@ let test_pool_stats () =
   | None -> Alcotest.fail "stats callback not invoked"
   | Some s ->
     check Alcotest.int "actual jobs" 3 s.Stdx.Pool.actual_jobs;
-    check Alcotest.string "policy name" "chunk:2" s.Stdx.Pool.policy;
     check Alcotest.int "one busy slot per worker" 3
       (Array.length s.Stdx.Pool.worker_busy_s);
     check Alcotest.int "every task claimed exactly once" 10
@@ -377,60 +381,6 @@ let test_pool_stats () =
   | Some s ->
     check Alcotest.int "failing grid fully drained" 4
       (Array.fold_left ( + ) 0 s.Stdx.Pool.worker_tasks)
-
-let test_pool_schedule_names () =
-  check Alcotest.string "inorder" "inorder"
-    (Stdx.Pool.schedule_name Stdx.Pool.In_order);
-  check Alcotest.string "cost" "cost"
-    (Stdx.Pool.schedule_name (Stdx.Pool.Cost_sorted float_of_int));
-  check Alcotest.string "chunk" "chunk:7"
-    (Stdx.Pool.schedule_name (Stdx.Pool.Chunked 7));
-  check Alcotest.string "chunk:auto" "chunk:auto"
-    (Stdx.Pool.schedule_name (Stdx.Pool.Chunked_auto None))
-
-let test_pool_auto_chunk () =
-  (* No cost model: every chunk "fits", so the size is the cap — n over
-     4 claims per worker, never above 64 or below 1. *)
-  check Alcotest.int "uniform hits the cap" 64
-    (Stdx.Pool.auto_chunk ~jobs:4 4096);
-  check Alcotest.int "cap is n/(4*jobs)" 8 (Stdx.Pool.auto_chunk ~jobs:4 128);
-  check Alcotest.int "small grids degrade to 1" 1
-    (Stdx.Pool.auto_chunk ~jobs:4 7);
-  check Alcotest.int "empty grid" 1 (Stdx.Pool.auto_chunk ~jobs:4 0);
-  (* A flat cost model is the same as no cost model. *)
-  check Alcotest.int "constant costs hit the cap" 8
-    (Stdx.Pool.auto_chunk ~jobs:4 ~cost:(fun _ -> 3.0) 128);
-  (* One spike worth most of the grid: any chunk containing it blows the
-     per-worker budget, so the size collapses to 1 — the spike can no
-     longer be bundled with (and stall) other tasks. *)
-  let spiked i = if i = 120 then 1000.0 else 1.0 in
-  check Alcotest.int "spiked tail forces chunk 1" 1
-    (Stdx.Pool.auto_chunk ~jobs:4 ~cost:spiked 128);
-  (* Mild skew lands between the extremes. *)
-  let mild i = float_of_int (1 + (i land 3)) in
-  let k = Stdx.Pool.auto_chunk ~jobs:4 ~cost:mild 128 in
-  check Alcotest.bool "mild skew stays in [1, cap]" true (k >= 1 && k <= 8);
-  check Alcotest.bool "non-finite costs rejected" true
-    (try
-       ignore (Stdx.Pool.auto_chunk ~jobs:2 ~cost:(fun _ -> Float.nan) 16);
-       false
-     with Invalid_argument _ -> true);
-  (* The resolved size rides the stats record. *)
-  let seen = ref 0 in
-  ignore
-    (Stdx.Pool.exec ~jobs:4
-       ~schedule:(Stdx.Pool.Chunked_auto (Some spiked))
-       ~stats:(fun s -> seen := s.Stdx.Pool.chunk)
-       128
-       (fun i -> i));
-  check Alcotest.int "stats carry the resolved chunk" 1 !seen;
-  ignore
-    (Stdx.Pool.exec ~jobs:4
-       ~schedule:(Stdx.Pool.Chunked_auto None)
-       ~stats:(fun s -> seen := s.Stdx.Pool.chunk)
-       128
-       (fun i -> i));
-  check Alcotest.int "uniform auto chunk in stats" 8 !seen
 
 (* ------------------------------------------------------------------ *)
 (* Table                                                                *)
@@ -519,12 +469,11 @@ let suite =
         case "empty and oversubscribed" test_pool_empty_and_oversubscribed;
         case "invalid arguments" test_pool_invalid_args;
         case "lowest failing index re-raised" test_pool_propagates_lowest_failure;
-        test_pool_exec_policy_invariant;
-        case "lowest failure wins under every policy"
-          test_pool_policy_error_propagation;
+        test_pool_exec_cost_invariant;
+        case "lowest failure wins under every cost model"
+          test_pool_cost_error_propagation;
+        case "claim order is cost-sorted" test_pool_claim_order;
         case "stats report the execution" test_pool_stats;
-        case "schedule names" test_pool_schedule_names;
-        case "auto-tuned chunk size" test_pool_auto_chunk;
       ] );
     ( "stdx.table",
       [

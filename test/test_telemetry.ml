@@ -560,74 +560,45 @@ let normalise_wall events =
       | ev -> Some ev)
     events
 
-(* [None] = the harness default policy (Cost_sorted); [Some _]
-   overrides. Telemetry must be identical under all of them. *)
-let telemetry_schedules =
-  [
-    ("inorder", Some Stdx.Pool.In_order);
-    ("cost(default)", None);
-    ("chunk:3", Some (Stdx.Pool.Chunked 3));
-  ]
+(* [at jobs] runs one telemetry-on campaign and returns its wall-free
+   (metrics, trace); the run at [parallel_jobs] must equal the jobs = 1
+   pair [(m1, t1)]. *)
+let check_same_at_parallel_jobs (m1, t1) at =
+  let mn, tn = at parallel_jobs in
+  check Alcotest.bool
+    (Printf.sprintf "metrics identical at jobs=%d" parallel_jobs)
+    true (m1 = mn);
+  check Alcotest.bool
+    (Printf.sprintf "trace identical at jobs=%d" parallel_jobs)
+    true (t1 = tn)
 
 let test_harness_telemetry_jobs_determinism () =
-  let at ?schedule jobs =
+  let at jobs =
     let m = Stdx.Metrics.create () in
     let tr = Sim.Trace.memory () in
     let config = harness_config ~jobs in
-    let config =
-      match schedule with
-      | None -> config
-      | Some s -> Sim.Harness.Config.with_schedule s config
-    in
     ignore
       (Sim.Harness.run ~metrics:m ~trace:tr ~config ~spec:leader
          ~adversaries:(Sim.Adversary.standard_suite ())
          ());
     (drop_wall (Stdx.Metrics.snapshot m), normalise_wall (Sim.Trace.events tr))
   in
-  let m1, t1 = at ~schedule:Stdx.Pool.In_order 1 in
-  List.iter
-    (fun (label, schedule) ->
-      let mn, tn = at ?schedule parallel_jobs in
-      check Alcotest.bool
-        (Printf.sprintf "metrics identical at jobs=%d policy=%s" parallel_jobs
-           label)
-        true (m1 = mn);
-      check Alcotest.bool
-        (Printf.sprintf "trace identical at jobs=%d policy=%s" parallel_jobs
-           label)
-        true (t1 = tn))
-    telemetry_schedules
+  let m1, t1 = at 1 in
+  check_same_at_parallel_jobs (m1, t1) at
 
 let test_chaos_telemetry_jobs_determinism () =
-  let at ?schedule jobs =
+  let at jobs =
     let m = Stdx.Metrics.create () in
     let tr = Sim.Trace.memory () in
     let config = chaos_config ~jobs in
-    let config =
-      match schedule with
-      | None -> config
-      | Some s -> Sim.Harness.Chaos.Config.with_schedule s config
-    in
     ignore
       (Sim.Harness.Chaos.run ~metrics:m ~trace:tr ~config ~spec:leader
          ~adversaries:(Sim.Adversary.standard_suite ())
          ());
     (drop_wall (Stdx.Metrics.snapshot m), normalise_wall (Sim.Trace.events tr))
   in
-  let m1, t1 = at ~schedule:Stdx.Pool.In_order 1 in
-  List.iter
-    (fun (label, schedule) ->
-      let mn, tn = at ?schedule parallel_jobs in
-      check Alcotest.bool
-        (Printf.sprintf "metrics identical at jobs=%d policy=%s" parallel_jobs
-           label)
-        true (m1 = mn);
-      check Alcotest.bool
-        (Printf.sprintf "trace identical at jobs=%d policy=%s" parallel_jobs
-           label)
-        true (t1 = tn))
-    telemetry_schedules;
+  let m1, t1 = at 1 in
+  check_same_at_parallel_jobs (m1, t1) at;
   check Alcotest.bool "cell markers bracket each campaign run" true
     (match t1 with
     | Sim.Trace.Cell_start { cell = 0; label } :: _ ->
@@ -644,22 +615,17 @@ let hunt_config ~jobs =
     |> with_jobs jobs)
 
 let test_hunt_telemetry_jobs_determinism () =
-  let at ?schedule jobs =
+  let at jobs =
     let m = Stdx.Metrics.create () in
     let tr = Sim.Trace.memory () in
     let config = hunt_config ~jobs in
-    let config =
-      match schedule with
-      | None -> config
-      | Some s -> Sim.Hunt.Config.with_schedule s config
-    in
     ignore
       (Sim.Hunt.run ~metrics:m ~trace:tr ~config ~spec:leader
          ~adversaries:(Sim.Adversary.standard_suite ())
          ());
     (drop_wall (Stdx.Metrics.snapshot m), normalise_wall (Sim.Trace.events tr))
   in
-  let m1, t1 = at ~schedule:Stdx.Pool.In_order 1 in
+  let m1, t1 = at 1 in
   check Alcotest.bool "hunt counters present" true
     (List.mem_assoc "hunt.schedules_tried" m1);
   check Alcotest.bool "one Hunt_trial per trial" true
@@ -668,18 +634,7 @@ let test_hunt_telemetry_jobs_determinism () =
           (function Sim.Trace.Hunt_trial _ -> true | _ -> false)
           t1)
     = 6);
-  List.iter
-    (fun (label, schedule) ->
-      let mn, tn = at ?schedule parallel_jobs in
-      check Alcotest.bool
-        (Printf.sprintf "metrics identical at jobs=%d policy=%s" parallel_jobs
-           label)
-        true (m1 = mn);
-      check Alcotest.bool
-        (Printf.sprintf "trace identical at jobs=%d policy=%s" parallel_jobs
-           label)
-        true (t1 = tn))
-    telemetry_schedules
+  check_same_at_parallel_jobs (m1, t1) at
 
 (* The hunt's report must not depend on telemetry being on. The two runs
    share one physical adversary list so the reports' schedules reference
