@@ -55,14 +55,17 @@ let timed_gc f =
 let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
     ~seed () =
   let run () =
-    Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec ~adversary ~faulty
-      ~rounds ~seed ()
+    Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec
+      ~schedule:(Sim.Schedule.static ~adversary ~faulty ~rounds)
+      ~seed ()
   in
   (* Warm-up pass so allocation of the engine buffers and any lazy setup
      (the boost tower's shared lookup tables) is off the clock. *)
   ignore
-    (Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec ~adversary ~faulty
-       ~rounds:(min rounds 50) ~seed ());
+    (Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec
+       ~schedule:
+         (Sim.Schedule.static ~adversary ~faulty ~rounds:(min rounds 50))
+       ~seed ());
   (* Wall = best of three passes (the first also yields the outcome and
      GC counts), so one slow scheduler hiccup does not pollute the
      record. *)

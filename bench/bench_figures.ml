@@ -18,9 +18,11 @@ let figure1 () =
       votes := (round, Array.copy p.Counting.Boost.block_votes) :: !votes
     end
   in
-  ignore
-    (Sim.Network.run ~probe ~spec ~adversary:(Sim.Adversary.random_equivocate ())
-       ~faulty:[ 9 ] ~rounds:window_to ~seed:12 ());
+  let run =
+    Sim.Network.run ~spec ~adversary:(Sim.Adversary.random_equivocate ())
+      ~faulty:[ 9 ] ~rounds:window_to ~seed:12 ()
+  in
+  Array.iteri (fun round states -> probe ~round ~states) run.Sim.Network.states;
   let votes = List.rev !votes in
   let k = boosted.Counting.Boost.params.Counting.Boost.k in
   Printf.printf

@@ -91,9 +91,11 @@ let dwell_lengths () =
         p.Counting.Boost.block_votes
     end
   in
-  ignore
-    (Sim.Network.run ~probe ~spec ~adversary:(Sim.Adversary.benign ())
-       ~faulty:[] ~rounds:4200 ~seed:7 ());
+  let run =
+    Sim.Network.run ~spec ~adversary:(Sim.Adversary.benign ())
+      ~faulty:[] ~rounds:4200 ~seed:7 ()
+  in
+  Array.iteri (fun round states -> probe ~round ~states) run.Sim.Network.states;
   let t = Stdx.Table.create [ "block level i"; "predicted dwell c_{i-1}"; "measured dwell (interior segments)" ] in
   Array.iteri
     (fun i history ->
@@ -154,9 +156,11 @@ let r_windows () =
       prev := Some p.Counting.Boost.r_value
     end
   in
-  ignore
-    (Sim.Network.run ~probe ~spec ~adversary:(Sim.Adversary.random_equivocate ())
-       ~faulty:[ 1; 6; 11 ] ~rounds:4500 ~seed:21 ());
+  let run =
+    Sim.Network.run ~spec ~adversary:(Sim.Adversary.random_equivocate ())
+      ~faulty:[ 1; 6; 11 ] ~rounds:4500 ~seed:21 ()
+  in
+  Array.iteri (fun round states -> probe ~round ~states) run.Sim.Network.states;
   streaks := !streak :: !streaks;
   let long = List.filter (fun s -> s >= tau) !streaks in
   Printf.printf

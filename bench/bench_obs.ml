@@ -51,13 +51,16 @@ let best_of ~reps f =
 let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty
     ~rounds ~seed () =
   let run_off () =
-    Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec ~adversary ~faulty
-      ~rounds ~seed ()
+    Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec
+      ~schedule:(Sim.Schedule.static ~adversary ~faulty ~rounds)
+      ~seed ()
   in
   (* Warm-up so flat-buffer allocation is off the clock for both paths. *)
   ignore
-    (Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec ~adversary ~faulty
-       ~rounds:(min rounds 50) ~seed ());
+    (Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec
+       ~schedule:
+         (Sim.Schedule.static ~adversary ~faulty ~rounds:(min rounds 50))
+       ~seed ());
   let off_o, off_wall = best_of ~reps:5 run_off in
   (* The instrumented path carries exactly what a live campaign does:
      a private cell registry, a span context recording into it, and a
@@ -76,7 +79,9 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty
   let run_on () =
     let o =
       Sim.Engine.run ~metrics:cell_m ~spans ~mode:Sim.Engine.Full_horizon
-        ~spec ~adversary ~faulty ~rounds ~seed ()
+        ~spec
+        ~schedule:(Sim.Schedule.static ~adversary ~faulty ~rounds)
+        ~seed ()
     in
     Stdx.Heartbeat.cell_done
       ~snapshot:(Stdx.Metrics.snapshot cell_m)

@@ -78,7 +78,9 @@ let run_cell cell =
   let spec = List.assoc cell.n specs in
   let o =
     Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec
-      ~adversary:(Sim.Adversary.benign ()) ~faulty:[] ~rounds:cell.rounds
+      ~schedule:
+        (Sim.Schedule.static ~adversary:(Sim.Adversary.benign ()) ~faulty:[]
+           ~rounds:cell.rounds)
       ~seed:cell.seed ()
   in
   (o.Sim.Engine.verdict, o.Sim.Engine.rounds_simulated, o.Sim.Engine.early_exit)

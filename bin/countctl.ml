@@ -137,6 +137,13 @@ let sim_error (spec : _ Algo.Spec.t) opts =
     | Some r when r < 1 -> Some "--rounds must be >= 1"
     | _ -> None
 
+(* run and verify judge counting over the whole horizon, which must
+   witness at least one full mod-c period (the Sim.Min_suffix.resolve
+   contract of the sweeps); a shorter one is refused up front. *)
+let short_rounds_error c =
+  Printf.sprintf "--rounds must be >= %d (one full mod-%d counting period)" c
+    c
+
 let sweep_flags =
   let rounds_arg =
     Arg.(
@@ -263,14 +270,22 @@ let sweep_flags =
       $ rounds_arg $ seeds_arg $ min_suffix_arg $ jobs_arg $ trace_arg
       $ metrics_arg $ spans_arg $ heartbeat_arg $ heartbeat_file_arg))
 
+(* Output files (--trace, --heartbeat-file, hunt's --corpus) are opened
+   before any work starts, so a bad path costs nothing: one that cannot
+   be opened ends the command with a [countctl: cannot open ...]
+   error. *)
+let open_or_exit open_ path =
+  try open_ path
+  with Sys_error msg ->
+    Printf.eprintf "countctl: cannot open %s\n%!" msg;
+    exit Cmd.Exit.some_error
+
 (* Telemetry plumbing shared by run/verify/chaos/hunt: a metrics
    registry when --metrics was given, a JSONL sink (prefixed with one
    [Meta] header line) when --trace was given, a heartbeat stream
    (appended to --heartbeat-file, terminal line owned here) when
    --heartbeat was given, and the metrics table printed after the
-   wrapped action returns. Both files are opened before any work
-   starts; one that cannot be opened ends the command with a
-   [countctl: cannot open ...] error. *)
+   wrapped action returns. *)
 let with_telemetry ~meta opts
     (f :
       metrics:Stdx.Metrics.t option ->
@@ -278,12 +293,6 @@ let with_telemetry ~meta opts
       spans:bool ->
       heartbeat:Stdx.Heartbeat.t option ->
       'a) =
-  let open_or_exit open_ path =
-    try open_ path
-    with Sys_error msg ->
-      Printf.eprintf "countctl: cannot open %s\n%!" msg;
-      exit Cmd.Exit.some_error
-  in
   let hb_oc =
     Option.map
       (fun interval_s ->
@@ -380,6 +389,9 @@ let run_cmd =
       | Some _, Some msg, _ | Some _, None, Some msg -> `Error (false, msg)
       | Some adversary, None, None ->
         let rounds = Option.value opts.rounds ~default:4000 in
+        if rounds < spec.Algo.Spec.c then
+          `Error (false, short_rounds_error spec.Algo.Spec.c)
+        else
         let seeds = Option.value opts.seeds ~default:[ 1 ] in
         let mode =
           if full_trace then Sim.Engine.Full_horizon else Sim.Engine.Streaming
@@ -417,7 +429,8 @@ let run_cmd =
                 Sim.Engine.run ?metrics:cell.Sim.Campaign.metrics
                   ~tracer:cell.Sim.Campaign.tracer
                   ~spans:cell.Sim.Campaign.spans ~mode
-                  ?min_suffix:opts.min_suffix ~spec ~adversary ~faulty ~rounds
+                  ?min_suffix:opts.min_suffix ~spec
+                  ~schedule:(Sim.Schedule.static ~adversary ~faulty ~rounds)
                   ~seed:seed_arr.(i) ()
               in
               (o, o.Sim.Engine.rounds_simulated))
@@ -470,15 +483,7 @@ let verify_cmd =
     | Some (Algo.Spec.Packed spec) -> (
       let period = spec.Algo.Spec.c in
       let rounds = Option.value opts.rounds ~default:(max (8 * period) 128) in
-      (* The cross-check's sweep needs a horizon that can witness one
-         full mod-c period (Sim.Min_suffix.resolve); reject a shorter
-         one before the model check runs. *)
-      if rounds < period then
-        `Error
-          ( false,
-            Printf.sprintf
-              "--rounds must be >= %d (one full mod-%d counting period)"
-              period period )
+      if rounds < period then `Error (false, short_rounds_error period)
       else
       match Mc.Checker.check ~jobs:opts.jobs spec with
       | Ok report ->
@@ -794,7 +799,6 @@ let report_cmd =
       let rows = ref [] in
       let timeline = ref [] in
       let walls = ref [] in
-      let rounds_seen = ref 0 in
       let hunt_trials = ref 0 in
       let hunt_hits = ref 0 in
       let hunt_shrink_steps = ref 0 in
@@ -845,7 +849,6 @@ let report_cmd =
             | _ -> ());
             timeline := (!cur_cell, round, phase, requested, victims) :: !timeline
           | Sim.Trace.Detector_reset _ -> ()
-          | Sim.Trace.Round _ -> incr rounds_seen
           | Sim.Trace.Verdict { round; phase = _; stabilized = _; recovery }
             -> flush_pending ~end_round:round ~recovery
           | Sim.Trace.Hunt_trial { score; hit; _ } ->
@@ -935,10 +938,10 @@ let report_cmd =
         | None -> Buffer.add_string b ",\"bound\":null");
         Printf.bprintf b
           ",\"phases\":%d,\"recovered\":%d,\"failed\":%d,\"exceeded\":%d,\
-           \"worst_recovery\":%d,\"round_events\":%d"
+           \"worst_recovery\":%d"
           (List.length rows) (List.length recovered)
           (List.length rows - List.length recovered)
-          exceeded worst !rounds_seen;
+          exceeded worst;
         Printf.bprintf b
           ",\"hunt\":{\"trials\":%d,\"hits\":%d,\"shrink_steps\":%d,\
            \"shrink_kept\":%d,\"worst_score\":%s}"
@@ -1054,8 +1057,6 @@ let report_cmd =
           Printf.printf "; %d phase(s) EXCEED the Theorem 1 bound T <= %d"
             exceeded b
         | None -> ());
-        if !rounds_seen > 0 then
-          Printf.printf " (%d round events)" !rounds_seen;
         Printf.printf "\n";
         print_profile ();
         print_hunt ();
@@ -1274,6 +1275,13 @@ let hunt_cmd =
                     !diverged
                     (if !diverged = 1 then "y" else "ies") ))
         | None ->
+          let corpus_oc =
+            Option.map (fun path -> (path, open_or_exit open_out path)) corpus
+          in
+          Fun.protect
+            ~finally:(fun () ->
+              Option.iter (fun (_, oc) -> close_out oc) corpus_oc)
+          @@ fun () ->
           let phase_rounds = Option.value opts.rounds ~default:400 in
           let run_seed =
             match opts.seeds with Some (s :: _) -> s | _ -> 1
@@ -1325,13 +1333,10 @@ let hunt_cmd =
             Printf.printf "worst: trial %d, score %.17g\n" w.Sim.Hunt.trial
               (Sim.Hunt.score w.Sim.Hunt.badness)
           | None -> ());
-          (match corpus with
-          | Some path ->
+          (match corpus_oc with
+          | Some (path, oc) ->
             let entries = Sim.Hunt.Corpus.of_report ~spec ~hunt_seed report in
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> Sim.Hunt.Corpus.write oc entries);
+            Sim.Hunt.Corpus.write oc entries;
             Printf.printf "wrote %d corpus entr%s to %s\n"
               (List.length entries)
               (if List.length entries = 1 then "y" else "ies")

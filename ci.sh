@@ -80,10 +80,12 @@ rm -f "$run_trace"
 
 # Unopenable files are clean CLI errors: non-zero exit, no uncaught
 # exception.
-# The last failure's stderr is kept in $last_err for extra checks.
+# The last failure's stdout and stderr are kept in $last_out and
+# $last_err for extra checks.
 expect_clean_failure() {
+  out="$(mktemp)"
   err="$(mktemp)"
-  if dune exec bin/countctl.exe -- "$@" > /dev/null 2> "$err"; then
+  if dune exec bin/countctl.exe -- "$@" > "$out" 2> "$err"; then
     echo "expected failure: countctl $*" >&2
     exit 1
   fi
@@ -91,8 +93,19 @@ expect_clean_failure() {
     cat "$err" >&2
     exit 1
   fi
+  last_out="$(cat "$out")"
   last_err="$(cat "$err")"
-  rm -f "$err"
+  rm -f "$out" "$err"
+}
+expect_err() {
+  case "$last_err" in
+    *"$1"*) ;;
+    *)
+      echo "expected an error mentioning '$1', got:" >&2
+      echo "$last_err" >&2
+      exit 1
+      ;;
+  esac
 }
 expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 \
   --replay /nonexistent.jsonl
@@ -100,11 +113,24 @@ expect_clean_failure run --levels 4:1 --rounds 50 \
   --trace /nonexistent/dir/t.jsonl
 expect_clean_failure run --levels 4:1 --rounds 50 --heartbeat 0 \
   --heartbeat-file /nonexistent/dir/hb.jsonl
+# An unwritable corpus is refused before the first trial runs, so no
+# hunt output reaches stdout and no hits are lost.
+expect_clean_failure hunt --algorithm leader:4:5 --trials 2 \
+  --corpus /nonexistent/dir/x.jsonl
+expect_err 'cannot open'
+if [ -n "$last_out" ]; then
+  echo "hunt ran before refusing its corpus path:" >&2
+  echo "$last_out" >&2
+  exit 1
+fi
 # So are bad run parameters: more faulty ids than the resilience, an id
 # outside the tower, an empty horizon.
 expect_clean_failure run --levels 4:1,3:3 --faulty 0,4,8,9
 expect_clean_failure run --faulty 99
 expect_clean_failure run --rounds 0
+# A horizon shorter than one counting period cannot witness counting.
+expect_clean_failure run --levels 4:1 --modulus 10 --rounds 5
+expect_err '--rounds must be >= 10 (one full mod-10 counting period)'
 # verify rejects a horizon too short for one counting period, and a
 # zero min-suffix, before running the model check.
 expect_clean_failure verify --algorithm leader:4:5 --rounds 0
@@ -115,18 +141,25 @@ expect_clean_failure chaos --corollary1 1 --min-suffix 0
 expect_clean_failure chaos --corollary1 1 --rounds 0
 expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 --min-suffix 0
 expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 --rounds 0
+# A phase shorter than min-suffix + 2 rounds cannot certify a recovery;
+# chaos and hunt refuse it instead of reporting vacuous failures, and
+# the hunt writes no hits.
+short_corpus="$(mktemp)"
+expect_clean_failure hunt --algorithm leader:4:5 --trials 3 --rounds 4 \
+  --corpus "$short_corpus"
+expect_err 'too short to certify'
+if [ -s "$short_corpus" ]; then
+  echo "hunt with 4-round phases wrote corpus entries" >&2
+  exit 1
+fi
+rm -f "$short_corpus"
+expect_clean_failure chaos --levels 4:1 --rounds 1 --campaigns 1
+expect_err 'too short to certify'
 # A worker count below 1 is refused by the shared sweep flags, before
 # the pool sees it.
 expect_jobs_rejected() {
   expect_clean_failure "$@"
-  case "$last_err" in
-    *'--jobs must be >= 1'*) ;;
-    *)
-      echo "countctl $* does not reject its worker count cleanly:" >&2
-      echo "$last_err" >&2
-      exit 1
-      ;;
-  esac
+  expect_err '--jobs must be >= 1'
 }
 expect_jobs_rejected run --levels 4:1 --jobs 0
 expect_jobs_rejected verify --algorithm leader:4:5 --jobs=-1
@@ -139,14 +172,7 @@ expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 --bound=-5
 # code (here 65 state bits) is refused up front, naming its bit count,
 # while `plan` still describes it.
 expect_clean_failure run --levels 4:1,3:3,3:7,3:15,3:31
-case "$last_err" in
-  *65*) ;;
-  *)
-    echo "wide-tower rejection does not name its 65 state bits:" >&2
-    echo "$last_err" >&2
-    exit 1
-    ;;
-esac
+expect_err '65 state bits'
 dune exec bin/countctl.exe -- plan --levels 4:1,3:3,3:7,3:15,3:31 > /dev/null
 
 # Heartbeat smoke: the same campaign shape with spans on and a

@@ -114,8 +114,7 @@ let () =
   in
   Printf.printf "schedule: %s\n\n" (Sim.Schedule.describe schedule);
   let outcome =
-    Sim.Engine.run_schedule ~mode:Sim.Engine.Full_horizon ~spec ~schedule
-      ~seed:1 ()
+    Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec ~schedule ~seed:1 ()
   in
   let story = Stdx.Table.create
       [ "phase"; "adversary"; "faulty"; "rounds"; "perturbed"; "recovery" ]

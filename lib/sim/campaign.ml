@@ -56,12 +56,10 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
       Stdx.Heartbeat.set_totals hb ~cells
         ~cost:(Array.fold_left ( +. ) 0.0 costs))
     heartbeat;
-  let trace_level =
-    match trace with None -> Trace.Off | Some tr -> Trace.level tr
-  in
+  let seams = match trace with Some tr -> Trace.seams_on tr | None -> false in
   let want_cell_metrics = metrics <> None || spans || heartbeat <> None in
   (* The cell wall feeds [<prefix>.cell_wall_s] and [Cell_end] only. *)
-  let timed = metrics <> None || trace_level <> Trace.Off in
+  let timed = metrics <> None || seams in
   let pool_stats = ref None in
   let stats =
     if metrics = None && not spans then None
@@ -82,15 +80,12 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
         let cell_m =
           if want_cell_metrics then Some (Stdx.Metrics.create ()) else None
         in
-        let tracer =
-          if trace_level = Trace.Off then Trace.null
-          else Trace.memory ~level:trace_level ()
-        in
+        let tracer = if seams then Trace.memory () else Trace.null in
         let cell_sp =
           if not spans then Stdx.Span.disabled
           else
             let on_record =
-              if trace_level = Trace.Off then None
+              if not seams then None
               else
                 Some
                   (fun name count wall_s ->
@@ -118,7 +113,6 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
      merged metrics and the replayed trace identical at any [jobs]. *)
   let wall_metric = prefix ^ ".cell_wall_s" in
   let cells_metric = prefix ^ ".cells" in
-  let seams = match trace with Some tr -> Trace.seams_on tr | None -> false in
   Array.iteri
     (fun i (_, snap, events, wall) ->
       Option.iter

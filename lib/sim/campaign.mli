@@ -31,7 +31,7 @@ type cell = {
   metrics : Stdx.Metrics.t option;
       (** present when the caller passed [metrics], [spans] or
           [heartbeat]; merged into [metrics] and fed to the heartbeat *)
-  tracer : Trace.t;  (** a memory buffer at the caller's trace level *)
+  tracer : Trace.t;  (** a memory buffer when the caller traces *)
   spans : Stdx.Span.t;
       (** records into [metrics] and mirrors each recording as a
           {!Trace.Span} event on [tracer] *)

@@ -12,7 +12,7 @@ type phase_report = {
   recovery : int option;
 }
 
-type 's schedule_outcome = {
+type 's outcome = {
   phases : phase_report list;
   verdict : Online.verdict;
   rounds_simulated : int;
@@ -20,18 +20,6 @@ type 's schedule_outcome = {
   horizon : int;
   final_states : 's array;
   recent_outputs : (int * int array) list;
-  messages_per_round : int;
-  bits_per_round : int;
-}
-
-type 's outcome = {
-  verdict : Online.verdict;
-  rounds_simulated : int;
-  early_exit : bool;
-  horizon : int;
-  final_states : 's array;
-  recent_outputs : (int * int array) list;
-  faulty : int array;
   messages_per_round : int;
   bits_per_round : int;
 }
@@ -46,9 +34,9 @@ let span_sample_mask = 15
 
 let span_sample_scale = float_of_int (span_sample_mask + 1)
 
-let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
-    ?(spans = Stdx.Span.disabled) ?init ?(mode = Streaming) ?min_suffix
-    ?window ~(spec : 's Algo.Spec.t) ~(schedule : 's Schedule.t) ~seed () =
+let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
+    ?init ?(mode = Streaming) ?min_suffix ~(spec : 's Algo.Spec.t)
+    ~(schedule : 's Schedule.t) ~seed () =
   let n = spec.Algo.Spec.n in
   let codec =
     match spec.Algo.Spec.codec with
@@ -56,11 +44,10 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
     | None ->
       invalid_arg
         (Printf.sprintf
-           "Engine.run_schedule: spec %s (%d state bits) has no state codec"
+           "Engine.run: spec %s (%d state bits) has no state codec"
            spec.Algo.Spec.name spec.Algo.Spec.state_bits)
   in
   let tr_seams = Trace.seams_on tracer in
-  let tr_rounds = Trace.rounds_on tracer in
   let schedule = Schedule.validate ~spec schedule in
   let phases = Array.of_list schedule.Schedule.phases in
   let num_phases = Array.length phases in
@@ -72,12 +59,11 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
   let min_suffix =
     Min_suffix.clamp ~c:spec.Algo.Spec.c ~rounds:total min_suffix
   in
-  (* RNG stream layout extends the historical [run]/[Network.run] layout
-     (init, adversary, per-node) with one corruption stream split {e
-     last}, so a single-phase schedule is byte-for-byte the same
-     execution as the static run of the same seed. The boxed reference
-     loop in test/reference.ml draws from every stream in the same
-     order, which is what the flat path is certified against. *)
+  (* RNG stream layout: init, adversary, per-node, then the corruption
+     stream split {e last}, so it never shifts the streams a static
+     schedule draws from. The boxed reference loop in test/reference.ml
+     draws from every stream in the same order, which is what the flat
+     path is certified against. *)
   let master = Stdx.Rng.create seed in
   let init_rng = Stdx.Rng.split master in
   let adv_rng = Stdx.Rng.split master in
@@ -85,7 +71,7 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
   let corrupt_rng = Stdx.Rng.split master in
   (match init with
   | Some states when Array.length states <> n ->
-    invalid_arg "Engine.run_schedule: init has wrong length"
+    invalid_arg "Engine.run: init has wrong length"
   | _ -> ());
   (* Per-phase fault bookkeeping, refreshed at every phase boundary. *)
   let faulty = ref [||] in
@@ -163,13 +149,10 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
   let decoded_states () =
     Array.init n (fun v -> decode (Statebuf.get !cur v))
   in
-  let hooked = Option.is_some probe || Option.is_some trace in
   let enter_phase i =
     let p = phases.(i) in
-    let fa =
-      Schedule.validate_faulty ~who:"Engine.run_schedule" ~n
-        ~f:spec.Algo.Spec.f p.Schedule.faulty
-    in
+    (* [Schedule.validate] has checked and sorted every faulty set. *)
+    let fa = Array.of_list p.Schedule.faulty in
     let is_faulty = Array.make n false in
     Array.iter (fun v -> is_faulty.(v) <- true) fa;
     faulty := fa;
@@ -187,7 +170,7 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
   in
   enter_phase 0;
   let detector =
-    Online.create ?window ~c:spec.Algo.Spec.c ~correct:!correct ~min_suffix ()
+    Online.create ~c:spec.Algo.Spec.c ~correct:!correct ~min_suffix ()
   in
   let pending = ref schedule.Schedule.events in
   let reports = ref [] in
@@ -291,21 +274,18 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
       pert_count := 1
     done;
     apply_events ();
-    (* The ['s]-typed hooks see a freshly decoded row each round, so a
-       hook may keep it: later rounds and corruption events never write
-       into it. Unhooked runs never decode. *)
-    let states = if hooked then decoded_states () else [||] in
-    (match probe with Some p -> p ~round:!t ~states | None -> ());
     sample := span_on && !t land span_sample_mask = 0;
     let d0 = if !sample then Stdx.Span.now spans else 0.0 in
     for v = 0 to n - 1 do
       outs.(v) <- codec.Algo.Spec.output_code ~self:v (Statebuf.get !cur v)
     done;
+    (* The trace hook sees a freshly decoded row each round, so it may
+       keep it: later rounds and corruption events never write into it.
+       Unhooked runs never decode. *)
     (match trace with
-    | Some tr -> tr ~round:!t ~states ~outputs:(Array.copy outs)
+    | Some tr ->
+      tr ~round:!t ~states:(decoded_states ()) ~outputs:(Array.copy outs)
     | None -> ());
-    if tr_rounds then
-      Trace.emit tracer (Trace.Round { round = !t; phase = !phase_idx });
     Online.observe detector ~round:!t outs;
     if !sample then begin
       detect_s := !detect_s +. (Stdx.Span.now spans -. d0);
@@ -395,33 +375,4 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
     recent_outputs = Online.recent detector;
     messages_per_round;
     bits_per_round = messages_per_round * spec.Algo.Spec.state_bits;
-  }
-
-let run ?probe ?trace ?tracer ?metrics ?spans ?init ?mode ?min_suffix ?window
-    ~(spec : 's Algo.Spec.t) ~(adversary : 's Adversary.t) ~faulty ~rounds
-    ~seed () =
-  let n = spec.Algo.Spec.n in
-  (* Validate eagerly so error messages keep their historical prefix. *)
-  let faulty_arr =
-    Schedule.validate_faulty ~who:"Engine.run" ~n ~f:spec.Algo.Spec.f faulty
-  in
-  (match init with
-  | Some states when Array.length states <> n ->
-    invalid_arg "Engine.run: init has wrong length"
-  | _ -> ());
-  let schedule = Schedule.static ~adversary ~faulty ~rounds in
-  let o =
-    run_schedule ?probe ?trace ?tracer ?metrics ?spans ?init ?mode ?min_suffix
-      ?window ~spec ~schedule ~seed ()
-  in
-  {
-    verdict = o.verdict;
-    rounds_simulated = o.rounds_simulated;
-    early_exit = o.early_exit;
-    horizon = rounds;
-    final_states = o.final_states;
-    recent_outputs = o.recent_outputs;
-    faulty = faulty_arr;
-    messages_per_round = o.messages_per_round;
-    bits_per_round = o.bits_per_round;
   }

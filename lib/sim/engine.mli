@@ -1,7 +1,10 @@
-(** Streaming simulation engine — the hot path behind every sweep.
+(** Streaming simulation engine — the hot path behind every sweep, and
+    the one way to run an execution.
 
-    Simulates the same synchronous broadcast-round model as
-    {!Network.run}, but keeps only the live O(n) state vector plus a
+    Simulates the synchronous broadcast-round model of Section 2 over a
+    fault {!Schedule}: the paper's setting — one faulty set, arbitrary
+    initial states, a fixed horizon — is the one-phase, event-free
+    {!Schedule.static}. It keeps only the live O(n) state vector plus a
     bounded sliding window of recent output rows, detects stabilisation
     {e online} with {!Online}, and (in {!Streaming} mode) {b early-exits}
     as soon as the clean counting suffix reaches [min_suffix] — typically
@@ -28,9 +31,9 @@
     RNG stream.
 
     States are decoded only where ['s] values are asked for: the
-    [final_states] of the outcome, and the rows handed to a [probe] or
-    [trace] hook — decoded once per round, after that round's events,
-    into a fresh array the hook may keep.
+    [final_states] of the outcome, and the rows handed to the [trace]
+    hook — decoded once per round, after that round's events, into a
+    fresh array the hook may keep.
 
     The test suite certifies the engine against a slow boxed reference
     simulator ([test/reference.ml]): same RNG stream consumption, and
@@ -40,8 +43,8 @@
 
     {2 Verdict equivalence}
 
-    The RNG stream layout is byte-identical to {!Network.run} (which is
-    itself a thin wrapper over this engine), so for a given
+    {!Network.run} is a thin wrapper over this engine (a static
+    schedule, the [trace] hook, {!Full_horizon}), so for a given
     [(spec, adversary, faulty, rounds, seed)] the streamed execution and
     the full-trace execution are the same run.
 
@@ -62,7 +65,8 @@
 
     To force full-trace behaviour, pass [~mode:Full_horizon] (same memory
     profile, no early exit) or use {!Network.run} when the whole
-    state/output trace is needed (probes, figures, the model checker). *)
+    state/output trace is needed (lemma probes, figures, the model
+    checker). *)
 
 type mode =
   | Streaming  (** early-exit once the verdict is [Stabilized] *)
@@ -98,37 +102,24 @@ type phase_report = {
           re-stabilise within its duration *)
 }
 
-type 's schedule_outcome = {
+type 's outcome = {
   phases : phase_report list;  (** one report per phase, in order *)
   verdict : Online.verdict;  (** the final phase's verdict *)
-  rounds_simulated : int;
-  early_exit : bool;
-  horizon : int;  (** [Schedule.total_rounds] *)
-  final_states : 's array;
-  recent_outputs : (int * int array) list;
-  messages_per_round : int;
-  bits_per_round : int;
-}
-
-type 's outcome = {
-  verdict : Online.verdict;
   rounds_simulated : int;
       (** transition steps actually executed; output rows
           [0 .. rounds_simulated] were observed. Equals [horizon] unless
           the run early-exited. *)
   early_exit : bool;  (** stopped before the horizon *)
-  horizon : int;  (** the requested [rounds] *)
+  horizon : int;  (** [Schedule.total_rounds] *)
   final_states : 's array;  (** live state vector at the last round *)
   recent_outputs : (int * int array) list;
-      (** sliding window of the last [(round, outputs)] rows, oldest
+      (** sliding window of the last 8 [(round, outputs)] rows, oldest
           first *)
-  faulty : int array;  (** validated, sorted faulty ids *)
   messages_per_round : int;
   bits_per_round : int;
 }
 
 val run :
-  ?probe:(round:int -> states:'s array -> unit) ->
   ?trace:(round:int -> states:'s array -> outputs:int array -> unit) ->
   ?tracer:Trace.t ->
   ?metrics:Stdx.Metrics.t ->
@@ -136,30 +127,39 @@ val run :
   ?init:'s array ->
   ?mode:mode ->
   ?min_suffix:int ->
-  ?window:int ->
   spec:'s Algo.Spec.t ->
-  adversary:'s Adversary.t ->
-  faulty:int list ->
-  rounds:int ->
+  schedule:'s Schedule.t ->
   seed:int ->
   unit ->
   's outcome
-(** Simulate up to [rounds] rounds, early-exiting in {!Streaming} mode
-    (the default). [min_suffix] — explicit or defaulted — is resolved by
-    {!Min_suffix.clamp}, the same arithmetic contract the {!Harness}
-    sweeps enforce: default [max (2*c) 16], capped by [rounds / 4],
-    floored at [c]. (Sweeps additionally reject [rounds < c]; see
-    {!Min_suffix}.)
-    [probe] sees the start-of-round states of every simulated round
-    (including round 0); [trace] additionally receives the output row and
-    is how {!Network.run} materialises full traces. Every call gets
-    freshly decoded arrays that the hook may keep; passing either hook
-    costs one decode per node per round. [window] bounds
-    [recent_outputs] (default 8).
+(** Execute a fault {!Schedule} for up to its total horizon,
+    early-exiting in {!Streaming} mode (the default). At every phase
+    boundary the faulty set is re-validated, the incoming adversary gets
+    a fresh crafter, and the {!Online} detector is reset (with the new
+    correct set); each transient event corrupts up to [victims] correct
+    nodes' states to spec-random values before that round's row is
+    observed. Every perturbation restarts the recovery clock, so each
+    {!phase_report} carries the phase's own re-stabilisation verdict and
+    recovery time. {!Streaming} mode early-exits only once the final
+    phase has re-stabilised and no events remain — earlier phases always
+    run to their boundary so every report is over the phase's full
+    duration.
+
+    [min_suffix] — explicit or defaulted — is resolved against the
+    schedule's total horizon by {!Min_suffix.clamp}, the same arithmetic
+    contract the {!Harness} sweeps enforce: default [max (2*c) 16],
+    capped by [rounds / 4], floored at [c]. (Sweeps additionally reject
+    [rounds < c]; see {!Min_suffix}.)
+
+    [trace] is the one per-round hook: it sees the start-of-round states
+    and the output row of every simulated round, including round 0,
+    after that round's corruption events. Every call gets freshly
+    decoded arrays that the hook may keep — a later event never writes
+    into a row already handed over — at the cost of one decode per node
+    per round; {!Network.run} materialises full traces through it.
 
     [tracer] (default {!Trace.null}) receives structured {!Trace.event}s
-    at the chaos seams — plus one [Round] event per simulated round when
-    its level is [Rounds]; [metrics] receives the engine counters
+    at the chaos seams; [metrics] receives the engine counters
     ([engine.runs]/[engine.rounds]/[engine.messages]/…) and the
     [engine.recovery_rounds] histogram, flushed once when the run ends.
     Neither consumes randomness or changes the execution: the run is
@@ -177,46 +177,9 @@ val run :
     rounds simulated). Spans are as inert as [tracer]/[metrics]: same
     differential certification, wall-clock values excepted.
 
-    Raises [Invalid_argument] on invalid faulty sets or [init] length,
-    like {!Network.run}, and on a spec without a codec. *)
-
-val run_schedule :
-  ?probe:(round:int -> states:'s array -> unit) ->
-  ?trace:(round:int -> states:'s array -> outputs:int array -> unit) ->
-  ?tracer:Trace.t ->
-  ?metrics:Stdx.Metrics.t ->
-  ?spans:Stdx.Span.t ->
-  ?init:'s array ->
-  ?mode:mode ->
-  ?min_suffix:int ->
-  ?window:int ->
-  spec:'s Algo.Spec.t ->
-  schedule:'s Schedule.t ->
-  seed:int ->
-  unit ->
-  's schedule_outcome
-(** Execute a time-varying fault {!Schedule}: at every phase boundary the
-    faulty set is re-validated, the incoming adversary gets a fresh
-    crafter, and the {!Online} detector is reset (with the new correct
-    set); each transient event corrupts up to [victims] correct nodes'
-    states to spec-random values before that round's row is observed
-    (traces keep pre-event rows: each row a hook receives is its own
-    array).
-    Every perturbation restarts the recovery clock, so each
-    {!phase_report} carries the phase's own re-stabilisation verdict and
-    recovery time rather than one global verdict.
-
-    [min_suffix] is clamped against the schedule's total horizon.
-    {!Streaming} mode early-exits only once the final phase has
-    re-stabilised and no events remain — earlier phases always run to
-    their boundary so every report is over the phase's full duration.
-
-    The RNG stream layout extends {!run}'s with one extra corruption
-    stream, split after the per-node streams: a single-phase, no-event
-    schedule is therefore the {e same execution} as the static {!run}
-    with the same [(spec, adversary, faulty, rounds, seed)] — identical
-    verdict, [rounds_simulated] and final states (enforced by a
-    differential test). Raises [Invalid_argument] on invalid schedules
-    ({!Schedule.validate}), [init] length, or a spec without a codec
-    (the message names the spec and its [state_bits]). *)
-
+    The RNG stream layout is init, adversary, one stream per node, then
+    one corruption stream; the boxed reference in [test/reference.ml]
+    draws in the same order. Raises [Invalid_argument] on invalid
+    schedules ({!Schedule.validate}) or faulty sets, [init] length, or a
+    spec without a codec (the message names the spec and its
+    [state_bits]). *)

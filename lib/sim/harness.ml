@@ -115,8 +115,9 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
         let adversary, faulty, seed = grid.(i) in
         let o =
           Engine.run ?metrics:cell.Campaign.metrics ~tracer:cell.Campaign.tracer
-            ~spans:cell.Campaign.spans ~mode ~min_suffix ~spec ~adversary
-            ~faulty ~rounds ~seed ()
+            ~spans:cell.Campaign.spans ~mode ~min_suffix ~spec
+            ~schedule:(Schedule.static ~adversary ~faulty ~rounds)
+            ~seed ()
         in
         ( {
             adversary = Adversary.name adversary;
@@ -228,7 +229,7 @@ module Chaos = struct
     }
 
   let outcome_of ~schedule_seed ~schedule ~run_seed
-      (o : _ Engine.schedule_outcome) =
+      (o : _ Engine.outcome) =
     let phases = o.Engine.phases in
     let recovered =
       List.for_all
@@ -274,7 +275,7 @@ module Chaos = struct
       (fun cell i ->
         let sched, run_seed, min_suffix = entries.(i) in
         let o =
-          Engine.run_schedule ?metrics:cell.Campaign.metrics
+          Engine.run ?metrics:cell.Campaign.metrics
             ~tracer:cell.Campaign.tracer ~spans:cell.Campaign.spans ~mode
             ?min_suffix ~spec ~schedule:sched ~seed:run_seed ()
         in

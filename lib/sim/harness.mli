@@ -131,7 +131,7 @@ val run :
 val pp_aggregate : Format.formatter -> aggregate -> unit
 
 (** Chaos campaigns: random time-varying fault {!Schedule}s executed by
-    {!Engine.run_schedule}, aggregating per-phase recovery times.
+    {!Engine.run}, aggregating per-phase recovery times.
 
     A campaign is one random schedule (from schedule seeds
     [1 .. campaigns], via {!Schedule.random}) executed once per run seed.
@@ -239,7 +239,7 @@ module Chaos : sig
       reproducers of a {!Hunt} corpus — through the same pool machinery
       and aggregation as {!run}. The [schedule_seed] of each outcome is
       the entry's index in [entries] (outcomes are in entry order).
-      [min_suffix] requests pass straight to {!Engine.run_schedule},
+      [min_suffix] requests pass straight to {!Engine.run},
       which clamps them against each schedule's own horizon — so a
       recorded request replays to the same effective value. [mode]
       defaults to [Engine.Streaming]; any [jobs] yields an

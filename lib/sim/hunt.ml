@@ -69,8 +69,7 @@ let badness_of ~n ~time_bound ~schedule (phases : Engine.phase_report list) =
 let evaluate ?metrics ?(spans = Stdx.Span.disabled) ?(mode = Engine.Streaming)
     ?min_suffix ~time_bound ~(spec : 's Algo.Spec.t) ~schedule ~seed () =
   let o =
-    Engine.run_schedule ?metrics ~spans ~mode ?min_suffix ~spec ~schedule
-      ~seed ()
+    Engine.run ?metrics ~spans ~mode ?min_suffix ~spec ~schedule ~seed ()
   in
   ( badness_of ~n:spec.Algo.Spec.n ~time_bound ~schedule o.Engine.phases,
     o )

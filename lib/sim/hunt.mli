@@ -5,7 +5,7 @@
     A hunt is a grid of {e trials}. Each trial derives two seeds from the
     hunt seed — one for {!Schedule.random}, one for a burst of structured
     {!Schedule.mutate} steps — executes the resulting schedule through
-    {!Engine.run_schedule}, and scores the outcome by {!badness}:
+    {!Engine.run}, and scores the outcome by {!badness}:
     phases that failed to re-stabilise dominate, then the worst recovery
     time relative to the configured Theorem 1 bound, then statically
     clamped events. Trials whose badness {!classify}es as a failure
@@ -87,9 +87,9 @@ val evaluate :
   schedule:'s Schedule.t ->
   seed:int ->
   unit ->
-  badness * 's Engine.schedule_outcome
+  badness * 's Engine.outcome
 (** Execute one schedule and score it. [min_suffix] is the {e requested}
-    value — {!Engine.run_schedule} clamps it against the schedule's own
+    value — {!Engine.run} clamps it against the schedule's own
     horizon, so recording the request is enough to replay the run
     bit-identically. [mode] defaults to [Engine.Streaming]; [spans]
     (default {!Stdx.Span.disabled}) is forwarded to the engine. *)

@@ -10,11 +10,11 @@ type 's run = {
 }
 
 (* Thin wrapper over the streaming engine: materialise the full trace via
-   the engine's [trace] hook. Probes, figures and the model checker need
-   the whole history; sweeps should use [Engine.run] (or [Harness.run])
-   directly and early-exit instead. *)
-let run ?probe ?init ~(spec : 's Algo.Spec.t) ~(adversary : 's Adversary.t)
-    ~faulty ~rounds ~seed () =
+   the engine's [trace] hook. Lemma probes, figures and the model
+   checker need the whole history; sweeps should use [Engine.run] (or
+   [Harness.run]) directly and early-exit instead. *)
+let run ?init ~(spec : 's Algo.Spec.t) ~(adversary : 's Adversary.t) ~faulty
+    ~rounds ~seed () =
   let states = Array.make (rounds + 1) [||] in
   let outputs = Array.make (rounds + 1) [||] in
   let trace ~round ~states:s ~outputs:o =
@@ -22,12 +22,13 @@ let run ?probe ?init ~(spec : 's Algo.Spec.t) ~(adversary : 's Adversary.t)
     outputs.(round) <- o
   in
   let outcome =
-    Engine.run ?probe ?init ~trace ~mode:Engine.Full_horizon ~min_suffix:1
-      ~spec ~adversary ~faulty ~rounds ~seed ()
+    Engine.run ?init ~trace ~mode:Engine.Full_horizon ~min_suffix:1 ~spec
+      ~schedule:(Schedule.static ~adversary ~faulty ~rounds)
+      ~seed ()
   in
   {
     spec;
-    faulty = outcome.Engine.faulty;
+    faulty = Array.of_list (List.hd outcome.Engine.phases).Engine.faulty;
     seed;
     rounds;
     states;

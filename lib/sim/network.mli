@@ -24,7 +24,6 @@ type 's run = {
 }
 
 val run :
-  ?probe:(round:int -> states:'s array -> unit) ->
   ?init:'s array ->
   spec:'s Algo.Spec.t ->
   adversary:'s Adversary.t ->
@@ -36,8 +35,8 @@ val run :
 (** Simulate [rounds] rounds. Raises [Invalid_argument] if the faulty set
     has duplicates, ids out of range, or more than [spec.f] members (pass
     fewer to study under-provisioned fault sets), or if [init] has wrong
-    length. [probe] is called with the start-of-round state vector of every
-    round, including round 0. *)
+    length. Per-round observers walk [states]/[outputs]; a run that needs
+    only a verdict should use {!Engine.run} and early-exit instead. *)
 
 val correct_ids : 's run -> int list
 (** Node ids outside the faulty set. *)

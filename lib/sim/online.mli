@@ -31,7 +31,7 @@ val create :
     modulo [c] restricted to the [correct] node ids. [min_suffix >= 1]
     (raises [Invalid_argument] otherwise; horizon-aware validation, e.g.
     never accepting a suffix shorter than [c], is the caller's contract —
-    see {!Harness.sweep}). [window] bounds the number of recent output
+    see {!Min_suffix}). [window] bounds the number of recent output
     rows retained (default 8). *)
 
 val observe : t -> round:int -> int array -> unit

@@ -63,14 +63,36 @@ let validate ~(spec : 's Algo.Spec.t) t =
 let static ~adversary ~faulty ~rounds =
   { phases = [ { adversary; faulty; duration = rounds } ]; events = [] }
 
+(* Pull an event that lands too close to the end of its phase back so
+   that [event_margin] clean counting steps fit strictly after the
+   corrupted row (which can never itself start the clean suffix):
+   otherwise a perturbation near a phase boundary could not be certified
+   as recovered, whatever the algorithm. [random] keeps the pulled-back
+   round inside its phase by rejecting phases shorter than
+   [event_margin + 2]. *)
+let clamp_to_phase ~event_margin phases round =
+  let rec find start = function
+    | [] -> round
+    | p :: rest ->
+      if round < start + p.duration then
+        min round (start + p.duration - 2 - event_margin)
+      else find (start + p.duration) rest
+  in
+  find 0 phases
+
 let random ~(spec : 's Algo.Spec.t) ~adversaries ?(phases = 3)
     ?(phase_rounds = 500) ?(events = 2) ?(max_victims = 2) ?(event_margin = 0)
     ~seed () =
   if phases < 1 then invalid_arg "Schedule.random: phases < 1";
-  if phase_rounds < 1 then invalid_arg "Schedule.random: phase_rounds < 1";
   if events < 0 then invalid_arg "Schedule.random: events < 0";
   if max_victims < 1 then invalid_arg "Schedule.random: max_victims < 1";
   if event_margin < 0 then invalid_arg "Schedule.random: event_margin < 0";
+  if phase_rounds < event_margin + 2 then
+    invalid_arg
+      (Printf.sprintf
+         "Schedule.random: phase_rounds %d is below event_margin + 2 = %d, \
+          too short to certify a recovery"
+         phase_rounds (event_margin + 2));
   if adversaries = [] then invalid_arg "Schedule.random: no adversaries";
   let n = spec.Algo.Spec.n and f = spec.Algo.Spec.f in
   let rng = Stdx.Rng.create seed in
@@ -83,25 +105,11 @@ let random ~(spec : 's Algo.Spec.t) ~adversaries ?(phases = 3)
         { adversary; faulty; duration })
   in
   let total = List.fold_left (fun acc p -> acc + p.duration) 0 phase_list in
-  (* Pull events that land too close to the end of their phase back so
-     that [event_margin] clean counting steps fit strictly after the
-     corrupted row (which can never itself start the clean suffix):
-     otherwise a perturbation near a phase boundary could not be
-     certified as recovered, whatever the algorithm. *)
-  let clamp_to_phase round =
-    let rec find start = function
-      | [] -> round
-      | p :: rest ->
-        if round < start + p.duration then
-          max start (min round (start + p.duration - 2 - event_margin))
-        else find (start + p.duration) rest
-    in
-    find 0 phase_list
-  in
   let event_list =
     List.init events (fun _ ->
         {
-          round = clamp_to_phase (Stdx.Rng.int rng total);
+          round =
+            clamp_to_phase ~event_margin phase_list (Stdx.Rng.int rng total);
           victims = 1 + Stdx.Rng.int rng max_victims;
         })
   in
@@ -264,16 +272,7 @@ let mutate ~(spec : 's Algo.Spec.t) ~adversaries ?(max_victims = 2)
   let with_phase i g =
     { t with phases = List.mapi (fun j p -> if j = i then g p else p) t.phases }
   in
-  let clamp_to_phase round =
-    let rec find start = function
-      | [] -> round
-      | p :: rest ->
-        if round < start + p.duration then
-          max start (min round (start + p.duration - 2 - event_margin))
-        else find (start + p.duration) rest
-    in
-    find 0 t.phases
-  in
+  let clamp_to_phase = clamp_to_phase ~event_margin t.phases in
   let mutated =
     match Stdx.Rng.int rng 6 with
     | 0 ->

@@ -1,13 +1,13 @@
 (** Time-varying fault schedules — the chaos layer's description language.
 
-    The static engine entry point ({!Engine.run}) fixes one faulty set
-    and one adversary for the whole run. A {e schedule} instead describes
-    a run as a sequence of {!phase}s — each with its own faulty set,
+    The paper's model fixes one faulty set and one adversary for the
+    whole run ({!static}). A {e schedule} generalises it to a sequence
+    of {!phase}s — each with its own faulty set,
     adversary and duration — plus one-shot {!event}s that corrupt the
     states of [victims] correct nodes to spec-random values at a given
     round (bit flips / reboots in the circuit interpretation). This is
     the fault model under which self-stabilisation actually earns its
-    keep: the engine ({!Engine.run_schedule}) re-validates the faulty set
+    keep: the engine ({!Engine.run}) re-validates the faulty set
     and swaps the adversary's crafter at every phase boundary, applies
     corruptions between rounds, and reports a {e per-phase}
     re-stabilisation verdict and recovery time.
@@ -40,8 +40,7 @@ val total_rounds : 's t -> int
     [0 .. total_rounds] are observed when executing it in full. *)
 
 val validate_faulty : ?who:string -> n:int -> f:int -> int list -> int array
-(** Shared faulty-set validation (historically [Engine.validate_faulty],
-    which now delegates here): returns the sorted array, or raises
+(** Shared faulty-set validation: returns the sorted array, or raises
     [Invalid_argument] — prefixed with [who] — on duplicates, out-of-range
     ids, or more than [f] members. *)
 
@@ -54,7 +53,8 @@ val validate : spec:'s Algo.Spec.t -> 's t -> 's t
 
 val static : adversary:'s Adversary.t -> faulty:int list -> rounds:int -> 's t
 (** The degenerate one-phase, no-event schedule — exactly the static
-    fault model. [Engine.run] is [Engine.run_schedule] over [static]. *)
+    fault model of Section 2, and the schedule every sweep hands to
+    {!Engine.run}. *)
 
 val random :
   spec:'s Algo.Spec.t ->
@@ -74,11 +74,16 @@ val random :
     [phase_rounds] 500). [events] (default 2) transient corruptions are
     placed uniformly over the horizon, each hitting [1 .. max_victims]
     (default 2) correct nodes; an event landing within [event_margin]
-    (default 0) rounds of its phase's end is pulled back to the margin
-    (clamped to the phase start), so a re-stabilisation verdict has room
-    to be certified — {!Harness.Chaos} passes its [min_suffix] here. The
+    (default 0) rounds of its phase's end is pulled back to the margin,
+    so a re-stabilisation verdict has room to be certified —
+    {!Harness.Chaos} and {!Hunt} pass their [min_suffix] here. The
     result is validated against [spec]. Equal seeds (and parameters)
-    yield equal schedules. *)
+    yield equal schedules.
+
+    Raises [Invalid_argument] when [phase_rounds < event_margin + 2]:
+    the shortest phase could then not fit one perturbation plus
+    [event_margin] clean steps after it, so any verdict it produced
+    would be vacuous. *)
 
 val describe : 's t -> string
 (** One-line human/JSON-friendly rendering:

@@ -1,5 +1,3 @@
-type level = Off | Seams | Rounds
-
 type event =
   | Meta of {
       label : string;
@@ -15,7 +13,6 @@ type event =
       adversary : string;
       faulty : int list;
     }
-  | Round of { round : int; phase : int }
   | Corruption of {
       round : int;
       phase : int;
@@ -67,8 +64,6 @@ let to_json = function
       "{\"ev\":\"phase-start\",\"round\":%d,\"phase\":%d,\"adversary\":\"%s\",\
        \"faulty\":%s}"
       round phase (json_escape adversary) (ints faulty)
-  | Round { round; phase } ->
-    Printf.sprintf "{\"ev\":\"round\",\"round\":%d,\"phase\":%d}" round phase
   | Corruption { round; phase; requested; victims } ->
     Printf.sprintf
       "{\"ev\":\"corruption\",\"round\":%d,\"phase\":%d,\"requested\":%d,\
@@ -106,45 +101,24 @@ let pp_event ppf ev = Format.pp_print_string ppf (to_json ev)
 (* Writers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type sink =
-  | Null
-  | Memory of { capacity : int option; buf : event Queue.t }
-  | Jsonl of out_channel
+type t = Null | Memory of event Queue.t | Jsonl of out_channel
 
-type t = { level : level; sink : sink }
-
-let null = { level = Off; sink = Null }
-
-let memory ?(level = Seams) ?capacity () =
-  (match capacity with
-  | Some c when c < 1 -> invalid_arg "Trace.memory: capacity must be >= 1"
-  | _ -> ());
-  { level; sink = Memory { capacity; buf = Queue.create () } }
-
-let jsonl ?(level = Seams) oc = { level; sink = Jsonl oc }
-
-let level t = t.level
-let seams_on t = t.level <> Off
-let rounds_on t = t.level = Rounds
+let null = Null
+let memory () = Memory (Queue.create ())
+let jsonl oc = Jsonl oc
+let seams_on = function Null -> false | Memory _ | Jsonl _ -> true
 
 let emit t ev =
-  match t.sink with
+  match t with
   | Null -> ()
-  | Memory m ->
-    Queue.push ev m.buf;
-    (match m.capacity with
-    | Some c ->
-      while Queue.length m.buf > c do
-        ignore (Queue.pop m.buf)
-      done
-    | None -> ())
+  | Memory buf -> Queue.push ev buf
   | Jsonl oc ->
     output_string oc (to_json ev);
     output_char oc '\n'
 
 let events t =
-  match t.sink with
-  | Memory m -> List.of_seq (Queue.to_seq m.buf)
+  match t with
+  | Memory buf -> List.of_seq (Queue.to_seq buf)
   | Null | Jsonl _ -> []
 
 (* ------------------------------------------------------------------ *)
@@ -184,7 +158,6 @@ let of_json line =
                adversary = str "adversary";
                faulty = ints "faulty";
              })
-      | "round" -> Ok (Round { round = i "round"; phase = i "phase" })
       | "corruption" ->
         let victims = ints "victims" in
         (* Traces written before the clamp became visible carry no

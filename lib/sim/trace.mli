@@ -3,8 +3,7 @@
 
     The engine emits a {!event} at every seam the chaos layer created
     (phase boundaries, transient corruption, detector resets, per-phase
-    verdicts) plus, at the most verbose level, one event per simulated
-    round; the harnesses wrap each grid cell's stream in
+    verdicts); the harnesses wrap each grid cell's stream in
     [Cell_start]/[Cell_end] markers and the CLI prepends one [Meta]
     event describing the algorithm under test. A trace is consumed by
     [countctl report] (per-phase recovery summary vs the Theorem 1
@@ -12,23 +11,18 @@
 
     {2 Writers}
 
-    A {!t} is a sink. {!null} (the default everywhere) is {e inert}: its
-    level is {!Off}, so instrumented code guards every emission with one
-    branch ({!seams_on} / {!rounds_on}) and the hot loop pays nothing
-    else — the differential test in [test_telemetry.ml] checks runs are
-    bit-identical with tracing on and off. {!memory} buffers events (a
-    bounded ring if [capacity] is given — oldest events drop first);
-    {!jsonl} encodes each event as one JSON object per line.
+    A {!t} is a sink. {!null} (the default everywhere) is {e inert}:
+    instrumented code guards every emission with one branch
+    ({!seams_on}) and pays nothing else — the differential test in
+    [test_telemetry.ml] checks runs are bit-identical with tracing on
+    and off. Every event sits at a seam, never inside the per-round
+    loop. {!memory} buffers events; {!jsonl} encodes each event as one
+    JSON object per line.
 
     Writers are single-domain: parallel harnesses give each worker its
     own {!memory} buffer and replay the buffers into the caller's sink
     in cell-index order, so trace output is identical at any jobs
     count. *)
-
-type level =
-  | Off  (** emit nothing (the {!null} writer) *)
-  | Seams  (** phase starts, corruption, resets, verdicts, cell marks *)
-  | Rounds  (** [Seams] plus one [Round] event per simulated round *)
 
 type event =
   | Meta of {
@@ -48,7 +42,6 @@ type event =
       adversary : string;
       faulty : int list;
     }
-  | Round of { round : int; phase : int }
   | Corruption of {
       round : int;
       phase : int;
@@ -98,27 +91,18 @@ val pp_event : Format.formatter -> event -> unit
 type t
 
 val null : t
-val memory : ?level:level -> ?capacity:int -> unit -> t
-(** Buffering sink (default level [Seams]). Without [capacity] the
-    buffer is unbounded; with it, a ring keeping the [capacity] most
-    recent events. *)
+val memory : unit -> t
+(** Unbounded buffering sink. *)
 
-val jsonl : ?level:level -> out_channel -> t
-(** One JSON object per line on [oc] (default level [Seams]). The caller
-    closes the channel. *)
-
-val level : t -> level
+val jsonl : out_channel -> t
+(** One JSON object per line on [oc]. The caller closes the channel. *)
 
 val seams_on : t -> bool
-(** [level >= Seams] — the emission guard. *)
-
-val rounds_on : t -> bool
-(** [level = Rounds] — the hot-loop guard. *)
+(** [false] only for {!null} — the emission guard. *)
 
 val emit : t -> event -> unit
-(** Record one event; a no-op on {!null}. Emission is not level-filtered
-    here — producers are expected to guard with {!seams_on}/{!rounds_on}
-    (that is what makes the off path one branch). *)
+(** Record one event; a no-op on {!null}. Producers guard with
+    {!seams_on} so the off path is one branch. *)
 
 val events : t -> event list
 (** Contents of a {!memory} sink, oldest first; [[]] for other sinks. *)

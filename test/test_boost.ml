@@ -215,9 +215,11 @@ let test_leader_windows_appear () =
     if round >= 2500 then
       probes := (round, Counting.Boost.probe_states boosted states) :: !probes
   in
-  ignore
-    (Sim.Network.run ~probe ~spec ~adversary:(Sim.Adversary.benign ())
-       ~faulty:[] ~rounds:4000 ~seed:3 ());
+  let run =
+    Sim.Network.run ~spec ~adversary:(Sim.Adversary.benign ())
+      ~faulty:[] ~rounds:4000 ~seed:3 ()
+  in
+  Array.iteri (fun round states -> probe ~round ~states) run.Sim.Network.states;
   let probes = List.rev !probes in
   let tau = boosted.Counting.Boost.params.Counting.Boost.tau in
   (* find a maximal run of rounds with identical block votes *)
@@ -259,9 +261,11 @@ let test_r_value_increments_in_windows () =
       prev := Some p.Counting.Boost.r_value
     end
   in
-  ignore
-    (Sim.Network.run ~probe ~spec ~adversary:(Sim.Adversary.benign ())
-       ~faulty:[] ~rounds:4000 ~seed:3 ());
+  let run =
+    Sim.Network.run ~spec ~adversary:(Sim.Adversary.benign ())
+      ~faulty:[] ~rounds:4000 ~seed:3 ()
+  in
+  Array.iteri (fun round states -> probe ~round ~states) run.Sim.Network.states;
   if !best < tau then
     Alcotest.failf "longest R-increment streak %d < tau = %d" !best tau
 

@@ -1,5 +1,5 @@
 (* Tests for the chaos layer: Sim.Schedule descriptions, the
-   schedule-executing engine (Engine.run_schedule), reset-at-perturbation
+   schedule-executing engine (Engine.run), reset-at-perturbation
    detection (Online.reset), and Harness.Chaos campaigns. *)
 
 let check = Alcotest.check
@@ -154,6 +154,42 @@ let test_schedule_random_event_margin () =
         s.Sim.Schedule.events)
     [ 1; 2; 3 ]
 
+(* A phase shorter than margin + 2 cannot hold one perturbation plus
+   [margin] clean steps, so [random] refuses it; at exactly margin + 2
+   every event still lands inside its phase with the full margin after
+   it. *)
+let test_schedule_random_rejects_short_phases () =
+  let margin = 16 in
+  let gen phase_rounds =
+    Sim.Schedule.random ~spec:leader_f2
+      ~adversaries:(Sim.Adversary.standard_suite ())
+      ~phases:3 ~phase_rounds ~events:6 ~max_victims:2 ~event_margin:margin
+      ~seed:5 ()
+  in
+  rejects "phase_rounds = margin + 1" (fun () -> gen (margin + 1));
+  rejects "phase_rounds = 1 with no margin" (fun () ->
+      Sim.Schedule.random ~spec:leader_f2
+        ~adversaries:(Sim.Adversary.standard_suite ())
+        ~phase_rounds:1 ~seed:1 ());
+  let s = gen (margin + 2) in
+  let start = ref 0 in
+  let bounds =
+    List.map
+      (fun (p : _ Sim.Schedule.phase) ->
+        let b = (!start, !start + p.Sim.Schedule.duration) in
+        start := snd b;
+        b)
+      s.Sim.Schedule.phases
+  in
+  List.iter
+    (fun (e : Sim.Schedule.event) ->
+      let r = e.Sim.Schedule.round in
+      check Alcotest.bool
+        (Printf.sprintf "event at %d fits its phase with the margin" r)
+        true
+        (List.exists (fun (a, b) -> a <= r && r <= b - 2 - margin) bounds))
+    s.Sim.Schedule.events
+
 (* ------------------------------------------------------------------ *)
 (* Online.reset                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -201,70 +237,8 @@ let test_online_reset_swaps_correct () =
     | Sim.Online.Not_stabilized -> false)
 
 (* ------------------------------------------------------------------ *)
-(* Engine.run_schedule                                                  *)
+(* Engine.run over multi-phase schedules                                *)
 (* ------------------------------------------------------------------ *)
-
-(* ISSUE acceptance: a single-phase schedule with no transient events is
-   outcome-identical to the static Engine.run for the same
-   (spec, adversary, faulty, rounds, seed) — verdict, rounds_simulated,
-   early exit, and final states. *)
-let assert_static_differential ~label ~rounds (spec : int Algo.Spec.t) =
-  let fault_sets = [ []; [ 0 ] ] in
-  List.iter
-    (fun adversary ->
-      List.iter
-        (fun faulty ->
-          List.iter
-            (fun seed ->
-              List.iter
-                (fun mode ->
-                  let ctx =
-                    Printf.sprintf "%s/%s/faulty=[%s]/seed=%d" label
-                      (Sim.Adversary.name adversary)
-                      (String.concat ";" (List.map string_of_int faulty))
-                      seed
-                  in
-                  let static =
-                    Sim.Engine.run ~mode ~spec ~adversary ~faulty ~rounds
-                      ~seed ()
-                  in
-                  let scheduled =
-                    Sim.Engine.run_schedule ~mode ~spec
-                      ~schedule:
-                        (Sim.Schedule.static ~adversary ~faulty ~rounds)
-                      ~seed ()
-                  in
-                  check Alcotest.bool (ctx ^ ": same verdict") true
-                    (Sim.Online.equal_verdict static.Sim.Engine.verdict
-                       scheduled.Sim.Engine.verdict);
-                  check Alcotest.int (ctx ^ ": same rounds_simulated")
-                    static.Sim.Engine.rounds_simulated
-                    scheduled.Sim.Engine.rounds_simulated;
-                  check Alcotest.bool (ctx ^ ": same early_exit")
-                    static.Sim.Engine.early_exit
-                    scheduled.Sim.Engine.early_exit;
-                  check
-                    (Alcotest.array Alcotest.int)
-                    (ctx ^ ": same final states")
-                    static.Sim.Engine.final_states
-                    scheduled.Sim.Engine.final_states;
-                  check Alcotest.int (ctx ^ ": one phase report") 1
-                    (List.length scheduled.Sim.Engine.phases))
-                [ Sim.Engine.Streaming; Sim.Engine.Full_horizon ])
-            [ 1; 2; 3 ])
-        fault_sets)
-    [
-      Sim.Adversary.stuck ();
-      Sim.Adversary.split_brain ();
-      Sim.Adversary.random_equivocate ();
-    ]
-
-let test_schedule_static_differential_leader () =
-  assert_static_differential ~label:"follow-leader" ~rounds:120 leader_f1
-
-let test_schedule_static_differential_rand () =
-  assert_static_differential ~label:"rand-counter" ~rounds:400
-    (Counting.Rand_counter.make ~n:4 ~f:1)
 
 let test_schedule_phase_reports () =
   let schedule =
@@ -283,7 +257,7 @@ let test_schedule_phase_reports () =
     }
   in
   let o =
-    Sim.Engine.run_schedule ~mode:Sim.Engine.Full_horizon ~spec:leader_f1
+    Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec:leader_f1
       ~schedule ~seed:3 ()
   in
   check Alcotest.int "three reports" 3 (List.length o.Sim.Engine.phases);
@@ -340,7 +314,7 @@ let test_schedule_transient_event () =
       Hashtbl.replace rows round (Array.copy outputs)
     in
     let o =
-      Sim.Engine.run_schedule ~trace ~mode:Sim.Engine.Full_horizon ~spec:leader
+      Sim.Engine.run ~trace ~mode:Sim.Engine.Full_horizon ~spec:leader
         ~schedule ~seed:1 ()
     in
     (o, rows)
@@ -384,7 +358,7 @@ let test_schedule_streaming_last_phase_only () =
   let schedule =
     { Sim.Schedule.phases = [ benign_phase 100; benign_phase 100 ]; events = [] }
   in
-  let o = Sim.Engine.run_schedule ~spec:leader ~schedule ~seed:1 () in
+  let o = Sim.Engine.run ~spec:leader ~schedule ~seed:1 () in
   (* both phases stabilise almost immediately, but the early exit may
      only trigger once the final phase is reached *)
   check Alcotest.bool "no early exit before the final phase" true
@@ -417,7 +391,7 @@ let test_schedule_run_deterministic () =
     }
   in
   let go () =
-    Sim.Engine.run_schedule ~mode:Sim.Engine.Full_horizon ~spec:leader_f1
+    Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec:leader_f1
       ~schedule ~seed:9 ()
   in
   check Alcotest.bool "same seed, same schedule outcome" true (go () = go ())
@@ -505,6 +479,28 @@ let test_chaos_rejects_bad_config () =
         (Sim.Harness.Chaos.run ~config:(chaos_config ()) ~spec:leader
            ~adversaries:[] ()))
 
+(* Chaos passes its min-suffix request (default max (2c) 16 = 16 here)
+   as the event margin, so a phase that could not certify a recovery is
+   refused before any run. *)
+let test_chaos_rejects_short_phases () =
+  let go config =
+    Sim.Harness.Chaos.run ~config ~spec:leader
+      ~adversaries:(Sim.Adversary.standard_suite ())
+      ()
+  in
+  let base = Sim.Harness.Chaos.Config.(chaos_config () |> with_campaigns 1) in
+  rejects "phase_rounds below the default min-suffix + 2" (fun () ->
+      go (Sim.Harness.Chaos.Config.with_phase_rounds 17 base));
+  rejects "phase_rounds 1" (fun () ->
+      go (Sim.Harness.Chaos.Config.with_phase_rounds 1 base));
+  rejects "phase_rounds below an explicit min-suffix + 2" (fun () ->
+      go Sim.Harness.Chaos.Config.(base |> with_min_suffix 8 |> with_phase_rounds 9));
+  let agg =
+    go Sim.Harness.Chaos.Config.(base |> with_min_suffix 8 |> with_phase_rounds 10)
+  in
+  check Alcotest.int "phase_rounds = min-suffix + 2 runs" 2
+    (List.length agg.Sim.Harness.Chaos.outcomes)
+
 let test_chaos_pp_smoke () =
   let agg =
     Sim.Harness.Chaos.run ~config:(chaos_config ()) ~spec:leader
@@ -527,6 +523,8 @@ let suite =
         case "random generation respects bounds" test_schedule_random_bounds;
         case "random generation honours event margin"
           test_schedule_random_event_margin;
+        case "random generation rejects phases shorter than margin + 2"
+          test_schedule_random_rejects_short_phases;
       ] );
     ( "sim.online.reset",
       [
@@ -535,10 +533,6 @@ let suite =
       ] );
     ( "sim.engine.schedule",
       [
-        case "static differential: follow-leader"
-          test_schedule_static_differential_leader;
-        case "static differential: rand-counter"
-          test_schedule_static_differential_rand;
         case "phase reports" test_schedule_phase_reports;
         case "transient corruption event" test_schedule_transient_event;
         case "streaming exits in the last phase only"
@@ -551,6 +545,8 @@ let suite =
           test_chaos_recovers_and_aggregates;
         case "jobs determinism" test_chaos_jobs_determinism;
         case "rejects bad config" test_chaos_rejects_bad_config;
+        case "rejects phases too short to certify"
+          test_chaos_rejects_short_phases;
         case "pp smoke" test_chaos_pp_smoke;
       ] );
   ]

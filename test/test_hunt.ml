@@ -351,6 +351,22 @@ let test_hunt_rejects_time_bound_below_one () =
           "Hunt.run: time_bound < 1" msg)
     [ 0; -5 ]
 
+(* The hunt's event margin is its min-suffix request (16 here): a
+   shorter phase would turn every recovery into a vacuous failure, so
+   the hunt refuses it before running a trial. *)
+let test_hunt_rejects_short_phases () =
+  let boom config =
+    ignore (Sim.Hunt.run ~config ~spec:weak_leader ~adversaries ())
+  in
+  rejects "phase_rounds 4" (fun () ->
+      boom (Sim.Hunt.Config.with_phase_rounds 4 (hunt_config ())));
+  rejects "phase_rounds below the default min-suffix + 2" (fun () ->
+      boom (Sim.Hunt.Config.with_phase_rounds 17 (hunt_config ())));
+  rejects "phase_rounds below an explicit min-suffix + 2" (fun () ->
+      boom
+        Sim.Hunt.Config.(
+          hunt_config () |> with_min_suffix 30 |> with_phase_rounds 31))
+
 (* ------------------------------------------------------------------ *)
 (* Corpus: write -> read -> replay                                      *)
 (* ------------------------------------------------------------------ *)
@@ -536,6 +552,8 @@ let suite =
         case "rejects bad config" test_hunt_rejects_bad_config;
         case "rejects a time bound below 1"
           test_hunt_rejects_time_bound_below_one;
+        case "rejects phases too short to certify"
+          test_hunt_rejects_short_phases;
       ] );
     ( "sim.hunt.corpus",
       [

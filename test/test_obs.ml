@@ -340,8 +340,10 @@ let leader =
 let test_engine_spans_differential () =
   let go ?metrics ?spans () =
     Sim.Engine.run ?metrics ?spans ~spec:leader
-      ~adversary:(Sim.Adversary.random_equivocate ())
-      ~faulty:[ 0 ] ~rounds:200 ~seed:5 ()
+      ~schedule:
+        (Sim.Schedule.static ~adversary:(Sim.Adversary.random_equivocate ())
+           ~faulty:[ 0 ] ~rounds:200)
+      ~seed:5 ()
   in
   let plain = go () in
   let m = Stdx.Metrics.create () in

@@ -62,16 +62,6 @@ let test_run_rejects_bad_faulty () =
   check Alcotest.bool "too many rejected (f = 0)" true
     (try boom [ 1 ]; false with Invalid_argument _ -> true)
 
-let test_probe_sees_every_round () =
-  let seen = ref [] in
-  ignore
-    (Sim.Network.run
-       ~probe:(fun ~round ~states:_ -> seen := round :: !seen)
-       ~spec:leader ~adversary:(Sim.Adversary.benign ()) ~faulty:[] ~rounds:5
-       ~seed:1 ());
-  check (Alcotest.list Alcotest.int) "probed rounds 0..5" [ 0; 1; 2; 3; 4; 5 ]
-    (List.rev !seen)
-
 let test_correct_ids () =
   let spec = Counting.Rand_counter.make ~n:7 ~f:2 in
   let run =
@@ -354,8 +344,11 @@ let test_run_all_nodes_faulty () =
          offline checker and the streaming engine *)
       let offline = Sim.Stabilise.of_run ~min_suffix:4 run in
       let outcome =
-        Sim.Engine.run ~min_suffix:4 ~spec:all_faulty_spec ~adversary:adv
-          ~faulty:[ 0; 1; 2; 3 ] ~rounds:12 ~seed:3 ()
+        Sim.Engine.run ~min_suffix:4 ~spec:all_faulty_spec
+          ~schedule:
+            (Sim.Schedule.static ~adversary:adv ~faulty:[ 0; 1; 2; 3 ]
+               ~rounds:12)
+          ~seed:3 ()
       in
       check Alcotest.bool (name ^ ": vacuously stabilized (offline)") true
         (Sim.Stabilise.equal_verdict (Sim.Stabilise.Stabilized 0) offline);
@@ -532,13 +525,14 @@ let assert_differential ~label ~rounds ~min_suffix spec =
                 Sim.Network.run ~spec ~adversary ~faulty ~rounds ~seed ()
               in
               let offline = Sim.Stabilise.of_run ~min_suffix run in
+              let schedule = Sim.Schedule.static ~adversary ~faulty ~rounds in
               let full =
                 Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~min_suffix ~spec
-                  ~adversary ~faulty ~rounds ~seed ()
+                  ~schedule ~seed ()
               in
               let stream =
                 Sim.Engine.run ~mode:Sim.Engine.Streaming ~min_suffix ~spec
-                  ~adversary ~faulty ~rounds ~seed ()
+                  ~schedule ~seed ()
               in
               check Alcotest.bool (ctx ^ ": full-horizon == offline") true
                 (Sim.Stabilise.equal_verdict offline
@@ -586,7 +580,10 @@ let test_differential_boost_a41 () =
 let test_engine_early_exit () =
   let outcome =
     Sim.Engine.run ~min_suffix:16 ~spec:leader
-      ~adversary:(Sim.Adversary.benign ()) ~faulty:[] ~rounds:1000 ~seed:1 ()
+      ~schedule:
+        (Sim.Schedule.static ~adversary:(Sim.Adversary.benign ()) ~faulty:[]
+           ~rounds:1000)
+      ~seed:1 ()
   in
   check Alcotest.bool "stabilises immediately" true
     (match outcome.Sim.Engine.verdict with
@@ -600,7 +597,10 @@ let test_engine_early_exit () =
 let test_engine_matches_network_metadata () =
   let outcome =
     Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec:leader
-      ~adversary:(Sim.Adversary.benign ()) ~faulty:[] ~rounds:10 ~seed:1 ()
+      ~schedule:
+        (Sim.Schedule.static ~adversary:(Sim.Adversary.benign ()) ~faulty:[]
+           ~rounds:10)
+      ~seed:1 ()
   in
   let run =
     Sim.Network.run ~spec:leader ~adversary:(Sim.Adversary.benign ())
@@ -811,7 +811,6 @@ let suite =
         case "seed matters" test_run_seed_matters;
         case "explicit init" test_run_explicit_init;
         case "rejects bad faulty sets" test_run_rejects_bad_faulty;
-        case "probe sees every round" test_probe_sees_every_round;
         case "correct ids" test_correct_ids;
         case "benign equals faultless" test_benign_equals_faultless;
       ] );

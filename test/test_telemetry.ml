@@ -184,7 +184,6 @@ let sample_events : Sim.Trace.event list =
     Sim.Trace.Cell_start { cell = 0; label = "stuck f=[0] seed=1" };
     Sim.Trace.Phase_start
       { round = 0; phase = 0; adversary = "split-brain"; faulty = [ 0; 3 ] };
-    Sim.Trace.Round { round = 17; phase = 1 };
     Sim.Trace.Corruption { round = 12; phase = 0; requested = 3; victims = [] };
     Sim.Trace.Corruption
       { round = 12; phase = 2; requested = 2; victims = [ 1; 2 ] };
@@ -204,31 +203,17 @@ let sample_events : Sim.Trace.event list =
 
 let test_null_writer () =
   let t = Sim.Trace.null in
-  check Alcotest.bool "level off" true (Sim.Trace.level t = Sim.Trace.Off);
   check Alcotest.bool "seams off" false (Sim.Trace.seams_on t);
-  check Alcotest.bool "rounds off" false (Sim.Trace.rounds_on t);
   List.iter (Sim.Trace.emit t) sample_events;
   check Alcotest.int "null never buffers" 0
     (List.length (Sim.Trace.events t))
 
-let test_memory_ring () =
+let test_memory_writer () =
   let t = Sim.Trace.memory () in
-  check Alcotest.bool "default level Seams" true
-    (Sim.Trace.seams_on t && not (Sim.Trace.rounds_on t));
+  check Alcotest.bool "seams on" true (Sim.Trace.seams_on t);
   List.iter (Sim.Trace.emit t) sample_events;
-  check Alcotest.bool "unbounded memory keeps everything in order" true
-    (Sim.Trace.events t = sample_events);
-  let ring = Sim.Trace.memory ~level:Sim.Trace.Rounds ~capacity:3 () in
-  for r = 1 to 10 do
-    Sim.Trace.emit ring (Sim.Trace.Round { round = r; phase = 0 })
-  done;
-  check Alcotest.bool "ring keeps the most recent capacity events" true
-    (Sim.Trace.events ring
-    = List.map
-        (fun r -> Sim.Trace.Round { round = r; phase = 0 })
-        [ 8; 9; 10 ]);
-  rejects "capacity < 1" (fun () ->
-      ignore (Sim.Trace.memory ~capacity:0 ()))
+  check Alcotest.bool "memory keeps everything in order" true
+    (Sim.Trace.events t = sample_events)
 
 let test_jsonl_round_trip () =
   List.iter
@@ -282,7 +267,7 @@ let test_read_jsonl_errors () =
           ~finally:(fun () -> close_in ic)
           (fun () -> Sim.Trace.read_jsonl ic))
   in
-  (match parse "{\"ev\":\"round\",\"round\":1,\"phase\":0}\nnot json\n" with
+  (match parse "{\"ev\":\"detector-reset\",\"round\":1,\"phase\":0}\nnot json\n" with
   | Error msg ->
     check Alcotest.bool "error names the line" true
       (Astring.String.is_infix ~affix:"line 2" msg)
@@ -293,8 +278,8 @@ let test_read_jsonl_errors () =
       (Astring.String.is_infix ~affix:"warp" msg)
   | Ok _ -> Alcotest.fail "accepted unknown event");
   check Alcotest.bool "blank lines skipped" true
-    (parse "\n{\"ev\":\"round\",\"round\":1,\"phase\":0}\n\n"
-    = Ok [ Sim.Trace.Round { round = 1; phase = 0 } ])
+    (parse "\n{\"ev\":\"detector-reset\",\"round\":1,\"phase\":0}\n\n"
+    = Ok [ Sim.Trace.Detector_reset { round = 1; phase = 0 } ])
 
 (* Fuzz: every line-oriented reader takes damaged input without raising.
    Valid lines of each format (trace events, a schedule, a heartbeat
@@ -395,8 +380,9 @@ let leader =
 let adversary = Sim.Adversary.random_equivocate ()
 
 let run_leader ?tracer ?metrics () =
-  Sim.Engine.run ?tracer ?metrics ~spec:leader ~adversary ~faulty:[ 0 ]
-    ~rounds:200 ~seed:5 ()
+  Sim.Engine.run ?tracer ?metrics ~spec:leader
+    ~schedule:(Sim.Schedule.static ~adversary ~faulty:[ 0 ] ~rounds:200)
+    ~seed:5 ()
 
 let test_engine_emits_seam_events () =
   let tr = Sim.Trace.memory () in
@@ -415,39 +401,7 @@ let test_engine_emits_seam_events () =
       | Sim.Stabilise.Stabilized s ->
         stabilized = Some s && recovery = Some s
       | Sim.Stabilise.Not_stabilized -> stabilized = None)
-  | _ -> Alcotest.fail "last event must be Verdict");
-  check Alcotest.bool "no Round events at Seams level" true
-    (List.for_all
-       (function Sim.Trace.Round _ -> false | _ -> true)
-       events)
-
-let test_engine_round_events_at_rounds_level () =
-  let tr = Sim.Trace.memory ~level:Sim.Trace.Rounds () in
-  let o = run_leader ~tracer:tr () in
-  let rounds =
-    List.filter
-      (function Sim.Trace.Round _ -> true | _ -> false)
-      (Sim.Trace.events tr)
-  in
-  (* one Round event per observed output row: rounds 0..rounds_simulated *)
-  check Alcotest.int "one Round event per observed row"
-    (o.Sim.Engine.rounds_simulated + 1)
-    (List.length rounds)
-
-let test_engine_run_matches_static_schedule_stream () =
-  let stream f =
-    let tr = Sim.Trace.memory ~level:Sim.Trace.Rounds () in
-    ignore (f tr);
-    Sim.Trace.events tr
-  in
-  let via_run tr = run_leader ~tracer:tr () in
-  let via_schedule tr =
-    Sim.Engine.run_schedule ~tracer:tr ~spec:leader
-      ~schedule:(Sim.Schedule.static ~adversary ~faulty:[ 0 ] ~rounds:200)
-      ~seed:5 ()
-  in
-  check Alcotest.bool "identical event streams" true
-    (stream via_run = stream via_schedule)
+  | _ -> Alcotest.fail "last event must be Verdict")
 
 let test_engine_metrics_content () =
   let m = Stdx.Metrics.create () in
@@ -468,13 +422,13 @@ let test_engine_differential () =
   let plain = run_leader () in
   let traced =
     run_leader
-      ~tracer:(Sim.Trace.memory ~level:Sim.Trace.Rounds ())
+      ~tracer:(Sim.Trace.memory ())
       ~metrics:(Stdx.Metrics.create ()) ()
   in
   check Alcotest.bool "bit-identical outcome with telemetry on" true
     (plain = traced)
 
-let test_run_schedule_differential () =
+let test_multi_phase_differential () =
   let schedule =
     Sim.Schedule.random ~spec:leader
       ~adversaries:(Sim.Adversary.standard_suite ())
@@ -482,13 +436,12 @@ let test_run_schedule_differential () =
       ~seed:3 ()
   in
   let go ?tracer ?metrics () =
-    Sim.Engine.run_schedule ?tracer ?metrics ~spec:leader ~schedule ~seed:11
-      ()
+    Sim.Engine.run ?tracer ?metrics ~spec:leader ~schedule ~seed:11 ()
   in
   let plain = go () in
   let traced =
     go
-      ~tracer:(Sim.Trace.memory ~level:Sim.Trace.Rounds ())
+      ~tracer:(Sim.Trace.memory ())
       ~metrics:(Stdx.Metrics.create ()) ()
   in
   check Alcotest.bool "bit-identical schedule outcome with telemetry on" true
@@ -667,7 +620,7 @@ let suite =
     ( "sim.trace",
       [
         case "null writer is inert" test_null_writer;
-        case "memory sink and ring capacity" test_memory_ring;
+        case "memory sink keeps every event" test_memory_writer;
         case "jsonl round trip (all variants)" test_jsonl_round_trip;
         test_jsonl_round_trip_qcheck;
         case "jsonl writer/reader round trip" test_jsonl_writer_and_reader;
@@ -677,14 +630,10 @@ let suite =
     ( "sim.telemetry",
       [
         case "engine emits seam events" test_engine_emits_seam_events;
-        case "Round events at Rounds level"
-          test_engine_round_events_at_rounds_level;
-        case "run and static schedule streams identical"
-          test_engine_run_matches_static_schedule_stream;
         case "engine metrics content" test_engine_metrics_content;
         case "engine differential: telemetry inert" test_engine_differential;
-        case "run_schedule differential: telemetry inert"
-          test_run_schedule_differential;
+        case "multi-phase differential: telemetry inert"
+          test_multi_phase_differential;
         case "harness differential: telemetry inert"
           test_harness_differential;
         case "chaos differential: telemetry inert" test_chaos_differential;
