@@ -240,6 +240,118 @@ let test_online_reset_swaps_correct () =
 (* Engine.run over multi-phase schedules                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The one-phase, event-free Schedule.static is the paper's static fault
+   model: its single phase report must describe the whole run (entry
+   perturbation at round 0, the outcome's own verdict and recovery), and
+   in both modes the engine's final states and recent output window must
+   be the full trace's rows at the round it stopped. *)
+let assert_static_differential ~label ~rounds (spec : int Algo.Spec.t) =
+  let fault_sets = [ []; [ 0 ] ] in
+  List.iter
+    (fun adversary ->
+      List.iter
+        (fun faulty ->
+          List.iter
+            (fun seed ->
+              let run =
+                Sim.Network.run ~spec ~adversary ~faulty ~rounds ~seed ()
+              in
+              List.iter
+                (fun mode ->
+                  let ctx =
+                    Printf.sprintf "%s/%s/faulty=[%s]/seed=%d/%s" label
+                      (Sim.Adversary.name adversary)
+                      (String.concat ";" (List.map string_of_int faulty))
+                      seed
+                      (match mode with
+                      | Sim.Engine.Streaming -> "streaming"
+                      | Sim.Engine.Full_horizon -> "full-horizon")
+                  in
+                  let o =
+                    Sim.Engine.run ~mode ~spec
+                      ~schedule:
+                        (Sim.Schedule.static ~adversary ~faulty ~rounds)
+                      ~seed ()
+                  in
+                  let t = o.Sim.Engine.rounds_simulated in
+                  check Alcotest.int (ctx ^ ": horizon") rounds
+                    o.Sim.Engine.horizon;
+                  check
+                    (Alcotest.array Alcotest.int)
+                    (ctx ^ ": final states are the trace row")
+                    run.Sim.Network.states.(t) o.Sim.Engine.final_states;
+                  List.iter
+                    (fun (r, row) ->
+                      check
+                        (Alcotest.array Alcotest.int)
+                        (Printf.sprintf "%s: recent output row %d" ctx r)
+                        run.Sim.Network.outputs.(r) row)
+                    o.Sim.Engine.recent_outputs;
+                  match o.Sim.Engine.phases with
+                  | [ p ] ->
+                      check Alcotest.int (ctx ^ ": phase index") 0
+                        p.Sim.Engine.phase;
+                      check Alcotest.string (ctx ^ ": adversary")
+                        (Sim.Adversary.name adversary) p.Sim.Engine.adversary;
+                      check (Alcotest.list Alcotest.int) (ctx ^ ": faulty")
+                        faulty p.Sim.Engine.faulty;
+                      check Alcotest.int (ctx ^ ": starts at 0") 0
+                        p.Sim.Engine.start_round;
+                      check Alcotest.int (ctx ^ ": ends where the run did") t
+                        p.Sim.Engine.end_round;
+                      check Alcotest.int (ctx ^ ": only the entry perturbation")
+                        1 p.Sim.Engine.perturbations;
+                      check Alcotest.int (ctx ^ ": perturbed at 0") 0
+                        p.Sim.Engine.last_perturbation;
+                      check Alcotest.bool (ctx ^ ": phase verdict is the run's")
+                        true
+                        (Sim.Online.equal_verdict p.Sim.Engine.verdict
+                           o.Sim.Engine.verdict);
+                      check
+                        (Alcotest.option Alcotest.int)
+                        (ctx ^ ": recovery is the stabilisation round")
+                        (match o.Sim.Engine.verdict with
+                        | Sim.Online.Stabilized s -> Some s
+                        | Sim.Online.Not_stabilized -> None)
+                        p.Sim.Engine.recovery
+                  | ps ->
+                      Alcotest.failf "%s: %d phase reports, expected 1" ctx
+                        (List.length ps))
+                [ Sim.Engine.Streaming; Sim.Engine.Full_horizon ])
+            [ 1; 2; 3 ])
+        fault_sets)
+    [
+      Sim.Adversary.stuck ();
+      Sim.Adversary.split_brain ();
+      Sim.Adversary.random_equivocate ();
+    ]
+
+let test_schedule_static_differential_leader () =
+  assert_static_differential ~label:"follow-leader" ~rounds:120 leader_f1
+
+let test_schedule_static_differential_rand () =
+  assert_static_differential ~label:"rand-counter" ~rounds:400
+    (Counting.Rand_counter.make ~n:4 ~f:1)
+
+(* The trace hook is called once per observed row, in round order, from
+   round 0 up to the round the run stopped at — also when a streaming
+   run exits early. *)
+let test_schedule_trace_sees_every_round () =
+  let seen = ref [] in
+  let o =
+    Sim.Engine.run
+      ~trace:(fun ~round ~states:_ ~outputs:_ -> seen := round :: !seen)
+      ~spec:leader
+      ~schedule:
+        (Sim.Schedule.static ~adversary:(Sim.Adversary.benign ()) ~faulty:[]
+           ~rounds:1000)
+      ~seed:1 ()
+  in
+  check Alcotest.bool "streaming run exited early" true o.Sim.Engine.early_exit;
+  check (Alcotest.list Alcotest.int) "rounds 0 .. rounds_simulated"
+    (List.init (o.Sim.Engine.rounds_simulated + 1) Fun.id)
+    (List.rev !seen)
+
 let test_schedule_phase_reports () =
   let schedule =
     {
@@ -533,6 +645,12 @@ let suite =
       ] );
     ( "sim.engine.schedule",
       [
+        case "static differential: follow-leader"
+          test_schedule_static_differential_leader;
+        case "static differential: rand-counter"
+          test_schedule_static_differential_rand;
+        case "trace hook sees every round"
+          test_schedule_trace_sees_every_round;
         case "phase reports" test_schedule_phase_reports;
         case "transient corruption event" test_schedule_transient_event;
         case "streaming exits in the last phase only"
