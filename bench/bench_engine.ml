@@ -9,8 +9,12 @@
 
    Headlines: benign throughput on A(12,3), and hostile throughput on
    A(12,3) under the split-brain equivocator — the adversary-kernel hot
-   loop. A greedy-confusion row measures the lookahead kernel, where
-   crafting rather than stepping dominates.
+   loop. Random-equivocate rows (A(12,3) and the Figure-2 tower A(36,7))
+   give every recipient its own fresh random message from each faulty
+   node, so the kernel is announced changed slots for every recipient
+   and the adversary draws from the rng per message. A greedy-confusion
+   row measures the lookahead kernel, where crafting rather than
+   stepping dominates.
 
    Kernel set-up rows time [fresh_kernel ()] itself on the Theorem 1
    towers A(4,1), A(12,3) and A(36,7) (modulus 2): the fixed cost every
@@ -39,16 +43,21 @@ let metrics = Stdx.Metrics.create ()
 (* Wall clock and GC allocation deltas around one run. [Gc.minor_words]
    reads the allocation pointer, so the minor count is exact even when
    no collection happens during the run ([quick_stat] would quantise it
-   to minor-GC granularity); allocation counts are deterministic, so a
-   single pass suffices and the wall is tightened with extra reps by the
-   caller. *)
+   to minor-GC granularity). Direct major-heap allocation reaches
+   [quick_stat] only at the domain's next minor collection, so one is
+   forced (off the clock) on both sides of the run: otherwise a run that
+   happens to trigger a collection is billed for its predecessors' large
+   arrays. Allocation counts are deterministic, so a single pass suffices
+   and the wall is tightened with extra reps by the caller. *)
 let timed_gc f =
+  Gc.minor ();
   let j0 = (Gc.quick_stat ()).Gc.major_words in
   let m0 = Gc.minor_words () in
   let t0 = Stdx.Metrics.wall_clock () in
   let r = f () in
   let wall = Stdx.Metrics.wall_clock () -. t0 in
   let m1 = Gc.minor_words () in
+  Gc.minor ();
   let j1 = (Gc.quick_stat ()).Gc.major_words in
   (r, wall, m1 -. m0, j1 -. j0)
 
@@ -186,6 +195,7 @@ let run () =
   Bench_common.section "Engine throughput - packed state codes, full horizon";
   let a41 = (Bench_common.a41 ~c:2).Counting.Boost.spec in
   let a12_3 = (Bench_common.a12_3 ~c:1728).Counting.Boost.spec in
+  let a36_7 = (Bench_common.a36_7 ~c:2).Counting.Boost.spec in
   let rows =
     [
       measure ~label:"A(4,1) benign" ~spec:a41
@@ -202,6 +212,15 @@ let run () =
       measure ~label:"A(12,3) split-brain" ~spec:a12_3
         ~adversary:(Sim.Adversary.split_brain ()) ~faulty:[ 0; 4; 8 ]
         ~rounds:4000 ~seed:1 ();
+      measure ~label:"A(12,3) random-equivocate" ~spec:a12_3
+        ~adversary:(Sim.Adversary.random_equivocate ())
+        ~faulty:[ 0; 4; 8 ] ~rounds:2000 ~seed:1 ();
+      measure ~label:"A(36,7) benign" ~spec:a36_7
+        ~adversary:(Sim.Adversary.benign ()) ~faulty:[] ~rounds:1000 ~seed:1
+        ();
+      measure ~label:"A(36,7) random-equivocate" ~spec:a36_7
+        ~adversary:(Sim.Adversary.random_equivocate ())
+        ~faulty:[ 0; 5; 10; 15; 20; 25; 30 ] ~rounds:1000 ~seed:1 ();
       (* The one-step lookahead: every round steps a private kernel once
          per (faulty sender, correct recipient, candidate), so crafting,
          not the engine's own step, is what this row measures. *)

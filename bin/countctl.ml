@@ -1176,7 +1176,7 @@ let hunt_cmd =
   let replay_arg =
     Arg.(
       value
-      & opt (some file) None
+      & opt (some non_dir_file) None
       & info [ "replay" ] ~docv:"FILE"
           ~doc:
             "Replay the corpus at $(docv) instead of hunting: re-execute \

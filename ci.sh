@@ -109,6 +109,8 @@ expect_err() {
 }
 expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 \
   --replay /nonexistent.jsonl
+expect_clean_failure hunt --algorithm leader:4:5 --replay test/corpus
+expect_err 'is a directory'
 expect_clean_failure run --levels 4:1 --rounds 50 \
   --trace /nonexistent/dir/t.jsonl
 expect_clean_failure run --levels 4:1 --rounds 50 --heartbeat 0 \

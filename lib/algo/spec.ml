@@ -1,4 +1,8 @@
-type kernel = { step : self:int -> rng:Stdx.Rng.t -> int array -> int }
+type kernel = {
+  load : int array -> unit;
+  set : int -> int -> unit;
+  step : self:int -> rng:Stdx.Rng.t -> int array -> int;
+}
 
 type 's codec = {
   num_states : int;
@@ -28,13 +32,14 @@ type 's t = {
 
 let generic_kernel ~n ~transition ~encode_state ~decode_state () =
   let scratch = Array.make n (decode_state 0) in
-  let step ~self ~rng received =
+  let load received =
     for j = 0 to n - 1 do
       scratch.(j) <- decode_state received.(j)
-    done;
-    encode_state (transition ~self ~rng scratch)
+    done
   in
-  { step }
+  let set u code = scratch.(u) <- decode_state code in
+  let step ~self ~rng _received = encode_state (transition ~self ~rng scratch) in
+  { load; set; step }
 
 let identity_codec ?random_code ~num_states ~transition ~output () : int codec
     =
@@ -53,7 +58,12 @@ let identity_codec ?random_code ~num_states ~transition ~output () : int codec
     decode_state = (fun code -> code);
     output_code = output;
     random_code;
-    fresh_kernel = (fun () -> { step = transition });
+    (* No scratch, so every run may share one kernel value. *)
+    fresh_kernel =
+      (let kernel =
+         { load = ignore; set = (fun _ _ -> ()); step = transition }
+       in
+       fun () -> kernel);
   }
 
 let derive_codec spec =

@@ -24,9 +24,37 @@
     Dolev-Welch) use the [rng] argument of [transition] and set
     [deterministic = false]; deterministic algorithms must ignore [rng]. *)
 
-type kernel = { step : self:int -> rng:Stdx.Rng.t -> int array -> int }
-(** A transition kernel operating directly on packed integer state codes:
-    [step ~self ~rng received] is [encode (g(self, decode received))].
+type kernel = {
+  load : int array -> unit;
+      (** [load received] announces [received] as the current vector:
+          every slot may have changed since the last announcement. *)
+  set : int -> int -> unit;
+      (** [set u code] announces that slot [u] of the announced vector now
+          holds [code]; the caller has already written [code] there. *)
+  step : self:int -> rng:Stdx.Rng.t -> int array -> int;
+      (** [step ~self ~rng received] is
+          [encode (g(self, decode received))]. [received] must be the
+          array last passed to [load], with every write to it since
+          announced through [set]. *)
+}
+(** A transition kernel operating directly on packed integer state codes,
+    told which received slots changed instead of rediscovering it.
+
+    The protocol: [load v] once, then any interleaving of [set]s (each
+    after writing the slot of [v]) and [step]s on [v]. A [step] must
+    return exactly what a fresh kernel returns after [load v] alone, on
+    the same [self] and an identically seeded [rng]: announcements never
+    consume the rng, and a kernel's caches are invisible. A [set] that
+    writes the code already in the slot is allowed.
+
+    This lets a kernel keep derived views of the vector (decoded slots,
+    vote tallies) and update them per announced slot. The engine loads the
+    round's true states once and then sets only the faulty slots whose
+    crafted message differs per recipient, so a kernel pays for the
+    slots that change, not for rescanning all [n] of them per recipient.
+    Kernels with nothing to cache ({!identity_codec}'s) ignore [load]
+    and [set].
+
     A kernel value may own private mutable scratch buffers, so it must be
     confined to one simulation run (see {!codec.fresh_kernel}); immutable
     per-spec tables it reads may be shared with other kernels. *)
@@ -97,10 +125,11 @@ val generic_kernel :
   decode_state:(int -> 's) ->
   unit ->
   kernel
-(** Reference kernel: decode every received code into a private scratch
-    array, apply [transition], encode the result. Always exact, never
-    fast — the building block for specs without a hand-written flat
-    kernel. *)
+(** Reference kernel: [load] decodes every received code into a private
+    scratch array and [set] re-decodes one slot; [step] applies
+    [transition] to the scratch array and encodes the result. Always
+    exact, never fast — the building block for specs without a
+    hand-written flat kernel. *)
 
 val identity_codec :
   ?random_code:(Stdx.Rng.t -> int) ->
@@ -111,10 +140,10 @@ val identity_codec :
   int codec
 (** Codec for specs whose state type is already a dense [int] in
     [\[0, num_states)]: encoding is the identity and the kernel is the
-    spec's own transition. [random_code] defaults to a uniform
-    [Rng.int rng num_states] draw — override it iff the spec's
-    [random_state] samples differently (the two must stay in draw-level
-    lockstep; see {!codec.random_code}). *)
+    spec's own transition, with no-op [load] and [set]. [random_code]
+    defaults to a uniform [Rng.int rng num_states] draw — override it
+    iff the spec's [random_state] samples differently (the two must stay
+    in draw-level lockstep; see {!codec.random_code}). *)
 
 val derive_codec : 's t -> 's codec option
 (** [derive_codec spec] builds a codec from [all_states] (sorted by

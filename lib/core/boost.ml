@@ -154,13 +154,18 @@ let naive_phase_king_step ~cap ~big_n ~index ~(self : Phase_king.reg) ~received
    generic kernel).
 
    Division is the dominant cost of decoding (an idiv per mod/div, and
-   [load_slot] runs on every cache miss), so everything with a small
+   [load_slot] runs on every announced slot), so everything with a small
    domain is tabulated: block/slot of a node id, and the (r, b) view of a
-   reduced counter value. The view tables hold one entry per residue mod
-   [modulus.(blk)] — their total size is bounded by k * 3(F+2)(2m)^k,
-   tiny for every practical tower — and are left empty ([view_tabs] is
-   false, the kernel falls back to the division chain) if a pathological
-   parameterisation would make them large. *)
+   block's counter value. The view tables are indexed by the raw inner
+   output value in [0, inner_c), so the reduction mod [modulus.(blk)] is
+   folded into them too: r = value mod tau at every level (tau divides
+   every modulus), one shared row; b = value / (tau * pow_level.(l)) mod m,
+   one row per level. Their total size (k + 1) * inner_c is tiny for
+   every practical tower; they are left empty ([view_tabs] is false, the
+   kernel falls back to the division chain) if a pathological
+   parameterisation would make them large. Building them takes no
+   division either: r_tab repeats with period tau, and b_tab is runs of
+   tau * pow_level.(l) equal entries. *)
 type tables = {
   pow_level : int array;
   modulus : int array;
@@ -172,32 +177,30 @@ type tables = {
   b_tab : int array;
 }
 
-let build_tables p =
+let build_tables p ~inner_c =
   let k = p.k and m = p.m and tau = p.tau in
   let pow_level = Array.init k (fun l -> Stdx.Imath.pow (2 * m) l) in
   let modulus = Array.init k (fun l -> tau * pow_level.(l) * 2 * m) in
   let blk_of = Array.init p.big_n (fun u -> u / p.n_inner) in
   let slot_of = Array.init p.big_n (fun u -> u mod p.n_inner) in
-  let tab_base = Array.make k 0 in
-  let tab_total =
-    let t = ref 0 in
-    for l = 0 to k - 1 do
-      tab_base.(l) <- !t;
-      t := !t + modulus.(l)
+  let tab_base = Array.init k (fun l -> l * inner_c) in
+  let view_tabs = inner_c <= (1 lsl 21) / (k + 1) in
+  let r_tab = Array.make (if view_tabs then inner_c else 0) 0 in
+  let b_tab = Array.make (if view_tabs then k * inner_c else 0) 0 in
+  if view_tabs then begin
+    for value = 0 to inner_c - 1 do
+      r_tab.(value) <- (if value < tau then value else r_tab.(value - tau))
     done;
-    !t
-  in
-  let view_tabs = modulus.(k - 1) <= 1 lsl 20 && tab_total <= 1 lsl 21 in
-  let r_tab = Array.make (if view_tabs then tab_total else 0) 0 in
-  let b_tab = Array.make (if view_tabs then tab_total else 0) 0 in
-  if view_tabs then
     for l = 0 to k - 1 do
-      let base = tab_base.(l) in
-      for v' = 0 to modulus.(l) - 1 do
-        r_tab.(base + v') <- v' mod tau;
-        b_tab.(base + v') <- v' / tau / pow_level.(l) mod m
+      let run = tau * pow_level.(l) in
+      let value = ref 0 and b = ref 0 in
+      while !value < inner_c do
+        Array.fill b_tab (tab_base.(l) + !value) (min run (inner_c - !value)) !b;
+        value := !value + run;
+        b := if !b + 1 = m then 0 else !b + 1
       done
-    done;
+    done
+  end;
   { pow_level; modulus; blk_of; slot_of; tab_base; view_tabs; r_tab; b_tab }
 
 (* Flat transition kernel: the exact computation of [transition] below, but
@@ -208,6 +211,16 @@ let build_tables p =
    with [a_code = 0] for the reset register (None) and [x + 1] for [Some x]
    — the same order as the polymorphic compare on [int option], so code
    order agrees with [compare_state] whenever the inner codec's does.
+
+   Everything the phase-king step reads — views, nested majorities, the
+   a-register histogram, the smallest F+1-supported value — depends only
+   on the announced vector, not on [self], and consumes no rng. So the
+   kernel keeps it decoded: [load] decodes every slot, [set] re-decodes
+   one, and the aggregates over the decoded slots are recomputed once per
+   batch of announcements, on the next [step]. The engine announces the
+   true states once per round and then only the faulty slots whose
+   message differs per recipient, so benign rounds decode each slot once
+   and hostile ones only the slots the adversary moves.
 
    One instance: the shared [tables] plus private mutable scratch, so an
    instance must not be shared across concurrent runs (see
@@ -222,36 +235,35 @@ let kernel_instance (ic : _ Algo.Spec.codec) p ~big_c
   and big_f = p.big_f
   and m = p.m
   and tau = p.tau in
-  (* Scratch: the decoded (r, b) views and a-registers of all N nodes, the
-     per-block leader ballots, the inner-block message codes, and the
-     phase-king histogram (kept in sync with [cached]). *)
+  (* Scratch: the decoded (r, b) views, a-registers and inner codes of all
+     N nodes, the per-block leader ballots, and the phase-king histogram
+     of the a-registers. [hist] always counts [a_codes], which start as
+     all-reset. *)
   let view_r = Array.make big_n 0 in
   let view_b = Array.make big_n 0 in
   let a_codes = Array.make big_n 0 in
   let inner_codes = Array.make big_n 0 in
   let block_votes = Array.make k 0 in
-  let inner_msgs = Array.make n_inner 0 in
   let hist = Array.make (cap + 1) 0 in
-  (* Everything the phase-king step reads — views, nested majorities, the
-     a-register histogram, the smallest F+1-supported value — depends only
-     on the received code vector, not on [self], and consumes no rng. The
-     engine presents the same vector to every recipient except for the
-     per-recipient faulty slots, so one [refresh] usually serves many
-     (benign rounds: all) step calls. *)
-  let valid = ref false in
-  let cached = Array.make big_n 0 in
+  hist.(cap) <- big_n;
+  (* Whether an announcement has moved the aggregates below since they
+     were last computed. *)
+  let dirty = ref true in
   let leader = ref 0 in
   let r_value = ref 0 in
   (* [r_value mod 3] and [r_value / 3], refreshed with [r_value]: the
-     phase-king dispatch reads them on every step call. *)
+     phase-king branch reads them on every step call. *)
   let r_instr = ref 0 in
   let r_ell = ref 0 in
   let min_sup = ref 0 in
-  (* One inner-kernel instance per block: kernels are pure caches over
-     their received vector, and per-block instances keep each cache keyed
-     to one block's messages instead of thrashing as recipients from
-     different blocks interleave. *)
+  (* One inner kernel per block, each announced its own block's message
+     array [blk_msgs.(i)]. [stale.(i)]: a [set] in block i has not yet
+     been passed on. Passing it on is lazy — done by the next step of a
+     block-i recipient — because eagerly forwarding every [set] pays for
+     blocks whose recipients are served before the next change. *)
   let inner_kernels = Array.init k (fun _ -> ic.Algo.Spec.fresh_kernel ()) in
+  let blk_msgs = Array.init k (fun _ -> Array.make n_inner 0) in
+  let stale = Array.make k false in
   (* Boyer-Moore majority with verification over a.(lo .. lo+len-1),
      mirroring Algo.Vote.majority_int. *)
   let majority_slice (a : int array) ~lo ~len ~default =
@@ -271,43 +283,39 @@ let kernel_instance (ic : _ Algo.Spec.codec) p ~big_c
     done;
     if !cnt * 2 > len then !candidate else default
   in
-  (* Slots where the incoming vector differs from [cached]; filled by the
-     cache check in [step] and consumed by the incremental patch. *)
-  let miss = Array.make big_n 0 in
   (* Register increment in code space: None stays None, Some x becomes
      Some ((x + 1) mod cap). Codes lie in [0, cap], so the reduction is a
      compare, not a division. *)
   let incr_code c = if c = 0 then 0 else if c = cap then 1 else c + 1 in
   let bin_of c = if c = 0 then cap else c - 1 in
-  (* Decode slot [u]'s code into the view/register scratch and add its
-     a-code to the histogram (the caller removes the old contribution). *)
+  (* Decode slot [u]'s code into the view/register scratch, moving its
+     histogram count from the old a-code to the new one. *)
   let load_slot u code =
-    cached.(u) <- code;
     let rest = code lsr 1 in
     (* One division serves both quotient and remainder. *)
     let inner_code = rest / num_a in
     let c = rest - (inner_code * num_a) in
-    a_codes.(u) <- c;
+    hist.(bin_of a_codes.(u)) <- hist.(bin_of a_codes.(u)) - 1;
     hist.(bin_of c) <- hist.(bin_of c) + 1;
-    let blk = blk_of.(u) in
+    a_codes.(u) <- c;
     inner_codes.(u) <- inner_code;
+    let blk = blk_of.(u) in
     let value = ic.Algo.Spec.output_code ~self:slot_of.(u) inner_code in
-    let v' = value mod modulus.(blk) in
     if view_tabs then begin
-      view_r.(u) <- r_tab.(tab_base.(blk) + v');
-      view_b.(u) <- b_tab.(tab_base.(blk) + v')
+      view_r.(u) <- r_tab.(value);
+      view_b.(u) <- b_tab.(tab_base.(blk) + value)
     end
     else begin
+      let v' = value mod modulus.(blk) in
       view_r.(u) <- v' mod tau;
       view_b.(u) <- v' / tau / pow_level.(blk) mod m
     end
   in
-  (* Nested majorities over the current scratch: per-block leader
-     pointers, leader block, the leader block's round counter, and the
-     smallest value with more than F votes (I_{3l+1}); scanning the
-     received values (any such value occurs at least once) instead of all
-     of [0, cap) keeps the latter O(N). Pure compares, no divisions —
-     cheap next to the decode work above. *)
+  (* Nested majorities over the decoded slots: per-block leader pointers,
+     leader block, the leader block's round counter, and the smallest
+     value with more than F votes (I_{3l+1}); scanning the received values
+     (any such value occurs at least once) instead of all of [0, cap)
+     keeps the latter O(N). Pure compares, no divisions. *)
   let recompute_aggregates () =
     for i = 0 to k - 1 do
       block_votes.(i) <-
@@ -326,69 +334,53 @@ let kernel_instance (ic : _ Algo.Spec.codec) p ~big_c
         if j < !best && hist.(j) > big_f then best := j
       end
     done;
-    min_sup := if !best = cap then 0 else !best + 1
+    min_sup := if !best = cap then 0 else !best + 1;
+    dirty := false
   in
-  let refresh (received : int array) =
-    (* The histogram tracks [cached]'s a-codes: undo the old vector's
-       contributions (O(N), not O(cap)) before loading the new one. *)
-    if !valid then
-      for u = 0 to big_n - 1 do
-        let b = bin_of a_codes.(u) in
-        hist.(b) <- hist.(b) - 1
-      done;
-    valid := true;
+  let load (received : int array) =
     for u = 0 to big_n - 1 do
       load_slot u received.(u)
     done;
-    recompute_aggregates ()
-  in
-  (* Incremental twin of [refresh] for the hostile hot path: only the
-     [nmiss] slots listed in [miss] differ from [cached] (typically the
-     faulty senders' per-recipient overrides), so re-decode just those
-     and rebuild the cheap aggregate layer. Equivalent to a full refresh
-     by construction. *)
-  let patch (received : int array) nmiss =
-    for i = 0 to nmiss - 1 do
-      let u = miss.(i) in
-      hist.(bin_of a_codes.(u)) <- hist.(bin_of a_codes.(u)) - 1;
-      load_slot u received.(u)
+    for i = 0 to k - 1 do
+      Array.blit inner_codes (i * n_inner) blk_msgs.(i) 0 n_inner;
+      (inner_kernels.(i)).Algo.Spec.load blk_msgs.(i);
+      stale.(i) <- false
     done;
-    recompute_aggregates ()
+    dirty := true
+  in
+  let set u code =
+    load_slot u code;
+    stale.(blk_of.(u)) <- true;
+    dirty := true
+  in
+  (* Pass block [i]'s changed inner codes on to its inner kernel. *)
+  let sync_block i =
+    let msgs = blk_msgs.(i) and base = i * n_inner in
+    for j = 0 to n_inner - 1 do
+      let c = inner_codes.(base + j) in
+      if msgs.(j) <> c then begin
+        msgs.(j) <- c;
+        (inner_kernels.(i)).Algo.Spec.set j c
+      end
+    done;
+    stale.(i) <- false
   in
   let step ~self ~rng (received : int array) =
+    (* Announcements consume no rng, so syncing here cannot perturb the
+       per-node stream. *)
+    if !dirty then recompute_aggregates ();
     let block = blk_of.(self) and slot = slot_of.(self) in
-    (* Sync the cache first (no rng is consumed by cache maintenance, so
-       this reordering cannot perturb the per-node stream): served as-is
-       when this recipient saw the same vector as the previous step call,
-       patched incrementally when only a few slots changed. *)
-    (if !valid then begin
-       let nmiss = ref 0 in
-       for u = 0 to big_n - 1 do
-         if received.(u) <> cached.(u) then begin
-           miss.(!nmiss) <- u;
-           incr nmiss
-         end
-       done;
-       if !nmiss > 0 then
-         if !nmiss < big_n then patch received !nmiss else refresh received
-     end
-     else refresh received);
-    (* Step 1: advance this block's copy of A on the block's messages —
-       read from the decoded [inner_codes] cache ([cached] = [received]
-       after the sync), not by re-dividing the raw codes. *)
-    let base = block * n_inner in
-    for j = 0 to n_inner - 1 do
-      inner_msgs.(j) <- inner_codes.(base + j)
-    done;
+    if stale.(block) then sync_block block;
+    (* Step 1: advance this block's copy of A on the block's messages. *)
     let inner' =
-      (inner_kernels.(block)).Algo.Spec.step ~self:slot ~rng inner_msgs
+      (inner_kernels.(block)).Algo.Spec.step ~self:slot ~rng blk_msgs.(block)
     in
     (* Step 2: phase-king instruction I_{r_value} on the (a, d) registers,
-       read from the synced aggregates. Byzantine clamping is a no-op
-       here: every a-code lies in [0, cap + 1) by construction of the
-       encoding. The (a', d') pair is packed into one int
-       [a' lsl 1 lor d'] — exactly the register half of the result code —
-       so the match allocates nothing. *)
+       read from the aggregates. Byzantine clamping is a no-op here: every
+       a-code lies in [0, cap + 1) by construction of the encoding. The
+       (a', d') pair is packed into one int [a' lsl 1 lor d'] — exactly
+       the register half of the result code — so the match allocates
+       nothing. *)
     let self_a = a_codes.(self) in
     let self_d = received.(self) land 1 in
     let reg' =
@@ -419,7 +411,7 @@ let kernel_instance (ic : _ Algo.Spec.codec) p ~big_c
        inner part is not bit-aligned with [reg']. *)
     ((inner' * num_a) lsl 1) + reg'
   in
-  { Algo.Spec.step }
+  { Algo.Spec.load; set; step }
 
 (* The codec's [fresh_kernel]. The first call builds the [tables] (tower
    construction does not: every command pays for it in set-up, run or
@@ -429,14 +421,14 @@ let kernel_instance (ic : _ Algo.Spec.codec) p ~big_c
    inside pool workers, and forcing one lazy value from two domains at
    once raises. Racing builders produce equal pure tables and
    [compare_and_set] keeps one of them. *)
-let flat_kernel ic p ~big_c =
+let flat_kernel ic p ~big_c ~inner_c =
   let shared = Atomic.make None in
   fun () ->
     let t =
       match Atomic.get shared with
       | Some t -> t
       | None ->
-        let t = build_tables p in
+        let t = build_tables p ~inner_c in
         if Atomic.compare_and_set shared None (Some t) then t
         else Option.get (Atomic.get shared)
     in
@@ -546,9 +538,10 @@ let construct_gen ?ablation ~(inner : 's Algo.Spec.t) ~k ~big_f ~big_c () =
             d = code land 1 = 1;
           }
         in
+        (* [a_code <= big_c], so [a_code - 1] needs no reduction. *)
         let output_code ~self:_ code =
           let a_code = code lsr 1 mod num_a in
-          if a_code = 0 then 0 else (a_code - 1) mod big_c
+          if a_code = 0 then 0 else a_code - 1
         in
         (* Same draw order as [random_state]: a-register, d-flag, inner
            state — composed through the inner codec's own random_code
@@ -562,7 +555,7 @@ let construct_gen ?ablation ~(inner : 's Algo.Spec.t) ~k ~big_f ~big_c () =
         in
         let fresh_kernel =
           match ablation with
-          | None -> flat_kernel ic p ~big_c
+          | None -> flat_kernel ic p ~big_c ~inner_c:inner.Algo.Spec.c
           | Some _ ->
             (* Ablated variants stay on the reference kernel so their
                deliberately broken semantics are preserved verbatim. *)

@@ -299,9 +299,10 @@ let greedy_confusion ~pool () =
       (fun env ->
         let n = env.n in
         (* A private kernel: the probes must not disturb the engine's
-           own kernel cache. Consecutive probes differ in about one
-           slot of [recv], which a kernel with an incremental
-           received-vector cache (the boost tower's) makes cheap. *)
+           own kernel. [recv] is loaded once per craft and every
+           candidate moves one slot, announced through [assign], which
+           a kernel with incremental views (the boost tower's) makes
+           cheap. *)
         let kernel = env.fresh_kernel () in
         let cur = Array.make n 0 in
         let recv = Array.make n 0 in
@@ -313,6 +314,12 @@ let greedy_confusion ~pool () =
         let probe ~self ~rng =
           env.output_code ~self
             (kernel.Algo.Spec.step ~self ~rng:(Stdx.Rng.split rng) recv)
+        in
+        let assign u code =
+          if recv.(u) <> code then begin
+            recv.(u) <- code;
+            kernel.Algo.Spec.set u code
+          end
         in
         {
           craft_flat =
@@ -328,6 +335,7 @@ let greedy_confusion ~pool () =
                 cands.(i) <- env.random_code rng
               done;
               Array.blit cur 0 recv 0 n;
+              kernel.Algo.Spec.load recv;
               for i = 0 to nc - 1 do
                 baseline.(i) <- probe ~self:correct.(i) ~rng
               done;
@@ -347,7 +355,7 @@ let greedy_confusion ~pool () =
                     let best = ref 0 in
                     let best_score = ref min_int in
                     for ci = 0 to ncand - 1 do
-                      recv.(sender) <- cands.(ci);
+                      assign sender cands.(ci);
                       let o = probe ~self:r ~rng in
                       let score =
                         if mem_prefix baseline nc o then d else d + 1
@@ -357,7 +365,7 @@ let greedy_confusion ~pool () =
                         best := ci
                       end
                     done;
-                    recv.(sender) <- cur.(sender);
+                    assign sender cur.(sender);
                     out.(base + r) <- cands.(!best)
                   end
                 done

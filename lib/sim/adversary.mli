@@ -149,8 +149,8 @@ val greedy_confusion : pool:int -> unit -> 's t
     candidate) probe in that nesting order. Faulty recipients get the
     sender's own state and cost no draw. The flat kernel does the same
     in code space, stepping a private {!flat_env.fresh_kernel} built
-    once per phase, so each probe differs from the kernel's previous
-    input in about one slot. *)
+    once per phase: it loads the true states once per round and
+    announces each candidate as a one-slot [set]. *)
 
 val standard_suite : unit -> 's t list
 (** The adversaries used by tests and experiments: benign, stuck,

@@ -107,11 +107,12 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
      faulty set; the phase's flat kernel writes into it. *)
   let crafted = Array.make (max 1 (spec.Algo.Spec.f * n)) 0 in
   (* Recipient visit order. Recipients whose crafted columns are
-     identical are stepped consecutively, so kernels that cache their
-     received-vector scan (e.g. the boost tower) refresh once per
-     distinct column instead of once per node — the difference between
-     hostile and benign throughput. Reordering is sound because every
-     node draws from its own [node_rng] stream. *)
+     identical are stepped consecutively, so the kernel is announced
+     changed slots ([Algo.Spec.kernel.set]) once per distinct column
+     instead of once per node, and a kernel that caches derived views of
+     its vector (e.g. the boost tower) updates them that often — the
+     difference between hostile and benign throughput. Reordering is
+     sound because every node draws from its own [node_rng] stream. *)
   let visit = Array.init n Fun.id in
   (match init with
   | Some states -> Array.iteri (fun v s -> Statebuf.set !cur v (encode s)) states
@@ -314,12 +315,19 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
       let s0 = if !sample then Stdx.Span.now spans else 0.0 in
       if !sample then craft_s := !craft_s +. (s0 -. c0);
       Statebuf.blit_to !cur recv n;
+      kernel.Algo.Spec.load recv;
       for i = 0 to n - 1 do
         (* Faulty slots are rewritten for every recipient, so the shared
-           recv scratch never needs restoring. *)
+           recv scratch never needs restoring; only the slots whose
+           crafted code differs from the previous recipient's are
+           announced to the kernel. *)
         let v = if nf = 0 then i else visit.(i) in
         for fi = 0 to nf - 1 do
-          recv.(fa.(fi)) <- crafted.((fi * n) + v)
+          let u = fa.(fi) and code = crafted.((fi * n) + v) in
+          if recv.(u) <> code then begin
+            recv.(u) <- code;
+            kernel.Algo.Spec.set u code
+          end
         done;
         Statebuf.set !nxt v
           (kernel.Algo.Spec.step ~self:v ~rng:node_rng.(v) recv)

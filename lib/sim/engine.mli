@@ -24,11 +24,14 @@
     Adversaries run in code space too: each phase crafts message codes
     through its strategy's {!Adversary.flat_crafter} straight into a
     preallocated scratch matrix — no per-round message matrix, zero
-    decode/encode in the hostile hot loop. On hostile rounds the engine
-    additionally visits recipients grouped by identical crafted columns,
-    which keeps received-vector caches inside counting kernels hot under
-    equivocating adversaries — sound because every node owns its private
-    RNG stream.
+    decode/encode in the hostile hot loop. The kernel is told what it
+    receives through {!Algo.Spec.kernel}'s protocol: the round's true
+    states are [load]ed once, and per recipient only the faulty slots
+    whose crafted code differs from the previous recipient's are [set].
+    On hostile rounds the engine visits recipients grouped by identical
+    crafted columns, so equivocating adversaries cost one batch of [set]s
+    per distinct column, not per recipient — sound because every node
+    owns its private RNG stream.
 
     States are decoded only where ['s] values are asked for: the
     [final_states] of the outcome, and the rows handed to the [trace]

@@ -1,44 +1,63 @@
-type t = { mutable s : int64 }
+(* The 64-bit SplitMix state lives unboxed in an 8-byte buffer, read and
+   written through the unboxed-int64 primitives. With the state in a
+   [mutable int64] field every draw would allocate a boxed Int64; here,
+   as long as [next] is inlined into its caller, the whole
+   add-mix-truncate chain stays in registers and a draw allocates
+   nothing. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { s = mix (Int64.of_int seed) }
+let[@inline] of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let copy t = { s = t.s }
+let create seed = of_state (mix (Int64.of_int seed))
 
-let next_int64 t =
-  t.s <- Int64.add t.s golden_gamma;
-  mix t.s
+let copy = Bytes.copy
 
-let split t = { s = next_int64 t }
+let[@inline] next t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix s
 
-let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 34)
+let next_int64 t = next t
+
+let split t = of_state (next t)
+
+let bits t = Int64.to_int (Int64.shift_right_logical (next t) 34)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound = 1 then 0
   else begin
     (* Rejection sampling over 61 bits (OCaml native ints are 63-bit, so
-       1 lsl 61 is still a positive int) to avoid modulo bias. *)
+       1 lsl 61 is still a positive int) to avoid modulo bias. A while
+       loop, not a local recursive function: the closure would allocate
+       on every call. *)
     let range = 1 lsl 61 in
     if bound > range then invalid_arg "Rng.int: bound too large";
     let threshold = range - (range mod bound) in
-    let rec loop () =
-      let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 3) in
-      if r < threshold then r mod bound else loop ()
-    in
-    loop ()
+    let r = ref (Int64.to_int (Int64.shift_right_logical (next t) 3)) in
+    while !r >= threshold do
+      r := Int64.to_int (Int64.shift_right_logical (next t) 3)
+    done;
+    !r mod bound
   end
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let float t =
-  let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
+  let x = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   x /. 9007199254740992.0 (* 2^53 *)
 
 let pick t a =

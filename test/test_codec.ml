@@ -6,9 +6,11 @@
    compare_state, and (when the state set is enumerable) the codes of
    all_states are exactly 0 .. num_states - 1. Checked for every family
    that ships a codec — the trivial counters, the randomised 1-bit
-   counter, a synthesised/derived codec, and the boost towers A(4,1)
-   and A(12,3) from Theorem 1's recursion. The towers A(4,1), A(12,3)
-   and A(36,7) also pin how fresh_kernel instances may share state. *)
+   counter, a synthesised/derived codec, and the boost towers A(4,1),
+   A(12,3) and A(36,7) from Theorem 1's recursion. Every family's kernel
+   must also honour the load/set announcement protocol of
+   Algo.Spec.kernel, and the towers pin how fresh_kernel instances may
+   share state. *)
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -36,6 +38,15 @@ let a36_7 ~c =
 let families () =
   let a41 = (a41 ~c:2).Counting.Boost.spec in
   let a12_3 = (a12_3 ~c:1728).Counting.Boost.spec in
+  let a36_7 = (a36_7 ~c:2).Counting.Boost.spec in
+  (* An inner counter too wide for the flat kernel's view tables, so the
+     kernel decodes views by division instead. *)
+  let a41_wide =
+    (Counting.Boost.construct
+       ~inner:(Counting.Trivial.single ~c:(2304 * 256))
+       ~k:4 ~big_f:1 ~big_c:2)
+      .Counting.Boost.spec
+  in
   let leader = Counting.Trivial.follow_leader ~n:4 ~c:5 in
   let derived =
     Algo.Spec.with_derived_codec { leader with Algo.Spec.codec = None }
@@ -47,6 +58,8 @@ let families () =
     F ("derived(follow-leader)", derived);
     F ("boost A(4,1)", a41);
     F ("boost A(12,3)", a12_3);
+    F ("boost A(36,7)", a36_7);
+    F ("boost A(4,1), untabulated views", a41_wide);
   ]
 
 let codec_of (spec : 's Algo.Spec.t) label : 's Algo.Spec.codec =
@@ -97,6 +110,53 @@ let output_agrees (F (label, spec)) =
       let self = self_raw mod spec.Algo.Spec.n in
       codec.Algo.Spec.output_code ~self (codec.Algo.Spec.encode_state s)
       = spec.Algo.Spec.output ~self s)
+
+(* The kernel protocol: after [load v0] and a random sequence of [set]s
+   reaching [v] — interleaved with steps, so a kernel's lazily synced
+   views are exercised mid-sequence, and including sets that rewrite a
+   slot's current code — stepping every node returns what a fresh
+   kernel returns after [load v] alone, and what the spec's own
+   transition returns on the decoded vector. *)
+let incremental_agrees (F (label, spec)) =
+  let codec = codec_of spec label in
+  let n = spec.Algo.Spec.n in
+  qcheck ~count:100
+    (Printf.sprintf "%s: load then sets = fresh kernel's load" label)
+    QCheck.small_nat
+    (fun seed ->
+      let rng = Stdx.Rng.create seed in
+      let draw () = codec.Algo.Spec.random_code rng in
+      let recv = Array.init n (fun _ -> draw ()) in
+      let kernel = codec.Algo.Spec.fresh_kernel () in
+      kernel.Algo.Spec.load recv;
+      for _ = 1 to Stdx.Rng.int rng ((2 * n) + 2) do
+        let u = Stdx.Rng.int rng n in
+        let code = if Stdx.Rng.int rng 4 = 0 then recv.(u) else draw () in
+        recv.(u) <- code;
+        kernel.Algo.Spec.set u code;
+        if Stdx.Rng.int rng 3 = 0 then
+          ignore
+            (kernel.Algo.Spec.step ~self:(Stdx.Rng.int rng n)
+               ~rng:(Stdx.Rng.create seed) recv)
+      done;
+      let v = Array.copy recv in
+      let fresh = codec.Algo.Spec.fresh_kernel () in
+      fresh.Algo.Spec.load v;
+      let decoded = Array.map codec.Algo.Spec.decode_state v in
+      let step_seed = Stdx.Rng.bits rng in
+      List.for_all
+        (fun self ->
+          let step (k : Algo.Spec.kernel) a =
+            k.Algo.Spec.step ~self ~rng:(Stdx.Rng.create (step_seed + self)) a
+          in
+          let expected = step fresh v in
+          step kernel recv = expected
+          && codec.Algo.Spec.encode_state
+               (spec.Algo.Spec.transition ~self
+                  ~rng:(Stdx.Rng.create (step_seed + self))
+                  decoded)
+             = expected)
+        (List.init n Fun.id))
 
 (* Density: with all_states available, the encodings are a permutation
    of 0 .. num_states - 1 (deterministic, so a plain case). *)
@@ -154,7 +214,7 @@ let test_families_validate () =
 (* The flat-kernel sharing contract of Algo.Spec.codec.fresh_kernel: a
    Boost tower's kernels share the tower's immutable lookup tables (built
    on the first fresh_kernel () call) but never their mutable scratch —
-   the decode cache, histogram and per-block inner kernels. Kernels are
+   the decoded views, histogram and per-block inner kernels. Kernels are
    driven through the codec's code-space view, free of the state type. *)
 
 let flat_of (F (label, spec)) =
@@ -176,25 +236,45 @@ let towers =
     tower "A(36,7)" (fun () -> (a36_7 ~c:2).Counting.Boost.spec);
   ]
 
-(* [len] (recipient, received vector) steps drawn with random_code. Every
-   fifth vector is redrawn whole; the others change 0-2 slots of their
-   predecessor, so a replay drives a kernel's cache through full
-   refreshes, hits and incremental patches. *)
+(* [len] (recipient, received vector, whole redraw?) steps drawn with
+   random_code. Every fifth vector is redrawn whole; the others change
+   0-2 slots of their predecessor, so a replay drives a kernel through
+   loads, unchanged vectors and announced single-slot changes. *)
 let step_sequence (t : Sim.Adversary.flat_env) ~seed ~len =
   let rng = Stdx.Rng.create seed in
   let cur = Array.make t.n 0 in
   Array.init len (fun i ->
-      if i mod 5 = 0 then
+      let whole = i mod 5 = 0 in
+      if whole then
         Array.iteri (fun u _ -> cur.(u) <- t.random_code rng) cur
       else
         for _ = 1 to Stdx.Rng.int rng 3 do
           cur.(Stdx.Rng.int rng t.n) <- t.random_code rng
         done;
-      (Stdx.Rng.int rng t.n, Array.copy cur))
+      (Stdx.Rng.int rng t.n, Array.copy cur, whole))
 
-let replay (kernel : Algo.Spec.kernel) ~seed seq =
+(* Drives one kernel through a step sequence by its protocol, over a
+   private vector: whole redraws are loaded, other changes are written
+   and announced slot by slot. *)
+let driver (kernel : Algo.Spec.kernel) ~seed =
   let rng = Stdx.Rng.create seed in
-  Array.map (fun (self, received) -> kernel.Algo.Spec.step ~self ~rng received) seq
+  let recv = ref [||] in
+  fun (self, received, whole) ->
+    if whole then begin
+      recv := Array.copy received;
+      kernel.Algo.Spec.load !recv
+    end
+    else
+      Array.iteri
+        (fun u code ->
+          if !recv.(u) <> code then begin
+            !recv.(u) <- code;
+            kernel.Algo.Spec.set u code
+          end)
+        received;
+    kernel.Algo.Spec.step ~self ~rng !recv
+
+let replay kernel ~seed seq = Array.map (driver kernel ~seed) seq
 
 let codes = Alcotest.(array int)
 
@@ -204,14 +284,12 @@ let test_kernel_isolation (build : unit -> Sim.Adversary.flat_env) () =
   let t = build () in
   let len = 60 in
   let s1 = step_sequence t ~seed:1 ~len and s2 = step_sequence t ~seed:2 ~len in
-  let k1 = t.fresh_kernel () and k2 = t.fresh_kernel () in
-  let rng1 = Stdx.Rng.create 11 and rng2 = Stdx.Rng.create 12 in
+  let d1 = driver (t.fresh_kernel ()) ~seed:11
+  and d2 = driver (t.fresh_kernel ()) ~seed:12 in
   let out1 = Array.make len 0 and out2 = Array.make len 0 in
   for i = 0 to len - 1 do
-    let self, received = s1.(i) in
-    out1.(i) <- k1.Algo.Spec.step ~self ~rng:rng1 received;
-    let self, received = s2.(i) in
-    out2.(i) <- k2.Algo.Spec.step ~self ~rng:rng2 received
+    out1.(i) <- d1 s1.(i);
+    out2.(i) <- d2 s2.(i)
   done;
   check codes "first kernel = lone kernel"
     (replay (t.fresh_kernel ()) ~seed:11 s1)
@@ -265,6 +343,7 @@ let suite =
           List.map roundtrip_and_range (families ());
           List.map order_agrees (families ());
           List.map output_agrees (families ());
+          List.map incremental_agrees (families ());
           density_cases;
           [
             case "num_states exact on big towers" test_big_tower_num_states;

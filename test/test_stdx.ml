@@ -103,6 +103,103 @@ let test_sample_with_replacement =
       let s = Stdx.Rng.sample_with_replacement rng k n in
       List.length s = k && List.for_all (fun v -> v >= 0 && v < n) s)
 
+(* Golden streams: the first outputs of every primitive for fixed seeds,
+   as the generator has always produced them. Every recorded seed, corpus
+   entry and benchmark digest in the repository depends on these exact
+   streams, so a change of representation must reproduce them bit for
+   bit. [int]'s bounds include 1 (no draw), a 40-bit bound and a bound
+   just past 2^60, which rejects about half of all draws. *)
+let rng_golden =
+  [
+    ( 0,
+      [ 948447758; 463349658; 28383046; 1042476586 ],
+      [ 0; 1; 1; 9; 805; 194518519443; 754761825157895261; 0 ],
+      "tftftftf",
+      [ "0x1.c4415072f63b9p-1"; "0x1.b9e279aa86e58p-2"; "0x1.b1174620025p-6" ],
+      [ 752920769; 463349658; 148938095 ],
+      [ 995035815274294462; 60952127433943209; 245218775303261843;
+        754761825157895261; 400912003250038364; 566520145124077912 ],
+      1022235171 );
+    ( 1,
+      [ 805036044; 399854393; 470603760; 1024475022 ],
+      [ 0; 0; 1; 0; 125; 984570408215; 1373747321500167948; 4 ],
+      "fttftfff",
+      [ "0x1.7fdf0061bb85ap-1"; "0x1.7d54b3920bcaap-2"; "0x1.c0cd7f0f6bcf6p-2" ],
+      [ 1054960615; 399854393; 917340489 ],
+      [ 858680770823083336; 1010613881357105940; 465917937328860439;
+        1050932475053950143; 428761029293495661; 726012482746310071 ],
+      947287188 );
+    ( 42,
+      [ 640077764; 172191023; 178668281; 51567305 ],
+      [ 0; 1; 1; 2; 545; 59229700628; 542155491210482264; 0 ],
+      "tttftttf",
+      [ "0x1.31367e26140c7p-1"; "0x1.486da5f92b86cp-3"; "0x1.54c85f31d00d8p-3" ],
+      [ 897959745; 172191023; 579705431 ],
+      [ 369777407914023898; 383687213059159642; 110739944760160545;
+        542155491210482264; 644112150542925561; 352548044328291498 ],
+      816777511 );
+    ( -7,
+      [ 686220402; 146745330; 917548200; 409705756 ],
+      [ 0; 0; 1; 4; 761; 335632089400; 626569945175889949; 0 ],
+      "fttffttf",
+      [ "0x1.47372396bd963p-1"; "0x1.17e4fe55fbc3cp-3"; "0x1.b5856541cb7c9p-1" ],
+      [ 687040995; 146745330; 518629484 ],
+      [ 315133198070648581; 879836412226143761; 626569945175889949;
+        254518711133349999; 628082237069038241; 300150407659414443 ],
+      987485328 );
+  ]
+
+let test_rng_golden () =
+  let ints = Alcotest.(list int) in
+  List.iter
+    (fun (seed, bits, ints_, bools, floats, split, rejecting, after) ->
+      let label what = Printf.sprintf "seed %d: %s" seed what in
+      let fresh () = Stdx.Rng.create seed in
+      let r = fresh () in
+      check ints (label "bits") bits (List.map (fun _ -> Stdx.Rng.bits r) bits);
+      let r = fresh () in
+      check ints (label "int")
+        ints_
+        (List.map (Stdx.Rng.int r)
+           [ 1; 2; 3; 10; 1000; 1 lsl 40; (1 lsl 61) - 1; 7 ]);
+      let r = fresh () in
+      check Alcotest.string (label "bool") bools
+        (String.init 8 (fun _ -> if Stdx.Rng.bool r then 't' else 'f'));
+      let r = fresh () in
+      check
+        Alcotest.(list string)
+        (label "float") floats
+        (List.map (fun _ -> Printf.sprintf "%h" (Stdx.Rng.float r)) floats);
+      let r = fresh () in
+      let child = Stdx.Rng.split r in
+      let g1 = Stdx.Rng.bits (Stdx.Rng.split child) in
+      let p1 = Stdx.Rng.bits r in
+      let c1 = Stdx.Rng.bits child in
+      check ints (label "split") split [ c1; p1; g1 ];
+      let r = fresh () in
+      let big = (1 lsl 60) + 1 in
+      check ints (label "int with rejections") rejecting
+        (List.map (fun _ -> Stdx.Rng.int r big) rejecting);
+      check Alcotest.int (label "draws consumed by rejections") after
+        (Stdx.Rng.bits r))
+    rng_golden
+
+(* Drawing allocates nothing: the hostile engine loop draws per message,
+   so a boxed state or a closure per call shows up in its GC profile. *)
+let test_rng_no_alloc () =
+  let r = Stdx.Rng.create 3 in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    acc := !acc + Stdx.Rng.int r 17 + Stdx.Rng.bits r;
+    if Stdx.Rng.bool r then incr acc
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !acc);
+  check Alcotest.bool
+    (Printf.sprintf "3000 draws allocate %.0f minor words" words)
+    true (words < 64.)
+
 (* ------------------------------------------------------------------ *)
 (* Imath                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -436,6 +533,8 @@ let suite =
         test_shuffle_permutation;
         test_sample_without_replacement;
         test_sample_with_replacement;
+        case "golden streams" test_rng_golden;
+        case "draws do not allocate" test_rng_no_alloc;
       ] );
     ( "stdx.imath",
       [
