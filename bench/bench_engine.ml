@@ -12,9 +12,11 @@
    loop. Random-equivocate rows (A(12,3) and the Figure-2 tower A(36,7))
    give every recipient its own fresh random message from each faulty
    node, so the kernel is announced changed slots for every recipient
-   and the adversary draws from the rng per message. A greedy-confusion
-   row measures the lookahead kernel, where crafting rather than
-   stepping dominates.
+   and the adversary draws from the rng per message. The A(36,7) tower
+   has one such row with a faulty node in every block (every block is
+   revoted per recipient) and one with a single faulty node (one block
+   is). A greedy-confusion row measures the lookahead kernel, where
+   crafting rather than stepping dominates.
 
    Kernel set-up rows time [fresh_kernel ()] itself on the Theorem 1
    towers A(4,1), A(12,3) and A(36,7) (modulus 2): the fixed cost every
@@ -221,9 +223,13 @@ let run () =
       measure ~label:"A(36,7) random-equivocate" ~spec:a36_7
         ~adversary:(Sim.Adversary.random_equivocate ())
         ~faulty:[ 0; 5; 10; 15; 20; 25; 30 ] ~rounds:1000 ~seed:1 ();
-      (* The one-step lookahead: every round steps a private kernel once
-         per (faulty sender, correct recipient, candidate), so crafting,
-         not the engine's own step, is what this row measures. *)
+      measure ~label:"A(36,7) random-equivocate, 1 faulty" ~spec:a36_7
+        ~adversary:(Sim.Adversary.random_equivocate ())
+        ~faulty:[ 13 ] ~rounds:1000 ~seed:1 ();
+      (* The one-step lookahead: every round probes a private kernel
+         once per (faulty sender, correct recipient, candidate), so
+         crafting, not the engine's own step, is what this row
+         measures. *)
       measure ~label:"A(12,3) greedy-confusion(2)" ~spec:a12_3
         ~adversary:(Sim.Adversary.greedy_confusion ~pool:2 ())
         ~faulty:[ 0; 4; 8 ] ~rounds:200 ~seed:1 ();

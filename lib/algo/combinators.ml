@@ -17,6 +17,15 @@ let project_counter (spec : 's Spec.t) ~modulus =
             codec with
             Spec.output_code =
               (fun ~self code -> codec.output_code ~self code mod modulus);
+            fresh_kernel =
+              (fun () ->
+                let kernel = codec.fresh_kernel () in
+                {
+                  kernel with
+                  Spec.step_output =
+                    (fun ~self ~rng received ->
+                      kernel.step_output ~self ~rng received mod modulus);
+                });
           })
         spec.codec;
   }

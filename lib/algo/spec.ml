@@ -2,6 +2,7 @@ type kernel = {
   load : int array -> unit;
   set : int -> int -> unit;
   step : self:int -> rng:Stdx.Rng.t -> int array -> int;
+  step_output : self:int -> rng:Stdx.Rng.t -> int array -> int;
 }
 
 type 's codec = {
@@ -30,7 +31,7 @@ type 's t = {
   codec : 's codec option;
 }
 
-let generic_kernel ~n ~transition ~encode_state ~decode_state () =
+let generic_kernel ~n ~transition ~output ~encode_state ~decode_state () =
   let scratch = Array.make n (decode_state 0) in
   let load received =
     for j = 0 to n - 1 do
@@ -39,7 +40,10 @@ let generic_kernel ~n ~transition ~encode_state ~decode_state () =
   in
   let set u code = scratch.(u) <- decode_state code in
   let step ~self ~rng _received = encode_state (transition ~self ~rng scratch) in
-  { load; set; step }
+  let step_output ~self ~rng _received =
+    output ~self (transition ~self ~rng scratch)
+  in
+  { load; set; step; step_output }
 
 let identity_codec ?random_code ~num_states ~transition ~output () : int codec
     =
@@ -61,7 +65,14 @@ let identity_codec ?random_code ~num_states ~transition ~output () : int codec
     (* No scratch, so every run may share one kernel value. *)
     fresh_kernel =
       (let kernel =
-         { load = ignore; set = (fun _ _ -> ()); step = transition }
+         {
+           load = ignore;
+           set = (fun _ _ -> ());
+           step = transition;
+           step_output =
+             (fun ~self ~rng received ->
+               output ~self (transition ~self ~rng received));
+         }
        in
        fun () -> kernel);
   }
@@ -98,8 +109,8 @@ let derive_codec spec =
     let output_code ~self code = spec.output ~self (decode_state code) in
     let random_code rng = encode_state (spec.random_state rng) in
     let fresh_kernel =
-      generic_kernel ~n:spec.n ~transition:spec.transition ~encode_state
-        ~decode_state
+      generic_kernel ~n:spec.n ~transition:spec.transition ~output:spec.output
+        ~encode_state ~decode_state
     in
     Some
       {

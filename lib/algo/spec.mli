@@ -36,6 +36,16 @@ type kernel = {
           [encode (g(self, decode received))]. [received] must be the
           array last passed to [load], with every write to it since
           announced through [set]. *)
+  step_output : self:int -> rng:Stdx.Rng.t -> int array -> int;
+      (** [step_output ~self ~rng received] is
+          [output_code ~self (step ~self ~rng received)], under the same
+          precondition on [received], but it may leave [rng] in a
+          different state than [step] would: callers pass a throwaway
+          stream (a lookahead probe's split) and read only the output.
+          A kernel whose output reads a small part of the state computes
+          just that part (the boost tower's: its phase-king register,
+          never its inner counters). Like [step], it leaves the
+          announced vector and every later [step] unaffected. *)
 }
 (** A transition kernel operating directly on packed integer state codes,
     told which received slots changed instead of rediscovering it.
@@ -53,7 +63,11 @@ type kernel = {
     crafted message differs per recipient, so a kernel pays for the
     slots that change, not for rescanning all [n] of them per recipient.
     Kernels with nothing to cache ({!identity_codec}'s) ignore [load]
-    and [set].
+    and [set]. [step_output] serves lookahead adversaries, which probe
+    a recipient's next output once per candidate message.
+
+    Since [step_output]'s rng may end in any state, an rng passed to it
+    must not be reused for a [step] whose result matters.
 
     A kernel value may own private mutable scratch buffers, so it must be
     confined to one simulation run (see {!codec.fresh_kernel}); immutable
@@ -121,15 +135,17 @@ type 's t = {
 val generic_kernel :
   n:int ->
   transition:(self:int -> rng:Stdx.Rng.t -> 's array -> 's) ->
+  output:(self:int -> 's -> int) ->
   encode_state:('s -> int) ->
   decode_state:(int -> 's) ->
   unit ->
   kernel
 (** Reference kernel: [load] decodes every received code into a private
     scratch array and [set] re-decodes one slot; [step] applies
-    [transition] to the scratch array and encodes the result. Always
-    exact, never fast — the building block for specs without a
-    hand-written flat kernel. *)
+    [transition] to the scratch array and encodes the result, and
+    [step_output] applies [output] to it instead. Always exact, never
+    fast — the building block for specs without a hand-written flat
+    kernel. *)
 
 val identity_codec :
   ?random_code:(Stdx.Rng.t -> int) ->
@@ -140,7 +156,8 @@ val identity_codec :
   int codec
 (** Codec for specs whose state type is already a dense [int] in
     [\[0, num_states)]: encoding is the identity and the kernel is the
-    spec's own transition, with no-op [load] and [set]. [random_code]
+    spec's own transition, with no-op [load] and [set] and
+    [step_output] composing [output] with it. [random_code]
     defaults to a uniform [Rng.int rng num_states] draw — override it
     iff the spec's [random_state] samples differently (the two must stay
     in draw-level lockstep; see {!codec.random_code}). *)

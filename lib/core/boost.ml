@@ -216,11 +216,20 @@ let build_tables p ~inner_c =
    a-register histogram, the smallest F+1-supported value — depends only
    on the announced vector, not on [self], and consumes no rng. So the
    kernel keeps it decoded: [load] decodes every slot, [set] re-decodes
-   one, and the aggregates over the decoded slots are recomputed once per
-   batch of announcements, on the next [step]. The engine announces the
-   true states once per round and then only the faulty slots whose
+   one, and the aggregates over the decoded slots are brought up to date
+   once per batch of announcements, on the next step. After a [load] that
+   is the O(N) batch recompute. After [set]s alone it is per block: only
+   the blocks a [set] touched are revoted, the leader and round counter
+   are re-read only if those votes moved them, and the F+1-supported
+   minimum follows the histogram bins that cross F. The engine announces
+   the true states once per round and then only the faulty slots whose
    message differs per recipient, so benign rounds decode each slot once
    and hostile ones only the slots the adversary moves.
+
+   [step_output] is the lookahead probe: the output of a boost state is
+   its a-register alone, so it evaluates only the phase-king register —
+   through the same [register] as [step] — and leaves the per-block
+   inner kernels alone.
 
    One instance: the shared [tables] plus private mutable scratch, so an
    instance must not be shared across concurrent runs (see
@@ -246,9 +255,17 @@ let kernel_instance (ic : _ Algo.Spec.codec) p ~big_c
   let block_votes = Array.make k 0 in
   let hist = Array.make (cap + 1) 0 in
   hist.(cap) <- big_n;
-  (* Whether an announcement has moved the aggregates below since they
-     were last computed. *)
-  let dirty = ref true in
+  (* Aggregate freshness. [loaded]: a [load] has replaced the vector
+     since the aggregates below were last computed, so they are
+     recomputed whole. Otherwise the first [nrevote] entries of [revote]
+     are the blocks (flagged in [marked]) a [set] has touched since, and
+     [min_stale] says the F+1-supported minimum has lost its support
+     (only ever alongside a marked block). *)
+  let loaded = ref true in
+  let revote = Array.make k 0 in
+  let nrevote = ref 0 in
+  let marked = Array.make k false in
+  let min_stale = ref false in
   let leader = ref 0 in
   let r_value = ref 0 in
   (* [r_value mod 3] and [r_value / 3], refreshed with [r_value]: the
@@ -315,27 +332,68 @@ let kernel_instance (ic : _ Algo.Spec.codec) p ~big_c
      leader block, the leader block's round counter, and the smallest
      value with more than F votes (I_{3l+1}); scanning the received values
      (any such value occurs at least once) instead of all of [0, cap)
-     keeps the latter O(N). Pure compares, no divisions. *)
-  let recompute_aggregates () =
-    for i = 0 to k - 1 do
-      block_votes.(i) <-
-        majority_slice view_b ~lo:(i * n_inner) ~len:n_inner ~default:0
-    done;
-    leader := majority_slice block_votes ~lo:0 ~len:k ~default:0;
-    r_value :=
-      majority_slice view_r ~lo:(!leader * n_inner) ~len:n_inner ~default:0;
-    r_ell := !r_value / 3;
-    r_instr := !r_value - (!r_ell * 3);
-    let best = ref cap in
-    for u = 0 to big_n - 1 do
-      let c = a_codes.(u) in
-      if c <> 0 then begin
-        let j = c - 1 in
-        if j < !best && hist.(j) > big_f then best := j
+     keeps the latter O(N). Pure compares, no divisions. After a [load]
+     every block is voted; otherwise only the marked blocks are, and the
+     leader and [R] are re-read only when a vote, or the leader block's
+     own round counters, may have moved them. One function, not one
+     closure per part: every closure is allocated by every kernel
+     instance, and runs that exit early pay for that set-up. *)
+  let refresh () =
+    let reread_r =
+      if !loaded then begin
+        for i = 0 to k - 1 do
+          block_votes.(i) <-
+            majority_slice view_b ~lo:(i * n_inner) ~len:n_inner ~default:0
+        done;
+        leader := majority_slice block_votes ~lo:0 ~len:k ~default:0;
+        true
       end
+      else begin
+        let moved = ref false and touched = ref false in
+        for t = 0 to !nrevote - 1 do
+          let i = revote.(t) in
+          if i = !leader then touched := true;
+          let b =
+            majority_slice view_b ~lo:(i * n_inner) ~len:n_inner ~default:0
+          in
+          if b <> block_votes.(i) then begin
+            block_votes.(i) <- b;
+            moved := true
+          end
+        done;
+        if !moved then begin
+          let l = majority_slice block_votes ~lo:0 ~len:k ~default:0 in
+          if l <> !leader then begin
+            leader := l;
+            touched := true
+          end
+        end;
+        !touched
+      end
+    in
+    if reread_r then begin
+      r_value :=
+        majority_slice view_r ~lo:(!leader * n_inner) ~len:n_inner ~default:0;
+      r_ell := !r_value / 3;
+      r_instr := !r_value - (!r_ell * 3)
+    end;
+    if !loaded || !min_stale then begin
+      let best = ref cap in
+      for u = 0 to big_n - 1 do
+        let c = a_codes.(u) in
+        if c <> 0 then begin
+          let j = c - 1 in
+          if j < !best && hist.(j) > big_f then best := j
+        end
+      done;
+      min_sup := if !best = cap then 0 else !best + 1
+    end;
+    for t = 0 to !nrevote - 1 do
+      marked.(revote.(t)) <- false
     done;
-    min_sup := if !best = cap then 0 else !best + 1;
-    dirty := false
+    nrevote := 0;
+    min_stale := false;
+    loaded := false
   in
   let load (received : int array) =
     for u = 0 to big_n - 1 do
@@ -346,12 +404,35 @@ let kernel_instance (ic : _ Algo.Spec.codec) p ~big_c
       (inner_kernels.(i)).Algo.Spec.load blk_msgs.(i);
       stale.(i) <- false
     done;
-    dirty := true
+    loaded := true
   in
+  (* With the aggregates current, a [set] moves at most two histogram
+     bins by one vote each: the minimum is rescanned only if its own bin
+     falls to F votes, and a smaller bin reaching F + 1 becomes the
+     minimum. *)
   let set u code =
-    load_slot u code;
-    stale.(blk_of.(u)) <- true;
-    dirty := true
+    let blk = blk_of.(u) in
+    if !loaded then load_slot u code
+    else begin
+      let old_a = a_codes.(u) in
+      load_slot u code;
+      let new_a = a_codes.(u) in
+      if old_a <> new_a && not !min_stale then begin
+        if old_a = !min_sup && old_a <> 0 && hist.(old_a - 1) = big_f then
+          min_stale := true
+        else if
+          new_a <> 0
+          && hist.(new_a - 1) = big_f + 1
+          && (!min_sup = 0 || new_a < !min_sup)
+        then min_sup := new_a
+      end;
+      if not marked.(blk) then begin
+        marked.(blk) <- true;
+        revote.(!nrevote) <- blk;
+        incr nrevote
+      end
+    end;
+    stale.(blk) <- true
   in
   (* Pass block [i]'s changed inner codes on to its inner kernel. *)
   let sync_block i =
@@ -365,53 +446,61 @@ let kernel_instance (ic : _ Algo.Spec.codec) p ~big_c
     done;
     stale.(i) <- false
   in
+  (* Phase-king instruction I_{r_value} on [self]'s (a, d) registers, read
+     from the current aggregates. Byzantine clamping is a no-op here:
+     every a-code lies in [0, cap + 1) by construction of the encoding.
+     The (a', d') pair is packed into one int [a' lsl 1 lor d'] — exactly
+     the register half of the result code — so the match allocates
+     nothing. Inlined into [step] and [step_output], the round loop's
+     hot path. *)
+  let[@inline] register ~self (received : int array) =
+    let self_a = a_codes.(self) in
+    let self_d = received.(self) land 1 in
+    match !r_instr with
+    | 0 ->
+      let support = hist.(bin_of self_a) in
+      let a = if support < big_n - big_f then 0 else self_a in
+      (incr_code a lsl 1) lor self_d
+    | 1 ->
+      let d = if hist.(bin_of self_a) >= big_n - big_f then 1 else 0 in
+      (incr_code !min_sup lsl 1) lor d
+    | _ ->
+      let a =
+        if self_a = 0 || self_d = 0 then begin
+          let imposed =
+            let c = a_codes.(!r_ell) in
+            if c = 0 then cap else c - 1
+          in
+          (* (imposed + 1) mod cap, with imposed <= cap: a compare. *)
+          let x = imposed + 1 in
+          (if x >= cap then x - cap else x) + 1
+        end
+        else incr_code self_a
+      in
+      (a lsl 1) lor 1
+  in
   let step ~self ~rng (received : int array) =
     (* Announcements consume no rng, so syncing here cannot perturb the
        per-node stream. *)
-    if !dirty then recompute_aggregates ();
+    if !loaded || !nrevote > 0 then refresh ();
     let block = blk_of.(self) and slot = slot_of.(self) in
     if stale.(block) then sync_block block;
     (* Step 1: advance this block's copy of A on the block's messages. *)
     let inner' =
       (inner_kernels.(block)).Algo.Spec.step ~self:slot ~rng blk_msgs.(block)
     in
-    (* Step 2: phase-king instruction I_{r_value} on the (a, d) registers,
-       read from the aggregates. Byzantine clamping is a no-op here: every
-       a-code lies in [0, cap + 1) by construction of the encoding. The
-       (a', d') pair is packed into one int [a' lsl 1 lor d'] — exactly
-       the register half of the result code — so the match allocates
-       nothing. *)
-    let self_a = a_codes.(self) in
-    let self_d = received.(self) land 1 in
-    let reg' =
-      match !r_instr with
-      | 0 ->
-        let support = hist.(bin_of self_a) in
-        let a = if support < big_n - big_f then 0 else self_a in
-        (incr_code a lsl 1) lor self_d
-      | 1 ->
-        let d = if hist.(bin_of self_a) >= big_n - big_f then 1 else 0 in
-        (incr_code !min_sup lsl 1) lor d
-      | _ ->
-        let a =
-          if self_a = 0 || self_d = 0 then begin
-            let imposed =
-              let c = a_codes.(!r_ell) in
-              if c = 0 then cap else c - 1
-            in
-            (* (imposed + 1) mod cap, with imposed <= cap: a compare. *)
-            let x = imposed + 1 in
-            (if x >= cap then x - cap else x) + 1
-          end
-          else incr_code self_a
-        in
-        (a lsl 1) lor 1
-    in
-    (* [+], not [lor]: the a-field is a mixed-radix digit, so the shifted
-       inner part is not bit-aligned with [reg']. *)
-    ((inner' * num_a) lsl 1) + reg'
+    (* Step 2: the phase-king registers. [+], not [lor]: the a-field is a
+       mixed-radix digit, so the shifted inner part is not bit-aligned
+       with the register half. *)
+    ((inner' * num_a) lsl 1) + register ~self received
   in
-  { Algo.Spec.load; set; step }
+  (* The codec's [output_code] of [step]'s result: the a-field alone. *)
+  let step_output ~self ~rng:_ (received : int array) =
+    if !loaded || !nrevote > 0 then refresh ();
+    let a = register ~self received lsr 1 in
+    if a = 0 then 0 else a - 1
+  in
+  { Algo.Spec.load; set; step; step_output }
 
 (* The codec's [fresh_kernel]. The first call builds the [tables] (tower
    construction does not: every command pays for it in set-up, run or
@@ -559,8 +648,8 @@ let construct_gen ?ablation ~(inner : 's Algo.Spec.t) ~k ~big_f ~big_c () =
           | Some _ ->
             (* Ablated variants stay on the reference kernel so their
                deliberately broken semantics are preserved verbatim. *)
-            Algo.Spec.generic_kernel ~n:p.big_n ~transition ~encode_state
-              ~decode_state
+            Algo.Spec.generic_kernel ~n:p.big_n ~transition ~output
+              ~encode_state ~decode_state
         in
         Some
           {

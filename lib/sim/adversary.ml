@@ -1,7 +1,6 @@
 type flat_env = {
   n : int;
   random_code : Stdx.Rng.t -> int;
-  output_code : self:int -> int -> int;
   fresh_kernel : unit -> Algo.Spec.kernel;
 }
 
@@ -292,6 +291,9 @@ let distinct_prefix (a : int array) len =
   !d
 
 let greedy_confusion ~pool () =
+  if pool < 0 then
+    invalid_arg
+      (Printf.sprintf "Adversary.greedy_confusion: negative pool %d" pool);
   {
     name = Printf.sprintf "greedy-confusion(%d)" pool;
     benign = false;
@@ -302,18 +304,19 @@ let greedy_confusion ~pool () =
            own kernel. [recv] is loaded once per craft and every
            candidate moves one slot, announced through [assign], which
            a kernel with incremental views (the boost tower's) makes
-           cheap. *)
+           cheap; a probe asks only for the recipient's next output. *)
         let kernel = env.fresh_kernel () in
         let cur = Array.make n 0 in
         let recv = Array.make n 0 in
         let correct = Array.make n 0 in
         let cands = Array.make (n + pool) 0 in
         let baseline = Array.make n 0 in
-        (* One split per probe; the recipient's transition runs on
-           [recv] as it stands. *)
+        (* One split per probe, into a reused buffer; the recipient's
+           transition runs on [recv] as it stands. *)
+        let probe_rng = Stdx.Rng.create 0 in
         let probe ~self ~rng =
-          env.output_code ~self
-            (kernel.Algo.Spec.step ~self ~rng:(Stdx.Rng.split rng) recv)
+          Stdx.Rng.split_into rng probe_rng;
+          kernel.Algo.Spec.step_output ~self ~rng:probe_rng recv
         in
         let assign u code =
           if recv.(u) <> code then begin

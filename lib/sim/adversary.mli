@@ -26,21 +26,20 @@ type flat_env = {
       (** the spec codec's {!Algo.Spec.codec.random_code}: a random
           state in code space, consuming the rng exactly like the
           spec's [random_state] *)
-  output_code : self:int -> int -> int;
-      (** the spec codec's {!Algo.Spec.codec.output_code}: a node's
-          output read straight off a state code *)
   fresh_kernel : unit -> Algo.Spec.kernel;
       (** the spec codec's {!Algo.Spec.codec.fresh_kernel}. A flat
           kernel that simulates recipients' transitions calls it at
           most once per phase (when [fresh_flat] builds the crafter)
           and owns the result: the engine's own kernel is never
           shared, so probing cannot disturb the engine's scratch or
-          caches. Stepping it consumes the given rng exactly like the
-          spec's [transition]. *)
+          caches. Its [step] consumes the given rng exactly like the
+          spec's [transition]; its [step_output] may not, so it is
+          given only throwaway streams. *)
 }
 (** Everything a flat kernel may know about the algorithm it attacks:
-    the node count, a code-space random sampler, the output map and
-    the code-space transition. Deliberately no decoder — flat kernels
+    the node count, a code-space random sampler and the code-space
+    transition (whose [step_output] is the output map applied to a
+    next state). Deliberately no decoder — flat kernels
     are zero-decode by construction. *)
 
 type flat_crafter = {
@@ -141,16 +140,22 @@ val greedy_confusion : pool:int -> unit -> 's t
     spread (number of distinct values) of next-round outputs among the
     correct nodes' truthful next outputs and the recipient's; ties go to
     the first candidate. The strongest generic strategy in the suite;
-    costs O((n + pool) * n * transition) per faulty node per round.
+    costs (n + pool) * n probes per faulty node per round.
 
     Each round consumes the rng as: [pool] random states, then one
     [Stdx.Rng.split] per correct node (ascending; its truthful next
     state), then one split per (faulty sender, correct recipient,
     candidate) probe in that nesting order. Faulty recipients get the
     sender's own state and cost no draw. The flat kernel does the same
-    in code space, stepping a private {!flat_env.fresh_kernel} built
-    once per phase: it loads the true states once per round and
-    announces each candidate as a one-slot [set]. *)
+    in code space, probing a private {!flat_env.fresh_kernel} built
+    once per phase: it loads the true states once per round, and each
+    probe costs a one-slot [set] plus an output-only step
+    ({!Algo.Spec.kernel.step_output}), which on a boost tower revotes
+    only the sender's block and evaluates only the phase-king register.
+    Each probe's split re-seeds one reused buffer
+    ({!Stdx.Rng.split_into}), so the probes allocate nothing.
+
+    Raises [Invalid_argument] if [pool < 0]. *)
 
 val standard_suite : unit -> 's t list
 (** The adversaries used by tests and experiments: benign, stuck,

@@ -97,7 +97,6 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
     {
       Adversary.n;
       random_code = codec.Algo.Spec.random_code;
-      output_code = codec.Algo.Spec.output_code;
       fresh_kernel = codec.Algo.Spec.fresh_kernel;
     }
   in

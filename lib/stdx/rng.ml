@@ -34,6 +34,8 @@ let next_int64 t = next t
 
 let split t = of_state (next t)
 
+let split_into t child = set64 child 0 (next t)
+
 let bits t = Int64.to_int (Int64.shift_right_logical (next t) 34)
 
 let int t bound =

@@ -20,6 +20,12 @@ val split : t -> t
 (** [split t] advances [t] and returns a new generator seeded from it.
     Streams of the parent and the child are statistically independent. *)
 
+val split_into : t -> t -> unit
+(** [split_into t child] advances [t] exactly as [split t] does and
+    re-seeds [child] in place, so that [child] then yields the stream
+    [split t] would have returned. It allocates nothing: a caller that
+    throws each child away reuses one buffer for all of them. *)
+
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -6,8 +6,9 @@
    compare_state, and (when the state set is enumerable) the codes of
    all_states are exactly 0 .. num_states - 1. Checked for every family
    that ships a codec — the trivial counters, the randomised 1-bit
-   counter, a synthesised/derived codec, and the boost towers A(4,1),
-   A(12,3) and A(36,7) from Theorem 1's recursion. Every family's kernel
+   counter, a synthesised/derived codec, the boost towers A(4,1),
+   A(12,3) and A(36,7) from Theorem 1's recursion, and a tower whose
+   output is projected to a smaller modulus. Every family's kernel
    must also honour the load/set announcement protocol of
    Algo.Spec.kernel, and the towers pin how fresh_kernel instances may
    share state. *)
@@ -36,6 +37,9 @@ let a36_7 ~c =
    structural codec composition; [derived] exercises derive_codec's
    all_states enumeration. *)
 let families () =
+  let a41_mod2 =
+    Algo.Combinators.project_counter (a41 ~c:4).Counting.Boost.spec ~modulus:2
+  in
   let a41 = (a41 ~c:2).Counting.Boost.spec in
   let a12_3 = (a12_3 ~c:1728).Counting.Boost.spec in
   let a36_7 = (a36_7 ~c:2).Counting.Boost.spec in
@@ -60,6 +64,7 @@ let families () =
     F ("boost A(12,3)", a12_3);
     F ("boost A(36,7)", a36_7);
     F ("boost A(4,1), untabulated views", a41_wide);
+    F ("boost A(4,1) mod 2", a41_mod2);
   ]
 
 let codec_of (spec : 's Algo.Spec.t) label : 's Algo.Spec.codec =
@@ -112,11 +117,13 @@ let output_agrees (F (label, spec)) =
       = spec.Algo.Spec.output ~self s)
 
 (* The kernel protocol: after [load v0] and a random sequence of [set]s
-   reaching [v] — interleaved with steps, so a kernel's lazily synced
-   views are exercised mid-sequence, and including sets that rewrite a
-   slot's current code — stepping every node returns what a fresh
-   kernel returns after [load v] alone, and what the spec's own
-   transition returns on the decoded vector. *)
+   reaching [v] — interleaved with steps and output-only steps, so a
+   kernel's lazily refreshed aggregates and synced views are exercised
+   mid-sequence through both entry points, and including sets that
+   rewrite a slot's current code — stepping every node returns what a
+   fresh kernel returns after [load v] alone, and what the spec's own
+   transition returns on the decoded vector; and [step_output] returns
+   [output_code] of that step on both kernels. *)
 let incremental_agrees (F (label, spec)) =
   let codec = codec_of spec label in
   let n = spec.Algo.Spec.n in
@@ -134,10 +141,16 @@ let incremental_agrees (F (label, spec)) =
         let code = if Stdx.Rng.int rng 4 = 0 then recv.(u) else draw () in
         recv.(u) <- code;
         kernel.Algo.Spec.set u code;
-        if Stdx.Rng.int rng 3 = 0 then
+        match Stdx.Rng.int rng 3 with
+        | 0 ->
           ignore
             (kernel.Algo.Spec.step ~self:(Stdx.Rng.int rng n)
                ~rng:(Stdx.Rng.create seed) recv)
+        | 1 ->
+          ignore
+            (kernel.Algo.Spec.step_output ~self:(Stdx.Rng.int rng n)
+               ~rng:(Stdx.Rng.create seed) recv)
+        | _ -> ()
       done;
       let v = Array.copy recv in
       let fresh = codec.Algo.Spec.fresh_kernel () in
@@ -149,14 +162,91 @@ let incremental_agrees (F (label, spec)) =
           let step (k : Algo.Spec.kernel) a =
             k.Algo.Spec.step ~self ~rng:(Stdx.Rng.create (step_seed + self)) a
           in
+          let step_output (k : Algo.Spec.kernel) a =
+            k.Algo.Spec.step_output ~self
+              ~rng:(Stdx.Rng.create (step_seed + self))
+              a
+          in
           let expected = step fresh v in
-          step kernel recv = expected
+          let expected_output = codec.Algo.Spec.output_code ~self expected in
+          step_output kernel recv = expected_output
+          && step kernel recv = expected
+          && step_output fresh v = expected_output
           && codec.Algo.Spec.encode_state
                (spec.Algo.Spec.transition ~self
                   ~rng:(Stdx.Rng.create (step_seed + self))
                   decoded)
              = expected)
         (List.init n Fun.id))
+
+(* The boost kernel's F+1-supported minimum (the value instruction
+   I_{3l+1} adopts), kept up to date by histogram-bin crossings on [set]:
+   deterministic vectors whose inner counters all read round counter
+   R = 1, so every node's next a-register is (min + 1) mod C. [a_regs]
+   are the a-registers of the N slots of the loaded vector; the kernel
+   is stepped once (making its aggregates current), then slot [u] is
+   set to register [a'], and every node's [step] and [step_output] must
+   equal a fresh kernel's on the new vector, with the minimum moved to
+   [min']. *)
+let supported_min_case label (t : 's Counting.Boost.t) ~inner ~a_regs ~u ~a'
+    ~min' =
+  case label (fun () ->
+      let spec = t.Counting.Boost.spec in
+      let codec = codec_of spec label in
+      let n = spec.Algo.Spec.n and c = spec.Algo.Spec.c in
+      let code a =
+        codec.Algo.Spec.encode_state { Counting.Boost.inner; a; d = true }
+      in
+      let recv = Array.map code a_regs in
+      let kernel = codec.Algo.Spec.fresh_kernel () in
+      kernel.Algo.Spec.load recv;
+      ignore (kernel.Algo.Spec.step ~self:0 ~rng:(Stdx.Rng.create 1) recv);
+      recv.(u) <- code a';
+      kernel.Algo.Spec.set u recv.(u);
+      let fresh = codec.Algo.Spec.fresh_kernel () in
+      fresh.Algo.Spec.load recv;
+      for self = 0 to n - 1 do
+        let rng () = Stdx.Rng.create (100 + self) in
+        let expected = fresh.Algo.Spec.step ~self ~rng:(rng ()) recv in
+        check Alcotest.int
+          (Printf.sprintf "node %d: step_output" self)
+          ((min' + 1) mod c)
+          (kernel.Algo.Spec.step_output ~self ~rng:(rng ()) recv);
+        check Alcotest.int
+          (Printf.sprintf "node %d: step" self)
+          expected
+          (kernel.Algo.Spec.step ~self ~rng:(rng ()) recv)
+      done)
+
+let supported_min_cases =
+  let a41 = a41 ~c:8 and a12_3 = a12_3 ~c:1728 in
+  let s x = Some x in
+  (* A(4,1): inner counter value 1 is R = 1 mod tau = 9; F + 1 = 2.
+     A(12,3): its inner A(4,1) outputs its a-register, 1, and
+     R = 1 mod tau = 15; F + 1 = 4. *)
+  let inner12 = { Counting.Boost.inner = 1; a = Some 1; d = true } in
+  [
+    supported_min_case "A(4,1): set drops the minimum's bin from F+1 to F"
+      a41 ~inner:1
+      ~a_regs:[| s 2; s 2; s 5; s 5 |]
+      ~u:0 ~a':(s 5) ~min':5;
+    supported_min_case "A(4,1): set lifts a bin below the minimum to F+1"
+      a41 ~inner:1
+      ~a_regs:[| s 2; s 5; s 5; None |]
+      ~u:3 ~a':(s 2) ~min':2;
+    supported_min_case "A(12,3): set drops the minimum's bin from F+1 to F"
+      a12_3 ~inner:inner12
+      ~a_regs:
+        (Array.concat
+           [ Array.make 4 (s 5); Array.make 4 (s 7); Array.make 4 (s 9) ])
+      ~u:2 ~a':(s 9) ~min':7;
+    supported_min_case "A(12,3): set lifts a bin below the minimum to F+1"
+      a12_3 ~inner:inner12
+      ~a_regs:
+        (Array.concat
+           [ Array.make 3 (s 5); Array.make 4 (s 7); Array.make 5 None ])
+      ~u:11 ~a':(s 5) ~min':5;
+  ]
 
 (* Density: with all_states available, the encodings are a permutation
    of 0 .. num_states - 1 (deterministic, so a plain case). *)
@@ -222,7 +312,6 @@ let flat_of (F (label, spec)) =
   {
     Sim.Adversary.n = spec.Algo.Spec.n;
     random_code = c.Algo.Spec.random_code;
-    output_code = c.Algo.Spec.output_code;
     fresh_kernel = c.Algo.Spec.fresh_kernel;
   }
 
@@ -345,6 +434,7 @@ let suite =
           List.map output_agrees (families ());
           List.map incremental_agrees (families ());
           density_cases;
+          supported_min_cases;
           [
             case "num_states exact on big towers" test_big_tower_num_states;
             case "families validate" test_families_validate;

@@ -433,7 +433,6 @@ let flat_env (spec : 's Algo.Spec.t) =
   {
     Sim.Adversary.n = spec.Algo.Spec.n;
     random_code = c.Algo.Spec.random_code;
-    output_code = c.Algo.Spec.output_code;
     fresh_kernel = c.Algo.Spec.fresh_kernel;
   }
 

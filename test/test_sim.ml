@@ -201,6 +201,18 @@ let test_delay_validated () =
   rejects "replay-correct" (fun () ->
       Sim.Adversary.replay_correct ~delay:(-3) ())
 
+(* ~pool is validated at construction too. A negative pool used to raise
+   inside the engine run when n + pool < 0, and otherwise shrank the
+   candidate list, down to silently sending a stale candidate slot. *)
+let test_pool_validated () =
+  (match Sim.Adversary.greedy_confusion ~pool:(-2) () with
+  | exception Invalid_argument msg ->
+    check Alcotest.string "message names the pool"
+      "Adversary.greedy_confusion: negative pool -2" msg
+  | _ -> Alcotest.fail "greedy_confusion: negative pool accepted");
+  check Alcotest.string "pool 0 is legal" "greedy-confusion(0)"
+    (Sim.Adversary.name (Sim.Adversary.greedy_confusion ~pool:0 ()))
+
 (* delay = 0 is legal and exactly truthful: the "old" state is the one
    pushed this round. *)
 let test_stale_delay_zero_truthful () =
@@ -825,6 +837,7 @@ let suite =
         case "hostile suite excludes benign" test_hostile_suite_excludes_benign;
         case "hostile suite is structural" test_hostile_suite_structural;
         case "negative delay rejected" test_delay_validated;
+        case "negative greedy pool rejected" test_pool_validated;
         case "stale delay 0 is truthful" test_stale_delay_zero_truthful;
         case "delay history fallback" test_delay_history_fallback;
         test_craft_total_qcheck;

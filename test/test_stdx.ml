@@ -176,6 +176,18 @@ let test_rng_golden () =
       let p1 = Stdx.Rng.bits r in
       let c1 = Stdx.Rng.bits child in
       check ints (label "split") split [ c1; p1; g1 ];
+      (* split_into re-seeds buffers that already hold other streams,
+         yet yields the same child, grandchild and parent streams. *)
+      let r = fresh () in
+      let child = Stdx.Rng.create (seed + 1) in
+      ignore (Stdx.Rng.bits child);
+      Stdx.Rng.split_into r child;
+      let grandchild = Stdx.Rng.create (seed + 2) in
+      Stdx.Rng.split_into child grandchild;
+      let g1 = Stdx.Rng.bits grandchild in
+      let p1 = Stdx.Rng.bits r in
+      let c1 = Stdx.Rng.bits child in
+      check ints (label "split_into") split [ c1; p1; g1 ];
       let r = fresh () in
       let big = (1 lsl 60) + 1 in
       check ints (label "int with rejections") rejecting
@@ -185,19 +197,22 @@ let test_rng_golden () =
     rng_golden
 
 (* Drawing allocates nothing: the hostile engine loop draws per message,
-   so a boxed state or a closure per call shows up in its GC profile. *)
+   so a boxed state or a closure per call shows up in its GC profile.
+   Nor does [split_into], which the greedy adversary calls per probe. *)
 let test_rng_no_alloc () =
-  let r = Stdx.Rng.create 3 in
+  let r = Stdx.Rng.create 3 and child = Stdx.Rng.create 4 in
   let acc = ref 0 in
   let w0 = Gc.minor_words () in
   for _ = 1 to 1000 do
     acc := !acc + Stdx.Rng.int r 17 + Stdx.Rng.bits r;
-    if Stdx.Rng.bool r then incr acc
+    if Stdx.Rng.bool r then incr acc;
+    Stdx.Rng.split_into r child
   done;
   let words = Gc.minor_words () -. w0 in
   ignore (Sys.opaque_identity !acc);
   check Alcotest.bool
-    (Printf.sprintf "3000 draws allocate %.0f minor words" words)
+    (Printf.sprintf "3000 draws and 1000 split_into allocate %.0f minor words"
+       words)
     true (words < 64.)
 
 (* ------------------------------------------------------------------ *)
