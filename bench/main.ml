@@ -6,7 +6,7 @@
 let experiments =
   [
     ("sweep", "Streaming engine: early exit vs full horizon", Bench_sweep.run);
-    ("parallel", "Cost-aware sweep scheduler: jobs ladder + claiming-policy duel", Bench_parallel.run);
+    ("parallel", "Cost-aware sweep scheduler: jobs ladder + index-order vs LPT imbalance", Bench_parallel.run);
     ("engine", "Engine throughput and allocation per node-round", Bench_engine.run);
     ("obs", "Observability overhead: spans + heartbeat vs bare engine", Bench_obs.run);
     ("table1", "Table 1: the 2-counting algorithm landscape", Bench_table1.run);

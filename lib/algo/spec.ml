@@ -54,7 +54,7 @@ let identity_codec ?random_code ~num_states ~transition ~output () : int codec
        this repository uses. *)
     match random_code with
     | Some rc -> rc
-    | None -> fun rng -> Stdx.Rng.int rng num_states
+    | None -> Stdx.Rng.int_sampler num_states
   in
   {
     num_states;

@@ -400,8 +400,13 @@ let kernel_instance (ic : _ Algo.Spec.codec) p ~big_c
       load_slot u received.(u)
     done;
     for i = 0 to k - 1 do
-      Array.blit inner_codes (i * n_inner) blk_msgs.(i) 0 n_inner;
-      (inner_kernels.(i)).Algo.Spec.load blk_msgs.(i);
+      (* A typed copy: [Array.blit] would [caml_modify] every code once
+         the scratch lives in the major heap. *)
+      let msgs = blk_msgs.(i) and base = i * n_inner in
+      for j = 0 to n_inner - 1 do
+        msgs.(j) <- inner_codes.(base + j)
+      done;
+      (inner_kernels.(i)).Algo.Spec.load msgs;
       stale.(i) <- false
     done;
     loaded := true
@@ -635,8 +640,9 @@ let construct_gen ?ablation ~(inner : 's Algo.Spec.t) ~k ~big_f ~big_c () =
         (* Same draw order as [random_state]: a-register, d-flag, inner
            state — composed through the inner codec's own random_code
            so towers stay in draw-level lockstep at every level. *)
+        let draw_a = Stdx.Rng.int_sampler (big_c + 1) in
         let random_code rng =
-          let raw = Stdx.Rng.int rng (big_c + 1) in
+          let raw = draw_a rng in
           let a_code = if raw = big_c then 0 else raw + 1 in
           let d = if Stdx.Rng.bool rng then 1 else 0 in
           let inner_code = ic.Algo.Spec.random_code rng in

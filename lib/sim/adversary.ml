@@ -1,5 +1,6 @@
 type flat_env = {
   n : int;
+  c : int;
   random_code : Stdx.Rng.t -> int;
   fresh_kernel : unit -> Algo.Spec.kernel;
 }
@@ -8,7 +9,7 @@ type flat_crafter = {
   craft_flat :
     rng:Stdx.Rng.t ->
     round:int ->
-    states:Statebuf.t ->
+    states:int array ->
     faulty:int array ->
     out:int array ->
     unit;
@@ -69,7 +70,10 @@ let ring_create ~depth ~n =
 let ring_push ring states n =
   let depth = Array.length ring.rows in
   ring.head <- (ring.head + 1) mod depth;
-  Statebuf.blit_to states ring.rows.(ring.head) n;
+  let row = ring.rows.(ring.head) in
+  for v = 0 to n - 1 do
+    row.(v) <- states.(v)
+  done;
   ring.pushes <- ring.pushes + 1
 
 (* The row [delay] pushes back, or the newest row (the just-pushed
@@ -93,7 +97,7 @@ let benign () =
           craft_flat =
             (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
               for fi = 0 to Array.length faulty - 1 do
-                fill_row out ~base:(fi * n) ~n (Statebuf.get states faulty.(fi))
+                fill_row out ~base:(fi * n) ~n states.(faulty.(fi))
               done);
         });
   }
@@ -113,7 +117,7 @@ let stuck () =
               let nf = Array.length faulty in
               if not !have then begin
                 for fi = 0 to nf - 1 do
-                  frozen.(fi) <- Statebuf.get states faulty.(fi)
+                  frozen.(fi) <- states.(faulty.(fi))
                 done;
                 have := true
               end;
@@ -177,7 +181,7 @@ let mimic ~offset () =
                   if nc = 0 then faulty.(fi)
                   else correct.((fi + offset + round) mod nc)
                 in
-                fill_row out ~base:(fi * n) ~n (Statebuf.get states victim)
+                fill_row out ~base:(fi * n) ~n states.(victim)
               done);
         });
   }
@@ -197,10 +201,10 @@ let split_brain () =
               for fi = 0 to Array.length faulty - 1 do
                 let base = fi * n in
                 if nc = 0 then
-                  fill_row out ~base ~n (Statebuf.get states faulty.(fi))
+                  fill_row out ~base ~n states.(faulty.(fi))
                 else begin
-                  let a = Statebuf.get states correct.(0) in
-                  let b = Statebuf.get states correct.(nc - 1) in
+                  let a = states.(correct.(0)) in
+                  let b = states.(correct.(nc - 1)) in
                   for r = 0 to n - 1 do
                     out.(base + r) <- (if r mod 2 = 0 then a else b)
                   done
@@ -306,16 +310,18 @@ let greedy_confusion ~pool () =
            a kernel with incremental views (the boost tower's) makes
            cheap; a probe asks only for the recipient's next output. *)
         let kernel = env.fresh_kernel () in
-        let cur = Array.make n 0 in
         let recv = Array.make n 0 in
         let correct = Array.make n 0 in
         let cands = Array.make (n + pool) 0 in
         let baseline = Array.make n 0 in
-        (* One split per probe, into a reused buffer; the recipient's
-           transition runs on [recv] as it stands. *)
+        (* The first [left] entries: indices into [correct] of the
+           recipients no candidate has yet given a new output. *)
+        let undecided = Array.make n 0 in
         let probe_rng = Stdx.Rng.create 0 in
-        let probe ~self ~rng =
-          Stdx.Rng.split_into rng probe_rng;
+        (* Probe number [k] of the round gets the [k]-th split, into one
+           reused buffer; the transition runs on [recv] as it stands. *)
+        let probe ~rng ~k ~self =
+          Stdx.Rng.split_nth rng k probe_rng;
           kernel.Algo.Spec.step_output ~self ~rng:probe_rng recv
         in
         let assign u code =
@@ -327,52 +333,64 @@ let greedy_confusion ~pool () =
         {
           craft_flat =
             (fun ~rng ~round:_ ~states ~faulty ~out ->
-              Statebuf.blit_to states cur n;
               let nc = fill_correct correct ~n ~faulty in
               let ncand = nc + pool in
               (* Candidates: correct nodes' codes, then [pool] draws. *)
               for i = 0 to nc - 1 do
-                cands.(i) <- cur.(correct.(i))
+                cands.(i) <- states.(correct.(i))
               done;
               for i = nc to ncand - 1 do
                 cands.(i) <- env.random_code rng
               done;
-              Array.blit cur 0 recv 0 n;
+              for v = 0 to n - 1 do
+                recv.(v) <- states.(v)
+              done;
               kernel.Algo.Spec.load recv;
               for i = 0 to nc - 1 do
-                baseline.(i) <- probe ~self:correct.(i) ~rng
+                baseline.(i) <- probe ~rng ~k:i ~self:correct.(i)
               done;
-              let d = distinct_prefix baseline nc in
-              (* Probes in matrix order: fi outer, recipient inner. Only
-                 the sender's slot of [recv] moves, and it is restored
-                 after each recipient, so other faulty slots keep their
-                 true codes: "everyone else tells the truth". *)
+              (* A baseline holding all [c] outputs leaves nothing new
+                 to find, so every recipient keeps candidate 0. *)
+              let saturated = distinct_prefix baseline nc >= env.c in
+              (* Probe (fi, j, ci) is split nc + (fi * nc + j) * ncand + ci,
+                 as in the documented fi / recipient / candidate scan. Here
+                 candidates run outside recipients, each costing one
+                 [set], and a recipient stops at its first candidate with
+                 an output new to the baseline: the first top scorer, which
+                 the scan's strict [>] keeps. Only the sender's slot of
+                 [recv] moves, and it is restored after each sender, so
+                 other faulty slots keep their true codes: "everyone else
+                 tells the truth". *)
               for fi = 0 to Array.length faulty - 1 do
-                let sender = faulty.(fi) in
-                let base = fi * n in
+                let sender = faulty.(fi) and base = fi * n in
                 for r = 0 to n - 1 do
-                  if mem_int faulty r then out.(base + r) <- cur.(sender)
-                  else begin
-                    (* Score = distinct values of o :: baseline; strict
-                       [>] keeps the first best candidate. *)
-                    let best = ref 0 in
-                    let best_score = ref min_int in
-                    for ci = 0 to ncand - 1 do
-                      assign sender cands.(ci);
-                      let o = probe ~self:r ~rng in
-                      let score =
-                        if mem_prefix baseline nc o then d else d + 1
-                      in
-                      if score > !best_score then begin
-                        best_score := score;
-                        best := ci
-                      end
-                    done;
-                    assign sender cur.(sender);
-                    out.(base + r) <- cands.(!best)
-                  end
-                done
-              done);
+                  out.(base + r) <-
+                    (if mem_int faulty r then states.(sender) else cands.(0))
+                done;
+                let left = ref (if saturated then 0 else nc) in
+                for j = 0 to !left - 1 do
+                  undecided.(j) <- j
+                done;
+                let ci = ref 0 in
+                while !left > 0 && !ci < ncand do
+                  assign sender cands.(!ci);
+                  let kept = ref 0 in
+                  for p = 0 to !left - 1 do
+                    let j = undecided.(p) in
+                    let k = nc + (((fi * nc) + j) * ncand) + !ci in
+                    if mem_prefix baseline nc (probe ~rng ~k ~self:correct.(j))
+                    then begin
+                      undecided.(!kept) <- j;
+                      incr kept
+                    end
+                    else out.(base + correct.(j)) <- cands.(!ci)
+                  done;
+                  left := !kept;
+                  incr ci
+                done;
+                assign sender states.(sender)
+              done;
+              Stdx.Rng.advance rng (nc + (Array.length faulty * nc * ncand)));
         });
   }
 

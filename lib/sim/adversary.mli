@@ -22,6 +22,9 @@
 
 type flat_env = {
   n : int;  (** node count — fixes the [out] row stride *)
+  c : int;
+      (** the spec's counter modulus: outputs lie in [\[0, c)], so a
+          lookahead kernel knows when a set of outputs is complete *)
   random_code : Stdx.Rng.t -> int;
       (** the spec codec's {!Algo.Spec.codec.random_code}: a random
           state in code space, consuming the rng exactly like the
@@ -46,11 +49,12 @@ type flat_crafter = {
   craft_flat :
     rng:Stdx.Rng.t ->
     round:int ->
-    states:Statebuf.t ->
+    states:int array ->
     faulty:int array ->
     out:int array ->
     unit;
-      (** Read the packed current states, write the crafted message
+      (** Read the current state codes ([states.(v)], node [v]'s;
+          engine-owned, read-only), write the crafted message
           codes into the preallocated [out] with [out.(fi * n + r)] =
           the code the [fi]-th faulty node sends to recipient [r]. Only
           slots of the current faulty set may be written ([out] is
@@ -146,14 +150,14 @@ val greedy_confusion : pool:int -> unit -> 's t
     [Stdx.Rng.split] per correct node (ascending; its truthful next
     state), then one split per (faulty sender, correct recipient,
     candidate) probe in that nesting order. Faulty recipients get the
-    sender's own state and cost no draw. The flat kernel does the same
-    in code space, probing a private {!flat_env.fresh_kernel} built
-    once per phase: it loads the true states once per round, and each
-    probe costs a one-slot [set] plus an output-only step
-    ({!Algo.Spec.kernel.step_output}), which on a boost tower revotes
-    only the sender's block and evaluates only the phase-king register.
-    Each probe's split re-seeds one reused buffer
-    ({!Stdx.Rng.split_into}), so the probes allocate nothing.
+    sender's own state and cost no draw. The flat kernel, on a private
+    {!flat_env.fresh_kernel}, ends in that rng state and gives each
+    probe it makes the split this order names ({!Stdx.Rng.split_nth}),
+    but runs candidates outside recipients: one [set] per candidate,
+    whose output-only step ({!Algo.Spec.kernel.step_output}) is read
+    for each correct recipient not yet given an output new to the
+    baseline (the first such candidate is the best); none when the
+    baseline already holds all [c] outputs.
 
     Raises [Invalid_argument] if [pool < 0]. *)
 

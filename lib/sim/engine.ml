@@ -26,13 +26,15 @@ type 's outcome = {
 
 (* Span sampling: timing every round would double-read the clock 3x per
    round — 5-15% on the flat hot loop, blowing the observability budget.
-   Every 16th round is timed instead and the recorded totals scaled back
-   up; the sampled-round count is a deterministic function of rounds
+   Every 16th round is timed instead — rounds 15, 31, ..., never the cold
+   round 0, whose one-off costs a short run would multiply — and each
+   span's total is scaled by its loop's iterations over its sampled ones:
+   [sampled k] of the first [k]. Sampled counts depend only on rounds
    simulated, so span output stays schedule-deterministic (wall values
    excepted). *)
 let span_sample_mask = 15
 
-let span_sample_scale = float_of_int (span_sample_mask + 1)
+let sampled k = k / (span_sample_mask + 1)
 
 let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
     ?init ?(mode = Streaming) ?min_suffix ~(spec : 's Algo.Spec.t)
@@ -84,18 +86,17 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
   let craft_s = ref 0.0 in
   let step_s = ref 0.0 in
   let detect_s = ref 0.0 in
-  let sampled_rounds = ref 0 in
-  let num_states = codec.Algo.Spec.num_states in
   let encode = codec.Algo.Spec.encode_state in
   let decode = codec.Algo.Spec.decode_state in
-  let cur = ref (Statebuf.create ~num_states n) in
-  let nxt = ref (Statebuf.create ~num_states n) in
+  let cur = ref (Array.make n 0) in
+  let nxt = ref (Array.make n 0) in
   let kernel = codec.Algo.Spec.fresh_kernel () in
   let recv = Array.make n 0 in
   let outs = Array.make n 0 in
   let env =
     {
       Adversary.n;
+      c = spec.Algo.Spec.c;
       random_code = codec.Algo.Spec.random_code;
       fresh_kernel = codec.Algo.Spec.fresh_kernel;
     }
@@ -114,11 +115,23 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
      sound because every node draws from its own [node_rng] stream. *)
   let visit = Array.init n Fun.id in
   (match init with
-  | Some states -> Array.iteri (fun v s -> Statebuf.set !cur v (encode s)) states
+  | Some states -> Array.iteri (fun v s -> !cur.(v) <- encode s) states
   | None ->
     for v = 0 to n - 1 do
-      Statebuf.set !cur v (encode (spec.Algo.Spec.random_state init_rng))
+      !cur.(v) <- encode (spec.Algo.Spec.random_state init_rng)
     done);
+  (* Whether every crafted row is one code for all recipients, as six of
+     the nine standard strategies always send: then the load announces
+     the whole round and recipients need no grouping. *)
+  let constant_rows nf =
+    let same = ref true in
+    for fi = 0 to nf - 1 do
+      for r = 1 to n - 1 do
+        if crafted.((fi * n) + r) <> crafted.(fi * n) then same := false
+      done
+    done;
+    !same
+  in
   (* Lexicographic order on crafted columns; ties keep index order so the
      grouping is deterministic. A while-loop, not an inner recursive
      function — a closure here would allocate on every comparison of the
@@ -147,7 +160,7 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
     done
   in
   let decoded_states () =
-    Array.init n (fun v -> decode (Statebuf.get !cur v))
+    Array.init n (fun v -> decode !cur.(v))
   in
   let enter_phase i =
     let p = phases.(i) in
@@ -234,8 +247,7 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
           (fun i ->
             let v = correct_arr.(i) in
             hit := v :: !hit;
-            Statebuf.set !cur v
-              (encode (spec.Algo.Spec.random_state corrupt_rng)))
+            !cur.(v) <- encode (spec.Algo.Spec.random_state corrupt_rng))
           (Stdx.Rng.sample_without_replacement corrupt_rng k avail);
         incr corruption_events;
         corrupted_nodes := !corrupted_nodes + k;
@@ -274,10 +286,10 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
       pert_count := 1
     done;
     apply_events ();
-    sample := span_on && !t land span_sample_mask = 0;
+    sample := span_on && !t land span_sample_mask = span_sample_mask;
     let d0 = if !sample then Stdx.Span.now spans else 0.0 in
     for v = 0 to n - 1 do
-      outs.(v) <- codec.Algo.Spec.output_code ~self:v (Statebuf.get !cur v)
+      outs.(v) <- codec.Algo.Spec.output_code ~self:v !cur.(v)
     done;
     (* The trace hook sees a freshly decoded row each round, so it may
        keep it: later rounds and corruption events never write into it.
@@ -287,10 +299,7 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
       tr ~round:!t ~states:(decoded_states ()) ~outputs:(Array.copy outs)
     | None -> ());
     Online.observe detector ~round:!t outs;
-    if !sample then begin
-      detect_s := !detect_s +. (Stdx.Span.now spans -. d0);
-      incr sampled_rounds
-    end;
+    if !sample then detect_s := !detect_s +. (Stdx.Span.now spans -. d0);
     if
       mode = Streaming
       && !phase_idx = num_phases - 1
@@ -306,30 +315,45 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
       let fa = !faulty in
       let nf = Array.length fa in
       let c0 = if !sample then Stdx.Span.now spans else 0.0 in
-      if nf > 0 then begin
-        !crafter.Adversary.craft_flat ~rng:adv_rng ~round ~states:!cur
-          ~faulty:fa ~out:crafted;
-        group_recipients nf
-      end;
+      (* [per_recipient]: some faulty slot differs between recipients. *)
+      let per_recipient =
+        if nf = 0 then false
+        else begin
+          !crafter.Adversary.craft_flat ~rng:adv_rng ~round ~states:!cur
+            ~faulty:fa ~out:crafted;
+          not (constant_rows nf)
+        end
+      in
+      if per_recipient then group_recipients nf;
       let s0 = if !sample then Stdx.Span.now spans else 0.0 in
       if !sample then craft_s := !craft_s +. (s0 -. c0);
-      Statebuf.blit_to !cur recv n;
+      (* A typed copy: [Array.blit] would [caml_modify] every slot once
+         the buffers live in the major heap. The load announces the
+         first visited recipient's faulty slots too. *)
+      let cur_row = !cur and nxt_row = !nxt in
+      for v = 0 to n - 1 do
+        recv.(v) <- cur_row.(v)
+      done;
+      let first = if per_recipient then visit.(0) else 0 in
+      for fi = 0 to nf - 1 do
+        recv.(fa.(fi)) <- crafted.((fi * n) + first)
+      done;
       kernel.Algo.Spec.load recv;
       for i = 0 to n - 1 do
         (* Faulty slots are rewritten for every recipient, so the shared
            recv scratch never needs restoring; only the slots whose
            crafted code differs from the previous recipient's are
            announced to the kernel. *)
-        let v = if nf = 0 then i else visit.(i) in
-        for fi = 0 to nf - 1 do
-          let u = fa.(fi) and code = crafted.((fi * n) + v) in
-          if recv.(u) <> code then begin
-            recv.(u) <- code;
-            kernel.Algo.Spec.set u code
-          end
-        done;
-        Statebuf.set !nxt v
-          (kernel.Algo.Spec.step ~self:v ~rng:node_rng.(v) recv)
+        let v = if per_recipient then visit.(i) else i in
+        if per_recipient then
+          for fi = 0 to nf - 1 do
+            let u = fa.(fi) and code = crafted.((fi * n) + v) in
+            if recv.(u) <> code then begin
+              recv.(u) <- code;
+              kernel.Algo.Spec.set u code
+            end
+          done;
+        nxt_row.(v) <- kernel.Algo.Spec.step ~self:v ~rng:node_rng.(v) recv
       done;
       let tmp = !cur in
       cur := !nxt;
@@ -344,20 +368,22 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
   finish_phase ~end_round:!t;
   let messages_per_round = n * (n - 1) in
   let reports = List.rev !reports in
-  if span_on && !sampled_rounds > 0 then begin
-    Stdx.Span.record ~count:!sampled_rounds spans "engine.craft"
-      (!craft_s *. span_sample_scale);
-    Stdx.Span.record ~count:!sampled_rounds spans "engine.step"
-      (!step_s *. span_sample_scale);
-    Stdx.Span.record ~count:!sampled_rounds spans "engine.detect"
-      (!detect_s *. span_sample_scale)
-  end;
+  (* Rounds 0 .. !t are observed; all but the last are stepped. *)
+  let record name iterations secs =
+    let k = sampled iterations in
+    if k > 0 then
+      Stdx.Span.record ~count:k spans name
+        (secs *. float_of_int iterations /. float_of_int k)
+  in
+  record "engine.craft" !t !craft_s;
+  record "engine.step" !t !step_s;
+  record "engine.detect" (!t + 1) !detect_s;
   (match metrics with
   | None -> ()
   | Some m ->
     Stdx.Metrics.incr m "engine.runs";
     if span_on then
-      Stdx.Metrics.incr ~by:!sampled_rounds m "engine.sampled_rounds";
+      Stdx.Metrics.incr ~by:(sampled (!t + 1)) m "engine.sampled_rounds";
     Stdx.Metrics.incr ~by:!t m "engine.rounds";
     Stdx.Metrics.incr ~by:(!t * messages_per_round) m "engine.messages";
     if !early then Stdx.Metrics.incr m "engine.early_exits";

@@ -13,11 +13,10 @@
     {2 One representation: packed state codes}
 
     The engine requires the spec's {!Algo.Spec.codec} — every built-in
-    family has one. It keeps the state vector as a packed {!Statebuf.t}
-    (one byte per node for small state spaces, an unboxed int bigarray
-    otherwise) and advances rounds through the codec's kernel: counting
-    passes over int arrays, double-buffered, with no per-node allocation
-    in the steady state. A spec without a codec — a boost tower whose
+    family has one. It keeps the state vector as an [int array] of codes
+    and advances rounds through the codec's kernel: counting passes over
+    int arrays, double-buffered, with no per-node allocation in the
+    steady state. A spec without a codec — a boost tower whose
     state codes would pass 62 bits, e.g. five levels — is rejected with
     [Invalid_argument] naming the spec and its [state_bits].
 
@@ -26,12 +25,14 @@
     preallocated scratch matrix — no per-round message matrix, zero
     decode/encode in the hostile hot loop. The kernel is told what it
     receives through {!Algo.Spec.kernel}'s protocol: the round's true
-    states are [load]ed once, and per recipient only the faulty slots
-    whose crafted code differs from the previous recipient's are [set].
-    On hostile rounds the engine visits recipients grouped by identical
-    crafted columns, so equivocating adversaries cost one batch of [set]s
-    per distinct column, not per recipient — sound because every node
-    owns its private RNG stream.
+    states, with the faulty slots as the first visited recipient gets
+    them, are [load]ed once, and per later recipient only the faulty
+    slots whose crafted code differs from the previous recipient's are
+    [set]. When every faulty row is one code for all recipients, no
+    [set] is needed at all. Otherwise the engine visits recipients
+    grouped by identical crafted columns, so equivocating adversaries
+    cost one batch of [set]s per distinct column, not per recipient —
+    sound because every node owns its private RNG stream.
 
     States are decoded only where ['s] values are asked for: the
     [final_states] of the outcome, and the rows handed to the [trace]
@@ -174,8 +175,10 @@ val run :
     blit + kernel transitions) and [engine.detect] (output row +
     {!Online} observation), recorded once when the run ends. To keep the
     flat hot loop within the observability overhead budget only every
-    16th round is clock-sampled and the totals scaled back up; the
-    sampled count is reported as [count] on each span and as the
+    16th round from round 15 is clock-sampled (never the cold round 0),
+    and each total is scaled by its loop's iterations over its sampled
+    ones; the sampled count is reported as
+    [count] on each span and, for observed rounds, as the
     [engine.sampled_rounds] counter (deterministic — it depends only on
     rounds simulated). Spans are as inert as [tracer]/[metrics]: same
     differential certification, wall-clock values excepted.

@@ -36,25 +36,38 @@ let split t = of_state (next t)
 
 let split_into t child = set64 child 0 (next t)
 
+(* After [k] draws the state has moved by exactly [k] gammas. *)
+let[@inline] gammas k = Int64.mul (Int64.of_int k) golden_gamma
+
+let split_nth t k child =
+  set64 child 0 (mix (Int64.add (get64 t 0) (gammas (k + 1))))
+
+let advance t k = set64 t 0 (Int64.add (get64 t 0) (gammas k))
+
 let bits t = Int64.to_int (Int64.shift_right_logical (next t) 34)
 
-let int t bound =
+(* Rejection sampling over 61 bits (OCaml native ints are 63-bit, so
+   1 lsl 61 is still a positive int) to avoid modulo bias: a draw at or
+   above [threshold bound], the largest multiple of [bound] up to 2^61,
+   is redrawn. A while loop, not a local recursive function: the
+   closure would allocate on every call. *)
+let threshold bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  if bound = 1 then 0
-  else begin
-    (* Rejection sampling over 61 bits (OCaml native ints are 63-bit, so
-       1 lsl 61 is still a positive int) to avoid modulo bias. A while
-       loop, not a local recursive function: the closure would allocate
-       on every call. *)
-    let range = 1 lsl 61 in
-    if bound > range then invalid_arg "Rng.int: bound too large";
-    let threshold = range - (range mod bound) in
-    let r = ref (Int64.to_int (Int64.shift_right_logical (next t) 3)) in
-    while !r >= threshold do
-      r := Int64.to_int (Int64.shift_right_logical (next t) 3)
-    done;
-    !r mod bound
-  end
+  if bound > 1 lsl 61 then invalid_arg "Rng.int: bound too large";
+  (1 lsl 61) - ((1 lsl 61) mod bound)
+
+let[@inline] draw t bound threshold =
+  let r = ref (Int64.to_int (Int64.shift_right_logical (next t) 3)) in
+  while !r >= threshold do
+    r := Int64.to_int (Int64.shift_right_logical (next t) 3)
+  done;
+  !r mod bound
+
+let int t bound = if bound = 1 then 0 else draw t bound (threshold bound)
+
+let int_sampler bound =
+  let threshold = threshold bound in
+  if bound = 1 then fun _ -> 0 else fun t -> draw t bound threshold
 
 let bool t = Int64.logand (next t) 1L = 1L
 

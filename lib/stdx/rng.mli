@@ -26,6 +26,13 @@ val split_into : t -> t -> unit
     [split t] would have returned. It allocates nothing: a caller that
     throws each child away reuses one buffer for all of them. *)
 
+val split_nth : t -> int -> t -> unit
+(** [split_nth t k child] re-seeds [child] as the [k]-th (from 0) of a
+    run of [split_into t] calls would, in O(1); [t] does not move. *)
+
+val advance : t -> int -> unit
+(** [advance t k] moves [t] as [k] draws would, in O(1). *)
+
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -35,6 +42,10 @@ val bits : t -> int
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument]
     if [bound <= 0]. *)
+
+val int_sampler : int -> t -> int
+(** [int_sampler bound] draws as [fun t -> int t bound] does, with the
+    rejection threshold computed once, not per draw. *)
 
 val bool : t -> bool
 (** Fair coin. *)

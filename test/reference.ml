@@ -228,6 +228,65 @@ let greedy_confusion ~pool () =
             end));
   }
 
+(* The greedy strategy's flat kernel in its literal scan order: fi
+   outer, recipient, then candidate, every probe made on one sequential
+   split. [Sim.Adversary.greedy_confusion] scores candidates outside
+   recipients and skips probes; it must write the same rows and leave
+   the rng where this scan does. *)
+let greedy_scan ~pool (env : Sim.Adversary.flat_env) =
+  let n = env.Sim.Adversary.n in
+  let kernel = env.Sim.Adversary.fresh_kernel () in
+  let recv = Array.make n 0 in
+  let probe_rng = Stdx.Rng.create 0 in
+  let probe ~self ~rng =
+    Stdx.Rng.split_into rng probe_rng;
+    kernel.Algo.Spec.step_output ~self ~rng:probe_rng recv
+  in
+  let assign u code =
+    if recv.(u) <> code then begin
+      recv.(u) <- code;
+      kernel.Algo.Spec.set u code
+    end
+  in
+  {
+    Sim.Adversary.craft_flat =
+      (fun ~rng ~round:_ ~states ~faulty ~out ->
+        let correct = correct_ids n faulty in
+        let cands =
+          Array.append
+            (Array.map (fun v -> states.(v)) correct)
+            (Array.init pool (fun _ -> env.Sim.Adversary.random_code rng))
+        in
+        Array.blit states 0 recv 0 n;
+        kernel.Algo.Spec.load recv;
+        let baseline = Array.map (fun v -> probe ~self:v ~rng) correct in
+        let d = distinct_count Int.compare (Array.to_list baseline) in
+        Array.iteri
+          (fun fi sender ->
+            for r = 0 to n - 1 do
+              if is_faulty faulty r then out.((fi * n) + r) <- states.(sender)
+              else begin
+                let best = ref 0 and best_score = ref min_int in
+                Array.iteri
+                  (fun ci cand ->
+                    assign sender cand;
+                    let o = probe ~self:r ~rng in
+                    let score =
+                      if Array.exists (( = ) o) baseline then d
+                      else d + 1
+                    in
+                    if score > !best_score then begin
+                      best_score := score;
+                      best := ci
+                    end)
+                  cands;
+                assign sender states.(sender);
+                out.((fi * n) + r) <- cands.(!best)
+              end
+            done)
+          faulty);
+  }
+
 (* A fresh boxed crafter for the strategy [adversary] names. Fails
    loudly on a name with no boxed twin, so a strategy added to
    [Sim.Adversary] without one cannot slip past the differentials. *)

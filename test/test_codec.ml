@@ -311,6 +311,7 @@ let flat_of (F (label, spec)) =
   let c = codec_of spec label in
   {
     Sim.Adversary.n = spec.Algo.Spec.n;
+    c = spec.Algo.Spec.c;
     random_code = c.Algo.Spec.random_code;
     fresh_kernel = c.Algo.Spec.fresh_kernel;
   }

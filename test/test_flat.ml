@@ -432,6 +432,7 @@ let flat_env (spec : 's Algo.Spec.t) =
   let c = Option.get spec.Algo.Spec.codec in
   {
     Sim.Adversary.n = spec.Algo.Spec.n;
+    c = spec.Algo.Spec.c;
     random_code = c.Algo.Spec.random_code;
     fresh_kernel = c.Algo.Spec.fresh_kernel;
   }
@@ -447,16 +448,13 @@ let craft_lockstep ?(rounds = 3) (spec : 's Algo.Spec.t) adversary ~faulty
   let flat_rng = Stdx.Rng.create (seed + 1) in
   let boxed_rng = Stdx.Rng.create (seed + 1) in
   let out = Array.make (max 1 (nf * n)) (-1) in
-  let buf = Sim.Statebuf.create ~num_states:codec.Algo.Spec.num_states n in
   List.for_all
     (fun round ->
       let states =
         Array.init n (fun _ -> spec.Algo.Spec.random_state state_rng)
       in
-      Array.iteri
-        (fun v s -> Sim.Statebuf.set buf v (codec.Algo.Spec.encode_state s))
-        states;
-      kernel.Sim.Adversary.craft_flat ~rng:flat_rng ~round ~states:buf
+      let codes = Array.map codec.Algo.Spec.encode_state states in
+      kernel.Sim.Adversary.craft_flat ~rng:flat_rng ~round ~states:codes
         ~faulty ~out;
       let m =
         crafter.Reference.craft ~spec ~rng:boxed_rng ~round ~states ~faulty
@@ -551,6 +549,135 @@ let test_suite_lockstep_a12 =
 let test_suite_lockstep_all_faulty =
   suite_lockstep ~count:40 ~min_faulty:4 ~label:"n = f = 4"
     (Algo.Combinators.with_claimed_resilience leader ~f:4)
+
+(* Greedy scoring order: the kernel against its literal fi / recipient /
+   candidate scan ([Reference.greedy_scan]) on the same code rows, four
+   rounds per crafter pair. Rows and the rng left behind must agree; the
+   scan makes every probe, the kernel only the undecided ones. *)
+let greedy_order_lockstep (spec : 's Algo.Spec.t) ~faulty ~pool ~seed =
+  let codec = Option.get spec.Algo.Spec.codec in
+  let n = spec.Algo.Spec.n in
+  let env = flat_env spec in
+  let fast =
+    (Sim.Adversary.greedy_confusion ~pool ()).Sim.Adversary.fresh_flat env
+  in
+  let scan = Reference.greedy_scan ~pool env in
+  let state_rng = Stdx.Rng.create seed in
+  let fast_rng = Stdx.Rng.create (seed + 1) in
+  let scan_rng = Stdx.Rng.create (seed + 1) in
+  let len = max 1 (Array.length faulty * n) in
+  let fast_out = Array.make len (-1) and scan_out = Array.make len (-1) in
+  List.for_all
+    (fun round ->
+      let states =
+        Array.init n (fun _ -> codec.Algo.Spec.random_code state_rng)
+      in
+      fast.Sim.Adversary.craft_flat ~rng:fast_rng ~round ~states ~faulty
+        ~out:fast_out;
+      scan.Sim.Adversary.craft_flat ~rng:scan_rng ~round ~states ~faulty
+        ~out:scan_out;
+      fast_out = scan_out
+      && Int64.equal
+           (Stdx.Rng.next_int64 fast_rng)
+           (Stdx.Rng.next_int64 scan_rng))
+    (List.init 4 Fun.id)
+
+let greedy_order ?count ~label (spec : 's Algo.Spec.t) =
+  qcheck ?count
+    (Printf.sprintf "greedy scoring order = fi/r/ci scan on %s" label)
+    QCheck.(
+      triple
+        (int_range 0 spec.Algo.Spec.f)
+        (int_range 0 (Array.length pools - 1))
+        small_nat)
+    (fun (size, pi, seed) ->
+      greedy_order_lockstep spec
+        ~faulty:(random_faulty spec ~size ~seed)
+        ~pool:pools.(pi) ~seed)
+
+let test_greedy_order_a41 = greedy_order ~label:"A(4,1)" (a41 ())
+
+let test_greedy_order_a12 =
+  greedy_order ~count:25 ~label:"A(12,3)" (a12_3 ())
+
+let test_greedy_order_leader = greedy_order ~label:"leader:4:5 f=1" leader_f1
+
+(* Its [step_output] draws from the probe's split, so a probe given the
+   wrong split index shows up in the rows. *)
+let test_greedy_order_rand =
+  greedy_order ~label:"rand-counter n=7 f=2"
+    (Counting.Rand_counter.make ~n:7 ~f:2)
+
+(* Every node adopts node 0's bit and outputs it plus its own id, mod 2:
+   any three nodes' truthful next outputs hold both values of c = 2, so
+   the baseline is saturated every round and no candidate can score
+   above another. *)
+let parity =
+  let transition ~self:_ ~rng:_ (received : int array) = received.(0) in
+  let output ~self s = (s + self) land 1 in
+  {
+    Algo.Spec.name = "parity";
+    n = 4;
+    f = 1;
+    c = 2;
+    deterministic = true;
+    state_bits = 1;
+    equal_state = Int.equal;
+    compare_state = Int.compare;
+    pp_state = Format.pp_print_int;
+    random_state = (fun rng -> Stdx.Rng.int rng 2);
+    all_states = Some [ 0; 1 ];
+    transition;
+    output;
+    codec =
+      Some (Algo.Spec.identity_codec ~num_states:2 ~transition ~output ());
+  }
+
+let test_greedy_order_saturated =
+  greedy_order ~label:"a saturated baseline" parity
+
+(* A constant faulty row is announced by the round's [load], so an
+   engine kernel sees no per-recipient [set] at all under strategies
+   that send every recipient the same code. Random equivocation is the
+   control: its rows differ, so it must see some. *)
+let counting_sets (spec : 's Algo.Spec.t) =
+  let codec = Option.get spec.Algo.Spec.codec in
+  let sets = ref 0 in
+  let fresh_kernel () =
+    let k = codec.Algo.Spec.fresh_kernel () in
+    {
+      k with
+      Algo.Spec.set =
+        (fun u code ->
+          incr sets;
+          k.Algo.Spec.set u code);
+    }
+  in
+  ({ spec with Algo.Spec.codec = Some { codec with fresh_kernel } }, sets)
+
+let test_constant_rows_need_no_set () =
+  let spec, sets = counting_sets (a12_3 ()) in
+  let sets_under adversary =
+    sets := 0;
+    ignore
+      (Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec
+         ~schedule:
+           (Sim.Schedule.static ~adversary ~faulty:[ 2; 7; 9 ] ~rounds:60)
+         ~seed:4 ());
+    !sets
+  in
+  List.iter
+    (fun adversary ->
+      check Alcotest.int
+        (Sim.Adversary.name adversary ^ " at full F: no set")
+        0 (sets_under adversary))
+    [
+      Sim.Adversary.stuck ();
+      Sim.Adversary.benign ();
+      Sim.Adversary.mimic ~offset:1 ();
+    ];
+  check Alcotest.bool "random-equivocate: sets counted" true
+    (sets_under (Sim.Adversary.random_equivocate ()) > 0)
 
 (* ------------------------------------------------------------------ *)
 (* end_round convention (regression: final phase was reported one past   *)
@@ -747,6 +874,13 @@ let suite =
         test_suite_lockstep_a41;
         test_suite_lockstep_a12;
         test_suite_lockstep_all_faulty;
+        test_greedy_order_a41;
+        test_greedy_order_a12;
+        test_greedy_order_leader;
+        test_greedy_order_rand;
+        test_greedy_order_saturated;
+        case "constant faulty rows need no per-recipient set"
+          test_constant_rows_need_no_set;
       ] );
     ( "sim.engine.end_round",
       [

@@ -351,18 +351,54 @@ let test_engine_spans_differential () =
   check Alcotest.bool "bit-identical outcome with spans on" true
     (plain = instrumented);
   let snap = Stdx.Metrics.snapshot m in
-  (* 1-in-16 sampling: the sampled-round count is deterministic even
-     though the recorded seconds are not. *)
+  (* 1-in-16 sampling of rounds 0 .. rounds_simulated, starting at
+     round 15 rather than the cold round 0: the sampled-round count is
+     deterministic even though the recorded seconds are not. *)
   (match Stdx.Metrics.find snap "engine.sampled_rounds" with
   | Some (Stdx.Metrics.Counter c) ->
-    check Alcotest.int "every 16th round clock-sampled"
-      ((plain.Sim.Engine.rounds_simulated + 1 + 15) / 16)
+    check Alcotest.int "every 16th round from round 15 clock-sampled"
+      ((plain.Sim.Engine.rounds_simulated + 1) / 16)
       c
   | _ -> Alcotest.fail "engine.sampled_rounds missing");
   List.iter
     (fun name ->
       check Alcotest.bool (name ^ " present") true (List.mem_assoc name snap))
     [ "span.engine.craft_s"; "span.engine.step_s"; "span.engine.detect_s" ]
+
+(* A clock that ticks one second per read: every sampled engine round
+   then times exactly 1 s per span, so each recorded total must equal
+   its loop's iteration count — rounds 0 .. R observed, 0 .. R-1
+   stepped — whatever the number of sampled rounds. *)
+let test_engine_span_scale () =
+  let ticks = ref 0.0 in
+  let clock () =
+    ticks := !ticks +. 1.0;
+    !ticks
+  in
+  let seen = ref [] in
+  let sp =
+    Stdx.Span.create ~clock
+      ~on_record:(fun name count secs -> seen := (name, (count, secs)) :: !seen)
+      ()
+  in
+  let o =
+    Sim.Engine.run ~spans:sp ~spec:leader
+      ~schedule:
+        (Sim.Schedule.static ~adversary:(Sim.Adversary.random_equivocate ())
+           ~faulty:[ 0 ] ~rounds:40)
+      ~mode:Sim.Engine.Full_horizon ~seed:5 ()
+  in
+  let r = o.Sim.Engine.rounds_simulated in
+  let expect name ~sampled secs =
+    check
+      Alcotest.(pair int (float 1e-9))
+      name (sampled, secs) (List.assoc name !seen)
+  in
+  (* 41 observed rounds sample 15 and 31; the last, 40, is not stepped. *)
+  check Alcotest.int "full horizon" 40 r;
+  expect "engine.detect" ~sampled:2 (float_of_int (r + 1));
+  expect "engine.step" ~sampled:2 (float_of_int r);
+  expect "engine.craft" ~sampled:2 (float_of_int r)
 
 let harness_config ~jobs =
   Sim.Harness.Config.(
@@ -548,6 +584,8 @@ let suite =
     ( "sim.obs",
       [
         case "engine spans differential: inert" test_engine_spans_differential;
+        case "engine span totals scale to each loop's iterations"
+          test_engine_span_scale;
         case "harness obs differential: inert" test_harness_obs_differential;
         case "chaos obs differential: inert" test_chaos_obs_differential;
         case "hunt obs differential: inert (corpus bytes)"

@@ -188,30 +188,87 @@ let test_rng_golden () =
       let p1 = Stdx.Rng.bits r in
       let c1 = Stdx.Rng.bits child in
       check ints (label "split_into") split [ c1; p1; g1 ];
+      (* The indexed split and the advance land on the same streams:
+         split 0 is the child, and one advance moves the parent past
+         it. *)
+      let r = fresh () in
+      let child = Stdx.Rng.create (seed + 1) in
+      Stdx.Rng.split_nth r 0 child;
+      let g1 = Stdx.Rng.bits (Stdx.Rng.split child) in
+      Stdx.Rng.advance r 1;
+      let p1 = Stdx.Rng.bits r in
+      let c1 = Stdx.Rng.bits child in
+      check ints (label "split_nth 0, advance 1") split [ c1; p1; g1 ];
+      (* A sampler with its threshold precomputed draws what [int]
+         draws, rejections included. *)
+      let r = fresh () in
+      check ints (label "int_sampler") ints_
+        (List.map
+           (fun b -> Stdx.Rng.int_sampler b r)
+           [ 1; 2; 3; 10; 1000; 1 lsl 40; (1 lsl 61) - 1; 7 ]);
       let r = fresh () in
       let big = (1 lsl 60) + 1 in
+      let draw = Stdx.Rng.int_sampler big in
+      check ints (label "int_sampler with rejections") rejecting
+        (List.map (fun _ -> draw r) rejecting);
+      check Alcotest.int (label "sampler draws consumed by rejections") after
+        (Stdx.Rng.bits r);
+      let r = fresh () in
       check ints (label "int with rejections") rejecting
         (List.map (fun _ -> Stdx.Rng.int r big) rejecting);
       check Alcotest.int (label "draws consumed by rejections") after
         (Stdx.Rng.bits r))
     rng_golden
 
+(* [split_nth t k] is the k-th of a run of [split_into] calls and leaves
+   [t] alone; [advance t k] is k draws. Checked against the literal
+   sequence of calls for arbitrary seeds and indices. *)
+let test_rng_indexed_split =
+  qcheck "split_nth and advance = a run of split_into"
+    QCheck.(pair int (int_range 0 300))
+    (fun (seed, k) ->
+      let seq = Stdx.Rng.create seed and child = Stdx.Rng.create 0 in
+      for _ = 0 to k do
+        Stdx.Rng.split_into seq child
+      done;
+      let t = Stdx.Rng.create seed and nth = Stdx.Rng.create 1 in
+      Stdx.Rng.split_nth t k nth;
+      let untouched = Stdx.Rng.bits t = Stdx.Rng.bits (Stdx.Rng.create seed) in
+      let same_child = Stdx.Rng.next_int64 nth = Stdx.Rng.next_int64 child in
+      let adv = Stdx.Rng.create seed in
+      Stdx.Rng.advance adv (k + 1);
+      untouched && same_child
+      && Stdx.Rng.next_int64 adv = Stdx.Rng.next_int64 seq)
+
+let test_rng_sampler_invalid () =
+  Alcotest.check_raises "bound 0"
+    (Invalid_argument "Rng.int: bound must be positive") (fun () ->
+      ignore (Stdx.Rng.int_sampler 0 : Stdx.Rng.t -> int));
+  Alcotest.check_raises "bound past 2^61"
+    (Invalid_argument "Rng.int: bound too large") (fun () ->
+      ignore (Stdx.Rng.int_sampler ((1 lsl 61) + 1) : Stdx.Rng.t -> int))
+
 (* Drawing allocates nothing: the hostile engine loop draws per message,
    so a boxed state or a closure per call shows up in its GC profile.
    Nor does [split_into], which the greedy adversary calls per probe. *)
 let test_rng_no_alloc () =
   let r = Stdx.Rng.create 3 and child = Stdx.Rng.create 4 in
+  let draw = Stdx.Rng.int_sampler 17 in
   let acc = ref 0 in
   let w0 = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    acc := !acc + Stdx.Rng.int r 17 + Stdx.Rng.bits r;
+  for i = 1 to 1000 do
+    acc := !acc + Stdx.Rng.int r 17 + Stdx.Rng.bits r + draw r;
     if Stdx.Rng.bool r then incr acc;
-    Stdx.Rng.split_into r child
+    Stdx.Rng.split_into r child;
+    Stdx.Rng.split_nth r i child;
+    Stdx.Rng.advance r i
   done;
   let words = Gc.minor_words () -. w0 in
   ignore (Sys.opaque_identity !acc);
   check Alcotest.bool
-    (Printf.sprintf "3000 draws and 1000 split_into allocate %.0f minor words"
+    (Printf.sprintf
+       "4000 draws and 1000 each of split_into, split_nth and advance \
+        allocate %.0f minor words"
        words)
     true (words < 64.)
 
@@ -550,6 +607,8 @@ let suite =
         test_sample_with_replacement;
         case "golden streams" test_rng_golden;
         case "draws do not allocate" test_rng_no_alloc;
+        test_rng_indexed_split;
+        case "int_sampler invalid bound" test_rng_sampler_invalid;
       ] );
     ( "stdx.imath",
       [
