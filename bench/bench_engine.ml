@@ -17,21 +17,16 @@
    revoted per recipient) and one with a single faulty node (one block
    is). A(36,7) under stuck with all seven faulty nodes sends every
    recipient the same codes: the row measures what faulty senders cost
-   when the round's load announces their rows whole, next to the
-   benign row's none. A
-   greedy-confusion row measures the lookahead kernel, where crafting
-   rather than stepping dominates.
+   when the round's load announces their rows whole, next to the benign
+   row's none. A greedy-confusion row measures the lookahead kernel,
+   where crafting rather than stepping dominates.
 
    Kernel set-up rows time [fresh_kernel ()] itself on the Theorem 1
    towers A(4,1), A(12,3) and A(36,7) (modulus 2): the fixed cost every
    flat engine run pays before its first round, which dominates short
    early-exiting runs.
 
-   Results land in BENCH_engine.json. With [BENCH_ENGINE_BEFORE=FILE],
-   where FILE is this bench's record from the commit a change starts
-   from, every row FILE also has carries that record's throughput and
-   minor words as [before_*] fields, so a change's record shows both
-   sides of one bench. *)
+   Results land in BENCH_engine.json. *)
 
 let json_path = "BENCH_engine.json"
 
@@ -191,39 +186,15 @@ let json_of_setup r =
     \     \"warm_minor_words\": %.0f, \"warm_major_words\": %.0f}"
     r.tower r.tower_n r.cold_s r.warm_s r.warm_minor_words r.warm_major_words
 
-(* Label -> (node-rounds/s, minor words per node-round) of the record
-   named by [BENCH_ENGINE_BEFORE], if any. *)
-let before_rows () =
-  match Sys.getenv_opt "BENCH_ENGINE_BEFORE" with
-  | None | Some "" -> []
-  | Some path ->
-    let open Stdx.Json in
-    let record = parse (In_channel.with_open_bin path In_channel.input_all) in
-    List.map
-      (fun m ->
-        ( to_string "label" (field m "label"),
-          ( to_float "node_rounds_per_s" (field m "node_rounds_per_s"),
-            to_float "minor_words_per_node_round"
-              (field m "minor_words_per_node_round") ) ))
-      (to_list "measurements" (field record "measurements"))
-
-let json_of_row before r =
+let json_of_row r =
   Printf.sprintf
     "    {\"label\": %S, \"n\": %d, \"adversary\": %S, \"faulty\": [%s],\n\
     \     \"rounds\": %d, \"wall_s\": %.6f, \"node_rounds_per_s\": %.1f,\n\
     \     \"minor_words_per_node_round\": %.2f, \
-     \"major_words_per_node_round\": %.4f%s}"
+     \"major_words_per_node_round\": %.4f}"
     r.label r.n r.adversary
     (String.concat "," (List.map string_of_int r.faulty))
     r.rounds r.wall_s r.node_rounds_per_s r.gc.minor_w_nr r.gc.major_w_nr
-    (match List.assoc_opt r.label before with
-    | None -> ""
-    | Some (nrps, minor) ->
-      Printf.sprintf
-        ",\n\
-        \     \"before_node_rounds_per_s\": %.1f, \
-         \"before_minor_words_per_node_round\": %.2f"
-        nrps minor)
 
 let run () =
   Bench_common.section "Engine throughput - packed state codes, full horizon";
@@ -334,7 +305,7 @@ let run () =
      }\n"
     headline.label headline.node_rounds_per_s hostile.label hostile.adversary
     hostile.node_rounds_per_s hostile.gc.minor_w_nr
-    (String.concat ",\n" (List.map (json_of_row (before_rows ())) rows))
+    (String.concat ",\n" (List.map json_of_row rows))
     (String.concat ",\n" (List.map json_of_setup setup))
     (Stdx.Metrics.to_json (Stdx.Metrics.snapshot metrics));
   close_out oc;

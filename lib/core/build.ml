@@ -28,6 +28,11 @@ let tower (t : Plan.tower) =
   let (Packed_boost b) = tower_boost t in
   Algo.Spec.Packed b.Boost.spec
 
+let corollary1 ~f ~c =
+  tower (Plan.plan_tower_exn ~target_c:c (Plan.corollary1_levels ~f))
+
+let figure2 ~c = tower (Plan.plan_tower_exn ~target_c:c Plan.figure2_levels)
+
 let describe (t : Plan.tower) =
   let buf = Buffer.create 256 in
   Buffer.add_string buf

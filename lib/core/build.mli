@@ -14,6 +14,12 @@ val tower_boost : Plan.tower -> packed_boost
 (** Same, but exposing the top level's construction record (parameters,
     probes) for instrumented experiments. *)
 
+val corollary1 : f:int -> c:int -> Algo.Spec.packed
+(** Optimal-resilience counter on [n = 3f+1] nodes (Corollary 1). *)
+
+val figure2 : c:int -> Algo.Spec.packed
+(** The A(36,7) counter of Figure 2. *)
+
 val describe : Plan.tower -> string
 (** Multi-line human-readable rendering of a tower: one line per level
     with n, F, k, modulus, time bound, state bits. *)

@@ -26,6 +26,9 @@
 
 type reg = { a : int option;  (** [None] encodes ∞ *) d : bool }
 
+val equal_reg : reg -> reg -> bool
+val pp_reg : Format.formatter -> reg -> unit
+
 val tau : big_f:int -> int
 (** [tau ~big_f = 3 * (big_f + 2)], the number of instruction sets. *)
 

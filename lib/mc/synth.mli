@@ -36,6 +36,10 @@ type candidate = {
 val to_spec : candidate -> int Algo.Spec.t
 (** Runnable/checkable spec of a candidate; output is [state mod c]. *)
 
+val table_size : family -> int
+(** Number of candidate tables, [s ^ key_count], as a float-safe int
+    (may overflow; informational). *)
+
 type outcome =
   | Found of candidate * Checker.report
   | Not_found_within_budget of { evaluated : int; best_score : int }

@@ -120,18 +120,6 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
     for v = 0 to n - 1 do
       !cur.(v) <- encode (spec.Algo.Spec.random_state init_rng)
     done);
-  (* Whether every crafted row is one code for all recipients, as six of
-     the nine standard strategies always send: then the load announces
-     the whole round and recipients need no grouping. *)
-  let constant_rows nf =
-    let same = ref true in
-    for fi = 0 to nf - 1 do
-      for r = 1 to n - 1 do
-        if crafted.((fi * n) + r) <> crafted.(fi * n) then same := false
-      done
-    done;
-    !same
-  in
   (* Lexicographic order on crafted columns; ties keep index order so the
      grouping is deterministic. A while-loop, not an inner recursive
      function — a closure here would allocate on every comparison of the
@@ -315,28 +303,24 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
       let fa = !faulty in
       let nf = Array.length fa in
       let c0 = if !sample then Stdx.Span.now spans else 0.0 in
-      (* [per_recipient]: some faulty slot differs between recipients. *)
-      let per_recipient =
-        if nf = 0 then false
-        else begin
-          !crafter.Adversary.craft_flat ~rng:adv_rng ~round ~states:!cur
-            ~faulty:fa ~out:crafted;
-          not (constant_rows nf)
-        end
-      in
-      if per_recipient then group_recipients nf;
+      if nf > 0 then begin
+        !crafter.Adversary.craft_flat ~rng:adv_rng ~round ~states:!cur
+          ~faulty:fa ~out:crafted;
+        group_recipients nf
+      end;
       let s0 = if !sample then Stdx.Span.now spans else 0.0 in
       if !sample then craft_s := !craft_s +. (s0 -. c0);
       (* A typed copy: [Array.blit] would [caml_modify] every slot once
          the buffers live in the major heap. The load announces the
-         first visited recipient's faulty slots too. *)
+         first visited recipient's faulty slots too, so a row that is one
+         code for every recipient (grouping leaves [visit] the identity)
+         needs no [set] at all. *)
       let cur_row = !cur and nxt_row = !nxt in
       for v = 0 to n - 1 do
         recv.(v) <- cur_row.(v)
       done;
-      let first = if per_recipient then visit.(0) else 0 in
       for fi = 0 to nf - 1 do
-        recv.(fa.(fi)) <- crafted.((fi * n) + first)
+        recv.(fa.(fi)) <- crafted.((fi * n) + visit.(0))
       done;
       kernel.Algo.Spec.load recv;
       for i = 0 to n - 1 do
@@ -344,15 +328,14 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
            recv scratch never needs restoring; only the slots whose
            crafted code differs from the previous recipient's are
            announced to the kernel. *)
-        let v = if per_recipient then visit.(i) else i in
-        if per_recipient then
-          for fi = 0 to nf - 1 do
-            let u = fa.(fi) and code = crafted.((fi * n) + v) in
-            if recv.(u) <> code then begin
-              recv.(u) <- code;
-              kernel.Algo.Spec.set u code
-            end
-          done;
+        let v = if nf = 0 then i else visit.(i) in
+        for fi = 0 to nf - 1 do
+          let u = fa.(fi) and code = crafted.((fi * n) + v) in
+          if recv.(u) <> code then begin
+            recv.(u) <- code;
+            kernel.Algo.Spec.set u code
+          end
+        done;
         nxt_row.(v) <- kernel.Algo.Spec.step ~self:v ~rng:node_rng.(v) recv
       done;
       let tmp = !cur in

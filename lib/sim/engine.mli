@@ -28,11 +28,11 @@
     states, with the faulty slots as the first visited recipient gets
     them, are [load]ed once, and per later recipient only the faulty
     slots whose crafted code differs from the previous recipient's are
-    [set]. When every faulty row is one code for all recipients, no
-    [set] is needed at all. Otherwise the engine visits recipients
-    grouped by identical crafted columns, so equivocating adversaries
-    cost one batch of [set]s per distinct column, not per recipient —
-    sound because every node owns its private RNG stream.
+    [set], so a faulty row that is one code for all recipients needs no
+    [set] at all. The engine visits recipients grouped by identical
+    crafted columns, so equivocating adversaries cost one batch of
+    [set]s per distinct column, not per recipient — sound because every
+    node owns its private RNG stream.
 
     States are decoded only where ['s] values are asked for: the
     [final_states] of the outcome, and the rows handed to the [trace]

@@ -16,6 +16,10 @@ let score b =
   +. (b.worst_ratio *. 1e3)
   +. float_of_int b.clamped_events
 
+let pp_badness ppf b =
+  Format.fprintf ppf "failed=%d ratio=%.3f clamped=%d" b.failed_phases
+    b.worst_ratio b.clamped_events
+
 type cls = Failed | Exceeds_bound | Near_bound | Clamped
 
 let cls_to_string = function

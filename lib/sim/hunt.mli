@@ -56,6 +56,8 @@ val score : badness -> float
     [failed·1e6 + ratio·1e3 + clamped]. Monotone in each component; the
     authoritative order is {!compare_badness}. *)
 
+val pp_badness : Format.formatter -> badness -> unit
+
 (** Failure class of a hit — what shrinking must preserve. *)
 type cls =
   | Failed  (** at least one phase did not re-stabilise *)

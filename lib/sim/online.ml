@@ -89,6 +89,7 @@ let observe t ~round row =
   t.ring_rounds.(t.ring_head) <- round;
   if t.ring_count < t.window then t.ring_count <- t.ring_count + 1
 
+let rounds_seen t = t.rounds_seen
 let seam t = t.seam
 
 (* Moving the seam to the next expected round discards the entire clean

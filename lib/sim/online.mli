@@ -61,6 +61,9 @@ val reset : ?correct:int list -> t -> unit
     [Stabilized s] after a reset implies a clean counting suffix of
     [min_suffix] rounds that started at or after the perturbation. *)
 
+val rounds_seen : t -> int
+(** Number of rows observed. *)
+
 val recent : t -> (int * int array) list
 (** The sliding window of recent [(round, outputs)] rows, oldest first;
     at most [window] entries. *)
