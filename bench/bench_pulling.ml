@@ -26,19 +26,19 @@ let sampled_sweep () =
   let jobs = Bench_common.default_jobs () in
   let rate ~faulty ~samples =
     let s = Pulling.Sampled.construct ~inner ~k:3 ~big_f:3 ~big_c:8 ~samples in
-    (* Seeds are independent runs (each constructs its own responder and
-       RNG stream), so they map over the domain pool. *)
+    (* Seeds are independent runs (each with its own crafter and RNG
+       stream), so they map over the domain pool. *)
     let fractions =
       Stdx.Pool.exec ~jobs 3 (fun i ->
           let seed = i + 1 in
           let run =
-            Pulling.Pull_sim.run ~spec:s.Pulling.Sampled.spec
-              ~responder:(Pulling.Pull_sim.random_responder ()) ~faulty
+            Sim.Network.run ~spec:s.Pulling.Sampled.spec
+              ~adversary:(Sim.Adversary.random_equivocate ()) ~faulty
               ~rounds:3000 ~seed ()
           in
           Bench_common.clean_fraction ~c:8
-            ~correct:(Pulling.Pull_sim.correct_ids run)
-            run.Pulling.Pull_sim.outputs ~from_round:1500 ~to_round:3000)
+            ~correct:(Sim.Network.correct_ids run)
+            run.Sim.Network.outputs ~from_round:1500 ~to_round:3000)
     in
     Stdx.Stats.mean (Array.to_list fractions)
   in
@@ -48,7 +48,7 @@ let sampled_sweep () =
       Stdx.Table.add_row t
         [
           string_of_int samples;
-          string_of_int s.Pulling.Sampled.params.Pulling.Sampled.pulls_per_round;
+          string_of_int s.Pulling.Sampled.pulls_per_round;
           "11 (N-1)";
           Stdx.Table.cell_float ~digits:4 (rate ~faulty:[ 0; 5; 9 ] ~samples);
           Stdx.Table.cell_float ~digits:4 (rate ~faulty:[ 11 ] ~samples);
@@ -89,14 +89,15 @@ let oblivious_sweep () =
                 in
                 (* Streaming path: early-exits once 64 clean rounds are
                    seen instead of materialising all 3500 rows. *)
-                let stream =
-                  Pulling.Pull_sim.run_stream ~min_suffix:64
-                    ~spec:s.Pulling.Sampled.spec
-                    ~responder:(Pulling.Pull_sim.random_responder ()) ~faulty
-                    ~rounds:3500 ~seed ()
+                let outcome =
+                  Sim.Engine.run ~min_suffix:64 ~spec:s.Pulling.Sampled.spec
+                    ~schedule:
+                      (Sim.Schedule.static
+                         ~adversary:(Sim.Adversary.random_equivocate ())
+                         ~faulty ~rounds:3500)
+                    ~seed ()
                 in
-                stream.Pulling.Pull_sim.verdict
-                <> Sim.Stabilise.Not_stabilized)
+                outcome.Sim.Engine.verdict <> Sim.Stabilise.Not_stabilized)
           in
           let ok = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 stabilised in
           Bench_common.fraction_of_seeds ~seeds ~stabilised:ok)
@@ -129,10 +130,11 @@ let bits_on_wire () =
   let boosted = Bench_common.a12_3 ~c:8 in
   let broadcast_spec = boosted.Counting.Boost.spec in
   let sampled = Pulling.Sampled.construct ~inner ~k:3 ~big_f:3 ~big_c:8 ~samples:16 in
-  let run =
-    Pulling.Pull_sim.run ~spec:sampled.Pulling.Sampled.spec
-      ~responder:(Pulling.Pull_sim.random_responder ()) ~faulty:[ 0; 5; 9 ]
-      ~rounds:500 ~seed:1 ()
+  let tally =
+    Pulling.Sampled.tally sampled
+      (Sim.Network.run ~spec:sampled.Pulling.Sampled.spec
+         ~adversary:(Sim.Adversary.random_equivocate ()) ~faulty:[ 0; 5; 9 ]
+         ~rounds:500 ~seed:1 ())
   in
   Stdx.Table.add_row t
     [
@@ -145,9 +147,10 @@ let bits_on_wire () =
   Stdx.Table.add_row t
     [
       "A(12,3) sampled pulling";
-      string_of_int sampled.Pulling.Sampled.spec.Pulling.Pull_spec.state_bits;
+      string_of_int sampled.Pulling.Sampled.spec.Algo.Spec.state_bits;
       "-";
-      Stdx.Table.cell_float ~digits:0 run.Pulling.Pull_sim.bits_pulled_per_round;
+      Stdx.Table.cell_float ~digits:0
+        tally.Pulling.Sampled.bits_pulled_per_round;
     ];
   Stdx.Table.print t;
   Printf.printf

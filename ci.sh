@@ -69,6 +69,10 @@ dune exec bin/countctl.exe -- report "$greedy_trace" > /dev/null
 dune exec bin/jsonlint.exe -- --jsonl "$greedy_trace"
 rm -f "$greedy_trace"
 
+# Section 5 smoke: the sampled (Theorem 4) and oblivious (Corollary 5)
+# pulling counters run end to end on the engine.
+dune exec examples/pulling_demo.exe > /dev/null
+
 # Run smoke: parallel seeds with every telemetry sink on; the trace
 # must be analysable by `countctl report` and lint clean as JSONL.
 run_trace="$(mktemp)"

@@ -12,25 +12,28 @@ let () =
   (* Adaptive sampling: fresh random pulls every round. *)
   let samples = 16 in
   let s = Pulling.Sampled.construct ~inner ~k:3 ~big_f:3 ~big_c:8 ~samples in
-  Printf.printf "Sampled pulling counter: %s\n" s.Pulling.Sampled.spec.Pulling.Pull_spec.name;
+  Printf.printf "Sampled pulling counter: %s\n"
+    s.Pulling.Sampled.spec.Algo.Spec.name;
   Printf.printf "  pulls per node per round: %d (vs %d for broadcast)\n\n"
-    s.Pulling.Sampled.params.Pulling.Sampled.pulls_per_round
-    (s.Pulling.Sampled.spec.Pulling.Pull_spec.n - 1);
+    s.Pulling.Sampled.pulls_per_round
+    (s.Pulling.Sampled.spec.Algo.Spec.n - 1);
   let run =
-    Pulling.Pull_sim.run ~spec:s.Pulling.Sampled.spec
-      ~responder:(Pulling.Pull_sim.random_responder ()) ~faulty:[ 11 ]
+    Sim.Network.run ~spec:s.Pulling.Sampled.spec
+      ~adversary:(Sim.Adversary.random_equivocate ()) ~faulty:[ 11 ]
       ~rounds:3000 ~seed:5 ()
   in
-  let correct = Pulling.Pull_sim.correct_ids run in
+  let correct = Sim.Network.correct_ids run in
   let clean lo hi =
     let ok = ref 0 in
     for t = lo to hi - 1 do
-      if Sim.Stabilise.count_ok_step ~c:8 ~correct run.Pulling.Pull_sim.outputs ~round:t
+      if
+        Sim.Stabilise.count_ok_step ~c:8 ~correct run.Sim.Network.outputs
+          ~round:t
       then incr ok
     done;
     float_of_int !ok /. float_of_int (hi - lo)
   in
-  Printf.printf "  adaptive variant, one Byzantine responder:\n";
+  Printf.printf "  adaptive variant, one Byzantine node:\n";
   Printf.printf "    clean counting steps in rounds 0-1000:    %.3f\n" (clean 0 1000);
   Printf.printf "    clean counting steps in rounds 2000-3000: %.3f\n" (clean 2000 3000);
   Printf.printf
@@ -46,15 +49,11 @@ let () =
         ~samples:16 ~links_seed:(40 + seed)
     in
     let run =
-      Pulling.Pull_sim.run ~spec:ob.Pulling.Sampled.spec
-        ~responder:(Pulling.Pull_sim.random_responder ()) ~faulty:[ 11 ]
+      Sim.Network.run ~spec:ob.Pulling.Sampled.spec
+        ~adversary:(Sim.Adversary.random_equivocate ()) ~faulty:[ 11 ]
         ~rounds:3000 ~seed ()
     in
-    match
-      Sim.Stabilise.of_outputs ~c:8
-        ~correct:(Pulling.Pull_sim.correct_ids run) ~min_suffix:64
-        run.Pulling.Pull_sim.outputs
-    with
+    match Sim.Stabilise.of_run ~min_suffix:64 run with
     | Sim.Stabilise.Stabilized t ->
       incr stabilised;
       Printf.printf "  link seed %2d: stabilised at round %d, then deterministic\n"

@@ -30,7 +30,35 @@
     set cannot adapt to [R]). Against an adversary that picks the faulty
     set independently of those coins this is Corollary 5's pseudo-random
     counter: with high probability over the link seed the execution
-    stabilises, and from then on behaves fully deterministically. *)
+    stabilises, and from then on behaves fully deterministically.
+
+    Both variants are ordinary {!Algo.Spec.t} values with a codec, so
+    they run on [Sim.Engine] like every broadcast counter. A pulled
+    read is the puller's view of one slot of the broadcast vector: the
+    transition draws its targets from the node's own rng stream and
+    reads [received] at those slots only, and the engine's
+    per-recipient crafting lets a faulty target answer every puller
+    differently. Pull counts are a function of the pulling node's state
+    ({!t.pull_count}); {!tally} sums them over a [Sim.Network.run]
+    trace.
+
+    {2 Adversary assumptions of the experiments}
+
+    The engine's adversary crafts each round's messages before any
+    recipient draws that round's pull targets, so it never sees the
+    current round's coins.
+    - E5 ([bench pulling], Theorem 4) runs {!construct} under
+      [Sim.Adversary.random_equivocate]: the {e adaptive} model, fresh
+      sample coins every round, the fault pattern free to depend on
+      everything before the round.
+    - E6 ([bench oblivious], Corollary 5) runs {!construct_oblivious}
+      under [random_equivocate] with faulty sets fixed before the link
+      seed is drawn: the {e oblivious} model, the fault pattern
+      independent of the links. A lookahead strategy such as
+      [greedy_confusion] simulates recipients' transitions and so sees
+      the links; it falls outside Corollary 5's assumption.
+    - E8 ([bench bits]) is E5's adaptive setting at M = 16, counting
+      pulled bits. *)
 
 type 's state = {
   inner : 's;
@@ -39,16 +67,19 @@ type 's state = {
   prev_r : int;  (** last observed round counter R, for king prediction *)
 }
 
-type t_params = {
-  boost : Counting.Boost.params;
-  samples : int;  (** M *)
-  pulls_per_round : int;  (** worst-case pulls of a non-faulty node *)
-}
-
 type 's t = {
-  spec : 's state Pull_spec.t;
-  params : t_params;
-  inner : 's Algo.Spec.t;
+  spec : 's state Algo.Spec.t;
+      (** the sampled counter; its codec packs (inner code, a, d, prev_r)
+          and uses {!Algo.Spec.generic_kernel} *)
+  pulls_per_round : int;  (** worst-case pulls of a non-faulty node *)
+  pulls : self:int -> rng:Stdx.Rng.t -> 's state -> int array;
+      (** the targets a node pulls this round, drawn from [rng] exactly
+          as [spec.transition] draws them before reading its vector;
+          duplicates allowed (sampling with replacement), each
+          occurrence is paid for *)
+  pull_count : self:int -> 's state -> int;
+      (** [Array.length (pulls ~self ~rng state)] for any [rng]: pure,
+          draws nothing *)
 }
 
 val construct :
@@ -66,3 +97,15 @@ val construct_oblivious :
   links_seed:int ->
   's t
 (** Fixed-links pseudo-random variant (Corollary 5). *)
+
+type tally = {
+  max_pulls : int;  (** max pulls per round by a non-faulty node *)
+  total_pulls : int;  (** summed over non-faulty nodes and all rounds *)
+  bits_pulled_per_round : float;
+      (** average bits received per non-faulty node per round *)
+}
+
+val tally : 's t -> 's state Sim.Network.run -> tally
+(** Pull accounting of a full trace: the pulls of every non-faulty node
+    in rounds [0 .. rounds - 1], from its start-of-round state. Faulty
+    nodes' pulls cost the honest nodes nothing and are not counted. *)

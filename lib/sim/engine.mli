@@ -61,11 +61,15 @@
       [Stabilized]: the verdict equals the offline verdict on the
       truncated trace by construction, and equals the full-horizon
       verdict whenever the run stays clean after the exit point — which
-      holds for every algorithm/adversary pair in this repository's
-      suites (enforced by the differential test in [test_sim.ml] and the
-      parity check in [bench sweep]). [min_suffix] is exactly the
-      caller's evidence threshold: demanding more post-exit scrutiny
-      means asking for a larger [min_suffix].
+      holds for every broadcast algorithm/adversary pair in this
+      repository's suites (enforced by the differential test in
+      [test_sim.ml] and the parity check in [bench sweep]). The sampled
+      pulling counters keep a residual per-round failure probability
+      (Theorem 4), so a run may break after its exit; the same test
+      checks their streamed verdict against the trace cut at the exit.
+      [min_suffix] is exactly the caller's evidence threshold:
+      demanding more post-exit scrutiny means asking for a larger
+      [min_suffix].
 
     To force full-trace behaviour, pass [~mode:Full_horizon] (same memory
     profile, no early exit) or use {!Network.run} when the whole

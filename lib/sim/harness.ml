@@ -141,7 +141,6 @@ module Chaos = struct
       max_victims : int;
       seeds : int list;
       min_suffix : int option;
-      mode : Engine.mode;
       jobs : int;
     }
 
@@ -154,7 +153,6 @@ module Chaos = struct
         max_victims = 2;
         seeds = [ 1; 2; 3 ];
         min_suffix = None;
-        mode = Engine.Streaming;
         jobs = 1;
       }
 
@@ -165,7 +163,6 @@ module Chaos = struct
     let with_max_victims max_victims t = { t with max_victims }
     let with_seeds seeds t = { t with seeds }
     let with_min_suffix min_suffix t = { t with min_suffix = Some min_suffix }
-    let with_mode mode t = { t with mode }
     let with_jobs jobs t = { t with jobs }
   end
 
@@ -262,7 +259,7 @@ module Chaos = struct
      its entries; [replay] takes them from a corpus. Cell [i] reports
      [schedule_seed i] and is labelled "<kind> <schedule_seed i> seed
      <run seed>". *)
-  let exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ~mode
+  let exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs
       ~(spec : 's Algo.Spec.t) ~kind ~schedule_seed entries =
     Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ~prefix:"chaos" ~n:spec.Algo.Spec.n
       ~horizon:(fun i ->
@@ -276,7 +273,7 @@ module Chaos = struct
         let sched, run_seed, min_suffix = entries.(i) in
         let o =
           Engine.run ?metrics:cell.Campaign.metrics
-            ~tracer:cell.Campaign.tracer ~spans:cell.Campaign.spans ~mode
+            ~tracer:cell.Campaign.tracer ~spans:cell.Campaign.spans
             ?min_suffix ~spec ~schedule:sched ~seed:run_seed ()
         in
         let outcome =
@@ -296,7 +293,6 @@ module Chaos = struct
       max_victims;
       seeds;
       min_suffix;
-      mode;
       jobs;
     } =
       config
@@ -331,13 +327,13 @@ module Chaos = struct
       in
       Array.map (fun run_seed -> (schedule, run_seed, Some min_suffix)) seeds
     in
-    exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ~mode ~spec
+    exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ~spec
       ~kind:"campaign"
       ~schedule_seed:(fun i -> (i / num_seeds) + 1)
       (Array.concat (List.init campaigns campaign))
 
   let replay ?metrics ?trace ?spans ?heartbeat ?(jobs = 1)
-      ?(mode = Engine.Streaming) ~(spec : 's Algo.Spec.t) ~entries () =
+      ~(spec : 's Algo.Spec.t) ~entries () =
     if entries = [] then invalid_arg "Harness.Chaos.replay: no entries";
     let entries = Array.of_list entries in
     (* Validate every schedule before the pool so a broken corpus fails
@@ -348,7 +344,7 @@ module Chaos = struct
         with Invalid_argument msg ->
           invalid_arg (Printf.sprintf "Harness.Chaos.replay: entry %d: %s" i msg))
       entries;
-    exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ~mode ~spec
+    exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs ~spec
       ~kind:"corpus" ~schedule_seed:Fun.id entries
 
   let pp_aggregate ppf agg =

@@ -155,7 +155,6 @@ module Chaos : sig
       min_suffix : int option;
           (** [None] = the {!Min_suffix} default, resolved per schedule
               against its own total horizon with {!Min_suffix.resolve} *)
-      mode : Engine.mode;  (** default [Engine.Streaming] *)
       jobs : int;
           (** worker domains; any value, identical outcomes. Cells are
               claimed longest-first by each campaign's own total
@@ -173,7 +172,6 @@ module Chaos : sig
     val with_max_victims : int -> t -> t
     val with_seeds : int list -> t -> t
     val with_min_suffix : int -> t -> t
-    val with_mode : Engine.mode -> t -> t
     val with_jobs : int -> t -> t
   end
 
@@ -229,7 +227,6 @@ module Chaos : sig
     ?spans:bool ->
     ?heartbeat:Stdx.Heartbeat.t ->
     ?jobs:int ->
-    ?mode:Engine.mode ->
     spec:'s Algo.Spec.t ->
     entries:('s Schedule.t * int * int option) list ->
     unit ->
@@ -241,9 +238,9 @@ module Chaos : sig
       the entry's index in [entries] (outcomes are in entry order).
       [min_suffix] requests pass straight to {!Engine.run},
       which clamps them against each schedule's own horizon — so a
-      recorded request replays to the same effective value. [mode]
-      defaults to [Engine.Streaming]; any [jobs] yields an
-      identical aggregate. Raises [Invalid_argument] on an empty entry
+      recorded request replays to the same effective value. Runs
+      stream ({!Engine.Streaming}); any [jobs] yields an identical
+      aggregate. Raises [Invalid_argument] on an empty entry
       list or an entry whose schedule fails {!Schedule.validate}
       (the message carries the entry index). *)
 

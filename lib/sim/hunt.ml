@@ -66,11 +66,9 @@ let badness_of ~n ~time_bound ~schedule (phases : Engine.phase_report list) =
   in
   { failed_phases; worst_ratio; clamped_events = Schedule.clamped_events ~n schedule }
 
-let evaluate ?metrics ?(spans = Stdx.Span.disabled) ?(mode = Engine.Streaming)
-    ?min_suffix ~time_bound ~(spec : 's Algo.Spec.t) ~schedule ~seed () =
-  let o =
-    Engine.run ?metrics ~spans ~mode ?min_suffix ~spec ~schedule ~seed ()
-  in
+let evaluate ?metrics ?(spans = Stdx.Span.disabled) ?min_suffix ~time_bound
+    ~(spec : 's Algo.Spec.t) ~schedule ~seed () =
+  let o = Engine.run ?metrics ~spans ?min_suffix ~spec ~schedule ~seed () in
   ( badness_of ~n:spec.Algo.Spec.n ~time_bound ~schedule o.Engine.phases,
     o )
 
@@ -154,7 +152,6 @@ module Config = struct
     near_bound : float;
     shrink_budget : int;
     min_suffix : int option;
-    mode : Engine.mode;
     jobs : int;
   }
 
@@ -172,7 +169,6 @@ module Config = struct
       near_bound = 0.9;
       shrink_budget = 256;
       min_suffix = None;
-      mode = Engine.Streaming;
       jobs = 1;
     }
 
@@ -188,7 +184,6 @@ module Config = struct
   let with_near_bound near_bound t = { t with near_bound }
   let with_shrink_budget shrink_budget t = { t with shrink_budget }
   let with_min_suffix min_suffix t = { t with min_suffix = Some min_suffix }
-  let with_mode mode t = { t with mode }
   let with_jobs jobs t = { t with jobs }
 end
 
@@ -231,7 +226,6 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
     near_bound;
     shrink_budget;
     min_suffix;
-    mode;
     jobs;
   } =
     config
@@ -305,7 +299,7 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
         let eval s =
           incr execs;
           let b, o =
-            evaluate ?metrics:cell_m ~spans:cell_sp ~mode
+            evaluate ?metrics:cell_m ~spans:cell_sp
               ~min_suffix:req_suffix ~time_bound ~spec ~schedule:s
               ~seed:run_seed ()
           in
@@ -504,7 +498,7 @@ module Corpus = struct
     in
     go 1 []
 
-  let replay ?metrics ?trace ?spans ?heartbeat ?jobs ?mode
+  let replay ?metrics ?trace ?spans ?heartbeat ?jobs
       ~(spec : 's Algo.Spec.t) ~entries () =
     List.iteri
       (fun i e ->
@@ -523,7 +517,7 @@ module Corpus = struct
       List.map (fun e -> (e.schedule, e.run_seed, Some e.min_suffix)) entries
     in
     let agg =
-      Harness.Chaos.replay ?metrics ?trace ?spans ?heartbeat ?jobs ?mode ~spec
+      Harness.Chaos.replay ?metrics ?trace ?spans ?heartbeat ?jobs ~spec
         ~entries:chaos_entries ()
     in
     List.map2

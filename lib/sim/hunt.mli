@@ -80,7 +80,6 @@ val classify : near_bound:float -> badness -> cls option
 val evaluate :
   ?metrics:Stdx.Metrics.t ->
   ?spans:Stdx.Span.t ->
-  ?mode:Engine.mode ->
   ?min_suffix:int ->
   time_bound:int option ->
   spec:'s Algo.Spec.t ->
@@ -91,7 +90,7 @@ val evaluate :
 (** Execute one schedule and score it. [min_suffix] is the {e requested}
     value — {!Engine.run} clamps it against the schedule's own
     horizon, so recording the request is enough to replay the run
-    bit-identically. [mode] defaults to [Engine.Streaming]; [spans]
+    bit-identically. The run streams ({!Engine.Streaming}); [spans]
     (default {!Stdx.Span.disabled}) is forwarded to the engine. *)
 
 val shrink_candidates :
@@ -132,7 +131,6 @@ module Config : sig
         (** requested min-suffix for every execution; [None] = the
             {!Min_suffix} default for the spec's [c]. Also the event
             margin schedules are generated and shrunk with. *)
-    mode : Engine.mode;  (** default [Engine.Streaming] *)
     jobs : int;
         (** worker domains; any value, identical hunts. Trials are
             claimed longest-first by horizon × n². *)
@@ -152,7 +150,6 @@ module Config : sig
   val with_near_bound : float -> t -> t
   val with_shrink_budget : int -> t -> t
   val with_min_suffix : int -> t -> t
-  val with_mode : Engine.mode -> t -> t
   val with_jobs : int -> t -> t
 end
 
@@ -269,7 +266,6 @@ module Corpus : sig
     ?spans:bool ->
     ?heartbeat:Stdx.Heartbeat.t ->
     ?jobs:int ->
-    ?mode:Engine.mode ->
     spec:'s Algo.Spec.t ->
     entries:'s entry list ->
     unit ->

@@ -197,6 +197,15 @@ let test_static_differential_derived () =
   assert_static_differential ~label:"derived-codec" ~rounds:120 ~seeds:[ 1 ]
     derived
 
+(* The sampled pulling counter on four single-node blocks: its
+   transition draws pull targets from the node's rng, and a faulty
+   target answers each puller with its own crafted message. *)
+let test_static_differential_sampled () =
+  assert_static_differential ~label:"sampled A(4,1)" ~rounds:60 ~seeds:[ 1 ]
+    (Pulling.Sampled.construct ~inner:(Counting.Trivial.single ~c:2304) ~k:4
+       ~big_f:1 ~big_c:2 ~samples:3)
+      .Pulling.Sampled.spec
+
 (* Random chaos schedules: phase changes, transient corruption, both
    engine modes. *)
 let test_schedule_differential_random () =
@@ -850,6 +859,8 @@ let suite =
           test_static_differential_boost;
         case "static differential: derived codec"
           test_static_differential_derived;
+        case "static differential: sampled pulling"
+          test_static_differential_sampled;
         case "schedule differential: random chaos schedules"
           test_schedule_differential_random;
         case "schedule differential: boost tower with event"
