@@ -62,7 +62,7 @@ let json_of_outcome (o : Sim.Harness.Chaos.outcome) =
      \"recovered\":%b,\"worst_recovery\":%s,\"rounds_simulated\":%d,\
      \"horizon\":%d,\"recoveries\":[%s]}"
     o.Sim.Harness.Chaos.schedule_seed o.Sim.Harness.Chaos.run_seed
-    (Bench_common.json_escape o.Sim.Harness.Chaos.schedule)
+    (Stdx.Json.escape o.Sim.Harness.Chaos.schedule)
     o.Sim.Harness.Chaos.recovered
     (match o.Sim.Harness.Chaos.worst_recovery with
     | Some w -> string_of_int w
@@ -93,7 +93,7 @@ let json_of_subject (s, cfg, agg) =
     \     \"worst_recovery\":%s,\"recovery_p50\":%s,\"recovery_p90\":%s,\n\
     \     \"recoveries\":[%s],\"total_rounds_simulated\":%d,\n\
     \     \"outcomes\":[\n      %s\n     ]}"
-    (Bench_common.json_escape s.label)
+    (Stdx.Json.escape s.label)
     spec.Algo.Spec.n spec.Algo.Spec.f spec.Algo.Spec.c s.time_bound
     cfg.Config.campaigns cfg.Config.phases cfg.Config.events
     cfg.Config.phase_rounds

@@ -62,17 +62,6 @@ let sweep_records : sweep_record list ref = ref []
 let in_flight : string list ref = ref []
 let flush_registered = ref false
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_outcome (o : Sim.Harness.outcome) =
   let verdict, at =
     match o.Sim.Harness.verdict with
@@ -96,7 +85,7 @@ let json_of_record r =
     \     \"total_rounds_simulated\":%d,\"full_horizon_rounds\":%d,\n\
     \     \"wall_clock_s\":%.6f,\"worst\":%s,\"all_stabilized\":%b,\n\
     \     \"outcomes\":[\n      %s\n     ]}"
-    (json_escape r.label) r.mode agg.Sim.Harness.horizon runs
+    (Stdx.Json.escape r.label) r.mode agg.Sim.Harness.horizon runs
     agg.Sim.Harness.total_rounds_simulated full r.wall_s
     (match agg.Sim.Harness.worst with
     | Some w -> string_of_int w

@@ -35,7 +35,7 @@ let json_of_hit (h : _ Sim.Hunt.hit) =
     (Sim.Hunt.score h.Sim.Hunt.badness)
     h.Sim.Hunt.original_size h.Sim.Hunt.size h.Sim.Hunt.shrink_steps
     h.Sim.Hunt.shrink_kept
-    (Bench_common.json_escape (Sim.Schedule.describe h.Sim.Hunt.schedule))
+    (Stdx.Json.escape (Sim.Schedule.describe h.Sim.Hunt.schedule))
 
 let run () =
   Bench_common.section
@@ -116,7 +116,7 @@ let run () =
     \  \"hit_records\": [\n   %s\n  ],\n\
     \  \"metrics\": %s\n\
      }\n"
-    (Bench_common.json_escape spec.Algo.Spec.name)
+    (Stdx.Json.escape spec.Algo.Spec.name)
     time_bound report.Sim.Hunt.trials report.Sim.Hunt.executions jobs wall_par
     wall_seq
     (float_of_int report.Sim.Hunt.executions /. wall_par)

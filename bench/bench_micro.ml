@@ -7,14 +7,23 @@
 open Bechamel
 open Toolkit
 
+(* One round as the engine runs it: one [load] of the round's packed
+   state codes into the run's kernel, then [n] kernel steps over them. *)
 let round_cost (spec : 'a Algo.Spec.t) =
-  let rng = Stdx.Rng.create 1 in
-  let states =
-    Array.init spec.Algo.Spec.n (fun _ -> spec.Algo.Spec.random_state rng)
+  let codec =
+    match spec.Algo.Spec.codec with
+    | Some codec -> codec
+    | None -> invalid_arg (spec.Algo.Spec.name ^ ": no packed state codec")
   in
+  let rng = Stdx.Rng.create 1 in
+  let codes =
+    Array.init spec.Algo.Spec.n (fun _ -> codec.Algo.Spec.random_code rng)
+  in
+  let kernel = codec.Algo.Spec.fresh_kernel () in
   Staged.stage (fun () ->
+      kernel.Algo.Spec.load codes;
       for v = 0 to spec.Algo.Spec.n - 1 do
-        ignore (Sys.opaque_identity (spec.Algo.Spec.transition ~self:v ~rng states))
+        ignore (Sys.opaque_identity (kernel.Algo.Spec.step ~self:v ~rng codes))
       done)
 
 let phase_king_cost () =

@@ -9,23 +9,10 @@
 
 open Cmdliner
 
-let parse_levels s =
-  try
-    Ok
-      (List.map
-         (fun part ->
-           match String.split_on_char ':' part with
-           | [ k; f ] ->
-             { Counting.Plan.k = int_of_string k; big_f = int_of_string f }
-           | _ -> failwith "bad")
-         (String.split_on_char ',' s))
-  with _ -> Error (`Msg "levels must look like 4:1,3:3 (k:F pairs, bottom-up)")
-
 let levels_arg =
-  let levels_conv = Arg.conv ~docv:"LEVELS" (parse_levels, fun ppf _ -> Format.fprintf ppf "<levels>") in
   Arg.(
     value
-    & opt (some levels_conv) None
+    & opt (some (list (pair ~sep:':' int int))) None
     & info [ "levels" ] ~docv:"K:F,K:F,..."
         ~doc:"Boosting schedule, bottom-up: one k:F pair per level.")
 
@@ -43,7 +30,8 @@ let modulus_arg =
 
 let schedule levels corollary1 =
   match (levels, corollary1) with
-  | Some l, None -> Ok l
+  | Some l, None ->
+    Ok (List.map (fun (k, big_f) -> { Counting.Plan.k; big_f }) l)
   | None, Some f -> Ok (Counting.Plan.corollary1_levels ~f)
   | None, None -> Ok Counting.Plan.figure2_levels
   | Some _, Some _ -> Error (`Msg "give either --levels or --corollary1")
@@ -78,8 +66,18 @@ let plan_cmd =
 let adversary_of_name name =
   List.find_opt
     (fun a -> Sim.Adversary.name a = name)
-    (Sim.Adversary.standard_suite ()
-    @ [ Sim.Adversary.greedy_confusion ~pool:2 () ])
+    (Sim.Adversary.registry ())
+
+(* The [Meta] header a --trace file starts with. *)
+let meta (spec : _ Algo.Spec.t) time_bound =
+  Sim.Trace.Meta
+    {
+      label = spec.Algo.Spec.name;
+      n = spec.Algo.Spec.n;
+      f = spec.Algo.Spec.f;
+      c = spec.Algo.Spec.c;
+      time_bound;
+    }
 
 (* Small explicit algorithms nameable on the command line (verify,
    hunt --algorithm): trivial:C and leader:N:C. *)
@@ -155,20 +153,9 @@ let sweep_flags =
              max(8c, 128) for verify's cross-check).")
   in
   let seeds_arg =
-    let parse s =
-      try
-        match List.map int_of_string (String.split_on_char ',' s) with
-        | [] -> Error (`Msg "need at least one seed")
-        | seeds -> Ok seeds
-      with _ -> Error (`Msg "seeds must be a comma-separated int list")
-    in
-    let seeds_conv =
-      Arg.conv ~docv:"SEEDS"
-        (parse, fun ppf _ -> Format.fprintf ppf "<seeds>")
-    in
     Arg.(
       value
-      & opt (some seeds_conv) None
+      & opt (some (list int)) None
       & info [ "seed"; "seeds" ] ~docv:"SEEDS"
           ~doc:
             "Comma-separated PRNG seeds, one independent run each \
@@ -254,6 +241,7 @@ let sweep_flags =
       (const (fun rounds seeds min_suffix jobs trace metrics spans heartbeat
                   heartbeat_file ->
            if jobs < 1 then `Error (false, "--jobs must be >= 1")
+           else if seeds = Some [] then `Error (false, "need at least one seed")
            else
              `Ok
                {
@@ -342,16 +330,9 @@ let with_telemetry ~meta opts
       (fun () -> go ~trace:(Some (Sim.Trace.jsonl oc)) ~heartbeat)
 
 let faulty_arg =
-  let parse s =
-    try
-      Ok
-        (if s = "" then []
-         else List.map int_of_string (String.split_on_char ',' s))
-    with _ -> Error (`Msg "faulty must be a comma-separated id list")
-  in
-  let ids_conv = Arg.conv ~docv:"IDS" (parse, fun ppf _ -> Format.fprintf ppf "<ids>") in
   Arg.(
-    value & opt ids_conv []
+    value
+    & opt (list int) []
     & info [ "faulty" ] ~docv:"IDS" ~doc:"Byzantine node ids, e.g. 0,5,9.")
 
 let run_cmd =
@@ -392,58 +373,34 @@ let run_cmd =
         if rounds < spec.Algo.Spec.c then
           `Error (false, short_rounds_error spec.Algo.Spec.c)
         else
+        let time_bound = (Counting.Plan.top tower).Counting.Plan.time_bound in
         let seeds = Option.value opts.seeds ~default:[ 1 ] in
-        let mode =
-          if full_trace then Sim.Engine.Full_horizon else Sim.Engine.Streaming
+        let config =
+          {
+            Sim.Harness.Config.fault_sets = Some [ faulty ];
+            seeds;
+            min_suffix = opts.min_suffix;
+            mode =
+              (if full_trace then Sim.Engine.Full_horizon
+               else Sim.Engine.Streaming);
+            rounds;
+            jobs = opts.jobs;
+          }
         in
-        let meta =
-          Sim.Trace.Meta
-            {
-              label = spec.Algo.Spec.name;
-              n = spec.Algo.Spec.n;
-              f = spec.Algo.Spec.f;
-              c = spec.Algo.Spec.c;
-              time_bound =
-                Some (Counting.Plan.top tower).Counting.Plan.time_bound;
-            }
+        with_telemetry ~meta:(meta spec (Some time_bound)) opts
+        @@ fun ~metrics ~trace ~spans ~heartbeat ->
+        let agg =
+          Sim.Harness.run ?metrics ?trace ~spans ?heartbeat ~config ~spec
+            ~adversaries:[ adversary ] ()
         in
-        with_telemetry ~meta opts @@ fun ~metrics ~trace ~spans ~heartbeat ->
-        (* One independent engine run per seed, spread over the pool;
-           output order follows the seed list regardless of --jobs, and
-           per-seed telemetry is merged in seed order, as in the harness
-           sweeps. *)
-        let seed_arr = Array.of_list seeds in
-        let label i =
-          Printf.sprintf "%s f=[%s] seed=%d"
-            (Sim.Adversary.name adversary)
-            (String.concat ";" (List.map string_of_int faulty))
-            seed_arr.(i)
-        in
-        let results =
-          Sim.Campaign.exec ?metrics ?trace ~spans ?heartbeat ~jobs:opts.jobs
-            ~prefix:"run" ~n:spec.Algo.Spec.n
-            ~horizon:(fun _ -> rounds)
-            ~label (Array.length seed_arr)
-            (fun cell i ->
-              let o =
-                Sim.Engine.run ?metrics:cell.Sim.Campaign.metrics
-                  ~tracer:cell.Sim.Campaign.tracer
-                  ~spans:cell.Sim.Campaign.spans ~mode
-                  ?min_suffix:opts.min_suffix ~spec
-                  ~schedule:(Sim.Schedule.static ~adversary ~faulty ~rounds)
-                  ~seed:seed_arr.(i) ()
-              in
-              (o, o.Sim.Engine.rounds_simulated))
-        in
-        let outcomes = List.combine seeds (Array.to_list results) in
         Printf.printf "%s\n" spec.Algo.Spec.name;
         List.iter
-          (fun (seed, outcome) ->
-            if List.length seeds > 1 then Printf.printf "seed %d:\n" seed;
-            (match outcome.Sim.Engine.verdict with
+          (fun (o : Sim.Harness.outcome) ->
+            if List.length seeds > 1 then
+              Printf.printf "seed %d:\n" o.Sim.Harness.seed;
+            (match o.Sim.Harness.verdict with
             | Sim.Stabilise.Stabilized t ->
-              Printf.printf "stabilised at round %d (bound %d)\n" t
-                (Counting.Plan.top tower).Counting.Plan.time_bound
+              Printf.printf "stabilised at round %d (bound %d)\n" t time_bound
             | Sim.Stabilise.Not_stabilized ->
               Printf.printf "did not stabilise within %d rounds\n" rounds;
               List.iter
@@ -451,11 +408,11 @@ let run_cmd =
                   Printf.printf "  round %d outputs: %s\n" r
                     (String.concat " "
                        (Array.to_list (Array.map string_of_int outs))))
-                outcome.Sim.Engine.recent_outputs);
-            if outcome.Sim.Engine.early_exit then
+                o.Sim.Harness.recent_outputs);
+            if o.Sim.Harness.early_exit then
               Printf.printf "simulated %d of %d rounds (early exit)\n"
-                outcome.Sim.Engine.rounds_simulated rounds)
-          outcomes;
+                o.Sim.Harness.rounds_simulated rounds)
+          agg.Sim.Harness.outcomes;
         `Ok ())
   in
   Cmd.v (Cmd.info "run" ~doc)
@@ -492,28 +449,20 @@ let verify_cmd =
         (* Cross-check the exact bound against the streaming simulator:
            worst observed stabilisation over the hostile suite must not
            exceed the model checker's T. *)
+        let default = Sim.Harness.Config.default in
         let config =
-          let open Sim.Harness.Config in
-          let c = default |> with_rounds rounds |> with_jobs opts.jobs in
-          let c =
-            match opts.seeds with Some s -> with_seeds s c | None -> c
-          in
-          match opts.min_suffix with
-          | Some m -> with_min_suffix m c
-          | None -> c
-        in
-        let meta =
-          Sim.Trace.Meta
-            {
-              label = spec.Algo.Spec.name;
-              n = spec.Algo.Spec.n;
-              f = spec.Algo.Spec.f;
-              c = spec.Algo.Spec.c;
-              time_bound = Some report.Mc.Checker.worst_stabilisation;
-            }
+          {
+            default with
+            seeds = Option.value opts.seeds ~default:default.seeds;
+            min_suffix = opts.min_suffix;
+            rounds;
+            jobs = opts.jobs;
+          }
         in
         let agg =
-          with_telemetry ~meta opts
+          with_telemetry
+            ~meta:(meta spec (Some report.Mc.Checker.worst_stabilisation))
+            opts
             (fun ~metrics ~trace ~spans ~heartbeat ->
               Sim.Harness.run ?metrics ?trace ~spans ?heartbeat ~config ~spec
                 ~adversaries:(Sim.Adversary.hostile_suite ())
@@ -592,41 +541,30 @@ let chaos_cmd =
         (* --rounds is the base phase duration here: each phase lasts
            rounds..2*rounds-1, so a schedule's horizon is phase-count
            dependent rather than fixed. *)
-        let phase_rounds = Option.value opts.rounds ~default:600 in
-        let run_seeds = opts.seeds in
-        let min_suffix = opts.min_suffix in
-        let jobs = opts.jobs in
         let config =
-          let open Sim.Harness.Chaos.Config in
-          let c =
-            default |> with_campaigns campaigns |> with_phases phases
-            |> with_events events |> with_max_victims max_victims
-            |> with_phase_rounds phase_rounds |> with_jobs jobs
-          in
-          let c = match run_seeds with Some s -> with_seeds s c | None -> c in
-          match min_suffix with Some m -> with_min_suffix m c | None -> c
-        in
-        let adversaries =
-          Sim.Adversary.standard_suite ()
-          @ [ Sim.Adversary.greedy_confusion ~pool:2 () ]
-        in
-        let meta =
-          Sim.Trace.Meta
-            {
-              label = spec.Algo.Spec.name;
-              n = spec.Algo.Spec.n;
-              f = spec.Algo.Spec.f;
-              c = spec.Algo.Spec.c;
-              time_bound =
-                Some (Counting.Plan.top tower).Counting.Plan.time_bound;
-            }
+          {
+            Sim.Harness.Chaos.Config.campaigns;
+            phases;
+            phase_rounds = Option.value opts.rounds ~default:600;
+            events;
+            max_victims;
+            seeds =
+              Option.value opts.seeds
+                ~default:Sim.Harness.Chaos.Config.default.seeds;
+            min_suffix = opts.min_suffix;
+            jobs = opts.jobs;
+          }
         in
         let analyse () =
-          with_telemetry ~meta opts
+          with_telemetry
+            ~meta:
+              (meta spec
+                 (Some (Counting.Plan.top tower).Counting.Plan.time_bound))
+            opts
           @@ fun ~metrics ~trace ~spans ~heartbeat ->
           let agg =
             Sim.Harness.Chaos.run ?metrics ?trace ~spans ?heartbeat ~config
-              ~spec ~adversaries ()
+              ~spec ~adversaries:(Sim.Adversary.registry ()) ()
           in
         Printf.printf "%s\n" spec.Algo.Spec.name;
         let last_schedule = ref (-1) in
@@ -722,6 +660,15 @@ let hb_block (v : Stdx.Heartbeat.view) =
   if v.hits <> [] then add "hits" (hb_hits_string v);
   Stdx.Table.print t
 
+(* The latest snapshot of a heartbeat stream: its raw JSON line with
+   [json], else the status block. *)
+let show_heartbeat ~json path content =
+  match Stdx.Heartbeat.latest ~path content with
+  | Error msg -> `Error (false, msg)
+  | Ok (last, v) ->
+    if json then print_endline last else hb_block v;
+    `Ok ()
+
 (* ------------------------------------------------------------------ *)
 (* report: offline analysis of a --trace JSONL file (or the latest
    snapshot of a --heartbeat stream).                                  *)
@@ -762,13 +709,6 @@ let report_cmd =
              failure counts travel in the JSON).")
   in
   let ids l = String.concat ";" (List.map string_of_int l) in
-  let report_heartbeat ~json path content =
-    match Stdx.Heartbeat.latest ~path content with
-    | Error msg -> `Error (false, msg)
-    | Ok (last, v) ->
-      if json then print_endline last else hb_block v;
-      `Ok ()
-  in
   let run path json =
     match read_file_content path with
     | exception Sys_error msg -> `Error (false, msg)
@@ -777,7 +717,7 @@ let report_cmd =
     | content ->
     match Stdx.Heartbeat.complete_lines content with
     | (_, first) :: _ when Stdx.Heartbeat.is_heartbeat_line first ->
-      report_heartbeat ~json path content
+      show_heartbeat ~json path content
     | _ ->
     let ic = open_in path in
     let parsed =
@@ -1220,20 +1160,8 @@ let hunt_cmd =
         (* The one adversary registry: schedules are generated from it,
            corpus entries name strategies by it, and replay resolves
            against it — so a corpus written here always reads here. *)
-        let adversaries =
-          Sim.Adversary.standard_suite ()
-          @ [ Sim.Adversary.greedy_confusion ~pool:2 () ]
-        in
-        let meta =
-          Sim.Trace.Meta
-            {
-              label = spec.Algo.Spec.name;
-              n = spec.Algo.Spec.n;
-              f = spec.Algo.Spec.f;
-              c = spec.Algo.Spec.c;
-              time_bound;
-            }
-        in
+        let adversaries = Sim.Adversary.registry () in
+        let meta = meta spec time_bound in
         match replay_path with
         | Some path -> (
           let ic = open_in path in
@@ -1282,29 +1210,23 @@ let hunt_cmd =
             ~finally:(fun () ->
               Option.iter (fun (_, oc) -> close_out oc) corpus_oc)
           @@ fun () ->
-          let phase_rounds = Option.value opts.rounds ~default:400 in
-          let run_seed =
-            match opts.seeds with Some (s :: _) -> s | _ -> 1
-          in
           let config =
-            let open Sim.Hunt.Config in
-            let cfg =
-              default |> with_trials trials |> with_phases phases
-              |> with_events events |> with_max_victims max_victims
-              |> with_mutations mutations |> with_seed hunt_seed
-              |> with_run_seed run_seed |> with_phase_rounds phase_rounds
-              |> with_near_bound near_bound
-              |> with_shrink_budget shrink_budget
-              |> with_jobs opts.jobs
-            in
-            let cfg =
-              match time_bound with
-              | Some b -> with_time_bound b cfg
-              | None -> cfg
-            in
-            match opts.min_suffix with
-            | Some m -> with_min_suffix m cfg
-            | None -> cfg
+            {
+              Sim.Hunt.Config.trials;
+              phases;
+              phase_rounds = Option.value opts.rounds ~default:400;
+              events;
+              max_victims;
+              mutations;
+              seed = hunt_seed;
+              run_seed =
+                (match opts.seeds with Some (s :: _) -> s | _ -> 1);
+              time_bound;
+              near_bound;
+              shrink_budget;
+              min_suffix = opts.min_suffix;
+              jobs = opts.jobs;
+            }
           in
           let report =
             with_telemetry ~meta opts
@@ -1390,16 +1312,10 @@ let watch_cmd =
   let run path once interval =
     if not (Float.is_finite interval) || interval <= 0.0 then
       `Error (false, "--interval must be a finite number > 0")
-    else if once then begin
+    else if once then (
       match read_file_content path with
       | exception Sys_error msg -> `Error (false, msg)
-      | content -> (
-        match Stdx.Heartbeat.latest ~path content with
-        | Error msg -> `Error (false, msg)
-        | Ok (_, v) ->
-          hb_block v;
-          `Ok ())
-    end
+      | content -> show_heartbeat ~json:false path content)
     else begin
       (* Tail loop: one status line per fresh complete beat; lines that
          fail to parse (foreign content in a shared file) are skipped.
@@ -1438,8 +1354,7 @@ let adversaries_cmd =
   let run () =
     List.iter
       (fun a -> print_endline (Sim.Adversary.name a))
-      (Sim.Adversary.standard_suite ()
-      @ [ Sim.Adversary.greedy_confusion ~pool:2 () ]);
+      (Sim.Adversary.registry ());
     `Ok ()
   in
   Cmd.v (Cmd.info "adversaries" ~doc) Term.(ret (const run $ const ()))

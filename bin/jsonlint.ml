@@ -3,173 +3,43 @@
      dune exec bin/jsonlint.exe -- BENCH_sweep.json BENCH_parallel.json
      dune exec bin/jsonlint.exe -- --jsonl trace.jsonl
 
-   Exits non-zero (with a position) on the first malformed file. A
-   minimal recursive-descent parser over the JSON grammar — no
-   dependencies, no value construction, syntax only. Used by ci.sh to
-   guard against a half-written or corrupted at_exit flush.
+   Each file must be one JSON value under Stdx.Json.parse's grammar;
+   the first error is reported with its byte offset. With --jsonl every
+   non-empty line must be one complete JSON value (the trace format of
+   `countctl --trace`), and the error also names the line. Exits 1 if
+   any file is malformed or unreadable, 2 without a file argument. *)
 
-   With --jsonl every non-empty line must be one complete JSON value
-   (the trace format of `countctl --trace`); errors then carry the
-   line number instead of a byte offset. *)
-
-exception Bad of int * string
-
-let lint (s : string) =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | Some c' -> fail (Printf.sprintf "expected %c, found %c" c c')
-    | None -> fail (Printf.sprintf "expected %c, found end of input" c)
-  in
-  let literal word =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then pos := !pos + l
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let string_ () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') ->
-          advance (); go ()
-        | Some 'u' ->
-          advance ();
-          for _ = 1 to 4 do
-            match peek () with
-            | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-            | _ -> fail "bad \\u escape"
-          done;
-          go ()
-        | _ -> fail "bad escape")
-      | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some _ -> advance (); go ()
-    in
-    go ()
-  in
-  let digits () =
-    let start = !pos in
-    let rec go () =
-      match peek () with Some '0' .. '9' -> advance (); go () | _ -> ()
-    in
-    go ();
-    if !pos = start then fail "expected digit"
-  in
-  let number () =
-    if peek () = Some '-' then advance ();
-    (match peek () with
-    | Some '0' -> advance ()
-    | Some '1' .. '9' -> digits ()
-    | _ -> fail "bad number");
-    if peek () = Some '.' then (advance (); digits ());
-    match peek () with
-    | Some ('e' | 'E') ->
-      advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-      digits ()
-    | _ -> ()
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> string_ ()
-    | Some '{' -> object_ ()
-    | Some '[' -> array_ ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %c" c)
-    | None -> fail "unexpected end of input"
-  and object_ () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else
-      let rec members () =
-        skip_ws ();
-        string_ ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' -> advance (); members ()
-        | _ -> expect '}'
-      in
-      members ()
-  and array_ () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then advance ()
-    else
-      let rec elements () =
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' -> advance (); elements ()
-        | _ -> expect ']'
-      in
-      elements ()
-  in
-  value ();
-  skip_ws ();
-  if !pos <> n then fail "trailing content after the JSON value"
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
-(* One JSON value per non-empty line; raises [Bad (lineno, msg)] with a
-   1-based line number rather than a byte offset. *)
-let lint_jsonl (s : string) =
-  List.iteri
-    (fun i line ->
-      if String.trim line <> "" then
-        try lint line
-        with Bad (pos, msg) ->
-          raise (Bad (i + 1, Printf.sprintf "byte %d: %s" pos msg)))
-    (String.split_on_char '\n' s)
+let check ~jsonl content =
+  if not jsonl then Result.map ignore (Stdx.Json.parse_result content)
+  else
+    String.split_on_char '\n' content
+    |> List.mapi (fun i line -> (i + 1, line))
+    |> List.find_map (fun (lineno, line) ->
+           if String.trim line = "" then None
+           else
+             match Stdx.Json.parse_result line with
+             | Ok _ -> None
+             | Error msg -> Some (Printf.sprintf "line %d: %s" lineno msg))
+    |> Option.fold ~none:(Ok ()) ~some:Result.error
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let jsonl, paths = List.partition (fun a -> a = "--jsonl") args in
   let jsonl = jsonl <> [] in
-  match paths with
-  | _ :: _ ->
-    let bad = ref false in
-    List.iter
-      (fun path ->
-        let check s = if jsonl then lint_jsonl s else lint s in
-        match check (read_file path) with
-        | () -> Printf.printf "%s: ok\n" path
-        | exception Bad (pos, msg) ->
-          Printf.printf "%s: MALFORMED at %s %d: %s\n" path
-            (if jsonl then "line" else "byte")
-            pos msg;
-          bad := true
-        | exception Sys_error e ->
-          Printf.printf "%s: unreadable: %s\n" path e;
-          bad := true)
-      paths;
-    if !bad then exit 1
-  | [] ->
+  if paths = [] then begin
     prerr_endline "usage: jsonlint [--jsonl] FILE...";
     exit 2
+  end;
+  let bad = ref false in
+  List.iter
+    (fun path ->
+      match check ~jsonl (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok () -> Printf.printf "%s: ok\n" path
+      | Error msg ->
+        Printf.printf "%s: MALFORMED at %s\n" path msg;
+        bad := true
+      | exception Sys_error e ->
+        Printf.printf "%s: unreadable: %s\n" path e;
+        bad := true)
+    paths;
+  if !bad then exit 1

@@ -236,6 +236,54 @@ rm -f "$corpus_file"
 dune exec bin/countctl.exe -- hunt --algorithm leader:4:5 --claim-f 1 \
   --replay test/corpus/leader4c5_f1.jsonl --jobs 4 > /dev/null
 
+# jsonlint (a driver over Stdx.Json.parse) must reject each malformed
+# fixture: leading zeros, raw control bytes in strings, short or
+# non-hex \u escapes, trailing commas, trailing content. With --jsonl
+# the error names the offending line.
+lint_dir="$(mktemp -d)"
+printf '01' > "$lint_dir/1.json"
+printf -- '-01' > "$lint_dir/2.json"
+printf '"a\tb"' > "$lint_dir/3.json"
+printf '"a\001b"' > "$lint_dir/4.json"
+printf '"\\u12"' > "$lint_dir/5.json"
+printf '"\\u_12a"' > "$lint_dir/6.json"
+printf '[1,]' > "$lint_dir/7.json"
+printf '{"a":1,}' > "$lint_dir/8.json"
+printf '{} x' > "$lint_dir/9.json"
+for bad in "$lint_dir"/*.json; do
+  if lint_out="$(dune exec bin/jsonlint.exe -- "$bad")"; then
+    echo "jsonlint accepted malformed $(cat "$bad")" >&2
+    exit 1
+  fi
+  case "$lint_out" in
+    *": MALFORMED at byte "*) ;;
+    *)
+      echo "jsonlint gave no byte offset for $(cat "$bad"): $lint_out" >&2
+      exit 1
+      ;;
+  esac
+done
+# The valid counterparts still lint clean.
+printf '0' > "$lint_dir/ok1"
+printf -- '-0.5e-3' > "$lint_dir/ok2"
+printf '"\303\251"' > "$lint_dir/ok3"
+printf '{"a":{},"b":[[],{}]}' > "$lint_dir/ok4"
+dune exec bin/jsonlint.exe -- "$lint_dir"/ok1 "$lint_dir"/ok2 \
+  "$lint_dir"/ok3 "$lint_dir"/ok4 > /dev/null
+printf '{"a":1}\n{"b":2}\n{"a":01}\n' > "$lint_dir/bad.jsonl"
+if lint_out="$(dune exec bin/jsonlint.exe -- --jsonl "$lint_dir/bad.jsonl")"; then
+  echo "jsonlint --jsonl accepted a malformed line 3" >&2
+  exit 1
+fi
+case "$lint_out" in
+  *"MALFORMED at line 3:"*) ;;
+  *)
+    echo "jsonlint --jsonl did not name line 3: $lint_out" >&2
+    exit 1
+    ;;
+esac
+rm -rf "$lint_dir"
+
 # The bench records below are regenerated into a scratch directory so
 # the committed BENCH_*.json files stay as they are; refresh a committed
 # record by running `dune exec bench/main.exe -- <name>` from the repo

@@ -36,9 +36,7 @@ let () =
     Stdx.Table.create
       ([ "adversary" ] @ List.map fst placements)
   in
-  let adversaries =
-    Sim.Adversary.standard_suite () @ [ Sim.Adversary.greedy_confusion ~pool:2 () ]
-  in
+  let adversaries = Sim.Adversary.registry () in
   (* One sweep per adversary over the full placements x seeds grid,
      spread across the domain pool. The streaming engine stops each run
      as soon as 64 clean counting rounds are observed instead of burning

@@ -1,14 +1,5 @@
 type reg = { a : int option; d : bool }
 
-let equal_reg r1 r2 = r1.a = r2.a && r1.d = r2.d
-
-let pp_reg ppf r =
-  let pp_a ppf = function
-    | None -> Format.pp_print_string ppf "inf"
-    | Some x -> Format.pp_print_int ppf x
-  in
-  Format.fprintf ppf "{a=%a; d=%d}" pp_a r.a (if r.d then 1 else 0)
-
 let tau ~big_f = 3 * (big_f + 2)
 
 let king_of_index r = r / 3

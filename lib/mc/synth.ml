@@ -80,9 +80,6 @@ let to_spec cand =
   }
   |> Algo.Spec.with_derived_codec
 
-let table_size fam =
-  try Stdx.Imath.pow fam.s fam.key_count with Failure _ -> max_int
-
 type outcome =
   | Found of candidate * Checker.report
   | Not_found_within_budget of { evaluated : int; best_score : int }

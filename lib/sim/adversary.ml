@@ -408,3 +408,5 @@ let standard_suite () =
   ]
 
 let hostile_suite () = List.filter (fun a -> not a.benign) (standard_suite ())
+
+let registry () = standard_suite () @ [ greedy_confusion ~pool:2 () ]

@@ -169,3 +169,9 @@ val standard_suite : unit -> 's t list
 
 val hostile_suite : unit -> 's t list
 (** [standard_suite] minus the strategies tagged [benign]. *)
+
+val registry : unit -> 's t list
+(** Every nameable strategy: [standard_suite () @ [greedy_confusion
+    ~pool:2 ()]]. The CLI resolves [--adversary] names against it,
+    chaos and hunt schedules draw from it, and hunt corpora name
+    strategies by it. *)

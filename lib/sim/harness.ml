@@ -5,6 +5,7 @@ type outcome = {
   verdict : Stabilise.verdict;
   rounds_simulated : int;
   early_exit : bool;
+  recent_outputs : (int * int array) list;
 }
 
 type aggregate = {
@@ -126,6 +127,10 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
             verdict = o.Engine.verdict;
             rounds_simulated = o.Engine.rounds_simulated;
             early_exit = o.Engine.early_exit;
+            recent_outputs =
+              (match o.Engine.verdict with
+              | Stabilise.Not_stabilized -> o.Engine.recent_outputs
+              | Stabilise.Stabilized _ -> []);
           },
           o.Engine.rounds_simulated ))
   in

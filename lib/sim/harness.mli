@@ -35,6 +35,10 @@ type outcome = {
   rounds_simulated : int;
       (** rounds actually executed; < horizon iff [early_exit] *)
   early_exit : bool;
+  recent_outputs : (int * int array) list;
+      (** the engine's last output rows ({!Engine.outcome}) when the
+          run did not stabilise, for the failure report; [[]] for a
+          stabilised run, so a large sweep does not hold them *)
 }
 
 type aggregate = {

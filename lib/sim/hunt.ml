@@ -16,10 +16,6 @@ let score b =
   +. (b.worst_ratio *. 1e3)
   +. float_of_int b.clamped_events
 
-let pp_badness ppf b =
-  Format.fprintf ppf "failed=%d ratio=%.3f clamped=%d" b.failed_phases
-    b.worst_ratio b.clamped_events
-
 type cls = Failed | Exceeds_bound | Near_bound | Clamped
 
 let cls_to_string = function
@@ -177,7 +173,6 @@ module Config = struct
   let with_phase_rounds phase_rounds t = { t with phase_rounds }
   let with_events events t = { t with events }
   let with_max_victims max_victims t = { t with max_victims }
-  let with_mutations mutations t = { t with mutations }
   let with_seed seed t = { t with seed }
   let with_run_seed run_seed t = { t with run_seed }
   let with_time_bound time_bound t = { t with time_bound = Some time_bound }

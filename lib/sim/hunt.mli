@@ -56,8 +56,6 @@ val score : badness -> float
     [failed·1e6 + ratio·1e3 + clamped]. Monotone in each component; the
     authoritative order is {!compare_badness}. *)
 
-val pp_badness : Format.formatter -> badness -> unit
-
 (** Failure class of a hit — what shrinking must preserve. *)
 type cls =
   | Failed  (** at least one phase did not re-stabilise *)
@@ -143,7 +141,6 @@ module Config : sig
   val with_phase_rounds : int -> t -> t
   val with_events : int -> t -> t
   val with_max_victims : int -> t -> t
-  val with_mutations : int -> t -> t
   val with_seed : int -> t -> t
   val with_run_seed : int -> t -> t
   val with_time_bound : int -> t -> t

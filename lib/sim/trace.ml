@@ -45,8 +45,6 @@ let equal_event (a : event) (b : event) = a = b
 (* Encoding                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape = Stdx.Json.escape
-
 let opt_int = function Some v -> string_of_int v | None -> "null"
 let ints l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
 
@@ -55,15 +53,15 @@ let to_json = function
     Printf.sprintf
       "{\"ev\":\"meta\",\"label\":\"%s\",\"n\":%d,\"f\":%d,\"c\":%d,\
        \"time_bound\":%s}"
-      (json_escape label) n f c (opt_int time_bound)
+      (Stdx.Json.escape label) n f c (opt_int time_bound)
   | Cell_start { cell; label } ->
     Printf.sprintf "{\"ev\":\"cell-start\",\"cell\":%d,\"label\":\"%s\"}" cell
-      (json_escape label)
+      (Stdx.Json.escape label)
   | Phase_start { round; phase; adversary; faulty } ->
     Printf.sprintf
       "{\"ev\":\"phase-start\",\"round\":%d,\"phase\":%d,\"adversary\":\"%s\",\
        \"faulty\":%s}"
-      round phase (json_escape adversary) (ints faulty)
+      round phase (Stdx.Json.escape adversary) (ints faulty)
   | Corruption { round; phase; requested; victims } ->
     Printf.sprintf
       "{\"ev\":\"corruption\",\"round\":%d,\"phase\":%d,\"requested\":%d,\
@@ -90,7 +88,7 @@ let to_json = function
   | Span { name; count; wall_s } ->
     Printf.sprintf
       "{\"ev\":\"span\",\"name\":\"%s\",\"count\":%d,\"wall_s\":%.17g}"
-      (json_escape name) count wall_s
+      (Stdx.Json.escape name) count wall_s
   | Cell_end { cell; wall_s } ->
     Printf.sprintf "{\"ev\":\"cell-end\",\"cell\":%d,\"wall_s\":%.17g}" cell
       wall_s

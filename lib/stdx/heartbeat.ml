@@ -70,17 +70,6 @@ let locked t f =
 
 let json_float x = Printf.sprintf "%.17g" x
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Caller holds the lock. *)
 let emit_line t ~final =
   t.seq <- t.seq + 1;
@@ -93,7 +82,7 @@ let emit_line t ~final =
   in
   let hits =
     List.sort (fun (a, _) (b, _) -> String.compare a b) t.hits
-    |> List.map (fun (cls, n) -> Printf.sprintf "\"%s\":%d" (json_escape cls) n)
+    |> List.map (fun (cls, n) -> Printf.sprintf "\"%s\":%d" (Json.escape cls) n)
     |> String.concat ","
   in
   let workers = Array.length t.worker_busy in
@@ -113,7 +102,7 @@ let emit_line t ~final =
      \"gc\":{\"minor_words\":%s,\"major_words\":%s,\"heap_words\":%d,\
      \"compactions\":%d},\
      \"metrics\":%s}\n"
-    (json_escape t.label) t.seq final (json_float elapsed) eta t.cells_done
+    (Json.escape t.label) t.seq final (json_float elapsed) eta t.cells_done
     t.cells_total (json_float t.cost_done) (json_float t.cost_total) t.rounds
     hits workers
     (String.concat ","

@@ -40,7 +40,8 @@ let parse (s : string) : t =
   let expect c =
     match peek () with
     | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
+    | Some c' -> fail (Printf.sprintf "expected %c, found %c" c c')
+    | None -> fail (Printf.sprintf "expected %c, found end of input" c)
   in
   let literal word v =
     let l = String.length word in
@@ -70,15 +71,23 @@ let parse (s : string) : t =
         | Some 'f' -> advance (); Buffer.add_char b '\012'; go ()
         | Some 'u' ->
           advance ();
-          if !pos + 4 > n then fail "bad \\u escape";
-          let hex = String.sub s !pos 4 in
-          (match int_of_string_opt ("0x" ^ hex) with
-          | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-          | Some _ -> Buffer.add_string b "?"
-          | None -> fail "bad \\u escape");
-          pos := !pos + 4;
+          let code = ref 0 in
+          for _ = 1 to 4 do
+            let d =
+              match peek () with
+              | Some ('0' .. '9' as c) -> Char.code c - 48
+              | Some ('a' .. 'f' as c) -> Char.code c - 87
+              | Some ('A' .. 'F' as c) -> Char.code c - 55
+              | _ -> fail "bad \\u escape"
+            in
+            advance ();
+            code := (16 * !code) + d
+          done;
+          if !code < 128 then Buffer.add_char b (Char.chr !code)
+          else Buffer.add_string b "?";
           go ()
         | _ -> fail "bad escape")
+      | Some c when Char.code c < 0x20 -> fail "control character in string"
       | Some c ->
         advance ();
         Buffer.add_char b c;
@@ -103,7 +112,8 @@ let parse (s : string) : t =
       go ();
       if !pos = d0 then fail "expected digit"
     in
-    digits ();
+    (* No leading zeros: "0" stands alone before '.', 'e' or the end. *)
+    if peek () = Some '0' then advance () else digits ();
     if peek () = Some '.' then begin
       is_float := true;
       advance ();
@@ -182,7 +192,7 @@ let parse (s : string) : t =
   in
   let v = value () in
   skip_ws ();
-  if !pos <> n then fail "trailing content";
+  if !pos <> n then fail "trailing content after the JSON value";
   v
 
 let parse_result s =

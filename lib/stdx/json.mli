@@ -6,8 +6,7 @@
     [Printf] with [%.17g] floats (so finite floats round-trip exactly)
     and read back through this parser. The module is deliberately small:
     a value type, a strict parser, the string escaper the writers share,
-    and the handful of typed accessors decoding needs. The syntax-only
-    lint gate lives in [bin/jsonlint]; this is the {e value} layer. *)
+    and the handful of typed accessors decoding needs. *)
 
 type t =
   | Null
@@ -26,7 +25,10 @@ exception Parse_error of string
 
 val parse : string -> t
 (** Parse one complete JSON value; trailing content (other than
-    whitespace) is an error. Raises {!Parse_error}. *)
+    whitespace) is an error. The grammar is RFC 8259's, strictly: no
+    leading zeros, no raw control characters (below 0x20) inside
+    strings, exactly four hex digits after [\u], no trailing commas.
+    Raises {!Parse_error} with the offending byte offset. *)
 
 val parse_result : string -> (t, string) result
 (** {!parse} with the error captured. *)

@@ -490,9 +490,7 @@ let test_committed_corpus_replays () =
             ~finally:(fun () -> close_in ic)
             (fun () ->
               Sim.Hunt.Corpus.read
-                ~adversaries:
-                  (Sim.Adversary.standard_suite ()
-                  @ [ Sim.Adversary.greedy_confusion ~pool:2 () ])
+                ~adversaries:(Sim.Adversary.registry ())
                 ic)
         in
         match parsed with

@@ -299,8 +299,7 @@ let test_craft_total_qcheck =
               Array.length msgs = Array.length faulty
               && Array.for_all (fun row -> Array.length row = n) msgs)
             [ 0; 1; 2; 3 ])
-        (Sim.Adversary.standard_suite ()
-        @ [ Sim.Adversary.greedy_confusion ~pool:2 () ]))
+        (Sim.Adversary.registry ()))
 
 let test_greedy_confusion_runs () =
   let adv = Sim.Adversary.greedy_confusion ~pool:2 () in

@@ -589,6 +589,109 @@ let test_table_cells () =
   check Alcotest.string "float cell" "3.14" (Stdx.Table.cell_float 3.14159);
   check Alcotest.string "bool cell" "yes" (Stdx.Table.cell_bool true)
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Each malformed input is rejected with the byte offset of the error. *)
+let test_json_rejects () =
+  List.iter
+    (fun (input, offset) ->
+      match Stdx.Json.parse_result input with
+      | Ok _ -> Alcotest.failf "accepted %S" input
+      | Error msg ->
+        let prefix = Printf.sprintf "byte %d: " offset in
+        check Alcotest.bool
+          (Printf.sprintf "%S: error %S names byte %d" input msg offset)
+          true
+          (Astring.String.is_prefix ~affix:prefix msg))
+    [
+      ("01", 1);
+      ("-01", 2);
+      ("\"a\tb\"", 2);
+      ("\"a\001b\"", 2);
+      ("\"\\u12\"", 5);
+      ("\"\\u_12a\"", 3);
+      ("[1,]", 3);
+      ("{\"a\":1,}", 7);
+      ("{} x", 3);
+      ("[0]]", 3);
+    ]
+
+let trace_line () =
+  Sim.Trace.to_json
+    (Sim.Trace.Meta
+       { label = "A(4,1)"; n = 4; f = 1; c = 2; time_bound = Some 2304 })
+
+(* One complete heartbeat stream (a cell beat, then the final line) with
+   [label] and a counter named [name] in its live registry. *)
+let heartbeat_lines ~label ~name =
+  let path = Filename.temp_file "heartbeat" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          let hb = Stdx.Heartbeat.create ~label ~interval_s:0.0 ~out:oc () in
+          let m = Stdx.Metrics.create () in
+          Stdx.Metrics.incr m name;
+          Stdx.Heartbeat.set_totals hb ~cells:1 ~cost:1.0;
+          Stdx.Heartbeat.cell_done ~snapshot:(Stdx.Metrics.snapshot m)
+            ~cost:1.0 hb;
+          Stdx.Heartbeat.finish hb);
+      In_channel.with_open_bin path In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.filter (fun l -> l <> ""))
+
+let corpus_line () =
+  let dir = List.find Sys.file_exists [ "corpus"; "test/corpus" ] in
+  In_channel.with_open_bin
+    (Filename.concat dir "leader4c5_f1.jsonl")
+    In_channel.input_line
+  |> Option.get
+
+let test_json_accepts () =
+  List.iter
+    (fun input ->
+      match Stdx.Json.parse_result input with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "rejected %S: %s" input msg)
+    ([
+       "0";
+       "-0.5e-3";
+       "\"\195\169\"";
+       "{\"a\":{},\"b\":[[],{}],\"c\":[{}]}";
+       trace_line ();
+       corpus_line ();
+     ]
+    @ heartbeat_lines ~label:"run" ~name:"engine.runs");
+  check Alcotest.bool "0 is an int" true (Stdx.Json.parse "0" = Stdx.Json.Int 0);
+  check Alcotest.bool "-0.5e-3 is a float" true
+    (Stdx.Json.parse "-0.5e-3" = Stdx.Json.Float (-0.5e-3))
+
+(* Labels and metric names with control bytes still give parseable
+   JSONL, and the name comes back byte for byte. *)
+let test_json_escapes_control_bytes () =
+  let name = "a\tb\001" in
+  let counter json =
+    Stdx.Json.(to_int name (field (field json "counters") name))
+  in
+  let m = Stdx.Metrics.create () in
+  Stdx.Metrics.incr m name;
+  (match Stdx.Json.parse_result (Stdx.Metrics.to_json (Stdx.Metrics.snapshot m))
+   with
+  | Error msg -> Alcotest.failf "metrics JSON: %s" msg
+  | Ok json -> check Alcotest.int "metric name round-trips" 1 (counter json));
+  List.iter
+    (fun line ->
+      match Stdx.Json.parse_result line with
+      | Error msg -> Alcotest.failf "heartbeat line %S: %s" line msg
+      | Ok json ->
+        check Alcotest.string "label round-trips" name
+          Stdx.Json.(to_string "label" (field json "label"));
+        check Alcotest.int "metric name round-trips" 1
+          (counter Stdx.Json.(field json "metrics")))
+    (heartbeat_lines ~label:name ~name)
+
 let suite =
   [
     ( "stdx.rng",
@@ -647,6 +750,12 @@ let suite =
           test_pool_cost_error_propagation;
         case "claim order is cost-sorted" test_pool_claim_order;
         case "stats report the execution" test_pool_stats;
+      ] );
+    ( "stdx.json",
+      [
+        case "malformed input rejected at its byte" test_json_rejects;
+        case "valid input and writer lines accepted" test_json_accepts;
+        case "control bytes in names escaped" test_json_escapes_control_bytes;
       ] );
     ( "stdx.table",
       [
