@@ -22,9 +22,10 @@
    where crafting rather than stepping dominates.
 
    Kernel set-up rows time [fresh_kernel ()] itself on the Theorem 1
-   towers A(4,1), A(12,3) and A(36,7) (modulus 2): the fixed cost every
-   flat engine run pays before its first round, which dominates short
-   early-exiting runs.
+   towers A(4,1), A(12,3) and A(36,7) (modulus 2): the fixed cost an
+   engine run pays before its first round when its domain holds no idle
+   kernel for the codec, which would dominate short early-exiting runs.
+   The throughput rows reuse their warm-up run's kernel.
 
    Results land in BENCH_engine.json. *)
 
@@ -73,8 +74,9 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
       ~schedule:(Sim.Schedule.static ~adversary ~faulty ~rounds)
       ~seed ()
   in
-  (* Warm-up pass so allocation of the engine buffers and any lazy setup
-     (the boost tower's shared lookup tables) is off the clock. *)
+  (* Warm-up pass so any lazy setup (the boost tower's shared lookup
+     tables) and the kernel, which the timed runs reuse, are off the
+     clock. *)
   ignore
     (Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec
        ~schedule:
@@ -266,7 +268,8 @@ let run () =
       kernel_setup ~tower:"A(36,7)" Counting.Plan.figure2_levels;
     ]
   in
-  Bench_common.subsection "Kernel set-up: fresh_kernel () per engine run";
+  Bench_common.subsection
+    "Kernel set-up: fresh_kernel () per domain and codec";
   let st =
     Stdx.Table.create
       [ "tower"; "cold first us"; "warm us"; "warm minor W"; "warm major W" ]

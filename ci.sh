@@ -22,12 +22,14 @@ dune runtest
 # default jobs count is 1. sim.flat is here because its
 # engine-vs-reference differentials include chaos campaigns through the
 # parallel harness, each cell checked round by round against the boxed
-# reference simulator in test/reference.ml; sim.campaign checks the one
-# grid driver every campaign runs through.
+# reference simulator in test/reference.ml; sim.kernel_reuse runs a
+# campaign whose pool domains reuse engine kernels across cells;
+# sim.campaign checks the one grid driver every campaign runs through.
 REPRO_JOBS=4 dune exec test/main.exe -- test 'stdx.pool' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.harness' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.harness.chaos' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.flat' -q
+REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.kernel_reuse' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.campaign' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'stdx.metrics' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.telemetry' -q
@@ -238,8 +240,8 @@ dune exec bin/countctl.exe -- hunt --algorithm leader:4:5 --claim-f 1 \
 
 # jsonlint (a driver over Stdx.Json.parse) must reject each malformed
 # fixture: leading zeros, raw control bytes in strings, short or
-# non-hex \u escapes, trailing commas, trailing content. With --jsonl
-# the error names the offending line.
+# non-hex \u escapes, lone surrogates, trailing commas, trailing
+# content. With --jsonl the error names the offending line.
 lint_dir="$(mktemp -d)"
 printf '01' > "$lint_dir/1.json"
 printf -- '-01' > "$lint_dir/2.json"
@@ -250,6 +252,8 @@ printf '"\\u_12a"' > "$lint_dir/6.json"
 printf '[1,]' > "$lint_dir/7.json"
 printf '{"a":1,}' > "$lint_dir/8.json"
 printf '{} x' > "$lint_dir/9.json"
+printf '"\\ud83d"' > "$lint_dir/10.json"
+printf '"\\ude00"' > "$lint_dir/11.json"
 for bad in "$lint_dir"/*.json; do
   if lint_out="$(dune exec bin/jsonlint.exe -- "$bad")"; then
     echo "jsonlint accepted malformed $(cat "$bad")" >&2
@@ -263,13 +267,24 @@ for bad in "$lint_dir"/*.json; do
       ;;
   esac
 done
+# A lone surrogate escape is rejected at its backslash, as by the parser.
+for bad in "$lint_dir"/10.json "$lint_dir"/11.json; do
+  case "$(dune exec bin/jsonlint.exe -- "$bad")" in
+    *": MALFORMED at byte 1: lone "*) ;;
+    *)
+      echo "jsonlint did not reject the surrogate in $(cat "$bad") at byte 1" >&2
+      exit 1
+      ;;
+  esac
+done
 # The valid counterparts still lint clean.
 printf '0' > "$lint_dir/ok1"
 printf -- '-0.5e-3' > "$lint_dir/ok2"
 printf '"\303\251"' > "$lint_dir/ok3"
 printf '{"a":{},"b":[[],{}]}' > "$lint_dir/ok4"
+printf '"caf\\u00e9 \\ud83d\\ude00"' > "$lint_dir/ok5"
 dune exec bin/jsonlint.exe -- "$lint_dir"/ok1 "$lint_dir"/ok2 \
-  "$lint_dir"/ok3 "$lint_dir"/ok4 > /dev/null
+  "$lint_dir"/ok3 "$lint_dir"/ok4 "$lint_dir"/ok5 > /dev/null
 printf '{"a":1}\n{"b":2}\n{"a":01}\n' > "$lint_dir/bad.jsonl"
 if lint_out="$(dune exec bin/jsonlint.exe -- --jsonl "$lint_dir/bad.jsonl")"; then
   echo "jsonlint --jsonl accepted a malformed line 3" >&2

@@ -69,9 +69,12 @@ type kernel = {
     Since [step_output]'s rng may end in any state, an rng passed to it
     must not be reused for a [step] whose result matters.
 
-    A kernel value may own private mutable scratch buffers, so it must be
-    confined to one simulation run (see {!codec.fresh_kernel}); immutable
-    per-spec tables it reads may be shared with other kernels. *)
+    A kernel value may own private mutable scratch buffers, so it serves
+    one run at a time; immutable per-spec tables it reads may be shared
+    with other kernels. [load] is the reset: whatever earlier runs
+    announced and stepped, a [step] after [load v] returns what a fresh
+    kernel's does, so the engine keeps a finished run's kernel for the
+    next run in its domain (see {!codec.fresh_kernel}). *)
 
 type 's codec = {
   num_states : int;  (** [|X|]; codes are dense in [\[0, num_states)] *)
@@ -90,9 +93,11 @@ type 's codec = {
           reference's.
           {!validate} spot-checks both on fresh streams. *)
   fresh_kernel : unit -> kernel;
-      (** a fresh kernel; called once per engine run, possibly from
-          several domains at once. Every instance's mutable scratch is
-          private, so concurrent runs over a shared spec never race.
+      (** a fresh kernel; called when the domain holds no idle kernel
+          for this codec (one this function made) as an engine run
+          starts, possibly from several domains at once. Every
+          instance's mutable scratch is private, so concurrent runs over
+          a shared spec never race.
           Immutable per-spec tables (lookup tables, say) may be shared by
           all instances and across domains, and may be built on the first
           call — safely if two domains make it at once. *)

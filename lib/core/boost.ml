@@ -232,8 +232,11 @@ let build_tables p ~inner_c =
    inner kernels alone.
 
    One instance: the shared [tables] plus private mutable scratch, so an
-   instance must not be shared across concurrent runs (see
-   Algo.Spec.codec.fresh_kernel). *)
+   instance serves one run at a time. [load] is the reset that lets the
+   engine hand it to the next run: it rewrites every slot ([hist] moves
+   with [a_codes]), reloads every inner kernel and clears [stale], and
+   [loaded] makes the next step recompute every aggregate and drop the
+   previous vector's [marked]/[revote]/[min_stale]. *)
 let kernel_instance (ic : _ Algo.Spec.codec) p ~big_c
     { pow_level; modulus; blk_of; slot_of; tab_base; view_tabs; r_tab; b_tab } =
   let num_a = big_c + 1 in

@@ -85,7 +85,12 @@ let observe t ~round row =
   if Array.length t.ring = 0 then
     t.ring <- Array.init t.window (fun _ -> Array.make (Array.length row) 0);
   t.ring_head <- (t.ring_head + 1) mod t.window;
-  Array.blit row 0 t.ring.(t.ring_head) 0 (Array.length row);
+  (* A typed copy: [Array.blit] would [caml_modify] every slot once the
+     ring lives in the major heap. *)
+  let slot = t.ring.(t.ring_head) in
+  for v = 0 to Array.length row - 1 do
+    slot.(v) <- row.(v)
+  done;
   t.ring_rounds.(t.ring_head) <- round;
   if t.ring_count < t.window then t.ring_count <- t.ring_count + 1
 

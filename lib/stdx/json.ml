@@ -27,7 +27,10 @@ let escape s =
 let parse (s : string) : t =
   let n = String.length s in
   let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "byte %d: %s" !pos msg)) in
+  let fail_at at msg =
+    raise (Parse_error (Printf.sprintf "byte %d: %s" at msg))
+  in
+  let fail msg = fail_at !pos msg in
   let peek () = if !pos < n then Some s.[!pos] else None in
   let advance () = incr pos in
   let rec skip_ws () =
@@ -51,6 +54,37 @@ let parse (s : string) : t =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  let hex4 () =
+    let code = ref 0 in
+    for _ = 1 to 4 do
+      let d =
+        match peek () with
+        | Some ('0' .. '9' as c) -> Char.code c - 48
+        | Some ('a' .. 'f' as c) -> Char.code c - 87
+        | Some ('A' .. 'F' as c) -> Char.code c - 55
+        | _ -> fail "bad \\u escape"
+      in
+      advance ();
+      code := (16 * !code) + d
+    done;
+    !code
+  in
+  (* The scalar value of the \u escape whose backslash is at [at], with
+     [pos] past its 'u': a UTF-16 surrogate pair is one escape, and a
+     surrogate outside a high-then-low pair is an error at [at]. *)
+  let unicode_escape at =
+    let hi = hex4 () in
+    if hi land 0xF800 <> 0xD800 then hi
+    else begin
+      if hi >= 0xDC00 || !pos + 1 >= n || s.[!pos] <> '\\'
+         || s.[!pos + 1] <> 'u'
+      then fail_at at "lone surrogate";
+      pos := !pos + 2;
+      let lo = hex4 () in
+      if lo land 0xFC00 <> 0xDC00 then fail_at at "lone surrogate";
+      0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+    end
+  in
   let string_ () =
     expect '"';
     let b = Buffer.create 16 in
@@ -71,20 +105,7 @@ let parse (s : string) : t =
         | Some 'f' -> advance (); Buffer.add_char b '\012'; go ()
         | Some 'u' ->
           advance ();
-          let code = ref 0 in
-          for _ = 1 to 4 do
-            let d =
-              match peek () with
-              | Some ('0' .. '9' as c) -> Char.code c - 48
-              | Some ('a' .. 'f' as c) -> Char.code c - 87
-              | Some ('A' .. 'F' as c) -> Char.code c - 55
-              | _ -> fail "bad \\u escape"
-            in
-            advance ();
-            code := (16 * !code) + d
-          done;
-          if !code < 128 then Buffer.add_char b (Char.chr !code)
-          else Buffer.add_string b "?";
+          Buffer.add_utf_8_uchar b (Uchar.of_int (unicode_escape (!pos - 2)));
           go ()
         | _ -> fail "bad escape")
       | Some c when Char.code c < 0x20 -> fail "control character in string"

@@ -28,7 +28,10 @@ val parse : string -> t
     whitespace) is an error. The grammar is RFC 8259's, strictly: no
     leading zeros, no raw control characters (below 0x20) inside
     strings, exactly four hex digits after [\u], no trailing commas.
-    Raises {!Parse_error} with the offending byte offset. *)
+    A [\u] escape decodes to UTF-8, a [\uD8xx\uDCxx] surrogate pair
+    to one character; a surrogate outside such a pair is an error at
+    its escape's backslash. Raises {!Parse_error} with the offending
+    byte offset. *)
 
 val parse_result : string -> (t, string) result
 (** {!parse} with the error captured. *)

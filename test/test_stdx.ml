@@ -616,6 +616,11 @@ let test_json_rejects () =
       ("{\"a\":1,}", 7);
       ("{} x", 3);
       ("[0]]", 3);
+      (* Surrogates outside a high-then-low pair, at their backslash. *)
+      ("\"\\ud83d\"", 1);
+      ("\"\\ude00\"", 1);
+      ("\"ab\\ude00\\ud83d\"", 3);
+      ("\"\\ud83d\\u0041\"", 1);
     ]
 
 let trace_line () =
@@ -665,6 +670,10 @@ let test_json_accepts () =
      ]
     @ heartbeat_lines ~label:"run" ~name:"engine.runs");
   check Alcotest.bool "0 is an int" true (Stdx.Json.parse "0" = Stdx.Json.Int 0);
+  (* \u escapes decode to UTF-8; a surrogate pair is one character. *)
+  check Alcotest.bool "\\u escapes read back as raw UTF-8" true
+    (Stdx.Json.parse "\"caf\\u00e9 \\ud83d\\ude00\""
+    = Stdx.Json.String "caf\xc3\xa9 \xf0\x9f\x98\x80");
   check Alcotest.bool "-0.5e-3 is a float" true
     (Stdx.Json.parse "-0.5e-3" = Stdx.Json.Float (-0.5e-3))
 
