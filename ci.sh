@@ -198,6 +198,36 @@ dune exec bin/countctl.exe -- report "$hb_file" --json > "$report_json"
 dune exec bin/jsonlint.exe -- "$report_json"
 rm -f "$hb_file" "$report_json"
 
+# Hunt telemetry smoke: a hunt's --metrics registry is the index-order
+# merge of its trials however the trials finish, so its table (the
+# wall-clock rows, named *_s, aside) is identical at --jobs 1 and 2,
+# and the heartbeat stream lints as JSONL at both. Rows are compared
+# field by field: the wall-clock rows set the column widths.
+hunt_table() {
+  dune exec bin/countctl.exe -- hunt --algorithm leader:4:5 --claim-f 1 \
+    --trials 200 --bound 9 --metrics --heartbeat 0 \
+    --heartbeat-file "$2" --jobs "$1" \
+    | awk '/^metric /{on=1; next} on && /^$/{exit}
+           on && $1 !~ /^-+$/ && $1 !~ /_s$/ {$1 = $1; print}'
+}
+hunt_hb="$(mktemp)"
+hunt_table_1="$(mktemp)"
+hunt_table_2="$(mktemp)"
+hunt_table 1 "$hunt_hb" > "$hunt_table_1"
+dune exec bin/jsonlint.exe -- --jsonl "$hunt_hb"
+hunt_table 2 "$hunt_hb" > "$hunt_table_2"
+dune exec bin/jsonlint.exe -- --jsonl "$hunt_hb"
+if ! grep -q '^hunt.badness ' "$hunt_table_1"; then
+  echo "hunt --metrics printed no hunt.badness row" >&2
+  exit 1
+fi
+if ! cmp -s "$hunt_table_1" "$hunt_table_2"; then
+  echo "hunt --metrics differs between --jobs 1 and --jobs 2:" >&2
+  diff "$hunt_table_1" "$hunt_table_2" >&2 || true
+  exit 1
+fi
+rm -f "$hunt_hb" "$hunt_table_1" "$hunt_table_2"
+
 # A malformed heartbeat file is a clean error that names the line:
 # non-zero exit, "line" in stderr, no uncaught exception.
 bad_hb="$(mktemp)"

@@ -2,7 +2,7 @@ type flat_env = {
   n : int;
   c : int;
   random_code : Stdx.Rng.t -> int;
-  fresh_kernel : unit -> Algo.Spec.kernel;
+  probe_kernel : unit -> Algo.Spec.kernel;
 }
 
 type flat_crafter = {
@@ -304,12 +304,14 @@ let greedy_confusion ~pool () =
     fresh_flat =
       (fun env ->
         let n = env.n in
-        (* A private kernel: the probes must not disturb the engine's
-           own kernel. [recv] is loaded once per craft and every
-           candidate moves one slot, announced through [assign], which
-           a kernel with incremental views (the boost tower's) makes
-           cheap; a probe asks only for the recipient's next output. *)
-        let kernel = env.fresh_kernel () in
+        (* The run's probe kernel, never the engine's own: the probes
+           must not disturb its scratch. [recv] is loaded once per craft
+           (which also resets whatever an earlier phase left in the
+           kernel) and every candidate moves one slot, announced
+           through [assign], which a kernel with incremental views (the
+           boost tower's) makes cheap; a probe asks only for the
+           recipient's next output. *)
+        let kernel = env.probe_kernel () in
         let recv = Array.make n 0 in
         let correct = Array.make n 0 in
         let cands = Array.make (n + pool) 0 in

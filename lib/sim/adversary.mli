@@ -29,13 +29,15 @@ type flat_env = {
       (** the spec codec's {!Algo.Spec.codec.random_code}: a random
           state in code space, consuming the rng exactly like the
           spec's [random_state] *)
-  fresh_kernel : unit -> Algo.Spec.kernel;
-      (** the spec codec's {!Algo.Spec.codec.fresh_kernel}. A flat
-          kernel that simulates recipients' transitions calls it at
-          most once per phase (when [fresh_flat] builds the crafter)
-          and owns the result: the engine's own kernel is never
-          shared, so probing cannot disturb the engine's scratch or
-          caches. Its [step] consumes the given rng exactly like the
+  probe_kernel : unit -> Algo.Spec.kernel;
+      (** a kernel of the spec codec ({!Algo.Spec.codec.fresh_kernel})
+          lent for probing: never the engine's own, so probing cannot
+          disturb the engine's scratch or caches. Every call within one
+          engine run returns the same kernel, which the engine keeps
+          for later runs on its domain, so a crafter that simulates
+          recipients' transitions borrows it when [fresh_flat] builds
+          the crafter and must [load] it before each use ([load] is the
+          reset). Its [step] consumes the given rng exactly like the
           spec's [transition]; its [step_output] may not, so it is
           given only throwaway streams. *)
 }
@@ -151,7 +153,7 @@ val greedy_confusion : pool:int -> unit -> 's t
     state), then one split per (faulty sender, correct recipient,
     candidate) probe in that nesting order. Faulty recipients get the
     sender's own state and cost no draw. The flat kernel, on a private
-    {!flat_env.fresh_kernel}, ends in that rng state and gives each
+    {!flat_env.probe_kernel}, ends in that rng state and gives each
     probe it makes the split this order names ({!Stdx.Rng.split_nth}),
     but runs candidates outside recipients: one [set] per candidate,
     whose output-only step ({!Algo.Spec.kernel.step_output}) is read

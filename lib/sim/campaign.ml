@@ -106,18 +106,33 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
           (fun hb ->
             Stdx.Heartbeat.cell_done ?snapshot:snap ~rounds ~cost:(cost i) hb)
           heartbeat;
-        (v, snap, Trace.events tracer, wall))
+        (* Fold the cell into the caller's registry now and keep only
+           what the index-order pass below needs: the order-sensitive
+           histogram sums and gauges, not the whole snapshot. *)
+        let rest =
+          Option.map
+            (fun snap ->
+              Option.iter (fun m -> Stdx.Metrics.merge_counts m snap) metrics;
+              Stdx.Metrics.ordered snap)
+            snap
+        in
+        (v, rest, Trace.events tracer, wall))
   in
-  (* Deterministic merge: pool workers never share a sink, so folding
-     the private ones into the caller's in cell-index order makes the
-     merged metrics and the replayed trace identical at any [jobs]. *)
+  (* Deterministic merge: pool workers never share a sink, and what
+     depends on merge order — histogram sums, gauges, trace streams — is
+     applied here in cell-index order, so the merged metrics and the
+     replayed trace are identical at any [jobs]. *)
   let wall_metric = prefix ^ ".cell_wall_s" in
   let cells_metric = prefix ^ ".cells" in
   Array.iteri
-    (fun i (_, snap, events, wall) ->
+    (fun i (_, rest, events, wall) ->
+      Option.iter
+        (fun rest ->
+          Option.iter (fun m -> Stdx.Metrics.merge_ordered m rest) metrics;
+          Option.iter (fun hb -> Stdx.Heartbeat.settle hb rest) heartbeat)
+        rest;
       Option.iter
         (fun m ->
-          Option.iter (Stdx.Metrics.merge m) snap;
           Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets m wall_metric
             wall;
           Stdx.Metrics.incr m cells_metric)

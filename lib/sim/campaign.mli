@@ -8,14 +8,25 @@
       model ({!cell_cost});
     - per-cell private sinks (a metrics registry, a memory trace, a span
       context), created only when a caller-side sink asks for them;
-    - cell timing, the deterministic merge into the caller's sinks in
-      cell-index order (each trace stream bracketed by
-      [Cell_start]/[Cell_end]), and the drain-level [pool.busy] /
-      [pool.claim] / [pool.idle] span triple after the cell streams;
+    - cell timing, the deterministic merge into the caller's sinks
+      (below), and the drain-level [pool.busy] / [pool.claim] /
+      [pool.idle] span triple after the cell streams;
     - the heartbeat: totals up front, one [cell_done] per finished cell,
       per-worker utilization from the pool's [on_task] hook;
     - the per-worker [pool.worker_busy_s] / [pool.worker_claim_s] /
       [pool.worker_idle_s] histograms.
+
+    The merge: a finished cell's counters and histogram counts are
+    added into the caller's registry (and the heartbeat's) inside its
+    pool task ({!Stdx.Metrics.merge_counts}); the cell keeps only its
+    histogram sums and gauges ({!Stdx.Metrics.ordered}), which are
+    applied in cell-index order after the pool drains, together with
+    the trace streams (each bracketed by [Cell_start]/[Cell_end]). The
+    registry therefore equals the index-order merge of whole snapshots
+    bit for bit, while a campaign holds a few words per cell instead of
+    a snapshot. A bucket-layout or kind clash raises [Invalid_argument]
+    out of {!exec}; cells that finished before it have then already
+    added their counts.
 
     Each cell must be fully keyed by its index (all randomness derived
     from its own inputs), so results and all non-wall-clock telemetry

@@ -29,21 +29,45 @@ type 's outcome = {
    Every 16th round is timed instead — rounds 15, 31, ..., never the cold
    round 0, whose one-off costs a short run would multiply — and each
    span's total is scaled by its loop's iterations over its sampled ones:
-   [sampled k] of the first [k]. Sampled counts depend only on rounds
-   simulated, so span output stays schedule-deterministic (wall values
-   excepted). *)
+   [sampled k] of the first [k], after its sampled sections' clock reads
+   are taken out (Stdx.Span.sections): on a small tower's round those
+   reads are most of what the clock measures, and the scale would
+   multiply them. Sampled counts depend only on rounds simulated, so
+   span output stays schedule-deterministic (wall values excepted). *)
 let span_sample_mask = 15
 
 let sampled k = k / (span_sample_mask + 1)
 
-(* The domain's idle kernel and the factory that made it. A run over a
-   codec with that factory takes it, leaving the slot empty for runs
-   nested in its hooks, and puts its kernel back when it ends. Sound
-   because [load] is the reset (Algo.Spec.kernel); short runs skip a
-   tower's scratch, 2886 major-heap words for A(12,3). *)
-let idle_kernel : ((unit -> Algo.Spec.kernel) * Algo.Spec.kernel) option
-    Domain.DLS.key =
+(* The domain's idle kernels and the factory that made them: the last
+   finished run's own kernel, then the probe kernel it lent its
+   crafters, if any. A run over a codec with that factory takes them,
+   leaving the slot empty for runs nested in its hooks, and puts its
+   kernels back when it ends. Sound because [load] is the reset
+   (Algo.Spec.kernel); short runs skip a tower's scratch, 2886
+   major-heap words for A(12,3), and a lookahead crafter's phases skip
+   it too. *)
+let idle_kernels :
+    ((unit -> Algo.Spec.kernel) * Algo.Spec.kernel list) option Domain.DLS.key
+    =
   Domain.DLS.new_key (fun () -> None)
+
+(* One run's kernel supply: the idle kernels [fresh_kernel] made, then
+   fresh ones. *)
+let kernel_supply fresh_kernel =
+  let idle =
+    ref
+      (match Domain.DLS.get idle_kernels with
+      | Some (made_by, kernels) when made_by == fresh_kernel ->
+        Domain.DLS.set idle_kernels None;
+        kernels
+      | _ -> [])
+  in
+  fun () ->
+    match !idle with
+    | kernel :: rest ->
+      idle := rest;
+      kernel
+    | [] -> fresh_kernel ()
 
 let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
     ?init ?(mode = Streaming) ?min_suffix ~(spec : 's Algo.Spec.t)
@@ -100,12 +124,18 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
   let cur = ref (Array.make n 0) in
   let nxt = ref (Array.make n 0) in
   let fresh_kernel = codec.Algo.Spec.fresh_kernel in
-  let kernel =
-    match Domain.DLS.get idle_kernel with
-    | Some (made_by, kernel) when made_by == fresh_kernel ->
-      Domain.DLS.set idle_kernel None;
+  let take_kernel = kernel_supply fresh_kernel in
+  let kernel = take_kernel () in
+  (* The one probe kernel every crafter of this run borrows, taken on
+     first demand. *)
+  let probe = ref None in
+  let probe_kernel () =
+    match !probe with
+    | Some kernel -> kernel
+    | None ->
+      let kernel = take_kernel () in
+      probe := Some kernel;
       kernel
-    | _ -> fresh_kernel ()
   in
   let recv = Array.make n 0 in
   let outs = Array.make n 0 in
@@ -114,7 +144,7 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
       Adversary.n;
       c = spec.Algo.Spec.c;
       random_code = codec.Algo.Spec.random_code;
-      fresh_kernel;
+      probe_kernel;
     }
   in
   let crafter = ref (phases.(0).Schedule.adversary.Adversary.fresh_flat env) in
@@ -365,7 +395,8 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
      at which the phase ended (= rounds_simulated for the final phase),
      not one past it. *)
   finish_phase ~end_round:!t;
-  Domain.DLS.set idle_kernel (Some (fresh_kernel, kernel));
+  Domain.DLS.set idle_kernels
+    (Some (fresh_kernel, kernel :: Option.to_list !probe));
   let messages_per_round = n * (n - 1) in
   let reports = List.rev !reports in
   (* Rounds 0 .. !t are observed; all but the last are stepped. *)
@@ -373,7 +404,8 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
     let k = sampled iterations in
     if k > 0 then
       Stdx.Span.record ~count:k spans name
-        (secs *. float_of_int iterations /. float_of_int k)
+        (Stdx.Span.sections spans k secs
+        *. float_of_int iterations /. float_of_int k)
   in
   record "engine.craft" !t !craft_s;
   record "engine.step" !t !step_s;

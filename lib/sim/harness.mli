@@ -108,15 +108,19 @@ val run :
     [jobs].
 
     [metrics]/[trace] turn on telemetry: every grid cell runs with a
-    private registry and buffer (at [trace]'s level), and after the pool
-    finishes the cells are merged into [metrics] and replayed into
-    [trace] in cell-index order, each stream bracketed by
-    [Cell_start]/[Cell_end] — so apart from the scheduling-dependent
-    wall-clock instruments ([harness.cell_wall_s] and the per-worker
-    [pool.worker_busy_s] load histogram, whose sample count is the
-    actual worker count) the telemetry is identical at any [jobs] count,
-    and the sweep outcomes are
-    bit-identical with telemetry on or off.
+    private registry and buffer. As a cell finishes, its counters and
+    histogram counts are added into [metrics] (integer adds, which
+    commute); its histogram sums and gauges, whose result depends on
+    the order they are applied in, wait until the pool drains and are
+    applied in cell-index order, as the cell streams are replayed into
+    [trace], each bracketed by [Cell_start]/[Cell_end]
+    ({!Campaign.exec}). [metrics] thus ends as the index-order merge of
+    the cell registries, bit for bit. Apart from the
+    scheduling-dependent wall-clock instruments ([harness.cell_wall_s]
+    and the per-worker [pool.worker_busy_s] load histogram, whose
+    sample count is the actual worker count) the telemetry is identical
+    at any [jobs] count, and the sweep outcomes are bit-identical with
+    telemetry on or off.
 
     [spans] (default [false]) gives every cell a {!Stdx.Span} context:
     the engine's craft/step/detect totals land in the cell's registry
@@ -125,12 +129,15 @@ val run :
     [pool.busy]/[pool.claim]/[pool.idle] Span triple after the cell
     streams summarising the drain. [heartbeat] streams live progress:
     the grid's cell count and modelled cost are announced up front,
-    each completed cell advances the ledger (merging its snapshot into
-    the heartbeat's live registry), and each pool task feeds per-worker
-    utilization. Both are certified inert — outcomes bit-identical on
-    or off, and all non-wall-time output jobs/schedule-deterministic
-    (differential tests in [test_obs.ml]). The caller owns the
-    heartbeat's terminal line ({!Stdx.Heartbeat.finish}). *)
+    each completed cell advances the ledger and adds its counts into
+    the heartbeat's live registry, its sums and gauges follow in
+    cell-index order once the pool drains (so every instrument of the
+    terminal line equals [metrics]'), and each pool task feeds
+    per-worker utilization. Both are certified inert — outcomes
+    bit-identical on or off, and all non-wall-time output
+    jobs/schedule-deterministic (differential tests in
+    [test_obs.ml]). The caller owns the heartbeat's terminal line
+    ({!Stdx.Heartbeat.finish}). *)
 
 val pp_aggregate : Format.formatter -> aggregate -> unit
 

@@ -3,12 +3,14 @@
    A heartbeat owns a mutex-protected progress ledger (cells done /
    total, cost done / total under the caller's cost model, rounds
    simulated, hunt hits by class, per-worker busy seconds) plus a live
-   metrics registry that cells merge their private snapshots into as
-   they complete. Completion order is scheduling-dependent, but the
-   merged instruments are counters and histograms — commutative adds —
-   so the *final* registry (and hence the terminal heartbeat line) is
-   deterministic at any jobs count; only wall-time fields and
-   intermediate beats depend on the completion order.
+   metrics registry. As a cell completes, the commutative part of its
+   private snapshot (counters, histogram counts) is added at once; the
+   order-sensitive rest (histogram sums, gauges) arrives through
+   [settle], which campaigns call in cell-index order once the pool has
+   drained. The *final* registry (and hence the terminal heartbeat
+   line) is then the index-order merge, bit for bit, at any jobs count;
+   only wall-time fields and intermediate beats, whose sums may lag,
+   depend on the completion order.
 
    One JSON object per line, every line tagged {"kind":"heartbeat"};
    the last line carries "final":true. [beat]s are rate-limited by the
@@ -131,10 +133,10 @@ let cell_done ?snapshot ?(rounds = 0) ~cost t =
       t.cells_done <- t.cells_done + 1;
       t.cost_done <- t.cost_done +. cost;
       t.rounds <- t.rounds + rounds;
-      (match snapshot with
-      | Some snap -> Metrics.merge t.metrics snap
-      | None -> ());
+      Option.iter (Metrics.merge_counts t.metrics) snapshot;
       maybe_emit t)
+
+let settle t rest = locked t (fun () -> Metrics.merge_ordered t.metrics rest)
 
 let hit t cls =
   locked t (fun () ->

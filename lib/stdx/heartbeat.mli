@@ -9,8 +9,11 @@
     the instruments merged so far. {!finish} always emits a terminal
     line with ["final":true] — even when the run was shorter than one
     interval — whose non-wall-time fields are deterministic at any jobs
-    count (merged instruments are counters and histograms, whose adds
-    commute across completion orders).
+    count: cells add their counters and histogram counts as they finish
+    ({!cell_done}; integer adds commute across completion orders), and
+    histogram sums and gauges arrive in cell-index order ({!settle}), so
+    the terminal registry equals the campaign's index-order merge bit
+    for bit. Live lines may show sums that lag their counts.
 
     All operations are mutex-protected; pool workers may report
     concurrently. The heartbeat never touches RNG streams or outcomes —
@@ -40,9 +43,16 @@ val set_totals : t -> cells:int -> cost:float -> unit
 val cell_done :
   ?snapshot:Metrics.snapshot -> ?rounds:int -> cost:float -> t -> unit
 (** One cell finished: advance done-counters by [cost] and [rounds]
-    (simulated rounds, default 0), merge the cell's private metrics
-    [snapshot] into the live registry, and emit a beat if the interval
-    has elapsed. *)
+    (simulated rounds, default 0), add the counters and histogram counts
+    of the cell's private metrics [snapshot] into the live registry
+    ({!Metrics.merge_counts}), and emit a beat if the interval has
+    elapsed. The snapshot's histogram sums and gauges wait for
+    {!settle}. *)
+
+val settle : t -> Metrics.ordered -> unit
+(** Apply one cell's {!Metrics.ordered} rest (after its {!cell_done}) to
+    the live registry. A campaign calls it per cell in cell-index order
+    once its pool has drained; it never emits a beat. *)
 
 val hit : t -> string -> unit
 (** Count one hunt hit under class [cls] (as printed by

@@ -157,16 +157,38 @@ let reset t = locked t (fun () -> Hashtbl.reset t.cells)
 
 let find snap name = List.assoc_opt name snap
 
-let merge t snap =
-  List.iter
+(* A histogram's float sum is the one part of a merge whose result
+   depends on the order snapshots arrive in (float addition does not
+   associate), and a gauge keeps the last write; counters and bucket
+   counts are integer adds. [merge_counts] applies the commutative part,
+   [ordered] keeps the rest for [merge_ordered]; each takes the lock
+   once per snapshot. *)
+type rest = Sum of float | Set of float
+
+type ordered = (string * rest) list
+
+let ordered snap =
+  List.filter_map
     (fun (name, v) ->
       match v with
-      | Counter by -> incr ~by t name
-      | Gauge x -> set_gauge t name x
-      | Histogram hg ->
-        locked t (fun () ->
+      | Counter _ -> None
+      | Gauge x -> Some (name, Set x)
+      | Histogram hg -> Some (name, Sum hg.sum))
+    snap
+
+let merge_counts t snap =
+  locked t (fun () ->
+      List.iter
+        (fun (name, v) ->
+          match (v, Hashtbl.find_opt t.cells name) with
+          | Counter by, Some (C r) -> r := !r + by
+          | Counter by, None -> Hashtbl.add t.cells name (C (ref by))
+          | Counter _, Some _ -> kind_error name "counter"
+          | Gauge _, (None | Some (G _)) -> ()
+          | Gauge _, Some _ -> kind_error name "gauge"
+          | Histogram hg, found ->
             let h =
-              match Hashtbl.find_opt t.cells name with
+              match found with
               | Some (H h) ->
                 if h.edges <> hg.buckets then
                   invalid_arg
@@ -183,9 +205,24 @@ let merge t snap =
             Array.iteri
               (fun i c -> h.hcounts.(i) <- h.hcounts.(i) + c)
               hg.counts;
-            h.hcount <- h.hcount + hg.count;
-            h.hsum <- h.hsum +. hg.sum))
-    snap
+            h.hcount <- h.hcount + hg.count)
+        snap)
+
+let merge_ordered t rest =
+  locked t (fun () ->
+      List.iter
+        (fun (name, r) ->
+          match (r, Hashtbl.find_opt t.cells name) with
+          | Sum x, Some (H h) -> h.hsum <- h.hsum +. x
+          | Sum _, _ -> kind_error name "histogram"
+          | Set x, Some (G r) -> r := x
+          | Set x, None -> Hashtbl.add t.cells name (G (ref x))
+          | Set _, Some _ -> kind_error name "gauge")
+        rest)
+
+let merge t snap =
+  merge_counts t snap;
+  merge_ordered t (ordered snap)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)

@@ -4,9 +4,14 @@
     A registry is a mutex-protected name → instrument table, so {!Pool}
     workers may record into a shared registry concurrently without
     losing increments. The sweep harnesses instead give every grid cell
-    its own registry and {!merge} the {!snapshot}s in cell-index order
-    after the pool finishes — the merged result is then identical at any
-    jobs count (see DESIGN.md, "Telemetry").
+    its own registry: as each cell finishes, its counters and histogram
+    counts are added into the caller's registry at once
+    ({!merge_counts}, integer adds that commute), and only the cell's
+    {!ordered} rest — histogram sums and gauges — is kept until the
+    pool drains and then applied in cell-index order
+    ({!merge_ordered}). The result equals merging the whole
+    {!snapshot}s in cell-index order, bit for bit, so it is identical at
+    any jobs count (see DESIGN.md, "Telemetry").
 
     Instruments are created on first use; a name is permanently bound to
     its first kind and (for histograms) its first bucket layout —
@@ -83,7 +88,33 @@ val merge : t -> snapshot -> unit
 (** Fold a snapshot into [t]: counters and histogram buckets add
     (layouts must match), gauges overwrite. Applying worker snapshots in
     a fixed order yields a deterministic result regardless of how the
-    workers were scheduled. *)
+    workers were scheduled. Same as {!merge_counts} followed by
+    {!merge_ordered} of the snapshot's {!ordered} rest. *)
+
+(** {2 Split merging}
+
+    Of a merge, only the histograms' float sums (float addition does
+    not associate) and the gauges (last write wins) depend on the order
+    snapshots arrive in. A caller that merges snapshots as they are
+    produced, in whatever order, may apply the commutative part at once
+    and keep only each snapshot's {!ordered} rest, a few words per
+    instrument, for a later pass in a fixed order. *)
+
+type ordered
+(** The order-sensitive rest of a snapshot: each histogram's sum and
+    each gauge's value. *)
+
+val ordered : snapshot -> ordered
+
+val merge_counts : t -> snapshot -> unit
+(** The commutative part of {!merge}: counters add, histogram bucket
+    and sample counts add (creating the histogram with the snapshot's
+    layout), sums and gauges are left out. Kind clashes and bucket
+    layout mismatches raise [Invalid_argument] here, gauges included. *)
+
+val merge_ordered : t -> ordered -> unit
+(** The rest of {!merge}: add each sum to its histogram's, set each
+    gauge. The snapshot's {!merge_counts} into [t] must come first. *)
 
 val to_table : snapshot -> Table.t
 (** Human-readable rendering: one row per instrument. *)

@@ -235,7 +235,7 @@ let greedy_confusion ~pool () =
    the rng where this scan does. *)
 let greedy_scan ~pool (env : Sim.Adversary.flat_env) =
   let n = env.Sim.Adversary.n in
-  let kernel = env.Sim.Adversary.fresh_kernel () in
+  let kernel = env.Sim.Adversary.probe_kernel () in
   let recv = Array.make n 0 in
   let probe_rng = Stdx.Rng.create 0 in
   let probe ~self ~rng =

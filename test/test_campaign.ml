@@ -140,6 +140,52 @@ let test_longest_cell_first () =
        (List.init cells Fun.id))
     ran
 
+(* Folding each cell's counts as it finishes and its sums and gauges
+   afterwards equals merging whole snapshots in cell-index order. The
+   horizons make the claim order (longest first) differ from the index
+   order, and the cells observe floats whose sum depends on the order
+   they are added in (1e16 swallows a 1.0 that -1e16 would have left
+   standing), so a fold in completion order is seen: at jobs = 1 the
+   test checks that such a fold reads differently. *)
+let test_fold_equals_index_merge () =
+  let horizon i = [| 20; 50; 10; 40; 30; 60 |].(i) in
+  let value i = [| 1e16; 1.0; -1e16; 1.0; 3.0; 0.5 |].(i) in
+  let cells = 6 in
+  let record m i =
+    Stdx.Metrics.incr ~by:(i + 1) m "fold.count";
+    Stdx.Metrics.observe ~buckets:[| 1.0; 1e17 |] m "fold.x" (value i);
+    Stdx.Metrics.set_gauge m "fold.last" (float_of_int i)
+  in
+  let merged order =
+    let m = Stdx.Metrics.create () in
+    List.iter
+      (fun i ->
+        let cell = Stdx.Metrics.create () in
+        record cell i;
+        Stdx.Metrics.merge m (Stdx.Metrics.snapshot cell))
+      order;
+    Stdx.Metrics.incr ~by:cells m "fold.cells";
+    Test_telemetry.drop_wall (Stdx.Metrics.snapshot m)
+  in
+  let expected = merged (List.init cells Fun.id) in
+  List.iter
+    (fun (name, jobs) ->
+      let m = Stdx.Metrics.create () in
+      let ran = ref [] in
+      ignore
+        (Sim.Campaign.exec ~metrics:m ~jobs ~prefix:"fold" ~n ~horizon ~label
+           cells (fun cell i ->
+             if jobs = 1 then ran := i :: !ran;
+             Option.iter (fun m -> record m i) cell.Sim.Campaign.metrics;
+             ((), horizon i)));
+      check Alcotest.bool (name ^ ": the index-order merge, bit for bit") true
+        (Test_telemetry.drop_wall (Stdx.Metrics.snapshot m) = expected);
+      if jobs = 1 then
+        check Alcotest.bool "a completion-order fold would read differently"
+          false
+          (merged (List.rev !ran) = expected))
+    configs
+
 let suite =
   [
     ( "sim.campaign",
@@ -147,5 +193,7 @@ let suite =
         case "all sinks: order, merge, heartbeat, pool spans" test_all_sinks;
         case "no sinks: inert cells" test_no_sinks_inert;
         case "longest cell claimed first" test_longest_cell_first;
+        case "folding at completion equals the index-order merge"
+          test_fold_equals_index_merge;
       ] );
   ]

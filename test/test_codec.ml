@@ -307,11 +307,16 @@ let test_families_validate () =
    the decoded views, histogram and per-block inner kernels. Kernels are
    driven through the codec's code-space view, free of the state type. *)
 
+type tower = {
+  n : int;
+  random_code : Stdx.Rng.t -> int;
+  fresh_kernel : unit -> Algo.Spec.kernel;
+}
+
 let flat_of (F (label, spec)) =
   let c = codec_of spec label in
   {
-    Sim.Adversary.n = spec.Algo.Spec.n;
-    c = spec.Algo.Spec.c;
+    n = spec.Algo.Spec.n;
     random_code = c.Algo.Spec.random_code;
     fresh_kernel = c.Algo.Spec.fresh_kernel;
   }
@@ -330,7 +335,7 @@ let towers =
    random_code. Every fifth vector is redrawn whole; the others change
    0-2 slots of their predecessor, so a replay drives a kernel through
    loads, unchanged vectors and announced single-slot changes. *)
-let step_sequence (t : Sim.Adversary.flat_env) ~seed ~len =
+let step_sequence (t : tower) ~seed ~len =
   let rng = Stdx.Rng.create seed in
   let cur = Array.make t.n 0 in
   Array.init len (fun i ->
@@ -370,7 +375,7 @@ let codes = Alcotest.(array int)
 
 (* Two kernels of one codec, stepped in alternation on different
    sequences, each return what a lone kernel returns on its sequence. *)
-let test_kernel_isolation (build : unit -> Sim.Adversary.flat_env) () =
+let test_kernel_isolation (build : unit -> tower) () =
   let t = build () in
   let len = 60 in
   let s1 = step_sequence t ~seed:1 ~len and s2 = step_sequence t ~seed:2 ~len in
@@ -391,7 +396,7 @@ let test_kernel_isolation (build : unit -> Sim.Adversary.flat_env) () =
 (* Four domains, released together, make the first fresh_kernel () calls
    of a new tower (so they race to build its tables) and replay one
    sequence; each must match a reference from a separately built tower. *)
-let test_concurrent_first_use (build : unit -> Sim.Adversary.flat_env) () =
+let test_concurrent_first_use (build : unit -> tower) () =
   let reference = build () in
   let seq = step_sequence reference ~seed:3 ~len:60 in
   let expected = replay (reference.fresh_kernel ()) ~seed:13 seq in

@@ -443,7 +443,7 @@ let flat_env (spec : 's Algo.Spec.t) =
     Sim.Adversary.n = spec.Algo.Spec.n;
     c = spec.Algo.Spec.c;
     random_code = c.Algo.Spec.random_code;
-    fresh_kernel = c.Algo.Spec.fresh_kernel;
+    probe_kernel = c.Algo.Spec.fresh_kernel;
   }
 
 let craft_lockstep ?(rounds = 3) (spec : 's Algo.Spec.t) adversary ~faulty

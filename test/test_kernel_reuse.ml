@@ -265,12 +265,11 @@ let test_broken_kernel_caught () =
 (* When the engine builds a kernel: once per domain and codec, and again
    when a run nested in a hook, a raising run or another codec's run
    has left no idle one. Counted through a codec whose factory counts. *)
-let test_kernel_made_when () =
-  let base = (a41 ~c:2).Counting.Boost.spec in
+(* [base] with a kernel factory that counts the kernels it makes. *)
+let counting (base : 's Algo.Spec.t) =
   let codec = Option.get base.Algo.Spec.codec in
   let made = ref 0 in
-  let spec =
-    {
+  ( {
       base with
       Algo.Spec.codec =
         Some
@@ -281,8 +280,12 @@ let test_kernel_made_when () =
                 incr made;
                 codec.Algo.Spec.fresh_kernel ());
           };
-    }
-  in
+    },
+    made )
+
+let test_kernel_made_when () =
+  let base = (a41 ~c:2).Counting.Boost.spec in
+  let spec, made = counting base in
   let expect label n = check Alcotest.int label n !made in
   ignore (run spec 1);
   expect "first run builds one" 1;
@@ -301,6 +304,34 @@ let test_kernel_made_when () =
   ignore (run base 1);
   ignore (run spec 6);
   expect "another codec's run displaces it" 4
+
+(* A lookahead crafter probes on the one kernel its run lends: three
+   greedy phases build it once, the next run finds it idle with the
+   engine's own, and runs on reused kernels equal runs on cold ones. *)
+let test_probe_kernel_lent () =
+  let greedy faulty =
+    {
+      Sim.Schedule.adversary = Sim.Adversary.greedy_confusion ~pool:2 ();
+      faulty;
+      duration = 20;
+    }
+  in
+  let schedule =
+    {
+      Sim.Schedule.phases = [ greedy [ 0 ]; greedy [ 1; 5 ]; greedy [ 2 ] ];
+      events = [];
+    }
+  in
+  let go spec seed =
+    summary spec
+      (Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec ~schedule ~seed ())
+  in
+  let want1 = go (a12_3 ()) 1 and want2 = go (a12_3 ()) 2 in
+  let spec, made = counting (a12_3 ()) in
+  no_diff "first run" (diff "run 1" want1 (go spec 1));
+  check Alcotest.int "engine kernel and one probe kernel" 2 !made;
+  no_diff "second run" (diff "run 2" want2 (go spec 2));
+  check Alcotest.int "the next run reuses both" 2 !made
 
 (* A campaign at jobs 1 and REPRO_JOBS whose first half of cells runs
    one shared spec and second half another, so pool domains reuse
@@ -340,6 +371,8 @@ let suite =
             test_broken_kernel_caught;
           case "the engine builds a kernel only when none is idle"
             test_kernel_made_when;
+          case "a greedy run lends one probe kernel, kept for the next"
+            test_probe_kernel_lent;
           case "campaign cells reuse kernels at REPRO_JOBS" test_pool_domains;
         ] );
   ]

@@ -310,9 +310,9 @@ let test_heartbeat_floats_round_trip () =
         Stdx.Metrics.set_gauge m "g" awkward;
         Stdx.Metrics.observe ~buckets:[| 1.0 |] m "h" awkward;
         set (1.0 /. 3.0);
-        Stdx.Heartbeat.cell_done
-          ~snapshot:(Stdx.Metrics.snapshot m)
-          ~cost:awkward hb;
+        let snapshot = Stdx.Metrics.snapshot m in
+        Stdx.Heartbeat.cell_done ~snapshot ~cost:awkward hb;
+        Stdx.Heartbeat.settle hb (Stdx.Metrics.ordered snapshot);
         Stdx.Heartbeat.finish hb)
   in
   let j = Stdx.Json.parse (List.hd lines) in
@@ -365,14 +365,15 @@ let test_engine_spans_differential () =
       check Alcotest.bool (name ^ " present") true (List.mem_assoc name snap))
     [ "span.engine.craft_s"; "span.engine.step_s"; "span.engine.detect_s" ]
 
-(* A clock that ticks one second per read: every sampled engine round
-   then times exactly 1 s per span, so each recorded total must equal
-   its loop's iteration count — rounds 0 .. R observed, 0 .. R-1
-   stepped — whatever the number of sampled rounds. *)
+(* A clock that ticks one second per read once the run starts (it stood
+   still while the context measured it, so a read costs 0): every
+   sampled engine round then times exactly 1 s per span, so each
+   recorded total must equal its loop's iteration count — rounds 0 .. R
+   observed, 0 .. R-1 stepped — whatever the number of sampled rounds. *)
 let test_engine_span_scale () =
-  let ticks = ref 0.0 in
+  let ticks = ref 0.0 and ticking = ref false in
   let clock () =
-    ticks := !ticks +. 1.0;
+    if !ticking then ticks := !ticks +. 1.0;
     !ticks
   in
   let seen = ref [] in
@@ -381,6 +382,7 @@ let test_engine_span_scale () =
       ~on_record:(fun name count secs -> seen := (name, (count, secs)) :: !seen)
       ()
   in
+  ticking := true;
   let o =
     Sim.Engine.run ~spans:sp ~spec:leader
       ~schedule:
@@ -399,6 +401,48 @@ let test_engine_span_scale () =
   expect "engine.detect" ~sampled:2 (float_of_int (r + 1));
   expect "engine.step" ~sampled:2 (float_of_int r);
   expect "engine.craft" ~sampled:2 (float_of_int r)
+
+(* A clock that ticks 0.25 s per read, and nothing else: the context
+   measures that as its read cost and leaves it out of every section,
+   so a section holds only the time that passed beyond its reads — 2 s
+   for a span around a 2 s step, nothing for each sampled engine
+   section, however often it is scaled. *)
+let test_span_leaves_out_read_cost () =
+  let ticks = ref 0.0 in
+  let clock () =
+    ticks := !ticks +. 0.25;
+    !ticks
+  in
+  let m = Stdx.Metrics.create () in
+  let sp = Stdx.Span.create ~clock ~metrics:m () in
+  Stdx.Span.with_ sp "x" (fun () -> ticks := !ticks +. 2.0);
+  (match Stdx.Metrics.find (Stdx.Metrics.snapshot m) "span.x_s" with
+  | Some (Stdx.Metrics.Histogram h) ->
+    check (Alcotest.float 0.0) "the step, without the read" 2.0 h.sum
+  | _ -> Alcotest.fail "span.x_s missing");
+  check (Alcotest.float 0.0) "four sections, four reads out" 1.0
+    (Stdx.Span.sections sp 4 2.0);
+  check (Alcotest.float 0.0) "sections shorter than their reads clamp to 0"
+    0.0
+    (Stdx.Span.sections sp 2 0.125);
+  let seen = ref [] in
+  let sp =
+    Stdx.Span.create ~clock
+      ~on_record:(fun name count secs -> seen := (name, count, secs) :: !seen)
+      ()
+  in
+  ignore
+    (Sim.Engine.run ~spans:sp ~spec:leader
+       ~schedule:
+         (Sim.Schedule.static ~adversary:(Sim.Adversary.random_equivocate ())
+            ~faulty:[ 0 ] ~rounds:40)
+       ~mode:Sim.Engine.Full_horizon ~seed:5 ());
+  check Alcotest.int "three engine spans recorded" 3 (List.length !seen);
+  List.iter
+    (fun (name, count, secs) ->
+      check Alcotest.int (name ^ ": sampled rounds") 2 count;
+      check (Alcotest.float 0.0) (name ^ ": reads left out") 0.0 secs)
+    !seen
 
 let harness_config ~jobs =
   Sim.Harness.Config.(
@@ -526,6 +570,68 @@ let test_heartbeat_jobs_determinism () =
     true
     (base = at parallel_jobs)
 
+(* The terminal heartbeat line is the index-order registry, bit for bit:
+   a hunt whose trial costs vary (claim order differs from index order)
+   folds hundreds of awkward badness scores, so a heartbeat that merged
+   whole snapshots as cells finished would disagree with [--metrics] in
+   the last digits of the [hunt.badness] sum. Every instrument the line
+   carries must equal the registry's, at jobs 1 and REPRO_JOBS. *)
+let test_heartbeat_terminal_equals_registry () =
+  let rec show = function
+    | Stdx.Json.Float x -> Printf.sprintf "%.17g" x
+    | Stdx.Json.Int i -> string_of_int i
+    | Stdx.Json.Array vs -> "[" ^ String.concat "," (List.map show vs) ^ "]"
+    | Stdx.Json.Object kvs ->
+      "{"
+      ^ String.concat "," (List.map (fun (k, v) -> k ^ ":" ^ show v) kvs)
+      ^ "}"
+    | _ -> "?"
+  in
+  let json = Alcotest.testable (fun ppf v -> Fmt.string ppf (show v)) ( = ) in
+  let config jobs =
+    Sim.Hunt.Config.(
+      default |> with_trials 400 |> with_seed 3 |> with_run_seed 1
+      |> with_phase_rounds 120 |> with_time_bound 9 |> with_jobs jobs)
+  in
+  let instruments json =
+    List.concat_map
+      (fun (kind, entries) ->
+        match entries with
+        | Stdx.Json.Object kvs ->
+          List.map (fun (name, v) -> (kind ^ " " ^ name, v)) kvs
+        | _ -> [])
+      (match json with Stdx.Json.Object kvs -> kvs | _ -> [])
+  in
+  List.iter
+    (fun jobs ->
+      let m = Stdx.Metrics.create () in
+      let lines =
+        with_heartbeat ~interval_s:1.0e9 (fun hb ->
+            ignore
+              (Sim.Hunt.run ~metrics:m ~heartbeat:hb ~config:(config jobs)
+                 ~spec:leader
+                 ~adversaries:(Sim.Adversary.standard_suite ())
+                 ());
+            Stdx.Heartbeat.finish hb)
+      in
+      let line =
+        instruments
+          (Stdx.Json.field (Stdx.Json.parse (List.hd lines)) "metrics")
+      in
+      let registry =
+        instruments
+          (Stdx.Json.parse (Stdx.Metrics.to_json (Stdx.Metrics.snapshot m)))
+      in
+      check Alcotest.bool "the line carries hunt.badness" true
+        (List.mem_assoc "histograms hunt.badness" line);
+      List.iter
+        (fun (name, v) ->
+          check json
+            (Printf.sprintf "jobs=%d: %s as in the registry" jobs name)
+            (List.assoc name registry) v)
+        line)
+    (List.sort_uniq compare [ 1; parallel_jobs ])
+
 let test_span_stream_jobs_determinism () =
   (* With spans on, the merged trace gains Span events; after zeroing
      wall payloads and dropping the drain-level pool triple they must be
@@ -586,6 +692,8 @@ let suite =
         case "engine spans differential: inert" test_engine_spans_differential;
         case "engine span totals scale to each loop's iterations"
           test_engine_span_scale;
+        case "spans leave out the clock's read cost"
+          test_span_leaves_out_read_cost;
         case "harness obs differential: inert" test_harness_obs_differential;
         case "chaos obs differential: inert" test_chaos_obs_differential;
         case "hunt obs differential: inert (corpus bytes)"
@@ -593,5 +701,7 @@ let suite =
         case "heartbeat terminal line jobs determinism"
           test_heartbeat_jobs_determinism;
         case "span stream jobs determinism" test_span_stream_jobs_determinism;
+        case "heartbeat terminal line equals the registry"
+          test_heartbeat_terminal_equals_registry;
       ] );
   ]
