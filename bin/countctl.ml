@@ -670,19 +670,88 @@ let show_heartbeat ~json path content =
     `Ok ()
 
 (* ------------------------------------------------------------------ *)
-(* report: offline analysis of a --trace JSONL file (or the latest
-   snapshot of a --heartbeat stream).                                  *)
+(* report: tables over [Sim.Report], the analysis of a --trace JSONL
+   file (or the latest snapshot of a --heartbeat stream).              *)
 
-type report_row = {
-  rr_cell : int;
-  rr_phase : int;
-  rr_adversary : string;
-  rr_faulty : int list;
-  rr_start : int;
-  rr_end : int;
-  rr_corruptions : int;
-  rr_recovery : int option;
-}
+let print_profile (r : Sim.Report.t) =
+  let pool (name, _) = String.starts_with ~prefix:"pool." name in
+  let engine = List.filter (fun s -> not (pool s)) r.spans in
+  if engine <> [] then begin
+    Printf.printf "\nprofile (spans):\n";
+    let t = Stdx.Table.create [ "span"; "count"; "total_s" ] in
+    List.iter
+      (fun (name, (count, wall)) ->
+        Stdx.Table.add_row t
+          [ name; string_of_int count; Printf.sprintf "%.6f" wall ])
+      engine;
+    Stdx.Table.print t
+  end;
+  let span name = List.assoc_opt name r.spans in
+  match (span "pool.busy", span "pool.claim", span "pool.idle") with
+  | Some (jobs, busy), Some (_, claim), Some (_, idle) ->
+    Printf.printf "pool: %d worker(s), busy %.3fs, claim %.3fs, idle %.3fs\n"
+      jobs busy claim idle
+  | _ -> ()
+
+let print_hunt (r : Sim.Report.t) =
+  if r.trials > 0 then begin
+    Printf.printf "hunt: %d trial(s), %d hit(s)" r.trials r.hits;
+    if r.shrink_steps > 0 then
+      Printf.printf ", %d shrink step(s), %d kept" r.shrink_steps r.shrink_kept;
+    if r.hits > 0 && r.worst_score > neg_infinity then
+      Printf.printf ", worst score %.17g" r.worst_score;
+    Printf.printf "\n"
+  end
+
+let print_phases (r : Sim.Report.t) =
+  let ids l = String.concat ";" (List.map string_of_int l) in
+  let table =
+    Stdx.Table.create
+      [ "cell"; "phase"; "adversary"; "faulty"; "start"; "end"; "corr";
+        "recovery"; "vs bound" ]
+  in
+  List.iter
+    (fun (cell, (p : Sim.Engine.phase_report)) ->
+      let vs_bound =
+        match (p.recovery, r.bound) with
+        | Some x, Some b -> if x <= b then "<= T" else "EXCEEDS T"
+        | Some _, None -> "-"
+        | None, _ -> "FAILED"
+      in
+      let recovery = Option.fold ~none:"-" ~some:string_of_int p.recovery in
+      Stdx.Table.add_row table
+        [ string_of_int cell; string_of_int p.phase; p.adversary;
+          "[" ^ ids p.faulty ^ "]"; string_of_int p.start_round;
+          (if p.end_round < 0 then "?" else string_of_int p.end_round);
+          string_of_int (p.perturbations - 1); recovery; vs_bound ])
+    r.phases;
+  Stdx.Table.print table;
+  if r.corruptions <> [] then Printf.printf "\ncorruption timeline:\n";
+  List.iter
+    (fun (e : Sim.Report.corruption) ->
+      let actual = List.length e.victims in
+      Printf.printf "  round %d (phase %d, cell %d): %d victim(s) [%s]%s\n"
+        e.round e.phase e.cell actual (ids e.victims)
+        (if actual < e.requested then
+           Printf.sprintf " (clamped from %d)" e.requested
+         else ""))
+    r.corruptions;
+  if r.cells <> [] then Printf.printf "\nslowest cells:\n";
+  List.iteri
+    (fun i (c : Sim.Report.cell) ->
+      if i < 5 then
+        Printf.printf "  cell %d: %.3fs  %s\n" c.cell c.wall_s c.label)
+    r.cells;
+  Printf.printf "\n%d/%d phase(s) re-stabilised, worst recovery %d round(s)"
+    r.recovered (List.length r.phases) r.worst_recovery;
+  (match r.bound with
+  | Some b when r.exceeded = 0 ->
+    Printf.printf "; all within the Theorem 1 bound T <= %d" b
+  | Some b ->
+    Printf.printf "; %d phase(s) EXCEED the Theorem 1 bound T <= %d"
+      r.exceeded b
+  | None -> ());
+  Printf.printf "\n"
 
 let report_cmd =
   let doc =
@@ -708,7 +777,6 @@ let report_cmd =
              (jsonlint-clean; always exits 0 when the file parses — \
              failure counts travel in the JSON).")
   in
-  let ids l = String.concat ";" (List.map string_of_int l) in
   let run path json =
     match read_file_content path with
     | exception Sys_error msg -> `Error (false, msg)
@@ -719,293 +787,30 @@ let report_cmd =
     | (_, first) :: _ when Stdx.Heartbeat.is_heartbeat_line first ->
       show_heartbeat ~json path content
     | _ ->
-    let ic = open_in path in
-    let parsed =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Sim.Trace.read_jsonl ic)
-    in
-    match parsed with
+    match In_channel.with_open_bin path Sim.Trace.read_jsonl with
     | Error msg -> `Error (false, Printf.sprintf "%s: %s" path msg)
     | Ok events ->
-      let bound = ref None in
-      let meta = ref None in
-      let span_tally : (string, int * float) Hashtbl.t = Hashtbl.create 8 in
-      (* Events between Cell_start/Cell_end markers belong to that cell;
-         a single-run trace without markers is implicitly cell 0. *)
-      let cur_cell = ref 0 in
-      let labels = Hashtbl.create 8 in
-      let pending = ref None in
-      let rows = ref [] in
-      let timeline = ref [] in
-      let walls = ref [] in
-      let hunt_trials = ref 0 in
-      let hunt_hits = ref 0 in
-      let hunt_shrink_steps = ref 0 in
-      let hunt_shrink_kept = ref 0 in
-      let hunt_worst = ref neg_infinity in
-      let flush_pending ~end_round ~recovery =
-        match !pending with
-        | None -> ()
-        | Some (phase, adversary, faulty, start, corr) ->
-          pending := None;
-          rows :=
-            {
-              rr_cell = !cur_cell;
-              rr_phase = phase;
-              rr_adversary = adversary;
-              rr_faulty = faulty;
-              rr_start = start;
-              rr_end = end_round;
-              rr_corruptions = corr;
-              rr_recovery = recovery;
-            }
-            :: !rows
-      in
-      List.iter
-        (fun (ev : Sim.Trace.event) ->
-          match ev with
-          | Sim.Trace.Meta { label; n; f; c; time_bound } ->
-            meta := Some (label, n, f, c);
-            (match time_bound with Some t -> bound := Some t | None -> ());
-            if not json then begin
-              Printf.printf "%s  (n=%d f=%d c=%d" label n f c;
-              (match time_bound with
-              | Some t -> Printf.printf ", Theorem 1 bound T <= %d" t
-              | None -> ());
-              Printf.printf ")\n"
-            end
-          | Sim.Trace.Cell_start { cell; label } ->
-            flush_pending ~end_round:(-1) ~recovery:None;
-            cur_cell := cell;
-            Hashtbl.replace labels cell label
-          | Sim.Trace.Phase_start { round; phase; adversary; faulty } ->
-            flush_pending ~end_round:round ~recovery:None;
-            pending := Some (phase, adversary, faulty, round, 0)
-          | Sim.Trace.Corruption { round; phase; requested; victims } ->
-            (match !pending with
-            | Some (p, a, f, s, corr) when p = phase ->
-              pending := Some (p, a, f, s, corr + 1)
-            | _ -> ());
-            timeline := (!cur_cell, round, phase, requested, victims) :: !timeline
-          | Sim.Trace.Detector_reset _ -> ()
-          | Sim.Trace.Verdict { round; phase = _; stabilized = _; recovery }
-            -> flush_pending ~end_round:round ~recovery
-          | Sim.Trace.Hunt_trial { score; hit; _ } ->
-            incr hunt_trials;
-            if hit then incr hunt_hits;
-            if score > !hunt_worst then hunt_worst := score
-          | Sim.Trace.Hunt_shrink { steps; kept; _ } ->
-            hunt_shrink_steps := !hunt_shrink_steps + steps;
-            hunt_shrink_kept := !hunt_shrink_kept + kept
-          | Sim.Trace.Span { name; count; wall_s } ->
-            let c0, w0 =
-              Option.value (Hashtbl.find_opt span_tally name) ~default:(0, 0.0)
-            in
-            Hashtbl.replace span_tally name (c0 + count, w0 +. wall_s)
-          | Sim.Trace.Cell_end { cell; wall_s } ->
-            flush_pending ~end_round:(-1) ~recovery:None;
-            walls := (cell, wall_s) :: !walls)
-        events;
-      flush_pending ~end_round:(-1) ~recovery:None;
-      let rows = List.rev !rows in
-      let span_rows =
-        List.sort compare
-          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) span_tally [])
-      in
-      let recovered = List.filter (fun r -> r.rr_recovery <> None) rows in
-      let exceeded =
-        match !bound with
-        | None -> 0
-        | Some b ->
-          List.length
-            (List.filter
-               (fun r ->
-                 match r.rr_recovery with
-                 | Some rec_ -> rec_ > b
-                 | None -> false)
-               rows)
-      in
-      let worst =
-        List.fold_left
-          (fun acc r ->
-            match r.rr_recovery with Some v -> max acc v | None -> acc)
-          0 recovered
-      in
-      let walls_sorted =
-        List.sort (fun (_, a) (_, b) -> compare (b : float) a) !walls
-      in
-      let print_profile () =
-        if span_rows <> [] then begin
-          let is_pool name =
-            String.length name >= 5 && String.sub name 0 5 = "pool."
-          in
-          let engine_rows =
-            List.filter (fun (n, _) -> not (is_pool n)) span_rows
-          in
-          if engine_rows <> [] then begin
-            Printf.printf "\nprofile (spans):\n";
-            let t = Stdx.Table.create [ "span"; "count"; "total_s" ] in
-            List.iter
-              (fun (name, (count, wall)) ->
-                Stdx.Table.add_row t
-                  [ name; string_of_int count; Printf.sprintf "%.6f" wall ])
-              engine_rows;
-            Stdx.Table.print t
-          end;
-          match
-            ( Hashtbl.find_opt span_tally "pool.busy",
-              Hashtbl.find_opt span_tally "pool.claim",
-              Hashtbl.find_opt span_tally "pool.idle" )
-          with
-          | Some (jobs, busy), Some (_, claim), Some (_, idle) ->
-            Printf.printf
-              "pool: %d worker(s), busy %.3fs, claim %.3fs, idle %.3fs\n"
-              jobs busy claim idle
-          | _ -> ()
-        end
-      in
-      let emit_json () =
-        let b = Buffer.create 512 in
-        Buffer.add_string b "{\"kind\":\"report\"";
-        (match !meta with
-        | Some (label, n, f, c) ->
-          Printf.bprintf b ",\"label\":\"%s\",\"n\":%d,\"f\":%d,\"c\":%d"
-            (Stdx.Json.escape label) n f c
-        | None -> ());
-        (match !bound with
-        | Some t -> Printf.bprintf b ",\"bound\":%d" t
-        | None -> Buffer.add_string b ",\"bound\":null");
-        Printf.bprintf b
-          ",\"phases\":%d,\"recovered\":%d,\"failed\":%d,\"exceeded\":%d,\
-           \"worst_recovery\":%d"
-          (List.length rows) (List.length recovered)
-          (List.length rows - List.length recovered)
-          exceeded worst;
-        Printf.bprintf b
-          ",\"hunt\":{\"trials\":%d,\"hits\":%d,\"shrink_steps\":%d,\
-           \"shrink_kept\":%d,\"worst_score\":%s}"
-          !hunt_trials !hunt_hits !hunt_shrink_steps !hunt_shrink_kept
-          (if !hunt_worst > neg_infinity then
-             Printf.sprintf "%.17g" !hunt_worst
-           else "null");
-        Printf.bprintf b ",\"spans\":[%s]"
-          (String.concat ","
-             (List.map
-                (fun (name, (count, wall)) ->
-                  Printf.sprintf
-                    "{\"name\":\"%s\",\"count\":%d,\"wall_s\":%.17g}"
-                    (Stdx.Json.escape name) count wall)
-                span_rows));
-        Printf.bprintf b ",\"cells\":[%s]}"
-          (String.concat ","
-             (List.map
-                (fun (cell, wall) ->
-                  Printf.sprintf "{\"cell\":%d,\"wall_s\":%.17g}" cell wall)
-                walls_sorted));
-        print_endline (Buffer.contents b)
-      in
-      let print_hunt () =
-        if !hunt_trials > 0 then begin
-          Printf.printf "hunt: %d trial(s), %d hit(s)" !hunt_trials !hunt_hits;
-          if !hunt_shrink_steps > 0 then
-            Printf.printf ", %d shrink step(s), %d kept" !hunt_shrink_steps
-              !hunt_shrink_kept;
-          if !hunt_hits > 0 && !hunt_worst > neg_infinity then
-            Printf.printf ", worst score %.17g" !hunt_worst;
-          Printf.printf "\n"
-        end
-      in
-      if rows = [] && !hunt_trials = 0 && span_rows = [] then
-        `Error
-          (false, Printf.sprintf "%s: no phase reports in trace" path)
-      else if json then begin
-        emit_json ();
-        `Ok ()
-      end
-      else if rows = [] then begin
-        (* A hunt campaign trace: no per-phase engine seams, only the
-           campaign-level trial/shrink stream. *)
-        print_hunt ();
-        print_profile ();
-        `Ok ()
-      end
-      else begin
-        let table =
-          Stdx.Table.create
-            [
-              "cell"; "phase"; "adversary"; "faulty"; "start"; "end";
-              "corr"; "recovery"; "vs bound";
-            ]
-        in
+      let r = Sim.Report.analyse events in
+      if not json then
         List.iter
-          (fun r ->
-            let recovery, vs_bound =
-              match (r.rr_recovery, !bound) with
-              | Some rec_, Some b ->
-                ( string_of_int rec_,
-                  if rec_ <= b then "<= T" else "EXCEEDS T" )
-              | Some rec_, None -> (string_of_int rec_, "-")
-              | None, _ -> ("-", "FAILED")
-            in
-            Stdx.Table.add_row table
-              [
-                string_of_int r.rr_cell;
-                string_of_int r.rr_phase;
-                r.rr_adversary;
-                "[" ^ ids r.rr_faulty ^ "]";
-                string_of_int r.rr_start;
-                (if r.rr_end < 0 then "?" else string_of_int r.rr_end);
-                string_of_int r.rr_corruptions;
-                recovery;
-                vs_bound;
-              ])
-          rows;
-        Stdx.Table.print table;
-        (match List.rev !timeline with
-        | [] -> ()
-        | tl ->
-          Printf.printf "\ncorruption timeline:\n";
-          List.iter
-            (fun (cell, round, phase, requested, victims) ->
-              let actual = List.length victims in
-              Printf.printf "  round %d (phase %d, cell %d): %d victim(s) [%s]%s\n"
-                round phase cell actual (ids victims)
-                (if actual < requested then
-                   Printf.sprintf " (clamped from %d)" requested
-                 else ""))
-            tl);
-        (match walls_sorted with
-        | [] -> ()
-        | walls ->
-          Printf.printf "\nslowest cells:\n";
-          List.iteri
-            (fun i (cell, wall_s) ->
-              if i < 5 then
-                Printf.printf "  cell %d: %.3fs  %s\n" cell wall_s
-                  (Option.value
-                     (Hashtbl.find_opt labels cell)
-                     ~default:""))
-            walls);
-        Printf.printf
-          "\n%d/%d phase(s) re-stabilised, worst recovery %d round(s)"
-          (List.length recovered) (List.length rows) worst;
-        (match !bound with
-        | Some b when exceeded = 0 ->
-          Printf.printf "; all within the Theorem 1 bound T <= %d" b
-        | Some b ->
-          Printf.printf "; %d phase(s) EXCEED the Theorem 1 bound T <= %d"
-            exceeded b
-        | None -> ());
-        Printf.printf "\n";
-        print_profile ();
-        print_hunt ();
-        if List.length recovered = List.length rows then `Ok ()
+          (fun (m : Sim.Report.meta) ->
+            Printf.printf "%s  (n=%d f=%d c=%d%s)\n" m.label m.n m.f m.c
+              (Option.fold m.time_bound ~none:""
+                 ~some:(Printf.sprintf ", Theorem 1 bound T <= %d")))
+          r.metas;
+      let failed = List.length r.phases - r.recovered in
+      if r.phases = [] && r.trials = 0 && r.spans = [] then
+        `Error (false, Printf.sprintf "%s: no phase reports in trace" path)
+      else if json then `Ok (print_endline (Sim.Report.to_json r))
+      else begin
+        (* A hunt campaign trace has no per-phase engine seams, only the
+           campaign-level trial/shrink stream, so its tally leads. *)
+        if r.phases = [] then print_hunt r else print_phases r;
+        print_profile r;
+        if r.phases <> [] then print_hunt r;
+        if failed = 0 then `Ok ()
         else
-          `Error
-            ( false,
-              Printf.sprintf "%d phase(s) did not re-stabilise"
-                (List.length rows - List.length recovered) )
+          `Error (false, Printf.sprintf "%d phase(s) did not re-stabilise" failed)
       end
   in
   Cmd.v (Cmd.info "report" ~doc) Term.(ret (const run $ file_arg $ json_arg))

@@ -16,6 +16,13 @@ fi
 dune build
 dune runtest
 
+# The suite once more at a fixed qcheck seed. `dune runtest` draws a
+# fresh seed and prints it as `qcheck random seed: N`; a failure
+# replays with `QCHECK_SEED=N dune exec test/main.exe`.
+ci_seed=20151001
+echo "qcheck seed for the seeded run: $ci_seed"
+QCHECK_SEED=$ci_seed dune exec test/main.exe > /dev/null
+
 # Re-run the pool, sweep, flat-certification and campaign suites with
 # real concurrency forced: the jobs-determinism tests read REPRO_JOBS
 # (worker count), so this exercises the multi-domain path even when the
@@ -41,12 +48,26 @@ REPRO_JOBS=4 dune exec test/main.exe -- test 'stdx.span' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'stdx.heartbeat' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.obs' -q
 
+# The trace analysis behind `countctl report` must rebuild every cell's
+# engine phase reports from a campaign traced under parallel workers.
+REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.report' -q
+
 # The hunt's determinism contract (byte-identical corpus at any jobs
 # count) and the committed regression corpus, with real concurrency:
 # sim.hunt re-runs its fixed-seed hunt at REPRO_JOBS; sim.hunt.corpus
 # replays test/corpus/*.jsonl at jobs 1 and REPRO_JOBS.
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.hunt' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.hunt.corpus' -q
+
+# `countctl report FILE` and `report FILE --json` on a trace; the JSON
+# analysis must lint clean.
+report_both() {
+  dune exec bin/countctl.exe -- report "$1" > /dev/null
+  report_out="$(mktemp)"
+  dune exec bin/countctl.exe -- report "$1" --json > "$report_out"
+  dune exec bin/jsonlint.exe -- "$report_out"
+  rm -f "$report_out"
+}
 
 # Chaos smoke: a fixed-seed campaign on A(4,1) must re-stabilise after
 # every scheduled perturbation (countctl exits non-zero otherwise), and
@@ -56,7 +77,7 @@ trace_file="$(mktemp)"
 dune exec bin/countctl.exe -- chaos --corollary1 1 --campaigns 2 \
   --phases 2 --events 1 --rounds 400 --seeds 1 --jobs 2 \
   --trace "$trace_file" --metrics > /dev/null
-dune exec bin/countctl.exe -- report "$trace_file" > /dev/null
+report_both "$trace_file"
 dune exec bin/jsonlint.exe -- --jsonl "$trace_file"
 rm -f "$trace_file"
 
@@ -67,7 +88,7 @@ greedy_trace="$(mktemp)"
 dune exec bin/countctl.exe -- chaos --levels 4:1,3:3 --campaigns 4 \
   --phases 3 --rounds 600 --seeds 1 --jobs 2 --trace "$greedy_trace" \
   --metrics > /dev/null
-dune exec bin/countctl.exe -- report "$greedy_trace" > /dev/null
+report_both "$greedy_trace"
 dune exec bin/jsonlint.exe -- --jsonl "$greedy_trace"
 rm -f "$greedy_trace"
 
@@ -80,9 +101,18 @@ dune exec examples/pulling_demo.exe > /dev/null
 run_trace="$(mktemp)"
 dune exec bin/countctl.exe -- run --levels 4:1 --seeds 1,2,3 --jobs 2 \
   --trace "$run_trace" --metrics --spans > /dev/null
-dune exec bin/countctl.exe -- report "$run_trace" > /dev/null
+report_both "$run_trace"
 dune exec bin/jsonlint.exe -- --jsonl "$run_trace"
 rm -f "$run_trace"
+
+# Hunt trace smoke: a hunt's trial/shrink stream with spans renders
+# through `report` (the hunt tally and span profile) and `report --json`.
+hunt_trace="$(mktemp)"
+dune exec bin/countctl.exe -- hunt --algorithm leader:4:5 --claim-f 1 \
+  --trials 8 --spans --trace "$hunt_trace" > /dev/null
+report_both "$hunt_trace"
+dune exec bin/jsonlint.exe -- --jsonl "$hunt_trace"
+rm -f "$hunt_trace"
 
 # Unopenable files are clean CLI errors: non-zero exit, no uncaught
 # exception.

@@ -223,7 +223,6 @@ let counter_values spec states =
 
 type packed = Packed : 's t -> packed
 
-let packed_name (Packed s) = s.name
 let packed_n (Packed s) = s.n
 let packed_f (Packed s) = s.f
 let packed_c (Packed s) = s.c

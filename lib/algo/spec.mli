@@ -198,7 +198,6 @@ type packed = Packed : 's t -> packed
 (** Existential wrapper so heterogeneously-typed levels of the recursive
     construction can live in one list. *)
 
-val packed_name : packed -> string
 val packed_n : packed -> int
 val packed_f : packed -> int
 val packed_c : packed -> int

@@ -99,8 +99,6 @@ let encode t idx =
   in
   go (nv - 1) 0
 
-let config_states t cfg = Array.map (fun i -> t.states.(i)) (decode t cfg)
-
 let outputs t cfg =
   let idx = decode t cfg in
   Array.mapi
@@ -195,13 +193,3 @@ let iter_successors t cfg f =
       f cfg';
       true)
 
-let pp_config t ppf cfg =
-  let idx = decode t cfg in
-  Format.fprintf ppf "[";
-  Array.iteri
-    (fun p i ->
-      if p > 0 then Format.fprintf ppf "; ";
-      Format.fprintf ppf "%d:%a" t.correct.(p) t.spec.Algo.Spec.pp_state
-        t.states.(i))
-    idx;
-  Format.fprintf ppf "]"

@@ -25,9 +25,6 @@ val correct : 's t -> int array
 val state_count : 's t -> int
 val config_count : 's t -> int
 
-val config_states : 's t -> int -> 's array
-(** Decode a configuration id to the states of correct nodes (index-aligned
-    with [correct]). *)
 
 val outputs : 's t -> int -> int array
 (** Outputs of correct nodes in a configuration. *)
@@ -52,4 +49,3 @@ val successors_exists : 's t -> int -> (int -> bool) -> bool
 val iter_successors : 's t -> int -> (int -> unit) -> unit
 (** Visit every successor configuration (may revisit duplicates). *)
 
-val pp_config : 's t -> Format.formatter -> int -> unit

@@ -57,7 +57,9 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
         ~cost:(Array.fold_left ( +. ) 0.0 costs))
     heartbeat;
   let seams = match trace with Some tr -> Trace.seams_on tr | None -> false in
-  let want_cell_metrics = metrics <> None || spans || heartbeat <> None in
+  (* Spans without [metrics] or a heartbeat need no cell registry: they
+     reach the trace through [on_record]. *)
+  let want_cell_metrics = metrics <> None || heartbeat <> None in
   (* The cell wall feeds [<prefix>.cell_wall_s] and [Cell_end] only. *)
   let timed = metrics <> None || seams in
   let pool_stats = ref None in

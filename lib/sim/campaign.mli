@@ -40,12 +40,12 @@ val cell_cost : n:int -> int -> float
     are [None], {!Trace.null} and {!Stdx.Span.disabled}: the inert path. *)
 type cell = {
   metrics : Stdx.Metrics.t option;
-      (** present when the caller passed [metrics], [spans] or
-          [heartbeat]; merged into [metrics] and fed to the heartbeat *)
+      (** present when the caller passed [metrics] or [heartbeat];
+          merged into [metrics] and fed to the heartbeat *)
   tracer : Trace.t;  (** a memory buffer when the caller traces *)
   spans : Stdx.Span.t;
-      (** records into [metrics] and mirrors each recording as a
-          {!Trace.Span} event on [tracer] *)
+      (** records into [metrics] when present and mirrors each
+          recording as a {!Trace.Span} event on [tracer] *)
 }
 
 val exec :

@@ -242,11 +242,6 @@ module Corpus : sig
   (** One JSON line ([jsonlint --jsonl]-clean): floats in [%.17g], the
       schedule embedded via {!Schedule.to_json}. *)
 
-  val entry_of_json :
-    adversaries:'s Adversary.t list -> Stdx.Json.t -> 's entry
-  (** Raises {!Stdx.Json.Parse_error} on shape mismatches, unknown
-      failure classes, or unknown adversary names. *)
-
   val write : out_channel -> 's entry list -> unit
   (** One line per entry; the caller closes the channel. *)
 

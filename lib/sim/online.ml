@@ -94,8 +94,6 @@ let observe t ~round row =
   t.ring_rounds.(t.ring_head) <- round;
   if t.ring_count < t.window then t.ring_count <- t.ring_count + 1
 
-let seam t = t.seam
-
 (* Moving the seam to the next expected round discards the entire clean
    suffix observed so far: until that round is observed, [verdict] sees
    [last - seam = -1 < min_suffix] and reports [Not_stabilized], and the

@@ -47,9 +47,6 @@ val verdict : t -> verdict
 val stabilised : t -> bool
 (** [verdict t <> Not_stabilized]. *)
 
-val seam : t -> int
-(** Start of the current clean counting suffix (0 if none observed). *)
-
 val reset : ?correct:int list -> t -> unit
 (** Reset-at-perturbation: discard all stabilisation evidence observed so
     far by moving the seam to the next round to be observed, optionally

@@ -104,9 +104,6 @@ val size : 's t -> int
     Σ(1 + victims)]. Every applicable shrink step strictly decreases
     it. *)
 
-val phase_start : 's t -> int -> int
-(** Global round at which phase [i] begins (sum of earlier durations). *)
-
 val drop_phase : 's t -> int -> 's t option
 (** Remove phase [i] (never the last remaining phase). Events inside the
     dropped phase are dropped; later events shift back by its duration,

@@ -16,9 +16,6 @@ val ceil_log2 : int -> int
     the number of bits needed to index a set of [n] elements.
     [ceil_log2 1 = 0]. Raises [Invalid_argument] if [n <= 0]. *)
 
-val floor_log2 : int -> int
-(** [floor_log2 n] is the greatest [b] with [2{^b} <= n]. *)
-
 val bits_for : int -> int
 (** [bits_for n] is the number of bits needed to store a value drawn from
     a set of [n] distinct values: [max 1 (ceil_log2 n)].

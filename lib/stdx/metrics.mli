@@ -23,10 +23,6 @@ type t
 
 val create : unit -> t
 
-val default_buckets : float array
-(** Geometric round-count buckets [1; 2; 4; ...; 65536] — the default
-    for {!observe}. *)
-
 val time_buckets : float array
 (** Geometric wall-clock buckets in seconds, [1e-4 .. ~100] — the
     default for {!timed}. *)
@@ -40,7 +36,8 @@ val set_gauge : t -> string -> float -> unit
 val observe : ?buckets:float array -> t -> string -> float -> unit
 (** Record a finite sample into histogram [name]. The first call fixes
     the bucket layout ([buckets] must be strictly increasing upper
-    bounds; default {!default_buckets}); a sample lands in the first
+    bounds; default the geometric round-count buckets
+    [1; 2; 4; ...; 65536]); a sample lands in the first
     bucket whose bound it does not exceed, or in the implicit overflow
     bucket. *)
 

@@ -75,10 +75,6 @@ let float t =
   let x = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   x /. 9007199254740992.0 (* 2^53 *)
 
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))
-
 let pick_list t l =
   match l with
   | [] -> invalid_arg "Rng.pick_list: empty list"

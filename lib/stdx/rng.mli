@@ -53,9 +53,6 @@ val bool : t -> bool
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val pick_list : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
 

@@ -632,6 +632,37 @@ let test_heartbeat_terminal_equals_registry () =
         line)
     (List.sort_uniq compare [ 1; parallel_jobs ])
 
+(* Spans alone need no cell registry: a spans-only campaign must trace
+   the same events, walls aside, as the same campaign with metrics on. *)
+let test_spans_only_trace () =
+  let zero_walls =
+    List.map (fun (ev : Sim.Trace.event) ->
+        match ev with
+        | Sim.Trace.Cell_end { cell; _ } ->
+          Sim.Trace.Cell_end { cell; wall_s = 0.0 }
+        | Sim.Trace.Span { name; count; _ } ->
+          Sim.Trace.Span { name; count; wall_s = 0.0 }
+        | ev -> ev)
+  in
+  let traced ?metrics () =
+    let tr = Sim.Trace.memory () in
+    ignore
+      (Sim.Harness.Chaos.run ?metrics ~trace:tr ~spans:true
+         ~config:(chaos_config ~jobs:1) ~spec:leader
+         ~adversaries:(Sim.Adversary.standard_suite ())
+         ());
+    zero_walls (Sim.Trace.events tr)
+  in
+  let spans_only = traced () in
+  check Alcotest.bool "engine spans traced" true
+    (List.exists
+       (function
+         | Sim.Trace.Span { name = "engine.step"; _ } -> true
+         | _ -> false)
+       spans_only);
+  check Alcotest.bool "same events as with metrics on" true
+    (spans_only = traced ~metrics:(Stdx.Metrics.create ()) ())
+
 let test_span_stream_jobs_determinism () =
   (* With spans on, the merged trace gains Span events; after zeroing
      wall payloads and dropping the drain-level pool triple they must be
@@ -701,6 +732,8 @@ let suite =
         case "heartbeat terminal line jobs determinism"
           test_heartbeat_jobs_determinism;
         case "span stream jobs determinism" test_span_stream_jobs_determinism;
+        case "spans-only trace equals the metrics-on trace"
+          test_spans_only_trace;
         case "heartbeat terminal line equals the registry"
           test_heartbeat_terminal_equals_registry;
       ] );

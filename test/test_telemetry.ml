@@ -277,6 +277,16 @@ let test_read_jsonl_errors () =
     check Alcotest.bool "unknown kind reported" true
       (Astring.String.is_infix ~affix:"warp" msg)
   | Ok _ -> Alcotest.fail "accepted unknown event");
+  (match
+     parse
+       "{\"ev\":\"detector-reset\",\"round\":1,\"phase\":0}\n\
+        {\"ev\":\"detector-reset\",\"round\":2,\"phase\":0}\n\
+        {\"ev\":\"detector-re"
+   with
+  | Error msg ->
+    check Alcotest.bool "a line cut off mid-write is named" true
+      (Astring.String.is_prefix ~affix:"line 3: " msg)
+  | Ok _ -> Alcotest.fail "accepted a cut-off line");
   check Alcotest.bool "blank lines skipped" true
     (parse "\n{\"ev\":\"detector-reset\",\"round\":1,\"phase\":0}\n\n"
     = Ok [ Sim.Trace.Detector_reset { round = 1; phase = 0 } ])
