@@ -787,7 +787,7 @@ let report_cmd =
     | (_, first) :: _ when Stdx.Heartbeat.is_heartbeat_line first ->
       show_heartbeat ~json path content
     | _ ->
-    match In_channel.with_open_bin path Sim.Trace.read_jsonl with
+    match Sim.Trace.parse_jsonl content with
     | Error msg -> `Error (false, Printf.sprintf "%s: %s" path msg)
     | Ok events ->
       let r = Sim.Report.analyse events in

@@ -12,7 +12,7 @@ type flat_crafter = {
     states:int array ->
     faulty:int array ->
     out:int array ->
-    unit;
+    bool;
 }
 
 type 's t = {
@@ -35,11 +35,6 @@ let mem_prefix (a : int array) len x =
   !i < len
 
 let mem_int (a : int array) x = mem_prefix a (Array.length a) x
-
-let fill_row (out : int array) ~base ~n code =
-  for r = 0 to n - 1 do
-    out.(base + r) <- code
-  done
 
 (* Correct ids in ascending order into [dst]; returns the count. *)
 let fill_correct (dst : int array) ~n ~faulty =
@@ -97,8 +92,9 @@ let benign () =
           craft_flat =
             (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
               for fi = 0 to Array.length faulty - 1 do
-                fill_row out ~base:(fi * n) ~n states.(faulty.(fi))
-              done);
+                out.(fi * n) <- states.(faulty.(fi))
+              done;
+              true);
         });
   }
 
@@ -122,8 +118,9 @@ let stuck () =
                 have := true
               end;
               for fi = 0 to nf - 1 do
-                fill_row out ~base:(fi * n) ~n frozen.(fi)
-              done);
+                out.(fi * n) <- frozen.(fi)
+              done;
+              true);
         });
   }
 
@@ -139,8 +136,9 @@ let random_consistent () =
             (fun ~rng ~round:_ ~states:_ ~faulty ~out ->
               (* One draw per faulty node, in fi order. *)
               for fi = 0 to Array.length faulty - 1 do
-                fill_row out ~base:(fi * n) ~n (env.random_code rng)
-              done);
+                out.(fi * n) <- env.random_code rng
+              done;
+              true);
         });
   }
 
@@ -160,7 +158,8 @@ let random_equivocate () =
                 for r = 0 to n - 1 do
                   out.(base + r) <- env.random_code rng
                 done
-              done);
+              done;
+              false);
         });
   }
 
@@ -181,8 +180,9 @@ let mimic ~offset () =
                   if nc = 0 then faulty.(fi)
                   else correct.((fi + offset + round) mod nc)
                 in
-                fill_row out ~base:(fi * n) ~n states.(victim)
-              done);
+                out.(fi * n) <- states.(victim)
+              done;
+              true);
         });
   }
 
@@ -199,17 +199,14 @@ let split_brain () =
             (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
               let nc = fill_correct correct ~n ~faulty in
               for fi = 0 to Array.length faulty - 1 do
-                let base = fi * n in
-                if nc = 0 then
-                  fill_row out ~base ~n states.(faulty.(fi))
-                else begin
-                  let a = states.(correct.(0)) in
-                  let b = states.(correct.(nc - 1)) in
-                  for r = 0 to n - 1 do
-                    out.(base + r) <- (if r mod 2 = 0 then a else b)
-                  done
-                end
-              done);
+                let base = fi * n and own = states.(faulty.(fi)) in
+                let a = if nc = 0 then own else states.(correct.(0)) in
+                let b = if nc = 0 then own else states.(correct.(nc - 1)) in
+                for r = 0 to n - 1 do
+                  out.(base + r) <- (if r mod 2 = 0 then a else b)
+                done
+              done;
+              false);
         });
   }
 
@@ -228,8 +225,9 @@ let stale ~delay () =
               ring_push ring states n;
               let old = ring_nth ring ~delay in
               for fi = 0 to Array.length faulty - 1 do
-                fill_row out ~base:(fi * n) ~n old.(faulty.(fi))
-              done);
+                out.(fi * n) <- old.(faulty.(fi))
+              done;
+              true);
         });
   }
 
@@ -251,8 +249,9 @@ let replay_correct ~delay () =
               let nc = fill_correct correct ~n ~faulty in
               for fi = 0 to Array.length faulty - 1 do
                 let src = if nc = 0 then faulty.(fi) else correct.(fi mod nc) in
-                fill_row out ~base:(fi * n) ~n old.(src)
-              done);
+                out.(fi * n) <- old.(src)
+              done;
+              true);
         });
   }
 
@@ -280,7 +279,8 @@ let flip_flop () =
                 for r = 0 to n - 1 do
                   out.(base + r) <- (if (round + r) mod 2 = 0 then s0 else s1)
                 done
-              done);
+              done;
+              false);
         });
   }
 
@@ -392,7 +392,8 @@ let greedy_confusion ~pool () =
                 done;
                 assign sender states.(sender)
               done;
-              Stdx.Rng.advance rng (nc + (Array.length faulty * nc * ncand)));
+              Stdx.Rng.advance rng (nc + (Array.length faulty * nc * ncand));
+              false);
         });
   }
 

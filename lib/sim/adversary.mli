@@ -18,7 +18,15 @@
     writes message codes, never decoding a state. A boxed twin of each
     strategy, over ['s] state vectors, lives only in the test suite
     ([test/reference.ml]), as the slow reference the kernels are
-    certified against. *)
+    certified against.
+
+    Six strategies never equivocate — {!benign}, {!stuck},
+    {!random_consistent}, {!mimic}, {!stale} and {!replay_correct} send
+    each faulty node's one message to every recipient — and their
+    kernels declare it every round (the return value of
+    {!flat_crafter.craft_flat}), so the engine delivers such rows at
+    the cost of one slot. {!random_equivocate}, {!split_brain},
+    {!flip_flop} and {!greedy_confusion} write full rows. *)
 
 type flat_env = {
   n : int;  (** node count — fixes the [out] row stride *)
@@ -54,13 +62,26 @@ type flat_crafter = {
     states:int array ->
     faulty:int array ->
     out:int array ->
-    unit;
+    bool;
       (** Read the current state codes ([states.(v)], node [v]'s;
           engine-owned, read-only), write the crafted message
           codes into the preallocated [out] with [out.(fi * n + r)] =
           the code the [fi]-th faulty node sends to recipient [r]. Only
           slots of the current faulty set may be written ([out] is
           engine-owned scratch, not cleared between rounds).
+
+          {b Return value:} [true] declares this round's rows constant:
+          every faulty sender sends one code to all recipients, and
+          only [out.(fi * n)] is meaningful — the crafter need write no
+          other slot of the row, and the engine reads no other (the
+          rest may hold any earlier round's codes). [false] means
+          every [out.(fi * n + r)], [r] in [\[0, n)], is written and
+          read. The engine takes a [true] on trust: it skips recipient
+          grouping and the per-recipient compares, so a row that is
+          not in fact constant silently delivers [out.(fi * n)] to
+          every recipient. A wrong [true] is therefore a correctness
+          bug, not a slow path; a [false] on a constant row only costs
+          time.
 
           {b RNG stream contract:} a kernel consumes [rng] exactly as
           its strategy's documentation says — same number of draws,

@@ -160,11 +160,15 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
      difference between hostile and benign throughput. Reordering is
      sound because every node draws from its own [node_rng] stream. *)
   let visit = Array.init n Fun.id in
+  (* Random states are drawn straight in code space: [random_code]
+     consumes the rng exactly like [random_state] (Algo.Spec.codec), so
+     no boxed state is built only to be encoded. *)
+  let random_code = codec.Algo.Spec.random_code in
   (match init with
   | Some states -> Array.iteri (fun v s -> !cur.(v) <- encode s) states
   | None ->
     for v = 0 to n - 1 do
-      !cur.(v) <- encode (spec.Algo.Spec.random_state init_rng)
+      !cur.(v) <- random_code init_rng
     done);
   (* Lexicographic order on crafted columns; ties keep index order so the
      grouping is deterministic. A while-loop, not an inner recursive
@@ -281,7 +285,7 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
           (fun i ->
             let v = correct_arr.(i) in
             hit := v :: !hit;
-            !cur.(v) <- encode (spec.Algo.Spec.random_state corrupt_rng))
+            !cur.(v) <- random_code corrupt_rng)
           (Stdx.Rng.sample_without_replacement corrupt_rng k avail);
         incr corruption_events;
         corrupted_nodes := !corrupted_nodes + k;
@@ -349,33 +353,41 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
       let fa = !faulty in
       let nf = Array.length fa in
       let c0 = if !sample then Stdx.Span.now spans else 0.0 in
-      if nf > 0 then begin
-        !crafter.Adversary.craft_flat ~rng:adv_rng ~round ~states:!cur
-          ~faulty:fa ~out:crafted;
-        group_recipients nf
-      end;
+      (* A crafter that declares its rows constant wrote only
+         [crafted.(fi * n)]: every recipient sees the view the load
+         below builds, so it is stepped in index order with no grouping
+         and no per-recipient compare. [varying] counts the faulty
+         slots that may differ between recipients: all or none. *)
+      let per_recipient =
+        nf > 0
+        && not
+             (!crafter.Adversary.craft_flat ~rng:adv_rng ~round
+                ~states:!cur ~faulty:fa ~out:crafted)
+      in
+      let varying = if per_recipient then nf else 0 in
+      if per_recipient then group_recipients nf;
       let s0 = if !sample then Stdx.Span.now spans else 0.0 in
       if !sample then craft_s := !craft_s +. (s0 -. c0);
       (* A typed copy: [Array.blit] would [caml_modify] every slot once
          the buffers live in the major heap. The load announces the
          first visited recipient's faulty slots too, so a row that is one
-         code for every recipient (grouping leaves [visit] the identity)
-         needs no [set] at all. *)
+         code for every recipient needs no [set] at all. *)
       let cur_row = !cur and nxt_row = !nxt in
       for v = 0 to n - 1 do
         recv.(v) <- cur_row.(v)
       done;
+      let first = if per_recipient then visit.(0) else 0 in
       for fi = 0 to nf - 1 do
-        recv.(fa.(fi)) <- crafted.((fi * n) + visit.(0))
+        recv.(fa.(fi)) <- crafted.((fi * n) + first)
       done;
       kernel.Algo.Spec.load recv;
       for i = 0 to n - 1 do
-        (* Faulty slots are rewritten for every recipient, so the shared
-           recv scratch never needs restoring; only the slots whose
-           crafted code differs from the previous recipient's are
+        (* Varying faulty slots are rewritten for every recipient, so
+           the shared recv scratch never needs restoring; only the slots
+           whose crafted code differs from the previous recipient's are
            announced to the kernel. *)
-        let v = if nf = 0 then i else visit.(i) in
-        for fi = 0 to nf - 1 do
+        let v = if varying = 0 then i else visit.(i) in
+        for fi = 0 to varying - 1 do
           let u = fa.(fi) and code = crafted.((fi * n) + v) in
           if recv.(u) <> code then begin
             recv.(u) <- code;

@@ -28,11 +28,13 @@
     states, with the faulty slots as the first visited recipient gets
     them, are [load]ed once, and per later recipient only the faulty
     slots whose crafted code differs from the previous recipient's are
-    [set], so a faulty row that is one code for all recipients needs no
-    [set] at all. The engine visits recipients grouped by identical
-    crafted columns, so equivocating adversaries cost one batch of
-    [set]s per distinct column, not per recipient — sound because every
-    node owns its private RNG stream.
+    [set]. A round whose crafter declares every row one code for all
+    recipients ({!Adversary.flat_crafter}) costs one crafted slot per
+    faulty node: recipients are stepped in index order with no [set]
+    and no per-recipient compare. On other rounds the engine visits
+    recipients grouped by identical crafted columns, so equivocating
+    adversaries cost one batch of [set]s per distinct column, not per
+    recipient — sound because every node owns its private RNG stream.
 
     States are decoded only where ['s] values are asked for: the
     [final_states] of the outcome, and the rows handed to the [trace]

@@ -205,15 +205,23 @@ let of_json line =
       | ev -> Error (Printf.sprintf "unknown event kind %S" ev)
     with Stdx.Json.Parse_error msg -> Error msg)
 
-let read_jsonl ic =
-  let rec go lineno acc =
-    match input_line ic with
-    | exception End_of_file -> Ok (List.rev acc)
-    | line ->
-      if String.trim line = "" then go (lineno + 1) acc
-      else (
+(* Lines are cut at '\n' only, as [input_line] cuts them; a last line
+   without its newline is still a line. *)
+let parse_jsonl s =
+  let len = String.length s in
+  let rec go lineno pos acc =
+    if pos > len then Ok (List.rev acc)
+    else
+      let stop =
+        Option.value (String.index_from_opt s pos '\n') ~default:len
+      in
+      let line = String.sub s pos (stop - pos) in
+      if String.trim line = "" then go (lineno + 1) (stop + 1) acc
+      else
         match of_json line with
-        | Ok ev -> go (lineno + 1) (ev :: acc)
-        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
+        | Ok ev -> go (lineno + 1) (stop + 1) (ev :: acc)
+        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
   in
-  go 1 []
+  go 1 0 []
+
+let read_jsonl ic = parse_jsonl (In_channel.input_all ic)

@@ -116,6 +116,9 @@ val to_json : event -> string
 val of_json : string -> (event, string) result
 (** Parse one line as emitted by {!to_json} / the [jsonl] writer. *)
 
+val parse_jsonl : string -> (event list, string) result
+(** Parse a whole JSONL text (blank lines skipped); the error carries
+    the offending line number, as [line N: ...]. *)
+
 val read_jsonl : in_channel -> (event list, string) result
-(** Parse a whole JSONL stream (blank lines skipped); the error carries
-    the offending line number. *)
+(** {!parse_jsonl} on the rest of the channel. *)

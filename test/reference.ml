@@ -284,7 +284,8 @@ let greedy_scan ~pool (env : Sim.Adversary.flat_env) =
                 out.((fi * n) + r) <- cands.(!best)
               end
             done)
-          faulty);
+          faulty;
+        false);
   }
 
 (* A fresh boxed crafter for the strategy [adversary] names. Fails

@@ -463,8 +463,15 @@ let craft_lockstep ?(rounds = 3) (spec : 's Algo.Spec.t) adversary ~faulty
         Array.init n (fun _ -> spec.Algo.Spec.random_state state_rng)
       in
       let codes = Array.map codec.Algo.Spec.encode_state states in
-      kernel.Sim.Adversary.craft_flat ~rng:flat_rng ~round ~states:codes
-        ~faulty ~out;
+      let constant =
+        kernel.Sim.Adversary.craft_flat ~rng:flat_rng ~round ~states:codes
+          ~faulty ~out
+      in
+      (* A declared-constant row is [out.(fi * n)] for every recipient. *)
+      let rows =
+        Array.init (nf * n) (fun i ->
+            if constant then out.(i / n * n) else out.(i))
+      in
       let m =
         crafter.Reference.craft ~spec ~rng:boxed_rng ~round ~states ~faulty
       in
@@ -474,7 +481,11 @@ let craft_lockstep ?(rounds = 3) (spec : 's Algo.Spec.t) adversary ~faulty
              (Array.map (Array.map codec.Algo.Spec.encode_state) m))
       in
       Array.length m = nf
-      && encoded = Array.sub out 0 (nf * n)
+      && ((not constant)
+         || Array.for_all
+              (fun row -> Array.for_all (spec.Algo.Spec.equal_state row.(0)) row)
+              m)
+      && encoded = rows
       && Int64.equal (Stdx.Rng.next_int64 flat_rng)
            (Stdx.Rng.next_int64 boxed_rng))
     (List.init rounds Fun.id)
@@ -581,11 +592,16 @@ let greedy_order_lockstep (spec : 's Algo.Spec.t) ~faulty ~pool ~seed =
       let states =
         Array.init n (fun _ -> codec.Algo.Spec.random_code state_rng)
       in
-      fast.Sim.Adversary.craft_flat ~rng:fast_rng ~round ~states ~faulty
-        ~out:fast_out;
-      scan.Sim.Adversary.craft_flat ~rng:scan_rng ~round ~states ~faulty
-        ~out:scan_out;
-      fast_out = scan_out
+      let fast_constant =
+        fast.Sim.Adversary.craft_flat ~rng:fast_rng ~round ~states ~faulty
+          ~out:fast_out
+      in
+      let scan_constant =
+        scan.Sim.Adversary.craft_flat ~rng:scan_rng ~round ~states ~faulty
+          ~out:scan_out
+      in
+      (not fast_constant) && (not scan_constant)
+      && fast_out = scan_out
       && Int64.equal
            (Stdx.Rng.next_int64 fast_rng)
            (Stdx.Rng.next_int64 scan_rng))
@@ -687,6 +703,126 @@ let test_constant_rows_need_no_set () =
     ];
   check Alcotest.bool "random-equivocate: sets counted" true
     (sets_under (Sim.Adversary.random_equivocate ()) > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Declared-constant rows                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* [adversary] without its constant-row declarations: a round its
+   crafter declares constant has every row written out in full from
+   [out.(fi * n)] and is reported per-recipient, so the engine groups
+   recipients and compares every faulty slot, as it does for
+   equivocating rows. Same name and rng draws, so it is the same
+   execution down another path of the round loop. *)
+let undeclared (adversary : 's Sim.Adversary.t) =
+  {
+    adversary with
+    Sim.Adversary.fresh_flat =
+      (fun env ->
+        let n = env.Sim.Adversary.n in
+        let crafter = adversary.Sim.Adversary.fresh_flat env in
+        {
+          Sim.Adversary.craft_flat =
+            (fun ~rng ~round ~states ~faulty ~out ->
+              if crafter.Sim.Adversary.craft_flat ~rng ~round ~states ~faulty
+                   ~out
+              then
+                Array.iteri
+                  (fun fi _ -> Array.fill out (fi * n) n out.(fi * n))
+                  faulty;
+              false);
+        });
+  }
+
+let undeclared_schedule (schedule : 's Sim.Schedule.t) =
+  {
+    schedule with
+    Sim.Schedule.phases =
+      List.map
+        (fun (p : 's Sim.Schedule.phase) ->
+          { p with Sim.Schedule.adversary = undeclared p.Sim.Schedule.adversary })
+        schedule.Sim.Schedule.phases;
+  }
+
+(* The schedule run as is and with every declaration expanded must give
+   the same outcome: phases, verdicts, rounds, final states and recent
+   outputs. *)
+let assert_declaration_neutral ~ctx (spec : 's Algo.Spec.t) ~schedule ~seed =
+  List.iter
+    (fun mode ->
+      let run schedule = Sim.Engine.run ~mode ~spec ~schedule ~seed () in
+      let declared = run schedule in
+      let expanded = run (undeclared_schedule schedule) in
+      let ctx =
+        ctx
+        ^
+        match mode with
+        | Sim.Engine.Streaming -> "/streaming"
+        | Sim.Engine.Full_horizon -> "/full"
+      in
+      check Alcotest.bool (ctx ^ ": same phase reports") true
+        (declared.Sim.Engine.phases = expanded.Sim.Engine.phases);
+      check Alcotest.bool (ctx ^ ": same verdict") true
+        (Sim.Online.equal_verdict declared.Sim.Engine.verdict
+           expanded.Sim.Engine.verdict);
+      check Alcotest.int (ctx ^ ": same rounds_simulated")
+        expanded.Sim.Engine.rounds_simulated
+        declared.Sim.Engine.rounds_simulated;
+      check Alcotest.bool (ctx ^ ": same final states") true
+        (Array.for_all2 spec.Algo.Spec.equal_state
+           declared.Sim.Engine.final_states expanded.Sim.Engine.final_states);
+      check Alcotest.bool (ctx ^ ": same recent outputs") true
+        (declared.Sim.Engine.recent_outputs
+        = expanded.Sim.Engine.recent_outputs))
+    modes
+
+let a36_7 () =
+  (Counting.Boost.construct ~inner:(a12_3 ()) ~k:3 ~big_f:7 ~big_c:2)
+    .Counting.Boost.spec
+
+(* Every registry strategy on a static schedule at full resilience, then
+   random chaos schedules over the whole registry. *)
+let declaration_neutral ~label ~rounds (spec : 's Algo.Spec.t) () =
+  List.iter
+    (fun seed ->
+      let faulty =
+        Array.to_list (random_faulty spec ~size:spec.Algo.Spec.f ~seed)
+      in
+      List.iter
+        (fun adversary ->
+          assert_declaration_neutral
+            ~ctx:
+              (Printf.sprintf "%s/%s/seed=%d" label
+                 (Sim.Adversary.name adversary) seed)
+            spec
+            ~schedule:(Sim.Schedule.static ~adversary ~faulty ~rounds)
+            ~seed)
+        (Sim.Adversary.registry ());
+      let schedule =
+        Sim.Schedule.random ~spec ~adversaries:(Sim.Adversary.registry ())
+          ~phases:4 ~phase_rounds:rounds ~events:2 ~max_victims:2 ~seed ()
+      in
+      assert_declaration_neutral
+        ~ctx:(Printf.sprintf "%s/chaos/seed=%d" label seed)
+        spec ~schedule ~seed)
+    [ 1; 2 ]
+
+(* Each registry strategy's declarations checked against its boxed
+   crafter ([craft_lockstep] demands a constant reference row on every
+   round a kernel declares constant), at every faulty-set size. *)
+let declarations_match_reference (spec : 's Algo.Spec.t) () =
+  List.iter
+    (fun adversary ->
+      for size = 1 to spec.Algo.Spec.f do
+        let seed = (7 * size) + 1 in
+        check Alcotest.bool
+          (Printf.sprintf "%s, %d faulty" (Sim.Adversary.name adversary) size)
+          true
+          (craft_lockstep ~rounds:6 spec adversary
+             ~faulty:(random_faulty spec ~size ~seed)
+             ~seed)
+      done)
+    (Sim.Adversary.registry ())
 
 (* ------------------------------------------------------------------ *)
 (* end_round convention (regression: final phase was reported one past   *)
@@ -892,6 +1028,24 @@ let suite =
         test_greedy_order_saturated;
         case "constant faulty rows need no per-recipient set"
           test_constant_rows_need_no_set;
+        case "declared-constant rows: expanded rows give the same runs on A(4,1)"
+          (declaration_neutral ~label:"A(4,1)" ~rounds:80 (a41 ()));
+        case "declared-constant rows: expanded rows give the same runs on A(12,3)"
+          (declaration_neutral ~label:"A(12,3)" ~rounds:80 (a12_3 ()));
+        case "declared-constant rows: expanded rows give the same runs on A(36,7)"
+          (declaration_neutral ~label:"A(36,7)" ~rounds:60 (a36_7 ()));
+        case
+          "declared-constant rows: expanded rows give the same runs on leader:4:5 f=1"
+          (declaration_neutral ~label:"leader:4:5" ~rounds:80 leader_f1);
+        case "declared-constant rows are constant in the reference: A(4,1)"
+          (declarations_match_reference (a41 ()));
+        case "declared-constant rows are constant in the reference: A(12,3)"
+          (declarations_match_reference (a12_3 ()));
+        case "declared-constant rows are constant in the reference: A(36,7)"
+          (declarations_match_reference (a36_7 ()));
+        case
+          "declared-constant rows are constant in the reference: leader:4:5 f=1"
+          (declarations_match_reference leader_f1);
       ] );
     ( "sim.engine.end_round",
       [

@@ -253,19 +253,27 @@ let test_jsonl_writer_and_reader () =
       check Alcotest.bool "file round-trips the stream" true
         (back = Ok sample_events))
 
+(* Every input through the file reader and through [parse_jsonl] on
+   the same text ([countctl report] parses the text it already read):
+   the two must agree, errors included. *)
 let test_read_jsonl_errors () =
   let parse s =
     let path = Filename.temp_file "trace" ".jsonl" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        let oc = open_out path in
-        output_string oc s;
-        close_out oc;
-        let ic = open_in path in
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> Sim.Trace.read_jsonl ic))
+    let from_file =
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let oc = open_out path in
+          output_string oc s;
+          close_out oc;
+          let ic = open_in path in
+          Fun.protect
+            ~finally:(fun () -> close_in ic)
+            (fun () -> Sim.Trace.read_jsonl ic))
+    in
+    check Alcotest.bool "parse_jsonl agrees with the file reader" true
+      (Sim.Trace.parse_jsonl s = from_file);
+    from_file
   in
   (match parse "{\"ev\":\"detector-reset\",\"round\":1,\"phase\":0}\nnot json\n" with
   | Error msg ->
