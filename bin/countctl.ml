@@ -258,6 +258,40 @@ let sweep_flags =
       $ rounds_arg $ seeds_arg $ min_suffix_arg $ jobs_arg $ trace_arg
       $ metrics_arg $ spans_arg $ heartbeat_arg $ heartbeat_file_arg))
 
+(* The shape of a random fault schedule, shared by chaos and hunt and
+   validated here, as [sweep_flags] validates --jobs, before either
+   command generates one. *)
+type shape = { phases : int; events : int; max_victims : int }
+
+let shape_flags =
+  let phases_arg =
+    Arg.(
+      value & opt int 3
+      & info [ "phases" ] ~docv:"P"
+          ~doc:"Phases per schedule (each with its own faulty set/adversary).")
+  in
+  let events_arg =
+    Arg.(
+      value & opt int 2
+      & info [ "events" ] ~docv:"E"
+          ~doc:"Transient corruption events per schedule.")
+  in
+  let max_victims_arg =
+    Arg.(
+      value & opt int 2
+      & info [ "max-victims" ] ~docv:"K"
+          ~doc:"Max correct nodes corrupted per transient event.")
+  in
+  Term.(
+    ret
+      (const (fun phases events max_victims ->
+           if phases < 1 then `Error (false, "--phases must be >= 1")
+           else if events < 0 then `Error (false, "--events must be >= 0")
+           else if max_victims < 1 then
+             `Error (false, "--max-victims must be >= 1")
+           else `Ok { phases; events; max_victims })
+      $ phases_arg $ events_arg $ max_victims_arg))
+
 (* Output files (--trace, --heartbeat-file, hunt's --corpus) are opened
    before any work starts, so a bad path costs nothing: one that cannot
    be opened ends the command with a [countctl: cannot open ...]
@@ -507,25 +541,8 @@ let chaos_cmd =
             "Random schedules per campaign, generated from schedule seeds \
              1..$(docv); each is run once per --seeds entry.")
   in
-  let phases_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "phases" ] ~docv:"P"
-          ~doc:"Phases per schedule (each with its own faulty set/adversary).")
-  in
-  let events_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "events" ] ~docv:"E"
-          ~doc:"Transient corruption events per schedule.")
-  in
-  let max_victims_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "max-victims" ] ~docv:"K"
-          ~doc:"Max correct nodes corrupted per transient event.")
-  in
-  let run levels corollary1 modulus campaigns phases events max_victims opts =
+  let run levels corollary1 modulus campaigns
+      { phases; events; max_victims } opts =
     match plan_tower levels corollary1 modulus with
     | Error (`Msg m) -> `Error (false, m)
     | Ok tower ->
@@ -534,9 +551,6 @@ let chaos_cmd =
       | Some msg -> `Error (false, msg)
       | None ->
       if campaigns < 1 then `Error (false, "--campaigns must be >= 1")
-      else if phases < 1 then `Error (false, "--phases must be >= 1")
-      else if events < 0 then `Error (false, "--events must be >= 0")
-      else if max_victims < 1 then `Error (false, "--max-victims must be >= 1")
       else begin
         (* --rounds is the base phase duration here: each phase lasts
            rounds..2*rounds-1, so a schedule's horizon is phase-count
@@ -602,7 +616,7 @@ let chaos_cmd =
     Term.(
       ret
         (const run $ levels_arg $ corollary_f_arg $ modulus_arg $ campaigns_arg
-       $ phases_arg $ events_arg $ max_victims_arg $ sweep_flags))
+       $ shape_flags $ sweep_flags))
 
 (* ------------------------------------------------------------------ *)
 (* Heartbeat stream helpers shared by report and watch.                *)
@@ -864,23 +878,6 @@ let hunt_cmd =
       & info [ "trials" ] ~docv:"N"
           ~doc:"Fuzzing trials; all trial seeds derive from --hunt-seed.")
   in
-  let phases_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "phases" ] ~docv:"P" ~doc:"Phases per generated schedule.")
-  in
-  let events_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "events" ] ~docv:"E"
-          ~doc:"Transient corruption events per generated schedule.")
-  in
-  let max_victims_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "max-victims" ] ~docv:"K"
-          ~doc:"Max correct nodes corrupted per transient event.")
-  in
   let mutations_arg =
     Arg.(
       value & opt int 2
@@ -928,9 +925,9 @@ let hunt_cmd =
              every entry and check it reproduces its recorded badness \
              exactly.")
   in
-  let run levels corollary1 modulus algo claim_f bound trials phases events
-      max_victims mutations shrink_budget near_bound hunt_seed corpus
-      replay_path opts =
+  let run levels corollary1 modulus algo claim_f bound trials
+      { phases; events; max_victims } mutations shrink_budget near_bound
+      hunt_seed corpus replay_path opts =
     let resolved =
       match (algo, bound) with
       | _, Some b when b < 1 -> Error (`Msg "--bound must be >= 1")
@@ -1079,8 +1076,8 @@ let hunt_cmd =
     Term.(
       ret
         (const run $ levels_arg $ corollary_f_arg $ modulus_arg $ algo_arg
-       $ claim_f_arg $ bound_arg $ trials_arg $ phases_arg $ events_arg
-       $ max_victims_arg $ mutations_arg $ shrink_budget_arg $ near_bound_arg
+       $ claim_f_arg $ bound_arg $ trials_arg $ shape_flags $ mutations_arg
+       $ shrink_budget_arg $ near_bound_arg
        $ hunt_seed_arg $ corpus_arg $ replay_arg $ sweep_flags))
 
 (* ------------------------------------------------------------------ *)

@@ -12,14 +12,11 @@
 let check ~jsonl content =
   if not jsonl then Result.map ignore (Stdx.Json.parse_result content)
   else
-    String.split_on_char '\n' content
-    |> List.mapi (fun i line -> (i + 1, line))
-    |> List.find_map (fun (lineno, line) ->
-           if String.trim line = "" then None
-           else
-             match Stdx.Json.parse_result line with
-             | Ok _ -> None
-             | Error msg -> Some (Printf.sprintf "line %d: %s" lineno msg))
+    Stdx.Json.lines content
+    |> Seq.find_map (fun (lineno, line) ->
+           match Stdx.Json.parse_result line with
+           | Ok _ -> None
+           | Error msg -> Some (Printf.sprintf "line %d: %s" lineno msg))
     |> Option.fold ~none:(Ok ()) ~some:Result.error
 
 let () =

@@ -179,6 +179,14 @@ expect_clean_failure chaos --corollary1 1 --min-suffix 0
 expect_clean_failure chaos --corollary1 1 --rounds 0
 expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 --min-suffix 0
 expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 --rounds 0
+# Both take their schedule shape from one validated set of flags, so a
+# bad shape gets the same message from either.
+expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 --phases 0
+expect_err '--phases must be >= 1'
+expect_clean_failure hunt --algorithm leader:4:5 --claim-f 1 --max-victims 0
+expect_err '--max-victims must be >= 1'
+expect_clean_failure chaos --corollary1 1 --phases 0
+expect_err '--phases must be >= 1'
 # A phase shorter than min-suffix + 2 rounds cannot certify a recovery;
 # chaos and hunt refuse it instead of reporting vacuous failures, and
 # the hunt writes no hits.
@@ -399,3 +407,52 @@ for log in BENCH_sweep.json BENCH_parallel.json BENCH_chaos.json \
     dune exec bin/jsonlint.exe -- "$bench_out/$log"
   fi
 done
+
+# Informational, not a gate: every val exported from lib/*/*.mli whose
+# only callers outside its own module are tests, with the count, so the
+# size of the test-only surface stays visible from change to change.
+# A caller is a qualified use (Module.name or Sub.name for a
+# submodule's val) in lib/, bin/, bench/, examples/ or benchmark/
+# outside the value's own .ml/.mli, or a bare use in a file that opens
+# the module; {!...} and [Module.name] doc references do not count.
+# Each export listed here names the test that needs it in its doc.
+test_only_exports() {
+  scan_dir="$(mktemp -d)"
+  for f in lib/*/*.ml lib/*/*.mli bin/*.ml bench/*.ml examples/*.ml \
+           benchmark/*.ml; do
+    mkdir -p "$scan_dir/$(dirname "$f")"
+    sed -e 's/{![^}]*}//g' -e 's/\[[A-Z][A-Za-z0-9_.]*\]//g' "$f" \
+      > "$scan_dir/$f"
+  done
+  for mli in lib/*/*.mli; do
+    awk '
+      /^[ \t]*module [A-Z][A-Za-z0-9_]* : sig/ {
+        m = $0; sub(/^[ \t]*module /, "", m); sub(/ .*/, "", m)
+        stack[++depth] = m; next }
+      /^[ \t]*end([ \t]|$)/ && depth > 0 { depth--; next }
+      /^[ \t]*val / {
+        name = $0; sub(/^[ \t]*val /, "", name); sub(/[ \t:].*/, "", name)
+        inner = FILENAME; sub(/.*\//, "", inner); sub(/\.mli$/, "", inner)
+        inner = toupper(substr(inner, 1, 1)) substr(inner, 2)
+        if (depth > 0) inner = stack[depth]
+        print FILENAME, inner, name }' "$mli"
+  done | while read -r mli inner name; do
+    own="${mli%.mli}"
+    word="[^A-Za-z0-9_']"
+    found="$(cd "$scan_dir" && {
+        grep -rlE "(^|$word)$inner\.$name($word|\$)" . || true
+        grep -rlE "open ([A-Z][A-Za-z0-9_]*\.)*$inner( |\$)|$inner\.\(" . \
+          | xargs -r grep -lE "(^|[^A-Za-z0-9_'.])$name($word|\$)" || true
+      } | grep -v -e "^\./$own\.ml\$" -e "^\./$own\.mli\$" || true)"
+    if [ -z "$found" ]; then
+      echo "  $mli: $inner.$name"
+    fi
+  done
+  rm -rf "$scan_dir"
+}
+echo "Exported vals whose only callers outside their module are tests:"
+test_only_list="$(test_only_exports < /dev/null)"
+echo "$test_only_list"
+echo "$(printf '%s\n' "$test_only_list" | grep -c . || true) test-only" \
+  "exports of $(grep -cE '^[[:space:]]*val ' lib/*/*.mli \
+  | awk -F: '{ n += $2 } END { print n }') vals in lib/*/*.mli"

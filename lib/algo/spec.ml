@@ -218,12 +218,4 @@ let validate_exn spec =
   | Ok () -> spec
   | Error msg -> invalid_arg (Printf.sprintf "Spec.validate (%s): %s" spec.name msg)
 
-let counter_values spec states =
-  Array.mapi (fun v s -> spec.output ~self:v s) states
-
 type packed = Packed : 's t -> packed
-
-let packed_n (Packed s) = s.n
-let packed_f (Packed s) = s.f
-let packed_c (Packed s) = s.c
-let packed_state_bits (Packed s) = s.state_bits

@@ -167,17 +167,15 @@ val identity_codec :
     iff the spec's [random_state] samples differently (the two must stay
     in draw-level lockstep; see {!codec.random_code}). *)
 
-val derive_codec : 's t -> 's codec option
-(** [derive_codec spec] builds a codec from [all_states] (sorted by
-    [compare_state]; encoding by binary search, kernel via
-    {!generic_kernel}). [None] when [all_states] is [None]. *)
-
 val with_derived_codec : 's t -> 's t
-(** [with_derived_codec spec] is [spec] with [codec] replaced by
-    [derive_codec spec]. *)
+(** [with_derived_codec spec] is [spec] with its [codec] built from
+    [all_states] (sorted by [compare_state]; encoding by binary search,
+    kernel via {!generic_kernel}), or [None] when [all_states] is
+    [None]. *)
 
-val validate : 's t -> (unit, string) result
-(** Structural sanity checks: [n >= 1], [0 <= f], [c >= 1],
+val validate_exn : 's t -> 's t
+(** [validate_exn spec] is [spec], or raises [Invalid_argument] with the
+    failure reason. Structural sanity checks: [n >= 1], [0 <= f], [c >= 1],
     [state_bits >= 1], and when [all_states] is available, that outputs of
     all states at all nodes lie in [\[0, c)], that [X] is closed under
     [transition] from honest vectors, and that [state_bits] is at least
@@ -186,19 +184,6 @@ val validate : 's t -> (unit, string) result
     [all_states]) that the codec round-trips every state inside
     [\[0, num_states)]. *)
 
-val validate_exn : 's t -> 's t
-(** [validate_exn spec] is [spec], or raises [Invalid_argument] with the
-    failure reason. *)
-
-val counter_values : 's t -> 's array -> int array
-(** [counter_values spec states] evaluates [h] node-wise: the per-node
-    outputs of a full state vector. *)
-
 type packed = Packed : 's t -> packed
 (** Existential wrapper so heterogeneously-typed levels of the recursive
     construction can live in one list. *)
-
-val packed_n : packed -> int
-val packed_f : packed -> int
-val packed_c : packed -> int
-val packed_state_bits : packed -> int

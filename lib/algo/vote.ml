@@ -1,7 +1,7 @@
-let count_eq ~equal v a =
-  Array.fold_left (fun acc x -> if equal x v then acc + 1 else acc) 0 a
+let count v a =
+  Array.fold_left (fun acc x -> if Int.equal x v then acc + 1 else acc) 0 a
 
-let majority ~equal ~default a =
+let majority_int ~default a =
   let n = Array.length a in
   if n = 0 then default
   else begin
@@ -14,18 +14,13 @@ let majority ~equal ~default a =
           candidate := x;
           score := 1
         end
-        else if equal x !candidate then incr score
+        else if Int.equal x !candidate then incr score
         else decr score)
       a;
-    if count_eq ~equal !candidate a * 2 > n then !candidate else default
+    if count !candidate a * 2 > n then !candidate else default
   end
-
-let majority_int ~default a = majority ~equal:Int.equal ~default a
 
 let counts_int ~max a =
   let z = Array.make max 0 in
   Array.iter (fun v -> if v >= 0 && v < max then z.(v) <- z.(v) + 1) a;
   z
-
-let has_supermajority ~threshold v votes =
-  count_eq ~equal:Int.equal v votes >= threshold

@@ -12,19 +12,8 @@ val majority_int : default:int -> int array -> int
     Runs in O(n) using the Boyer-Moore majority vote with a verification
     pass. *)
 
-val majority : equal:('a -> 'a -> bool) -> default:'a -> 'a array -> 'a
-(** Generic variant for non-integer ballots. O(n²) worst case; intended
-    for small vectors. *)
-
-val count_eq : equal:('a -> 'a -> bool) -> 'a -> 'a array -> int
-(** Number of occurrences of a value in a vector. *)
-
 val counts_int : max:int -> int array -> int array
 (** [counts_int ~max votes] is the histogram [z] with [z.(j)] = number of
     occurrences of [j] for [j] in [\[0, max)]; out-of-range ballots are
     ignored. This is the [z_j] vector of the phase-king instruction set
     I_{3l+1}. *)
-
-val has_supermajority : threshold:int -> int -> int array -> bool
-(** [has_supermajority ~threshold v votes]: does value [v] occur at least
-    [threshold] times? *)

@@ -106,8 +106,16 @@ val construct_ablated :
 (** Same plumbing as {!construct} with the selected defect injected. *)
 
 val node_of : params -> block:int -> slot:int -> int
+(** The flat id of node [slot] of block [block]:
+    [block * n_inner + slot]. Outside this module only tests call it:
+    [test_boost.ml] ("node/block mapping") checks it inverts
+    {!block_of}. *)
+
 val block_of : params -> int -> int * int
-(** [(block, slot)] of a flat node id. *)
+(** [(block, slot)] of a flat node id, the inverse of {!node_of}. The
+    step addresses blocks through the pair; outside this module only
+    tests call it: [test_boost.ml] ("node/block mapping") pins the
+    flat node layout with it. *)
 
 (** {2 Instrumentation}
 

@@ -19,12 +19,6 @@ let of_value p v =
   let b = y / Stdx.Imath.pow p.two_m p.level mod p.m in
   { r; y; b }
 
-let to_value p ~r ~y =
-  if r < 0 || r >= p.tau then invalid_arg "Counter_view.to_value: r";
-  let ybound = Stdx.Imath.pow p.two_m (p.level + 1) in
-  if y < 0 || y >= ybound then invalid_arg "Counter_view.to_value: y";
-  (y * p.tau) + r
-
 let dwell_length p = p.tau * Stdx.Imath.pow p.two_m p.level
 
 let pointer_at p ~start_value ~round =

@@ -34,9 +34,6 @@ val of_value : params -> int -> t
 (** Decode a counter value in [\[0, c_i)]. Values outside the range are
     first reduced mod [c_i] (Byzantine blocks can expose anything). *)
 
-val to_value : params -> r:int -> y:int -> int
-(** Inverse of [of_value] on the [(r, y)] pair. *)
-
 val dwell_length : params -> int
 (** Number of consecutive rounds a stabilised block keeps one pointer
     value: [c_{i-1} = tau * (2m)^i] (with [c_{-1} = tau]). *)

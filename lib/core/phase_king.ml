@@ -35,7 +35,7 @@ let min_supported ~cap ~big_f z =
   in
   go 0
 
-let step_gen ~increment:do_increment ~cap ~big_n ~big_f ~index ~self ~received =
+let step ~cap ~big_n ~big_f ~index ~self ~received =
   let t = tau ~big_f in
   if index < 0 || index >= t then
     invalid_arg (Printf.sprintf "Phase_king.step: index %d outside [0,%d)" index t);
@@ -45,13 +45,12 @@ let step_gen ~increment:do_increment ~cap ~big_n ~big_f ~index ~self ~received =
     invalid_arg "Phase_king.step: need big_n >= F + 2 so every king exists";
   let received = Array.map (clamp cap) received in
   let ell = king_of_index index in
-  let bump a = if do_increment then increment ~cap a else a in
   match index mod 3 with
   | 0 ->
     (* I_{3l}: reset unless at least N - F nodes sent our own value. *)
     let support = count_value received self.a in
     let a = if support < big_n - big_f then None else self.a in
-    { a = bump a; d = self.d }
+    { a = increment ~cap a; d = self.d }
   | 1 ->
     (* I_{3l+1}: support bit from an N - F quorum on our own value; adopt
        the smallest value with more than F votes (only a value some honest
@@ -62,25 +61,21 @@ let step_gen ~increment:do_increment ~cap ~big_n ~big_f ~index ~self ~received =
     in
     let d = own_support >= big_n - big_f in
     let a = min_supported ~cap ~big_f z in
-    { a = bump a; d }
+    { a = increment ~cap a; d }
   | _ ->
     (* I_{3l+2}: nodes without a quorum-backed value adopt the king's. *)
     let a =
       if self.a = None || not self.d then
         (* min{C, a[l]}: the reset state is treated as the ceiling C. The
            transient value C leaves [0, C) but the increment immediately
-           re-enters it; without the increment (one-shot mode) we fold C
-           to C - 1 to stay in range. *)
+           re-enters it. *)
         let imposed =
           match received.(ell) with None -> cap | Some x -> min cap x
         in
-        if do_increment then Some ((imposed + 1) mod cap)
-        else Some (min imposed (cap - 1))
-      else bump self.a
+        Some ((imposed + 1) mod cap)
+      else increment ~cap self.a
     in
     { a; d = true }
-
-let step = step_gen ~increment:true
 
 let is_faulty faulty v = List.mem v faulty
 
@@ -133,38 +128,3 @@ let agreement ~cap:_ ~faulty regs =
              rest
       then Some x
       else None)
-
-let one_shot ~cap ~big_f ~faulty ~fabricator ~inputs =
-  let big_n = Array.length inputs in
-  let regs =
-    ref (Array.map (fun x -> { a = Some (min (max x 0) (cap - 1)); d = false }) inputs)
-  in
-  let round = ref 0 in
-  (* F + 1 phases with kings 0..F: at least one king is non-faulty. *)
-  for ell = 0 to big_f do
-    List.iter
-      (fun phase_step ->
-        let current = !regs in
-        let index = (3 * ell) + phase_step in
-        let next =
-          Array.mapi
-            (fun v reg ->
-              if is_faulty faulty v then reg
-              else
-                let received =
-                  broadcast_view ~regs:current ~faulty ~fabricator
-                    ~round:!round ~recipient:v
-                in
-                step_gen ~increment:false ~cap ~big_n ~big_f ~index ~self:reg
-                  ~received)
-            current
-        in
-        regs := next;
-        incr round)
-      [ 1; 2 ]
-  done;
-  Array.mapi
-    (fun v reg ->
-      if is_faulty faulty v then inputs.(v)
-      else match reg.a with Some x -> x | None -> 0)
-    !regs

@@ -16,13 +16,7 @@
     - {b Lemma 5}: if all non-faulty nodes agree on [a = x ≠ ∞] and have
       [d = 1], then after any one instruction set they agree on
       [x + 1 mod C] with [d = 1] — agreement persists regardless of which
-      instructions run.
-
-    The same instruction sets, with the counter increment switched off and
-    the reset round skipped, form the classic one-shot phase-king consensus
-    ([one_shot]); it is provided both as a baseline and as executable
-    documentation of the counting <-> consensus connection discussed in
-    the introduction of the paper. *)
+      instructions run. *)
 
 type reg = { a : int option;  (** [None] encodes ∞ *) d : bool }
 
@@ -75,18 +69,3 @@ val run_registers :
 
 val agreement : cap:int -> faulty:int list -> reg array -> int option
 (** [Some x] when all non-faulty registers hold [a = Some x] and [d = 1]. *)
-
-(** {2 One-shot consensus baseline} *)
-
-val one_shot :
-  cap:int ->
-  big_f:int ->
-  faulty:int list ->
-  fabricator:fabricator ->
-  inputs:int array ->
-  int array
-(** Classic phase-king consensus on [big_n = Array.length inputs] nodes:
-    [F+2] phases of two rounds each (support vote + king imposition),
-    using the Table 2 instructions without the self-stabilising increment.
-    Returns the decisions of all nodes (faulty slots hold their inputs).
-    Satisfies agreement and validity for [big_f < big_n / 3]. *)

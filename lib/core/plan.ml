@@ -131,20 +131,6 @@ let theorem2_levels ~epsilon ~iterations =
   in
   base :: go 1 1 []
 
-let theorem3_levels ~phases =
-  if phases < 1 then invalid_arg "Plan.theorem3_levels: phases < 1";
-  let base = { k = 4; big_f = 1 } in
-  let levels = ref [] in
-  let f = ref 1 in
-  for p = 1 to phases do
-    let kp = 4 * Stdx.Imath.pow 2 (phases - p) in
-    let iterations = 2 * kp in
-    for _ = 1 to iterations do
-      f := !f * (kp / 2);
-      levels := { k = kp; big_f = !f } :: !levels
-    done
-  done;
-  base :: List.rev !levels
 
 (* ------------------------------------------------------------------ *)
 (* Log-domain analytic series                                          *)

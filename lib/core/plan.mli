@@ -15,9 +15,9 @@
       of Figure 2;
     - {!theorem2_levels}: fixed [k = 2h], [h = 2^{ceil(1/eps)}] — resilience
       [Omega(n^{1-eps})], time [O(f)], space [O(log^2 f)] (Theorem 2);
-    - {!theorem3_levels}: [P] phases with [k_p = 4*2^{P-p}] blocks and
+    - {!theorem3_series}: [P] phases with [k_p = 4*2^{P-p}] blocks and
       [R_p = 2 k_p] iterations — resilience [n^{1-o(1)}] and space
-      [O(log^2 f / log log f)] (Theorem 3).
+      [O(log^2 f / log log f)] (Theorem 3), in log-domain floats only.
 
     Concrete schedules are limited by 63-bit arithmetic (the window
     [(2m)^k] grows fast); the [*_series] functions compute the same
@@ -62,8 +62,6 @@ val figure2_levels : level list
 val theorem2_levels : epsilon:float -> iterations:int -> level list
 (** Raises [Invalid_argument] if [epsilon] is outside (0, 1]. The
     schedule may overflow in [plan_tower] for large parameters. *)
-
-val theorem3_levels : phases:int -> level list
 
 (** {2 Analytic scaling series (log-domain)} *)
 

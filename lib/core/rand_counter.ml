@@ -31,5 +31,3 @@ let make ~n ~f : int Algo.Spec.t =
            ~output:(fun ~self:_ code -> code)
            ());
   }
-
-let expected_stabilisation_hint ~n ~f = 2.0 ** float_of_int (2 * (n - f))

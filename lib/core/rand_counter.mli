@@ -16,7 +16,3 @@
 val make : n:int -> f:int -> int Algo.Spec.t
 (** Raises [Invalid_argument] unless [n >= 2] and [0 <= f < n/3]. The spec
     has [c = 2], [state_bits = 1], [deterministic = false]. *)
-
-val expected_stabilisation_hint : n:int -> f:int -> float
-(** The paper's order-of-magnitude expectation [2^(2(n-f))]; used only to
-    size simulation horizons and to label the Table 1 row. *)

@@ -10,9 +10,6 @@ type 's t = {
 }
 
 let spec t = t.spec
-let faulty t = t.faulty
-let correct t = t.correct
-let state_count t = t.state_count
 let config_count t = t.config_count
 
 let create ?(max_configs = 2_000_000) (spec : 's Algo.Spec.t) ~faulty =

@@ -10,33 +10,27 @@
 
 type 's t
 
-val create : ?max_configs:int -> 's Algo.Spec.t -> faulty:int list -> ('s t, string) result
+val create_exn : ?max_configs:int -> 's Algo.Spec.t -> faulty:int list -> 's t
 (** Requires [spec.all_states <> None], [spec.deterministic], a valid
     faulty set of size [<= spec.f], and at most [max_configs]
-    (default [2_000_000]) configurations. *)
-
-val create_exn : ?max_configs:int -> 's Algo.Spec.t -> faulty:int list -> 's t
+    (default [2_000_000]) configurations; raises [Invalid_argument]
+    naming the unmet requirement otherwise. *)
 
 val spec : 's t -> 's Algo.Spec.t
-val faulty : 's t -> int list
-val correct : 's t -> int array
-(** Non-faulty node ids, ascending. *)
-
-val state_count : 's t -> int
 val config_count : 's t -> int
-
-
-val outputs : 's t -> int -> int array
-(** Outputs of correct nodes in a configuration. *)
 
 val agreeing_output : 's t -> int -> int option
 (** [Some v] if all correct nodes output [v] in the configuration. *)
 
 val successor_sets : 's t -> int -> int list array
-(** [successor_sets t cfg] gives, for each correct node (aligned with
-    [correct]), the sorted list of state indices it can be driven to by
+(** [successor_sets t cfg] gives, for each correct node (in ascending id
+    order), the sorted list of state indices it can be driven to by
     the adversary: [{ g(v, x) : x agrees with cfg on correct nodes }],
-    ranging over all [|X|^{|F|}] Byzantine message choices. Memoised. *)
+    ranging over all [|X|^{|F|}] Byzantine message choices. Memoised.
+    The checker reaches it through {!successors_forall} and friends; only
+    tests call it directly: [test_mc.ml] ("deterministic successors",
+    "byzantine successors") holds the adversary's reach per node
+    against it. *)
 
 val successors_forall :
   's t -> int -> (int -> bool) -> bool

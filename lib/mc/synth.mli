@@ -34,17 +34,17 @@ type candidate = {
 }
 
 val to_spec : candidate -> int Algo.Spec.t
-(** Runnable/checkable spec of a candidate; output is [state mod c]. *)
+(** Runnable/checkable spec of a candidate; output is [state mod c].
+    Raises [Invalid_argument] on a table of the wrong size or with an
+    entry outside [\[0, s)]. The search checks candidates through it;
+    outside this module only tests call it: [test_mc.ml] ("synthesised
+    counter simulates") runs a synthesised counter through the
+    simulator, an oracle independent of the model checker that found
+    it. *)
 
 type outcome =
   | Found of candidate * Checker.report
   | Not_found_within_budget of { evaluated : int; best_score : int }
-
-val score : candidate -> int
-(** Search objective: 0 iff the candidate is a verified counter. Sums,
-    over all faulty sets, the number of configurations outside the good
-    region, plus a large penalty if the adversary can trap the system
-    outside it. *)
 
 val exhaustive : ?budget:int -> family -> outcome
 (** Enumerate tables in lexicographic order until verified or [budget]
@@ -52,6 +52,9 @@ val exhaustive : ?budget:int -> family -> outcome
 
 val anneal : ?budget:int -> ?restarts:int -> seed:int -> family -> outcome
 (** Simulated annealing: random initial table, single-entry mutations,
-    Metropolis acceptance on {!score} with geometric cooling; [restarts]
+    Metropolis acceptance on the search objective (0 iff the candidate
+    is a verified counter: over all faulty sets, the configurations
+    outside the good region, plus a large penalty if the adversary can
+    trap the system outside it) with geometric cooling; [restarts]
     (default 5) independent chains within a total [budget] (default
     20_000 evaluations). *)

@@ -120,10 +120,6 @@ val stuck : unit -> 's t
 (** Crash-like: faulty nodes keep broadcasting the state they held when
     the run started (a stuck register in the circuit interpretation). *)
 
-val random_consistent : unit -> 's t
-(** Each faulty node draws a fresh random state each round and sends it to
-    everyone (non-equivocating noise). *)
-
 val random_equivocate : unit -> 's t
 (** Each faulty node sends an independent random state to every recipient
     every round — the max-entropy Byzantine strategy. *)
@@ -133,7 +129,9 @@ val mimic : offset:int -> unit -> 's t
     correct ids with [offset]), sending that node's true current state.
     Creates plausible-but-duplicated views. When every node is faulty
     (n = f) there is nobody to impersonate: each faulty node replays its
-    own state instead of crashing. *)
+    own state instead of crashing. The registry holds [offset = 1];
+    [test_sim.ml] ("mimic copies correct nodes") and [test_flat.ml]
+    build it directly. *)
 
 val split_brain : unit -> 's t
 (** Equivocation attack: recipients with even id receive the current
@@ -147,18 +145,18 @@ val stale : delay:int -> unit -> 's t
     (a frozen/laggy subsystem). [delay = 0] is truthful; in the first
     [delay] rounds, before enough history exists, the current state is
     sent (the history fallback). Raises [Invalid_argument] on negative
-    [delay]. *)
+    [delay]. The registry holds [delay = 3]; [test_sim.ml] ("negative
+    delay rejected", "stale delay 0 is truthful", "delay history
+    fallback") builds it with other delays. *)
 
 val replay_correct : delay:int -> unit -> 's t
 (** Replay a *correct* node's state from [delay] rounds ago: stale but
     internally consistent information. With an empty correct set (n = f),
     replays the faulty node's own old state. Same [delay] contract as
     {!stale}: [>= 0] (raises [Invalid_argument] otherwise), current state
-    until history fills. *)
-
-val flip_flop : unit -> 's t
-(** Alternate between two random states drawn once at the start, switching
-    every round; recipients with odd id see the phase inverted. *)
+    until history fills. The registry holds [delay = 2]; [test_sim.ml]
+    ("negative delay rejected", "delay history fallback") builds it
+    directly. *)
 
 val greedy_confusion : pool:int -> unit -> 's t
 (** One-step lookahead attack: for each recipient, pick from a candidate
@@ -186,8 +184,12 @@ val greedy_confusion : pool:int -> unit -> 's t
 
 val standard_suite : unit -> 's t list
 (** The adversaries used by tests and experiments: benign, stuck,
-    random_consistent, random_equivocate, mimic, split_brain, stale,
-    replay_correct, flip_flop. (Excludes [greedy_confusion], which is run
+    random-consistent (each faulty node draws a fresh random state each
+    round and sends it to everyone: non-equivocating noise),
+    random_equivocate, mimic, split_brain, stale, replay_correct and
+    flip-flop (each faulty node alternates between two random states
+    drawn once at the start, switching every round; recipients with odd
+    id see the phase inverted). (Excludes [greedy_confusion], which is run
     separately because of its cost.) *)
 
 val hostile_suite : unit -> 's t list

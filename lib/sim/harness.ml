@@ -378,25 +378,3 @@ module Chaos = struct
             o.phases)
       agg.outcomes
 end
-
-let pp_aggregate ppf agg =
-  let failures =
-    List.filter
-      (fun o -> o.verdict = Stabilise.Not_stabilized)
-      agg.outcomes
-  in
-  Format.fprintf ppf "%d runs, %d failures" (List.length agg.outcomes)
-    (List.length failures);
-  (match agg.worst with
-  | Some w -> Format.fprintf ppf ", worst stabilisation %d" w
-  | None -> ());
-  let full = List.length agg.outcomes * agg.horizon in
-  if full > 0 && agg.total_rounds_simulated < full then
-    Format.fprintf ppf ", %d/%d rounds simulated (early exit)"
-      agg.total_rounds_simulated full;
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "@.  FAILED: %s faulty=[%s] seed=%d" o.adversary
-        (String.concat ";" (List.map string_of_int o.faulty))
-        o.seed)
-    failures

@@ -63,7 +63,10 @@ type aggregate = {
 module Config : sig
   type t = {
     fault_sets : int list list option;
-        (** [None] = {!default_fault_sets} for the spec's [(n, f)] *)
+        (** [None] = a deterministic selection for the spec's [(n, f)]:
+            the empty set, [f] prefix nodes, [f] suffix nodes, an evenly
+            spread set ({!spread_fault_set}) and single-node sets.
+            Exhaustive enumeration is left to the model checker. *)
     seeds : int list;  (** default [\[1..5\]] *)
     min_suffix : int option;  (** [None] = the {!Min_suffix} default *)
     mode : Engine.mode;  (** default [Engine.Streaming] *)
@@ -82,11 +85,6 @@ module Config : sig
   val with_rounds : int -> t -> t
   val with_jobs : int -> t -> t
 end
-
-val default_fault_sets : n:int -> f:int -> int list list
-(** A deterministic selection of fault sets: the empty set, [f] prefix
-    nodes, [f] suffix nodes, an evenly spread set, and single-node sets.
-    Exhaustive enumeration is left to the model checker. *)
 
 val spread_fault_set : n:int -> f:int -> int list
 (** [f] ids spread evenly over [\[0, n)]. *)
@@ -138,8 +136,6 @@ val run :
     jobs/schedule-deterministic (differential tests in
     [test_obs.ml]). The caller owns the heartbeat's terminal line
     ({!Stdx.Heartbeat.finish}). *)
-
-val pp_aggregate : Format.formatter -> aggregate -> unit
 
 (** Chaos campaigns: random time-varying fault {!Schedule}s executed by
     {!Engine.run}, aggregating per-phase recovery times.

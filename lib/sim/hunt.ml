@@ -62,6 +62,10 @@ let badness_of ~n ~time_bound ~schedule (phases : Engine.phase_report list) =
   in
   { failed_phases; worst_ratio; clamped_events = Schedule.clamped_events ~n schedule }
 
+(* Execute one schedule (streaming) and score it. [min_suffix] is the
+   requested value: Engine.run clamps it against the schedule's own
+   horizon, so recording the request is enough to replay the run
+   bit-identically. *)
 let evaluate ?metrics ?(spans = Stdx.Span.disabled) ?min_suffix ~time_bound
     ~(spec : 's Algo.Spec.t) ~schedule ~seed () =
   let o = Engine.run ?metrics ~spans ?min_suffix ~spec ~schedule ~seed () in
@@ -477,21 +481,16 @@ module Corpus = struct
       entries
 
   let read ~adversaries ic =
-    let rec go lineno acc =
-      match input_line ic with
-      | exception End_of_file -> Ok (List.rev acc)
-      | line ->
-        if String.trim line = "" then go (lineno + 1) acc
-        else begin
-          match
-            try Ok (entry_of_json ~adversaries (Stdx.Json.parse line))
-            with Stdx.Json.Parse_error msg -> Error msg
-          with
-          | Ok e -> go (lineno + 1) (e :: acc)
-          | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
-        end
+    let rec go acc lines =
+      match lines () with
+      | Seq.Nil -> Ok (List.rev acc)
+      | Seq.Cons ((lineno, line), rest) -> (
+        match entry_of_json ~adversaries (Stdx.Json.parse line) with
+        | e -> go (e :: acc) rest
+        | exception Stdx.Json.Parse_error msg ->
+          Error (Printf.sprintf "line %d: %s" lineno msg))
     in
-    go 1 []
+    go [] (Stdx.Json.lines (In_channel.input_all ic))
 
   let replay ?metrics ?trace ?spans ?heartbeat ?jobs
       ~(spec : 's Algo.Spec.t) ~entries () =

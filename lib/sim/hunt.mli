@@ -8,8 +8,8 @@
     {!Engine.run}, and scores the outcome by {!badness}:
     phases that failed to re-stabilise dominate, then the worst recovery
     time relative to the configured Theorem 1 bound, then statically
-    clamped events. Trials whose badness {!classify}es as a failure
-    class are {e hits}; each hit is greedily shrunk over the
+    clamped events. Trials whose badness falls in a failure {!cls} are
+    {e hits}; each hit is greedily shrunk over the
     {!Schedule.size} lattice ({!Schedule.drop_phase} /
     {!Schedule.halve_duration} / {!Schedule.drop_event} /
     {!Schedule.halve_victims} / {!Schedule.drop_faulty}), keeping only
@@ -49,14 +49,22 @@ type badness = {
 
 val compare_badness : badness -> badness -> int
 (** Lexicographic: failed phases, then worst ratio, then clamped
-    events. *)
+    events. The hunt ranks its hits by it and {!Corpus.replay} compares
+    with it; outside this module only tests call it: [test_hunt.ml]
+    ("badness order and score") pins the order, and "finds and shrinks
+    the over-claimed leader" compares replayed badness with it. *)
 
 val score : badness -> float
 (** Scalar rendering for traces and corpus lines:
     [failed·1e6 + ratio·1e3 + clamped]. Monotone in each component; the
     authoritative order is {!compare_badness}. *)
 
-(** Failure class of a hit — what shrinking must preserve. *)
+(** Failure class of a hit — what shrinking must preserve. A trial's
+    class is the first of these, in severity order, that its badness
+    meets: [Failed] if any phase failed, else [Exceeds_bound] if
+    [worst_ratio > 1], else [Near_bound] if [worst_ratio >= near_bound],
+    else [Clamped] if any event is clamped; a trial meeting none is not
+    a hit. *)
 type cls =
   | Failed  (** at least one phase did not re-stabilise *)
   | Exceeds_bound  (** recovery above the configured bound *)
@@ -67,38 +75,17 @@ val cls_to_string : cls -> string
 (** ["failed"] / ["exceeds-bound"] / ["near-bound"] / ["clamped"] — the
     corpus encoding. *)
 
-val cls_of_string : string -> cls option
-
-val classify : near_bound:float -> badness -> cls option
-(** The hit predicate, in severity order: [Failed] if any phase failed,
-    else [Exceeds_bound] if [worst_ratio > 1], else [Near_bound] if
-    [worst_ratio >= near_bound], else [Clamped] if any event is
-    clamped, else [None] (not a hit). *)
-
-val evaluate :
-  ?metrics:Stdx.Metrics.t ->
-  ?spans:Stdx.Span.t ->
-  ?min_suffix:int ->
-  time_bound:int option ->
-  spec:'s Algo.Spec.t ->
-  schedule:'s Schedule.t ->
-  seed:int ->
-  unit ->
-  badness * 's Engine.outcome
-(** Execute one schedule and score it. [min_suffix] is the {e requested}
-    value — {!Engine.run} clamps it against the schedule's own
-    horizon, so recording the request is enough to replay the run
-    bit-identically. The run streams ({!Engine.Streaming}); [spans]
-    (default {!Stdx.Span.disabled}) is forwarded to the engine. *)
-
 val shrink_candidates :
   margin:int -> min_duration:int -> 's Schedule.t -> 's Schedule.t list
 (** The shrink frontier of a schedule, in step order: dropped phases,
     halved durations (floored at [min_duration], events kept [margin]
     rounds clear of phase ends), dropped events, halved victim counts,
     dropped faulty ids. Every candidate is strictly smaller under
-    {!Schedule.size} (qcheck-enforced); candidates are {e not} yet
-    validated against a spec — the hunt validates and skips rejects. *)
+    {!Schedule.size}; candidates are {e not} yet validated against a
+    spec — the hunt validates and skips rejects. Outside this module
+    only tests call it: [test_hunt.ml] ("shrink candidates validate and
+    strictly shrink", a qcheck property) holds every candidate to that
+    termination argument. *)
 
 (** Hunt configuration; build from {!Config.default} with the [with_*]
     builders, like {!Harness.Config}. *)
@@ -145,7 +132,15 @@ module Config : sig
   val with_run_seed : int -> t -> t
   val with_time_bound : int -> t -> t
   val with_near_bound : float -> t -> t
+  (** The CLI fills the record directly; only tests use this builder:
+      [test_hunt.ml] ("classification", "rejects bad config"). *)
+
   val with_shrink_budget : int -> t -> t
+  (** The CLI fills the record directly; only tests use this builder,
+      to keep hunts short: [test_hunt.ml] ("classification", "rejects
+      bad config"), [test_obs.ml] and [test_telemetry.ml] (the hunt
+      differentials). *)
+
   val with_min_suffix : int -> t -> t
   val with_jobs : int -> t -> t
 end
@@ -249,8 +244,9 @@ module Corpus : sig
     adversaries:'s Adversary.t list ->
     in_channel ->
     ('s entry list, string) result
-  (** Parse a corpus stream (blank lines skipped); the error carries the
-      offending line number. *)
+  (** Parse the rest of a corpus stream, split into lines by
+      {!Stdx.Json.lines}; the error carries the offending line number,
+      as [line N: ...]. *)
 
   val replay :
     ?metrics:Stdx.Metrics.t ->

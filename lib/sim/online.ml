@@ -60,7 +60,7 @@ let observe t ~round row =
          round);
   (* Agreement among correct nodes and their common value; vacuously true
      (with a dummy value) when no node is correct, matching
-     [Stabilise.agreement_at] / [count_ok_step] on an empty correct set.
+     [Stabilise.count_ok_step] on an empty correct set.
      A while-loop, not [Array.for_all] — the predicate closure would
      allocate every round. *)
   let nc = Array.length t.correct in

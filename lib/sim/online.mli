@@ -19,7 +19,10 @@ type verdict = Stabilized of int | Not_stabilized
     re-export of this type, so the constructors are interchangeable. *)
 
 val equal_verdict : verdict -> verdict -> bool
+
 val pp_verdict : Format.formatter -> verdict -> unit
+(** Only tests print verdicts, in their failure messages:
+    [test_report.ml] and [test_rand_counter.ml]. *)
 
 type t
 (** Mutable detector state: O(1) counters plus a bounded sliding window

@@ -172,4 +172,8 @@ val of_json_value :
     an empty registry. *)
 
 val of_json : adversaries:'s Adversary.t list -> string -> ('s t, string) result
-(** Parse one line as written by {!to_json}. *)
+(** Parse one line as written by {!to_json}. Corpus entries embed
+    schedules through {!of_json_value}; only tests call this, as the
+    oracle of the encoding: [test_hunt.ml] ("schedule JSON round-trip",
+    "unknown adversary rejected with known names") and the damaged-line
+    property of [test_telemetry.ml]. *)

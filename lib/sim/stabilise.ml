@@ -1,8 +1,5 @@
 type verdict = Online.verdict = Stabilized of int | Not_stabilized
 
-let equal_verdict = Online.equal_verdict
-let pp_verdict = Online.pp_verdict
-
 let agreement_at ~correct outputs ~round =
   match correct with
   | [] -> true

@@ -16,19 +16,16 @@ type verdict = Online.verdict =
           {!Engine} is guaranteed to agree with {!of_outputs} (see
           [engine.mli]). *)
 
-val equal_verdict : verdict -> verdict -> bool
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val of_outputs :
   c:int -> correct:int list -> min_suffix:int -> int array array -> verdict
 (** [of_outputs ~c ~correct ~min_suffix outputs] analyses
-    [outputs.(t).(v)] for [v] in [correct]. *)
+    [outputs.(t).(v)] for [v] in [correct]. {!of_run} applies it to a
+    full run; tests call it directly as the offline oracle of
+    {!Online}: [test_sim.ml] ("online detector == offline checker on
+    every prefix") feeds random traces to both. *)
 
 val of_run : min_suffix:int -> 's Network.run -> verdict
 
-val agreement_at : correct:int list -> int array array -> round:int -> bool
-(** Do all correct nodes output the same value at [round]? *)
-
 val count_ok_step : c:int -> correct:int list -> int array array -> round:int -> bool
-(** Is round [round] -> [round+1] a correct counting step (agreement at
-    both ends, increment mod [c])? *)
+(** Is round [round] -> [round+1] a correct counting step (all correct
+    nodes output one value at both ends, incremented mod [c])? *)

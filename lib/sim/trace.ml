@@ -37,10 +37,6 @@ type event =
   | Span of { name : string; count : int; wall_s : float }
   | Cell_end of { cell : int; wall_s : float }
 
-(* Events hold ints, int lists, strings and finite floats, so
-   structural equality is exact. *)
-let equal_event (a : event) (b : event) = a = b
-
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -92,8 +88,6 @@ let to_json = function
   | Cell_end { cell; wall_s } ->
     Printf.sprintf "{\"ev\":\"cell-end\",\"cell\":%d,\"wall_s\":%.17g}" cell
       wall_s
-
-let pp_event ppf ev = Format.pp_print_string ppf (to_json ev)
 
 (* ------------------------------------------------------------------ *)
 (* Writers                                                              *)
@@ -205,23 +199,13 @@ let of_json line =
       | ev -> Error (Printf.sprintf "unknown event kind %S" ev)
     with Stdx.Json.Parse_error msg -> Error msg)
 
-(* Lines are cut at '\n' only, as [input_line] cuts them; a last line
-   without its newline is still a line. *)
 let parse_jsonl s =
-  let len = String.length s in
-  let rec go lineno pos acc =
-    if pos > len then Ok (List.rev acc)
-    else
-      let stop =
-        Option.value (String.index_from_opt s pos '\n') ~default:len
-      in
-      let line = String.sub s pos (stop - pos) in
-      if String.trim line = "" then go (lineno + 1) (stop + 1) acc
-      else
-        match of_json line with
-        | Ok ev -> go (lineno + 1) (stop + 1) (ev :: acc)
-        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
+  let rec go acc lines =
+    match lines () with
+    | Seq.Nil -> Ok (List.rev acc)
+    | Seq.Cons ((lineno, line), rest) -> (
+      match of_json line with
+      | Ok ev -> go (ev :: acc) rest
+      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
-  go 1 0 []
-
-let read_jsonl ic = parse_jsonl (In_channel.input_all ic)
+  go [] (Stdx.Json.lines s)

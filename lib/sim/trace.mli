@@ -85,9 +85,6 @@ type event =
           [Cell_end] *)
   | Cell_end of { cell : int; wall_s : float }
 
-val equal_event : event -> event -> bool
-val pp_event : Format.formatter -> event -> unit
-
 type t
 
 val null : t
@@ -111,14 +108,17 @@ val events : t -> event list
 
 val to_json : event -> string
 (** Single-line JSON encoding (jsonlint-compatible, round-trips through
-    {!of_json} exactly). *)
+    {!of_json} exactly). The [jsonl] writer emits it; outside this
+    module only tests call it, with {!of_json} (see there). *)
 
 val of_json : string -> (event, string) result
-(** Parse one line as emitted by {!to_json} / the [jsonl] writer. *)
+(** Parse one line as emitted by {!to_json} / the [jsonl] writer.
+    {!parse_jsonl} reads every line through it. Outside this module
+    only tests call the pair, as the oracle of the trace format:
+    [test_telemetry.ml] ("jsonl round trip (all variants)" and its
+    qcheck twin) and [test_flat.ml] round-trip every event through
+    it. *)
 
 val parse_jsonl : string -> (event list, string) result
-(** Parse a whole JSONL text (blank lines skipped); the error carries
-    the offending line number, as [line N: ...]. *)
-
-val read_jsonl : in_channel -> (event list, string) result
-(** {!parse_jsonl} on the rest of the channel. *)
+(** Parse a whole JSONL text, split into lines by {!Stdx.Json.lines};
+    the error carries the offending line number, as [line N: ...]. *)

@@ -13,7 +13,7 @@
    depend on the completion order.
 
    One JSON object per line, every line tagged {"kind":"heartbeat"};
-   the last line carries "final":true. [beat]s are rate-limited by the
+   the last line carries "final":true. Beats are rate-limited by the
    configured interval; [finish] always emits (idempotently), so even a
    sub-second run produces one parseable line. *)
 
@@ -156,7 +156,6 @@ let task_done t ~worker ~busy_s =
       t.worker_busy.(worker) <- t.worker_busy.(worker) +. Float.max 0.0 busy_s;
       maybe_emit t)
 
-let beat t = locked t (fun () -> maybe_emit t)
 
 let finish t =
   locked t (fun () ->
@@ -185,16 +184,9 @@ type view = {
 }
 
 let complete_lines content =
-  let rec go acc lineno start =
-    match String.index_from_opt content start '\n' with
-    | None -> List.rev acc
-    | Some i ->
-      let line = String.sub content start (i - start) in
-      go
-        (if String.trim line = "" then acc else (lineno, line) :: acc)
-        (lineno + 1) (i + 1)
-  in
-  go [] 1 0
+  match String.rindex_opt content '\n' with
+  | None -> []
+  | Some last -> List.of_seq (Json.lines (String.sub content 0 last))
 
 let is_heartbeat_line line =
   match Json.parse_result line with

@@ -62,13 +62,9 @@ val task_done : t -> worker:int -> busy_s:float -> unit
 (** Per-worker utilization feed (the {!Pool.exec} [on_task] hook): add
     [busy_s] to [worker]'s busy total; may emit a beat. *)
 
-val beat : t -> unit
-(** Emit now if the interval has elapsed — for callers with long gaps
-    between progress reports. *)
-
 val finish : t -> unit
 (** Emit the terminal ["final":true] line unconditionally and stop the
-    stream. Idempotent: later calls (and later {!beat}s) do nothing, so
+    stream. Idempotent: later calls (and later feeds) emit nothing, so
     both a harness and its CLI wrapper may call it. *)
 
 (** {2 Reading a stream}

@@ -9,30 +9,13 @@ let pow b e =
   let rec go acc i = if i = e then acc else go (mul_checked acc b) (i + 1) in
   go 1 0
 
-let ceil_div a b =
-  if b <= 0 || a < 0 then invalid_arg "Imath.ceil_div";
-  (a + b - 1) / b
-
-let floor_log2 n =
-  if n <= 0 then invalid_arg "Imath.floor_log2";
-  let rec go acc n = if n = 1 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
-
-let ceil_log2 n =
-  if n <= 0 then invalid_arg "Imath.ceil_log2";
-  let f = floor_log2 n in
-  if 1 lsl f = n then f else f + 1
-
 let bits_for n =
   if n <= 0 then invalid_arg "Imath.bits_for";
-  max 1 (ceil_log2 n)
-
-let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
-
-let lcm a b = if a = 0 || b = 0 then 0 else abs (a / gcd a b * b)
-
-let is_multiple c ~of_ =
-  if of_ = 0 then c = 0 else c mod of_ = 0
+  let rec floor_log2 acc n =
+    if n = 1 then acc else floor_log2 (acc + 1) (n lsr 1)
+  in
+  let f = floor_log2 0 n in
+  max 1 (if 1 lsl f = n then f else f + 1)
 
 let imod a m =
   if m <= 0 then invalid_arg "Imath.imod";

@@ -219,6 +219,20 @@ let parse (s : string) : t =
 let parse_result s =
   match parse s with v -> Ok v | exception Parse_error msg -> Error msg
 
+let lines s =
+  let len = String.length s in
+  let rec from lineno pos () =
+    if pos > len then Seq.Nil
+    else
+      let stop =
+        Option.value (String.index_from_opt s pos '\n') ~default:len
+      in
+      let line = String.sub s pos (stop - pos) in
+      if String.trim line = "" then from (lineno + 1) (stop + 1) ()
+      else Seq.Cons ((lineno, line), from (lineno + 1) (stop + 1))
+  in
+  from 1 0
+
 let field obj name =
   match obj with
   | Object kvs -> (

@@ -36,6 +36,15 @@ val parse : string -> t
 val parse_result : string -> (t, string) result
 (** {!parse} with the error captured. *)
 
+val lines : string -> (int * string) Seq.t
+(** The non-blank lines of a JSONL text, each with its 1-based line
+    number (blank lines still count). Lines are cut at ['\n'] only, as
+    [input_line] cuts them, so a ['\r'] before it stays in the line; a
+    last line without its newline is still a line. Each line is cut
+    only when the sequence reaches it, so a reader holds one line at a
+    time besides the text. Every JSONL reader in the repository splits
+    its input here and reports errors as [line N: ...]. *)
+
 val escape : string -> string
 (** Escape a string for embedding between double quotes in JSON output
     (the same escaping all writers in the repository use). *)

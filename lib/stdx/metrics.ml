@@ -153,7 +153,6 @@ let snapshot t =
         t.cells [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let reset t = locked t (fun () -> Hashtbl.reset t.cells)
 
 let find snap name = List.assoc_opt name snap
 

@@ -31,7 +31,12 @@ val incr : ?by:int -> t -> string -> unit
 (** Add [by] (default 1) to counter [name], creating it at 0 first. *)
 
 val set_gauge : t -> string -> float -> unit
-(** Set gauge [name] to a finite value (last write wins). *)
+(** Set gauge [name] to a finite value (last write wins). No instrument
+    in the repository is a gauge today; tests set them to hold the
+    order-sensitive half of a merge to its contract: [test_campaign.ml]
+    ("folding at completion equals the index-order merge") and
+    [test_telemetry.ml] ("counters and gauges", "merge is deterministic
+    and additive"). *)
 
 val observe : ?buckets:float array -> t -> string -> float -> unit
 (** Record a finite sample into histogram [name]. The first call fixes
@@ -76,8 +81,6 @@ type snapshot = (string * value) list
 (** Immutable registry contents, sorted by name. *)
 
 val snapshot : t -> snapshot
-val reset : t -> unit
-(** Drop every instrument (names unbind too). *)
 
 val find : snapshot -> string -> value option
 
@@ -86,7 +89,11 @@ val merge : t -> snapshot -> unit
     (layouts must match), gauges overwrite. Applying worker snapshots in
     a fixed order yields a deterministic result regardless of how the
     workers were scheduled. Same as {!merge_counts} followed by
-    {!merge_ordered} of the snapshot's {!ordered} rest. *)
+    {!merge_ordered} of the snapshot's {!ordered} rest. The split merge
+    the harnesses run is checked against it: [test_campaign.ml]
+    ("folding at completion equals the index-order merge") and
+    [test_telemetry.ml] ("merge is deterministic and additive") merge
+    whole snapshots in cell-index order with it as the oracle. *)
 
 (** {2 Split merging}
 

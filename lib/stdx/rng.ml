@@ -23,8 +23,6 @@ let[@inline] of_state s =
 
 let create seed = of_state (mix (Int64.of_int seed))
 
-let copy = Bytes.copy
-
 let[@inline] next t =
   let s = Int64.add (get64 t 0) golden_gamma in
   set64 t 0 s;
@@ -80,14 +78,6 @@ let pick_list t l =
   | [] -> invalid_arg "Rng.pick_list: empty list"
   | _ -> List.nth l (int t (List.length l))
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
 let sample_without_replacement t k n =
   if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
   (* Floyd's algorithm: O(k) expected time, no O(n) allocation. *)
@@ -100,7 +90,3 @@ let sample_without_replacement t k n =
     acc := v :: !acc
   done;
   !acc
-
-let sample_with_replacement t k n =
-  if k < 0 then invalid_arg "Rng.sample_with_replacement";
-  List.init k (fun _ -> int t n)

@@ -12,10 +12,6 @@ val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. Equal
     seeds yield equal streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the generator; the copy and the original then
-    evolve independently. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator seeded from it.
     Streams of the parent and the child are statistically independent. *)
@@ -24,7 +20,9 @@ val split_into : t -> t -> unit
 (** [split_into t child] advances [t] exactly as [split t] does and
     re-seeds [child] in place, so that [child] then yields the stream
     [split t] would have returned. It allocates nothing: a caller that
-    throws each child away reuses one buffer for all of them. *)
+    throws each child away reuses one buffer for all of them. Only the
+    boxed reference simulator ([test/reference.ml]) calls it, to draw
+    the greedy crafter's probe streams exactly as the engine does. *)
 
 val split_nth : t -> int -> t -> unit
 (** [split_nth t k child] re-seeds [child] as the [k]-th (from 0) of a
@@ -34,7 +32,9 @@ val advance : t -> int -> unit
 (** [advance t k] moves [t] as [k] draws would, in O(1). *)
 
 val next_int64 : t -> int64
-(** Next raw 64-bit output. *)
+(** Next raw 64-bit output. Only tests call it: [test_flat.ml] compares
+    two generators' positions with it after the flat and boxed crafters
+    draw from them, and [test_stdx.ml] pins the raw stream. *)
 
 val bits : t -> int
 (** 30 uniformly random non-negative bits, as in [Random.bits]. *)
@@ -56,13 +56,6 @@ val float : t -> float
 val pick_list : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher-Yates shuffle. *)
-
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] draws [k] distinct values from
     [\[0, n)]. Raises [Invalid_argument] if [k > n] or [k < 0]. *)
-
-val sample_with_replacement : t -> int -> int -> int list
-(** [sample_with_replacement t k n] draws [k] values uniformly (multiset)
-    from [\[0, n)]. *)

@@ -69,28 +69,3 @@ let pp_summary ppf s =
   Format.fprintf ppf
     "n=%d mean=%.2f sd=%.2f min=%.0f med=%.1f p90=%.1f p99=%.1f max=%.0f"
     s.count s.mean s.stddev s.min s.median s.p90 s.p99 s.max
-
-let histogram ~bins xs =
-  checked "Stats.histogram" xs;
-  if bins < 1 then invalid_arg "Stats.histogram: bins < 1";
-  let lo = List.fold_left Float.min infinity xs in
-  let hi = List.fold_left Float.max neg_infinity xs in
-  let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-  let counts = Array.make bins 0 in
-  let bin_of x =
-    let b = int_of_float ((x -. lo) /. width) in
-    if b >= bins then bins - 1 else if b < 0 then 0 else b
-  in
-  List.iter (fun x -> counts.(bin_of x) <- counts.(bin_of x) + 1) xs;
-  Array.mapi
-    (fun i c ->
-      let l = lo +. (float_of_int i *. width) in
-      (l, l +. width, c))
-    counts
-
-let fraction pred xs =
-  match xs with
-  | [] -> 0.0
-  | _ ->
-    let hits = List.length (List.filter pred xs) in
-    float_of_int hits /. float_of_int (List.length xs)

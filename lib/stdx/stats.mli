@@ -17,18 +17,9 @@ type summary = {
 }
 
 val mean : float list -> float
-val stddev : float list -> float
 val percentile : float -> float list -> float
 (** [percentile p xs] for [p] in [\[0,1\]], linear interpolation between
     order statistics. *)
 
-val summarize : float list -> summary
 val summarize_ints : int list -> summary
 val pp_summary : Format.formatter -> summary -> unit
-
-val histogram : bins:int -> float list -> (float * float * int) array
-(** [histogram ~bins xs] returns [(lo, hi, count)] per bin over the data
-    range. [bins >= 1]. *)
-
-val fraction : ('a -> bool) -> 'a list -> float
-(** Fraction of elements satisfying the predicate; 0 on empty input. *)

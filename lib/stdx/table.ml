@@ -80,5 +80,3 @@ let cell_float ?(digits = 2) x =
   if Float.is_integer x && Float.abs x < 1e15 && digits = 0 then
     Printf.sprintf "%.0f" x
   else Printf.sprintf "%.*f" digits x
-
-let cell_bool b = if b then "yes" else "no"

@@ -19,7 +19,6 @@ val add_row : t -> string list -> unit
 val add_rule : t -> unit
 (** Append a horizontal separator line. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val print : t -> unit
 (** [print t] writes the rendered table to stdout followed by a newline. *)
@@ -28,4 +27,3 @@ val print : t -> unit
 
 val cell_int : int -> string
 val cell_float : ?digits:int -> float -> string
-val cell_bool : bool -> string

@@ -7,8 +7,8 @@
    all_states are exactly 0 .. num_states - 1. Checked for every family
    that ships a codec — the trivial counters, the randomised 1-bit
    counter, a synthesised/derived codec, the boost towers A(4,1),
-   A(12,3) and A(36,7) from Theorem 1's recursion, and a tower whose
-   output is projected to a smaller modulus. Every family's kernel
+   A(12,3) and A(36,7) from Theorem 1's recursion, an ablated tower
+   and the sampled pulling counter. Every family's kernel
    must also honour the load/set announcement protocol of
    Algo.Spec.kernel, and the towers pin how fresh_kernel instances may
    share state. *)
@@ -37,8 +37,17 @@ let a36_7 ~c =
    structural codec composition; [derived] exercises derive_codec's
    all_states enumeration. *)
 let families () =
-  let a41_mod2 =
-    Algo.Combinators.project_counter (a41 ~c:4).Counting.Boost.spec ~modulus:2
+  (* Towers whose kernel is the generic one: the naive phase-king
+     ablation and the Section 5 sampled pulling counter. *)
+  let ablated =
+    (Counting.Boost.construct_ablated ~ablation:Counting.Boost.Naive_phase_king
+       ~inner:(Counting.Trivial.single ~c:2304) ~k:4 ~big_f:1 ~big_c:2)
+      .Counting.Boost.spec
+  in
+  let sampled =
+    (Pulling.Sampled.construct ~inner:(a41 ~c:960).Counting.Boost.spec ~k:3
+       ~big_f:3 ~big_c:8 ~samples:4)
+      .Pulling.Sampled.spec
   in
   let a41 = (a41 ~c:2).Counting.Boost.spec in
   let a12_3 = (a12_3 ~c:1728).Counting.Boost.spec in
@@ -64,7 +73,8 @@ let families () =
     F ("boost A(12,3)", a12_3);
     F ("boost A(36,7)", a36_7);
     F ("boost A(4,1), untabulated views", a41_wide);
-    F ("boost A(4,1) mod 2", a41_mod2);
+    F ("ablated A(4,1)", ablated);
+    F ("sampled A(12,3)", sampled);
   ]
 
 let codec_of (spec : 's Algo.Spec.t) label : 's Algo.Spec.codec =
@@ -296,9 +306,10 @@ let test_big_tower_num_states () =
 let test_families_validate () =
   List.iter
     (fun (F (label, spec)) ->
-      match Algo.Spec.validate spec with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "%s: validate failed: %s" label msg)
+      match Algo.Spec.validate_exn spec with
+      | _ -> ()
+      | exception Invalid_argument msg ->
+        Alcotest.failf "%s: validate failed: %s" label msg)
     (families ())
 
 (* The flat-kernel sharing contract of Algo.Spec.codec.fresh_kernel: a

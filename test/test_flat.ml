@@ -134,9 +134,8 @@ let assert_matches_reference ~ctx (spec : 's Algo.Spec.t) ~schedule ~seed
   List.iteri
     (fun i (pe, he) ->
       check Alcotest.bool
-        (Format.asprintf "%s: trace event %d (%a)" ctx i Sim.Trace.pp_event he)
-        true
-        (Sim.Trace.equal_event pe he))
+        (Printf.sprintf "%s: trace event %d (%s)" ctx i (Sim.Trace.to_json he))
+        true (pe = he))
     (List.combine plain_events hooked_events)
 
 (* One reference trajectory, checked against the engine in both modes. *)
@@ -966,7 +965,7 @@ let test_corruption_json_roundtrip () =
     Sim.Trace.Corruption { round = 12; phase = 1; requested = 3; victims = [ 0; 2 ] }
   in
   (match Sim.Trace.of_json (Sim.Trace.to_json e) with
-  | Ok e' -> check Alcotest.bool "round-trips" true (Sim.Trace.equal_event e e')
+  | Ok e' -> check Alcotest.bool "round-trips" true (e = e')
   | Error msg -> Alcotest.failf "of_json failed: %s" msg);
   (* pre-existing JSONL without the requested field still parses,
      defaulting requested to the victim count *)
@@ -976,10 +975,9 @@ let test_corruption_json_roundtrip () =
   with
   | Ok e' ->
     check Alcotest.bool "legacy line parses with requested = |victims|" true
-      (Sim.Trace.equal_event
-         (Sim.Trace.Corruption
-            { round = 12; phase = 1; requested = 2; victims = [ 0; 2 ] })
-         e')
+      (Sim.Trace.Corruption
+         { round = 12; phase = 1; requested = 2; victims = [ 0; 2 ] }
+      = e')
   | Error msg -> Alcotest.failf "legacy of_json failed: %s" msg
 
 let suite =

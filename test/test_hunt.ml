@@ -87,27 +87,6 @@ let test_badness_order () =
     (Sim.Hunt.score (b ~failed:1 ~ratio:0.0 ~clamped:0)
     > Sim.Hunt.score (b ~failed:0 ~ratio:1.2 ~clamped:9))
 
-let test_classify () =
-  let cls bb = Sim.Hunt.classify ~near_bound:0.9 bb in
-  check Alcotest.bool "failed wins" true
-    (cls (b ~failed:2 ~ratio:1.5 ~clamped:3) = Some Sim.Hunt.Failed);
-  check Alcotest.bool "exceeds bound" true
-    (cls (b ~failed:0 ~ratio:1.01 ~clamped:0) = Some Sim.Hunt.Exceeds_bound);
-  check Alcotest.bool "near bound" true
-    (cls (b ~failed:0 ~ratio:0.95 ~clamped:0) = Some Sim.Hunt.Near_bound);
-  check Alcotest.bool "clamped" true
-    (cls (b ~failed:0 ~ratio:0.1 ~clamped:2) = Some Sim.Hunt.Clamped);
-  check Alcotest.bool "benign is no hit" true
-    (cls (b ~failed:0 ~ratio:0.1 ~clamped:0) = None);
-  List.iter
-    (fun c ->
-      check Alcotest.bool
-        (Printf.sprintf "class %s round-trips" (Sim.Hunt.cls_to_string c))
-        true
-        (Sim.Hunt.cls_of_string (Sim.Hunt.cls_to_string c) = Some c))
-    [ Sim.Hunt.Failed; Sim.Hunt.Exceeds_bound; Sim.Hunt.Near_bound;
-      Sim.Hunt.Clamped ]
-
 (* ------------------------------------------------------------------ *)
 (* Shrink lattice (qcheck)                                              *)
 (* ------------------------------------------------------------------ *)
@@ -274,19 +253,21 @@ let test_hunt_finds_and_shrinks () =
       check Alcotest.bool
         (Printf.sprintf "trial %d reproducer still fails" h.Sim.Hunt.trial)
         true
-        (h.Sim.Hunt.badness.Sim.Hunt.failed_phases > 0);
-      (* the shrunk reproducer stands alone: re-evaluating it from its
-         plain data reproduces the recorded badness *)
-      let b, _ =
-        Sim.Hunt.evaluate ~min_suffix:report.Sim.Hunt.min_suffix
-          ~time_bound:report.Sim.Hunt.time_bound ~spec:weak_leader
-          ~schedule:h.Sim.Hunt.schedule ~seed:h.Sim.Hunt.run_seed ()
-      in
+        (h.Sim.Hunt.badness.Sim.Hunt.failed_phases > 0))
+    report.Sim.Hunt.hits;
+  (* each shrunk reproducer stands alone: re-running it from its plain
+     data reproduces the recorded badness *)
+  List.iter
+    (fun ((e : _ Sim.Hunt.Corpus.entry), b, reproduced) ->
       check Alcotest.int
-        (Printf.sprintf "trial %d badness reproduces" h.Sim.Hunt.trial)
+        (Printf.sprintf "trial %d badness reproduces" e.Sim.Hunt.Corpus.trial)
         0
-        (Sim.Hunt.compare_badness b h.Sim.Hunt.badness))
-    report.Sim.Hunt.hits
+        (Sim.Hunt.compare_badness b e.Sim.Hunt.Corpus.badness);
+      check Alcotest.bool "replay reports it" true reproduced)
+    (Sim.Hunt.Corpus.replay ~spec:weak_leader
+       ~entries:
+         (Sim.Hunt.Corpus.of_report ~spec:weak_leader ~hunt_seed:1 report)
+       ())
 
 (* A spec honouring its claimed resilience yields no hits: follow-leader
    with its true f = 0 claim never fails, exceeds no 1000-round bound,
@@ -382,6 +363,85 @@ let with_temp_corpus entries f =
         (fun () -> Sim.Hunt.Corpus.write oc entries);
       let ic = open_in path in
       Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f path ic))
+
+(* The hit predicate, seen through hunts: each hit's class is the first
+   of failed / exceeds-bound / near-bound / clamped that the badness of
+   its original schedule meets, and a hunt shaped for each class finds
+   it (events asking for 10 victims of 4 nodes are clamped). Every
+   class also survives the corpus encoding. *)
+let test_classify () =
+  let hunt ~spec ~time_bound ~near_bound =
+    let config =
+      Sim.Hunt.Config.(
+        default |> with_trials 24 |> with_phases 2 |> with_phase_rounds 60
+        |> with_events 2 |> with_max_victims 10 |> with_time_bound time_bound
+        |> with_near_bound near_bound |> with_shrink_budget 0)
+    in
+    List.map
+      (fun (h : _ Sim.Hunt.hit) ->
+        let b = h.Sim.Hunt.found in
+        let want =
+          if b.Sim.Hunt.failed_phases > 0 then Sim.Hunt.Failed
+          else if b.Sim.Hunt.worst_ratio > 1.0 then Sim.Hunt.Exceeds_bound
+          else if b.Sim.Hunt.worst_ratio >= near_bound then Sim.Hunt.Near_bound
+          else Sim.Hunt.Clamped
+        in
+        check Alcotest.string
+          (Printf.sprintf "trial %d class" h.Sim.Hunt.trial)
+          (Sim.Hunt.cls_to_string want)
+          (Sim.Hunt.cls_to_string h.Sim.Hunt.cls);
+        h)
+      (Sim.Hunt.run ~config ~spec ~adversaries ()).Sim.Hunt.hits
+  in
+  let finds label cls hits =
+    check Alcotest.bool label true
+      (List.exists (fun (h : _ Sim.Hunt.hit) -> h.Sim.Hunt.cls = cls) hits)
+  in
+  finds "failed wins" Sim.Hunt.Failed
+    (hunt ~spec:weak_leader ~time_bound:1 ~near_bound:0.9);
+  (* follow-leader recovers within one round, A(4,1) takes longer *)
+  let a41 =
+    (Counting.Boost.construct ~inner:(Counting.Trivial.single ~c:2304) ~k:4
+       ~big_f:1 ~big_c:2)
+      .Counting.Boost.spec
+  in
+  finds "exceeds bound" Sim.Hunt.Exceeds_bound
+    (hunt ~spec:a41 ~time_bound:1 ~near_bound:0.9);
+  finds "near bound" Sim.Hunt.Near_bound
+    (hunt ~spec:leader ~time_bound:1000 ~near_bound:1e-6);
+  let clamped = hunt ~spec:leader ~time_bound:1000 ~near_bound:1.0 in
+  finds "clamped" Sim.Hunt.Clamped clamped;
+  let report =
+    {
+      Sim.Hunt.hits = [ List.hd clamped ];
+      trials = 1;
+      executions = 1;
+      min_suffix = 16;
+      time_bound = Some 1000;
+      worst = None;
+    }
+  in
+  let entry =
+    List.hd (Sim.Hunt.Corpus.of_report ~spec:leader ~hunt_seed:1 report)
+  in
+  let entries =
+    List.map
+      (fun cls -> { entry with Sim.Hunt.Corpus.cls })
+      [ Sim.Hunt.Failed; Sim.Hunt.Exceeds_bound; Sim.Hunt.Near_bound;
+        Sim.Hunt.Clamped ]
+  in
+  with_temp_corpus entries @@ fun _path ic ->
+  match Sim.Hunt.Corpus.read ~adversaries ic with
+  | Error msg -> Alcotest.failf "corpus did not read back: %s" msg
+  | Ok entries' ->
+    List.iter2
+      (fun (e : _ Sim.Hunt.Corpus.entry) (e' : _ Sim.Hunt.Corpus.entry) ->
+        check Alcotest.bool
+          (Printf.sprintf "class %s round-trips"
+             (Sim.Hunt.cls_to_string e.Sim.Hunt.Corpus.cls))
+          true
+          (e.Sim.Hunt.Corpus.cls = e'.Sim.Hunt.Corpus.cls))
+      entries entries'
 
 let test_corpus_round_trip_and_replay () =
   let report = run_hunt () in

@@ -9,10 +9,10 @@
    run whose crafter raised, and with a run nested in another's trace
    hook. The families cover the flat tower kernel (A(4,1), A(12,3)),
    the generic kernel (an ablated tower, the sampled pulling counter, a
-   derived codec) and the project_counter wrapper. A deliberately broken
-   kernel, whose [load] leaves a counter behind, shows that the checks
-   see leftover state; a campaign at REPRO_JOBS checks reuse inside
-   pool domains. *)
+   derived codec) and the shared identity kernel (the randomised
+   counter). A deliberately broken kernel, whose [load] leaves a
+   counter behind, shows that the checks see leftover state; a campaign
+   at REPRO_JOBS checks reuse inside pool domains. *)
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -82,11 +82,9 @@ let families =
         fun () ->
           Algo.Spec.with_derived_codec
             { (leader_f1 ()) with Algo.Spec.codec = None } );
-    F
-      ( "A(4,1) mod 2",
-        fun () ->
-          Algo.Combinators.project_counter (a41 ~c:4).Counting.Boost.spec
-            ~modulus:2 );
+    (* An identity codec hands every run, nested ones included, the same
+       stateless kernel. *)
+    F ("rand-counter", fun () -> Counting.Rand_counter.make ~n:4 ~f:1);
   ]
 
 (* What a run's outcome says, with final states as codes so outcomes of

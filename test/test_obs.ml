@@ -211,9 +211,9 @@ let test_heartbeat_terminal_line_schema () =
         Stdx.Heartbeat.task_done hb ~worker:1 ~busy_s:1.0;
         set 4.0;
         Stdx.Heartbeat.finish hb;
-        (* idempotent: neither a second finish nor a later beat emits *)
+        (* idempotent: neither a second finish nor a later feed emits *)
         Stdx.Heartbeat.finish hb;
-        Stdx.Heartbeat.beat hb)
+        Stdx.Heartbeat.task_done hb ~worker:1 ~busy_s:1.0)
   in
   check Alcotest.int "interval 1000s: only the terminal line" 1
     (List.length lines);

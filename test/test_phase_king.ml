@@ -1,6 +1,7 @@
 (* Tests for the phase-king instruction sets (Table 2): Lemma 4
    (agreement establishment), Lemma 5 (agreement persistence), and the
-   one-shot consensus baseline. *)
+   agreement predicate and register harness both lemmas are checked
+   with. *)
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -230,45 +231,51 @@ let test_lemma4_silent_adversary () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* One-shot consensus baseline                                          *)
+(* agreement and the register harness                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_one_shot_validity () =
-  (* all honest nodes start with the same value: must decide it *)
-  let inputs = [| 2; 2; 2; 2; 2; 2; 2 |] in
-  let decisions =
-    Counting.Phase_king.one_shot ~cap:4 ~big_f:2 ~faulty:[ 0; 3 ]
-      ~fabricator:(random_fabricator ~cap:4 7) ~inputs
-  in
-  List.iter
-    (fun v -> check Alcotest.int "validity" 2 decisions.(v))
-    [ 1; 2; 4; 5; 6 ]
+let agreement ~faulty regs = Counting.Phase_king.agreement ~cap:5 ~faulty regs
+let agreed = Alcotest.(option int)
 
-let test_one_shot_agreement =
-  qcheck ~count:300 "one-shot consensus: agreement under random adversaries"
-    QCheck.(pair small_int small_int)
-    (fun (input_seed, fab_seed) ->
-      let big_n = 7 and big_f = 2 and cap = 4 in
-      let rng = Stdx.Rng.create input_seed in
-      let inputs = Array.init big_n (fun _ -> Stdx.Rng.int rng cap) in
-      let faulty = [ 1; 4 ] in
-      let decisions =
-        Counting.Phase_king.one_shot ~cap ~big_f ~faulty
-          ~fabricator:(random_fabricator ~cap fab_seed) ~inputs
-      in
-      let correct = [ 0; 2; 3; 5; 6 ] in
-      match correct with
-      | [] -> true
-      | v0 :: rest -> List.for_all (fun v -> decisions.(v) = decisions.(v0)) rest)
+let test_agreement_ignores_faulty () =
+  let regs = [| reg (Some 2) true; reg (Some 2) true; reg None false; reg (Some 2) true |] in
+  check agreed "faulty node 2 excluded" (Some 2) (agreement ~faulty:[ 2 ] regs);
+  check agreed "node 2 counted" None (agreement ~faulty:[] regs)
 
-let test_one_shot_no_faults () =
-  let inputs = [| 3; 1; 2; 0 |] in
-  let decisions =
-    Counting.Phase_king.one_shot ~cap:4 ~big_f:1 ~faulty:[]
-      ~fabricator:silent_fabricator ~inputs
+let test_agreement_needs_d () =
+  let regs = [| reg (Some 3) true; reg (Some 3) false; reg (Some 3) true |] in
+  check agreed "one correct d = 0" None (agreement ~faulty:[] regs);
+  check agreed "its owner faulty" (Some 3) (agreement ~faulty:[ 1 ] regs)
+
+let test_agreement_needs_one_value () =
+  check agreed "two values" None
+    (agreement ~faulty:[] [| reg (Some 1) true; reg (Some 2) true |]);
+  check agreed "all at infinity" None
+    (agreement ~faulty:[] [| reg None true; reg None true |]);
+  check agreed "no correct node" None
+    (agreement ~faulty:[ 0; 1 ] [| reg (Some 1) true; reg (Some 1) true |])
+
+(* The harness returns rounds + 1 rows starting at [init] and keeps
+   faulty registers frozen; from agreement on 0, row t agrees on
+   t mod cap (Lemma 5, across the wrap of the instruction index). *)
+let test_run_registers_shape () =
+  let cap = 5 and big_f = 1 and faulty = [ 3 ] in
+  let init = Array.init 4 (fun v -> if v = 3 then reg None false else reg (Some 0) true) in
+  let rounds = 2 * Counting.Phase_king.tau ~big_f in
+  let trace =
+    Counting.Phase_king.run_registers ~cap ~big_f ~faulty
+      ~fabricator:(random_fabricator ~cap 4) ~init
+      ~start_index:(Counting.Phase_king.tau ~big_f - 1) ~rounds
   in
-  let v0 = decisions.(0) in
-  Array.iter (fun v -> check Alcotest.int "agreement" v0 v) decisions
+  check Alcotest.int "rounds + 1 rows" (rounds + 1) (Array.length trace);
+  check Alcotest.bool "row 0 is init" true (trace.(0) = init);
+  Array.iteri
+    (fun t row ->
+      check Alcotest.bool (Printf.sprintf "faulty register frozen at %d" t) true
+        (row.(3) = init.(3));
+      check agreed (Printf.sprintf "count at round %d" t) (Some (t mod cap))
+        (Counting.Phase_king.agreement ~cap ~faulty row))
+    trace
 
 let suite =
   [
@@ -296,10 +303,12 @@ let suite =
     ( "phase_king.lemma4",
       [ test_lemma4_property; case "silent adversary" test_lemma4_silent_adversary ]
     );
-    ( "phase_king.one_shot",
+    ( "phase_king.agreement",
       [
-        case "validity" test_one_shot_validity;
-        test_one_shot_agreement;
-        case "no faults" test_one_shot_no_faults;
+        case "faulty registers ignored" test_agreement_ignores_faulty;
+        case "needs d = 1" test_agreement_needs_d;
+        case "needs one finite value" test_agreement_needs_one_value;
+        case "run_registers: rows from init, faulty registers frozen"
+          test_run_registers_shape;
       ] );
   ]

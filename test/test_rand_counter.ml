@@ -40,7 +40,7 @@ let test_agreement_persists () =
   match Sim.Stabilise.of_run ~min_suffix:16 run with
   | Sim.Stabilise.Stabilized 0 -> ()
   | v ->
-    Alcotest.failf "expected stabilized@0, got %a" Sim.Stabilise.pp_verdict v
+    Alcotest.failf "expected stabilized@0, got %a" Sim.Online.pp_verdict v
 
 let test_stabilises_eventually () =
   (* exponential expected time, but n - f = 3 coins agree fast *)
@@ -78,10 +78,6 @@ let test_larger_network_slower () =
   let t4 = mean_t 4 0 and t10 = mean_t 10 0 in
   check Alcotest.bool "bigger quorum takes longer" true (t10 > t4)
 
-let test_hint_formula () =
-  check (Alcotest.float 1e-9) "2^(2(n-f))" 64.0
-    (Counting.Rand_counter.expected_stabilisation_hint ~n:4 ~f:1)
-
 let suite =
   [
     ( "rand_counter",
@@ -92,6 +88,5 @@ let suite =
         case "agreement persists" test_agreement_persists;
         case "stabilises eventually" test_stabilises_eventually;
         slow_case "exponential trend" test_larger_network_slower;
-        case "hint formula" test_hint_formula;
       ] );
   ]

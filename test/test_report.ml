@@ -150,7 +150,7 @@ let damaged_stream =
   in
   QCheck.make
     ~print:(fun evs ->
-      String.concat "\n" (List.map (Fmt.to_to_string Sim.Trace.pp_event) evs))
+      String.concat "\n" (List.map Sim.Trace.to_json evs))
     gen
 
 let test_analyse_is_total =

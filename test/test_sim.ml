@@ -362,9 +362,9 @@ let test_run_all_nodes_faulty () =
           ~seed:3 ()
       in
       check Alcotest.bool (name ^ ": vacuously stabilized (offline)") true
-        (Sim.Stabilise.equal_verdict (Sim.Stabilise.Stabilized 0) offline);
+        (Sim.Online.equal_verdict (Sim.Stabilise.Stabilized 0) offline);
       check Alcotest.bool (name ^ ": vacuously stabilized (engine)") true
-        (Sim.Stabilise.equal_verdict (Sim.Stabilise.Stabilized 0)
+        (Sim.Online.equal_verdict (Sim.Stabilise.Stabilized 0)
            outcome.Sim.Engine.verdict))
     [
       Sim.Adversary.split_brain ();
@@ -383,7 +383,7 @@ let mk_outputs rows = Array.of_list (List.map Array.of_list rows)
 let test_stabilise_clean () =
   let outputs = mk_outputs [ [ 0; 0 ]; [ 1; 1 ]; [ 2; 2 ]; [ 0; 0 ]; [ 1; 1 ] ] in
   check Alcotest.bool "immediately counting" true
-    (Sim.Stabilise.equal_verdict (Sim.Stabilise.Stabilized 0)
+    (Sim.Online.equal_verdict (Sim.Stabilise.Stabilized 0)
        (Sim.Stabilise.of_outputs ~c:3 ~correct:[ 0; 1 ] ~min_suffix:2 outputs))
 
 let test_stabilise_with_prefix () =
@@ -392,34 +392,34 @@ let test_stabilise_with_prefix () =
       [ [ 2; 0 ]; [ 1; 1 ]; [ 0; 2 ]; [ 1; 1 ]; [ 2; 2 ]; [ 0; 0 ]; [ 1; 1 ] ]
   in
   check Alcotest.bool "stabilises at 3" true
-    (Sim.Stabilise.equal_verdict (Sim.Stabilise.Stabilized 3)
+    (Sim.Online.equal_verdict (Sim.Stabilise.Stabilized 3)
        (Sim.Stabilise.of_outputs ~c:3 ~correct:[ 0; 1 ] ~min_suffix:2 outputs))
 
 let test_stabilise_needs_increment () =
   let outputs = mk_outputs [ [ 1; 1 ]; [ 1; 1 ]; [ 1; 1 ]; [ 1; 1 ] ] in
   check Alcotest.bool "agreement without counting is not stabilisation" true
-    (Sim.Stabilise.equal_verdict Sim.Stabilise.Not_stabilized
+    (Sim.Online.equal_verdict Sim.Stabilise.Not_stabilized
        (Sim.Stabilise.of_outputs ~c:3 ~correct:[ 0; 1 ] ~min_suffix:2 outputs))
 
 let test_stabilise_needs_agreement () =
   let outputs = mk_outputs [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 0 ]; [ 0; 1 ] ] in
   check Alcotest.bool "counting without agreement is not stabilisation" true
-    (Sim.Stabilise.equal_verdict Sim.Stabilise.Not_stabilized
+    (Sim.Online.equal_verdict Sim.Stabilise.Not_stabilized
        (Sim.Stabilise.of_outputs ~c:3 ~correct:[ 0; 1 ] ~min_suffix:2 outputs))
 
 let test_stabilise_min_suffix () =
   let outputs = mk_outputs [ [ 0; 1 ]; [ 0; 0 ]; [ 1; 1 ]; [ 2; 2 ] ] in
   check Alcotest.bool "clean suffix shorter than min_suffix is rejected" true
-    (Sim.Stabilise.equal_verdict Sim.Stabilise.Not_stabilized
+    (Sim.Online.equal_verdict Sim.Stabilise.Not_stabilized
        (Sim.Stabilise.of_outputs ~c:3 ~correct:[ 0; 1 ] ~min_suffix:3 outputs));
   check Alcotest.bool "and accepted when long enough" true
-    (Sim.Stabilise.equal_verdict (Sim.Stabilise.Stabilized 1)
+    (Sim.Online.equal_verdict (Sim.Stabilise.Stabilized 1)
        (Sim.Stabilise.of_outputs ~c:3 ~correct:[ 0; 1 ] ~min_suffix:2 outputs))
 
 let test_stabilise_ignores_faulty_columns () =
   let outputs = mk_outputs [ [ 0; 9 ]; [ 1; 9 ]; [ 2; 9 ]; [ 0; 9 ] ] in
   check Alcotest.bool "faulty output ignored" true
-    (Sim.Stabilise.equal_verdict (Sim.Stabilise.Stabilized 0)
+    (Sim.Online.equal_verdict (Sim.Stabilise.Stabilized 0)
        (Sim.Stabilise.of_outputs ~c:3 ~correct:[ 0 ] ~min_suffix:2 outputs))
 
 (* A synthetic generator: random garbage prefix followed by a clean
@@ -511,6 +511,17 @@ let test_online_window_bounds_memory () =
 (* Engine: streaming vs full horizon vs offline checker                 *)
 (* ------------------------------------------------------------------ *)
 
+(* The fault sets a sweep runs when its config names none, read off the
+   outcomes of a one-seed benign sweep. *)
+let default_fault_sets ~rounds spec =
+  let config =
+    Sim.Harness.Config.(default |> with_seeds [ 1 ] |> with_rounds rounds)
+  in
+  let agg =
+    Sim.Harness.run ~config ~spec ~adversaries:[ Sim.Adversary.benign () ] ()
+  in
+  List.map (fun o -> o.Sim.Harness.faulty) agg.Sim.Harness.outcomes
+
 (* Engine and Stabilise.of_run agree verdict-for-verdict across
    adversaries x fault sets x seeds, for a trivial algorithm, the
    randomised counter, a Boost.construct instance and the sampled
@@ -522,9 +533,7 @@ let test_online_window_bounds_memory () =
    exit and [~clean_after_exit:false] drops that check. *)
 let assert_differential ?(clean_after_exit = true) ~label ~rounds ~min_suffix
     spec =
-  let fault_sets =
-    Sim.Harness.default_fault_sets ~n:spec.Algo.Spec.n ~f:spec.Algo.Spec.f
-  in
+  let fault_sets = default_fault_sets ~rounds spec in
   List.iter
     (fun adversary ->
       List.iter
@@ -551,7 +560,7 @@ let assert_differential ?(clean_after_exit = true) ~label ~rounds ~min_suffix
                   ~schedule ~seed ()
               in
               check Alcotest.bool (ctx ^ ": full-horizon == offline") true
-                (Sim.Stabilise.equal_verdict offline
+                (Sim.Online.equal_verdict offline
                    full.Sim.Engine.verdict);
               let prefix =
                 Array.sub run.Sim.Network.outputs 0
@@ -559,13 +568,13 @@ let assert_differential ?(clean_after_exit = true) ~label ~rounds ~min_suffix
               in
               check Alcotest.bool (ctx ^ ": streaming == offline on its prefix")
                 true
-                (Sim.Stabilise.equal_verdict
+                (Sim.Online.equal_verdict
                    (Sim.Stabilise.of_outputs ~c:spec.Algo.Spec.c
                       ~correct:(Sim.Network.correct_ids run) ~min_suffix prefix)
                    stream.Sim.Engine.verdict);
               if clean_after_exit then
                 check Alcotest.bool (ctx ^ ": streaming == offline") true
-                  (Sim.Stabilise.equal_verdict offline
+                  (Sim.Online.equal_verdict offline
                      stream.Sim.Engine.verdict);
               check Alcotest.bool (ctx ^ ": full horizon never early-exits")
                 true
@@ -653,7 +662,12 @@ let test_engine_matches_network_metadata () =
 (* ------------------------------------------------------------------ *)
 
 let test_default_fault_sets () =
-  let sets = Sim.Harness.default_fault_sets ~n:8 ~f:2 in
+  let spec =
+    Algo.Combinators.with_claimed_resilience
+      (Counting.Trivial.follow_leader ~n:8 ~c:2)
+      ~f:2
+  in
+  let sets = default_fault_sets ~rounds:8 spec in
   check Alcotest.bool "contains empty set" true (List.mem [] sets);
   check Alcotest.bool "all within resilience" true
     (List.for_all (fun s -> List.length s <= 2) sets);
@@ -726,7 +740,7 @@ let test_sweep_rejects_shorter_period () =
       ~faulty:[] ~rounds:23 ~seed:1 ()
   in
   check Alcotest.bool "old clamp would have accepted this trace" true
-    (Sim.Stabilise.equal_verdict (Sim.Stabilise.Stabilized 16)
+    (Sim.Online.equal_verdict (Sim.Stabilise.Stabilized 16)
        (Sim.Stabilise.of_run ~min_suffix:5 run));
   let agg =
     let config =
@@ -744,7 +758,7 @@ let test_sweep_rejects_shorter_period () =
       check Alcotest.bool
         (Printf.sprintf "seed %d: period-8 counter not mod-16 counting" o.seed)
         true
-        (Sim.Stabilise.equal_verdict Sim.Stabilise.Not_stabilized o.verdict))
+        (Sim.Online.equal_verdict Sim.Stabilise.Not_stabilized o.verdict))
     agg.Sim.Harness.outcomes;
   check Alcotest.bool "horizon shorter than one period raises" true
     (try

@@ -22,16 +22,6 @@ let test_rng_seed_sensitivity () =
   check Alcotest.bool "different seeds differ" true
     (Stdx.Rng.next_int64 a <> Stdx.Rng.next_int64 b)
 
-let test_rng_copy_independent () =
-  let a = Stdx.Rng.create 3 in
-  let b = Stdx.Rng.copy a in
-  let xa = Stdx.Rng.next_int64 a in
-  let xb = Stdx.Rng.next_int64 b in
-  check Alcotest.int64 "copy replays" xa xb;
-  ignore (Stdx.Rng.next_int64 a);
-  let xa2 = Stdx.Rng.next_int64 a and xb2 = Stdx.Rng.next_int64 b in
-  check Alcotest.bool "then they diverge (one is ahead)" true (xa2 <> xb2)
-
 let test_rng_split_diverges () =
   let a = Stdx.Rng.create 5 in
   let b = Stdx.Rng.split a in
@@ -76,15 +66,6 @@ let test_rng_bool_balanced () =
   done;
   check Alcotest.bool "roughly fair" true (!heads > 4500 && !heads < 5500)
 
-let test_shuffle_permutation =
-  qcheck "shuffle is a permutation"
-    QCheck.(pair small_int (list_of_size (Gen.int_range 0 50) int))
-    (fun (seed, xs) ->
-      let rng = Stdx.Rng.create seed in
-      let a = Array.of_list xs in
-      Stdx.Rng.shuffle rng a;
-      List.sort compare (Array.to_list a) = List.sort compare xs)
-
 let test_sample_without_replacement =
   qcheck "sample w/o replacement: distinct, in range, right size"
     QCheck.(triple small_int (int_range 0 20) (int_range 20 60))
@@ -94,14 +75,6 @@ let test_sample_without_replacement =
       List.length s = k
       && List.length (List.sort_uniq compare s) = k
       && List.for_all (fun v -> v >= 0 && v < n) s)
-
-let test_sample_with_replacement =
-  qcheck "sample w/ replacement: in range, right size"
-    QCheck.(triple small_int (int_range 0 50) (int_range 1 20))
-    (fun (seed, k, n) ->
-      let rng = Stdx.Rng.create seed in
-      let s = Stdx.Rng.sample_with_replacement rng k n in
-      List.length s = k && List.for_all (fun v -> v >= 0 && v < n) s)
 
 (* Golden streams: the first outputs of every primitive for fixed seeds,
    as the generator has always produced them. Every recorded seed, corpus
@@ -248,6 +221,15 @@ let test_rng_sampler_invalid () =
     (Invalid_argument "Rng.int: bound too large") (fun () ->
       ignore (Stdx.Rng.int_sampler ((1 lsl 61) + 1) : Stdx.Rng.t -> int))
 
+let test_rng_pick_list () =
+  let r = Stdx.Rng.create 5 and l = [ 3; 1; 4; 1; 5 ] in
+  for _ = 1 to 200 do
+    check Alcotest.bool "picks a member" true (List.mem (Stdx.Rng.pick_list r l) l)
+  done;
+  check Alcotest.int "singleton" 9 (Stdx.Rng.pick_list r [ 9 ]);
+  Alcotest.check_raises "empty list" (Invalid_argument "Rng.pick_list: empty list")
+    (fun () -> ignore (Stdx.Rng.pick_list r []))
+
 (* Drawing allocates nothing: the hostile engine loop draws per message,
    so a boxed state or a closure per call shows up in its GC profile.
    Nor does [split_into], which the greedy adversary calls per probe. *)
@@ -293,19 +275,35 @@ let test_pow_negative_exponent () =
     (Invalid_argument "Imath.pow: negative exponent") (fun () ->
       ignore (Stdx.Imath.pow 2 (-1)))
 
+let test_mul_checked () =
+  check Alcotest.int "6 * 7" 42 (Stdx.Imath.mul_checked 6 7);
+  check Alcotest.int "signs" (-12) (Stdx.Imath.mul_checked (-3) 4);
+  check Alcotest.int "zero absorbs max_int" 0 (Stdx.Imath.mul_checked 0 max_int);
+  check Alcotest.int "largest exact product" max_int
+    (Stdx.Imath.mul_checked 1 max_int);
+  List.iter
+    (fun (a, b) ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d * %d overflows" a b)
+        (Failure "Imath: integer overflow")
+        (fun () -> ignore (Stdx.Imath.mul_checked a b)))
+    [ (max_int, 2); (1 lsl 32, 1 lsl 31); (min_int, -1); (-(1 lsl 40), 1 lsl 40) ]
+
 let test_ceil_log2 () =
-  check Alcotest.int "clog2 1" 0 (Stdx.Imath.ceil_log2 1);
-  check Alcotest.int "clog2 2" 1 (Stdx.Imath.ceil_log2 2);
-  check Alcotest.int "clog2 3" 2 (Stdx.Imath.ceil_log2 3);
-  check Alcotest.int "clog2 1024" 10 (Stdx.Imath.ceil_log2 1024);
-  check Alcotest.int "clog2 1025" 11 (Stdx.Imath.ceil_log2 1025)
+  check Alcotest.int "bits_for 4" 2 (Stdx.Imath.bits_for 4);
+  check Alcotest.int "bits_for 5" 3 (Stdx.Imath.bits_for 5);
+  check Alcotest.int "bits_for 1024" 10 (Stdx.Imath.bits_for 1024);
+  check Alcotest.int "bits_for 1025" 11 (Stdx.Imath.bits_for 1025);
+  Alcotest.check_raises "no bits for an empty set"
+    (Invalid_argument "Imath.bits_for") (fun () ->
+      ignore (Stdx.Imath.bits_for 0))
 
 let test_ceil_log2_prop =
-  qcheck "2^(clog2 n) >= n > 2^(clog2 n - 1)"
-    QCheck.(int_range 1 1_000_000)
+  qcheck "2^(bits_for n) >= n > 2^(bits_for n - 1) for n >= 2"
+    QCheck.(int_range 2 1_000_000)
     (fun n ->
-      let b = Stdx.Imath.ceil_log2 n in
-      Stdx.Imath.pow 2 b >= n && (b = 0 || Stdx.Imath.pow 2 (b - 1) < n))
+      let b = Stdx.Imath.bits_for n in
+      Stdx.Imath.pow 2 b >= n && Stdx.Imath.pow 2 (b - 1) < n)
 
 let test_bits_for () =
   check Alcotest.int "bits_for 1 (singleton still 1 bit)" 1 (Stdx.Imath.bits_for 1);
@@ -313,30 +311,12 @@ let test_bits_for () =
   check Alcotest.int "bits_for 3" 2 (Stdx.Imath.bits_for 3);
   check Alcotest.int "bits_for 2304" 12 (Stdx.Imath.bits_for 2304)
 
-let test_ceil_div_prop =
-  qcheck "ceil_div a b = ceil(a/b)"
-    QCheck.(pair (int_range 0 100000) (int_range 1 1000))
-    (fun (a, b) ->
-      let q = Stdx.Imath.ceil_div a b in
-      (q * b >= a) && ((q - 1) * b < a || q = 0))
-
-let test_gcd_lcm_prop =
-  qcheck "gcd divides both; lcm multiple of both; gcd*lcm = a*b"
-    QCheck.(pair (int_range 1 10000) (int_range 1 10000))
-    (fun (a, b) ->
-      let g = Stdx.Imath.gcd a b and l = Stdx.Imath.lcm a b in
-      a mod g = 0 && b mod g = 0 && l mod a = 0 && l mod b = 0 && g * l = a * b)
-
 let test_imod_prop =
   qcheck "imod in [0, m) and congruent"
     QCheck.(pair (int_range (-100000) 100000) (int_range 1 997))
     (fun (a, m) ->
       let r = Stdx.Imath.imod a m in
       r >= 0 && r < m && (a - r) mod m = 0)
-
-let test_is_multiple () =
-  check Alcotest.bool "960 | 2880" true (Stdx.Imath.is_multiple 2880 ~of_:960);
-  check Alcotest.bool "960 !| 2881" false (Stdx.Imath.is_multiple 2881 ~of_:960)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                                *)
@@ -347,9 +327,9 @@ let test_stats_mean () =
 
 let test_stats_stddev () =
   check (Alcotest.float 1e-9) "stddev of constant" 0.0
-    (Stdx.Stats.stddev [ 5.0; 5.0; 5.0 ]);
+    (Stdx.Stats.summarize_ints [ 5; 5; 5 ]).Stdx.Stats.stddev;
   check (Alcotest.float 1e-6) "sample stddev" 1.0
-    (Stdx.Stats.stddev [ 1.0; 2.0; 3.0 ])
+    (Stdx.Stats.summarize_ints [ 1; 2; 3 ]).Stdx.Stats.stddev
 
 let test_stats_percentile () =
   let xs = [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
@@ -368,18 +348,6 @@ let test_stats_summary () =
   check (Alcotest.float 1e-9) "min" 1.0 s.Stdx.Stats.min;
   check (Alcotest.float 1e-9) "max" 10.0 s.Stdx.Stats.max
 
-let test_stats_histogram () =
-  let h = Stdx.Stats.histogram ~bins:2 [ 0.0; 0.1; 0.9; 1.0 ] in
-  check Alcotest.int "two bins" 2 (Array.length h);
-  let _, _, c0 = h.(0) and _, _, c1 = h.(1) in
-  check Alcotest.int "total preserved" 4 (c0 + c1)
-
-let test_stats_fraction () =
-  check (Alcotest.float 1e-9) "fraction" 0.5
-    (Stdx.Stats.fraction (fun x -> x > 0) [ 1; -1; 2; -2 ]);
-  check (Alcotest.float 1e-9) "fraction of empty" 0.0
-    (Stdx.Stats.fraction (fun _ -> true) [])
-
 let test_stats_empty_raises () =
   Alcotest.check_raises "mean of empty" (Invalid_argument "Stats.mean: empty input")
     (fun () -> ignore (Stdx.Stats.mean []))
@@ -394,19 +362,40 @@ let test_stats_nan_rejected () =
       (try ignore (f ()); false with Invalid_argument _ -> true)
   in
   raises "mean" (fun () -> Stdx.Stats.mean nan_list);
-  raises "stddev" (fun () -> Stdx.Stats.stddev nan_list);
-  raises "percentile" (fun () -> Stdx.Stats.percentile 0.5 nan_list);
-  raises "summarize" (fun () -> Stdx.Stats.summarize nan_list);
-  raises "histogram" (fun () -> Stdx.Stats.histogram ~bins:2 nan_list)
+  raises "percentile" (fun () -> Stdx.Stats.percentile 0.5 nan_list)
 
 let test_stats_order_with_infinities () =
   (* Float.compare/min/max keep total order on the non-NaN extremes *)
   let xs = [ Float.infinity; -1.0; 0.0; Float.neg_infinity ] in
-  let s = Stdx.Stats.summarize xs in
-  check Alcotest.bool "min" true (s.Stdx.Stats.min = Float.neg_infinity);
-  check Alcotest.bool "max" true (s.Stdx.Stats.max = Float.infinity);
   check (Alcotest.float 1e-9) "median sorts correctly" (-0.5)
     (Stdx.Stats.percentile 0.5 xs)
+
+let test_stats_singleton () =
+  let s = Stdx.Stats.summarize_ints [ 7 ] in
+  check Alcotest.int "count" 1 s.Stdx.Stats.count;
+  List.iter
+    (fun (name, x) -> check (Alcotest.float 1e-9) name 7.0 x)
+    Stdx.Stats.
+      [
+        ("mean", s.mean); ("min", s.min); ("max", s.max); ("median", s.median);
+        ("p90", s.p90); ("p99", s.p99);
+      ];
+  check (Alcotest.float 1e-9) "one sample has no spread" 0.0 s.Stdx.Stats.stddev
+
+let test_stats_pp_summary () =
+  check Alcotest.string "one line, fixed precision"
+    "n=3 mean=2.00 sd=1.00 min=1 med=2.0 p90=2.8 p99=3.0 max=3"
+    (Format.asprintf "%a" Stdx.Stats.pp_summary
+       (Stdx.Stats.summarize_ints [ 3; 1; 2 ]))
+
+let test_stats_percentile_range () =
+  List.iter
+    (fun p ->
+      Alcotest.check_raises
+        (Printf.sprintf "p = %g" p)
+        (Invalid_argument "Stats.percentile: p outside [0,1]")
+        (fun () -> ignore (Stdx.Stats.percentile p [ 1.0; 2.0 ])))
+    [ -0.01; 1.01 ]
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                 *)
@@ -586,8 +575,7 @@ let test_table_alignment () =
 
 let test_table_cells () =
   check Alcotest.string "int cell" "42" (Stdx.Table.cell_int 42);
-  check Alcotest.string "float cell" "3.14" (Stdx.Table.cell_float 3.14159);
-  check Alcotest.string "bool cell" "yes" (Stdx.Table.cell_bool true)
+  check Alcotest.string "float cell" "3.14" (Stdx.Table.cell_float 3.14159)
 
 (* ------------------------------------------------------------------ *)
 (* Json                                                                 *)
@@ -677,6 +665,32 @@ let test_json_accepts () =
   check Alcotest.bool "-0.5e-3 is a float" true
     (Stdx.Json.parse "-0.5e-3" = Stdx.Json.Float (-0.5e-3))
 
+(* [Json.lines]: the line rule every JSONL reader shares. *)
+let json_lines text = List.of_seq (Stdx.Json.lines text)
+let numbered = Alcotest.(list (pair int string))
+
+let test_json_lines_blank () =
+  check numbered "blank and whitespace-only lines skipped, still counted"
+    [ (1, "a"); (4, "b"); (6, " c ") ]
+    (json_lines "a\n\n \t\nb\n\n c \n")
+
+let test_json_lines_cr () =
+  check numbered "a \\r before \\n stays in its line"
+    [ (1, "a\r"); (3, "b\r") ]
+    (json_lines "a\r\n\r\nb\r\n")
+
+let test_json_lines_unterminated () =
+  check numbered "a last line without its newline is a line"
+    [ (1, "a"); (2, "b") ]
+    (json_lines "a\nb");
+  check numbered "a newline-only tail adds nothing" [ (1, "a") ]
+    (json_lines "a\n")
+
+let test_json_lines_empty () =
+  List.iter
+    (fun text -> check numbered (Printf.sprintf "%S" text) [] (json_lines text))
+    [ ""; "\n"; "\n\n"; " \r\n" ]
+
 (* Labels and metric names with control bytes still give parseable
    JSONL, and the name comes back byte for byte. *)
 let test_json_escapes_control_bytes () =
@@ -707,33 +721,29 @@ let suite =
       [
         case "determinism" test_rng_determinism;
         case "seed sensitivity" test_rng_seed_sensitivity;
-        case "copy independence" test_rng_copy_independent;
         case "split diverges" test_rng_split_diverges;
         test_rng_int_bounds;
         case "int invalid bound" test_rng_int_invalid;
         case "int covers range" test_rng_int_covers;
         case "float range" test_rng_float_range;
         case "bool balanced" test_rng_bool_balanced;
-        test_shuffle_permutation;
         test_sample_without_replacement;
-        test_sample_with_replacement;
         case "golden streams" test_rng_golden;
         case "draws do not allocate" test_rng_no_alloc;
         test_rng_indexed_split;
         case "int_sampler invalid bound" test_rng_sampler_invalid;
+        case "pick_list" test_rng_pick_list;
       ] );
     ( "stdx.imath",
       [
         case "pow basics" test_pow_basics;
         case "pow overflow" test_pow_overflow;
         case "pow negative" test_pow_negative_exponent;
-        case "ceil_log2 values" test_ceil_log2;
+        case "mul_checked" test_mul_checked;
+        case "bits_for: ceil_log2 values" test_ceil_log2;
         test_ceil_log2_prop;
         case "bits_for" test_bits_for;
-        test_ceil_div_prop;
-        test_gcd_lcm_prop;
         test_imod_prop;
-        case "is_multiple" test_is_multiple;
       ] );
     ( "stdx.stats",
       [
@@ -742,11 +752,12 @@ let suite =
         case "percentile" test_stats_percentile;
         case "percentile interpolation" test_stats_percentile_interpolates;
         case "summary" test_stats_summary;
-        case "histogram" test_stats_histogram;
-        case "fraction" test_stats_fraction;
         case "empty raises" test_stats_empty_raises;
         case "NaN rejected" test_stats_nan_rejected;
         case "total order with infinities" test_stats_order_with_infinities;
+        case "singleton summary" test_stats_singleton;
+        case "pp_summary" test_stats_pp_summary;
+        case "percentile p outside [0,1]" test_stats_percentile_range;
       ] );
     ( "stdx.pool",
       [
@@ -765,6 +776,10 @@ let suite =
         case "malformed input rejected at its byte" test_json_rejects;
         case "valid input and writer lines accepted" test_json_accepts;
         case "control bytes in names escaped" test_json_escapes_control_bytes;
+        case "lines: blank lines skipped, still counted" test_json_lines_blank;
+        case "lines: CR stays in the line" test_json_lines_cr;
+        case "lines: unterminated last line kept" test_json_lines_unterminated;
+        case "lines: no lines in blank text" test_json_lines_empty;
       ] );
     ( "stdx.table",
       [

@@ -40,10 +40,7 @@ let test_counters_and_gauges () =
   check Alcotest.bool "gauge keeps last write" true
     (Stdx.Metrics.find snap "g" = Some (Stdx.Metrics.Gauge 2.5));
   check Alcotest.bool "missing name" true
-    (Stdx.Metrics.find snap "zzz" = None);
-  Stdx.Metrics.reset m;
-  check Alcotest.int "reset drops everything" 0
-    (List.length (Stdx.Metrics.snapshot m))
+    (Stdx.Metrics.find snap "zzz" = None)
 
 let test_histogram_bucket_edges () =
   let m = Stdx.Metrics.create () in
@@ -220,7 +217,7 @@ let test_jsonl_round_trip () =
     (fun ev ->
       match Sim.Trace.of_json (Sim.Trace.to_json ev) with
       | Ok ev' ->
-        if not (Sim.Trace.equal_event ev ev') then
+        if ev <> ev' then
           Alcotest.failf "round trip changed %s" (Sim.Trace.to_json ev)
       | Error msg ->
         Alcotest.failf "%s: did not parse back: %s" (Sim.Trace.to_json ev) msg)
@@ -244,37 +241,14 @@ let test_jsonl_writer_and_reader () =
       let t = Sim.Trace.jsonl oc in
       List.iter (Sim.Trace.emit t) sample_events;
       close_out oc;
-      let ic = open_in path in
       let back =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> Sim.Trace.read_jsonl ic)
+        Sim.Trace.parse_jsonl (In_channel.with_open_bin path In_channel.input_all)
       in
       check Alcotest.bool "file round-trips the stream" true
         (back = Ok sample_events))
 
-(* Every input through the file reader and through [parse_jsonl] on
-   the same text ([countctl report] parses the text it already read):
-   the two must agree, errors included. *)
 let test_read_jsonl_errors () =
-  let parse s =
-    let path = Filename.temp_file "trace" ".jsonl" in
-    let from_file =
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          let oc = open_out path in
-          output_string oc s;
-          close_out oc;
-          let ic = open_in path in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> Sim.Trace.read_jsonl ic))
-    in
-    check Alcotest.bool "parse_jsonl agrees with the file reader" true
-      (Sim.Trace.parse_jsonl s = from_file);
-    from_file
-  in
+  let parse = Sim.Trace.parse_jsonl in
   (match parse "{\"ev\":\"detector-reset\",\"round\":1,\"phase\":0}\nnot json\n" with
   | Error msg ->
     check Alcotest.bool "error names the line" true
@@ -347,14 +321,6 @@ let damage line ~cut ~flips =
     flips;
   Bytes.sub_string b 0 (min (Bytes.length b) cut)
 
-let read_trace_file content =
-  let path = Filename.temp_file "trace" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_bin path (fun oc -> output_string oc content);
-      In_channel.with_open_bin path Sim.Trace.read_jsonl)
-
 let test_readers_survive_damage =
   qcheck ~count:300 "damaged lines: no reader raises, errors name the line"
     QCheck.(
@@ -376,15 +342,112 @@ let test_readers_survive_damage =
              bad
             : (int Sim.Schedule.t, string) result);
         ignore (Stdx.Heartbeat.is_heartbeat_line bad);
-        ( read_trace_file (String.concat "\n" [ trace_line; bad; trace_line; "" ]),
+        ( Sim.Trace.parse_jsonl (String.concat "\n" [ trace_line; bad; trace_line; "" ]),
           (* A file whose only line was cut off mid-write. *)
-          read_trace_file bad,
+          Sim.Trace.parse_jsonl bad,
           Stdx.Heartbeat.latest ~path:"hb" (lines.(0) ^ "\n" ^ bad ^ "\n") )
       with
       | exception e ->
         QCheck.Test.fail_reportf "%S raised %s" bad (Printexc.to_string e)
       | middle, alone, beat ->
         names_line 2 middle && names_line 1 alone && names_line 2 beat)
+
+(* One line rule for every JSONL reader ([Stdx.Json.lines]): a trace
+   through [Trace.parse_jsonl], a hunt corpus through [Corpus.read] and
+   a heartbeat file through [Heartbeat.complete_lines] split the same
+   text alike. In each template [V] stands for a line the reader
+   accepts and [B] for a malformed one; [lines] are the numbers of the
+   non-blank lines, [bad] the one the parsers name, and [terminated]
+   whether the last line ends in a newline (the heartbeat reader leaves
+   an unterminated last line for its next read). *)
+let line_rule_cases =
+  [
+    ("blank lines", "\nV\n\n  \t\nV\n", [ 2; 5 ], None, true);
+    ("CRLF endings", "V\r\n\r\nV\r\n", [ 1; 3 ], None, true);
+    ("missing final newline", "V\n\nV", [ 1; 3 ], None, false);
+    ("unterminated tail", "V\nV\nB", [ 1; 2; 3 ], Some 3, false);
+    ("malformed middle line", "V\r\nB\n\nV\n", [ 1; 2; 4 ], Some 2, true);
+  ]
+
+let test_shared_line_rule () =
+  let adversaries = Sim.Adversary.registry () in
+  let trace_line =
+    Sim.Trace.to_json (Sim.Trace.Detector_reset { round = 1; phase = 0 })
+  in
+  let corpus_line =
+    Sim.Hunt.Corpus.entry_to_json
+      {
+        Sim.Hunt.Corpus.label = "leader";
+        n = 4;
+        f = 1;
+        c = 5;
+        hunt_seed = 1;
+        trial = 0;
+        run_seed = 1;
+        min_suffix = 10;
+        time_bound = None;
+        cls = Sim.Hunt.Failed;
+        badness =
+          { Sim.Hunt.failed_phases = 1; worst_ratio = 0.0; clamped_events = 0 };
+        size = 1;
+        shrink_steps = 0;
+        shrink_kept = 0;
+        schedule =
+          Sim.Schedule.static ~adversary:(List.hd adversaries) ~faulty:[ 0 ]
+            ~rounds:20;
+      }
+  in
+  let fill template v =
+    String.concat ""
+      (List.map
+         (function
+           | 'V' -> v
+           | 'B' -> String.sub v 0 (String.length v / 2)
+           | ch -> String.make 1 ch)
+         (List.of_seq (String.to_seq template)))
+  in
+  let read_corpus text =
+    let path = Filename.temp_file "corpus" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        In_channel.with_open_bin path (Sim.Hunt.Corpus.read ~adversaries))
+  in
+  let verdict = function
+    | Ok records -> Ok (List.length records)
+    | Error msg -> Error msg
+  in
+  List.iter
+    (fun (name, template, lines, bad, terminated) ->
+      let check_parser reader got =
+        match (bad, got) with
+        | None, Ok n ->
+          check Alcotest.int
+            (Printf.sprintf "%s: %s records" name reader)
+            (List.length lines) n
+        | Some line, Error msg ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: %s names line %d (%s)" name reader line msg)
+            true
+            (Astring.String.is_prefix
+               ~affix:(Printf.sprintf "line %d: " line)
+               msg)
+        | _ -> Alcotest.failf "%s: %s gave the wrong verdict" name reader
+      in
+      check_parser "Trace.parse_jsonl"
+        (verdict (Sim.Trace.parse_jsonl (fill template trace_line)));
+      check_parser "Corpus.read"
+        (verdict (read_corpus (fill template corpus_line)));
+      let complete =
+        List.map fst (Stdx.Heartbeat.complete_lines (fill template trace_line))
+      in
+      check (Alcotest.list Alcotest.int)
+        (name ^ ": complete_lines drops only an unterminated tail")
+        (if terminated then lines
+         else List.filteri (fun i _ -> i < List.length lines - 1) lines)
+        complete)
+    line_rule_cases
 
 (* ------------------------------------------------------------------ *)
 (* Engine/Harness integration and the differential guarantee            *)
@@ -643,6 +706,8 @@ let suite =
         test_jsonl_round_trip_qcheck;
         case "jsonl writer/reader round trip" test_jsonl_writer_and_reader;
         case "reader reports line numbers" test_read_jsonl_errors;
+        case "trace, corpus and heartbeat readers share one line rule"
+          test_shared_line_rule;
         test_readers_survive_damage;
       ] );
     ( "sim.telemetry",
