@@ -4,7 +4,10 @@
    rate by failure class, and how hard the shrinker works — and
    self-checks the hunt's determinism contract by comparing the corpus
    bytes produced at jobs = 1 against the parallel run (exit 1 on any
-   divergence). Results land in BENCH_hunt.json. *)
+   divergence). It then measures the hunt's peak major heap at two trial
+   counts with every sink on, so that a hunt's memory following its
+   hits, not its trials, stays a recorded figure. Results land in
+   BENCH_hunt.json. *)
 
 let json_path = "BENCH_hunt.json"
 
@@ -20,6 +23,39 @@ let config ~jobs =
   Sim.Hunt.Config.(
     default |> with_trials trials |> with_phases 3 |> with_phase_rounds 120
     |> with_events 2 |> with_time_bound time_bound |> with_jobs jobs)
+
+(* Trial counts of the memory measurement: the benchmark's hunt-observed
+   count and ten times it. *)
+let memory_trials = [ 3500; 35000 ]
+
+(* One hunt of [trials] with metrics, a JSONL trace and a 1 s heartbeat,
+   the two streams written to the null device: its hit count and its
+   peak major heap in MB. The heap is compacted first and sampled at the
+   end of every major cycle during the hunt and once after it. *)
+let hunt_memory ~jobs ~adversaries trials =
+  let config = Sim.Hunt.Config.with_trials trials (config ~jobs) in
+  let with_null f = Out_channel.with_open_bin Filename.null f in
+  Gc.compact ();
+  let peak = ref 0 in
+  let sample () = peak := max !peak (Gc.quick_stat ()).Gc.heap_words in
+  sample ();
+  let alarm = Gc.create_alarm sample in
+  let report =
+    with_null (fun hb_oc ->
+        with_null (fun tr_oc ->
+            let hb = Stdx.Heartbeat.create ~interval_s:1.0 ~out:hb_oc () in
+            let r =
+              Sim.Hunt.run ~metrics:(Stdx.Metrics.create ())
+                ~trace:(Sim.Trace.jsonl tr_oc) ~heartbeat:hb ~config ~spec
+                ~adversaries ()
+            in
+            Stdx.Heartbeat.finish hb;
+            r))
+  in
+  sample ();
+  Gc.delete_alarm alarm;
+  ( List.length report.Sim.Hunt.hits,
+    float_of_int (!peak * (Sys.word_size / 8)) /. 1048576.0 )
 
 let corpus_lines report =
   List.map Sim.Hunt.Corpus.entry_to_json
@@ -93,6 +129,24 @@ let run () =
       "shrinking: %d candidate execution(s), %d kept, total size %d -> %d\n"
       shrink_steps shrink_kept size_before size_after;
   print_endline "corpus identical at jobs=1 and parallel";
+  let memory =
+    List.map
+      (fun t ->
+        let hits, heap_mb = hunt_memory ~jobs ~adversaries t in
+        (t, hits, heap_mb))
+      memory_trials
+  in
+  let mem_table = Stdx.Table.create [ "trials"; "hits"; "major heap MB" ] in
+  List.iter
+    (fun (t, hits, heap_mb) ->
+      Stdx.Table.add_row mem_table
+        [
+          Stdx.Table.cell_int t;
+          Stdx.Table.cell_int hits;
+          Printf.sprintf "%.1f" heap_mb;
+        ])
+    memory;
+  Stdx.Table.print mem_table;
   let oc = open_out json_path in
   Printf.fprintf oc
     "{\n\
@@ -114,6 +168,7 @@ let run () =
     \  \"size_after\": %d,\n\
     \  \"jobs_deterministic\": true,\n\
     \  \"hit_records\": [\n   %s\n  ],\n\
+    \  \"memory\": [\n   %s\n  ],\n\
     \  \"metrics\": %s\n\
      }\n"
     (Stdx.Json.escape spec.Algo.Spec.name)
@@ -126,6 +181,12 @@ let run () =
     (by_class Sim.Hunt.Clamped)
     shrink_steps shrink_kept size_before size_after
     (String.concat ",\n   " (List.map json_of_hit hits))
+    (String.concat ",\n   "
+       (List.map
+          (fun (t, hits, heap_mb) ->
+            Printf.sprintf "{\"trials\":%d,\"hits\":%d,\"major_heap_mb\":%.2f}"
+              t hits heap_mb)
+          memory))
     (Stdx.Metrics.to_json (Stdx.Metrics.snapshot metrics));
   close_out oc;
   Printf.printf "[hunt record written to %s]\n" json_path

@@ -107,12 +107,18 @@ rm -f "$run_trace"
 
 # Hunt trace smoke: a hunt's trial/shrink stream with spans renders
 # through `report` (the hunt tally and span profile) and `report --json`.
+# Two workers and a heartbeat make trials finish out of order, so the
+# trace and the heartbeat stream are written through the merge window
+# while the hunt runs; both must lint as JSONL.
 hunt_trace="$(mktemp)"
+hunt_hb="$(mktemp)"
 dune exec bin/countctl.exe -- hunt --algorithm leader:4:5 --claim-f 1 \
-  --trials 8 --spans --trace "$hunt_trace" > /dev/null
+  --bound 8 --trials 48 --rounds 120 --jobs 2 --spans \
+  --heartbeat 1 --heartbeat-file "$hunt_hb" --trace "$hunt_trace" > /dev/null
 report_both "$hunt_trace"
 dune exec bin/jsonlint.exe -- --jsonl "$hunt_trace"
-rm -f "$hunt_trace"
+dune exec bin/jsonlint.exe -- --jsonl "$hunt_hb"
+rm -f "$hunt_trace" "$hunt_hb"
 
 # Unopenable files are clean CLI errors: non-zero exit, no uncaught
 # exception.

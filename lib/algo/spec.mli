@@ -91,7 +91,7 @@ type 's codec = {
           messages through this, so any divergence (value or draw
           count) makes the engine's runs differ from the boxed
           reference's.
-          {!validate} spot-checks both on fresh streams. *)
+          {!validate_exn} spot-checks both on fresh streams. *)
   fresh_kernel : unit -> kernel;
       (** a fresh kernel; called when the domain holds no idle kernel
           for this codec (one this function made) as an engine run
@@ -175,14 +175,17 @@ val with_derived_codec : 's t -> 's t
 
 val validate_exn : 's t -> 's t
 (** [validate_exn spec] is [spec], or raises [Invalid_argument] with the
-    failure reason. Structural sanity checks: [n >= 1], [0 <= f], [c >= 1],
-    [state_bits >= 1], and when [all_states] is available, that outputs of
-    all states at all nodes lie in [\[0, c)], that [X] is closed under
-    [transition] from honest vectors, and that [state_bits] is at least
-    [ceil(log2 |X|)]. When [codec] is present, additionally checks
-    [num_states >= 1], that [state_bits] covers [num_states], and (given
-    [all_states]) that the codec round-trips every state inside
-    [\[0, num_states)]. *)
+    failure reason. Structural sanity checks only: [n >= 1], [0 <= f],
+    [c >= 1], [state_bits >= 1]. When [all_states] is available: it is
+    non-empty, [state_bits] is at least [ceil(log2 |X|)], and the
+    outputs of all states at all nodes lie in [\[0, c)]. When [codec] is
+    present: [num_states >= 1], [state_bits] covers [num_states], and
+    [random_code] agrees with [random_state] on eight fresh streams (same
+    value, same draws); given [all_states] as well, [num_states] is the
+    number of distinct states and the codec round-trips every state
+    inside [\[0, num_states)]. [transition] is never run: a spec whose
+    transition leaves [X] is accepted ([test_algo.ml], "validate does
+    not run transition"). *)
 
 type packed = Packed : 's t -> packed
 (** Existential wrapper so heterogeneously-typed levels of the recursive

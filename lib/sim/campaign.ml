@@ -1,10 +1,12 @@
 (* The cost model: a cell's work is proportional to its horizon times
    n^2 (one all-to-all message round per simulated round). Within a
    single sweep this is constant — LPT with equal costs claims in index
-   order — but heterogeneous grids (chaos campaigns with random phase
-   durations, hunt trials) get genuine cost-sorted claiming. *)
+   order — but chaos campaigns with random phase durations get genuine
+   cost-sorted claiming. *)
 let cell_cost ~n horizon =
   float_of_int horizon *. float_of_int n *. float_of_int n
+
+type 'a horizon = Known of (int -> int) | Of_result of ('a -> int)
 
 type cell = {
   metrics : Stdx.Metrics.t option;
@@ -49,8 +51,16 @@ let emit_pool_spans tr (s : Stdx.Pool.stats) =
 
 let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
     ~label cells run_cell =
-  let costs = Array.init cells (fun i -> cell_cost ~n (horizon i)) in
-  let cost i = costs.(i) in
+  (* Known horizons price every cell up front for LPT claims; a cell
+     whose horizon comes with its result is claimed in index order and
+     priced for the heartbeat when it finishes. *)
+  let costs, cost =
+    match horizon with
+    | Known h ->
+      let costs = Array.init cells (fun i -> cell_cost ~n (h i)) in
+      (costs, Some (Array.get costs))
+    | Of_result _ -> ([||], None)
+  in
   Option.iter
     (fun hb ->
       Stdx.Heartbeat.set_totals hb ~cells
@@ -62,6 +72,8 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
   let want_cell_metrics = metrics <> None || heartbeat <> None in
   (* The cell wall feeds [<prefix>.cell_wall_s] and [Cell_end] only. *)
   let timed = metrics <> None || seams in
+  (* Without a sink there is nothing to merge: the cells skip the window. *)
+  let merging = want_cell_metrics || seams in
   let pool_stats = ref None in
   let stats =
     if metrics = None && not spans then None
@@ -77,8 +89,60 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
         Stdx.Heartbeat.task_done hb ~worker ~busy_s:wall_s)
       heartbeat
   in
+  (* Deterministic merge: pool workers never share a sink, and what
+     depends on merge order — histogram sums, gauges, trace streams — is
+     applied in cell-index order, so the merged metrics and the replayed
+     trace are identical at any [jobs]. A finished cell waits in
+     [window] until every lower-indexed cell has been merged; the worker
+     that completes the run of ready cells merges them. A failed cell is
+     never merged, so the cells above it stay in the window. *)
+  let wall_metric = prefix ^ ".cell_wall_s" in
+  let cells_metric = prefix ^ ".cells" in
+  let merge i (rest, events, wall) =
+    Option.iter
+      (fun rest ->
+        Option.iter (fun m -> Stdx.Metrics.merge_ordered m rest) metrics;
+        Option.iter (fun hb -> Stdx.Heartbeat.settle hb rest) heartbeat)
+      rest;
+    Option.iter
+      (fun m ->
+        Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets m wall_metric
+          wall;
+        Stdx.Metrics.incr m cells_metric)
+      metrics;
+    match trace with
+    | Some tr when seams ->
+      Trace.emit tr (Trace.Cell_start { cell = i; label = label i });
+      List.iter (Trace.emit tr) events;
+      Trace.emit tr (Trace.Cell_end { cell = i; wall_s = wall })
+    | _ -> ()
+  in
+  let window = Hashtbl.create 16 in
+  let window_lock = Mutex.create () in
+  let next = ref 0 in
+  (* A merge that raises (a kind clash, an unwritable trace) stops the
+     merging; it is re-raised once the pool has drained, unless a cell
+     failed. *)
+  let merge_failure = ref None in
+  let rec merge_ready () =
+    match Hashtbl.find_opt window !next with
+    | None -> ()
+    | Some finished ->
+      Hashtbl.remove window !next;
+      merge !next finished;
+      incr next;
+      merge_ready ()
+  in
+  let finish i finished =
+    Mutex.protect window_lock (fun () ->
+        if Option.is_none !merge_failure then begin
+          Hashtbl.replace window i finished;
+          try merge_ready ()
+          with e -> merge_failure := Some (e, Printexc.get_raw_backtrace ())
+        end)
+  in
   let results =
-    Stdx.Pool.exec ~jobs ~cost ?stats ?on_task cells (fun i ->
+    Stdx.Pool.exec ~jobs ?cost ?stats ?on_task cells (fun i ->
         let cell_m =
           if want_cell_metrics then Some (Stdx.Metrics.create ()) else None
         in
@@ -106,11 +170,20 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
         let snap = Option.map Stdx.Metrics.snapshot cell_m in
         Option.iter
           (fun hb ->
-            Stdx.Heartbeat.cell_done ?snapshot:snap ~rounds ~cost:(cost i) hb)
+            let cost =
+              match horizon with
+              | Known _ -> costs.(i)
+              | Of_result h ->
+                let cost = cell_cost ~n (h v) in
+                Stdx.Heartbeat.set_totals hb ~cells:0 ~cost;
+                cost
+            in
+            Stdx.Heartbeat.cell_done ?snapshot:snap ~rounds ~cost hb)
           heartbeat;
-        (* Fold the cell into the caller's registry now and keep only
-           what the index-order pass below needs: the order-sensitive
-           histogram sums and gauges, not the whole snapshot. *)
+        (* Fold the cell's counts into the caller's registry now and
+           keep only what the index-order merge needs: the
+           order-sensitive histogram sums and gauges, not the whole
+           snapshot. *)
         let rest =
           Option.map
             (fun snap ->
@@ -118,35 +191,13 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
               Stdx.Metrics.ordered snap)
             snap
         in
-        (v, rest, Trace.events tracer, wall))
+        if merging then finish i (rest, Trace.events tracer, wall);
+        v)
   in
-  (* Deterministic merge: pool workers never share a sink, and what
-     depends on merge order — histogram sums, gauges, trace streams — is
-     applied here in cell-index order, so the merged metrics and the
-     replayed trace are identical at any [jobs]. *)
-  let wall_metric = prefix ^ ".cell_wall_s" in
-  let cells_metric = prefix ^ ".cells" in
-  Array.iteri
-    (fun i (_, rest, events, wall) ->
-      Option.iter
-        (fun rest ->
-          Option.iter (fun m -> Stdx.Metrics.merge_ordered m rest) metrics;
-          Option.iter (fun hb -> Stdx.Heartbeat.settle hb rest) heartbeat)
-        rest;
-      Option.iter
-        (fun m ->
-          Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets m wall_metric
-            wall;
-          Stdx.Metrics.incr m cells_metric)
-        metrics;
-      match trace with
-      | Some tr when seams ->
-        Trace.emit tr (Trace.Cell_start { cell = i; label = label i });
-        List.iter (Trace.emit tr) events;
-        Trace.emit tr (Trace.Cell_end { cell = i; wall_s = wall })
-      | _ -> ())
-    results;
+  Option.iter
+    (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+    !merge_failure;
   (match (trace, !pool_stats) with
   | Some tr, Some s when spans && seams -> emit_pool_spans tr s
   | _ -> ());
-  Array.map (fun (v, _, _, _) -> v) results
+  results

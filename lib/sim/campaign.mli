@@ -5,7 +5,8 @@
     aggregates the results; {!exec} owns everything in between:
 
     - the claim order: cost-sorted (LPT) under the [horizon × n²] cost
-      model ({!cell_cost});
+      model ({!cell_cost}) when the horizons are {!Known}, index order
+      when each cell reports its own ({!Of_result});
     - per-cell private sinks (a metrics registry, a memory trace, a span
       context), created only when a caller-side sink asks for them;
     - cell timing, the deterministic merge into the caller's sinks
@@ -18,15 +19,27 @@
 
     The merge: a finished cell's counters and histogram counts are
     added into the caller's registry (and the heartbeat's) inside its
-    pool task ({!Stdx.Metrics.merge_counts}); the cell keeps only its
-    histogram sums and gauges ({!Stdx.Metrics.ordered}), which are
-    applied in cell-index order after the pool drains, together with
-    the trace streams (each bracketed by [Cell_start]/[Cell_end]). The
-    registry therefore equals the index-order merge of whole snapshots
-    bit for bit, while a campaign holds a few words per cell instead of
-    a snapshot. A bucket-layout or kind clash raises [Invalid_argument]
-    out of {!exec}; cells that finished before it have then already
-    added their counts.
+    pool task ({!Stdx.Metrics.merge_counts}); what depends on order —
+    its histogram sums and gauges ({!Stdx.Metrics.ordered}), its trace
+    stream (bracketed by [Cell_start]/[Cell_end]) and its
+    [<prefix>.cell_wall_s] sample — waits in a window until every
+    lower-indexed cell has been merged, and is then merged by whichever
+    worker completed that run of cells. The registry therefore equals
+    the index-order merge of whole snapshots bit for bit, the trace is
+    written in cell-index order as the campaign runs, and the window
+    holds only the cells that finished while a lower-indexed cell was
+    still running: with index-order claims, about [jobs] of them. The
+    returned array holds only the cells' values.
+
+    When a cell raises, {!exec} re-raises the exception of the lowest
+    failing index once the pool has drained. By then the cells below
+    it have been merged in full — their trace streams written and
+    their sums, gauges and wall samples applied — and nothing of it or
+    of the cells above it has been written to the trace, while the
+    counts of every cell that finished are in the registry. A merge
+    that raises (a kind clash between two cells' instruments, an
+    unwritable trace) stops the merging at its cell and is re-raised
+    after the drain when no cell failed.
 
     Each cell must be fully keyed by its index (all randomness derived
     from its own inputs), so results and all non-wall-clock telemetry
@@ -35,6 +48,18 @@
 val cell_cost : n:int -> int -> float
 (** [cell_cost ~n horizon] — the campaign cost model, [horizon × n²]:
     one all-to-all message round per simulated round. *)
+
+(** Where a cell's round budget comes from: it prices the cell for
+    claiming and for the heartbeat's cost ledger. *)
+type 'a horizon =
+  | Known of (int -> int)
+      (** cell [i]'s horizon, known before the pool starts: cells are
+          priced up front and claimed longest first (LPT) *)
+  | Of_result of ('a -> int)
+      (** read off a cell's value: for grids that build a cell's input
+          inside the cell, such as {!Hunt} trials. Cells are claimed in
+          index order, and each one's cost is added to the heartbeat's
+          total when it finishes. *)
 
 (** The private sinks one cell runs with. With no caller-side sink they
     are [None], {!Trace.null} and {!Stdx.Span.disabled}: the inert path. *)
@@ -56,7 +81,7 @@ val exec :
   jobs:int ->
   prefix:string ->
   n:int ->
-  horizon:(int -> int) ->
+  horizon:'a horizon ->
   label:(int -> string) ->
   int ->
   (cell -> int -> 'a * int) ->
@@ -66,8 +91,8 @@ val exec :
     returns the results in index order. [run_cell] returns its result
     and the number of rounds it simulated (the heartbeat's [rounds]).
 
-    [horizon i] is cell [i]'s round budget, [n] the spec's node count:
-    together they price the cell for claiming and the heartbeat.
+    [horizon] gives each cell's round budget and [n] is the spec's node
+    count: together they price the cell for claiming and the heartbeat.
     [label i] names the cell in its [Cell_start] event. [metrics]
     receives [<prefix>.cells] (one per cell) and the
     [<prefix>.cell_wall_s] histogram (one sample per cell) on top of

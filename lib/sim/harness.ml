@@ -104,7 +104,7 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
   in
   let outcomes =
     Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ~prefix:"harness" ~n
-      ~horizon:(fun _ -> rounds)
+      ~horizon:(Campaign.Known (fun _ -> rounds))
       ~label:(fun i ->
         let adversary, faulty, seed = grid.(i) in
         Printf.sprintf "%s f=[%s] seed=%d"
@@ -267,9 +267,11 @@ module Chaos = struct
   let exec_entries ?metrics ?trace ?spans ?heartbeat ~jobs
       ~(spec : 's Algo.Spec.t) ~kind ~schedule_seed entries =
     Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ~prefix:"chaos" ~n:spec.Algo.Spec.n
-      ~horizon:(fun i ->
-        let sched, _, _ = entries.(i) in
-        Schedule.total_rounds sched)
+      ~horizon:
+        (Campaign.Known
+           (fun i ->
+             let sched, _, _ = entries.(i) in
+             Schedule.total_rounds sched))
       ~label:(fun i ->
         let _, run_seed, _ = entries.(i) in
         Printf.sprintf "%s %d seed %d" kind (schedule_seed i) run_seed)

@@ -109,16 +109,16 @@ val run :
     private registry and buffer. As a cell finishes, its counters and
     histogram counts are added into [metrics] (integer adds, which
     commute); its histogram sums and gauges, whose result depends on
-    the order they are applied in, wait until the pool drains and are
-    applied in cell-index order, as the cell streams are replayed into
-    [trace], each bracketed by [Cell_start]/[Cell_end]
-    ({!Campaign.exec}). [metrics] thus ends as the index-order merge of
-    the cell registries, bit for bit. Apart from the
-    scheduling-dependent wall-clock instruments ([harness.cell_wall_s]
-    and the per-worker [pool.worker_busy_s] load histogram, whose
-    sample count is the actual worker count) the telemetry is identical
-    at any [jobs] count, and the sweep outcomes are bit-identical with
-    telemetry on or off.
+    the order they are applied in, wait until every lower-indexed cell
+    has been merged and are applied in cell-index order, as the cell
+    streams are written into [trace], each bracketed by
+    [Cell_start]/[Cell_end] ({!Campaign.exec}). [metrics] thus ends as
+    the index-order merge of the cell registries, bit for bit. Apart
+    from the scheduling-dependent wall-clock instruments
+    ([harness.cell_wall_s] and the per-worker [pool.worker_busy_s] load
+    histogram, whose sample count is the actual worker count) the
+    telemetry is identical at any [jobs] count, and the sweep outcomes
+    are bit-identical with telemetry on or off.
 
     [spans] (default [false]) gives every cell a {!Stdx.Span} context:
     the engine's craft/step/detect totals land in the cell's registry
@@ -129,8 +129,8 @@ val run :
     the grid's cell count and modelled cost are announced up front,
     each completed cell advances the ledger and adds its counts into
     the heartbeat's live registry, its sums and gauges follow in
-    cell-index order once the pool drains (so every instrument of the
-    terminal line equals [metrics]'), and each pool task feeds
+    cell-index order (so every instrument of the terminal line equals
+    [metrics]'), and each pool task feeds
     per-worker utilization. Both are certified inert — outcomes
     bit-identical on or off, and all non-wall-time output
     jobs/schedule-deterministic (differential tests in

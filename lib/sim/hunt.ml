@@ -251,48 +251,43 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
      observed — otherwise shrinking would converge on vacuous failures
      that say nothing about the algorithm. *)
   let min_duration = Option.value time_bound ~default:0 + margin + 2 in
-  (* Every per-trial seed is drawn from the master stream before the
-     pool starts: trial i is fully keyed by trial_seeds.(i), so any
-     [jobs] yields a bit-identical hunt. *)
+  (* Every per-trial seed pair is drawn from the master stream before
+     the pool starts, generation seed first: trial i is fully keyed by
+     seeds.(2i) and seeds.(2i + 1), so any [jobs] yields a bit-identical
+     hunt. Its schedule is built inside its own cell, so a hunt holds no
+     schedule it is not running. *)
   let master = Stdx.Rng.create seed in
-  let trial_seeds = Array.make trials (0, 0) in
-  for i = 0 to trials - 1 do
-    let gen_seed = Stdx.Rng.bits master in
-    let mut_seed = Stdx.Rng.bits master in
-    trial_seeds.(i) <- (gen_seed, mut_seed)
-  done;
-  let schedules =
-    Array.map
-      (fun (gen_seed, mut_seed) ->
-        let base =
-          Schedule.random ~spec ~adversaries ~phases ~phase_rounds ~events
-            ~max_victims ~event_margin:margin ~seed:gen_seed ()
-        in
-        let mrng = Stdx.Rng.create mut_seed in
-        let steps = Stdx.Rng.int mrng (mutations + 1) in
-        let rec go s i =
-          if i = 0 then s
-          else
-            go
-              (Schedule.mutate ~spec ~adversaries ~max_victims
-                 ~event_margin:margin ~rng:mrng s)
-              (i - 1)
-        in
-        go base steps)
-      trial_seeds
+  let seeds = Array.init (2 * trials) (fun _ -> Stdx.Rng.bits master) in
+  let schedule_of ~gen_seed ~mut_seed =
+    let base =
+      Schedule.random ~spec ~adversaries ~phases ~phase_rounds ~events
+        ~max_victims ~event_margin:margin ~seed:gen_seed ()
+    in
+    let mrng = Stdx.Rng.create mut_seed in
+    let steps = Stdx.Rng.int mrng (mutations + 1) in
+    let rec go s i =
+      if i = 0 then s
+      else
+        go
+          (Schedule.mutate ~spec ~adversaries ~max_victims ~event_margin:margin
+             ~rng:mrng s)
+          (i - 1)
+    in
+    go base steps
   in
   let results =
     Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ~prefix:"hunt" ~n
-      ~horizon:(fun i -> Schedule.total_rounds schedules.(i))
+      ~horizon:(Campaign.Of_result (fun (_, _, horizon) -> horizon))
       ~label:(fun i -> Printf.sprintf "trial %d" i)
       trials
       (fun cell trial ->
         let { Campaign.metrics = cell_m; tracer = cell_tr; spans = cell_sp } =
           cell
         in
+        let gen_seed = seeds.(2 * trial)
+        and mut_seed = seeds.((2 * trial) + 1) in
+        let sched = schedule_of ~gen_seed ~mut_seed in
         Stdx.Span.with_ cell_sp "hunt.trial" @@ fun () ->
-        let gen_seed, mut_seed = trial_seeds.(trial) in
-        let sched = schedules.(trial) in
         let execs = ref 0 in
         let rounds = ref 0 in
         let eval s =
@@ -365,10 +360,12 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
                 shrink_kept = kept;
               }
         in
-        ((hit, !execs), !rounds))
+        ((hit, !execs, Schedule.total_rounds sched), !rounds))
   in
-  let hits = List.filter_map fst (Array.to_list results) in
-  let executions = Array.fold_left (fun acc (_, e) -> acc + e) 0 results in
+  let hits =
+    List.filter_map (fun (hit, _, _) -> hit) (Array.to_list results)
+  in
+  let executions = Array.fold_left (fun acc (_, e, _) -> acc + e) 0 results in
   let worst =
     List.fold_left
       (fun acc h ->

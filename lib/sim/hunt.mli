@@ -18,13 +18,20 @@
 
     {2 Determinism}
 
-    Everything a trial needs — its generation seed, mutation seed and
-    schedule — is derived from the hunt seed {e before} the
-    {!Stdx.Pool} starts, and shrinking happens inside the trial's own
-    pool task, so a hunt is bit-identical (same hits, same shrunk
-    reproducers, same corpus bytes) at any [jobs] count — the same
-    contract as {!Harness}. Telemetry rides
-    the harness's per-cell sinks and is merged in trial order.
+    A trial is keyed by its generation and mutation seeds, drawn from
+    the hunt seed {e before} the {!Stdx.Pool} starts; its schedule is
+    built and shrunk inside the trial's own pool task, so a hunt is
+    bit-identical (same hits, same shrunk reproducers, same corpus
+    bytes) at any [jobs] count — the same contract as {!Harness}.
+    Telemetry rides the per-cell sinks of {!Campaign.exec} and is
+    merged in trial order as trials finish.
+
+    {2 Memory}
+
+    A hunt keeps two seeds and one small result per trial, the shrunk
+    schedule of each hit, and the telemetry of the trials that finished
+    while a lower-numbered one was still running (about [jobs] of
+    them): it grows with its hits, not with the schedules it tries.
 
     {2 Corpus}
 
@@ -118,7 +125,9 @@ module Config : sig
             margin schedules are generated and shrunk with. *)
     jobs : int;
         (** worker domains; any value, identical hunts. Trials are
-            claimed longest-first by horizon × n². *)
+            claimed in index order: a trial's horizon is known only once
+            its cell has built its schedule
+            ({!Campaign.Of_result}). *)
   }
 
   val default : t
@@ -202,10 +211,11 @@ val run :
     plus a [hunt.trial] span per trial and a [hunt.shrink] span per
     descent — all merged like the rest of the cell telemetry, with the
     drain-level [pool.*] span triple after ({!Campaign.exec}).
-    [heartbeat] streams live progress: trial count and horizon×n² cost
-    totals are announced up front, each finished trial advances the
-    ledger with its simulated rounds and merged snapshot, and every hit
-    bumps the heartbeat's per-class hit tally. The caller owns the
+    [heartbeat] streams live progress: the trial count is announced up
+    front, each finished trial adds its horizon×n² cost to the total
+    and the done ledger (so the ETA extrapolates the trial count)
+    together with its simulated rounds and merged snapshot, and every
+    hit bumps the heartbeat's per-class hit tally. The caller owns the
     terminal line ({!Stdx.Heartbeat.finish}). Both are inert under the
     same differential contract. *)
 

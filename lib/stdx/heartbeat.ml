@@ -6,11 +6,11 @@
    metrics registry. As a cell completes, the commutative part of its
    private snapshot (counters, histogram counts) is added at once; the
    order-sensitive rest (histogram sums, gauges) arrives through
-   [settle], which campaigns call in cell-index order once the pool has
-   drained. The *final* registry (and hence the terminal heartbeat
-   line) is then the index-order merge, bit for bit, at any jobs count;
-   only wall-time fields and intermediate beats, whose sums may lag,
-   depend on the completion order.
+   [settle], which campaigns call in cell-index order. The *final*
+   registry (and hence the terminal heartbeat line) is then the
+   index-order merge, bit for bit, at any jobs count; only wall-time
+   fields and intermediate beats, whose sums may lag, depend on the
+   completion order.
 
    One JSON object per line, every line tagged {"kind":"heartbeat"};
    the last line carries "final":true. Beats are rate-limited by the
@@ -77,10 +77,16 @@ let emit_line t ~final =
   t.seq <- t.seq + 1;
   let now = t.clock () in
   let elapsed = Float.max 0.0 (now -. t.started) in
-  let eta =
-    if t.cost_done > 0.0 && t.cost_total > t.cost_done then
-      json_float (elapsed *. (t.cost_total -. t.cost_done) /. t.cost_done)
+  (* Extrapolate the modelled cost; when no announced cost is left
+     (cells priced only as they finish), the cell count instead. *)
+  let project done_ total =
+    if done_ > 0.0 && total > done_ then
+      json_float (elapsed *. (total -. done_) /. done_)
     else "null"
+  in
+  let eta =
+    if t.cost_total > t.cost_done then project t.cost_done t.cost_total
+    else project (float_of_int t.cells_done) (float_of_int t.cells_total)
   in
   let hits =
     List.sort (fun (a, _) (b, _) -> String.compare a b) t.hits

@@ -38,7 +38,10 @@ val create :
 val set_totals : t -> cells:int -> cost:float -> unit
 (** Announce work: [cells] more cells totalling modelled [cost] (the
     harnesses use their [horizon × n²] cost model). Adds on repeat calls,
-    so chained campaigns extend one stream. *)
+    so chained campaigns extend one stream. Cells priced only as they
+    finish (hunt trials) are announced with cost [0.] and add their cost
+    with [~cells:0] when done; while no announced cost remains undone,
+    the ETA extrapolates the cell count instead of the cost. *)
 
 val cell_done :
   ?snapshot:Metrics.snapshot -> ?rounds:int -> cost:float -> t -> unit
@@ -51,8 +54,9 @@ val cell_done :
 
 val settle : t -> Metrics.ordered -> unit
 (** Apply one cell's {!Metrics.ordered} rest (after its {!cell_done}) to
-    the live registry. A campaign calls it per cell in cell-index order
-    once its pool has drained; it never emits a beat. *)
+    the live registry. A campaign calls it per cell in cell-index order,
+    each cell once every lower-indexed cell has settled; it never emits
+    a beat. *)
 
 val hit : t -> string -> unit
 (** Count one hunt hit under class [cls] (as printed by

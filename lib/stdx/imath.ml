@@ -2,7 +2,11 @@ let mul_checked a b =
   if a = 0 || b = 0 then 0
   else
     let r = a * b in
-    if r / a <> b then failwith "Imath: integer overflow" else r
+    (* [min_int / -1] wraps to [min_int], so the division check alone
+       passes [-1 * min_int]. *)
+    if (a = -1 && b = min_int) || r / a <> b then
+      failwith "Imath: integer overflow"
+    else r
 
 let pow b e =
   if e < 0 then invalid_arg "Imath.pow: negative exponent";

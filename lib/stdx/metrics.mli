@@ -7,9 +7,9 @@
     its own registry: as each cell finishes, its counters and histogram
     counts are added into the caller's registry at once
     ({!merge_counts}, integer adds that commute), and only the cell's
-    {!ordered} rest — histogram sums and gauges — is kept until the
-    pool drains and then applied in cell-index order
-    ({!merge_ordered}). The result equals merging the whole
+    {!ordered} rest — histogram sums and gauges — is kept until every
+    lower-indexed cell has been merged and then applied in cell-index
+    order ({!merge_ordered}). The result equals merging the whole
     {!snapshot}s in cell-index order, bit for bit, so it is identical at
     any jobs count (see DESIGN.md, "Telemetry").
 

@@ -40,6 +40,14 @@ let test_validate_bad_f () =
   let bad = { trivial with Algo.Spec.f = -1 } in
   check Alcotest.bool "f < 0 rejected" false (validates bad)
 
+(* Validation never runs [transition]: a spec whose transition leaves
+   [all_states] still validates, as the doc of [validate_exn] says. *)
+let test_validate_ignores_transition () =
+  let escapes =
+    { trivial with Algo.Spec.transition = (fun ~self:_ ~rng:_ _ -> 1000) }
+  in
+  check Alcotest.bool "transition outside X accepted" true (validates escapes)
+
 (* [validate_exn]'s reason for rejecting [spec], which must name [affix]. *)
 let rejected_for affix spec =
   match Algo.Spec.validate_exn spec with
@@ -206,6 +214,8 @@ let suite =
         case "validate bad output" test_validate_bad_output;
         case "validate bad bits" test_validate_bad_bits;
         case "validate bad f" test_validate_bad_f;
+        case "validate does not run transition"
+          test_validate_ignores_transition;
         case "validate rejects a codec that does not round-trip"
           test_validate_codec_roundtrip;
         case "validate rejects random_code out of step with random_state"

@@ -51,8 +51,8 @@ let test_all_sinks () =
         Test_obs.with_heartbeat ~interval_s:1.0e9 (fun hb ->
             results :=
               Sim.Campaign.exec ~metrics:m ~trace:tr ~spans:true ~heartbeat:hb
-                ~jobs ~prefix:"synthetic" ~n ~horizon ~label cells
-                synthetic;
+                ~jobs ~prefix:"synthetic" ~n
+                ~horizon:(Sim.Campaign.Known horizon) ~label cells synthetic;
             Stdx.Heartbeat.finish hb)
       in
       check (Alcotest.array Alcotest.int) (name ^ ": results in index order")
@@ -102,8 +102,8 @@ let test_no_sinks_inert () =
   List.iter
     (fun (name, jobs) ->
       let inert =
-        Sim.Campaign.exec ~jobs ~prefix:"synthetic" ~n ~horizon
-          ~label cells (fun cell i ->
+        Sim.Campaign.exec ~jobs ~prefix:"synthetic" ~n
+          ~horizon:(Sim.Campaign.Known horizon) ~label cells (fun cell i ->
             ( cell.Sim.Campaign.metrics = None
               && cell.Sim.Campaign.tracer == Sim.Trace.null
               && cell.Sim.Campaign.spans == Stdx.Span.disabled,
@@ -119,8 +119,8 @@ let test_no_sinks_inert () =
 let test_longest_cell_first () =
   let ran = ref [] in
   ignore
-    (Sim.Campaign.exec ~jobs:1 ~prefix:"synthetic" ~n ~horizon ~label cells
-       (fun _ i ->
+    (Sim.Campaign.exec ~jobs:1 ~prefix:"synthetic" ~n
+       ~horizon:(Sim.Campaign.Known horizon) ~label cells (fun _ i ->
          ran := i :: !ran;
          (i, horizon i)));
   let ran = List.rev !ran in
@@ -138,7 +138,17 @@ let test_longest_cell_first () =
     (List.stable_sort
        (fun a b -> Int.compare (horizon b) (horizon a))
        (List.init cells Fun.id))
-    ran
+    ran;
+  let ran = ref [] in
+  ignore
+    (Sim.Campaign.exec ~jobs:1 ~prefix:"synthetic" ~n
+       ~horizon:(Sim.Campaign.Of_result Fun.id) ~label cells (fun _ i ->
+         ran := i :: !ran;
+         (horizon i, horizon i)));
+  check
+    (Alcotest.list Alcotest.int)
+    "horizons read off the results: index order" (List.init cells Fun.id)
+    (List.rev !ran)
 
 (* Folding each cell's counts as it finishes and its sums and gauges
    afterwards equals merging whole snapshots in cell-index order. The
@@ -173,8 +183,8 @@ let test_fold_equals_index_merge () =
       let m = Stdx.Metrics.create () in
       let ran = ref [] in
       ignore
-        (Sim.Campaign.exec ~metrics:m ~jobs ~prefix:"fold" ~n ~horizon ~label
-           cells (fun cell i ->
+        (Sim.Campaign.exec ~metrics:m ~jobs ~prefix:"fold" ~n
+           ~horizon:(Sim.Campaign.Known horizon) ~label cells (fun cell i ->
              if jobs = 1 then ran := i :: !ran;
              Option.iter (fun m -> record m i) cell.Sim.Campaign.metrics;
              ((), horizon i)));
@@ -186,6 +196,150 @@ let test_fold_equals_index_merge () =
           (merged (List.rev !ran) = expected))
     configs
 
+(* Costs that rise with the index make longest-first claims run the
+   grid last cell first, so at jobs = 1 every cell finishes before cell
+   0 and waits in the merge window until the cells below it are merged.
+   The trace, registry and heartbeat terminal line must equal those of
+   the same cells claimed in index order ([Of_result], same costs),
+   which finish in index order at jobs = 1. The cells also observe
+   floats whose sum depends on the order they are added in, as in the
+   fold test above. *)
+let test_window_reverse_finish () =
+  let cells = 8 in
+  let rising i = 10 + i in
+  let value i = [| 1e16; 1.0; -1e16; 1.0; 3.0; 0.5; -2.0; 7.0 |].(i) in
+  let run ~jobs horizon =
+    let ran = ref [] in
+    let m = Stdx.Metrics.create () in
+    let tr = Sim.Trace.memory () in
+    let lines =
+      Test_obs.with_heartbeat ~interval_s:1.0e9 (fun hb ->
+          ignore
+            (Sim.Campaign.exec ~metrics:m ~trace:tr ~spans:true ~heartbeat:hb
+               ~jobs ~prefix:"window" ~n ~horizon ~label cells (fun cell i ->
+                 if jobs = 1 then ran := i :: !ran;
+                 ignore (synthetic cell i);
+                 Option.iter
+                   (fun m ->
+                     Stdx.Metrics.observe ~buckets:[| 1.0; 1e17 |] m "window.x"
+                       (value i);
+                     Stdx.Metrics.set_gauge m "window.last" (float_of_int i))
+                   cell.Sim.Campaign.metrics;
+                 (rising i, rising i)));
+          Stdx.Heartbeat.finish hb)
+    in
+    ( List.rev !ran,
+      Test_telemetry.normalise_wall (Sim.Trace.events tr),
+      Test_telemetry.drop_wall (Stdx.Metrics.snapshot m),
+      Test_obs.deterministic_view (List.hd lines) )
+  in
+  List.iter
+    (fun (name, jobs) ->
+      let ran, trace, registry, final = run ~jobs (Sim.Campaign.Known rising) in
+      let ran', trace', registry', final' =
+        run ~jobs (Sim.Campaign.Of_result Fun.id)
+      in
+      if jobs = 1 then begin
+        check
+          (Alcotest.list Alcotest.int)
+          "longest first: the cells finish in reverse"
+          (List.init cells (fun i -> cells - 1 - i))
+          ran;
+        check
+          (Alcotest.list Alcotest.int)
+          "index-order claims finish in order" (List.init cells Fun.id) ran'
+      end;
+      check
+        (Alcotest.list Alcotest.int)
+        (name ^ ": the trace's cells in index order")
+        (List.init cells Fun.id)
+        (List.filter_map
+           (function Sim.Trace.Cell_start { cell; _ } -> Some cell | _ -> None)
+           trace);
+      check Alcotest.bool (name ^ ": trace as in index order") true
+        (trace = trace');
+      check Alcotest.bool (name ^ ": registry as in index order") true
+        (registry = registry');
+      check Alcotest.bool (name ^ ": heartbeat terminal line as in index order")
+        true (final = final'))
+    configs
+
+(* A failing cell: the exception of the lowest failing index
+   propagates, whichever failed first. Costs rise with the index, so at
+   jobs = 1 cell 7 fails before cell 4 runs. What was written before
+   the re-raise is pinned: the trace holds the cells below the failing
+   index, each in full, and no pool spans; the registry holds the
+   counts of every cell that finished, but the cell count and wall
+   samples of the merged cells only. *)
+let test_failure_prefix () =
+  let cells = 10 in
+  let rising i = 10 + i in
+  let failing i = i = 4 || i = 7 in
+  List.iter
+    (fun (name, jobs) ->
+      let m = Stdx.Metrics.create () in
+      let tr = Sim.Trace.memory () in
+      (match
+         Sim.Campaign.exec ~metrics:m ~trace:tr ~spans:true ~jobs
+           ~prefix:"synthetic" ~n ~horizon:(Sim.Campaign.Known rising) ~label
+           cells (fun cell i ->
+             let v = synthetic cell i in
+             if failing i then failwith (Printf.sprintf "cell %d" i);
+             v)
+       with
+      | _ -> Alcotest.fail "a failing cell must raise"
+      | exception Failure msg ->
+        check Alcotest.string (name ^ ": the lowest failing index propagates")
+          "cell 4" msg);
+      check Alcotest.bool (name ^ ": the trace holds cells 0-3 in full") true
+        (Test_telemetry.normalise_wall (Sim.Trace.events tr)
+        = List.filteri (fun k _ -> k < 4 * 4) expected_stream);
+      let snap = Stdx.Metrics.snapshot m in
+      check Alcotest.bool (name ^ ": counts of every finished cell") true
+        (Stdx.Metrics.find snap "synthetic.sum"
+        = Some
+            (Stdx.Metrics.Counter
+               (List.fold_left ( + ) 0
+                  (List.filter (fun i -> not (failing i))
+                     (List.init cells Fun.id)))));
+      check Alcotest.bool (name ^ ": merged cells only in <prefix>.cells") true
+        (Stdx.Metrics.find snap "synthetic.cells"
+        = Some (Stdx.Metrics.Counter 4));
+      match Stdx.Metrics.find snap "synthetic.cell_wall_s" with
+      | Some (Stdx.Metrics.Histogram h) ->
+        check Alcotest.int (name ^ ": wall samples of merged cells") 4 h.count
+      | _ -> Alcotest.fail "synthetic.cell_wall_s missing")
+    configs
+
+(* A merge that raises — here, every trace write on a closed channel —
+   is re-raised once the pool has drained, so every cell still runs; a
+   failing cell wins over it, as a failure at the lowest index would. *)
+let test_merge_failure_after_drain () =
+  let oc = open_out_bin Filename.null in
+  close_out oc;
+  let ran = Atomic.make 0 in
+  let exec ~jobs ~fail_last =
+    Atomic.set ran 0;
+    Sim.Campaign.exec ~trace:(Sim.Trace.jsonl oc) ~jobs ~prefix:"synthetic" ~n
+      ~horizon:(Sim.Campaign.Known horizon) ~label cells (fun cell i ->
+        Atomic.incr ran;
+        if fail_last && i = cells - 1 then failwith "last cell";
+        synthetic cell i)
+  in
+  List.iter
+    (fun (name, jobs) ->
+      (match exec ~jobs ~fail_last:false with
+      | _ -> Alcotest.fail "an unwritable trace must raise"
+      | exception Sys_error _ ->
+        check Alcotest.int (name ^ ": every cell ran before the re-raise")
+          cells (Atomic.get ran));
+      match exec ~jobs ~fail_last:true with
+      | _ -> Alcotest.fail "a failing cell must raise"
+      | exception Failure msg ->
+        check Alcotest.string (name ^ ": the failing cell wins") "last cell"
+          msg)
+    configs
+
 let suite =
   [
     ( "sim.campaign",
@@ -195,5 +349,11 @@ let suite =
         case "longest cell claimed first" test_longest_cell_first;
         case "folding at completion equals the index-order merge"
           test_fold_equals_index_merge;
+        case "cells finishing in reverse merge as in index order"
+          test_window_reverse_finish;
+        case "a failing cell: lowest index wins, trace holds the cells below"
+          test_failure_prefix;
+        case "a merge that raises is re-raised after the drain"
+          test_merge_failure_after_drain;
       ] );
   ]

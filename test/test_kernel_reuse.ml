@@ -346,7 +346,7 @@ let test_pool_domains () =
     (fun jobs ->
       let got =
         Sim.Campaign.exec ~jobs ~prefix:"reuse" ~n:12
-          ~horizon:(fun _ -> 160)
+          ~horizon:(Sim.Campaign.Known (fun _ -> 160))
           ~label:string_of_int cells
           (fun _ i ->
             let s = if first i then run s1 i else run s2 i in

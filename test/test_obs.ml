@@ -262,6 +262,43 @@ let test_heartbeat_terminal_line_schema () =
       (List.assoc_opt "engine.runs" kvs = Some (Stdx.Json.Int 7))
   | _ -> Alcotest.fail "metrics.counters must be an object"
 
+(* Cells priced only as they finish announce cost 0 and add their cost
+   when done, so no announced cost is ever left: the ETA extrapolates
+   the cell count, and the terminal line of a finished campaign has
+   none. *)
+let test_heartbeat_eta_by_cells () =
+  let clock, set = mock_clock 0.0 in
+  let eta_of lines =
+    List.map
+      (fun line ->
+        match Stdx.Json.field (Stdx.Json.parse line) "eta_s" with
+        | Stdx.Json.Null -> None
+        | v -> Some (Stdx.Json.to_float "eta_s" v))
+      lines
+  in
+  let lines =
+    with_heartbeat ~clock ~interval_s:0.0 (fun hb ->
+        Stdx.Heartbeat.set_totals hb ~cells:4 ~cost:0.0;
+        set 2.0;
+        Stdx.Heartbeat.set_totals hb ~cells:0 ~cost:10.0;
+        Stdx.Heartbeat.cell_done ~cost:10.0 hb;
+        List.iter
+          (fun _ ->
+            Stdx.Heartbeat.set_totals hb ~cells:0 ~cost:30.0;
+            Stdx.Heartbeat.cell_done ~cost:30.0 hb)
+          [ 1; 2; 3 ];
+        Stdx.Heartbeat.finish hb)
+  in
+  (* 2 s for 1 of 4 cells -> 6 s to go; then 2 and 1 cells left *)
+  check
+    (Alcotest.list (Alcotest.option (Alcotest.float 1e-9)))
+    "eta by cells, none at the end"
+    [ Some 6.0; Some 2.0; Some (2.0 /. 3.0); None; None ]
+    (eta_of lines);
+  check (Alcotest.float 0.0) "cost total of the finished cells" 100.0
+    (Stdx.Json.to_float "cost_total"
+       (Stdx.Json.field (Stdx.Json.parse (List.nth lines 4)) "cost_total"))
+
 let test_heartbeat_interval_gating () =
   let clock, set = mock_clock 0.0 in
   let lines =
@@ -571,10 +608,10 @@ let test_heartbeat_jobs_determinism () =
     (base = at parallel_jobs)
 
 (* The terminal heartbeat line is the index-order registry, bit for bit:
-   a hunt whose trial costs vary (claim order differs from index order)
-   folds hundreds of awkward badness scores, so a heartbeat that merged
-   whole snapshots as cells finished would disagree with [--metrics] in
-   the last digits of the [hunt.badness] sum. Every instrument the line
+   a hunt whose trial costs vary (at REPRO_JOBS trials finish out of
+   index order) folds hundreds of awkward badness scores, so a heartbeat
+   that merged whole snapshots as cells finished would disagree with
+   [--metrics] in the last digits of the [hunt.badness] sum. Every instrument the line
    carries must equal the registry's, at jobs 1 and REPRO_JOBS. *)
 let test_heartbeat_terminal_equals_registry () =
   let rec show = function
@@ -715,6 +752,8 @@ let suite =
         case "terminal line schema" test_heartbeat_terminal_line_schema;
         case "interval gating and finish idempotence"
           test_heartbeat_interval_gating;
+        case "eta by cell count when cells are priced as they finish"
+          test_heartbeat_eta_by_cells;
         case "floats round-trip exactly (%.17g)"
           test_heartbeat_floats_round_trip;
       ] );

@@ -287,7 +287,17 @@ let test_mul_checked () =
         (Printf.sprintf "%d * %d overflows" a b)
         (Failure "Imath: integer overflow")
         (fun () -> ignore (Stdx.Imath.mul_checked a b)))
-    [ (max_int, 2); (1 lsl 32, 1 lsl 31); (min_int, -1); (-(1 lsl 40), 1 lsl 40) ]
+    [
+      (max_int, 2);
+      (1 lsl 32, 1 lsl 31);
+      (min_int, -1);
+      (-1, min_int);
+      (-(1 lsl 40), 1 lsl 40);
+    ];
+  check Alcotest.int "-1 * max_int is exact" (-max_int)
+    (Stdx.Imath.mul_checked (-1) max_int);
+  check Alcotest.int "min_int * 1 is exact" min_int
+    (Stdx.Imath.mul_checked min_int 1)
 
 let test_ceil_log2 () =
   check Alcotest.int "bits_for 4" 2 (Stdx.Imath.bits_for 4);
