@@ -262,6 +262,46 @@ let test_heartbeat_terminal_line_schema () =
       (List.assoc_opt "engine.runs" kvs = Some (Stdx.Json.Int 7))
   | _ -> Alcotest.fail "metrics.counters must be an object"
 
+(* The terminal line's bytes. The clock is scripted, so the wall fields
+   ([t_s], [eta_s], [busy_s], [utilization]) are pinned as well; only
+   the GC counters, read from the runtime, are masked. *)
+let heartbeat_golden =
+  {|{"kind":"heartbeat","label":"leader \"4\":5","seq":1,"final":true,"t_s":1.5,"eta_s":3.0000000000000004,"cells_done":1,"cells_total":3,"cost_done":0.10000000000000001,"cost_total":0.30000000000000004,"rounds":120,"hits":{"failed":1,"near-bound":1},"workers":{"count":2,"busy_s":[0,0.5],"utilization":0.16666666666666666},"gc":{...},"metrics":{"counters":{"engine.clamped_events":0,"engine.runs":7},"gauges":{"g":0.33333333333333331},"histograms":{"engine.recovery_rounds":{"buckets":[1,2,4,8,16,32,64,128,256,512,1024,2048,4096,8192,16384,32768,65536],"counts":[0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"count":1,"sum":3},"hunt.cell_wall_s":{"buckets":[0.0001,0.00020000000000000001,0.00040000000000000002,0.00080000000000000004,0.0016000000000000001,0.0032000000000000002,0.0064000000000000003,0.012800000000000001,0.025600000000000001,0.051200000000000002,0.1024,0.20480000000000001,0.40960000000000002,0.81920000000000004,1.6384000000000001,3.2768000000000002,6.5536000000000003,13.107200000000001,26.214400000000001,52.428800000000003,104.85760000000001],"counts":[0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"count":1,"sum":0.00123}}}}|}
+
+let mask_gc line =
+  let key = {|"gc":{|} in
+  match Astring.String.find_sub ~sub:key line with
+  | None -> Alcotest.failf "no gc object in %s" line
+  | Some i ->
+    let start = i + String.length key in
+    let stop = String.index_from line start '}' in
+    String.sub line 0 start ^ "..." ^ String.sub line stop (String.length line - stop)
+
+let test_heartbeat_golden_line () =
+  let clock, set = mock_clock 0.0 in
+  let lines =
+    with_heartbeat ~clock ~label:"leader \"4\":5" ~interval_s:1000.0 (fun hb ->
+        Stdx.Heartbeat.set_totals hb ~cells:3 ~cost:(0.1 +. 0.2);
+        let m = Stdx.Metrics.create () in
+        Stdx.Metrics.incr ~by:7 m "engine.runs";
+        Stdx.Metrics.incr ~by:0 m "engine.clamped_events";
+        Stdx.Metrics.observe m "engine.recovery_rounds" 3.0;
+        Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets m
+          "hunt.cell_wall_s" 0.00123;
+        Stdx.Metrics.set_gauge m "g" (1.0 /. 3.0);
+        set 0.75;
+        let snapshot = Stdx.Metrics.snapshot m in
+        Stdx.Heartbeat.cell_done ~snapshot ~rounds:120 ~cost:0.1 hb;
+        Stdx.Heartbeat.settle hb (Stdx.Metrics.ordered snapshot);
+        Stdx.Heartbeat.hit hb "failed";
+        Stdx.Heartbeat.hit hb "near-bound";
+        Stdx.Heartbeat.task_done hb ~worker:1 ~busy_s:0.5;
+        set 1.5;
+        Stdx.Heartbeat.finish hb)
+  in
+  check Alcotest.(list string) "terminal line bytes, gc masked"
+    [ heartbeat_golden ] (List.map mask_gc lines)
+
 (* Cells priced only as they finish announce cost 0 and add their cost
    when done, so no announced cost is ever left: the ETA extrapolates
    the cell count, and the terminal line of a finished campaign has
@@ -750,6 +790,7 @@ let suite =
       [
         case "rejects bad intervals" test_heartbeat_rejects_bad_interval;
         case "terminal line schema" test_heartbeat_terminal_line_schema;
+        case "terminal line bytes" test_heartbeat_golden_line;
         case "interval gating and finish idempotence"
           test_heartbeat_interval_gating;
         case "eta by cell count when cells are priced as they finish"

@@ -223,6 +223,121 @@ let test_jsonl_round_trip () =
         Alcotest.failf "%s: did not parse back: %s" (Sim.Trace.to_json ev) msg)
     sample_events
 
+(* The bytes, not just the round trip: [of_json] accepts any spelling
+   that parses back, so the writer's exact output is pinned here, one
+   golden line per [sample_events] entry, plus events whose names need
+   escaping and floats on every [%.17g] path (integral, fixed,
+   exponent, subnormal, negative zero). *)
+let golden_lines =
+  [
+    {|{"ev":"meta","label":"A(4,1) \"quoted\"","n":4,"f":1,"c":2,"time_bound":9}|};
+    {|{"ev":"meta","label":"","n":1,"f":0,"c":2,"time_bound":null}|};
+    {|{"ev":"cell-start","cell":0,"label":"stuck f=[0] seed=1"}|};
+    {|{"ev":"phase-start","round":0,"phase":0,"adversary":"split-brain","faulty":[0,3]}|};
+    {|{"ev":"corruption","round":12,"phase":0,"requested":3,"victims":[]}|};
+    {|{"ev":"corruption","round":12,"phase":2,"requested":2,"victims":[1,2]}|};
+    {|{"ev":"detector-reset","round":12,"phase":0}|};
+    {|{"ev":"verdict","round":60,"phase":0,"stabilized":14,"recovery":2}|};
+    {|{"ev":"verdict","round":60,"phase":1,"stabilized":null,"recovery":null}|};
+    {|{"ev":"hunt-trial","trial":0,"seed":927364,"score":0,"hit":false}|};
+    {|{"ev":"hunt-trial","trial":7,"seed":11,"score":1000000.125,"hit":true}|};
+    {|{"ev":"hunt-shrink","trial":7,"steps":31,"kept":5,"size":28,"score":1000000}|};
+    {|{"ev":"cell-end","cell":0,"wall_s":0.0012340000000000001}|};
+    {|{"ev":"cell-end","cell":1,"wall_s":0}|};
+  ]
+
+let golden_extra =
+  [
+    ( Sim.Trace.Span
+        { name = "engine.step\t\"x\"\001"; count = 3; wall_s = 0.1 +. 0.2 },
+      {|{"ev":"span","name":"engine.step\t\"x\"\u0001","count":3,"wall_s":0.30000000000000004}|}
+    );
+    ( Sim.Trace.Span { name = "pool.idle"; count = 0; wall_s = 1e-7 },
+      {|{"ev":"span","name":"pool.idle","count":0,"wall_s":9.9999999999999995e-08}|}
+    );
+    ( Sim.Trace.Cell_end { cell = 12; wall_s = 123456.789 },
+      {|{"ev":"cell-end","cell":12,"wall_s":123456.789}|} );
+    ( Sim.Trace.Cell_end { cell = 13; wall_s = 1e21 },
+      {|{"ev":"cell-end","cell":13,"wall_s":1e+21}|} );
+    ( Sim.Trace.Cell_end { cell = 14; wall_s = 1e17 },
+      {|{"ev":"cell-end","cell":14,"wall_s":1e+17}|} );
+    ( Sim.Trace.Cell_end { cell = 15; wall_s = 5e-324 },
+      {|{"ev":"cell-end","cell":15,"wall_s":4.9406564584124654e-324}|} );
+    ( Sim.Trace.Cell_end { cell = 16; wall_s = -0.0 },
+      {|{"ev":"cell-end","cell":16,"wall_s":-0}|} );
+    ( Sim.Trace.Hunt_trial
+        { trial = -1; seed = max_int; score = 2.5e-5; hit = false },
+      {|{"ev":"hunt-trial","trial":-1,"seed":4611686018427387903,"score":2.5000000000000001e-05,"hit":false}|}
+    );
+    ( Sim.Trace.Hunt_shrink
+        {
+          trial = 3;
+          steps = 0;
+          kept = 0;
+          size = 0;
+          score = 1000000.0 +. (1.0 /. 3.0);
+        },
+      {|{"ev":"hunt-shrink","trial":3,"steps":0,"kept":0,"size":0,"score":1000000.3333333334}|}
+    );
+    ( Sim.Trace.Phase_start
+        { round = 5; phase = 1; adversary = "caf\xc3\xa9"; faulty = [] },
+      "{\"ev\":\"phase-start\",\"round\":5,\"phase\":1,\"adversary\":\"caf\xc3\xa9\",\"faulty\":[]}"
+    );
+    ( Sim.Trace.Corruption
+        { round = 7; phase = 1; requested = 1; victims = [ 2 ] },
+      {|{"ev":"corruption","round":7,"phase":1,"requested":1,"victims":[2]}|} );
+    ( Sim.Trace.Meta
+        { label = "\\"; n = 0; f = 0; c = 0; time_bound = Some (-3) },
+      {|{"ev":"meta","label":"\\","n":0,"f":0,"c":0,"time_bound":-3}|} );
+  ]
+
+let test_golden_to_json () =
+  check
+    Alcotest.(list string)
+    "to_json of sample_events" golden_lines
+    (List.map Sim.Trace.to_json sample_events);
+  List.iter
+    (fun (ev, line) -> check Alcotest.string line line (Sim.Trace.to_json ev))
+    golden_extra
+
+let test_golden_jsonl_writer () =
+  let path = Filename.temp_file "trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          let t = Sim.Trace.jsonl oc in
+          List.iter (Sim.Trace.emit t) sample_events);
+      check Alcotest.string "one golden line per event, newline-terminated"
+        (String.concat "" (List.map (fun l -> l ^ "\n") golden_lines))
+        (In_channel.with_open_bin path In_channel.input_all))
+
+(* Every float field is spelled exactly as C's [%.17g]: random bit
+   patterns cover the whole finite range, and the two other generators
+   the wall-clock seconds and scores a trace actually carries. *)
+let test_float_spelling_qcheck =
+  let any_finite =
+    QCheck.map
+      (fun bits ->
+        let x = Int64.float_of_bits bits in
+        if Float.is_finite x then x else 0.0)
+      QCheck.int64
+  in
+  let wall = QCheck.float_bound_inclusive 10.0 in
+  let score =
+    QCheck.map
+      (fun (failed, r) -> (1e6 *. float_of_int failed) +. (float_of_int r /. 8.0))
+      QCheck.(pair (int_bound 3) (int_bound 400))
+  in
+  qcheck ~count:2000 "float fields spelled exactly as %.17g"
+    QCheck.(triple any_finite wall score)
+    (fun (a, b, c) ->
+      List.for_all
+        (fun x ->
+          Sim.Trace.to_json (Sim.Trace.Cell_end { cell = 0; wall_s = x })
+          = Printf.sprintf "{\"ev\":\"cell-end\",\"cell\":0,\"wall_s\":%.17g}" x)
+        [ a; b; c; -.a ])
+
 let test_jsonl_round_trip_qcheck =
   qcheck "Cell_end wall_s round-trips exactly (%.17g)"
     QCheck.(pair small_nat (float_bound_inclusive 3600.0))
@@ -704,6 +819,9 @@ let suite =
         case "memory sink keeps every event" test_memory_writer;
         case "jsonl round trip (all variants)" test_jsonl_round_trip;
         test_jsonl_round_trip_qcheck;
+        case "golden bytes: to_json" test_golden_to_json;
+        case "golden bytes: jsonl writer" test_golden_jsonl_writer;
+        test_float_spelling_qcheck;
         case "jsonl writer/reader round trip" test_jsonl_writer_and_reader;
         case "reader reports line numbers" test_read_jsonl_errors;
         case "trace, corpus and heartbeat readers share one line rule"
