@@ -6,7 +6,10 @@
    bytes produced at jobs = 1 against the parallel run (exit 1 on any
    divergence). It then measures the hunt's peak major heap at two trial
    counts with every sink on, so that a hunt's memory following its
-   hits, not its trials, stays a recorded figure. Results land in
+   hits, not its trials, stays a recorded figure. Last, it times the
+   repository benchmark's hunt-observed hunt with its telemetry (metrics,
+   a JSONL trace and a heartbeat) on and off in interleaved pairs, and
+   records the median overhead against the 5 % budget. Results land in
    BENCH_hunt.json. *)
 
 let json_path = "BENCH_hunt.json"
@@ -57,10 +60,145 @@ let hunt_memory ~jobs ~adversaries trials =
   ( List.length report.Sim.Hunt.hits,
     float_of_int (!peak * (Sys.word_size / 8)) /. 1048576.0 )
 
-let corpus_lines report =
+let corpus_lines ~hunt_seed report =
   List.map Sim.Hunt.Corpus.entry_to_json
-    (Sim.Hunt.Corpus.of_report ~spec ~hunt_seed:Sim.Hunt.Config.default.seed
-       report)
+    (Sim.Hunt.Corpus.of_report ~spec ~hunt_seed report)
+
+(* The telemetry budget on the repository benchmark's hunt-observed
+   hunt (benchmark/workload.ml): 3,500 trials on one domain against the
+   standard suite plus greedy confusion, timed with its metrics
+   registry, JSONL trace and 1 s heartbeat on and with all three off.
+   A pair runs the two hunts alternately, [reps] times each, and keeps
+   each side's fastest run: on the shared reference host single runs
+   of this hunt range over +-25 % in bursts, and a burst rarely covers
+   all of one side's runs. Pairs alternate which side goes first, so
+   drift lands on both; the overhead is the median over pairs of
+   on / off - 1. *)
+let observed_trials = 3500
+let telemetry_pairs = 12
+let reps = 3
+let budget_pct = 5.0
+
+let observed_adversaries () =
+  Sim.Adversary.standard_suite ()
+  @ [ Sim.Adversary.greedy_confusion ~pool:2 () ]
+
+let observed_config =
+  Sim.Hunt.Config.(
+    default |> with_trials observed_trials |> with_run_seed 1
+    |> with_phase_rounds 120 |> with_time_bound time_bound |> with_jobs 1)
+
+(* One hunt-observed hunt: its wall seconds and its corpus lines. With
+   [telemetry] the trace (after its meta line) and the heartbeat go to
+   temporary files, removed afterwards, as the benchmark's go to its
+   output directory. *)
+let observed_hunt ~adversaries ~telemetry =
+  let t0 = Stdx.Metrics.wall_clock () in
+  let report =
+    if not telemetry then
+      Sim.Hunt.run ~config:observed_config ~spec ~adversaries ()
+    else begin
+      let tr_path = Filename.temp_file "bench_hunt_trace" ".jsonl" in
+      let hb_path = Filename.temp_file "bench_hunt_hb" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove tr_path;
+          Sys.remove hb_path)
+        (fun () ->
+          Out_channel.with_open_bin hb_path (fun hb_oc ->
+              let hb =
+                Stdx.Heartbeat.create ~label:spec.Algo.Spec.name
+                  ~interval_s:1.0 ~out:hb_oc ()
+              in
+              Fun.protect
+                ~finally:(fun () -> Stdx.Heartbeat.finish hb)
+                (fun () ->
+                  Out_channel.with_open_bin tr_path (fun tr_oc ->
+                      let trace = Sim.Trace.jsonl tr_oc in
+                      Sim.Trace.emit trace
+                        (Sim.Trace.Meta
+                           {
+                             label = spec.Algo.Spec.name;
+                             n = spec.Algo.Spec.n;
+                             f = spec.Algo.Spec.f;
+                             c = spec.Algo.Spec.c;
+                             time_bound = Some time_bound;
+                           });
+                      Sim.Hunt.run ~metrics:(Stdx.Metrics.create ()) ~trace
+                        ~heartbeat:hb ~config:observed_config ~spec
+                        ~adversaries ()))))
+    end
+  in
+  let wall = Float.max 0.0 (Stdx.Metrics.wall_clock () -. t0) in
+  (wall, corpus_lines ~hunt_seed:observed_config.Sim.Hunt.Config.seed report)
+
+type telemetry = {
+  pairs : (float * float) list;  (** each side's fastest seconds: (off, on) *)
+  overheads_pct : float list;
+  median_pct : float;
+  iqr_pct : float;
+  identical : bool;
+}
+
+let measure_telemetry () =
+  let adversaries = observed_adversaries () in
+  let run telemetry = observed_hunt ~adversaries ~telemetry in
+  (* One untimed run per side warms the heap and the page cache, and
+     gives the corpus every later run must write. *)
+  let _, corpus = run false in
+  ignore (run true);
+  let identical = ref true in
+  let pairs =
+    List.init telemetry_pairs (fun i ->
+        let on_first = i mod 2 = 0 in
+        let best = [| infinity; infinity |] in
+        for _ = 1 to reps do
+          List.iter
+            (fun telemetry ->
+              let wall, lines = run telemetry in
+              let side = Bool.to_int telemetry in
+              best.(side) <- Float.min best.(side) wall;
+              if lines <> corpus then identical := false)
+            [ on_first; not on_first ]
+        done;
+        (best.(0), best.(1)))
+  in
+  let overheads_pct =
+    List.map (fun (off, on) -> 100.0 *. ((on /. off) -. 1.0)) pairs
+  in
+  let q p = Stdx.Stats.percentile p overheads_pct in
+  {
+    pairs;
+    overheads_pct;
+    median_pct = q 0.5;
+    iqr_pct = q 0.75 -. q 0.25;
+    identical = !identical;
+  }
+
+let fingerprint_json () =
+  Printf.sprintf "{\"nproc\":%d,\"ocaml\":\"%s\",\"flambda\":%b}"
+    (Domain.recommended_domain_count ())
+    (Stdx.Json.escape Sys.ocaml_version)
+    Build_info.flambda
+
+let seconds l = String.concat "," (List.map (Printf.sprintf "%.4f") l)
+
+let telemetry_json t =
+  Printf.sprintf
+    "{\"workload\":\"hunt-observed\",\"trials\":%d,\"jobs\":1,\
+     \"pairs\":%d,\"reps_per_side\":%d,\"budget_pct\":%.1f,\
+     \"median_overhead_pct\":%.2f,\
+     \"iqr_overhead_pct\":%.2f,\"within_budget\":%b,\
+     \"identical_corpus\":%b,\n\
+    \   \"off_s\":[%s],\n\
+    \   \"on_s\":[%s],\n\
+    \   \"fingerprint\":%s}"
+    observed_trials (List.length t.pairs) reps budget_pct t.median_pct
+    t.iqr_pct
+    (t.median_pct <= budget_pct) t.identical
+    (seconds (List.map fst t.pairs))
+    (seconds (List.map snd t.pairs))
+    (fingerprint_json ())
 
 let json_of_hit (h : _ Sim.Hunt.hit) =
   Printf.sprintf
@@ -87,7 +225,9 @@ let run () =
   let report_seq, wall_seq = hunt ~jobs:1 in
   (* Determinism self-check: the corpus — every shrunk reproducer, byte
      for byte — must not depend on the worker count. *)
-  let lines_par = corpus_lines report and lines_seq = corpus_lines report_seq in
+  let hunt_seed = Sim.Hunt.Config.default.seed in
+  let lines_par = corpus_lines ~hunt_seed report
+  and lines_seq = corpus_lines ~hunt_seed report_seq in
   if lines_par <> lines_seq then begin
     prerr_endline "bench hunt: corpus diverges between jobs=1 and parallel";
     exit 1
@@ -147,6 +287,28 @@ let run () =
         ])
     memory;
   Stdx.Table.print mem_table;
+  let telemetry = measure_telemetry () in
+  let tel_table =
+    Stdx.Table.create [ "pair"; "off s"; "on s"; "overhead" ]
+  in
+  List.iteri
+    (fun i ((off, on), pct) ->
+      Stdx.Table.add_row tel_table
+        [
+          Stdx.Table.cell_int (i + 1);
+          Printf.sprintf "%.4f" off;
+          Printf.sprintf "%.4f" on;
+          Printf.sprintf "%+.2f%%" pct;
+        ])
+    (List.combine telemetry.pairs telemetry.overheads_pct);
+  Stdx.Table.print tel_table;
+  Printf.printf
+    "hunt-observed telemetry: median overhead %.2f%% (IQR %.2f points, \
+     budget %.0f%%): %s; corpus %s\n"
+    telemetry.median_pct telemetry.iqr_pct budget_pct
+    (if telemetry.median_pct <= budget_pct then "within budget"
+     else "OVER BUDGET")
+    (if telemetry.identical then "identical" else "DIVERGED");
   let oc = open_out json_path in
   Printf.fprintf oc
     "{\n\
@@ -169,6 +331,7 @@ let run () =
     \  \"jobs_deterministic\": true,\n\
     \  \"hit_records\": [\n   %s\n  ],\n\
     \  \"memory\": [\n   %s\n  ],\n\
+    \  \"telemetry\": %s,\n\
     \  \"metrics\": %s\n\
      }\n"
     (Stdx.Json.escape spec.Algo.Spec.name)
@@ -187,6 +350,11 @@ let run () =
             Printf.sprintf "{\"trials\":%d,\"hits\":%d,\"major_heap_mb\":%.2f}"
               t hits heap_mb)
           memory))
+    (telemetry_json telemetry)
     (Stdx.Metrics.to_json (Stdx.Metrics.snapshot metrics));
   close_out oc;
-  Printf.printf "[hunt record written to %s]\n" json_path
+  Printf.printf "[hunt record written to %s]\n" json_path;
+  if not telemetry.identical then begin
+    prerr_endline "bench hunt: corpus diverges with telemetry on and off";
+    exit 1
+  end

@@ -83,9 +83,9 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty
         ~schedule:(Sim.Schedule.static ~adversary ~faulty ~rounds)
         ~seed ()
     in
-    Stdx.Heartbeat.cell_done
-      ~snapshot:(Stdx.Metrics.snapshot cell_m)
-      ~rounds:o.Sim.Engine.rounds_simulated ~cost:cell_cost hb;
+    Stdx.Heartbeat.add_counts hb cell_m;
+    Stdx.Heartbeat.cell_done ~rounds:o.Sim.Engine.rounds_simulated
+      ~cost:cell_cost hb;
     o
   in
   let on_o, on_wall = best_of ~reps:5 run_on in

@@ -109,16 +109,41 @@ rm -f "$run_trace"
 # through `report` (the hunt tally and span profile) and `report --json`.
 # Two workers and a heartbeat make trials finish out of order, so the
 # trace and the heartbeat stream are written through the merge window
-# while the hunt runs; both must lint as JSONL.
+# while the hunt runs; both must lint as JSONL. The same hunt at one
+# worker must write the same corpus and the same trace, once the span
+# lines (one per worker) are dropped and the wall-clock values masked.
+hunt_smoke() {
+  dune exec bin/countctl.exe -- hunt --algorithm leader:4:5 --claim-f 1 \
+    --bound 8 --trials 48 --rounds 120 --jobs "$1" --spans \
+    --heartbeat 1 --heartbeat-file "$hunt_hb" --trace "$2" \
+    --corpus "$3" > /dev/null
+}
+wall_free() {
+  grep -v '"ev":"span"' "$1" | sed -E 's/"wall_s":[^,}]*/"wall_s":0/g'
+}
 hunt_trace="$(mktemp)"
+hunt_trace_1="$(mktemp)"
+hunt_corpus="$(mktemp)"
+hunt_corpus_1="$(mktemp)"
 hunt_hb="$(mktemp)"
-dune exec bin/countctl.exe -- hunt --algorithm leader:4:5 --claim-f 1 \
-  --bound 8 --trials 48 --rounds 120 --jobs 2 --spans \
-  --heartbeat 1 --heartbeat-file "$hunt_hb" --trace "$hunt_trace" > /dev/null
+hunt_smoke 2 "$hunt_trace" "$hunt_corpus"
 report_both "$hunt_trace"
 dune exec bin/jsonlint.exe -- --jsonl "$hunt_trace"
 dune exec bin/jsonlint.exe -- --jsonl "$hunt_hb"
-rm -f "$hunt_trace" "$hunt_hb"
+hunt_smoke 1 "$hunt_trace_1" "$hunt_corpus_1"
+if ! cmp -s "$hunt_corpus" "$hunt_corpus_1"; then
+  echo "hunt corpus differs between --jobs 2 and --jobs 1" >&2
+  exit 1
+fi
+wall_free "$hunt_trace" > "$hunt_trace.masked"
+wall_free "$hunt_trace_1" > "$hunt_trace_1.masked"
+if ! cmp -s "$hunt_trace.masked" "$hunt_trace_1.masked"; then
+  echo "hunt trace differs between --jobs 2 and --jobs 1:" >&2
+  diff "$hunt_trace.masked" "$hunt_trace_1.masked" | head >&2 || true
+  exit 1
+fi
+rm -f "$hunt_trace" "$hunt_trace_1" "$hunt_trace.masked" \
+  "$hunt_trace_1.masked" "$hunt_corpus" "$hunt_corpus_1" "$hunt_hb"
 
 # Unopenable files are clean CLI errors: non-zero exit, no uncaught
 # exception.

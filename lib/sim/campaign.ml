@@ -49,6 +49,25 @@ let emit_pool_spans tr (s : Stdx.Pool.stats) =
       Trace.emit tr (Trace.Span { name; count = jobs; wall_s }))
     [ ("pool.busy", busy); ("pool.claim", claim); ("pool.idle", idle) ]
 
+(* The domain's idle cell registry: cleared, a registry reads as a
+   fresh one, so a worker reuses one for all its cells instead of
+   building every instrument anew per cell. A cell that fails drops its
+   registry, and a campaign run inside a cell finds the slot empty and
+   takes a new one. *)
+let idle_registry : Stdx.Metrics.t option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let take_registry () =
+  match Domain.DLS.get idle_registry with
+  | Some m ->
+    Domain.DLS.set idle_registry None;
+    m
+  | None -> Stdx.Metrics.create ()
+
+let give_back m =
+  Stdx.Metrics.clear m;
+  Domain.DLS.set idle_registry (Some m)
+
 let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
     ~label cells run_cell =
   (* Known horizons price every cell up front for LPT claims; a cell
@@ -135,16 +154,22 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
   in
   let finish i finished =
     Mutex.protect window_lock (fun () ->
-        if Option.is_none !merge_failure then begin
-          Hashtbl.replace window i finished;
-          try merge_ready ()
-          with e -> merge_failure := Some (e, Printexc.get_raw_backtrace ())
-        end)
+        if Option.is_none !merge_failure then
+          try
+            (* The cell every lower one has been merged before skips the
+               window: at one job, every cell. *)
+            if i = !next then begin
+              merge i finished;
+              incr next;
+              merge_ready ()
+            end
+            else Hashtbl.replace window i finished
+          with e -> merge_failure := Some (e, Printexc.get_raw_backtrace ()))
   in
   let results =
     Stdx.Pool.exec ~jobs ?cost ?stats ?on_task cells (fun i ->
         let cell_m =
-          if want_cell_metrics then Some (Stdx.Metrics.create ()) else None
+          if want_cell_metrics then Some (take_registry ()) else None
         in
         let tracer = if seams then Trace.memory () else Trace.null in
         let cell_sp =
@@ -167,7 +192,21 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
           if timed then Float.max 0.0 (Stdx.Metrics.wall_clock () -. t0)
           else 0.0
         in
-        let snap = Option.map Stdx.Metrics.snapshot cell_m in
+        (* Fold the cell's counts into the caller's registry and the
+           heartbeat's now and keep only what the index-order merge
+           needs: the order-sensitive histogram sums and gauges. *)
+        let rest =
+          Option.map
+            (fun cell_m ->
+              Option.iter (fun m -> Stdx.Metrics.add_counts m cell_m) metrics;
+              Option.iter
+                (fun hb -> Stdx.Heartbeat.add_counts hb cell_m)
+                heartbeat;
+              let rest = Stdx.Metrics.rest cell_m in
+              give_back cell_m;
+              rest)
+            cell_m
+        in
         Option.iter
           (fun hb ->
             let cost =
@@ -178,19 +217,8 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
                 Stdx.Heartbeat.set_totals hb ~cells:0 ~cost;
                 cost
             in
-            Stdx.Heartbeat.cell_done ?snapshot:snap ~rounds ~cost hb)
+            Stdx.Heartbeat.cell_done ~rounds ~cost hb)
           heartbeat;
-        (* Fold the cell's counts into the caller's registry now and
-           keep only what the index-order merge needs: the
-           order-sensitive histogram sums and gauges, not the whole
-           snapshot. *)
-        let rest =
-          Option.map
-            (fun snap ->
-              Option.iter (fun m -> Stdx.Metrics.merge_counts m snap) metrics;
-              Stdx.Metrics.ordered snap)
-            snap
-        in
         if merging then finish i (rest, Trace.events tracer, wall);
         v)
   in

@@ -19,8 +19,9 @@
 
     The merge: a finished cell's counters and histogram counts are
     added into the caller's registry (and the heartbeat's) inside its
-    pool task ({!Stdx.Metrics.merge_counts}); what depends on order —
-    its histogram sums and gauges ({!Stdx.Metrics.ordered}), its trace
+    pool task, read straight from the cell's registry
+    ({!Stdx.Metrics.add_counts}); what depends on order — its histogram
+    sums and gauges ({!Stdx.Metrics.rest}), its trace
     stream (bracketed by [Cell_start]/[Cell_end]) and its
     [<prefix>.cell_wall_s] sample — waits in a window until every
     lower-indexed cell has been merged, and is then merged by whichever
@@ -28,7 +29,8 @@
     the index-order merge of whole snapshots bit for bit, the trace is
     written in cell-index order as the campaign runs, and the window
     holds only the cells that finished while a lower-indexed cell was
-    still running: with index-order claims, about [jobs] of them. The
+    still running: with index-order claims, about [jobs] of them; a
+    cell that finishes after every lower one is merged at once. The
     returned array holds only the cells' values.
 
     When a cell raises, {!exec} re-raises the exception of the lowest
@@ -66,7 +68,8 @@ type 'a horizon =
 type cell = {
   metrics : Stdx.Metrics.t option;
       (** present when the caller passed [metrics] or [heartbeat];
-          merged into [metrics] and fed to the heartbeat *)
+          merged into [metrics] and fed to the heartbeat. The domain
+          running the cell reuses it, cleared, for its next cell. *)
   tracer : Trace.t;  (** a memory buffer when the caller traces *)
   spans : Stdx.Span.t;
       (** records into [metrics] when present and mirrors each

@@ -422,26 +422,37 @@ let run ?trace ?(tracer = Trace.null) ?metrics ?(spans = Stdx.Span.disabled)
   record "engine.craft" !t !craft_s;
   record "engine.step" !t !step_s;
   record "engine.detect" (!t + 1) !detect_s;
+  (* One registry update per run, its names in sorted order. A counter
+     bumped only when something happened (an early exit, a failed phase)
+     or only with spans on is left out otherwise, so it is created only
+     then. *)
   (match metrics with
   | None -> ()
   | Some m ->
-    Stdx.Metrics.incr m "engine.runs";
-    if span_on then
-      Stdx.Metrics.incr ~by:(sampled (!t + 1)) m "engine.sampled_rounds";
-    Stdx.Metrics.incr ~by:!t m "engine.rounds";
-    Stdx.Metrics.incr ~by:(!t * messages_per_round) m "engine.messages";
-    if !early then Stdx.Metrics.incr m "engine.early_exits";
-    Stdx.Metrics.incr ~by:!corruption_events m "engine.corruption_events";
-    Stdx.Metrics.incr ~by:!corrupted_nodes m "engine.corrupted_nodes";
-    Stdx.Metrics.incr ~by:!clamped_events m "engine.clamped_events";
-    List.iter
-      (fun r ->
-        match r.recovery with
-        | Some rec_rounds ->
-          Stdx.Metrics.observe m "engine.recovery_rounds"
-            (float_of_int rec_rounds)
-        | None -> Stdx.Metrics.incr m "engine.phase_failures")
-      reports);
+    let count name by = Stdx.Metrics.Incr (name, by) in
+    let only cond update = if cond then [ update ] else [] in
+    let failures = List.filter (fun r -> Option.is_none r.recovery) reports in
+    let samples =
+      List.filter_map
+        (fun r ->
+          Option.map
+            (fun k ->
+              Stdx.Metrics.Observe ("engine.recovery_rounds", float_of_int k))
+            r.recovery)
+        reports
+    in
+    Stdx.Metrics.record m
+      (count "engine.clamped_events" !clamped_events
+      :: count "engine.corrupted_nodes" !corrupted_nodes
+      :: count "engine.corruption_events" !corruption_events
+      :: only !early (count "engine.early_exits" 1)
+      @ count "engine.messages" (!t * messages_per_round)
+        :: only (failures <> [])
+             (count "engine.phase_failures" (List.length failures))
+      @ samples
+      @ count "engine.rounds" !t
+        :: count "engine.runs" 1
+        :: only span_on (count "engine.sampled_rounds" (sampled (!t + 1)))));
   {
     phases = reports;
     verdict = Online.verdict detector;

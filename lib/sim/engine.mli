@@ -171,7 +171,9 @@ val run :
     [tracer] (default {!Trace.null}) receives structured {!Trace.event}s
     at the chaos seams; [metrics] receives the engine counters
     ([engine.runs]/[engine.rounds]/[engine.messages]/…) and the
-    [engine.recovery_rounds] histogram, flushed once when the run ends.
+    [engine.recovery_rounds] histogram in one registry update when the
+    run ends ({!Stdx.Metrics.record}): its cost does not grow with the
+    instrument count.
     Neither consumes randomness or changes the execution: the run is
     bit-identical with them on or off (differential test in
     [test_telemetry.ml]).

@@ -278,7 +278,7 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
   let results =
     Campaign.exec ?metrics ?trace ?spans ?heartbeat ~jobs ~prefix:"hunt" ~n
       ~horizon:(Campaign.Of_result (fun (_, _, horizon) -> horizon))
-      ~label:(fun i -> Printf.sprintf "trial %d" i)
+      ~label:(fun i -> "trial " ^ string_of_int i)
       trials
       (fun cell trial ->
         let { Campaign.metrics = cell_m; tracer = cell_tr; spans = cell_sp } =
@@ -303,8 +303,11 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
         let b0 = eval sched in
         Option.iter
           (fun m ->
-            Stdx.Metrics.incr m "hunt.schedules_tried";
-            Stdx.Metrics.observe m "hunt.badness" (score b0))
+            Stdx.Metrics.record m
+              [
+                Observe ("hunt.badness", score b0);
+                Incr ("hunt.schedules_tried", 1);
+              ])
           cell_m;
         let hit =
           match classify ~near_bound b0 with
@@ -315,7 +318,6 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
                    { trial; seed = gen_seed; score = score b0; hit = false });
             None
           | Some cls ->
-            Option.iter (fun m -> Stdx.Metrics.incr m "hunt.hits") cell_m;
             Option.iter
               (fun hb -> Stdx.Heartbeat.hit hb (cls_to_string cls))
               heartbeat;
@@ -323,17 +325,19 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
               Trace.emit cell_tr
                 (Trace.Hunt_trial
                    { trial; seed = gen_seed; score = score b0; hit = true });
-            let eval_shrink s =
-              Option.iter
-                (fun m -> Stdx.Metrics.incr m "hunt.shrink_steps")
-                cell_m;
-              eval s
-            in
             let shrunk, b, steps, kept =
               Stdx.Span.with_ cell_sp "hunt.shrink" (fun () ->
-                  shrink ~eval:eval_shrink ~near_bound ~cls ~margin
-                    ~min_duration ~budget:shrink_budget ~spec sched b0)
+                  shrink ~eval ~near_bound ~cls ~margin ~min_duration
+                    ~budget:shrink_budget ~spec sched b0)
             in
+            Option.iter
+              (fun m ->
+                Stdx.Metrics.record m
+                  (Incr ("hunt.hits", 1)
+                  ::
+                  (if steps > 0 then [ Incr ("hunt.shrink_steps", steps) ]
+                   else [])))
+              cell_m;
             if Trace.seams_on cell_tr then
               Trace.emit cell_tr
                 (Trace.Hunt_shrink

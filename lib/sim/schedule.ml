@@ -10,17 +10,22 @@ type 's t = { phases : 's phase list; events : event list }
 let total_rounds t =
   List.fold_left (fun acc p -> acc + p.duration) 0 t.phases
 
-let validate_faulty ?(who = "Schedule") ~n ~f faulty =
+(* [who ()] words the error's prefix; it is called only when raising,
+   so a valid set costs no message text. *)
+let faulty_set ~who ~n ~f faulty =
   let sorted = List.sort_uniq Int.compare faulty in
   if List.length sorted <> List.length faulty then
-    invalid_arg (who ^ ": duplicate faulty ids");
+    invalid_arg (who () ^ ": duplicate faulty ids");
   if List.exists (fun v -> v < 0 || v >= n) faulty then
-    invalid_arg (who ^ ": faulty id out of range");
+    invalid_arg (who () ^ ": faulty id out of range");
   if List.length faulty > f then
     invalid_arg
-      (Printf.sprintf "%s: %d faulty nodes but resilience is %d" who
+      (Printf.sprintf "%s: %d faulty nodes but resilience is %d" (who ())
          (List.length faulty) f);
   Array.of_list sorted
+
+let validate_faulty ?(who = "Schedule") ~n ~f faulty =
+  faulty_set ~who:(fun () -> who) ~n ~f faulty
 
 let validate ~(spec : 's Algo.Spec.t) t =
   if t.phases = [] then invalid_arg "Schedule.validate: no phases";
@@ -34,8 +39,8 @@ let validate ~(spec : 's Algo.Spec.t) t =
                i);
         let faulty =
           Array.to_list
-            (validate_faulty
-               ~who:(Printf.sprintf "Schedule.validate: phase %d" i)
+            (faulty_set
+               ~who:(fun () -> Printf.sprintf "Schedule.validate: phase %d" i)
                ~n ~f p.faulty)
         in
         { p with faulty })

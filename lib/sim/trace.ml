@@ -41,76 +41,129 @@ type event =
 (* Encoding                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let opt_int = function Some v -> string_of_int v | None -> "null"
-let ints l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
+(* Each line is appended piece by piece into a buffer: literal keys, and
+   values through the Stdx.Json appenders, so no format string is
+   interpreted per event. *)
+let add = Buffer.add_string
 
-let to_json = function
+let int b key v =
+  add b key;
+  Stdx.Json.add_int b v
+
+let float b key v =
+  add b key;
+  Stdx.Json.add_float b v
+
+let str b key v =
+  add b key;
+  Buffer.add_char b '"';
+  Stdx.Json.add_escaped b v;
+  Buffer.add_char b '"'
+
+let opt_int b key = function
+  | Some v -> int b key v
+  | None ->
+    add b key;
+    add b "null"
+
+let ints b key l =
+  add b key;
+  Buffer.add_char b '[';
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_char b ',';
+      Stdx.Json.add_int b v)
+    l;
+  Buffer.add_char b ']'
+
+let add_json b = function
   | Meta { label; n; f; c; time_bound } ->
-    Printf.sprintf
-      "{\"ev\":\"meta\",\"label\":\"%s\",\"n\":%d,\"f\":%d,\"c\":%d,\
-       \"time_bound\":%s}"
-      (Stdx.Json.escape label) n f c (opt_int time_bound)
+    str b {|{"ev":"meta","label":|} label;
+    int b {|,"n":|} n;
+    int b {|,"f":|} f;
+    int b {|,"c":|} c;
+    opt_int b {|,"time_bound":|} time_bound;
+    add b "}"
   | Cell_start { cell; label } ->
-    Printf.sprintf "{\"ev\":\"cell-start\",\"cell\":%d,\"label\":\"%s\"}" cell
-      (Stdx.Json.escape label)
+    int b {|{"ev":"cell-start","cell":|} cell;
+    str b {|,"label":|} label;
+    add b "}"
   | Phase_start { round; phase; adversary; faulty } ->
-    Printf.sprintf
-      "{\"ev\":\"phase-start\",\"round\":%d,\"phase\":%d,\"adversary\":\"%s\",\
-       \"faulty\":%s}"
-      round phase (Stdx.Json.escape adversary) (ints faulty)
+    int b {|{"ev":"phase-start","round":|} round;
+    int b {|,"phase":|} phase;
+    str b {|,"adversary":|} adversary;
+    ints b {|,"faulty":|} faulty;
+    add b "}"
   | Corruption { round; phase; requested; victims } ->
-    Printf.sprintf
-      "{\"ev\":\"corruption\",\"round\":%d,\"phase\":%d,\"requested\":%d,\
-       \"victims\":%s}"
-      round phase requested (ints victims)
+    int b {|{"ev":"corruption","round":|} round;
+    int b {|,"phase":|} phase;
+    int b {|,"requested":|} requested;
+    ints b {|,"victims":|} victims;
+    add b "}"
   | Detector_reset { round; phase } ->
-    Printf.sprintf "{\"ev\":\"detector-reset\",\"round\":%d,\"phase\":%d}"
-      round phase
+    int b {|{"ev":"detector-reset","round":|} round;
+    int b {|,"phase":|} phase;
+    add b "}"
   | Verdict { round; phase; stabilized; recovery } ->
-    Printf.sprintf
-      "{\"ev\":\"verdict\",\"round\":%d,\"phase\":%d,\"stabilized\":%s,\
-       \"recovery\":%s}"
-      round phase (opt_int stabilized) (opt_int recovery)
+    int b {|{"ev":"verdict","round":|} round;
+    int b {|,"phase":|} phase;
+    opt_int b {|,"stabilized":|} stabilized;
+    opt_int b {|,"recovery":|} recovery;
+    add b "}"
   | Hunt_trial { trial; seed; score; hit } ->
-    Printf.sprintf
-      "{\"ev\":\"hunt-trial\",\"trial\":%d,\"seed\":%d,\"score\":%.17g,\
-       \"hit\":%b}"
-      trial seed score hit
+    int b {|{"ev":"hunt-trial","trial":|} trial;
+    int b {|,"seed":|} seed;
+    float b {|,"score":|} score;
+    add b (if hit then {|,"hit":true}|} else {|,"hit":false}|})
   | Hunt_shrink { trial; steps; kept; size; score } ->
-    Printf.sprintf
-      "{\"ev\":\"hunt-shrink\",\"trial\":%d,\"steps\":%d,\"kept\":%d,\
-       \"size\":%d,\"score\":%.17g}"
-      trial steps kept size score
+    int b {|{"ev":"hunt-shrink","trial":|} trial;
+    int b {|,"steps":|} steps;
+    int b {|,"kept":|} kept;
+    int b {|,"size":|} size;
+    float b {|,"score":|} score;
+    add b "}"
   | Span { name; count; wall_s } ->
-    Printf.sprintf
-      "{\"ev\":\"span\",\"name\":\"%s\",\"count\":%d,\"wall_s\":%.17g}"
-      (Stdx.Json.escape name) count wall_s
+    str b {|{"ev":"span","name":|} name;
+    int b {|,"count":|} count;
+    float b {|,"wall_s":|} wall_s;
+    add b "}"
   | Cell_end { cell; wall_s } ->
-    Printf.sprintf "{\"ev\":\"cell-end\",\"cell\":%d,\"wall_s\":%.17g}" cell
-      wall_s
+    int b {|{"ev":"cell-end","cell":|} cell;
+    float b {|,"wall_s":|} wall_s;
+    add b "}"
+
+let to_json ev =
+  let b = Buffer.create 96 in
+  add_json b ev;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Writers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type t = Null | Memory of event Queue.t | Jsonl of out_channel
+(* A memory sink holds its events newest first. A JSONL writer encodes
+   each line into its own buffer and hands the channel one string per
+   event. *)
+type t = Null | Memory of event list ref | Jsonl of out_channel * Buffer.t
 
 let null = Null
-let memory () = Memory (Queue.create ())
-let jsonl oc = Jsonl oc
+let memory () = Memory (ref [])
+let jsonl oc = Jsonl (oc, Buffer.create 256)
 let seams_on = function Null -> false | Memory _ | Jsonl _ -> true
 
 let emit t ev =
   match t with
   | Null -> ()
-  | Memory buf -> Queue.push ev buf
-  | Jsonl oc ->
-    output_string oc (to_json ev);
-    output_char oc '\n'
+  | Memory buf -> buf := ev :: !buf
+  | Jsonl (oc, b) ->
+    Buffer.clear b;
+    add_json b ev;
+    Buffer.add_char b '\n';
+    Buffer.output_buffer oc b
 
 let events t =
   match t with
-  | Memory buf -> List.of_seq (Queue.to_seq buf)
+  | Memory buf -> List.rev !buf
   | Null | Jsonl _ -> []
 
 (* ------------------------------------------------------------------ *)

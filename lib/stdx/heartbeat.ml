@@ -4,7 +4,7 @@
    total, cost done / total under the caller's cost model, rounds
    simulated, hunt hits by class, per-worker busy seconds) plus a live
    metrics registry. As a cell completes, the commutative part of its
-   private snapshot (counters, histogram counts) is added at once; the
+   private registry (counters, histogram counts) is added at once; the
    order-sensitive rest (histogram sums, gauges) arrives through
    [settle], which campaigns call in cell-index order. The *final*
    registry (and hence the terminal heartbeat line) is then the
@@ -70,7 +70,7 @@ let locked t f =
 (* Emission *)
 (* ------------------------------------------------------------------ *)
 
-let json_float x = Printf.sprintf "%.17g" x
+let json_float = Json.float_to_string
 
 (* Caller holds the lock. *)
 let emit_line t ~final =
@@ -142,7 +142,10 @@ let cell_done ?snapshot ?(rounds = 0) ~cost t =
       Option.iter (Metrics.merge_counts t.metrics) snapshot;
       maybe_emit t)
 
-let settle t rest = locked t (fun () -> Metrics.merge_ordered t.metrics rest)
+(* The live registry has its own lock, so merging into it needs no
+   ledger lock: a beat snapshots the registry under the registry's. *)
+let add_counts t cell = Metrics.add_counts t.metrics cell
+let settle t rest = Metrics.merge_ordered t.metrics rest
 
 let hit t cls =
   locked t (fun () ->

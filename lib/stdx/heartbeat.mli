@@ -10,7 +10,7 @@
     line with ["final":true] — even when the run was shorter than one
     interval — whose non-wall-time fields are deterministic at any jobs
     count: cells add their counters and histogram counts as they finish
-    ({!cell_done}; integer adds commute across completion orders), and
+    ({!add_counts}; integer adds commute across completion orders), and
     histogram sums and gauges arrive in cell-index order ({!settle}), so
     the terminal registry equals the campaign's index-order merge bit
     for bit. Live lines may show sums that lag their counts.
@@ -46,17 +46,25 @@ val set_totals : t -> cells:int -> cost:float -> unit
 val cell_done :
   ?snapshot:Metrics.snapshot -> ?rounds:int -> cost:float -> t -> unit
 (** One cell finished: advance done-counters by [cost] and [rounds]
-    (simulated rounds, default 0), add the counters and histogram counts
-    of the cell's private metrics [snapshot] into the live registry
-    ({!Metrics.merge_counts}), and emit a beat if the interval has
-    elapsed. The snapshot's histogram sums and gauges wait for
-    {!settle}. *)
+    (simulated rounds, default 0) and emit a beat if the interval has
+    elapsed. A [snapshot] of the cell's metrics has its counters and
+    histogram counts added first ({!Metrics.merge_counts}), as
+    {!add_counts} adds them from the registry itself, which is what
+    campaigns do; only tests hand over snapshots ([test_obs.ml],
+    [test_stdx.ml]). Histogram sums and gauges wait for {!settle}. *)
+
+val add_counts : t -> Metrics.t -> unit
+(** Add a finished cell's counters and histogram counts, read from its
+    private registry ({!Metrics.add_counts}), into the live registry:
+    what [cell_done ~snapshot] does with a snapshot, without taking
+    one. A campaign calls it before the cell's {!cell_done}, so a beat
+    that the cell triggers shows its counts. *)
 
 val settle : t -> Metrics.ordered -> unit
-(** Apply one cell's {!Metrics.ordered} rest (after its {!cell_done}) to
-    the live registry. A campaign calls it per cell in cell-index order,
-    each cell once every lower-indexed cell has settled; it never emits
-    a beat. *)
+(** Apply one cell's order-sensitive rest ({!Metrics.rest}, after its
+    counts) to the live registry. A campaign calls it per cell in
+    cell-index order, each cell once every lower-indexed cell has
+    settled; it never emits a beat. *)
 
 val hit : t -> string -> unit
 (** Count one hunt hit under class [cls] (as printed by

@@ -2,11 +2,12 @@
     formats.
 
     Every machine-readable artefact here is JSONL — trace events
-    ({!Sim.Trace}), hunt corpus entries, bench logs — written by
-    [Printf] with [%.17g] floats (so finite floats round-trip exactly)
-    and read back through this parser. The module is deliberately small:
-    a value type, a strict parser, the string escaper the writers share,
-    and the handful of typed accessors decoding needs. *)
+    ({!Sim.Trace}), hunt corpus entries, bench logs — written with
+    [%.17g] floats (so finite floats round-trip exactly) and read back
+    through this parser. The module is deliberately small: a value
+    type, a strict parser that boxes no byte as it scans, the string
+    escaper and number spellings the writers share, and the handful of
+    typed accessors decoding needs. *)
 
 type t =
   | Null
@@ -47,7 +48,29 @@ val lines : string -> (int * string) Seq.t
 
 val escape : string -> string
 (** Escape a string for embedding between double quotes in JSON output
-    (the same escaping all writers in the repository use). *)
+    (the same escaping all writers in the repository use). A string
+    with nothing to escape is returned as is. *)
+
+(** {2 Writing into a buffer}
+
+    The appenders behind the repository's hot writers (the trace's
+    JSONL lines): no format string is interpreted. *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** Append {!escape}[ s]. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append the decimal spelling of an int, as [string_of_int]. *)
+
+val add_float : Buffer.t -> float -> unit
+(** Append a float spelled exactly as C's [%.17g], which round-trips
+    every finite float through {!parse}. Integral values below [1e17]
+    and values from [1e-5] up to [1e15] are spelled by exact integer
+    arithmetic; the rest (and non-finite values, which are not JSON)
+    go through [Printf]. *)
+
+val float_to_string : float -> string
+(** {!add_float} into a fresh string. *)
 
 (** {2 Typed accessors}
 

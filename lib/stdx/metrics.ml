@@ -1,7 +1,20 @@
-(* Mutex-protected name -> instrument table. Every public operation
-   takes the lock once; the instruments themselves are plain mutable
-   cells only ever touched under the lock, so concurrent Pool workers
-   recording into a shared registry never lose updates. *)
+(* A mutex-protected registry of named instruments. Every public
+   operation takes the lock once; the instruments are plain mutable
+   cells only ever touched under it, so concurrent Pool workers
+   recording into a shared registry never lose updates.
+
+   The instruments sit in parallel arrays sorted by name, the first
+   [len] slots in use. A name is found by binary search, or within a
+   few slots of the caller's last hit: a sorted batch (a run's counters
+   through [record], a cell's registry through [add_counts]) is applied
+   in one forward walk, and as a registry keeps the strings it was
+   first given, a name passed again is usually the very same string,
+   compared by address. A snapshot is read off in order, with no sort.
+
+   [clear] empties a registry but keeps each instrument's storage in an
+   idle slot ([live] false): any use revives it, zeroed, exactly as if
+   the name were new, so a cleared registry behaves as a fresh one and
+   a campaign worker reuses one registry for all its cells. *)
 
 type hist = {
   edges : float array;
@@ -10,11 +23,28 @@ type hist = {
   mutable hsum : float;
 }
 
-type cell = C of int ref | G of float ref | H of hist
+(* [Vacant] is what a lookup reads where no live instrument is; it is
+   never stored. *)
+type cell = C of int ref | G of float ref | H of hist | Vacant
 
-type t = { lock : Mutex.t; cells : (string, cell) Hashtbl.t }
+type t = {
+  lock : Mutex.t;
+  mutable names : string array;
+  mutable cells : cell array;
+  mutable live : bool array;
+  mutable len : int;
+  mutable last : int;  (* the slot the last single-name call touched *)
+}
 
-let create () = { lock = Mutex.create (); cells = Hashtbl.create 32 }
+let create () =
+  {
+    lock = Mutex.create ();
+    names = [||];
+    cells = [||];
+    live = [||];
+    len = 0;
+    last = 0;
+  }
 
 let geometric ~first ~ratio ~n =
   Array.init n (fun i -> first *. (ratio ** float_of_int i))
@@ -35,67 +65,211 @@ let check_edges edges =
       invalid_arg "Metrics.observe: buckets must be strictly increasing"
   done
 
-let locked t f =
+let rec same_from (a : float array) (b : float array) i =
+  i < 0 || (Float.equal a.(i) b.(i) && same_from a b (i - 1))
+
+let same_edges (a : float array) b =
+  a == b
+  || (Array.length a = Array.length b && same_from a b (Array.length a - 1))
+
+(* Run [f t x] under the lock. [f] is a closed function, so taking the
+   lock allocates nothing. *)
+let locked t f x =
   Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  match f t x with
+  | v ->
+    Mutex.unlock t.lock;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Mutex.unlock t.lock;
+    Printexc.raise_with_backtrace e bt
 
 let kind_error name want =
   invalid_arg (Printf.sprintf "Metrics: %S is not a %s" name want)
 
-let incr ?(by = 1) t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.cells name with
-      | Some (C r) -> r := !r + by
-      | Some _ -> kind_error name "counter"
-      | None -> Hashtbl.add t.cells name (C (ref by)))
+(* The slot of [name], or where it would be inserted. [hint] is where
+   the caller expects it: the next few slots from there are tried by
+   address first, then the end, where a sorted batch adds its new
+   names. *)
+let rec scan t name j stop =
+  if j >= stop then -1
+  else if t.names.(j) == name then j
+  else scan t name (j + 1) stop
 
-let set_gauge t name x =
-  check_finite "set_gauge" x;
-  locked t (fun () ->
-      match Hashtbl.find_opt t.cells name with
-      | Some (G r) -> r := x
-      | Some _ -> kind_error name "gauge"
-      | None -> Hashtbl.add t.cells name (G (ref x)))
+let seek t hint name =
+  let j = scan t name hint (Int.min t.len (hint + 8)) in
+  if j >= 0 then j
+  else if t.len = 0 || String.compare t.names.(t.len - 1) name < 0 then t.len
+  else begin
+    let lo = ref 0 and hi = ref t.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if String.compare t.names.(mid) name < 0 then lo := mid + 1
+      else hi := mid
+    done;
+    !lo
+  end
+
+let present t i name =
+  i < t.len && (t.names.(i) == name || String.equal t.names.(i) name)
+
+let insert t i name cell =
+  if t.len = Array.length t.names then begin
+    let cap = Int.max 16 (2 * t.len) in
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 t.len;
+      b
+    in
+    t.names <- grow t.names name;
+    t.cells <- grow t.cells cell;
+    t.live <- grow t.live true
+  end;
+  if i < t.len then begin
+    Array.blit t.names i t.names (i + 1) (t.len - i);
+    Array.blit t.cells i t.cells (i + 1) (t.len - i);
+    Array.blit t.live i t.live (i + 1) (t.len - i)
+  end;
+  t.names.(i) <- name;
+  t.cells.(i) <- cell;
+  t.live.(i) <- true;
+  t.len <- t.len + 1
 
 (* First bucket whose upper bound the sample does not exceed; the last
    slot is the overflow bucket. *)
-let bucket_of edges x =
-  let n = Array.length edges in
-  let rec go i = if i >= n || x <= edges.(i) then i else go (i + 1) in
-  go 0
+let rec bucket_from (edges : float array) x i =
+  if i >= Array.length edges || x <= edges.(i) then i
+  else bucket_from edges x (i + 1)
 
 let hist_observe h x =
-  let i = bucket_of h.edges x in
+  let i = bucket_from h.edges x 0 in
   h.hcounts.(i) <- h.hcounts.(i) + 1;
   h.hcount <- h.hcount + 1;
   h.hsum <- h.hsum +. x
 
+(* The registry never writes a layout, so the private default one is
+   shared; a caller's array is checked and copied, as the caller may
+   write it later. *)
 let fresh_hist edges =
+  if edges != default_buckets then check_edges edges;
   {
-    edges = Array.copy edges;
+    edges = (if edges == default_buckets then edges else Array.copy edges);
     hcounts = Array.make (Array.length edges + 1) 0;
     hcount = 0;
     hsum = 0.0;
   }
 
-let observe ?buckets t name x =
+(* The live instrument at slot [i] for [name], or [Vacant]; where there
+   is none, the idle one to revive there, or [Vacant]. *)
+let live t i name =
+  if present t i name && t.live.(i) then t.cells.(i) else Vacant
+
+let idle t i name = if present t i name then t.cells.(i) else Vacant
+
+(* Slot [i] made to hold [name] live with a new [cell]: over its idle
+   instrument, or inserted. *)
+let put t i name cell =
+  if present t i name then begin
+    t.cells.(i) <- cell;
+    t.live.(i) <- true
+  end
+  else insert t i name cell
+
+(* Slot [i], with no live instrument, made a live histogram with layout
+   [edges]: an idle one of that layout revived at zero, else a new one. *)
+let hist_slot t i name edges =
+  match idle t i name with
+  | H h when same_edges h.edges edges ->
+    Array.fill h.hcounts 0 (Array.length h.hcounts) 0;
+    h.hcount <- 0;
+    h.hsum <- 0.0;
+    t.live.(i) <- true;
+    h
+  | C _ | G _ | H _ | Vacant ->
+    let h = fresh_hist edges in
+    put t i name (H h);
+    h
+
+(* Caller holds the lock; each returns the slot it touched. *)
+let add_count t hint name by =
+  let i = seek t hint name in
+  (match live t i name with
+  | C r -> r := !r + by
+  | G _ | H _ -> kind_error name "counter"
+  | Vacant -> (
+    match idle t i name with
+    | C r ->
+      r := by;
+      t.live.(i) <- true
+    | G _ | H _ | Vacant -> put t i name (C (ref by))));
+  i
+
+let set_slot t i name x =
+  match live t i name with
+  | G r -> r := x
+  | C _ | H _ -> kind_error name "gauge"
+  | Vacant -> (
+    match idle t i name with
+    | G r ->
+      r := x;
+      t.live.(i) <- true
+    | C _ | H _ | Vacant -> put t i name (G (ref x)))
+
+let add_sample ?buckets t hint name x =
   check_finite "observe" x;
-  locked t (fun () ->
-      match Hashtbl.find_opt t.cells name with
-      | Some (H h) ->
-        (match buckets with
-        | Some b when h.edges <> b ->
-          invalid_arg
-            (Printf.sprintf "Metrics: %S has a different bucket layout" name)
-        | _ -> ());
-        hist_observe h x
-      | Some _ -> kind_error name "histogram"
-      | None ->
-        let buckets = Option.value buckets ~default:default_buckets in
-        check_edges buckets;
-        let h = fresh_hist buckets in
-        hist_observe h x;
-        Hashtbl.add t.cells name (H h))
+  let i = seek t hint name in
+  let h =
+    match live t i name with
+    | H h ->
+      (match buckets with
+      | Some b when not (same_edges h.edges b) ->
+        invalid_arg
+          (Printf.sprintf "Metrics: %S has a different bucket layout" name)
+      | _ -> ());
+      h
+    | C _ | G _ -> kind_error name "histogram"
+    | Vacant ->
+      hist_slot t i name (Option.value buckets ~default:default_buckets)
+  in
+  hist_observe h x;
+  i
+
+(* Single-name calls look from just before the last one's slot: a
+   caller that alternates a few names (a campaign's cell wall and cell
+   count) finds each by address. *)
+let near_last t = Int.max 0 (t.last - 1)
+
+let incr ?(by = 1) t name =
+  locked t
+    (fun t (name, by) -> t.last <- add_count t (near_last t) name by)
+    (name, by)
+
+let set_gauge t name x =
+  check_finite "set_gauge" x;
+  locked t
+    (fun t (name, x) ->
+      let i = seek t (near_last t) name in
+      set_slot t i name x;
+      t.last <- i)
+    (name, x)
+
+let observe ?buckets t name x =
+  locked t
+    (fun t (buckets, name, x) ->
+      t.last <- add_sample ?buckets t (near_last t) name x)
+    (buckets, name, x)
+
+type update = Incr of string * int | Observe of string * float
+
+let rec apply t hint = function
+  | [] -> ()
+  | Incr (name, by) :: rest -> apply t (add_count t hint name by) rest
+  | Observe (name, x) :: rest -> apply t (add_sample t hint name x) rest
+
+let record t updates = locked t (fun t updates -> apply t 0 updates) updates
+
+let clear t = locked t (fun t () -> Array.fill t.live 0 t.len false) ()
 
 let wall_clock () = Unix.gettimeofday ()
 
@@ -133,26 +307,29 @@ type value = Counter of int | Gauge of float | Histogram of histogram
 type snapshot = (string * value) list
 
 let snapshot t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun name cell acc ->
-          let v =
-            match cell with
-            | C r -> Counter !r
-            | G r -> Gauge !r
-            | H h ->
-              Histogram
-                {
-                  buckets = Array.copy h.edges;
-                  counts = Array.copy h.hcounts;
-                  count = h.hcount;
-                  sum = h.hsum;
-                }
-          in
-          (name, v) :: acc)
-        t.cells [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
+  locked t
+    (fun t () ->
+      let acc = ref [] in
+      for i = t.len - 1 downto 0 do
+        let value =
+          match live t i t.names.(i) with
+          | Vacant -> None
+          | C r -> Some (Counter !r)
+          | G r -> Some (Gauge !r)
+          | H h ->
+            Some
+              (Histogram
+                 {
+                   buckets = Array.copy h.edges;
+                   counts = Array.copy h.hcounts;
+                   count = h.hcount;
+                   sum = h.hsum;
+                 })
+        in
+        Option.iter (fun v -> acc := (t.names.(i), v) :: !acc) value
+      done;
+      !acc)
+    ()
 
 let find snap name = List.assoc_opt name snap
 
@@ -175,49 +352,91 @@ let ordered snap =
       | Histogram hg -> Some (name, Sum hg.sum))
     snap
 
-let merge_counts t snap =
-  locked t (fun () ->
-      List.iter
-        (fun (name, v) ->
-          match (v, Hashtbl.find_opt t.cells name) with
-          | Counter by, Some (C r) -> r := !r + by
-          | Counter by, None -> Hashtbl.add t.cells name (C (ref by))
-          | Counter _, Some _ -> kind_error name "counter"
-          | Gauge _, (None | Some (G _)) -> ()
-          | Gauge _, Some _ -> kind_error name "gauge"
-          | Histogram hg, found ->
-            let h =
-              match found with
-              | Some (H h) ->
-                if h.edges <> hg.buckets then
-                  invalid_arg
-                    (Printf.sprintf "Metrics.merge: %S bucket layout mismatch"
-                       name);
-                h
-              | Some _ -> kind_error name "histogram"
-              | None ->
-                check_edges hg.buckets;
-                let h = fresh_hist hg.buckets in
-                Hashtbl.add t.cells name (H h);
-                h
-            in
-            Array.iteri
-              (fun i c -> h.hcounts.(i) <- h.hcounts.(i) + c)
-              hg.counts;
-            h.hcount <- h.hcount + hg.count)
-        snap)
+(* The commutative part of merging one instrument; caller holds the
+   lock. Each returns the slot it touched. *)
+let add_hist_counts t hint name edges counts count =
+  let i = seek t hint name in
+  let h =
+    match live t i name with
+    | H h ->
+      if not (same_edges h.edges edges) then
+        invalid_arg
+          (Printf.sprintf "Metrics.merge: %S bucket layout mismatch" name);
+      h
+    | C _ | G _ -> kind_error name "histogram"
+    | Vacant -> hist_slot t i name edges
+  in
+  for k = 0 to Array.length counts - 1 do
+    h.hcounts.(k) <- h.hcounts.(k) + counts.(k)
+  done;
+  h.hcount <- h.hcount + count;
+  i
 
-let merge_ordered t rest =
-  locked t (fun () ->
-      List.iter
-        (fun (name, r) ->
-          match (r, Hashtbl.find_opt t.cells name) with
-          | Sum x, Some (H h) -> h.hsum <- h.hsum +. x
-          | Sum _, _ -> kind_error name "histogram"
-          | Set x, Some (G r) -> r := x
-          | Set x, None -> Hashtbl.add t.cells name (G (ref x))
-          | Set _, Some _ -> kind_error name "gauge")
-        rest)
+let check_gauge t hint name =
+  let i = seek t hint name in
+  (match live t i name with
+  | G _ | Vacant -> ()
+  | C _ | H _ -> kind_error name "gauge");
+  i
+
+let rec merge_snapshot_counts t hint = function
+  | [] -> ()
+  | (name, v) :: rest ->
+    let i =
+      match v with
+      | Counter by -> add_count t hint name by
+      | Gauge _ -> check_gauge t hint name
+      | Histogram hg ->
+        add_hist_counts t hint name hg.buckets hg.counts hg.count
+    in
+    merge_snapshot_counts t i rest
+
+let merge_counts t snap =
+  locked t (fun t snap -> merge_snapshot_counts t 0 snap) snap
+
+(* [from] is quiescent (see the interface), so it is read unlocked:
+   only [t]'s lock is taken, and two registries never wait on each
+   other. *)
+let add_counts t from =
+  locked t
+    (fun t from ->
+      let hint = ref 0 in
+      for j = 0 to from.len - 1 do
+        let name = from.names.(j) in
+        match live from j name with
+        | Vacant -> ()
+        | C r -> hint := add_count t !hint name !r
+        | G _ -> hint := check_gauge t !hint name
+        | H h -> hint := add_hist_counts t !hint name h.edges h.hcounts h.hcount
+      done)
+    from
+
+let rest t =
+  locked t
+    (fun t () ->
+      let acc = ref [] in
+      for i = t.len - 1 downto 0 do
+        match live t i t.names.(i) with
+        | C _ | Vacant -> ()
+        | G r -> acc := (t.names.(i), Set !r) :: !acc
+        | H h -> acc := (t.names.(i), Sum h.hsum) :: !acc
+      done;
+      !acc)
+    ()
+
+let rec merge_rest t hint = function
+  | [] -> ()
+  | (name, r) :: rest ->
+    let i = seek t hint name in
+    (match r with
+    | Sum x -> (
+      match live t i name with
+      | H h -> h.hsum <- h.hsum +. x
+      | C _ | G _ | Vacant -> kind_error name "histogram")
+    | Set x -> set_slot t i name x);
+    merge_rest t i rest
+
+let merge_ordered t rest = locked t (fun t rest -> merge_rest t 0 rest) rest
 
 let merge t snap =
   merge_counts t snap;
@@ -227,7 +446,7 @@ let merge t snap =
 (* Rendering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let json_float x = Printf.sprintf "%.17g" x
+let json_float = Json.float_to_string
 
 let to_table snap =
   let table = Table.create [ "metric"; "kind"; "value"; "detail" ] in

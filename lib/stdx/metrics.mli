@@ -1,21 +1,22 @@
 (** Process-wide metrics registry: named counters, gauges and
     fixed-bucket histograms.
 
-    A registry is a mutex-protected name → instrument table, so {!Pool}
-    workers may record into a shared registry concurrently without
-    losing increments. The sweep harnesses instead give every grid cell
-    its own registry: as each cell finishes, its counters and histogram
-    counts are added into the caller's registry at once
-    ({!merge_counts}, integer adds that commute), and only the cell's
-    {!ordered} rest — histogram sums and gauges — is kept until every
-    lower-indexed cell has been merged and then applied in cell-index
-    order ({!merge_ordered}). The result equals merging the whole
-    {!snapshot}s in cell-index order, bit for bit, so it is identical at
-    any jobs count (see DESIGN.md, "Telemetry").
+    A registry is a mutex-protected name → instrument table, kept
+    sorted by name, so {!Pool} workers may record into a shared
+    registry concurrently without losing increments, and a {!snapshot}
+    needs no sort. The sweep harnesses instead give every grid cell its
+    own registry: as each cell finishes, its counters and histogram
+    counts are added into the caller's registry at once ({!add_counts},
+    integer adds that commute), and only the cell's {!rest} — histogram
+    sums and gauges — is kept until every lower-indexed cell has been
+    merged and then applied in cell-index order ({!merge_ordered}). The
+    result equals merging the whole {!snapshot}s in cell-index order,
+    bit for bit, so it is identical at any jobs count (see DESIGN.md,
+    "Telemetry").
 
-    Instruments are created on first use; a name is permanently bound to
-    its first kind and (for histograms) its first bucket layout —
-    recording with a conflicting kind or layout raises
+    Instruments are created on first use; a name is bound to its first
+    kind and (for histograms) its first bucket layout until the registry
+    is {!clear}ed — recording with a conflicting kind or layout raises
     [Invalid_argument], as does any non-finite observation. *)
 
 type t
@@ -45,6 +46,28 @@ val observe : ?buckets:float array -> t -> string -> float -> unit
     [1; 2; 4; ...; 65536]); a sample lands in the first
     bucket whose bound it does not exceed, or in the implicit overflow
     bucket. *)
+
+val clear : t -> unit
+(** Empty the registry, keeping its instruments' storage: afterwards it
+    behaves exactly as a fresh one — a snapshot lists only what is
+    recorded from then on, and a name may come back as any kind or
+    layout — but an instrument that comes back as before is revived
+    in place, not built anew. A campaign worker reuses one cleared
+    registry for all its cells. *)
+
+type update =
+  | Incr of string * int  (** {!incr} [~by] *)
+  | Observe of string * float
+      (** {!observe} into the histogram's layout, or the default one *)
+
+val record : t -> update list -> unit
+(** Apply [updates] in order under one lock, as the matching {!incr}
+    and {!observe} calls would one by one: same instruments created,
+    same float sums, and the same error at the first update that fails,
+    those before it applied. The engine records each run this way: one
+    registry update per run, not one per instrument. A batch sorted by
+    name is applied in one forward walk over the registry, each name
+    found by address within a few slots of the previous one. *)
 
 val wall_clock : unit -> float
 (** [Unix.gettimeofday] — exposed so callers above [stdx] can time
@@ -109,6 +132,9 @@ type ordered
     each gauge's value. *)
 
 val ordered : snapshot -> ordered
+(** The campaigns take the rest straight from a cell's registry
+    ({!rest}); outside this module only tests call [ordered], to feed
+    [Heartbeat.settle] a snapshot's rest ([test_obs.ml]). *)
 
 val merge_counts : t -> snapshot -> unit
 (** The commutative part of {!merge}: counters add, histogram bucket
@@ -119,6 +145,22 @@ val merge_counts : t -> snapshot -> unit
 val merge_ordered : t -> ordered -> unit
 (** The rest of {!merge}: add each sum to its histogram's, set each
     gauge. The snapshot's {!merge_counts} into [t] must come first. *)
+
+(** {2 Merging a registry}
+
+    A finished cell's private registry merges into its caller's without
+    a snapshot in between: nothing is copied or sorted, and the walk
+    over both sorted registries finds each name by address within a few
+    slots of the previous one. *)
+
+val add_counts : t -> t -> unit
+(** [add_counts t cell] is [merge_counts t (snapshot cell)]. [cell]
+    must be quiescent — no domain records into it during the call (the
+    campaigns pass a cell whose run has returned) — as only [t] is
+    locked. *)
+
+val rest : t -> ordered
+(** [rest cell] is [ordered (snapshot cell)]. *)
 
 val to_table : snapshot -> Table.t
 (** Human-readable rendering: one row per instrument. *)

@@ -54,21 +54,26 @@ let exec ?(jobs = 1) ?cost ?stats ?on_task n f =
   (* Claim the next position of the order array. Contention on the
      cursor mutex is charged to the claiming worker (elapsed clamped at
      0 — the clock can step backwards). *)
+  let claimed_at = Array.make jobs 0.0 in
   let claim w =
     let t0 = if timing then Unix.gettimeofday () else 0.0 in
     Mutex.lock lock;
     let pos = !next in
     if pos < n then next := pos + 1;
     Mutex.unlock lock;
-    if timing then
-      claiming.(w) <- claiming.(w) +. Float.max 0.0 (Unix.gettimeofday () -. t0);
+    if timing then begin
+      let t1 = Unix.gettimeofday () in
+      claimed_at.(w) <- t1;
+      claiming.(w) <- claiming.(w) +. Float.max 0.0 (t1 -. t0)
+    end;
     if pos < n then Some order.(pos) else None
   in
   let rec worker w =
     match claim w with
     | None -> ()
     | Some i ->
-      let t0 = if timing then Unix.gettimeofday () else 0.0 in
+      (* The task starts when its claim ends: one clock read for both. *)
+      let t0 = claimed_at.(w) in
       (match f i with
       | v -> results.(i) <- Some v
       | exception e ->

@@ -275,7 +275,8 @@ let mask_gc line =
   | Some i ->
     let start = i + String.length key in
     let stop = String.index_from line start '}' in
-    String.sub line 0 start ^ "..." ^ String.sub line stop (String.length line - stop)
+    String.sub line 0 start ^ "..."
+    ^ String.sub line stop (String.length line - stop)
 
 let test_heartbeat_golden_line () =
   let clock, set = mock_clock 0.0 in
@@ -790,13 +791,13 @@ let suite =
       [
         case "rejects bad intervals" test_heartbeat_rejects_bad_interval;
         case "terminal line schema" test_heartbeat_terminal_line_schema;
-        case "terminal line bytes" test_heartbeat_golden_line;
         case "interval gating and finish idempotence"
           test_heartbeat_interval_gating;
         case "eta by cell count when cells are priced as they finish"
           test_heartbeat_eta_by_cells;
         case "floats round-trip exactly (%.17g)"
           test_heartbeat_floats_round_trip;
+        case "terminal line bytes" test_heartbeat_golden_line;
       ] );
     ( "sim.obs",
       [

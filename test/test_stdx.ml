@@ -675,6 +675,43 @@ let test_json_accepts () =
   check Alcotest.bool "-0.5e-3 is a float" true
     (Stdx.Json.parse "-0.5e-3" = Stdx.Json.Float (-0.5e-3))
 
+(* The scanner boxes no byte: parsing a 110 KB value allocates its
+   result and little else, where a box per byte scanned would cost
+   two minor words each (the old scanner: about 220,000). *)
+let test_json_scan_allocation () =
+  let body = String.make 100_000 'x' in
+  let text = "  [\"" ^ body ^ "\", 1234567, " ^ String.make 10_000 ' ' ^ "true]" in
+  ignore (Stdx.Json.parse text);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Stdx.Json.parse text));
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words for %d bytes" words (String.length text))
+    true
+    (words < 20_000.0)
+
+let test_json_writers () =
+  List.iter
+    (fun n ->
+      let b = Buffer.create 16 in
+      Stdx.Json.add_int b n;
+      check Alcotest.string "add_int is string_of_int" (string_of_int n)
+        (Buffer.contents b))
+    [ 0; 7; -7; 10; 1234567890; max_int; min_int; min_int + 1 ];
+  List.iter
+    (fun s ->
+      check Alcotest.string "escape" s
+        (match Stdx.Json.parse ("\"" ^ Stdx.Json.escape s ^ "\"") with
+        | Stdx.Json.String back -> back
+        | _ -> "not a string"))
+    [ ""; "plain"; "q\"uote"; "back\\slash"; "ctl\001\n\t\r" ];
+  check Alcotest.string "%.17g spelling of awkward floats"
+    "0.30000000000000004 1e+21 -0 4.9406564584124654e-324 100 \
+     2.5000000000000001e-05"
+    (String.concat " "
+       (List.map Stdx.Json.float_to_string
+          [ 0.1 +. 0.2; 1e21; -0.0; 4.9406564584124654e-324; 100.0; 2.5e-5 ]))
+
 (* [Json.lines]: the line rule every JSONL reader shares. *)
 let json_lines text = List.of_seq (Stdx.Json.lines text)
 let numbered = Alcotest.(list (pair int string))
@@ -790,6 +827,8 @@ let suite =
         case "lines: CR stays in the line" test_json_lines_cr;
         case "lines: unterminated last line kept" test_json_lines_unterminated;
         case "lines: no lines in blank text" test_json_lines_empty;
+        case "scanning boxes no byte" test_json_scan_allocation;
+        case "writers: ints, escapes, %.17g floats" test_json_writers;
       ] );
     ( "stdx.table",
       [

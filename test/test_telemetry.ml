@@ -138,6 +138,142 @@ let test_merge_determinism () =
       Stdx.Metrics.observe ~buckets:[| 1.0 |] m "rec" 0.5;
       Stdx.Metrics.merge m (List.hd snaps))
 
+(* Random registry scripts over a few names, so kinds and layouts
+   clash: the batched, cleared and registry-to-registry paths must
+   read exactly as the one-call-at-a-time, fresh and snapshot ones. *)
+type op =
+  | Op_incr of string * int
+  | Op_observe of string * float * float array option
+  | Op_gauge of string * float
+
+let op_names = [| "a"; "b"; "h"; "g"; "engine.runs" |]
+
+let gen_ops =
+  let open QCheck.Gen in
+  let name =
+    (* the same strings, or equal copies: both lookups are exercised *)
+    map2
+      (fun i copy ->
+        let n = op_names.(i) in
+        if copy then String.sub n 0 (String.length n) else n)
+      (int_bound (Array.length op_names - 1))
+      bool
+  in
+  let layout =
+    oneofl [ None; Some [| 1.0; 2.0 |]; Some [| 1.0; 5.0; 10.0 |] ]
+  in
+  list_size (int_bound 12)
+    (oneof
+       [
+         map2 (fun n by -> Op_incr (n, by)) name (int_range (-3) 9);
+         map3 (fun n x l -> Op_observe (n, x, l)) name
+           (oneofl [ 0.5; 1.0; 3.0; 7.25; 1e16; -1e16 ])
+           layout;
+         map2 (fun n x -> Op_gauge (n, x)) name (oneofl [ 0.1; 2.0; -4.5 ]);
+       ])
+
+let print_ops ops =
+  String.concat "; "
+    (List.map
+       (function
+         | Op_incr (n, by) -> Printf.sprintf "incr %s %d" n by
+         | Op_observe (n, x, l) ->
+           Printf.sprintf "observe %s %g%s" n x
+             (if l = None then "" else " (layout)")
+         | Op_gauge (n, x) -> Printf.sprintf "gauge %s %g" n x)
+       ops)
+
+let arb_ops = QCheck.make ~print:print_ops gen_ops
+
+(* Apply each op on its own; which ones raised. *)
+let run_ops m ops =
+  List.map
+    (fun op ->
+      match
+        match op with
+        | Op_incr (n, by) -> Stdx.Metrics.incr ~by m n
+        | Op_observe (n, x, buckets) -> Stdx.Metrics.observe ?buckets m n x
+        | Op_gauge (n, x) -> Stdx.Metrics.set_gauge m n x
+      with
+      | () -> true
+      | exception Invalid_argument _ -> false)
+    ops
+
+let test_record_qcheck =
+  qcheck ~count:500 "record equals its calls one by one" arb_ops (fun ops ->
+      let updates =
+        List.filter_map
+          (function
+            | Op_incr (n, by) -> Some (Stdx.Metrics.Incr (n, by))
+            | Op_observe (n, x, None) -> Some (Stdx.Metrics.Observe (n, x))
+            | Op_observe (_, _, Some _) | Op_gauge _ -> None)
+          ops
+      in
+      let batched = Stdx.Metrics.create () in
+      let single = Stdx.Metrics.create () in
+      let raised =
+        match Stdx.Metrics.record batched updates with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      (* one by one, stopping at the first that raises *)
+      let rec go = function
+        | [] -> false
+        | u :: rest -> (
+          match
+            match u with
+            | Stdx.Metrics.Incr (n, by) -> Stdx.Metrics.incr ~by single n
+            | Stdx.Metrics.Observe (n, x) -> Stdx.Metrics.observe single n x
+          with
+          | () -> go rest
+          | exception Invalid_argument _ -> true)
+      in
+      raised = go updates
+      && Stdx.Metrics.snapshot batched = Stdx.Metrics.snapshot single)
+
+let test_clear_qcheck =
+  qcheck ~count:500 "a cleared registry reads as a fresh one"
+    QCheck.(pair arb_ops arb_ops)
+    (fun (before, after) ->
+      let reused = Stdx.Metrics.create () in
+      ignore (run_ops reused before);
+      Stdx.Metrics.clear reused;
+      let empty = Stdx.Metrics.snapshot reused = [] in
+      let fresh = Stdx.Metrics.create () in
+      empty
+      && run_ops reused after = run_ops fresh after
+      && Stdx.Metrics.snapshot reused = Stdx.Metrics.snapshot fresh)
+
+let test_add_counts_qcheck =
+  qcheck ~count:500 "add_counts and rest equal the snapshot merge"
+    QCheck.(triple arb_ops arb_ops arb_ops)
+    (fun (target_ops, idle_ops, cell_ops) ->
+      let cell = Stdx.Metrics.create () in
+      ignore (run_ops cell cell_ops);
+      let by_snapshot = Stdx.Metrics.create () in
+      ignore (run_ops by_snapshot target_ops);
+      (* the same target contents over idle slots of other instruments *)
+      let by_registry = Stdx.Metrics.create () in
+      ignore (run_ops by_registry idle_ops);
+      Stdx.Metrics.clear by_registry;
+      ignore (run_ops by_registry target_ops);
+      let outcome f =
+        match f () with () -> true | exception Invalid_argument _ -> false
+      in
+      let snap = Stdx.Metrics.snapshot cell in
+      let a =
+        outcome (fun () ->
+            Stdx.Metrics.merge_counts by_snapshot snap;
+            Stdx.Metrics.merge_ordered by_snapshot (Stdx.Metrics.ordered snap))
+      in
+      let b =
+        outcome (fun () ->
+            Stdx.Metrics.add_counts by_registry cell;
+            Stdx.Metrics.merge_ordered by_registry (Stdx.Metrics.rest cell))
+      in
+      a = b
+      && Stdx.Metrics.snapshot by_snapshot = Stdx.Metrics.snapshot by_registry)
+
 let test_timed () =
   let m = Stdx.Metrics.create () in
   let v, wall = Stdx.Metrics.timed m "t" (fun () -> 7) in
@@ -313,8 +449,9 @@ let test_golden_jsonl_writer () =
         (In_channel.with_open_bin path In_channel.input_all))
 
 (* Every float field is spelled exactly as C's [%.17g]: random bit
-   patterns cover the whole finite range, and the two other generators
-   the wall-clock seconds and scores a trace actually carries. *)
+   patterns cover the whole finite range, two generators the wall-clock
+   seconds and scores a trace actually carries, and the last short
+   decimals of every magnitude. *)
 let test_float_spelling_qcheck =
   let any_finite =
     QCheck.map
@@ -326,17 +463,26 @@ let test_float_spelling_qcheck =
   let wall = QCheck.float_bound_inclusive 10.0 in
   let score =
     QCheck.map
-      (fun (failed, r) -> (1e6 *. float_of_int failed) +. (float_of_int r /. 8.0))
+      (fun (failed, r) ->
+        (1e6 *. float_of_int failed) +. (float_of_int r /. 8.0))
       QCheck.(pair (int_bound 3) (int_bound 400))
   in
+  (* few significant digits: [%.17g] drops the trailing zeros *)
+  let short =
+    QCheck.map
+      (fun (digits, x) ->
+        float_of_string (Printf.sprintf "%.*g" (1 + digits) (10.0 ** x)))
+      QCheck.(pair (int_bound 5) (float_range (-6.0) 16.0))
+  in
   qcheck ~count:2000 "float fields spelled exactly as %.17g"
-    QCheck.(triple any_finite wall score)
-    (fun (a, b, c) ->
+    QCheck.(quad any_finite wall score short)
+    (fun (a, b, c, d) ->
       List.for_all
         (fun x ->
           Sim.Trace.to_json (Sim.Trace.Cell_end { cell = 0; wall_s = x })
-          = Printf.sprintf "{\"ev\":\"cell-end\",\"cell\":0,\"wall_s\":%.17g}" x)
-        [ a; b; c; -.a ])
+          = Printf.sprintf
+              "{\"ev\":\"cell-end\",\"cell\":0,\"wall_s\":%.17g}" x)
+        [ a; b; c; d; -.a; -.d ])
 
 let test_jsonl_round_trip_qcheck =
   qcheck "Cell_end wall_s round-trips exactly (%.17g)"
@@ -812,6 +958,9 @@ let suite =
         case "merge is deterministic and additive" test_merge_determinism;
         case "timed records even on raise" test_timed;
         case "json and table rendering" test_metrics_json;
+        test_record_qcheck;
+        test_clear_qcheck;
+        test_add_counts_qcheck;
       ] );
     ( "sim.trace",
       [
@@ -819,14 +968,14 @@ let suite =
         case "memory sink keeps every event" test_memory_writer;
         case "jsonl round trip (all variants)" test_jsonl_round_trip;
         test_jsonl_round_trip_qcheck;
-        case "golden bytes: to_json" test_golden_to_json;
-        case "golden bytes: jsonl writer" test_golden_jsonl_writer;
-        test_float_spelling_qcheck;
         case "jsonl writer/reader round trip" test_jsonl_writer_and_reader;
         case "reader reports line numbers" test_read_jsonl_errors;
         case "trace, corpus and heartbeat readers share one line rule"
           test_shared_line_rule;
         test_readers_survive_damage;
+        case "golden bytes: to_json" test_golden_to_json;
+        case "golden bytes: jsonl writer" test_golden_jsonl_writer;
+        test_float_spelling_qcheck;
       ] );
     ( "sim.telemetry",
       [
