@@ -64,7 +64,8 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty
   let off_o, off_wall = best_of ~reps:5 run_off in
   (* The instrumented path carries exactly what a live campaign does:
      a private cell registry, a span context recording into it, and a
-     heartbeat ledger fed one cell_done per run. The 1 s interval means
+     heartbeat ledger fed one cell_done per run, timed by the two task
+     clock reads a campaign makes around a cell. The 1 s interval means
      the stream itself stays quiet (terminal line aside) — the cost
      being measured is the always-on bookkeeping, not I/O. *)
   let hb_path = Filename.temp_file "bench_obs_hb" ".jsonl" in
@@ -77,6 +78,7 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty
   let cell_m = Stdx.Metrics.create () in
   let spans = Stdx.Span.create ~metrics:cell_m () in
   let run_on () =
+    let t0 = Stdx.Metrics.wall_clock () in
     let o =
       Sim.Engine.run ~metrics:cell_m ~spans ~mode:Sim.Engine.Full_horizon
         ~spec
@@ -84,8 +86,9 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty
         ~seed ()
     in
     Stdx.Heartbeat.add_counts hb cell_m;
-    Stdx.Heartbeat.cell_done ~rounds:o.Sim.Engine.rounds_simulated
-      ~cost:cell_cost hb;
+    let now = Stdx.Metrics.wall_clock () in
+    Stdx.Heartbeat.cell_done ~rounds:o.Sim.Engine.rounds_simulated ~worker:0
+      ~busy_s:(now -. t0) ~now ~cost:cell_cost hb;
     o
   in
   let on_o, on_wall = best_of ~reps:5 run_on in

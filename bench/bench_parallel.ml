@@ -17,7 +17,8 @@
      row is flagged [oversubscribed] rather than silently collapsed;
 
    - the imbalance duel: index order (no ~cost) vs ~cost at jobs = 4,
-     comparing per-worker busy seconds from Pool stats. The makespan
+     comparing per-worker busy seconds, which each task adds to its
+     worker's slot (the pool passes the worker id and reads no clock). The makespan
      (max worker busy) is the wall clock the claim order would need on
      dedicated cores, so it is the scheduling metric that survives
      timesharing: LPT keeps the expensive tail off a single straggler
@@ -105,13 +106,10 @@ type measurement = {
 }
 
 (* The claim order the pool uses, read back from a jobs = 1 drain of
-   no-op tasks ([on_task] sees indices in claim order there). *)
+   no-op tasks (they run in claim order there). *)
 let claim_order ?cost n =
   let order = ref [] in
-  ignore
-    (Stdx.Pool.exec ?cost
-       ~on_task:(fun ~worker:_ ~index ~wall_s:_ -> order := index :: !order)
-       n ignore);
+  ignore (Stdx.Pool.exec ?cost n (fun ~worker:_ i -> order := i :: !order));
   Array.of_list (List.rev !order)
 
 (* Replay the claim order offline: the earliest-free worker claims the
@@ -132,17 +130,21 @@ let modeled_wall_s ~cells ~seq_wall_s ~total_cost ~jobs ?cost () =
   Array.fold_left Float.max 0.0 free /. total_cost *. seq_wall_s
 
 let execute ?(modeled_s = 0.0) ~cells ~reference ~jobs ?cost () =
-  let stats = ref None in
+  let n = Array.length cells in
+  let actual_jobs = Stdx.Pool.workers ~jobs n in
+  let busy = Array.make actual_jobs 0.0 in
+  let tasks = Array.make actual_jobs 0 in
   let t0 = Stdx.Metrics.wall_clock () in
   let outs =
-    Stdx.Pool.exec ~jobs ?cost
-      ~stats:(fun s -> stats := Some s)
-      (Array.length cells)
-      (fun i -> run_cell cells.(i))
+    Stdx.Pool.exec ~jobs ?cost n (fun ~worker i ->
+        let start = Stdx.Metrics.wall_clock () in
+        let out = run_cell cells.(i) in
+        busy.(worker) <-
+          busy.(worker) +. Float.max 0.0 (Stdx.Metrics.wall_clock () -. start);
+        tasks.(worker) <- tasks.(worker) + 1;
+        out)
   in
   let wall_s = Stdx.Metrics.wall_clock () -. t0 in
-  let s = Option.get !stats in
-  let busy = s.Stdx.Pool.worker_busy_s in
   let makespan_s = Array.fold_left Float.max 0.0 busy in
   let mean =
     Array.fold_left ( +. ) 0.0 busy /. float_of_int (Array.length busy)
@@ -154,14 +156,14 @@ let execute ?(modeled_s = 0.0) ~cells ~reference ~jobs ?cost () =
   ( outs,
     {
       requested_jobs = jobs;
-      actual_jobs = s.Stdx.Pool.actual_jobs;
+      actual_jobs;
       order = (if Option.is_none cost then "inorder" else "cost");
       wall_s;
       makespan_s;
       imbalance;
       modeled_s;
       worker_busy_s = busy;
-      worker_tasks = s.Stdx.Pool.worker_tasks;
+      worker_tasks = tasks;
       parity;
     } )
 

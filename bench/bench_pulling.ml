@@ -29,7 +29,7 @@ let sampled_sweep () =
     (* Seeds are independent runs (each with its own crafter and RNG
        stream), so they map over the domain pool. *)
     let fractions =
-      Stdx.Pool.exec ~jobs 3 (fun i ->
+      Stdx.Pool.exec ~jobs 3 (fun ~worker:_ i ->
           let seed = i + 1 in
           let run =
             Sim.Network.run ~spec:s.Pulling.Sampled.spec
@@ -81,7 +81,7 @@ let oblivious_sweep () =
           (* One independent (link seed, run seed) pair per slot, spread
              over the domain pool; counting survivors is order-blind. *)
           let stabilised =
-            Stdx.Pool.exec ~jobs seeds (fun i ->
+            Stdx.Pool.exec ~jobs seeds (fun ~worker:_ i ->
                 let seed = i + 1 in
                 let s =
                   Pulling.Sampled.construct_oblivious ~inner ~k:3 ~big_f:3

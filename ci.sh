@@ -12,6 +12,26 @@ if [ -n "$stray" ]; then
   echo "$stray" >&2
   exit 1
 fi
+# One clock per cell: the pool only schedules, Metrics.wall_clock is the
+# library's one clock read, and in the simulator only the campaign
+# driver calls it (spans time through Stdx.Span).
+clock_guard() {
+  if [ -n "$2" ]; then
+    echo "$1" >&2
+    echo "$2" >&2
+    exit 1
+  fi
+}
+clock_guard "lib/stdx/pool.ml reads a clock:" \
+  "$(grep -nE 'gettimeofday|wall_clock|Unix\.time|Sys\.time|clock_gettime' \
+     lib/stdx/pool.ml || true)"
+clock_guard "Unix.gettimeofday outside Metrics.wall_clock:" \
+  "$(grep -rn 'Unix\.gettimeofday' lib \
+     | grep -v '^lib/stdx/metrics\.ml:[0-9]*:let wall_clock () = Unix\.gettimeofday ()$' \
+     || true)"
+clock_guard "Metrics.wall_clock called in lib/sim outside campaign.ml:" \
+  "$(grep -rn 'wall_clock' lib/sim --include='*.ml' \
+     | grep -v '^lib/sim/campaign\.ml:' || true)"
 
 dune build
 dune runtest

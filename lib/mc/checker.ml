@@ -156,7 +156,9 @@ let check ?max_configs ?faulty_sets ?(jobs = 1) (spec : 's Algo.Spec.t) =
      stops at the first failure. *)
   let metrics_at =
     if jobs > 1 then
-      let all = Stdx.Pool.exec ~jobs (Array.length sets) evaluate_set in
+      let all =
+        Stdx.Pool.exec ~jobs (Array.length sets) (fun ~worker:_ -> evaluate_set)
+      in
       Array.get all
     else evaluate_set
   in

@@ -17,36 +17,30 @@ type cell = {
 (* Per-worker busy/claim/idle seconds land in the caller's registry as
    histograms — the load-imbalance, claiming-overhead and straggler
    signals. Like the cell wall-clock samples they are
-   scheduling-dependent (sample count = actual worker count), which is
-   why they ride the Pool stats side channel and not the deterministic
+   scheduling-dependent (sample count = worker count), which is why
+   they are recorded after the drain and not through the deterministic
    per-cell sinks. *)
-let observe_workers m (s : Stdx.Pool.stats) =
+let observe_workers m ~busy ~claim ~idle =
   let observe name v =
     Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets m name v
   in
   Array.iteri
     (fun w busy ->
-      let claim = s.Stdx.Pool.worker_claim_s.(w) in
       observe "pool.worker_busy_s" busy;
-      observe "pool.worker_claim_s" claim;
-      observe "pool.worker_idle_s"
-        (Float.max 0.0 (s.Stdx.Pool.wall_s -. busy -. claim)))
-    s.Stdx.Pool.worker_busy_s
+      observe "pool.worker_claim_s" claim.(w);
+      observe "pool.worker_idle_s" idle.(w))
+    busy
 
 (* Pool-level spans: one [pool.busy] / [pool.claim] / [pool.idle] Span
    event per drain, emitted after the deterministic cell streams (count
-   = actual worker count, so the determinism tests drop these wholesale
-   along with the wall fields). *)
-let emit_pool_spans tr (s : Stdx.Pool.stats) =
-  let jobs = s.Stdx.Pool.actual_jobs in
-  let busy = Array.fold_left ( +. ) 0.0 s.Stdx.Pool.worker_busy_s in
-  let claim = Array.fold_left ( +. ) 0.0 s.Stdx.Pool.worker_claim_s in
-  let idle =
-    Float.max 0.0 ((s.Stdx.Pool.wall_s *. float_of_int jobs) -. busy -. claim)
-  in
+   = worker count, so the determinism tests drop these wholesale along
+   with the wall fields). *)
+let emit_pool_spans tr ~busy ~claim ~idle =
+  let count = Array.length busy in
+  let total = Array.fold_left ( +. ) 0.0 in
   List.iter
-    (fun (name, wall_s) ->
-      Trace.emit tr (Trace.Span { name; count = jobs; wall_s }))
+    (fun (name, a) ->
+      Trace.emit tr (Trace.Span { name; count; wall_s = total a }))
     [ ("pool.busy", busy); ("pool.claim", claim); ("pool.idle", idle) ]
 
 (* The domain's idle cell registry: cleared, a registry reads as a
@@ -89,27 +83,25 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
   (* Spans without [metrics] or a heartbeat need no cell registry: they
      reach the trace through [on_record]. *)
   let want_cell_metrics = metrics <> None || heartbeat <> None in
-  (* The cell wall feeds [<prefix>.cell_wall_s] and [Cell_end] only. *)
-  let timed = metrics <> None || seams in
   (* Without a sink there is nothing to merge: the cells skip the window. *)
   let merging = want_cell_metrics || seams in
-  let pool_stats = ref None in
-  let stats =
-    if metrics = None && not spans then None
-    else
-      Some
-        (fun s ->
-          pool_stats := Some s;
-          Option.iter (fun m -> observe_workers m s) metrics)
-  in
-  let on_task =
-    Option.map
-      (fun hb ~worker ~index:_ ~wall_s ->
-        Stdx.Heartbeat.task_done hb ~worker ~busy_s:wall_s)
-      heartbeat
-  in
+  (* The one clock of a campaign. The cell wall (the task's start to
+     [run_cell]'s return) feeds [<prefix>.cell_wall_s] and [Cell_end];
+     the task wall (start to end, merge included) feeds the per-worker
+     histograms, the pool span triple and the heartbeat. Per worker,
+     [busy] sums the task walls, [claim] the gaps between one task's end
+     and the next one's start, and idle is the rest of the drain's
+     wall. Each array slot is written by its worker's domain only and
+     read after the drain. *)
+  let cell_clock = metrics <> None || seams in
+  let task_clock = metrics <> None || (spans && seams) || heartbeat <> None in
+  let workers = Stdx.Pool.workers ~jobs cells in
+  let busy = Array.make workers 0.0 in
+  let claim = Array.make workers 0.0 in
+  let last_end = Array.make workers Float.nan in
+  let elapsed t0 t1 = Float.max 0.0 (t1 -. t0) in
   (* Deterministic merge: pool workers never share a sink, and what
-     depends on merge order — histogram sums, gauges, trace streams — is
+     depends on merge order — histogram sums, trace streams — is
      applied in cell-index order, so the merged metrics and the replayed
      trace are identical at any [jobs]. A finished cell waits in
      [window] until every lower-indexed cell has been merged; the worker
@@ -166,66 +158,107 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
             else Hashtbl.replace window i finished
           with e -> merge_failure := Some (e, Printexc.get_raw_backtrace ()))
   in
-  let results =
-    Stdx.Pool.exec ~jobs ?cost ?stats ?on_task cells (fun i ->
-        let cell_m =
-          if want_cell_metrics then Some (take_registry ()) else None
-        in
-        let tracer = if seams then Trace.memory () else Trace.null in
-        let cell_sp =
-          if not spans then Stdx.Span.disabled
+  (* Cell [i] with its private sinks, started at [t0]: its value and
+     rounds, its counts folded in and the rest handed to the window. *)
+  let run i t0 =
+    let cell_m = if want_cell_metrics then Some (take_registry ()) else None in
+    let tracer = if seams then Trace.memory () else Trace.null in
+    let cell_sp =
+      if not spans then Stdx.Span.disabled
+      else
+        let on_record =
+          if not seams then None
           else
-            let on_record =
-              if not seams then None
-              else
-                Some
-                  (fun name count wall_s ->
-                    Trace.emit tracer (Trace.Span { name; count; wall_s }))
-            in
-            Stdx.Span.create ?metrics:cell_m ?on_record ()
+            Some
+              (fun name count wall_s ->
+                Trace.emit tracer (Trace.Span { name; count; wall_s }))
         in
-        let t0 = if timed then Stdx.Metrics.wall_clock () else 0.0 in
-        let v, rounds =
-          run_cell { metrics = cell_m; tracer; spans = cell_sp } i
-        in
-        let wall =
-          if timed then Float.max 0.0 (Stdx.Metrics.wall_clock () -. t0)
-          else 0.0
-        in
-        (* Fold the cell's counts into the caller's registry and the
-           heartbeat's now and keep only what the index-order merge
-           needs: the order-sensitive histogram sums and gauges. *)
-        let rest =
-          Option.map
-            (fun cell_m ->
-              Option.iter (fun m -> Stdx.Metrics.add_counts m cell_m) metrics;
-              Option.iter
-                (fun hb -> Stdx.Heartbeat.add_counts hb cell_m)
-                heartbeat;
-              let rest = Stdx.Metrics.rest cell_m in
-              give_back cell_m;
-              rest)
-            cell_m
-        in
-        Option.iter
-          (fun hb ->
-            let cost =
-              match horizon with
-              | Known _ -> costs.(i)
-              | Of_result h ->
-                let cost = cell_cost ~n (h v) in
-                Stdx.Heartbeat.set_totals hb ~cells:0 ~cost;
-                cost
-            in
-            Stdx.Heartbeat.cell_done ~rounds ~cost hb)
-          heartbeat;
-        if merging then finish i (rest, Trace.events tracer, wall);
-        v)
+        Stdx.Span.create ?metrics:cell_m ?on_record ()
+    in
+    let v, rounds = run_cell { metrics = cell_m; tracer; spans = cell_sp } i in
+    let wall =
+      if cell_clock then elapsed t0 (Stdx.Metrics.wall_clock ()) else 0.0
+    in
+    (* Fold the cell's counts into the caller's registry and the
+       heartbeat's now and keep only what the index-order merge needs:
+       the order-sensitive histogram sums. *)
+    let rest =
+      Option.map
+        (fun cell_m ->
+          Option.iter (fun m -> Stdx.Metrics.add_counts m cell_m) metrics;
+          Option.iter (fun hb -> Stdx.Heartbeat.add_counts hb cell_m) heartbeat;
+          let rest = Stdx.Metrics.rest cell_m in
+          give_back cell_m;
+          rest)
+        cell_m
+    in
+    if merging then finish i (rest, Trace.events tracer, wall);
+    (v, rounds)
+  in
+  let task_end ~worker t0 =
+    if task_clock then begin
+      let t1 = Stdx.Metrics.wall_clock () in
+      busy.(worker) <- busy.(worker) +. elapsed t0 t1;
+      last_end.(worker) <- t1
+    end
+  in
+  (* A task: its cell between the task clock's reads (a failing cell is
+     timed too), then the heartbeat's report. *)
+  let task ~worker i =
+    let t0 =
+      if cell_clock || task_clock then Stdx.Metrics.wall_clock () else 0.0
+    in
+    if task_clock && not (Float.is_nan last_end.(worker)) then
+      claim.(worker) <- claim.(worker) +. elapsed last_end.(worker) t0;
+    match run i t0 with
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      task_end ~worker t0;
+      Printexc.raise_with_backtrace e bt
+    | v, rounds ->
+      task_end ~worker t0;
+      Option.iter
+        (fun hb ->
+          let cost =
+            match horizon with
+            | Known _ -> costs.(i)
+            | Of_result h ->
+              let cost = cell_cost ~n (h v) in
+              Stdx.Heartbeat.set_totals hb ~cells:0 ~cost;
+              cost
+          in
+          let now = last_end.(worker) in
+          Stdx.Heartbeat.cell_done ~rounds ~worker ~busy_s:(elapsed t0 now)
+            ~now ~cost hb)
+        heartbeat;
+      v
+  in
+  let t_start = if task_clock then Stdx.Metrics.wall_clock () else 0.0 in
+  (* Each worker's idle seconds, and the per-worker histograms, once
+     the pool has drained, whether or not a cell failed. *)
+  let idle () =
+    if not task_clock then [||]
+    else begin
+      let wall = elapsed t_start (Stdx.Metrics.wall_clock ()) in
+      let idle =
+        Array.init workers (fun w -> elapsed (busy.(w) +. claim.(w)) wall)
+      in
+      Option.iter (fun m -> observe_workers m ~busy ~claim ~idle) metrics;
+      idle
+    end
+  in
+  let results, idle =
+    match Stdx.Pool.exec ~jobs ?cost cells task with
+    | results -> (results, idle ())
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (idle ());
+      Printexc.raise_with_backtrace e bt
   in
   Option.iter
     (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
     !merge_failure;
-  (match (trace, !pool_stats) with
-  | Some tr, Some s when spans && seams -> emit_pool_spans tr s
+  (match trace with
+  | Some tr when spans && seams -> emit_pool_spans tr ~busy ~claim ~idle
   | _ -> ());
   results

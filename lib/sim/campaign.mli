@@ -9,19 +9,27 @@
       when each cell reports its own ({!Of_result});
     - per-cell private sinks (a metrics registry, a memory trace, a span
       context), created only when a caller-side sink asks for them;
-    - cell timing, the deterministic merge into the caller's sinks
-      (below), and the drain-level [pool.busy] / [pool.claim] /
-      [pool.idle] span triple after the cell streams;
-    - the heartbeat: totals up front, one [cell_done] per finished cell,
-      per-worker utilization from the pool's [on_task] hook;
-    - the per-worker [pool.worker_busy_s] / [pool.worker_claim_s] /
-      [pool.worker_idle_s] histograms.
+    - the deterministic merge into the caller's sinks (below);
+    - the heartbeat: totals up front, one [cell_done] per finished cell
+      with its worker's task wall;
+    - all campaign timing: {!Stdx.Pool} reads no clock. Per task, the
+      clock is read at the start, after [run_cell] (the cell wall, for
+      [<prefix>.cell_wall_s] and [Cell_end]) and at the end (the task
+      wall): at most three reads per cell, each only when a sink takes
+      it, none without a sink. Per worker, [busy] sums its task walls,
+      [claim] the gaps between one of its tasks and its next, and
+      [idle] is the rest of the drain's wall. They become the
+      per-worker [pool.worker_busy_s] / [pool.worker_claim_s] /
+      [pool.worker_idle_s] histograms (one sample per worker, recorded
+      also when a cell raises) and, with [spans] and a trace, the
+      drain-level [pool.busy] / [pool.claim] / [pool.idle] span triple
+      after the cell streams (count = worker count).
 
     The merge: a finished cell's counters and histogram counts are
     added into the caller's registry (and the heartbeat's) inside its
     pool task, read straight from the cell's registry
     ({!Stdx.Metrics.add_counts}); what depends on order — its histogram
-    sums and gauges ({!Stdx.Metrics.rest}), its trace
+    sums ({!Stdx.Metrics.rest}), its trace
     stream (bracketed by [Cell_start]/[Cell_end]) and its
     [<prefix>.cell_wall_s] sample — waits in a window until every
     lower-indexed cell has been merged, and is then merged by whichever
@@ -36,7 +44,7 @@
     When a cell raises, {!exec} re-raises the exception of the lowest
     failing index once the pool has drained. By then the cells below
     it have been merged in full — their trace streams written and
-    their sums, gauges and wall samples applied — and nothing of it or
+    their sums and wall samples applied — and nothing of it or
     of the cells above it has been written to the trace, while the
     counts of every cell that finished are in the registry. A merge
     that raises (a kind clash between two cells' instruments, an

@@ -108,8 +108,8 @@ val run :
     [metrics]/[trace] turn on telemetry: every grid cell runs with a
     private registry and buffer. As a cell finishes, its counters and
     histogram counts are added into [metrics] (integer adds, which
-    commute); its histogram sums and gauges, whose result depends on
-    the order they are applied in, wait until every lower-indexed cell
+    commute); its histogram sums, whose result depends on the order
+    they are applied in, wait until every lower-indexed cell
     has been merged and are applied in cell-index order, as the cell
     streams are written into [trace], each bracketed by
     [Cell_start]/[Cell_end] ({!Campaign.exec}). [metrics] thus ends as
@@ -128,10 +128,9 @@ val run :
     streams summarising the drain. [heartbeat] streams live progress:
     the grid's cell count and modelled cost are announced up front,
     each completed cell advances the ledger and adds its counts into
-    the heartbeat's live registry, its sums and gauges follow in
-    cell-index order (so every instrument of the terminal line equals
-    [metrics]'), and each pool task feeds
-    per-worker utilization. Both are certified inert — outcomes
+    the heartbeat's live registry, its sums follow in cell-index order
+    (so every instrument of the terminal line equals [metrics]'), and
+    each cell's task wall feeds per-worker utilization. Both are certified inert — outcomes
     bit-identical on or off, and all non-wall-time output
     jobs/schedule-deterministic (differential tests in
     [test_obs.ml]). The caller owns the heartbeat's terminal line

@@ -5,17 +5,19 @@
    simulated, hunt hits by class, per-worker busy seconds) plus a live
    metrics registry. As a cell completes, the commutative part of its
    private registry (counters, histogram counts) is added at once; the
-   order-sensitive rest (histogram sums, gauges) arrives through
-   [settle], which campaigns call in cell-index order. The *final*
-   registry (and hence the terminal heartbeat line) is then the
-   index-order merge, bit for bit, at any jobs count; only wall-time
-   fields and intermediate beats, whose sums may lag, depend on the
-   completion order.
+   order-sensitive rest (histogram sums) arrives through [settle],
+   which campaigns call in cell-index order. The *final* registry (and
+   hence the terminal heartbeat line) is then the index-order merge,
+   bit for bit, at any jobs count; only wall-time fields and
+   intermediate beats, whose sums may lag, depend on the completion
+   order.
 
    One JSON object per line, every line tagged {"kind":"heartbeat"};
    the last line carries "final":true. Beats are rate-limited by the
-   configured interval; [finish] always emits (idempotently), so even a
-   sub-second run produces one parseable line. *)
+   configured interval and happen only in [cell_done], which carries
+   the caller's clock reading; [finish] always emits (idempotently), so
+   even a sub-second run produces one parseable line. The heartbeat
+   reads its own clock in [create] and [finish] only. *)
 
 type t = {
   lock : Mutex.t;
@@ -73,9 +75,8 @@ let locked t f =
 let json_float = Json.float_to_string
 
 (* Caller holds the lock. *)
-let emit_line t ~final =
+let emit_line t ~final ~now =
   t.seq <- t.seq + 1;
-  let now = t.clock () in
   let elapsed = Float.max 0.0 (now -. t.started) in
   (* Extrapolate the modelled cost; when no announced cost is left
      (cells priced only as they finish), the cell count instead. *)
@@ -121,9 +122,9 @@ let emit_line t ~final =
   flush t.out;
   t.last_emit <- now
 
-let maybe_emit t =
-  if (not t.finished) && t.clock () -. t.last_emit >= t.interval_s then
-    emit_line t ~final:false
+let maybe_emit t ~now =
+  if (not t.finished) && now -. t.last_emit >= t.interval_s then
+    emit_line t ~final:false ~now
 
 (* ------------------------------------------------------------------ *)
 (* Progress ledger *)
@@ -134,13 +135,19 @@ let set_totals t ~cells ~cost =
       t.cells_total <- t.cells_total + cells;
       t.cost_total <- t.cost_total +. cost)
 
-let cell_done ?snapshot ?(rounds = 0) ~cost t =
+let cell_done ?(rounds = 0) ~worker ~busy_s ~now ~cost t =
   locked t (fun () ->
       t.cells_done <- t.cells_done + 1;
       t.cost_done <- t.cost_done +. cost;
       t.rounds <- t.rounds + rounds;
-      Option.iter (Metrics.merge_counts t.metrics) snapshot;
-      maybe_emit t)
+      let worker = max 0 worker in
+      if worker >= Array.length t.worker_busy then begin
+        let grown = Array.make (worker + 1) 0.0 in
+        Array.blit t.worker_busy 0 grown 0 (Array.length t.worker_busy);
+        t.worker_busy <- grown
+      end;
+      t.worker_busy.(worker) <- t.worker_busy.(worker) +. Float.max 0.0 busy_s;
+      maybe_emit t ~now)
 
 (* The live registry has its own lock, so merging into it needs no
    ledger lock: a beat snapshots the registry under the registry's. *)
@@ -149,27 +156,14 @@ let settle t rest = Metrics.merge_ordered t.metrics rest
 
 let hit t cls =
   locked t (fun () ->
-      (match List.assoc_opt cls t.hits with
+      match List.assoc_opt cls t.hits with
       | Some n -> t.hits <- (cls, n + 1) :: List.remove_assoc cls t.hits
-      | None -> t.hits <- (cls, 1) :: t.hits);
-      maybe_emit t)
-
-let task_done t ~worker ~busy_s =
-  locked t (fun () ->
-      let worker = max 0 worker in
-      if worker >= Array.length t.worker_busy then begin
-        let grown = Array.make (worker + 1) 0.0 in
-        Array.blit t.worker_busy 0 grown 0 (Array.length t.worker_busy);
-        t.worker_busy <- grown
-      end;
-      t.worker_busy.(worker) <- t.worker_busy.(worker) +. Float.max 0.0 busy_s;
-      maybe_emit t)
-
+      | None -> t.hits <- (cls, 1) :: t.hits)
 
 let finish t =
   locked t (fun () ->
       if not t.finished then begin
-        emit_line t ~final:true;
+        emit_line t ~final:true ~now:(t.clock ());
         t.finished <- true
       end)
 

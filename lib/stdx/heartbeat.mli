@@ -5,13 +5,13 @@
     [{"kind":"heartbeat"}] and carrying the progress ledger (cells
     done/total, modelled cost done/total with an ETA, rounds simulated,
     hunt hits by class), per-worker busy seconds with a utilization
-    ratio, [Gc.quick_stat] gauges, and a full {!Metrics} snapshot of
+    ratio, [Gc.quick_stat] readings, and a full {!Metrics} snapshot of
     the instruments merged so far. {!finish} always emits a terminal
     line with ["final":true] — even when the run was shorter than one
     interval — whose non-wall-time fields are deterministic at any jobs
     count: cells add their counters and histogram counts as they finish
     ({!add_counts}; integer adds commute across completion orders), and
-    histogram sums and gauges arrive in cell-index order ({!settle}), so
+    histogram sums arrive in cell-index order ({!settle}), so
     the terminal registry equals the campaign's index-order merge bit
     for bit. Live lines may show sums that lag their counts.
 
@@ -31,9 +31,10 @@ val create :
   t
 (** A heartbeat writing to [out] (owned by the caller; every line is
     flushed) at most once per [interval_s] seconds (finite, [>= 0]; [0]
-    emits on every progress report). [clock] defaults to
-    {!Metrics.wall_clock}; tests inject a mock to force or suppress
-    beats. *)
+    emits on every {!cell_done}). [clock] defaults to
+    {!Metrics.wall_clock}; tests inject a mock. The heartbeat reads it
+    here and in {!finish} only: a beat is timed by the [now] its
+    {!cell_done} carries. *)
 
 val set_totals : t -> cells:int -> cost:float -> unit
 (** Announce work: [cells] more cells totalling modelled [cost] (the
@@ -44,21 +45,25 @@ val set_totals : t -> cells:int -> cost:float -> unit
     the ETA extrapolates the cell count instead of the cost. *)
 
 val cell_done :
-  ?snapshot:Metrics.snapshot -> ?rounds:int -> cost:float -> t -> unit
-(** One cell finished: advance done-counters by [cost] and [rounds]
-    (simulated rounds, default 0) and emit a beat if the interval has
-    elapsed. A [snapshot] of the cell's metrics has its counters and
-    histogram counts added first ({!Metrics.merge_counts}), as
-    {!add_counts} adds them from the registry itself, which is what
-    campaigns do; only tests hand over snapshots ([test_obs.ml],
-    [test_stdx.ml]). Histogram sums and gauges wait for {!settle}. *)
+  ?rounds:int ->
+  worker:int ->
+  busy_s:float ->
+  now:float ->
+  cost:float ->
+  t ->
+  unit
+(** One cell finished on [worker] after [busy_s] seconds of its task:
+    advance the done-counters by [cost] and [rounds] (simulated rounds,
+    default 0), add [busy_s] to the worker's busy total, and emit a beat
+    if the interval has elapsed by [now], the caller's clock reading at
+    the task's end. The only call that beats. *)
 
 val add_counts : t -> Metrics.t -> unit
 (** Add a finished cell's counters and histogram counts, read from its
-    private registry ({!Metrics.add_counts}), into the live registry:
-    what [cell_done ~snapshot] does with a snapshot, without taking
-    one. A campaign calls it before the cell's {!cell_done}, so a beat
-    that the cell triggers shows its counts. *)
+    private registry ({!Metrics.add_counts}), into the live registry.
+    A campaign calls it before the cell's {!cell_done}, so a beat that
+    the cell triggers shows its counts. Histogram sums wait for
+    {!settle}. *)
 
 val settle : t -> Metrics.ordered -> unit
 (** Apply one cell's order-sensitive rest ({!Metrics.rest}, after its
@@ -68,11 +73,7 @@ val settle : t -> Metrics.ordered -> unit
 
 val hit : t -> string -> unit
 (** Count one hunt hit under class [cls] (as printed by
-    [Hunt.class_to_string]); may emit a beat. *)
-
-val task_done : t -> worker:int -> busy_s:float -> unit
-(** Per-worker utilization feed (the {!Pool.exec} [on_task] hook): add
-    [busy_s] to [worker]'s busy total; may emit a beat. *)
+    [Hunt.class_to_string]); the next beat shows it. *)
 
 val finish : t -> unit
 (** Emit the terminal ["final":true] line unconditionally and stop the
@@ -101,7 +102,7 @@ type view = {
   heap_words : int;
 }
 (** The fields of one line that the human renderings use; the line
-    additionally carries per-worker busy seconds, the other GC gauges
+    additionally carries per-worker busy seconds, the other GC readings
     and a whole metrics snapshot. *)
 
 val complete_lines : string -> (int * string) list

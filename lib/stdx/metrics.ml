@@ -25,7 +25,7 @@ type hist = {
 
 (* [Vacant] is what a lookup reads where no live instrument is; it is
    never stored. *)
-type cell = C of int ref | G of float ref | H of hist | Vacant
+type cell = C of int ref | H of hist | Vacant
 
 type t = {
   lock : Mutex.t;
@@ -186,7 +186,7 @@ let hist_slot t i name edges =
     h.hsum <- 0.0;
     t.live.(i) <- true;
     h
-  | C _ | G _ | H _ | Vacant ->
+  | C _ | H _ | Vacant ->
     let h = fresh_hist edges in
     put t i name (H h);
     h
@@ -196,25 +196,14 @@ let add_count t hint name by =
   let i = seek t hint name in
   (match live t i name with
   | C r -> r := !r + by
-  | G _ | H _ -> kind_error name "counter"
+  | H _ -> kind_error name "counter"
   | Vacant -> (
     match idle t i name with
     | C r ->
       r := by;
       t.live.(i) <- true
-    | G _ | H _ | Vacant -> put t i name (C (ref by))));
+    | H _ | Vacant -> put t i name (C (ref by))));
   i
-
-let set_slot t i name x =
-  match live t i name with
-  | G r -> r := x
-  | C _ | H _ -> kind_error name "gauge"
-  | Vacant -> (
-    match idle t i name with
-    | G r ->
-      r := x;
-      t.live.(i) <- true
-    | C _ | H _ | Vacant -> put t i name (G (ref x)))
 
 let add_sample ?buckets t hint name x =
   check_finite "observe" x;
@@ -228,7 +217,7 @@ let add_sample ?buckets t hint name x =
           (Printf.sprintf "Metrics: %S has a different bucket layout" name)
       | _ -> ());
       h
-    | C _ | G _ -> kind_error name "histogram"
+    | C _ -> kind_error name "histogram"
     | Vacant ->
       hist_slot t i name (Option.value buckets ~default:default_buckets)
   in
@@ -244,15 +233,6 @@ let incr ?(by = 1) t name =
   locked t
     (fun t (name, by) -> t.last <- add_count t (near_last t) name by)
     (name, by)
-
-let set_gauge t name x =
-  check_finite "set_gauge" x;
-  locked t
-    (fun t (name, x) ->
-      let i = seek t (near_last t) name in
-      set_slot t i name x;
-      t.last <- i)
-    (name, x)
 
 let observe ?buckets t name x =
   locked t
@@ -302,7 +282,7 @@ type histogram = {
   sum : float;
 }
 
-type value = Counter of int | Gauge of float | Histogram of histogram
+type value = Counter of int | Histogram of histogram
 
 type snapshot = (string * value) list
 
@@ -315,7 +295,6 @@ let snapshot t =
           match live t i t.names.(i) with
           | Vacant -> None
           | C r -> Some (Counter !r)
-          | G r -> Some (Gauge !r)
           | H h ->
             Some
               (Histogram
@@ -335,21 +314,17 @@ let find snap name = List.assoc_opt name snap
 
 (* A histogram's float sum is the one part of a merge whose result
    depends on the order snapshots arrive in (float addition does not
-   associate), and a gauge keeps the last write; counters and bucket
-   counts are integer adds. [merge_counts] applies the commutative part,
-   [ordered] keeps the rest for [merge_ordered]; each takes the lock
-   once per snapshot. *)
-type rest = Sum of float | Set of float
-
-type ordered = (string * rest) list
+   associate); counters and bucket counts are integer adds.
+   [merge_counts] applies the commutative part, [ordered] keeps the
+   sums for [merge_ordered]; each takes the lock once per snapshot. *)
+type ordered = (string * float) list
 
 let ordered snap =
   List.filter_map
     (fun (name, v) ->
       match v with
       | Counter _ -> None
-      | Gauge x -> Some (name, Set x)
-      | Histogram hg -> Some (name, Sum hg.sum))
+      | Histogram hg -> Some (name, hg.sum))
     snap
 
 (* The commutative part of merging one instrument; caller holds the
@@ -363,7 +338,7 @@ let add_hist_counts t hint name edges counts count =
         invalid_arg
           (Printf.sprintf "Metrics.merge: %S bucket layout mismatch" name);
       h
-    | C _ | G _ -> kind_error name "histogram"
+    | C _ -> kind_error name "histogram"
     | Vacant -> hist_slot t i name edges
   in
   for k = 0 to Array.length counts - 1 do
@@ -372,20 +347,12 @@ let add_hist_counts t hint name edges counts count =
   h.hcount <- h.hcount + count;
   i
 
-let check_gauge t hint name =
-  let i = seek t hint name in
-  (match live t i name with
-  | G _ | Vacant -> ()
-  | C _ | H _ -> kind_error name "gauge");
-  i
-
 let rec merge_snapshot_counts t hint = function
   | [] -> ()
   | (name, v) :: rest ->
     let i =
       match v with
       | Counter by -> add_count t hint name by
-      | Gauge _ -> check_gauge t hint name
       | Histogram hg ->
         add_hist_counts t hint name hg.buckets hg.counts hg.count
     in
@@ -406,7 +373,6 @@ let add_counts t from =
         match live from j name with
         | Vacant -> ()
         | C r -> hint := add_count t !hint name !r
-        | G _ -> hint := check_gauge t !hint name
         | H h -> hint := add_hist_counts t !hint name h.edges h.hcounts h.hcount
       done)
     from
@@ -418,22 +384,18 @@ let rest t =
       for i = t.len - 1 downto 0 do
         match live t i t.names.(i) with
         | C _ | Vacant -> ()
-        | G r -> acc := (t.names.(i), Set !r) :: !acc
-        | H h -> acc := (t.names.(i), Sum h.hsum) :: !acc
+        | H h -> acc := (t.names.(i), h.hsum) :: !acc
       done;
       !acc)
     ()
 
 let rec merge_rest t hint = function
   | [] -> ()
-  | (name, r) :: rest ->
+  | (name, x) :: rest ->
     let i = seek t hint name in
-    (match r with
-    | Sum x -> (
-      match live t i name with
-      | H h -> h.hsum <- h.hsum +. x
-      | C _ | G _ | Vacant -> kind_error name "histogram")
-    | Set x -> set_slot t i name x);
+    (match live t i name with
+    | H h -> h.hsum <- h.hsum +. x
+    | C _ | Vacant -> kind_error name "histogram");
     merge_rest t i rest
 
 let merge_ordered t rest = locked t (fun t rest -> merge_rest t 0 rest) rest
@@ -455,7 +417,6 @@ let to_table snap =
       let kind, value, detail =
         match v with
         | Counter c -> ("counter", string_of_int c, "")
-        | Gauge g -> ("gauge", Printf.sprintf "%g" g, "")
         | Histogram h ->
           ( "histogram",
             string_of_int h.count,
@@ -478,7 +439,6 @@ let to_json snap =
     |> Printf.sprintf "\"%s\":{%s}" kind
   in
   let counters = function Counter c -> Some (string_of_int c) | _ -> None in
-  let gauges = function Gauge g -> Some (json_float g) | _ -> None in
   let hists = function
     | Histogram h ->
       Some
@@ -490,7 +450,6 @@ let to_json snap =
            h.count (json_float h.sum))
     | _ -> None
   in
-  Printf.sprintf "{%s,%s,%s}"
+  Printf.sprintf "{%s,%s}"
     (entries "counters" counters)
-    (entries "gauges" gauges)
     (entries "histograms" hists)

@@ -1,5 +1,5 @@
-(** Process-wide metrics registry: named counters, gauges and
-    fixed-bucket histograms.
+(** Process-wide metrics registry: named counters and fixed-bucket
+    histograms.
 
     A registry is a mutex-protected name → instrument table, kept
     sorted by name, so {!Pool} workers may record into a shared
@@ -7,8 +7,8 @@
     needs no sort. The sweep harnesses instead give every grid cell its
     own registry: as each cell finishes, its counters and histogram
     counts are added into the caller's registry at once ({!add_counts},
-    integer adds that commute), and only the cell's {!rest} — histogram
-    sums and gauges — is kept until every lower-indexed cell has been
+    integer adds that commute), and only the cell's {!rest} — its
+    histogram sums — is kept until every lower-indexed cell has been
     merged and then applied in cell-index order ({!merge_ordered}). The
     result equals merging the whole {!snapshot}s in cell-index order,
     bit for bit, so it is identical at any jobs count (see DESIGN.md,
@@ -30,14 +30,6 @@ val time_buckets : float array
 
 val incr : ?by:int -> t -> string -> unit
 (** Add [by] (default 1) to counter [name], creating it at 0 first. *)
-
-val set_gauge : t -> string -> float -> unit
-(** Set gauge [name] to a finite value (last write wins). No instrument
-    in the repository is a gauge today; tests set them to hold the
-    order-sensitive half of a merge to its contract: [test_campaign.ml]
-    ("folding at completion equals the index-order merge") and
-    [test_telemetry.ml] ("counters and gauges", "merge is deterministic
-    and additive"). *)
 
 val observe : ?buckets:float array -> t -> string -> float -> unit
 (** Record a finite sample into histogram [name]. The first call fixes
@@ -70,8 +62,9 @@ val record : t -> update list -> unit
     found by address within a few slots of the previous one. *)
 
 val wall_clock : unit -> float
-(** [Unix.gettimeofday] — exposed so callers above [stdx] can time
-    without their own unix dependency. *)
+(** The wall clock, [gettimeofday] — the library's one clock read,
+    exposed so callers above [stdx] can time without their own unix
+    dependency. *)
 
 val timed :
   ?buckets:float array ->
@@ -98,7 +91,7 @@ type histogram = {
   sum : float;  (** sum of samples *)
 }
 
-type value = Counter of int | Gauge of float | Histogram of histogram
+type value = Counter of int | Histogram of histogram
 
 type snapshot = (string * value) list
 (** Immutable registry contents, sorted by name. *)
@@ -108,64 +101,49 @@ val snapshot : t -> snapshot
 val find : snapshot -> string -> value option
 
 val merge : t -> snapshot -> unit
-(** Fold a snapshot into [t]: counters and histogram buckets add
-    (layouts must match), gauges overwrite. Applying worker snapshots in
-    a fixed order yields a deterministic result regardless of how the
-    workers were scheduled. Same as {!merge_counts} followed by
-    {!merge_ordered} of the snapshot's {!ordered} rest. The split merge
-    the harnesses run is checked against it: [test_campaign.ml]
-    ("folding at completion equals the index-order merge") and
-    [test_telemetry.ml] ("merge is deterministic and additive") merge
-    whole snapshots in cell-index order with it as the oracle. *)
+(** Fold a snapshot into [t]: counters, histogram buckets and sums add
+    (layouts must match; a kind clash or a layout mismatch raises
+    [Invalid_argument]). Applying worker snapshots in a fixed order
+    yields a deterministic result regardless of how the workers were
+    scheduled. The split merge below is checked against it:
+    [test_campaign.ml] ("folding at completion equals the index-order
+    merge") and [test_telemetry.ml] ("add_counts and rest equal the
+    snapshot merge", "merge is deterministic and additive") merge whole
+    snapshots in cell-index order with it as the oracle. *)
 
-(** {2 Split merging}
+(** {2 Merging a registry in two halves}
 
-    Of a merge, only the histograms' float sums (float addition does
-    not associate) and the gauges (last write wins) depend on the order
-    snapshots arrive in. A caller that merges snapshots as they are
-    produced, in whatever order, may apply the commutative part at once
-    and keep only each snapshot's {!ordered} rest, a few words per
-    instrument, for a later pass in a fixed order. *)
+    Of a merge, only the histograms' float sums depend on the order
+    registries arrive in (float addition does not associate). A caller
+    that merges cell registries as the cells finish, in whatever order,
+    applies the commutative part at once ({!add_counts}) and keeps only
+    each cell's {!rest}, one float per histogram, for a later pass in a
+    fixed order ({!merge_ordered}). Nothing is copied or sorted: the
+    walk over both sorted registries finds each name by address within
+    a few slots of the previous one. *)
 
 type ordered
-(** The order-sensitive rest of a snapshot: each histogram's sum and
-    each gauge's value. *)
-
-val ordered : snapshot -> ordered
-(** The campaigns take the rest straight from a cell's registry
-    ({!rest}); outside this module only tests call [ordered], to feed
-    [Heartbeat.settle] a snapshot's rest ([test_obs.ml]). *)
-
-val merge_counts : t -> snapshot -> unit
-(** The commutative part of {!merge}: counters add, histogram bucket
-    and sample counts add (creating the histogram with the snapshot's
-    layout), sums and gauges are left out. Kind clashes and bucket
-    layout mismatches raise [Invalid_argument] here, gauges included. *)
-
-val merge_ordered : t -> ordered -> unit
-(** The rest of {!merge}: add each sum to its histogram's, set each
-    gauge. The snapshot's {!merge_counts} into [t] must come first. *)
-
-(** {2 Merging a registry}
-
-    A finished cell's private registry merges into its caller's without
-    a snapshot in between: nothing is copied or sorted, and the walk
-    over both sorted registries finds each name by address within a few
-    slots of the previous one. *)
+(** The order-sensitive rest of a registry: each histogram's sum. *)
 
 val add_counts : t -> t -> unit
-(** [add_counts t cell] is [merge_counts t (snapshot cell)]. [cell]
-    must be quiescent — no domain records into it during the call (the
-    campaigns pass a cell whose run has returned) — as only [t] is
-    locked. *)
+(** [add_counts t cell] adds [cell]'s counters and histogram bucket and
+    sample counts into [t] (creating each histogram with [cell]'s
+    layout); the sums are left out. Kind clashes and bucket layout
+    mismatches raise [Invalid_argument]. [cell] must be quiescent — no
+    domain records into it during the call (the campaigns pass a cell
+    whose run has returned) — as only [t] is locked. *)
 
 val rest : t -> ordered
-(** [rest cell] is [ordered (snapshot cell)]. *)
+(** [rest cell]: the histogram sums {!add_counts} leaves out. *)
+
+val merge_ordered : t -> ordered -> unit
+(** Add each sum of a {!rest} to its histogram's. The same registry's
+    {!add_counts} into [t] must come first. *)
 
 val to_table : snapshot -> Table.t
 (** Human-readable rendering: one row per instrument. *)
 
 val to_json : snapshot -> string
 (** JSON object
-    [{"counters":{..},"gauges":{..},"histograms":{..}}] in the repo's
+    [{"counters":{..},"histograms":{..}}] in the repo's
     jsonlint-compatible encoding (finite numbers only, sorted names). *)

@@ -3,7 +3,7 @@
    one branch on [enabled], so instrumented hot paths cost nothing when
    observability is off. A live context knows what one read of its
    clock costs and leaves it out of every timed section. Recording
-   clamps at zero (the clock is [Unix.gettimeofday], which can step
+   clamps at zero (the clock is [Metrics.wall_clock], which can step
    backwards) and lands in a [Metrics] histogram named
    ["span.<name>_s"], optionally fanning out to an [on_record] hook —
    the seam the sim layer uses to emit structured trace events without

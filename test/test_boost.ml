@@ -201,6 +201,44 @@ let test_figure2_tower_a36_7 () =
     if t > 4992 then Alcotest.failf "A(36,7): t = %d exceeds bound 4992" t
   | Sim.Stabilise.Not_stabilized -> Alcotest.fail "A(36,7) did not stabilise"
 
+(* Two levels further: the four-level tower A(108,15) (51 state bits)
+   with its full 15 faults, one node per 7, on the streaming engine. A
+   run must stabilise within Theorem 1's bound under a split brain and
+   under random equivocation, for three seeds each. *)
+let test_four_level_tower_a108_15 () =
+  let tower =
+    Counting.Plan.plan_tower_exn ~target_c:2
+      (List.map
+         (fun (k, big_f) -> { Counting.Plan.k; big_f })
+         [ (4, 1); (3, 3); (3, 7); (3, 15) ])
+  in
+  let (Algo.Spec.Packed spec) = Counting.Build.tower tower in
+  let bound = (Counting.Plan.top tower).Counting.Plan.time_bound in
+  check Alcotest.int "N = 108" 108 spec.Algo.Spec.n;
+  check Alcotest.int "F = 15" 15 spec.Algo.Spec.f;
+  check Alcotest.int "Theorem 1 bound" 8256 bound;
+  let faulty = List.init 15 (fun i -> 7 * i) in
+  List.iter
+    (fun adversary ->
+      List.iter
+        (fun seed ->
+          let o =
+            Sim.Engine.run ~spec
+              ~schedule:
+                (Sim.Schedule.static ~adversary ~faulty ~rounds:(bound + 64))
+              ~seed ()
+          in
+          match o.Sim.Engine.verdict with
+          | Sim.Online.Stabilized t when t <= bound -> ()
+          | Sim.Online.Stabilized t ->
+            Alcotest.failf "%s seed %d: t = %d exceeds bound %d"
+              (Sim.Adversary.name adversary) seed t bound
+          | Sim.Online.Not_stabilized ->
+            Alcotest.failf "%s seed %d: A(108,15) did not stabilise"
+              (Sim.Adversary.name adversary) seed)
+        [ 1; 2; 3 ])
+    [ Sim.Adversary.split_brain (); Sim.Adversary.random_equivocate () ]
+
 (* ------------------------------------------------------------------ *)
 (* Lemma 2/3 window behaviour via probes                                *)
 (* ------------------------------------------------------------------ *)
@@ -297,6 +335,8 @@ let suite =
         slow_case "A(12,3) vs greedy adversary" test_a12_3_greedy_adversary;
         slow_case "whole block faulty" test_whole_block_faulty;
         slow_case "A(36,7) from Figure 2" test_figure2_tower_a36_7;
+        slow_case "A(108,15): four levels within Theorem 1's bound"
+          test_four_level_tower_a108_15;
       ] );
     ( "boost.windows",
       [

@@ -150,7 +150,7 @@ let test_longest_cell_first () =
     "horizons read off the results: index order" (List.init cells Fun.id)
     (List.rev !ran)
 
-(* Folding each cell's counts as it finishes and its sums and gauges
+(* Folding each cell's counts as it finishes and its sums
    afterwards equals merging whole snapshots in cell-index order. The
    horizons make the claim order (longest first) differ from the index
    order, and the cells observe floats whose sum depends on the order
@@ -163,8 +163,7 @@ let test_fold_equals_index_merge () =
   let cells = 6 in
   let record m i =
     Stdx.Metrics.incr ~by:(i + 1) m "fold.count";
-    Stdx.Metrics.observe ~buckets:[| 1.0; 1e17 |] m "fold.x" (value i);
-    Stdx.Metrics.set_gauge m "fold.last" (float_of_int i)
+    Stdx.Metrics.observe ~buckets:[| 1.0; 1e17 |] m "fold.x" (value i)
   in
   let merged order =
     let m = Stdx.Metrics.create () in
@@ -222,8 +221,7 @@ let test_window_reverse_finish () =
                  Option.iter
                    (fun m ->
                      Stdx.Metrics.observe ~buckets:[| 1.0; 1e17 |] m "window.x"
-                       (value i);
-                     Stdx.Metrics.set_gauge m "window.last" (float_of_int i))
+                       (value i))
                    cell.Sim.Campaign.metrics;
                  (rising i, rising i)));
           Stdx.Heartbeat.finish hb)
@@ -264,13 +262,23 @@ let test_window_reverse_finish () =
         true (final = final'))
     configs
 
+(* The per-worker histograms, and a histogram of a registry. *)
+let pool_histograms =
+  [ "pool.worker_busy_s"; "pool.worker_claim_s"; "pool.worker_idle_s" ]
+
+let hist snap name =
+  match Stdx.Metrics.find snap name with
+  | Some (Stdx.Metrics.Histogram h) -> h
+  | _ -> Alcotest.failf "%s missing" name
+
 (* A failing cell: the exception of the lowest failing index
    propagates, whichever failed first. Costs rise with the index, so at
    jobs = 1 cell 7 fails before cell 4 runs. What was written before
    the re-raise is pinned: the trace holds the cells below the failing
    index, each in full, and no pool spans; the registry holds the
    counts of every cell that finished, but the cell count and wall
-   samples of the merged cells only. *)
+   samples of the merged cells only, and the per-worker histograms,
+   recorded once the pool has drained. *)
 let test_failure_prefix () =
   let cells = 10 in
   let rising i = 10 + i in
@@ -305,10 +313,14 @@ let test_failure_prefix () =
       check Alcotest.bool (name ^ ": merged cells only in <prefix>.cells") true
         (Stdx.Metrics.find snap "synthetic.cells"
         = Some (Stdx.Metrics.Counter 4));
-      match Stdx.Metrics.find snap "synthetic.cell_wall_s" with
-      | Some (Stdx.Metrics.Histogram h) ->
-        check Alcotest.int (name ^ ": wall samples of merged cells") 4 h.count
-      | _ -> Alcotest.fail "synthetic.cell_wall_s missing")
+      check Alcotest.int (name ^ ": wall samples of merged cells") 4
+        (hist snap "synthetic.cell_wall_s").Stdx.Metrics.count;
+      List.iter
+        (fun h ->
+          check Alcotest.int
+            (Printf.sprintf "%s: %s, one sample per worker" name h)
+            (min jobs cells) (hist snap h).Stdx.Metrics.count)
+        pool_histograms)
     configs
 
 (* A merge that raises — here, every trace write on a closed channel —
@@ -340,6 +352,104 @@ let test_merge_failure_after_drain () =
           msg)
     configs
 
+(* The per-worker histograms and the pool span triple: one sample,
+   and a count, per worker, i.e. [min jobs cells], on a grid wider and
+   on one narrower than the pool. *)
+let test_one_sample_per_worker () =
+  List.iter
+    (fun (name, jobs) ->
+      List.iter
+        (fun cells ->
+          let m = Stdx.Metrics.create () in
+          let tr = Sim.Trace.memory () in
+          ignore
+            (Sim.Campaign.exec ~metrics:m ~trace:tr ~spans:true ~jobs
+               ~prefix:"synthetic" ~n ~horizon:(Sim.Campaign.Known horizon)
+               ~label cells synthetic);
+          let workers = min jobs cells in
+          let what = Printf.sprintf "%s, %d cells" name cells in
+          check
+            (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+            (what ^ ": pool triple counts")
+            [
+              ("pool.busy", workers);
+              ("pool.claim", workers);
+              ("pool.idle", workers);
+            ]
+            (List.filter_map
+               (function
+                 | Sim.Trace.Span { name; count; _ }
+                   when String.starts_with ~prefix:"pool." name ->
+                   Some (name, count)
+                 | _ -> None)
+               (Sim.Trace.events tr));
+          let snap = Stdx.Metrics.snapshot m in
+          List.iter
+            (fun h ->
+              check Alcotest.int
+                (Printf.sprintf "%s: %s samples" what h)
+                workers (hist snap h).Stdx.Metrics.count)
+            pool_histograms)
+        [ cells; 2 ])
+    configs
+
+(* Per worker, busy (task walls) + claim (gaps between its tasks) +
+   idle (the rest) is the drain's wall: over all workers the three sums
+   come to [workers] walls, and the drain lies inside the time measured
+   around the campaign. Cells sleep, so a cell's task is long next to
+   the campaign's own bookkeeping, and a task wall holds its cell wall. *)
+let test_busy_claim_idle_is_the_wall () =
+  List.iter
+    (fun (name, jobs) ->
+      let m = Stdx.Metrics.create () in
+      let t0 = Stdx.Metrics.wall_clock () in
+      ignore
+        (Sim.Campaign.exec ~metrics:m ~jobs ~prefix:"synthetic" ~n
+           ~horizon:(Sim.Campaign.Known horizon) ~label cells (fun cell i ->
+             Unix.sleepf 0.002;
+             synthetic cell i));
+      let outer = Stdx.Metrics.wall_clock () -. t0 in
+      let snap = Stdx.Metrics.snapshot m in
+      let workers = float_of_int (min jobs cells) in
+      let sum h = (hist snap h).Stdx.Metrics.sum in
+      let per_worker =
+        List.fold_left (fun a h -> a +. sum h) 0.0 pool_histograms /. workers
+      in
+      if not (per_worker <= outer +. 1e-6 && per_worker >= 0.5 *. outer) then
+        Alcotest.failf
+          "%s: busy + claim + idle per worker %.6f s, campaign wall %.6f s"
+          name per_worker outer;
+      check Alcotest.bool (name ^ ": task walls hold the cell walls") true
+        (sum "pool.worker_busy_s" >= sum "synthetic.cell_wall_s");
+      check Alcotest.bool (name ^ ": sleeping cells make workers busy") true
+        (sum "pool.worker_busy_s" >= 0.002 *. float_of_int cells))
+    configs
+
+(* At a zero interval every finished cell beats once; hunt hits, here
+   two per cell, only count, so the stream is one line per cell plus the
+   terminal line, which tallies every hit. *)
+let test_hits_do_not_beat () =
+  List.iter
+    (fun (name, jobs) ->
+      let lines =
+        Test_obs.with_heartbeat ~interval_s:0.0 (fun hb ->
+            ignore
+              (Sim.Campaign.exec ~heartbeat:hb ~jobs ~prefix:"synthetic" ~n
+                 ~horizon:(Sim.Campaign.Known horizon) ~label cells
+                 (fun cell i ->
+                   Stdx.Heartbeat.hit hb "failed";
+                   Stdx.Heartbeat.hit hb "failed";
+                   synthetic cell i));
+            Stdx.Heartbeat.finish hb)
+      in
+      check Alcotest.int (name ^ ": one line per cell and the final one")
+        (cells + 1) (List.length lines);
+      let final = Stdx.Json.parse (List.nth lines cells) in
+      check Alcotest.int (name ^ ": every hit tallied") (2 * cells)
+        (Stdx.Json.to_int "failed"
+           (Stdx.Json.field (Stdx.Json.field final "hits") "failed")))
+    configs
+
 let suite =
   [
     ( "sim.campaign",
@@ -355,5 +465,10 @@ let suite =
           test_failure_prefix;
         case "a merge that raises is re-raised after the drain"
           test_merge_failure_after_drain;
+        case "one pool sample and span count per worker"
+          test_one_sample_per_worker;
+        case "per worker, busy + claim + idle is the drain's wall"
+          test_busy_claim_idle_is_the_wall;
+        case "hunt hits alone emit no heartbeat line" test_hits_do_not_beat;
       ] );
   ]

@@ -128,7 +128,6 @@ let test_merge_error_paths () =
     let w = Stdx.Metrics.create () in
     (match kind with
     | `Counter -> Stdx.Metrics.incr w "x"
-    | `Gauge -> Stdx.Metrics.set_gauge w "x" 1.0
     | `Hist -> Stdx.Metrics.observe ~buckets:[| 1.0; 2.0 |] w "x" 0.5);
     Stdx.Metrics.snapshot w
   in
@@ -136,18 +135,14 @@ let test_merge_error_paths () =
     let m = Stdx.Metrics.create () in
     (match kind with
     | `Counter -> Stdx.Metrics.incr m "x"
-    | `Gauge -> Stdx.Metrics.set_gauge m "x" 2.0
     | `Hist -> Stdx.Metrics.observe ~buckets:[| 8.0 |] m "x" 0.5);
     m
   in
   let clash a b name =
     rejects name (fun () -> Stdx.Metrics.merge (target a) (source b))
   in
-  clash `Counter `Gauge "gauge into counter";
   clash `Counter `Hist "histogram into counter";
-  clash `Gauge `Counter "counter into gauge";
   clash `Hist `Counter "counter into histogram";
-  clash `Hist `Gauge "gauge into histogram";
   clash `Hist `Hist "bucket layout mismatch";
   (* and the messages name the instrument *)
   (match Stdx.Metrics.merge (target `Hist) (source `Hist) with
@@ -156,7 +151,7 @@ let test_merge_error_paths () =
       (Astring.String.is_infix ~affix:"\"x\"" msg
       && Astring.String.is_infix ~affix:"bucket layout" msg)
   | _ -> Alcotest.fail "layout mismatch accepted");
-  match Stdx.Metrics.merge (target `Counter) (source `Gauge) with
+  match Stdx.Metrics.merge (target `Counter) (source `Hist) with
   | exception Invalid_argument msg ->
     check Alcotest.bool "kind mismatch names the instrument" true
       (Astring.String.is_infix ~affix:"\"x\"" msg)
@@ -201,19 +196,18 @@ let test_heartbeat_terminal_line_schema () =
         Stdx.Heartbeat.set_totals hb ~cells:1 ~cost:10.0;
         let m = Stdx.Metrics.create () in
         Stdx.Metrics.incr ~by:7 m "engine.runs";
-        set 2.0;
-        Stdx.Heartbeat.cell_done
-          ~snapshot:(Stdx.Metrics.snapshot m)
-          ~rounds:120 ~cost:10.0 hb;
+        Stdx.Heartbeat.add_counts hb m;
+        Stdx.Heartbeat.cell_done ~rounds:120 ~worker:1 ~busy_s:1.0 ~now:2.0
+          ~cost:10.0 hb;
         Stdx.Heartbeat.hit hb "failed";
         Stdx.Heartbeat.hit hb "failed";
         Stdx.Heartbeat.hit hb "clamped";
-        Stdx.Heartbeat.task_done hb ~worker:1 ~busy_s:1.0;
         set 4.0;
         Stdx.Heartbeat.finish hb;
         (* idempotent: neither a second finish nor a later feed emits *)
         Stdx.Heartbeat.finish hb;
-        Stdx.Heartbeat.task_done hb ~worker:1 ~busy_s:1.0)
+        Stdx.Heartbeat.cell_done ~worker:1 ~busy_s:1.0 ~now:5000.0 ~cost:1.0
+          hb)
   in
   check Alcotest.int "interval 1000s: only the terminal line" 1
     (List.length lines);
@@ -258,7 +252,7 @@ let test_heartbeat_terminal_line_schema () =
      && Stdx.Json.to_int "heap_words" (Stdx.Json.field gc "heap_words") > 0));
   match Stdx.Json.field (Stdx.Json.field j "metrics") "counters" with
   | Stdx.Json.Object kvs ->
-    check Alcotest.bool "cell snapshot merged into the live registry" true
+    check Alcotest.bool "cell counts added to the live registry" true
       (List.assoc_opt "engine.runs" kvs = Some (Stdx.Json.Int 7))
   | _ -> Alcotest.fail "metrics.counters must be an object"
 
@@ -266,7 +260,7 @@ let test_heartbeat_terminal_line_schema () =
    ([t_s], [eta_s], [busy_s], [utilization]) are pinned as well; only
    the GC counters, read from the runtime, are masked. *)
 let heartbeat_golden =
-  {|{"kind":"heartbeat","label":"leader \"4\":5","seq":1,"final":true,"t_s":1.5,"eta_s":3.0000000000000004,"cells_done":1,"cells_total":3,"cost_done":0.10000000000000001,"cost_total":0.30000000000000004,"rounds":120,"hits":{"failed":1,"near-bound":1},"workers":{"count":2,"busy_s":[0,0.5],"utilization":0.16666666666666666},"gc":{...},"metrics":{"counters":{"engine.clamped_events":0,"engine.runs":7},"gauges":{"g":0.33333333333333331},"histograms":{"engine.recovery_rounds":{"buckets":[1,2,4,8,16,32,64,128,256,512,1024,2048,4096,8192,16384,32768,65536],"counts":[0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"count":1,"sum":3},"hunt.cell_wall_s":{"buckets":[0.0001,0.00020000000000000001,0.00040000000000000002,0.00080000000000000004,0.0016000000000000001,0.0032000000000000002,0.0064000000000000003,0.012800000000000001,0.025600000000000001,0.051200000000000002,0.1024,0.20480000000000001,0.40960000000000002,0.81920000000000004,1.6384000000000001,3.2768000000000002,6.5536000000000003,13.107200000000001,26.214400000000001,52.428800000000003,104.85760000000001],"counts":[0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"count":1,"sum":0.00123}}}}|}
+  {|{"kind":"heartbeat","label":"leader \"4\":5","seq":1,"final":true,"t_s":1.5,"eta_s":3.0000000000000004,"cells_done":1,"cells_total":3,"cost_done":0.10000000000000001,"cost_total":0.30000000000000004,"rounds":120,"hits":{"failed":1,"near-bound":1},"workers":{"count":2,"busy_s":[0,0.5],"utilization":0.16666666666666666},"gc":{...},"metrics":{"counters":{"engine.clamped_events":0,"engine.runs":7},"histograms":{"engine.recovery_rounds":{"buckets":[1,2,4,8,16,32,64,128,256,512,1024,2048,4096,8192,16384,32768,65536],"counts":[0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"count":1,"sum":3},"hunt.cell_wall_s":{"buckets":[0.0001,0.00020000000000000001,0.00040000000000000002,0.00080000000000000004,0.0016000000000000001,0.0032000000000000002,0.0064000000000000003,0.012800000000000001,0.025600000000000001,0.051200000000000002,0.1024,0.20480000000000001,0.40960000000000002,0.81920000000000004,1.6384000000000001,3.2768000000000002,6.5536000000000003,13.107200000000001,26.214400000000001,52.428800000000003,104.85760000000001],"counts":[0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"count":1,"sum":0.00123}}}}|}
 
 let mask_gc line =
   let key = {|"gc":{|} in
@@ -289,14 +283,12 @@ let test_heartbeat_golden_line () =
         Stdx.Metrics.observe m "engine.recovery_rounds" 3.0;
         Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets m
           "hunt.cell_wall_s" 0.00123;
-        Stdx.Metrics.set_gauge m "g" (1.0 /. 3.0);
-        set 0.75;
-        let snapshot = Stdx.Metrics.snapshot m in
-        Stdx.Heartbeat.cell_done ~snapshot ~rounds:120 ~cost:0.1 hb;
-        Stdx.Heartbeat.settle hb (Stdx.Metrics.ordered snapshot);
+        Stdx.Heartbeat.add_counts hb m;
+        Stdx.Heartbeat.cell_done ~rounds:120 ~worker:1 ~busy_s:0.5 ~now:0.75
+          ~cost:0.1 hb;
+        Stdx.Heartbeat.settle hb (Stdx.Metrics.rest m);
         Stdx.Heartbeat.hit hb "failed";
         Stdx.Heartbeat.hit hb "near-bound";
-        Stdx.Heartbeat.task_done hb ~worker:1 ~busy_s:0.5;
         set 1.5;
         Stdx.Heartbeat.finish hb)
   in
@@ -319,14 +311,17 @@ let test_heartbeat_eta_by_cells () =
   in
   let lines =
     with_heartbeat ~clock ~interval_s:0.0 (fun hb ->
+        let cell_done cost =
+          Stdx.Heartbeat.cell_done ~worker:0 ~busy_s:0.0 ~now:2.0 ~cost hb
+        in
         Stdx.Heartbeat.set_totals hb ~cells:4 ~cost:0.0;
         set 2.0;
         Stdx.Heartbeat.set_totals hb ~cells:0 ~cost:10.0;
-        Stdx.Heartbeat.cell_done ~cost:10.0 hb;
+        cell_done 10.0;
         List.iter
           (fun _ ->
             Stdx.Heartbeat.set_totals hb ~cells:0 ~cost:30.0;
-            Stdx.Heartbeat.cell_done ~cost:30.0 hb)
+            cell_done 30.0)
           [ 1; 2; 3 ];
         Stdx.Heartbeat.finish hb)
   in
@@ -340,19 +335,23 @@ let test_heartbeat_eta_by_cells () =
     (Stdx.Json.to_float "cost_total"
        (Stdx.Json.field (Stdx.Json.parse (List.nth lines 4)) "cost_total"))
 
+(* A beat is timed by the [now] its [cell_done] carries; the mock
+   clock, read at creation and by [finish] only, stays at 0 until the
+   end. *)
 let test_heartbeat_interval_gating () =
   let clock, set = mock_clock 0.0 in
+  let cell_done hb now =
+    Stdx.Heartbeat.cell_done ~worker:0 ~busy_s:0.0 ~now ~cost:1.0 hb
+  in
   let lines =
     with_heartbeat ~clock ~interval_s:10.0 (fun hb ->
         Stdx.Heartbeat.set_totals hb ~cells:4 ~cost:4.0;
-        Stdx.Heartbeat.cell_done ~cost:1.0 hb;
+        cell_done hb 0.0;
         (* same instant: rate-limited *)
-        Stdx.Heartbeat.cell_done ~cost:1.0 hb;
-        set 11.0;
-        Stdx.Heartbeat.cell_done ~cost:1.0 hb;
+        cell_done hb 0.0;
+        cell_done hb 11.0;
         (* just after a beat: suppressed again *)
-        set 12.0;
-        Stdx.Heartbeat.cell_done ~cost:1.0 hb;
+        cell_done hb 12.0;
         set 13.0;
         Stdx.Heartbeat.finish hb)
   in
@@ -368,11 +367,11 @@ let test_heartbeat_interval_gating () =
          ( Stdx.Json.to_int "seq" (Stdx.Json.field j "seq"),
            Stdx.Json.to_bool "final" (Stdx.Json.field j "final") ))
        parsed);
-  check Alcotest.bool "zero interval emits on every report" true
+  check Alcotest.bool "zero interval emits on every cell" true
     (List.length
        (with_heartbeat ~clock ~interval_s:0.0 (fun hb ->
-            Stdx.Heartbeat.cell_done ~cost:1.0 hb;
-            Stdx.Heartbeat.cell_done ~cost:1.0 hb;
+            cell_done hb 13.0;
+            cell_done hb 13.0;
             Stdx.Heartbeat.finish hb))
     = 3)
 
@@ -385,12 +384,12 @@ let test_heartbeat_floats_round_trip () =
     with_heartbeat ~clock ~interval_s:1000.0 (fun hb ->
         Stdx.Heartbeat.set_totals hb ~cells:1 ~cost:(awkward *. 3.0);
         let m = Stdx.Metrics.create () in
-        Stdx.Metrics.set_gauge m "g" awkward;
         Stdx.Metrics.observe ~buckets:[| 1.0 |] m "h" awkward;
+        Stdx.Heartbeat.add_counts hb m;
+        Stdx.Heartbeat.cell_done ~worker:0 ~busy_s:awkward ~now:0.0
+          ~cost:awkward hb;
+        Stdx.Heartbeat.settle hb (Stdx.Metrics.rest m);
         set (1.0 /. 3.0);
-        let snapshot = Stdx.Metrics.snapshot m in
-        Stdx.Heartbeat.cell_done ~snapshot ~cost:awkward hb;
-        Stdx.Heartbeat.settle hb (Stdx.Metrics.ordered snapshot);
         Stdx.Heartbeat.finish hb)
   in
   let j = Stdx.Json.parse (List.hd lines) in
@@ -401,8 +400,12 @@ let test_heartbeat_floats_round_trip () =
   exact "cost_done" awkward (Stdx.Json.field j "cost_done");
   exact "cost_total" (awkward *. 3.0) (Stdx.Json.field j "cost_total");
   exact "t_s" (1.0 /. 3.0) (Stdx.Json.field j "t_s");
+  exact "busy_s"
+    awkward
+    (List.hd
+       (Stdx.Json.to_list "busy_s"
+          (Stdx.Json.field (Stdx.Json.field j "workers") "busy_s")));
   let metrics = Stdx.Json.field j "metrics" in
-  exact "gauge" awkward (Stdx.Json.field (Stdx.Json.field metrics "gauges") "g");
   let h = Stdx.Json.field (Stdx.Json.field metrics "histograms") "h" in
   exact "histogram sum" awkward (Stdx.Json.field h "sum")
 

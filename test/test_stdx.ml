@@ -414,27 +414,33 @@ let test_stats_percentile_range () =
 exception Boom of int
 
 let test_pool_run_in_order () =
-  let a = Stdx.Pool.exec ~jobs:4 10 (fun i -> i * 3) in
+  let a = Stdx.Pool.exec ~jobs:4 10 (fun ~worker:_ i -> i * 3) in
   check (Alcotest.array Alcotest.int) "slot i holds f i"
     (Array.init 10 (fun i -> i * 3))
     a
 
 let test_pool_empty_and_oversubscribed () =
   check (Alcotest.array Alcotest.int) "n = 0" [||]
-    (Stdx.Pool.exec ~jobs:4 0 (fun i -> i));
+    (Stdx.Pool.exec ~jobs:4 0 (fun ~worker:_ i -> i));
   check (Alcotest.array Alcotest.int) "jobs > n" [| 0; 1 |]
-    (Stdx.Pool.exec ~jobs:16 2 (fun i -> i))
+    (Stdx.Pool.exec ~jobs:16 2 (fun ~worker:_ i -> i));
+  check Alcotest.int "workers clamped to n" 2 (Stdx.Pool.workers ~jobs:16 2);
+  check Alcotest.int "n = 0: one worker" 1 (Stdx.Pool.workers ~jobs:4 0);
+  let ids = Array.make 16 (-1) in
+  ignore (Stdx.Pool.exec ~jobs:3 16 (fun ~worker i -> ids.(i) <- worker));
+  check Alcotest.bool "worker ids below workers ~jobs n" true
+    (Array.for_all (fun w -> w >= 0 && w < Stdx.Pool.workers ~jobs:3 16) ids)
 
 let test_pool_invalid_args () =
   let raises name f =
     check Alcotest.bool name true
       (try ignore (f ()); false with Invalid_argument _ -> true)
   in
-  raises "jobs = 0 rejected" (fun () -> Stdx.Pool.exec ~jobs:0 3 (fun i -> i));
-  raises "negative n rejected" (fun () ->
-      Stdx.Pool.exec ~jobs:2 (-1) (fun i -> i));
+  let id ~worker:_ i = i in
+  raises "jobs = 0 rejected" (fun () -> Stdx.Pool.exec ~jobs:0 3 id);
+  raises "negative n rejected" (fun () -> Stdx.Pool.exec ~jobs:2 (-1) id);
   raises "non-finite cost rejected" (fun () ->
-      Stdx.Pool.exec ~cost:(fun _ -> Float.nan) 3 (fun i -> i))
+      Stdx.Pool.exec ~cost:(fun _ -> Float.nan) 3 id)
 
 let test_pool_propagates_lowest_failure () =
   (* Several tasks fail; the pool must deterministically re-raise the
@@ -442,7 +448,7 @@ let test_pool_propagates_lowest_failure () =
   let observed =
     try
       ignore
-        (Stdx.Pool.exec ~jobs:4 16 (fun i ->
+        (Stdx.Pool.exec ~jobs:4 16 (fun ~worker:_ i ->
              if i mod 5 = 2 then raise (Boom i) else i));
       None
     with Boom i -> Some i
@@ -467,8 +473,8 @@ let test_pool_exec_cost_invariant =
     (fun (xs, jobs, tag) ->
       let a = Array.of_list xs in
       let n = Array.length a in
-      Stdx.Pool.exec ~jobs ?cost:(List.nth pool_costs tag) n (fun i ->
-          (a.(i) * 7) - i)
+      Stdx.Pool.exec ~jobs ?cost:(List.nth pool_costs tag) n
+        (fun ~worker:_ i -> (a.(i) * 7) - i)
       = Array.init n (fun i -> (a.(i) * 7) - i))
 
 let test_pool_cost_error_propagation () =
@@ -480,7 +486,7 @@ let test_pool_cost_error_propagation () =
       let observed =
         try
           ignore
-            (Stdx.Pool.exec ~jobs:4 ?cost 16 (fun i ->
+            (Stdx.Pool.exec ~jobs:4 ?cost 16 (fun ~worker:_ i ->
                  if i mod 5 = 2 then raise (Boom i) else i));
           None
         with Boom i -> Some i
@@ -491,13 +497,10 @@ let test_pool_cost_error_propagation () =
         (Some 2) observed)
     pool_costs
 
-(* The indices [on_task] sees at jobs = 1, i.e. the claim order. *)
+(* The indices the tasks see at jobs = 1, i.e. the claim order. *)
 let claim_order ?cost n =
   let seen = ref [] in
-  ignore
-    (Stdx.Pool.exec ?cost
-       ~on_task:(fun ~worker:_ ~index ~wall_s:_ -> seen := index :: !seen)
-       n Fun.id);
+  ignore (Stdx.Pool.exec ?cost n (fun ~worker:_ i -> seen := i :: !seen));
   List.rev !seen
 
 let test_pool_claim_order () =
@@ -507,48 +510,6 @@ let test_pool_claim_order () =
     (claim_order ~cost:(fun i -> [| 1.; 5.; 1.; 2.; 9.; 2. |].(i)) 6);
   check ints "constant cost: index order" [ 0; 1; 2; 3 ]
     (claim_order ~cost:(fun _ -> 7.0) 4)
-
-let test_pool_stats () =
-  let seen = ref None in
-  let a =
-    Stdx.Pool.exec ~jobs:3 ~cost:float_of_int
-      ~stats:(fun s -> seen := Some s)
-      10
-      (fun i -> i)
-  in
-  check (Alcotest.array Alcotest.int) "results unaffected by stats"
-    (Array.init 10 Fun.id) a;
-  (match !seen with
-  | None -> Alcotest.fail "stats callback not invoked"
-  | Some s ->
-    check Alcotest.int "actual jobs" 3 s.Stdx.Pool.actual_jobs;
-    check Alcotest.int "one busy slot per worker" 3
-      (Array.length s.Stdx.Pool.worker_busy_s);
-    check Alcotest.int "every task claimed exactly once" 10
-      (Array.fold_left ( + ) 0 s.Stdx.Pool.worker_tasks);
-    check Alcotest.bool "busy seconds non-negative" true
-      (Array.for_all (fun b -> b >= 0.0) s.Stdx.Pool.worker_busy_s));
-  (* jobs are clamped to the task count, and the stats say so *)
-  let clamped = ref None in
-  ignore
-    (Stdx.Pool.exec ~jobs:8 ~stats:(fun s -> clamped := Some s) 2 (fun i -> i));
-  (match !clamped with
-  | None -> Alcotest.fail "stats callback not invoked"
-  | Some s -> check Alcotest.int "jobs clamped to n" 2 s.Stdx.Pool.actual_jobs);
-  (* the callback still fires when a task fails — before the re-raise *)
-  let failed = ref None in
-  (try
-     ignore
-       (Stdx.Pool.exec ~jobs:2
-          ~stats:(fun s -> failed := Some s)
-          4
-          (fun i -> if i = 1 then raise (Boom i) else i))
-   with Boom _ -> ());
-  match !failed with
-  | None -> Alcotest.fail "stats callback skipped on failure"
-  | Some s ->
-    check Alcotest.int "failing grid fully drained" 4
-      (Array.fold_left ( + ) 0 s.Stdx.Pool.worker_tasks)
 
 (* ------------------------------------------------------------------ *)
 (* Table                                                                *)
@@ -638,8 +599,9 @@ let heartbeat_lines ~label ~name =
           let m = Stdx.Metrics.create () in
           Stdx.Metrics.incr m name;
           Stdx.Heartbeat.set_totals hb ~cells:1 ~cost:1.0;
-          Stdx.Heartbeat.cell_done ~snapshot:(Stdx.Metrics.snapshot m)
-            ~cost:1.0 hb;
+          Stdx.Heartbeat.add_counts hb m;
+          Stdx.Heartbeat.cell_done ~worker:0 ~busy_s:0.0
+            ~now:(Stdx.Metrics.wall_clock ()) ~cost:1.0 hb;
           Stdx.Heartbeat.finish hb);
       In_channel.with_open_bin path In_channel.input_all
       |> String.split_on_char '\n'
@@ -816,7 +778,6 @@ let suite =
         case "lowest failure wins under every cost model"
           test_pool_cost_error_propagation;
         case "claim order is cost-sorted" test_pool_claim_order;
-        case "stats report the execution" test_pool_stats;
       ] );
     ( "stdx.json",
       [

@@ -24,21 +24,17 @@ let parallel_jobs =
 (* Stdx.Metrics                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_counters_and_gauges () =
+let test_counters () =
   let m = Stdx.Metrics.create () in
   Stdx.Metrics.incr m "b";
   Stdx.Metrics.incr ~by:41 m "b";
   Stdx.Metrics.incr m "a";
-  Stdx.Metrics.set_gauge m "g" 1.5;
-  Stdx.Metrics.set_gauge m "g" 2.5;
   let snap = Stdx.Metrics.snapshot m in
   check
     Alcotest.(list string)
-    "snapshot sorted by name" [ "a"; "b"; "g" ] (List.map fst snap);
+    "snapshot sorted by name" [ "a"; "b" ] (List.map fst snap);
   check Alcotest.bool "counter sums" true
     (Stdx.Metrics.find snap "b" = Some (Stdx.Metrics.Counter 42));
-  check Alcotest.bool "gauge keeps last write" true
-    (Stdx.Metrics.find snap "g" = Some (Stdx.Metrics.Gauge 2.5));
   check Alcotest.bool "missing name" true
     (Stdx.Metrics.find snap "zzz" = None)
 
@@ -63,7 +59,6 @@ let test_metrics_rejects () =
   let m = Stdx.Metrics.create () in
   Stdx.Metrics.incr m "c";
   Stdx.Metrics.observe m "h" 1.0;
-  rejects "counter used as gauge" (fun () -> Stdx.Metrics.set_gauge m "c" 1.0);
   rejects "counter used as histogram" (fun () ->
       Stdx.Metrics.observe m "c" 1.0);
   rejects "histogram used as counter" (fun () -> Stdx.Metrics.incr m "h");
@@ -75,8 +70,6 @@ let test_metrics_rejects () =
       Stdx.Metrics.observe ~buckets:[| 2.0; 1.0 |] m "h3" 1.0);
   rejects "non-finite observation" (fun () ->
       Stdx.Metrics.observe m "h" Float.infinity);
-  rejects "non-finite gauge" (fun () ->
-      Stdx.Metrics.set_gauge m "g" Float.nan);
   (* omitting ~buckets reuses the existing layout rather than clashing
      with the default *)
   Stdx.Metrics.observe ~buckets:[| 10.0 |] m "h4" 1.0;
@@ -89,7 +82,7 @@ let test_concurrent_increments_sum_exactly () =
   let m = Stdx.Metrics.create () in
   let tasks = 400 in
   ignore
-    (Stdx.Pool.exec ~jobs:parallel_jobs tasks (fun i ->
+    (Stdx.Pool.exec ~jobs:parallel_jobs tasks (fun ~worker:_ i ->
          Stdx.Metrics.incr m "hits";
          Stdx.Metrics.incr ~by:2 m "double";
          Stdx.Metrics.observe ~buckets:[| 100.0; 200.0; 400.0 |] m "obs"
@@ -112,7 +105,6 @@ let test_merge_determinism () =
   let worker i =
     let w = Stdx.Metrics.create () in
     Stdx.Metrics.incr ~by:(i + 1) w "runs";
-    Stdx.Metrics.set_gauge w "last" (float_of_int i);
     Stdx.Metrics.observe ~buckets:[| 2.0; 8.0 |] w "rec" (float_of_int i);
     Stdx.Metrics.snapshot w
   in
@@ -126,8 +118,6 @@ let test_merge_determinism () =
   check Alcotest.bool "merge is deterministic" true (a = b);
   check Alcotest.bool "counters add" true
     (Stdx.Metrics.find a "runs" = Some (Stdx.Metrics.Counter 55));
-  check Alcotest.bool "gauges keep the last merge" true
-    (Stdx.Metrics.find a "last" = Some (Stdx.Metrics.Gauge 9.0));
   (match Stdx.Metrics.find a "rec" with
   | Some (Stdx.Metrics.Histogram h) ->
     check Alcotest.int "histogram counts add" 10 h.count;
@@ -144,7 +134,6 @@ let test_merge_determinism () =
 type op =
   | Op_incr of string * int
   | Op_observe of string * float * float array option
-  | Op_gauge of string * float
 
 let op_names = [| "a"; "b"; "h"; "g"; "engine.runs" |]
 
@@ -169,7 +158,6 @@ let gen_ops =
          map3 (fun n x l -> Op_observe (n, x, l)) name
            (oneofl [ 0.5; 1.0; 3.0; 7.25; 1e16; -1e16 ])
            layout;
-         map2 (fun n x -> Op_gauge (n, x)) name (oneofl [ 0.1; 2.0; -4.5 ]);
        ])
 
 let print_ops ops =
@@ -179,8 +167,7 @@ let print_ops ops =
          | Op_incr (n, by) -> Printf.sprintf "incr %s %d" n by
          | Op_observe (n, x, l) ->
            Printf.sprintf "observe %s %g%s" n x
-             (if l = None then "" else " (layout)")
-         | Op_gauge (n, x) -> Printf.sprintf "gauge %s %g" n x)
+             (if l = None then "" else " (layout)"))
        ops)
 
 let arb_ops = QCheck.make ~print:print_ops gen_ops
@@ -193,7 +180,6 @@ let run_ops m ops =
         match op with
         | Op_incr (n, by) -> Stdx.Metrics.incr ~by m n
         | Op_observe (n, x, buckets) -> Stdx.Metrics.observe ?buckets m n x
-        | Op_gauge (n, x) -> Stdx.Metrics.set_gauge m n x
       with
       | () -> true
       | exception Invalid_argument _ -> false)
@@ -206,7 +192,7 @@ let test_record_qcheck =
           (function
             | Op_incr (n, by) -> Some (Stdx.Metrics.Incr (n, by))
             | Op_observe (n, x, None) -> Some (Stdx.Metrics.Observe (n, x))
-            | Op_observe (_, _, Some _) | Op_gauge _ -> None)
+            | Op_observe (_, _, Some _) -> None)
           ops
       in
       let batched = Stdx.Metrics.create () in
@@ -260,11 +246,9 @@ let test_add_counts_qcheck =
       let outcome f =
         match f () with () -> true | exception Invalid_argument _ -> false
       in
-      let snap = Stdx.Metrics.snapshot cell in
       let a =
         outcome (fun () ->
-            Stdx.Metrics.merge_counts by_snapshot snap;
-            Stdx.Metrics.merge_ordered by_snapshot (Stdx.Metrics.ordered snap))
+            Stdx.Metrics.merge by_snapshot (Stdx.Metrics.snapshot cell))
       in
       let b =
         outcome (fun () ->
@@ -293,11 +277,11 @@ let test_metrics_json () =
   let m = Stdx.Metrics.create () in
   Stdx.Metrics.incr ~by:2 m "a";
   check Alcotest.string "counters only"
-    "{\"counters\":{\"a\":2},\"gauges\":{},\"histograms\":{}}"
+    "{\"counters\":{\"a\":2},\"histograms\":{}}"
     (Stdx.Metrics.to_json (Stdx.Metrics.snapshot m));
   Stdx.Metrics.observe ~buckets:[| 1.0 |] m "h" 0.5;
   check Alcotest.string "histogram block"
-    "{\"counters\":{\"a\":2},\"gauges\":{},\"histograms\":{\"h\":{\"buckets\":[1],\"counts\":[1,0],\"count\":1,\"sum\":0.5}}}"
+    "{\"counters\":{\"a\":2},\"histograms\":{\"h\":{\"buckets\":[1],\"counts\":[1,0],\"count\":1,\"sum\":0.5}}}"
     (Stdx.Metrics.to_json (Stdx.Metrics.snapshot m));
   let table = Stdx.Metrics.to_table (Stdx.Metrics.snapshot m) in
   check Alcotest.bool "table renders every instrument" true
@@ -536,7 +520,7 @@ let test_read_jsonl_errors () =
 
 (* Fuzz: every line-oriented reader takes damaged input without raising.
    Valid lines of each format (trace events, a schedule, a heartbeat
-   beat) are truncated and byte-flipped at random; the single-value
+   beat, a hunt corpus entry) are truncated and byte-flipped at random; the single-value
    parsers must return a result, and the file readers must return either
    events or an error naming the damaged line. Flips never write a
    newline, so the damaged line keeps its line number. *)
@@ -569,8 +553,18 @@ let valid_lines =
            In_channel.with_open_bin path In_channel.input_line |> Option.get)
      in
      Array.of_list
-       ((beat :: Sim.Schedule.to_json schedule
-        :: List.map Sim.Trace.to_json sample_events)))
+       (beat :: Test_stdx.corpus_line () :: Sim.Schedule.to_json schedule
+       :: List.map Sim.Trace.to_json sample_events))
+
+(* [Corpus.read] on [text], through a file as the reader takes a
+   channel. *)
+let read_corpus ~adversaries text =
+  let path = Filename.temp_file "corpus" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      In_channel.with_open_bin path (Sim.Hunt.Corpus.read ~adversaries))
 
 let damage line ~cut ~flips =
   let b = Bytes.of_string line in
@@ -606,12 +600,15 @@ let test_readers_survive_damage =
         ( Sim.Trace.parse_jsonl (String.concat "\n" [ trace_line; bad; trace_line; "" ]),
           (* A file whose only line was cut off mid-write. *)
           Sim.Trace.parse_jsonl bad,
-          Stdx.Heartbeat.latest ~path:"hb" (lines.(0) ^ "\n" ^ bad ^ "\n") )
+          Stdx.Heartbeat.latest ~path:"hb" (lines.(0) ^ "\n" ^ bad ^ "\n"),
+          read_corpus ~adversaries:(Sim.Adversary.registry ())
+            (String.concat "\n" [ lines.(1); bad; lines.(1); "" ]) )
       with
       | exception e ->
         QCheck.Test.fail_reportf "%S raised %s" bad (Printexc.to_string e)
-      | middle, alone, beat ->
-        names_line 2 middle && names_line 1 alone && names_line 2 beat)
+      | middle, alone, beat, corpus ->
+        names_line 2 middle && names_line 1 alone && names_line 2 beat
+        && names_line 2 corpus)
 
 (* One line rule for every JSONL reader ([Stdx.Json.lines]): a trace
    through [Trace.parse_jsonl], a hunt corpus through [Corpus.read] and
@@ -667,14 +664,7 @@ let test_shared_line_rule () =
            | ch -> String.make 1 ch)
          (List.of_seq (String.to_seq template)))
   in
-  let read_corpus text =
-    let path = Filename.temp_file "corpus" ".jsonl" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Out_channel.with_open_bin path (fun oc -> output_string oc text);
-        In_channel.with_open_bin path (Sim.Hunt.Corpus.read ~adversaries))
-  in
+
   let verdict = function
     | Ok records -> Ok (List.length records)
     | Error msg -> Error msg
@@ -699,7 +689,7 @@ let test_shared_line_rule () =
       check_parser "Trace.parse_jsonl"
         (verdict (Sim.Trace.parse_jsonl (fill template trace_line)));
       check_parser "Corpus.read"
-        (verdict (read_corpus (fill template corpus_line)));
+        (verdict (read_corpus ~adversaries (fill template corpus_line)));
       let complete =
         List.map fst (Stdx.Heartbeat.complete_lines (fill template trace_line))
       in
@@ -950,7 +940,7 @@ let suite =
   [
     ( "stdx.metrics",
       [
-        case "counters and gauges" test_counters_and_gauges;
+        case "counters" test_counters;
         case "histogram bucket edges" test_histogram_bucket_edges;
         case "kind/layout/finiteness rejects" test_metrics_rejects;
         case "concurrent increments sum exactly"
