@@ -25,7 +25,9 @@
    towers A(4,1), A(12,3) and A(36,7) (modulus 2): the fixed cost an
    engine run pays before its first round when its domain holds no idle
    kernel for the codec, which would dominate short early-exiting runs.
-   The throughput rows reuse their warm-up run's kernel.
+   The throughput rows reuse their warm-up run's kernel, and are timed
+   as the median of five samples of back-to-back runs
+   (Bench_common.measure).
 
    Results land in BENCH_engine.json. *)
 
@@ -44,29 +46,6 @@ type row = {
   gc : gc_profile;
 }
 
-let metrics = Stdx.Metrics.create ()
-
-(* Wall clock and GC allocation deltas around one run. [Gc.minor_words]
-   reads the allocation pointer, so the minor count is exact even when
-   no collection happens during the run ([quick_stat] would quantise it
-   to minor-GC granularity). Direct major-heap allocation reaches
-   [quick_stat] only at the domain's next minor collection, so one is
-   forced (off the clock) on both sides of the run: otherwise a run that
-   happens to trigger a collection is billed for its predecessors' large
-   arrays. Allocation counts are deterministic, so a single pass suffices
-   and the wall is tightened with extra reps by the caller. *)
-let timed_gc f =
-  Gc.minor ();
-  let j0 = (Gc.quick_stat ()).Gc.major_words in
-  let m0 = Gc.minor_words () in
-  let t0 = Stdx.Metrics.wall_clock () in
-  let r = f () in
-  let wall = Stdx.Metrics.wall_clock () -. t0 in
-  let m1 = Gc.minor_words () in
-  Gc.minor ();
-  let j1 = (Gc.quick_stat ()).Gc.major_words in
-  (r, wall, m1 -. m0, j1 -. j0)
-
 let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
     ~seed () =
   let run () =
@@ -74,25 +53,11 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
       ~schedule:(Sim.Schedule.static ~adversary ~faulty ~rounds)
       ~seed ()
   in
-  (* Warm-up pass so any lazy setup (the boost tower's shared lookup
-     tables) and the kernel, which the timed runs reuse, are off the
-     clock. *)
-  ignore
-    (Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec
-       ~schedule:
-         (Sim.Schedule.static ~adversary ~faulty ~rounds:(min rounds 50))
-       ~seed ());
-  (* Wall = best of three passes (the first also yields the outcome and
-     GC counts), so one slow scheduler hiccup does not pollute the
-     record. *)
-  let o, wall0, minor, major = timed_gc run in
-  let wall = ref wall0 in
-  for _ = 2 to 3 do
-    let _, w, _, _ = timed_gc run in
-    if w < !wall then wall := w
-  done;
-  Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets metrics
-    "bench.engine_wall_s" !wall;
+  (* One run first takes any lazy setup (the boost tower's shared lookup
+     tables) and the kernel, which the timed runs reuse, off the clock,
+     and gives the rounds every timed run simulates. *)
+  let o = run () in
+  let m = Bench_common.measure run in
   let nr = float_of_int (spec.Algo.Spec.n * o.Sim.Engine.rounds_simulated) in
   {
     label;
@@ -100,19 +65,23 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
     adversary = Sim.Adversary.name adversary;
     faulty;
     rounds;
-    wall_s = !wall;
-    node_rounds_per_s = nr /. Float.max 1e-9 !wall;
-    gc = { minor_w_nr = minor /. nr; major_w_nr = major /. nr };
+    wall_s = m.Bench_common.seconds;
+    node_rounds_per_s = nr /. Float.max 1e-9 m.Bench_common.seconds;
+    gc =
+      {
+        minor_w_nr = m.Bench_common.minor_words /. nr;
+        major_w_nr = m.Bench_common.major_words /. nr;
+      };
   }
 
 (* [fresh_kernel ()] cost. Cold: the first call on a freshly built tower,
    which also builds the tower's shared lookup tables at every level
-   (median over [cold_reps] towers). Warm: any later call, which
-   allocates only private scratch (median over [warm_batches] batches of
-   [warm_batch] calls, per call). Words are counted on one warm call
-   between two minor collections; the instance is dead by the second, so
-   the major count is just the arrays too large for the minor heap (the
-   phase-king histograms), not promotion. *)
+   (median over [cold_reps] towers, one call each). Warm: any later
+   call, which allocates only private scratch (sampled per call). Words
+   are counted on one warm call between two minor collections; the
+   instance is dead by the second, so the major count is just the
+   arrays too large for the minor heap (the phase-king histograms), not
+   promotion. *)
 type setup_row = {
   tower : string;
   tower_n : int;
@@ -131,54 +100,29 @@ let kernel_setup ~tower levels =
     | Some codec -> (spec.Algo.Spec.n, codec.Algo.Spec.fresh_kernel)
     | None -> failwith (tower ^ ": no codec")
   in
-  let time f =
-    let t0 = Stdx.Metrics.wall_clock () in
-    f ();
-    Stdx.Metrics.wall_clock () -. t0
-  in
-  let median xs = Stdx.Stats.percentile 0.5 xs in
-  let cold_reps = 15 and warm_batches = 21 and warm_batch = 100 in
+  let cold_reps = 15 in
   let cold_s =
-    median
+    Bench_common.median
       (List.init cold_reps (fun _ ->
            let _, fresh = build () in
-           time (fun () -> ignore (Sys.opaque_identity (fresh ())))))
+           (Bench_common.sample ~runs:1 fresh).Bench_common.seconds))
   in
   let tower_n, fresh = build () in
   ignore (fresh ());
-  let warm_s =
-    median
-      (List.init warm_batches (fun _ ->
-           time (fun () ->
-               for _ = 1 to warm_batch do
-                 ignore (Sys.opaque_identity (fresh ()))
-               done)
-           /. float_of_int warm_batch))
-  in
-  let words f =
-    Gc.minor ();
-    let j0 = (Gc.quick_stat ()).Gc.major_words in
-    let m0 = Gc.minor_words () in
-    f ();
-    let m1 = Gc.minor_words () in
-    (* A domain's major-heap allocation reaches quick_stat only at its
-       next minor collection. *)
-    Gc.minor ();
-    (m1 -. m0, (Gc.quick_stat ()).Gc.major_words -. j0)
-  in
-  (* The probe's own allocation, measured with nothing in between, after
-     one discarded probe: the first after heavy allocation reads a few
-     dozen major words off. *)
-  ignore (words ignore);
-  let minor0, major0 = words ignore in
-  let minor, major = words (fun () -> ignore (Sys.opaque_identity (fresh ()))) in
+  let warm_s = (Bench_common.measure fresh).Bench_common.seconds in
+  (* The sample's own allocation, measured with nothing in between,
+     after one discarded sample: the first after heavy allocation reads
+     a few dozen major words off. *)
+  ignore (Bench_common.sample ~runs:1 ignore);
+  let probe = Bench_common.sample ~runs:1 ignore in
+  let warm = Bench_common.sample ~runs:1 fresh in
   {
     tower;
     tower_n;
     cold_s;
     warm_s;
-    warm_minor_words = minor -. minor0;
-    warm_major_words = major -. major0;
+    warm_minor_words = warm.minor_words -. probe.minor_words;
+    warm_major_words = warm.major_words -. probe.major_words;
   }
 
 let json_of_setup r =
@@ -303,13 +247,11 @@ let run () =
     \               \"node_rounds_per_s\": %.1f,\n\
     \               \"minor_words_per_node_round\": %.2f},\n\
     \  \"measurements\": [\n%s\n  ],\n\
-    \  \"kernel_setup\": [\n%s\n  ],\n\
-    \  \"metrics\": %s\n\
+    \  \"kernel_setup\": [\n%s\n  ]\n\
      }\n"
     headline.label headline.node_rounds_per_s hostile.label hostile.adversary
     hostile.node_rounds_per_s hostile.gc.minor_w_nr
     (String.concat ",\n" (List.map json_of_row rows))
-    (String.concat ",\n" (List.map json_of_setup setup))
-    (Stdx.Metrics.to_json (Stdx.Metrics.snapshot metrics));
+    (String.concat ",\n" (List.map json_of_setup setup));
   close_out oc;
   Printf.printf "[engine throughput record written to %s]\n" json_path

@@ -9,8 +9,8 @@
    hits, not its trials, stays a recorded figure. Last, it times the
    repository benchmark's hunt-observed hunt with its telemetry (metrics,
    a JSONL trace and a heartbeat) on and off in interleaved pairs, and
-   records the median overhead against the 5 % budget. Results land in
-   BENCH_hunt.json. *)
+   records the median overhead, its quartiles and a verdict against the
+   5 % budget. Results land in BENCH_hunt.json. *)
 
 let json_path = "BENCH_hunt.json"
 
@@ -66,18 +66,10 @@ let corpus_lines ~hunt_seed report =
 
 (* The telemetry budget on the repository benchmark's hunt-observed
    hunt (benchmark/workload.ml): 3,500 trials on one domain against the
-   standard suite plus greedy confusion, timed with its metrics
-   registry, JSONL trace and 1 s heartbeat on and with all three off.
-   A pair runs the two hunts alternately, [reps] times each, and keeps
-   each side's fastest run: on the shared reference host single runs
-   of this hunt range over +-25 % in bursts, and a burst rarely covers
-   all of one side's runs. Pairs alternate which side goes first, so
-   drift lands on both; the overhead is the median over pairs of
-   on / off - 1. *)
+   standard suite plus greedy confusion, with its metrics registry,
+   JSONL trace and 1 s heartbeat on and with all three off, timed in
+   interleaved pairs by Bench_common.paired. *)
 let observed_trials = 3500
-let telemetry_pairs = 12
-let reps = 3
-let budget_pct = 5.0
 
 let observed_adversaries () =
   Sim.Adversary.standard_suite ()
@@ -88,117 +80,65 @@ let observed_config =
     default |> with_trials observed_trials |> with_run_seed 1
     |> with_phase_rounds 120 |> with_time_bound time_bound |> with_jobs 1)
 
-(* One hunt-observed hunt: its wall seconds and its corpus lines. With
-   [telemetry] the trace (after its meta line) and the heartbeat go to
-   temporary files, removed afterwards, as the benchmark's go to its
-   output directory. *)
-let observed_hunt ~adversaries ~telemetry =
-  let t0 = Stdx.Metrics.wall_clock () in
-  let report =
-    if not telemetry then
-      Sim.Hunt.run ~config:observed_config ~spec ~adversaries ()
-    else begin
-      let tr_path = Filename.temp_file "bench_hunt_trace" ".jsonl" in
-      let hb_path = Filename.temp_file "bench_hunt_hb" ".jsonl" in
-      Fun.protect
-        ~finally:(fun () ->
-          Sys.remove tr_path;
-          Sys.remove hb_path)
-        (fun () ->
-          Out_channel.with_open_bin hb_path (fun hb_oc ->
-              let hb =
-                Stdx.Heartbeat.create ~label:spec.Algo.Spec.name
-                  ~interval_s:1.0 ~out:hb_oc ()
-              in
-              Fun.protect
-                ~finally:(fun () -> Stdx.Heartbeat.finish hb)
-                (fun () ->
-                  Out_channel.with_open_bin tr_path (fun tr_oc ->
-                      let trace = Sim.Trace.jsonl tr_oc in
-                      Sim.Trace.emit trace
-                        (Sim.Trace.Meta
-                           {
-                             label = spec.Algo.Spec.name;
-                             n = spec.Algo.Spec.n;
-                             f = spec.Algo.Spec.f;
-                             c = spec.Algo.Spec.c;
-                             time_bound = Some time_bound;
-                           });
-                      Sim.Hunt.run ~metrics:(Stdx.Metrics.create ()) ~trace
-                        ~heartbeat:hb ~config:observed_config ~spec
-                        ~adversaries ()))))
-    end
-  in
-  let wall = Float.max 0.0 (Stdx.Metrics.wall_clock () -. t0) in
-  (wall, corpus_lines ~hunt_seed:observed_config.Sim.Hunt.Config.seed report)
+(* One hunt-observed hunt. With [telemetry] the trace (after its meta
+   line) and the heartbeat go to temporary files, removed afterwards,
+   as the benchmark's go to its output directory. *)
+let observed_hunt ~adversaries ~telemetry () =
+  if not telemetry then
+    Sim.Hunt.run ~config:observed_config ~spec ~adversaries ()
+  else begin
+    let tr_path = Filename.temp_file "bench_hunt_trace" ".jsonl" in
+    let hb_path = Filename.temp_file "bench_hunt_hb" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.remove tr_path;
+        Sys.remove hb_path)
+      (fun () ->
+        Out_channel.with_open_bin hb_path (fun hb_oc ->
+            let hb =
+              Stdx.Heartbeat.create ~label:spec.Algo.Spec.name
+                ~interval_s:1.0 ~out:hb_oc ()
+            in
+            Fun.protect
+              ~finally:(fun () -> Stdx.Heartbeat.finish hb)
+              (fun () ->
+                Out_channel.with_open_bin tr_path (fun tr_oc ->
+                    let trace = Sim.Trace.jsonl tr_oc in
+                    Sim.Trace.emit trace
+                      (Sim.Trace.Meta
+                         {
+                           label = spec.Algo.Spec.name;
+                           n = spec.Algo.Spec.n;
+                           f = spec.Algo.Spec.f;
+                           c = spec.Algo.Spec.c;
+                           time_bound = Some time_bound;
+                         });
+                    Sim.Hunt.run ~metrics:(Stdx.Metrics.create ()) ~trace
+                      ~heartbeat:hb ~config:observed_config ~spec
+                      ~adversaries ()))))
+  end
 
-type telemetry = {
-  pairs : (float * float) list;  (** each side's fastest seconds: (off, on) *)
-  overheads_pct : float list;
-  median_pct : float;
-  iqr_pct : float;
-  identical : bool;
-}
-
+(* The paired telemetry measurement, and whether the first hunt of each
+   side wrote the same corpus. *)
 let measure_telemetry () =
   let adversaries = observed_adversaries () in
-  let run telemetry = observed_hunt ~adversaries ~telemetry in
-  (* One untimed run per side warms the heap and the page cache, and
-     gives the corpus every later run must write. *)
-  let _, corpus = run false in
-  ignore (run true);
-  let identical = ref true in
-  let pairs =
-    List.init telemetry_pairs (fun i ->
-        let on_first = i mod 2 = 0 in
-        let best = [| infinity; infinity |] in
-        for _ = 1 to reps do
-          List.iter
-            (fun telemetry ->
-              let wall, lines = run telemetry in
-              let side = Bool.to_int telemetry in
-              best.(side) <- Float.min best.(side) wall;
-              if lines <> corpus then identical := false)
-            [ on_first; not on_first ]
-        done;
-        (best.(0), best.(1)))
+  let off = observed_hunt ~adversaries ~telemetry:false
+  and on = observed_hunt ~adversaries ~telemetry:true in
+  let corpus r =
+    corpus_lines ~hunt_seed:observed_config.Sim.Hunt.Config.seed r
   in
-  let overheads_pct =
-    List.map (fun (off, on) -> 100.0 *. ((on /. off) -. 1.0)) pairs
-  in
-  let q p = Stdx.Stats.percentile p overheads_pct in
-  {
-    pairs;
-    overheads_pct;
-    median_pct = q 0.5;
-    iqr_pct = q 0.75 -. q 0.25;
-    identical = !identical;
-  }
+  let identical = corpus (off ()) = corpus (on ()) in
+  (Bench_common.paired ~off ~on, identical)
 
-let fingerprint_json () =
-  Printf.sprintf "{\"nproc\":%d,\"ocaml\":\"%s\",\"flambda\":%b}"
-    (Domain.recommended_domain_count ())
-    (Stdx.Json.escape Sys.ocaml_version)
-    Build_info.flambda
-
-let seconds l = String.concat "," (List.map (Printf.sprintf "%.4f") l)
-
-let telemetry_json t =
+let telemetry_json (p, identical) =
   Printf.sprintf
     "{\"workload\":\"hunt-observed\",\"trials\":%d,\"jobs\":1,\
-     \"pairs\":%d,\"reps_per_side\":%d,\"budget_pct\":%.1f,\
-     \"median_overhead_pct\":%.2f,\
-     \"iqr_overhead_pct\":%.2f,\"within_budget\":%b,\
      \"identical_corpus\":%b,\n\
-    \   \"off_s\":[%s],\n\
-    \   \"on_s\":[%s],\n\
+    \   %s,\n\
     \   \"fingerprint\":%s}"
-    observed_trials (List.length t.pairs) reps budget_pct t.median_pct
-    t.iqr_pct
-    (t.median_pct <= budget_pct) t.identical
-    (seconds (List.map fst t.pairs))
-    (seconds (List.map snd t.pairs))
-    (fingerprint_json ())
+    observed_trials identical
+    (Bench_common.paired_json p)
+    (Bench_common.fingerprint_json ())
 
 let json_of_hit (h : _ Sim.Hunt.hit) =
   Printf.sprintf
@@ -218,8 +158,11 @@ let run () =
   let adversaries = Sim.Adversary.standard_suite () in
   let metrics = Stdx.Metrics.create () in
   let hunt ~jobs =
-    Stdx.Metrics.timed metrics "bench.hunt_wall_s" (fun () ->
-        Sim.Hunt.run ~metrics ~config:(config ~jobs) ~spec ~adversaries ())
+    let t0 = Stdx.Metrics.wall_clock () in
+    let r =
+      Sim.Hunt.run ~metrics ~config:(config ~jobs) ~spec ~adversaries ()
+    in
+    (r, Stdx.Metrics.wall_clock () -. t0)
   in
   let report, wall_par = hunt ~jobs in
   let report_seq, wall_seq = hunt ~jobs:1 in
@@ -287,7 +230,7 @@ let run () =
         ])
     memory;
   Stdx.Table.print mem_table;
-  let telemetry = measure_telemetry () in
+  let ((paired, identical) as telemetry) = measure_telemetry () in
   let tel_table =
     Stdx.Table.create [ "pair"; "off s"; "on s"; "overhead" ]
   in
@@ -300,15 +243,16 @@ let run () =
           Printf.sprintf "%.4f" on;
           Printf.sprintf "%+.2f%%" pct;
         ])
-    (List.combine telemetry.pairs telemetry.overheads_pct);
+    (List.combine
+       (List.combine paired.Bench_common.off_s paired.Bench_common.on_s)
+       paired.Bench_common.overheads_pct);
   Stdx.Table.print tel_table;
   Printf.printf
-    "hunt-observed telemetry: median overhead %.2f%% (IQR %.2f points, \
-     budget %.0f%%): %s; corpus %s\n"
-    telemetry.median_pct telemetry.iqr_pct budget_pct
-    (if telemetry.median_pct <= budget_pct then "within budget"
-     else "OVER BUDGET")
-    (if telemetry.identical then "identical" else "DIVERGED");
+    "hunt-observed telemetry: median overhead %+.2f%% (quartiles %+.2f%% .. \
+     %+.2f%%, budget %.0f%%): %s; corpus %s\n"
+    paired.median_pct paired.q1_pct paired.q3_pct Bench_common.budget_pct
+    paired.verdict
+    (if identical then "identical" else "DIVERGED");
   let oc = open_out json_path in
   Printf.fprintf oc
     "{\n\
@@ -354,7 +298,7 @@ let run () =
     (Stdx.Metrics.to_json (Stdx.Metrics.snapshot metrics));
   close_out oc;
   Printf.printf "[hunt record written to %s]\n" json_path;
-  if not telemetry.identical then begin
+  if not identical then begin
     prerr_endline "bench hunt: corpus diverges with telemetry on and off";
     exit 1
   end

@@ -1,112 +1,57 @@
 (* Experiment O2: observability overhead.
 
-   Runs the same (spec, adversary, faulty, rounds, seed) execution twice
-   on the flat engine — bare, and fully instrumented the way a live
-   campaign is (private metrics registry, span context with its
-   1-in-16 round sampling, and a 1 s heartbeat stream) — verifies the
-   outcomes are bit-identical, and reports the wall-clock overhead of
-   the instrumented path against the <= 5%% budget the observability
-   layer is designed to.
+   Runs the same (spec, adversary, faulty, rounds, seed) execution as a
+   one-cell Sim.Campaign.exec, the path every countctl run takes: once
+   with every sink off, and once the way a watched campaign runs it (a
+   metrics registry, spans with their 1-in-16 round sampling, and a 1 s
+   heartbeat). It checks that the outcomes are bit-identical and times
+   the two sides in interleaved pairs of samples
+   (Bench_common.paired): the record holds the median paired overhead,
+   its quartiles and a verdict against the <= 5 % budget the
+   observability layer is designed to.
 
    Rows mirror bench engine's A(12,3) headlines: benign (the throughput
    row) and split-brain (the hostile hot loop, where a slow span would
    hurt most). Results land in BENCH_obs.json. *)
 
 let json_path = "BENCH_obs.json"
-let budget_pct = 5.0
 
 type row = {
   label : string;
   adversary : string;
   faulty : int list;
   rounds : int;
-  off_wall_s : float;
-  on_wall_s : float;
-  off_nr_s : float;
-  on_nr_s : float;
-  overhead_pct : float;
+  paired : Bench_common.paired;
+  node_rounds : int;
   identical : bool;
   sampled_rounds : int;
-  heartbeat_lines : int;
 }
-
-let metrics = Stdx.Metrics.create ()
-
-let timed f =
-  let t0 = Stdx.Metrics.wall_clock () in
-  let r = f () in
-  (r, Float.max 0.0 (Stdx.Metrics.wall_clock () -. t0))
-
-(* Best-of-[reps] wall (first pass yields the outcome), same discipline
-   as bench engine: one scheduler hiccup must not pollute the record. *)
-let best_of ~reps f =
-  let o, wall0 = timed f in
-  let wall = ref wall0 in
-  for _ = 2 to reps do
-    let _, w = timed f in
-    if w < !wall then wall := w
-  done;
-  (o, !wall)
 
 let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty
     ~rounds ~seed () =
-  let run_off () =
-    Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec
-      ~schedule:(Sim.Schedule.static ~adversary ~faulty ~rounds)
-      ~seed ()
+  let schedule = Sim.Schedule.static ~adversary ~faulty ~rounds in
+  let campaign ?metrics ?heartbeat ~spans () =
+    (Sim.Campaign.exec ?metrics ?heartbeat ~spans ~jobs:1 ~prefix:"obs"
+       ~n:spec.Algo.Spec.n
+       ~horizon:(Sim.Campaign.Known (fun _ -> rounds))
+       ~label:(fun _ -> label)
+       1
+       (fun cell _ ->
+         let o =
+           Sim.Engine.run ?metrics:cell.Sim.Campaign.metrics
+             ~spans:cell.Sim.Campaign.spans ~mode:Sim.Engine.Full_horizon
+             ~spec ~schedule ~seed ()
+         in
+         (o, o.Sim.Engine.rounds_simulated))).(0)
   in
-  (* Warm-up so flat-buffer allocation is off the clock for both paths. *)
-  ignore
-    (Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec
-       ~schedule:
-         (Sim.Schedule.static ~adversary ~faulty ~rounds:(min rounds 50))
-       ~seed ());
-  let off_o, off_wall = best_of ~reps:5 run_off in
-  (* The instrumented path carries exactly what a live campaign does:
-     a private cell registry, a span context recording into it, and a
-     heartbeat ledger fed one cell_done per run, timed by the two task
-     clock reads a campaign makes around a cell. The 1 s interval means
-     the stream itself stays quiet (terminal line aside) — the cost
-     being measured is the always-on bookkeeping, not I/O. *)
-  let hb_path = Filename.temp_file "bench_obs_hb" ".jsonl" in
-  let hb_oc = open_out hb_path in
-  let hb =
-    Stdx.Heartbeat.create ~label ~interval_s:1.0 ~out:hb_oc ()
-  in
-  let cell_cost = Sim.Campaign.cell_cost ~n:spec.Algo.Spec.n rounds in
-  Stdx.Heartbeat.set_totals hb ~cells:5 ~cost:(5.0 *. cell_cost);
-  let cell_m = Stdx.Metrics.create () in
-  let spans = Stdx.Span.create ~metrics:cell_m () in
-  let run_on () =
-    let t0 = Stdx.Metrics.wall_clock () in
-    let o =
-      Sim.Engine.run ~metrics:cell_m ~spans ~mode:Sim.Engine.Full_horizon
-        ~spec
-        ~schedule:(Sim.Schedule.static ~adversary ~faulty ~rounds)
-        ~seed ()
-    in
-    Stdx.Heartbeat.add_counts hb cell_m;
-    let now = Stdx.Metrics.wall_clock () in
-    Stdx.Heartbeat.cell_done ~rounds:o.Sim.Engine.rounds_simulated ~worker:0
-      ~busy_s:(now -. t0) ~now ~cost:cell_cost hb;
-    o
-  in
-  let on_o, on_wall = best_of ~reps:5 run_on in
-  Stdx.Heartbeat.finish hb;
-  close_out hb_oc;
-  let heartbeat_lines =
-    let ic = open_in hb_path in
-    let n = ref 0 in
-    (try
-       while true do
-         ignore (input_line ic);
-         incr n
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !n
-  in
-  Sys.remove hb_path;
+  let metrics = Stdx.Metrics.create () in
+  Out_channel.with_open_bin Filename.null @@ fun hb_oc ->
+  let heartbeat = Stdx.Heartbeat.create ~label ~interval_s:1.0 ~out:hb_oc () in
+  let off () = campaign ~spans:false () in
+  let on () = campaign ~metrics ~heartbeat ~spans:true () in
+  (* The first run of each side warms the kernel and gives the outcomes
+     every timed run repeats. *)
+  let off_o = off () and on_o = on () in
   let identical =
     Sim.Online.equal_verdict off_o.Sim.Engine.verdict on_o.Sim.Engine.verdict
     && off_o.Sim.Engine.rounds_simulated = on_o.Sim.Engine.rounds_simulated
@@ -118,45 +63,52 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty
   in
   let sampled_rounds =
     match
-      Stdx.Metrics.find (Stdx.Metrics.snapshot cell_m) "engine.sampled_rounds"
+      Stdx.Metrics.find (Stdx.Metrics.snapshot metrics) "engine.sampled_rounds"
     with
     | Some (Stdx.Metrics.Counter c) -> c
     | _ -> 0
   in
-  let nr = float_of_int (spec.Algo.Spec.n * off_o.Sim.Engine.rounds_simulated) in
-  Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets metrics
-    "bench.obs_wall_s" on_wall;
+  let paired = Bench_common.paired ~off ~on in
+  Stdx.Heartbeat.finish heartbeat;
   {
     label;
     adversary = Sim.Adversary.name adversary;
     faulty;
     rounds;
-    off_wall_s = off_wall;
-    on_wall_s = on_wall;
-    off_nr_s = nr /. Float.max 1e-9 off_wall;
-    on_nr_s = nr /. Float.max 1e-9 on_wall;
-    overhead_pct = 100.0 *. (on_wall -. off_wall) /. Float.max 1e-9 off_wall;
+    paired;
+    node_rounds = spec.Algo.Spec.n * off_o.Sim.Engine.rounds_simulated;
     identical;
     sampled_rounds;
-    heartbeat_lines;
   }
+
+(* Node-rounds per second at the median of one side's per-pair seconds. *)
+let nr_per_s r secs =
+  float_of_int r.node_rounds /. Float.max 1e-9 (Bench_common.median secs)
 
 let json_of_row r =
   Printf.sprintf
     "    {\"label\": %S, \"adversary\": %S, \"faulty\": [%s], \"rounds\": \
      %d,\n\
-    \     \"off_wall_s\": %.6f, \"on_wall_s\": %.6f,\n\
     \     \"off_node_rounds_per_s\": %.1f, \"on_node_rounds_per_s\": %.1f,\n\
-    \     \"overhead_pct\": %.2f, \"identical_outcomes\": %b,\n\
-    \     \"span_sampled_rounds\": %d, \"heartbeat_lines\": %d}"
+    \     \"identical_outcomes\": %b, \"span_sampled_rounds\": %d,\n\
+    \   %s}"
     r.label r.adversary
     (String.concat "," (List.map string_of_int r.faulty))
-    r.rounds r.off_wall_s r.on_wall_s r.off_nr_s r.on_nr_s r.overhead_pct
-    r.identical r.sampled_rounds r.heartbeat_lines
+    r.rounds
+    (nr_per_s r r.paired.off_s)
+    (nr_per_s r r.paired.on_s)
+    r.identical r.sampled_rounds
+    (Bench_common.paired_json r.paired)
+
+(* The record's verdict: over if any row is, within if every row is. *)
+let verdict rows =
+  let any v = List.exists (fun r -> r.paired.Bench_common.verdict = v) rows in
+  if any "over" then "over" else if any "unresolved" then "unresolved"
+  else "within"
 
 let run () =
   Bench_common.section
-    "Observability overhead - spans + heartbeat vs the bare engine";
+    "Observability overhead - metrics, spans and heartbeat on a campaign cell";
   let a12_3 = (Bench_common.a12_3 ~c:1728).Counting.Boost.spec in
   let rows =
     [
@@ -171,51 +123,47 @@ let run () =
   let t =
     Stdx.Table.create
       [
-        "instance"; "adversary"; "rounds"; "off nr/s"; "on nr/s";
-        "overhead"; "sampled"; "hb lines"; "identical";
+        "instance"; "adversary"; "rounds"; "off nr/s"; "on nr/s"; "overhead";
+        "quartiles"; "verdict"; "sampled"; "identical";
       ]
   in
   List.iter
     (fun r ->
+      let p = r.paired in
       Stdx.Table.add_row t
         [
           r.label;
           r.adversary;
           string_of_int r.rounds;
-          Printf.sprintf "%.0f" r.off_nr_s;
-          Printf.sprintf "%.0f" r.on_nr_s;
-          Printf.sprintf "%.2f%%" r.overhead_pct;
+          Printf.sprintf "%.0f" (nr_per_s r p.Bench_common.off_s);
+          Printf.sprintf "%.0f" (nr_per_s r p.Bench_common.on_s);
+          Printf.sprintf "%+.2f%%" p.Bench_common.median_pct;
+          Printf.sprintf "%+.2f .. %+.2f" p.Bench_common.q1_pct
+            p.Bench_common.q3_pct;
+          p.Bench_common.verdict;
           string_of_int r.sampled_rounds;
-          string_of_int r.heartbeat_lines;
           (if r.identical then "yes" else "NO");
         ])
     rows;
   Stdx.Table.print t;
   let all_identical = List.for_all (fun r -> r.identical) rows in
-  let worst_overhead =
-    List.fold_left (fun acc r -> Float.max acc r.overhead_pct) neg_infinity
-      rows
-  in
-  let within_budget = worst_overhead <= budget_pct in
-  Printf.printf
-    "\nworst overhead %.2f%% (budget %.0f%%): %s; outcomes %s\n"
-    worst_overhead budget_pct
-    (if within_budget then "within budget" else "OVER BUDGET")
+  let verdict = verdict rows in
+  Printf.printf "\noverhead verdict (budget %.0f%%): %s; outcomes %s\n"
+    Bench_common.budget_pct verdict
     (if all_identical then "bit-identical" else "DIVERGED");
   let oc = open_out json_path in
   Printf.fprintf oc
     "{\n\
     \  \"experiment\": \"observability-overhead\",\n\
     \  \"budget_pct\": %.1f,\n\
-    \  \"worst_overhead_pct\": %.2f,\n\
-    \  \"within_budget\": %b,\n\
+    \  \"verdict\": \"%s\",\n\
     \  \"all_identical_outcomes\": %b,\n\
-    \  \"measurements\": [\n%s\n  ],\n\
-    \  \"metrics\": %s\n\
+    \  \"fingerprint\": %s,\n\
+    \  \"measurements\": [\n%s\n  ]\n\
      }\n"
-    budget_pct worst_overhead within_budget all_identical
-    (String.concat ",\n" (List.map json_of_row rows))
-    (Stdx.Metrics.to_json (Stdx.Metrics.snapshot metrics));
+    Bench_common.budget_pct verdict all_identical
+    (Bench_common.fingerprint_json ())
+    (String.concat ",\n" (List.map json_of_row rows));
   close_out oc;
   Printf.printf "[observability overhead record written to %s]\n" json_path;
   if not all_identical then begin

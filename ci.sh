@@ -447,15 +447,30 @@ bench parallel
 (export REPRO_JOBS=4 && bench hunt)
 
 # The observability overhead record; the bench exits non-zero if the
-# instrumented path's outcomes ever diverge from the bare engine's.
+# watched campaign cell's outcomes ever diverge from the bare one's.
 bench obs
 
 # The bench logs must always be well-formed JSON (the at_exit flush is
-# crash-safe; a malformed file means that guarantee broke).
+# crash-safe; a malformed file means that guarantee broke), and none may
+# carry the deleted gauge kind or the old single-number budget flag.
 for log in BENCH_sweep.json BENCH_parallel.json BENCH_chaos.json \
            BENCH_engine.json BENCH_hunt.json BENCH_obs.json; do
   if [ -f "$bench_out/$log" ]; then
     dune exec bin/jsonlint.exe -- "$bench_out/$log"
+    if grep -qE '"(gauges|within_budget)"' "$bench_out/$log"; then
+      echo "$log carries a \"gauges\" or \"within_budget\" key" >&2
+      exit 1
+    fi
+  fi
+done
+# The two overhead records are paired measurements: each carries the
+# machine fingerprint and a verdict against the budget.
+for log in BENCH_obs.json BENCH_hunt.json; do
+  if ! grep -q '"fingerprint"' "$bench_out/$log" ||
+     ! grep -qE '"verdict": ?"(within|over|unresolved)"' "$bench_out/$log"
+  then
+    echo "$log lacks a fingerprint or a within/over/unresolved verdict" >&2
+    exit 1
   fi
 done
 

@@ -102,9 +102,12 @@ let shrink_candidates ~margin ~min_duration (t : 's Schedule.t) =
    restart from the smaller schedule. Each accepted step strictly
    decreases [Schedule.size], so the descent terminates even without
    the execution budget. Only executed candidates count against
-   [budget] — structurally invalid ones are free. *)
-let shrink ~eval ~near_bound ~cls ~margin ~min_duration ~budget ~spec schedule
-    b0 =
+   [budget] — structurally invalid ones are free. The engine's own
+   [Schedule.validate] is the one check of a candidate: it runs before
+   the engine does any work or touches a sink, and its rejection (an
+   [Invalid_argument] named after it) skips the candidate; any other
+   exception still escapes. *)
+let shrink ~eval ~near_bound ~cls ~margin ~min_duration ~budget schedule b0 =
   let steps = ref 0 and kept = ref 0 in
   let cur = ref schedule and cur_b = ref b0 in
   let out_of_budget = ref false in
@@ -118,14 +121,12 @@ let shrink ~eval ~near_bound ~cls ~margin ~min_duration ~budget ~spec schedule
              out_of_budget := true;
              raise Exit
            end;
-           match
-             try Some (Schedule.validate ~spec cand)
-             with Invalid_argument _ -> None
-           with
-           | None -> ()
-           | Some cand ->
+           match eval cand with
+           | exception Invalid_argument msg
+             when String.starts_with ~prefix:"Schedule.validate" msg ->
+             ()
+           | b ->
              incr steps;
-             let b = eval cand in
              if classify ~near_bound b = Some cls then begin
                cur := cand;
                cur_b := b;
@@ -180,8 +181,6 @@ module Config = struct
   let with_seed seed t = { t with seed }
   let with_run_seed run_seed t = { t with run_seed }
   let with_time_bound time_bound t = { t with time_bound = Some time_bound }
-  let with_near_bound near_bound t = { t with near_bound }
-  let with_shrink_budget shrink_budget t = { t with shrink_budget }
   let with_min_suffix min_suffix t = { t with min_suffix = Some min_suffix }
   let with_jobs jobs t = { t with jobs }
 end
@@ -291,12 +290,12 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
         let execs = ref 0 in
         let rounds = ref 0 in
         let eval s =
-          incr execs;
           let b, o =
             evaluate ?metrics:cell_m ~spans:cell_sp
               ~min_suffix:req_suffix ~time_bound ~spec ~schedule:s
               ~seed:run_seed ()
           in
+          incr execs;
           rounds := !rounds + o.Engine.rounds_simulated;
           b
         in
@@ -328,7 +327,7 @@ let run ?metrics ?trace ?spans ?heartbeat ?(config = Config.default)
             let shrunk, b, steps, kept =
               Stdx.Span.with_ cell_sp "hunt.shrink" (fun () ->
                   shrink ~eval ~near_bound ~cls ~margin ~min_duration
-                    ~budget:shrink_budget ~spec sched b0)
+                    ~budget:shrink_budget sched b0)
             in
             Option.iter
               (fun m ->

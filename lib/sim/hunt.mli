@@ -82,17 +82,31 @@ val cls_to_string : cls -> string
 (** ["failed"] / ["exceeds-bound"] / ["near-bound"] / ["clamped"] — the
     corpus encoding. *)
 
-val shrink_candidates :
-  margin:int -> min_duration:int -> 's Schedule.t -> 's Schedule.t list
-(** The shrink frontier of a schedule, in step order: dropped phases,
-    halved durations (floored at [min_duration], events kept [margin]
-    rounds clear of phase ends), dropped events, halved victim counts,
-    dropped faulty ids. Every candidate is strictly smaller under
-    {!Schedule.size}; candidates are {e not} yet validated against a
-    spec — the hunt validates and skips rejects. Outside this module
-    only tests call it: [test_hunt.ml] ("shrink candidates validate and
-    strictly shrink", a qcheck property) holds every candidate to that
-    termination argument. *)
+val shrink :
+  eval:('s Schedule.t -> badness) ->
+  near_bound:float ->
+  cls:cls ->
+  margin:int ->
+  min_duration:int ->
+  budget:int ->
+  's Schedule.t ->
+  badness ->
+  's Schedule.t * badness * int * int
+(** [shrink ~eval ~near_bound ~cls ~margin ~min_duration ~budget s b]
+    greedily shrinks a hit [s] of badness [b] and class [cls]: it scans
+    the shrink frontier of the current schedule in step order (dropped
+    phases, halved durations floored at [min_duration] with events kept
+    [margin] rounds clear of phase ends, dropped events, halved victim
+    counts, dropped faulty ids; each strictly smaller under
+    {!Schedule.size}), scores each candidate with [eval], and restarts
+    from the first one that still classifies as [cls]. Candidates are
+    not validated here: [eval] (the hunt's engine run) validates each
+    one once, and a candidate it rejects with {!Schedule.validate}'s
+    [Invalid_argument] is skipped and free. At most [budget] candidates
+    are scored. Returns the reproducer, its badness, the candidates
+    scored and the steps kept. Outside this module only tests call it:
+    [test_hunt.ml] ("shrink candidates validate and strictly shrink", a
+    qcheck property over the frontier; "rejected candidates are free"). *)
 
 (** Hunt configuration; build from {!Config.default} with the [with_*]
     builders, like {!Harness.Config}. *)
@@ -140,16 +154,6 @@ module Config : sig
   val with_seed : int -> t -> t
   val with_run_seed : int -> t -> t
   val with_time_bound : int -> t -> t
-  val with_near_bound : float -> t -> t
-  (** The CLI fills the record directly; only tests use this builder:
-      [test_hunt.ml] ("classification", "rejects bad config"). *)
-
-  val with_shrink_budget : int -> t -> t
-  (** The CLI fills the record directly; only tests use this builder,
-      to keep hunts short: [test_hunt.ml] ("classification", "rejects
-      bad config"), [test_obs.ml] and [test_telemetry.ml] (the hunt
-      differentials). *)
-
   val with_min_suffix : int -> t -> t
   val with_jobs : int -> t -> t
 end

@@ -122,7 +122,11 @@ let emit_line t ~final ~now =
   flush t.out;
   t.last_emit <- now
 
+(* Workers read [now] before they take the lock, so a reading can be
+   older than the last beat's; clamped to it, beats stay in time order
+   and a zero interval still beats on every cell. *)
 let maybe_emit t ~now =
+  let now = Float.max now t.last_emit in
   if (not t.finished) && now -. t.last_emit >= t.interval_s then
     emit_line t ~final:false ~now
 

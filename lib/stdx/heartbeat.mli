@@ -73,7 +73,7 @@ val settle : t -> Metrics.ordered -> unit
 
 val hit : t -> string -> unit
 (** Count one hunt hit under class [cls] (as printed by
-    [Hunt.class_to_string]); the next beat shows it. *)
+    [Hunt.cls_to_string]); the next beat shows it. *)
 
 val finish : t -> unit
 (** Emit the terminal ["final":true] line unconditionally and stop the

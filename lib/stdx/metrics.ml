@@ -253,24 +253,6 @@ let clear t = locked t (fun t () -> Array.fill t.live 0 t.len false) ()
 
 let wall_clock () = Unix.gettimeofday ()
 
-(* gettimeofday is not monotonic: NTP steps (or a VM migration) can move
-   it backwards mid-measurement, and a negative duration fed into a
-   histogram poisons its sum. Clamp every elapsed reading at zero. *)
-let elapsed ~clock t0 = Float.max 0.0 (clock () -. t0)
-
-let timed ?(buckets = time_buckets) ?(clock = wall_clock) t name f =
-  let t0 = clock () in
-  let record () = elapsed ~clock t0 in
-  match f () with
-  | v ->
-    let wall = record () in
-    observe ~buckets t name wall;
-    (v, wall)
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    observe ~buckets t name (record ());
-    Printexc.raise_with_backtrace e bt
-
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                            *)
 (* ------------------------------------------------------------------ *)

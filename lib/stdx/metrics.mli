@@ -25,8 +25,7 @@ type t
 val create : unit -> t
 
 val time_buckets : float array
-(** Geometric wall-clock buckets in seconds, [1e-4 .. ~100] — the
-    default for {!timed}. *)
+(** Geometric wall-clock buckets in seconds, [1e-4 .. ~100]. *)
 
 val incr : ?by:int -> t -> string -> unit
 (** Add [by] (default 1) to counter [name], creating it at 0 first. *)
@@ -65,20 +64,6 @@ val wall_clock : unit -> float
 (** The wall clock, [gettimeofday] — the library's one clock read,
     exposed so callers above [stdx] can time without their own unix
     dependency. *)
-
-val timed :
-  ?buckets:float array ->
-  ?clock:(unit -> float) ->
-  t ->
-  string ->
-  (unit -> 'a) ->
-  'a * float
-(** [timed t name f] runs [f ()], records its wall-clock seconds into
-    histogram [name] (bucket default {!time_buckets}), and returns the
-    result with the measured seconds. The duration is recorded even when
-    [f] raises. [clock] (default {!wall_clock}) exists for tests; the
-    clock is not monotonic, so negative elapsed readings are clamped to
-    0. *)
 
 (** {2 Snapshots} *)
 

@@ -97,16 +97,25 @@ let random_schedule seed =
 
 (* Every shrink candidate of a valid schedule validates and is strictly
    smaller under Schedule.size — the termination argument for the
-   hunt's greedy descent. *)
+   hunt's greedy descent. The shrink hands every candidate to [eval]
+   unvalidated; none keeps the class here, so one scan shows [eval] the
+   whole frontier. *)
 let test_shrink_candidates_qcheck =
   qcheck "shrink candidates validate and strictly shrink" QCheck.small_nat
     (fun seed ->
       let s = random_schedule seed in
       let size = Sim.Schedule.size s in
-      let candidates =
-        Sim.Hunt.shrink_candidates ~margin:4 ~min_duration:8 s
-      in
-      candidates <> []
+      let candidates = ref [] in
+      let calm = b ~failed:0 ~ratio:0.0 ~clamped:0 in
+      ignore
+        (Sim.Hunt.shrink
+           ~eval:(fun cand ->
+             candidates := cand :: !candidates;
+             calm)
+           ~near_bound:0.9 ~cls:Sim.Hunt.Failed ~margin:4 ~min_duration:8
+           ~budget:max_int s
+           (b ~failed:1 ~ratio:0.0 ~clamped:0));
+      !candidates <> []
       && List.for_all
            (fun cand ->
              Sim.Schedule.size cand < size
@@ -114,7 +123,58 @@ let test_shrink_candidates_qcheck =
              match Sim.Schedule.validate ~spec:weak_leader cand with
              | _ -> true
              | exception Invalid_argument _ -> false)
-           candidates)
+           !candidates)
+
+(* A candidate the engine's validation rejects is free: it is neither
+   counted nor charged to the budget. Dropping the one real phase of
+   [real x40 | empty x0 | empty x0] leaves a zero-round horizon, so the
+   frontier holds a rejected candidate before each of the first two
+   accepted steps. The stand-in [eval] validates as the engine does and
+   fails a schedule while node 0 is faulty for at least 10 rounds; the
+   descent keeps 4 steps in 6 scored candidates (the last two are the
+   final scan). A budget of 4 then still reaches the same reproducer,
+   which it would not if the two rejects were charged. *)
+let test_shrink_rejects_are_free () =
+  let phase faulty duration =
+    { Sim.Schedule.adversary = Sim.Adversary.stuck (); faulty; duration }
+  in
+  let s =
+    {
+      Sim.Schedule.phases = [ phase [ 0 ] 40; phase [] 0; phase [] 0 ];
+      events = [];
+    }
+  in
+  let failing (t : _ Sim.Schedule.t) =
+    List.exists
+      (fun (p : _ Sim.Schedule.phase) ->
+        List.mem 0 p.Sim.Schedule.faulty && p.Sim.Schedule.duration >= 10)
+      t.Sim.Schedule.phases
+  in
+  let shrink budget =
+    let scored = ref 0 in
+    let eval cand =
+      let cand = Sim.Schedule.validate ~spec:weak_leader cand in
+      incr scored;
+      if failing cand then b ~failed:1 ~ratio:0.0 ~clamped:0
+      else b ~failed:0 ~ratio:0.0 ~clamped:0
+    in
+    let shrunk, _, steps, kept =
+      Sim.Hunt.shrink ~eval ~near_bound:0.9 ~cls:Sim.Hunt.Failed ~margin:0
+        ~min_duration:1 ~budget s
+        (b ~failed:1 ~ratio:0.0 ~clamped:0)
+    in
+    check Alcotest.int
+      (Printf.sprintf "budget %d: steps count scored candidates" budget)
+      !scored steps;
+    (Sim.Schedule.describe shrunk, steps, kept)
+  in
+  let reference, steps, kept = shrink 256 in
+  check Alcotest.string "reference reproducer"
+    "1 phases / 10 rounds: stuck f=[0] x10" reference;
+  check Alcotest.(pair int int) "reference steps and kept" (6, 4) (steps, kept);
+  let small, steps, kept = shrink 4 in
+  check Alcotest.string "same reproducer under budget 4" reference small;
+  check Alcotest.(pair int int) "budget 4 steps and kept" (4, 4) (steps, kept)
 
 let test_shrink_steps_unit () =
   let stuck = Sim.Adversary.stuck () in
@@ -218,10 +278,16 @@ let test_schedule_json_unknown_adversary () =
 (* ------------------------------------------------------------------ *)
 
 let hunt_config ?(jobs = 1) ?(trials = 24) () =
-  Sim.Hunt.Config.(
-    default |> with_trials trials |> with_phases 2 |> with_phase_rounds 60
-    |> with_events 1 |> with_time_bound 8 |> with_shrink_budget 64
-    |> with_jobs jobs)
+  {
+    Sim.Hunt.Config.default with
+    trials;
+    phases = 2;
+    phase_rounds = 60;
+    events = 1;
+    time_bound = Some 8;
+    shrink_budget = 64;
+    jobs;
+  }
 
 let run_hunt ?jobs ?trials () =
   Sim.Hunt.run ~config:(hunt_config ?jobs ?trials ()) ~spec:weak_leader
@@ -235,12 +301,6 @@ let test_hunt_finds_and_shrinks () =
     (List.for_all
        (fun (h : _ Sim.Hunt.hit) -> h.Sim.Hunt.cls = Sim.Hunt.Failed)
        report.Sim.Hunt.hits);
-  check Alcotest.bool "executions cover trials plus shrinking" true
-    (report.Sim.Hunt.executions
-    = report.Sim.Hunt.trials
-      + List.fold_left
-          (fun acc (h : _ Sim.Hunt.hit) -> acc + h.Sim.Hunt.shrink_steps)
-          0 report.Sim.Hunt.hits);
   check Alcotest.bool "worst hit reported" true
     (report.Sim.Hunt.worst <> None);
   List.iter
@@ -268,6 +328,32 @@ let test_hunt_finds_and_shrinks () =
        ~entries:
          (Sim.Hunt.Corpus.of_report ~spec:weak_leader ~hunt_seed:1 report)
        ())
+
+(* Every execution of the over-claimed-leader hunt is a trial or a
+   scored shrink candidate: the report's count, the trials plus every
+   hit's shrink steps, and the engine's own [engine.runs] counter
+   agree. *)
+let test_hunt_executions_add_up () =
+  let metrics = Stdx.Metrics.create () in
+  let report =
+    Sim.Hunt.run ~metrics ~config:(hunt_config ()) ~spec:weak_leader
+      ~adversaries ()
+  in
+  let shrink_steps =
+    List.fold_left
+      (fun acc (h : _ Sim.Hunt.hit) -> acc + h.Sim.Hunt.shrink_steps)
+      0 report.Sim.Hunt.hits
+  in
+  check Alcotest.bool "the hunt shrank" true (shrink_steps > 0);
+  check Alcotest.int "executions = trials + shrink steps"
+    (report.Sim.Hunt.trials + shrink_steps)
+    report.Sim.Hunt.executions;
+  check Alcotest.int "engine.runs = executions" report.Sim.Hunt.executions
+    (match
+       Stdx.Metrics.find (Stdx.Metrics.snapshot metrics) "engine.runs"
+     with
+    | Some (Stdx.Metrics.Counter c) -> c
+    | _ -> -1)
 
 (* A spec honouring its claimed resilience yields no hits: follow-leader
    with its true f = 0 claim never fails, exceeds no 1000-round bound,
@@ -310,9 +396,9 @@ let test_hunt_rejects_bad_config () =
   rejects "trials < 1" (fun () ->
       boom Sim.Hunt.Config.(default |> with_trials 0));
   rejects "near_bound <= 0" (fun () ->
-      boom Sim.Hunt.Config.(default |> with_near_bound 0.0));
+      boom { Sim.Hunt.Config.default with near_bound = 0.0 });
   rejects "negative shrink budget" (fun () ->
-      boom Sim.Hunt.Config.(default |> with_shrink_budget (-1)));
+      boom { Sim.Hunt.Config.default with shrink_budget = -1 });
   rejects "empty adversary pool" (fun () ->
       ignore
         (Sim.Hunt.run ~config:(hunt_config ()) ~spec:weak_leader
@@ -372,10 +458,17 @@ let with_temp_corpus entries f =
 let test_classify () =
   let hunt ~spec ~time_bound ~near_bound =
     let config =
-      Sim.Hunt.Config.(
-        default |> with_trials 24 |> with_phases 2 |> with_phase_rounds 60
-        |> with_events 2 |> with_max_victims 10 |> with_time_bound time_bound
-        |> with_near_bound near_bound |> with_shrink_budget 0)
+      {
+        Sim.Hunt.Config.default with
+        trials = 24;
+        phases = 2;
+        phase_rounds = 60;
+        events = 2;
+        max_victims = 10;
+        time_bound = Some time_bound;
+        near_bound;
+        shrink_budget = 0;
+      }
     in
     List.map
       (fun (h : _ Sim.Hunt.hit) ->
@@ -593,6 +686,7 @@ let suite =
       [
         test_shrink_candidates_qcheck;
         case "shrink steps (unit)" test_shrink_steps_unit;
+        case "rejected candidates are free" test_shrink_rejects_are_free;
       ] );
     ( "sim.hunt.json",
       [
@@ -604,6 +698,8 @@ let suite =
       [
         case "finds and shrinks the over-claimed leader"
           test_hunt_finds_and_shrinks;
+        case "executions are trials plus shrink steps"
+          test_hunt_executions_add_up;
         case "honest spec yields no hits" test_hunt_clean_spec_no_hits;
         case "jobs determinism (byte-identical corpus)"
           test_hunt_jobs_determinism;

@@ -258,21 +258,6 @@ let test_add_counts_qcheck =
       a = b
       && Stdx.Metrics.snapshot by_snapshot = Stdx.Metrics.snapshot by_registry)
 
-let test_timed () =
-  let m = Stdx.Metrics.create () in
-  let v, wall = Stdx.Metrics.timed m "t" (fun () -> 7) in
-  check Alcotest.int "returns the result" 7 v;
-  check Alcotest.bool "non-negative duration" true (wall >= 0.0);
-  (match
-     ignore (Stdx.Metrics.timed m "t" (fun () -> failwith "boom"))
-   with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "timed swallowed the exception");
-  match Stdx.Metrics.find (Stdx.Metrics.snapshot m) "t" with
-  | Some (Stdx.Metrics.Histogram h) ->
-    check Alcotest.int "both calls recorded (even the raising one)" 2 h.count
-  | _ -> Alcotest.fail "histogram missing"
-
 let test_metrics_json () =
   let m = Stdx.Metrics.create () in
   Stdx.Metrics.incr ~by:2 m "a";
@@ -894,10 +879,16 @@ let test_chaos_telemetry_jobs_determinism () =
    Hunt_trial/Hunt_shrink stream are merged per-cell in trial order, so
    apart from wall clocks they must be identical at any jobs count. *)
 let hunt_config ~jobs =
-  Sim.Hunt.Config.(
-    default |> with_trials 6 |> with_phases 2 |> with_phase_rounds 60
-    |> with_events 1 |> with_time_bound 8 |> with_shrink_budget 24
-    |> with_jobs jobs)
+  {
+    Sim.Hunt.Config.default with
+    trials = 6;
+    phases = 2;
+    phase_rounds = 60;
+    events = 1;
+    time_bound = Some 8;
+    shrink_budget = 24;
+    jobs;
+  }
 
 let test_hunt_telemetry_jobs_determinism () =
   let at jobs =
@@ -946,7 +937,6 @@ let suite =
         case "concurrent increments sum exactly"
           test_concurrent_increments_sum_exactly;
         case "merge is deterministic and additive" test_merge_determinism;
-        case "timed records even on raise" test_timed;
         case "json and table rendering" test_metrics_json;
         test_record_qcheck;
         test_clear_qcheck;
