@@ -177,11 +177,12 @@ let clean_fraction ~c ~correct outputs ~from_round ~to_round =
 (* The one bench timer. A sample runs a thunk back to back until it
    holds about [sample_s] of work, so a 2 ms engine run and a 0.25 s
    hunt are timed over spans of one length and a scheduler hiccup is a
-   small share of any sample; one calibration run fixes the number of
-   runs per sample. [Gc.minor_words] reads the allocation pointer, so
-   the minor count is exact; direct major-heap allocation reaches
-   [quick_stat] only at the domain's next minor collection, so one is
-   forced, off the clock, on both sides of the sample.
+   small share of any sample; a calibration run of at least a
+   millisecond fixes the number of runs per sample. [Gc.minor_words]
+   reads the allocation pointer, so the minor count is exact; direct
+   major-heap allocation reaches [quick_stat] only at the domain's next
+   minor collection, so one is forced, off the clock, on both sides of
+   the sample.
 
    An overhead is measured in pairs of samples, one per side, whose runs
    interleave one by one (off, on, off, on, ... with the first side
@@ -219,9 +220,17 @@ let sample ~runs f =
     major_words = per (j1 -. j0);
   }
 
+(* Tenfold more runs at a time until they take a millisecond: the clock
+   ticks in microseconds, so one call of a sub-microsecond primitive
+   can read zero. *)
 let runs_per_sample f =
-  let one = (sample ~runs:1 f).seconds in
-  max 1 (Float.to_int (Float.round (sample_s /. Float.max 1e-9 one)))
+  let rec calibrate runs =
+    let total = (sample ~runs f).seconds *. float_of_int runs in
+    if total >= 1e-3 then
+      max 1 (Float.to_int (Float.round (sample_s *. float_of_int runs /. total)))
+    else calibrate (10 * runs)
+  in
+  calibrate 1
 
 let median xs = Stdx.Stats.percentile 0.5 xs
 

@@ -29,6 +29,12 @@
    as the median of five samples of back-to-back runs
    (Bench_common.measure).
 
+   Primitive rows time, the same way, the layers below the towers'
+   rounds: one round (a [load] and [n] kernel steps, as the engine runs
+   it) of the trivial n=1 and rand-counter n=12 counters, one
+   phase-king step at N=36, one majority vote over 128 values and one
+   exhaustive model check of follow-leader(3).
+
    Results land in BENCH_engine.json. *)
 
 let json_path = "BENCH_engine.json"
@@ -124,6 +130,51 @@ let kernel_setup ~tower levels =
     warm_minor_words = warm.minor_words -. probe.minor_words;
     warm_major_words = warm.major_words -. probe.major_words;
   }
+
+let primitive name f = (name, Bench_common.measure f)
+
+(* One round as the engine runs it: one [load] of the round's packed
+   state codes into the run's kernel, then [n] kernel steps over them. *)
+let round (spec : _ Algo.Spec.t) =
+  let codec = Option.get spec.Algo.Spec.codec in
+  let rng = Stdx.Rng.create 1 in
+  let codes =
+    Array.init spec.Algo.Spec.n (fun _ -> codec.Algo.Spec.random_code rng)
+  in
+  let kernel = codec.Algo.Spec.fresh_kernel () in
+  fun () ->
+    kernel.Algo.Spec.load codes;
+    for v = 0 to spec.Algo.Spec.n - 1 do
+      ignore (Sys.opaque_identity (kernel.Algo.Spec.step ~self:v ~rng codes))
+    done
+
+let primitives () =
+  let received =
+    Array.init 36 (fun i -> if i mod 5 = 0 then None else Some (i mod 8))
+  in
+  let self = { Counting.Phase_king.a = Some 3; d = true } in
+  let votes =
+    let rng = Stdx.Rng.create 2 in
+    Array.init 128 (fun _ -> Stdx.Rng.int rng 4)
+  in
+  let leader = Counting.Trivial.follow_leader ~n:3 ~c:2 in
+  [
+    primitive "round: trivial n=1" (round (Counting.Trivial.single ~c:2304));
+    primitive "round: rand-counter n=12"
+      (round (Counting.Rand_counter.make ~n:12 ~f:3));
+    primitive "phase-king step N=36" (fun () ->
+        Counting.Phase_king.step ~cap:8 ~big_n:36 ~big_f:7 ~index:4 ~self
+          ~received);
+    primitive "majority vote n=128" (fun () ->
+        Algo.Vote.majority_int ~default:0 votes);
+    primitive "model-check follow-leader(3)" (fun () ->
+        Mc.Checker.evaluate (Mc.Space.create_exn leader ~faulty:[]));
+  ]
+
+let json_of_primitive (name, (m : Bench_common.sample)) =
+  Printf.sprintf
+    "    {\"name\": %S, \"ns_per_call\": %.1f, \"minor_words_per_call\": %.1f}"
+    name (m.seconds *. 1e9) m.minor_words
 
 let json_of_setup r =
   Printf.sprintf
@@ -230,6 +281,19 @@ let run () =
         ])
     setup;
   Stdx.Table.print st;
+  let prims = primitives () in
+  Bench_common.subsection "Primitives: one call each";
+  let pt = Stdx.Table.create [ "primitive"; "ns/call"; "minor W/call" ] in
+  List.iter
+    (fun (name, (m : Bench_common.sample)) ->
+      Stdx.Table.add_row pt
+        [
+          name;
+          Printf.sprintf "%.0f" (m.seconds *. 1e9);
+          Printf.sprintf "%.1f" m.minor_words;
+        ])
+    prims;
+  Stdx.Table.print pt;
   let headline = List.find (fun r -> r.label = "A(12,3) benign") rows in
   let hostile = List.find (fun r -> r.label = "A(12,3) split-brain") rows in
   Printf.printf "\nheadline: %.0f node-rounds/sec on A(12,3)\n"
@@ -247,11 +311,13 @@ let run () =
     \               \"node_rounds_per_s\": %.1f,\n\
     \               \"minor_words_per_node_round\": %.2f},\n\
     \  \"measurements\": [\n%s\n  ],\n\
-    \  \"kernel_setup\": [\n%s\n  ]\n\
+    \  \"kernel_setup\": [\n%s\n  ],\n\
+    \  \"primitives\": [\n%s\n  ]\n\
      }\n"
     headline.label headline.node_rounds_per_s hostile.label hostile.adversary
     hostile.node_rounds_per_s hostile.gc.minor_w_nr
     (String.concat ",\n" (List.map json_of_row rows))
-    (String.concat ",\n" (List.map json_of_setup setup));
+    (String.concat ",\n" (List.map json_of_setup setup))
+    (String.concat ",\n" (List.map json_of_primitive prims));
   close_out oc;
   Printf.printf "[engine throughput record written to %s]\n" json_path

@@ -1,6 +1,6 @@
 (* Experiment harness: regenerates every table and figure of the paper
-   (see DESIGN.md's experiment index) plus the ablations and
-   micro-benchmarks. With no argument, everything runs in sequence;
+   (see DESIGN.md's experiment index) plus the ablations and the
+   performance records. With no argument, everything runs in sequence;
    individual experiments can be selected by name. *)
 
 let experiments =
@@ -28,7 +28,6 @@ let experiments =
     ("chaos", "Chaos campaigns: recovery under time-varying faults", Bench_chaos.run);
     ("hunt", "Schedule hunting: fuzzing throughput and shrink effort", Bench_hunt.run);
     ("ablations", "Ablations A1-A3", Bench_ablation.run);
-    ("bechamel", "Micro-benchmarks", Bench_micro.run);
   ]
 
 let usage () =

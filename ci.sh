@@ -12,26 +12,36 @@ if [ -n "$stray" ]; then
   echo "$stray" >&2
   exit 1
 fi
-# One clock per cell: the pool only schedules, Metrics.wall_clock is the
-# library's one clock read, and in the simulator only the campaign
-# driver calls it (spans time through Stdx.Span).
-clock_guard() {
+# A guard fails when its grep (the second argument) found anything.
+guard() {
   if [ -n "$2" ]; then
     echo "$1" >&2
     echo "$2" >&2
     exit 1
   fi
 }
-clock_guard "lib/stdx/pool.ml reads a clock:" \
+# One clock per cell: the pool only schedules, Metrics.wall_clock is the
+# library's one clock read, and in the simulator only the campaign
+# driver calls it (spans time through Stdx.Span).
+guard "lib/stdx/pool.ml reads a clock:" \
   "$(grep -nE 'gettimeofday|wall_clock|Unix\.time|Sys\.time|clock_gettime' \
      lib/stdx/pool.ml || true)"
-clock_guard "Unix.gettimeofday outside Metrics.wall_clock:" \
+guard "Unix.gettimeofday outside Metrics.wall_clock:" \
   "$(grep -rn 'Unix\.gettimeofday' lib \
      | grep -v '^lib/stdx/metrics\.ml:[0-9]*:let wall_clock () = Unix\.gettimeofday ()$' \
      || true)"
-clock_guard "Metrics.wall_clock called in lib/sim outside campaign.ml:" \
+guard "Metrics.wall_clock called in lib/sim outside campaign.ml:" \
   "$(grep -rn 'wall_clock' lib/sim --include='*.ml' \
      | grep -v '^lib/sim/campaign\.ml:' || true)"
+# One merge per cell: a finished cell's registry is added whole, in
+# cell-index order (Metrics.add, Heartbeat.add); the split into counts
+# added at completion and sums applied in order is gone.
+guard "the split registry merge is back:" \
+  "$(grep -rnE 'add_counts|merge_ordered|Metrics\.rest|Heartbeat\.settle' \
+     lib bin bench || true)"
+# One timer in bench/: Bench_common's sampler, not Bechamel.
+guard "bechamel is back:" \
+  "$(grep -n 'bechamel' dune-project bench/dune || true)"
 
 dune build
 dune runtest
@@ -434,8 +444,13 @@ bench() {
 bench chaos
 
 # The engine throughput record: node-rounds/sec and GC words per
-# node-round for each workload, plus fresh_kernel set-up cost.
+# node-round for each workload, fresh_kernel set-up cost, and the
+# per-call cost of the primitives below a tower's round.
 bench engine
+if ! grep -q '"primitives"' "$bench_out/BENCH_engine.json"; then
+  echo "BENCH_engine.json lacks the \"primitives\" array" >&2
+  exit 1
+fi
 
 # The scheduler record: the jobs ladder and the index-order vs
 # cost-sorted duel both exit non-zero if any configuration's outcomes

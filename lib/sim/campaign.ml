@@ -45,8 +45,12 @@ let emit_pool_spans tr ~busy ~claim ~idle =
 
 (* The domain's idle cell registry: cleared, a registry reads as a
    fresh one, so a worker reuses one for all its cells instead of
-   building every instrument anew per cell. A cell that fails drops its
-   registry, and a campaign run inside a cell finds the slot empty and
+   building every instrument anew per cell. A merged registry goes back
+   to the slot of the domain that merged it, so a cell merged as soon
+   as it finishes hands its registry to its worker's next cell. A cell
+   that fails drops its registry, a cell that waits in the merge window
+   keeps its own, and a cell that finds the slot empty (its domain's
+   registry is waiting, or it runs inside a cell of another campaign)
    takes a new one. *)
 let idle_registry : Stdx.Metrics.t option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
@@ -100,21 +104,23 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
   let claim = Array.make workers 0.0 in
   let last_end = Array.make workers Float.nan in
   let elapsed t0 t1 = Float.max 0.0 (t1 -. t0) in
-  (* Deterministic merge: pool workers never share a sink, and what
-     depends on merge order — histogram sums, trace streams — is
-     applied in cell-index order, so the merged metrics and the replayed
-     trace are identical at any [jobs]. A finished cell waits in
-     [window] until every lower-indexed cell has been merged; the worker
-     that completes the run of ready cells merges them. A failed cell is
-     never merged, so the cells above it stay in the window. *)
+  (* Deterministic merge: pool workers never share a sink, and every
+     cell's registry, wall sample and trace stream is merged in
+     cell-index order, so the merged metrics (whose float sums depend
+     on that order) and the replayed trace are identical at any [jobs].
+     A finished cell waits in [window] until every lower-indexed cell
+     has been merged; the worker that completes the run of ready cells
+     merges them. A failed cell is never merged, so the cells above it
+     stay in the window. *)
   let wall_metric = prefix ^ ".cell_wall_s" in
   let cells_metric = prefix ^ ".cells" in
-  let merge i (rest, events, wall) =
+  let merge i (cell_m, events, wall) =
     Option.iter
-      (fun rest ->
-        Option.iter (fun m -> Stdx.Metrics.merge_ordered m rest) metrics;
-        Option.iter (fun hb -> Stdx.Heartbeat.settle hb rest) heartbeat)
-      rest;
+      (fun cell_m ->
+        Option.iter (fun m -> Stdx.Metrics.add m cell_m) metrics;
+        Option.iter (fun hb -> Stdx.Heartbeat.add hb cell_m) heartbeat;
+        give_back cell_m)
+      cell_m;
     Option.iter
       (fun m ->
         Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets m wall_metric
@@ -159,7 +165,7 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
           with e -> merge_failure := Some (e, Printexc.get_raw_backtrace ()))
   in
   (* Cell [i] with its private sinks, started at [t0]: its value and
-     rounds, its counts folded in and the rest handed to the window. *)
+     rounds, its sinks handed to the window. *)
   let run i t0 =
     let cell_m = if want_cell_metrics then Some (take_registry ()) else None in
     let tracer = if seams then Trace.memory () else Trace.null in
@@ -179,20 +185,7 @@ let exec ?metrics ?trace ?(spans = false) ?heartbeat ~jobs ~prefix ~n ~horizon
     let wall =
       if cell_clock then elapsed t0 (Stdx.Metrics.wall_clock ()) else 0.0
     in
-    (* Fold the cell's counts into the caller's registry and the
-       heartbeat's now and keep only what the index-order merge needs:
-       the order-sensitive histogram sums. *)
-    let rest =
-      Option.map
-        (fun cell_m ->
-          Option.iter (fun m -> Stdx.Metrics.add_counts m cell_m) metrics;
-          Option.iter (fun hb -> Stdx.Heartbeat.add_counts hb cell_m) heartbeat;
-          let rest = Stdx.Metrics.rest cell_m in
-          give_back cell_m;
-          rest)
-        cell_m
-    in
-    if merging then finish i (rest, Trace.events tracer, wall);
+    if merging then finish i (cell_m, Trace.events tracer, wall);
     (v, rounds)
   in
   let task_end ~worker t0 =

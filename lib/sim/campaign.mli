@@ -25,31 +25,34 @@
       drain-level [pool.busy] / [pool.claim] / [pool.idle] span triple
       after the cell streams (count = worker count).
 
-    The merge: a finished cell's counters and histogram counts are
-    added into the caller's registry (and the heartbeat's) inside its
-    pool task, read straight from the cell's registry
-    ({!Stdx.Metrics.add_counts}); what depends on order — its histogram
-    sums ({!Stdx.Metrics.rest}), its trace
-    stream (bracketed by [Cell_start]/[Cell_end]) and its
-    [<prefix>.cell_wall_s] sample — waits in a window until every
-    lower-indexed cell has been merged, and is then merged by whichever
-    worker completed that run of cells. The registry therefore equals
-    the index-order merge of whole snapshots bit for bit, the trace is
-    written in cell-index order as the campaign runs, and the window
-    holds only the cells that finished while a lower-indexed cell was
-    still running: with index-order claims, about [jobs] of them; a
-    cell that finishes after every lower one is merged at once. The
-    returned array holds only the cells' values.
+    The merge: a finished cell hands its whole private registry, its
+    trace stream (bracketed by [Cell_start]/[Cell_end]) and its
+    [<prefix>.cell_wall_s] sample to a window, where it waits until
+    every lower-indexed cell has been merged; the worker that completes
+    a run of ready cells merges them, each registry added into the
+    caller's and the heartbeat's ({!Stdx.Metrics.add}, then cleared and
+    kept for that worker's next cell). The caller's registry, the
+    heartbeat's and the trace therefore each hold exactly the cells
+    merged so far, in cell-index order: the registries equal the
+    index-order merge of whole snapshots bit for bit, and the trace is
+    written in cell-index order as the campaign runs. The window holds
+    only cells that finished while a lower-indexed cell was still
+    unfinished, each with its registry: none at one job with index-order
+    claims; with index-order claims at [jobs] > 1, the cells the other
+    workers finish while the oldest running cell runs; under cost-sorted
+    claims, up to every cell but one (cells claimed and finished in
+    reverse index order all wait for cell 0). The returned array holds
+    only the cells' values.
 
     When a cell raises, {!exec} re-raises the exception of the lowest
-    failing index once the pool has drained. By then the cells below
-    it have been merged in full — their trace streams written and
-    their sums and wall samples applied — and nothing of it or
-    of the cells above it has been written to the trace, while the
-    counts of every cell that finished are in the registry. A merge
-    that raises (a kind clash between two cells' instruments, an
-    unwritable trace) stops the merging at its cell and is re-raised
-    after the drain when no cell failed.
+    failing index once the pool has drained. By then the cells below it
+    have been merged in full — their registries, trace streams and
+    wall samples — and nothing of it or of the cells above it is in the
+    registries or the trace: the merged cells only. A merge that raises
+    (a kind clash between two cells' instruments, which leaves the
+    registries and the trace without that cell, or an unwritable trace)
+    stops the merging at its cell and is re-raised after the drain when
+    no cell failed.
 
     Each cell must be fully keyed by its index (all randomness derived
     from its own inputs), so results and all non-wall-clock telemetry

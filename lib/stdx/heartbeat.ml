@@ -3,14 +3,11 @@
    A heartbeat owns a mutex-protected progress ledger (cells done /
    total, cost done / total under the caller's cost model, rounds
    simulated, hunt hits by class, per-worker busy seconds) plus a live
-   metrics registry. As a cell completes, the commutative part of its
-   private registry (counters, histogram counts) is added at once; the
-   order-sensitive rest (histogram sums) arrives through [settle],
-   which campaigns call in cell-index order. The *final* registry (and
-   hence the terminal heartbeat line) is then the index-order merge,
-   bit for bit, at any jobs count; only wall-time fields and
-   intermediate beats, whose sums may lag, depend on the completion
-   order.
+   metrics registry, into which campaigns [add] each cell's private
+   registry in cell-index order. The registry (and hence every line's
+   metrics) is then the index-order merge of the cells added so far,
+   bit for bit, at any jobs count; only wall-time fields and how far
+   the registry lags the done-counters depend on the completion order.
 
    One JSON object per line, every line tagged {"kind":"heartbeat"};
    the last line carries "final":true. Beats are rate-limited by the
@@ -155,8 +152,7 @@ let cell_done ?(rounds = 0) ~worker ~busy_s ~now ~cost t =
 
 (* The live registry has its own lock, so merging into it needs no
    ledger lock: a beat snapshots the registry under the registry's. *)
-let add_counts t cell = Metrics.add_counts t.metrics cell
-let settle t rest = Metrics.merge_ordered t.metrics rest
+let add t cell = Metrics.add t.metrics cell
 
 let hit t cls =
   locked t (fun () ->

@@ -6,14 +6,18 @@
     done/total, modelled cost done/total with an ETA, rounds simulated,
     hunt hits by class), per-worker busy seconds with a utilization
     ratio, [Gc.quick_stat] readings, and a full {!Metrics} snapshot of
-    the instruments merged so far. {!finish} always emits a terminal
+    the cell registries merged so far. {!finish} always emits a terminal
     line with ["final":true] — even when the run was shorter than one
     interval — whose non-wall-time fields are deterministic at any jobs
-    count: cells add their counters and histogram counts as they finish
-    ({!add_counts}; integer adds commute across completion orders), and
-    histogram sums arrive in cell-index order ({!settle}), so
-    the terminal registry equals the campaign's index-order merge bit
-    for bit. Live lines may show sums that lag their counts.
+    count: a campaign {!add}s each cell's registry in cell-index order,
+    so the terminal registry is the index-order merge of every cell's
+    registry, bit for bit. That is the campaign's [metrics] registry
+    less what the campaign records outside the cells:
+    [<prefix>.cells], [<prefix>.cell_wall_s] and the
+    [pool.worker_*_s] histograms (test_campaign.ml, "the heartbeat's
+    registry is the caller's less the campaign's own rows"). At more
+    than one job, a live line may lag its done-counters by the cells
+    that finished ahead of a lower-indexed one.
 
     All operations are mutex-protected; pool workers may report
     concurrently. The heartbeat never touches RNG streams or outcomes —
@@ -58,18 +62,12 @@ val cell_done :
     if the interval has elapsed by [now], the caller's clock reading at
     the task's end. The only call that beats. *)
 
-val add_counts : t -> Metrics.t -> unit
-(** Add a finished cell's counters and histogram counts, read from its
-    private registry ({!Metrics.add_counts}), into the live registry.
-    A campaign calls it before the cell's {!cell_done}, so a beat that
-    the cell triggers shows its counts. Histogram sums wait for
-    {!settle}. *)
-
-val settle : t -> Metrics.ordered -> unit
-(** Apply one cell's order-sensitive rest ({!Metrics.rest}, after its
-    counts) to the live registry. A campaign calls it per cell in
-    cell-index order, each cell once every lower-indexed cell has
-    settled; it never emits a beat. *)
+val add : t -> Metrics.t -> unit
+(** Merge one finished cell's private registry into the live registry
+    ({!Metrics.add}). A campaign calls it per cell in cell-index order,
+    each cell once every lower-indexed cell has been added, and a cell
+    merged at once is added before its {!cell_done}, so a beat that the
+    cell triggers shows it. It never emits a beat. *)
 
 val hit : t -> string -> unit
 (** Count one hunt hit under class [cls] (as printed by

@@ -6,7 +6,7 @@
    The instruments sit in parallel arrays sorted by name, the first
    [len] slots in use. A name is found by binary search, or within a
    few slots of the caller's last hit: a sorted batch (a run's counters
-   through [record], a cell's registry through [add_counts]) is applied
+   through [record], a cell's registry through [add]) is applied
    in one forward walk, and as a registry keeps the strings it was
    first given, a name passed again is usually the very same string,
    compared by address. A snapshot is read off in order, with no sort.
@@ -191,10 +191,9 @@ let hist_slot t i name edges =
     put t i name (H h);
     h
 
-(* Caller holds the lock; each returns the slot it touched. *)
-let add_count t hint name by =
-  let i = seek t hint name in
-  (match live t i name with
+(* Caller holds the lock. *)
+let count_at t i name by =
+  match live t i name with
   | C r -> r := !r + by
   | H _ -> kind_error name "counter"
   | Vacant -> (
@@ -202,7 +201,12 @@ let add_count t hint name by =
     | C r ->
       r := by;
       t.live.(i) <- true
-    | H _ | Vacant -> put t i name (C (ref by))));
+    | H _ | Vacant -> put t i name (C (ref by)))
+
+(* Caller holds the lock; each returns the slot it touched. *)
+let add_count t hint name by =
+  let i = seek t hint name in
+  count_at t i name by;
   i
 
 let add_sample ?buckets t hint name x =
@@ -294,97 +298,64 @@ let snapshot t =
 
 let find snap name = List.assoc_opt name snap
 
-(* A histogram's float sum is the one part of a merge whose result
-   depends on the order snapshots arrive in (float addition does not
-   associate); counters and bucket counts are integer adds.
-   [merge_counts] applies the commutative part, [ordered] keeps the
-   sums for [merge_ordered]; each takes the lock once per snapshot. *)
-type ordered = (string * float) list
-
-let ordered snap =
-  List.filter_map
-    (fun (name, v) ->
-      match v with
-      | Counter _ -> None
-      | Histogram hg -> Some (name, hg.sum))
-    snap
-
-(* The commutative part of merging one instrument; caller holds the
-   lock. Each returns the slot it touched. *)
-let add_hist_counts t hint name edges counts count =
+(* Add instrument [c] of another registry into [t] as [name]: counts,
+   bucket counts and the float sum. With [dry], only raise where the add
+   would, changing nothing. Caller holds the lock; returns the slot. *)
+let add_instrument ~dry t hint name c =
   let i = seek t hint name in
-  let h =
-    match live t i name with
-    | H h ->
-      if not (same_edges h.edges edges) then
-        invalid_arg
-          (Printf.sprintf "Metrics.merge: %S bucket layout mismatch" name);
-      h
-    | C _ -> kind_error name "histogram"
-    | Vacant -> hist_slot t i name edges
-  in
-  for k = 0 to Array.length counts - 1 do
-    h.hcounts.(k) <- h.hcounts.(k) + counts.(k)
-  done;
-  h.hcount <- h.hcount + count;
-  i
-
-let rec merge_snapshot_counts t hint = function
-  | [] -> ()
-  | (name, v) :: rest ->
-    let i =
-      match v with
-      | Counter by -> add_count t hint name by
-      | Histogram hg ->
-        add_hist_counts t hint name hg.buckets hg.counts hg.count
+  (match (c, live t i name) with
+  | C _, H _ -> kind_error name "counter"
+  | H _, C _ -> kind_error name "histogram"
+  | H from, H h when not (same_edges h.edges from.edges) ->
+    invalid_arg (Printf.sprintf "Metrics.merge: %S bucket layout mismatch" name)
+  | _ when dry -> ()
+  | C by, _ -> count_at t i name !by
+  | H from, into ->
+    let h =
+      match into with H h -> h | C _ | Vacant -> hist_slot t i name from.edges
     in
-    merge_snapshot_counts t i rest
-
-let merge_counts t snap =
-  locked t (fun t snap -> merge_snapshot_counts t 0 snap) snap
+    for k = 0 to Array.length from.hcounts - 1 do
+      h.hcounts.(k) <- h.hcounts.(k) + from.hcounts.(k)
+    done;
+    h.hcount <- h.hcount + from.hcount;
+    h.hsum <- h.hsum +. from.hsum
+  | Vacant, _ -> ());
+  i
 
 (* [from] is quiescent (see the interface), so it is read unlocked:
    only [t]'s lock is taken, and two registries never wait on each
-   other. *)
-let add_counts t from =
+   other. It is walked twice, first only to check, so an add that
+   raises leaves [t] as it was. *)
+let add t from =
   locked t
     (fun t from ->
-      let hint = ref 0 in
-      for j = 0 to from.len - 1 do
-        let name = from.names.(j) in
-        match live from j name with
-        | Vacant -> ()
-        | C r -> hint := add_count t !hint name !r
-        | H h -> hint := add_hist_counts t !hint name h.edges h.hcounts h.hcount
-      done)
+      List.iter
+        (fun dry ->
+          let hint = ref 0 in
+          for j = 0 to from.len - 1 do
+            if from.live.(j) then
+              hint :=
+                add_instrument ~dry t !hint from.names.(j) from.cells.(j)
+          done)
+        [ true; false ])
     from
 
-let rest t =
-  locked t
-    (fun t () ->
-      let acc = ref [] in
-      for i = t.len - 1 downto 0 do
-        match live t i t.names.(i) with
-        | C _ | Vacant -> ()
-        | H h -> acc := (t.names.(i), h.hsum) :: !acc
-      done;
-      !acc)
-    ()
-
-let rec merge_rest t hint = function
-  | [] -> ()
-  | (name, x) :: rest ->
-    let i = seek t hint name in
-    (match live t i name with
-    | H h -> h.hsum <- h.hsum +. x
-    | C _ | Vacant -> kind_error name "histogram");
-    merge_rest t i rest
-
-let merge_ordered t rest = locked t (fun t rest -> merge_rest t 0 rest) rest
-
+(* A snapshot is sorted by name, as a registry's slots are. *)
 let merge t snap =
-  merge_counts t snap;
-  merge_ordered t (ordered snap)
+  let instrument = function
+    | Counter c -> C (ref c)
+    | Histogram h ->
+      H { edges = h.buckets; hcounts = h.counts; hcount = h.count; hsum = h.sum }
+  in
+  let len = List.length snap in
+  add t
+    {
+      (create ()) with
+      names = Array.of_list (List.map fst snap);
+      cells = Array.of_list (List.map (fun (_, v) -> instrument v) snap);
+      live = Array.make len true;
+      len;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)

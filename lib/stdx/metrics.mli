@@ -5,13 +5,9 @@
     sorted by name, so {!Pool} workers may record into a shared
     registry concurrently without losing increments, and a {!snapshot}
     needs no sort. The sweep harnesses instead give every grid cell its
-    own registry: as each cell finishes, its counters and histogram
-    counts are added into the caller's registry at once ({!add_counts},
-    integer adds that commute), and only the cell's {!rest} — its
-    histogram sums — is kept until every lower-indexed cell has been
-    merged and then applied in cell-index order ({!merge_ordered}). The
-    result equals merging the whole {!snapshot}s in cell-index order,
-    bit for bit, so it is identical at any jobs count (see DESIGN.md,
+    own registry and {!add} each finished one into the caller's, in
+    cell-index order: float sums do not associate, so a fixed order is
+    what makes the result identical at any jobs count (see DESIGN.md,
     "Telemetry").
 
     Instruments are created on first use; a name is bound to its first
@@ -45,6 +41,16 @@ val clear : t -> unit
     layout — but an instrument that comes back as before is revived
     in place, not built anew. A campaign worker reuses one cleared
     registry for all its cells. *)
+
+val add : t -> t -> unit
+(** [add t cell] adds [cell]'s counters, histogram bucket and sample
+    counts and histogram sums into [t], creating each instrument [t]
+    lacks with [cell]'s kind and layout. A kind clash or a bucket
+    layout mismatch raises [Invalid_argument] and leaves [t] as it was.
+    [cell] must be quiescent — no domain records into it during the
+    call (a campaign passes a cell whose run has returned) — as only
+    [t] is locked. The walk over both sorted registries copies and
+    sorts nothing. *)
 
 type update =
   | Incr of string * int  (** {!incr} [~by] *)
@@ -86,44 +92,13 @@ val snapshot : t -> snapshot
 val find : snapshot -> string -> value option
 
 val merge : t -> snapshot -> unit
-(** Fold a snapshot into [t]: counters, histogram buckets and sums add
-    (layouts must match; a kind clash or a layout mismatch raises
-    [Invalid_argument]). Applying worker snapshots in a fixed order
-    yields a deterministic result regardless of how the workers were
-    scheduled. The split merge below is checked against it:
+(** {!add} of a registry that holds exactly [snapshot]. Applying worker
+    snapshots in a fixed order yields a deterministic result regardless
+    of how the workers were scheduled. The tests' oracle for {!add}:
     [test_campaign.ml] ("folding at completion equals the index-order
-    merge") and [test_telemetry.ml] ("add_counts and rest equal the
-    snapshot merge", "merge is deterministic and additive") merge whole
-    snapshots in cell-index order with it as the oracle. *)
-
-(** {2 Merging a registry in two halves}
-
-    Of a merge, only the histograms' float sums depend on the order
-    registries arrive in (float addition does not associate). A caller
-    that merges cell registries as the cells finish, in whatever order,
-    applies the commutative part at once ({!add_counts}) and keeps only
-    each cell's {!rest}, one float per histogram, for a later pass in a
-    fixed order ({!merge_ordered}). Nothing is copied or sorted: the
-    walk over both sorted registries finds each name by address within
-    a few slots of the previous one. *)
-
-type ordered
-(** The order-sensitive rest of a registry: each histogram's sum. *)
-
-val add_counts : t -> t -> unit
-(** [add_counts t cell] adds [cell]'s counters and histogram bucket and
-    sample counts into [t] (creating each histogram with [cell]'s
-    layout); the sums are left out. Kind clashes and bucket layout
-    mismatches raise [Invalid_argument]. [cell] must be quiescent — no
-    domain records into it during the call (the campaigns pass a cell
-    whose run has returned) — as only [t] is locked. *)
-
-val rest : t -> ordered
-(** [rest cell]: the histogram sums {!add_counts} leaves out. *)
-
-val merge_ordered : t -> ordered -> unit
-(** Add each sum of a {!rest} to its histogram's. The same registry's
-    {!add_counts} into [t] must come first. *)
+    merge") and [test_telemetry.ml] ("add equals the snapshot merge",
+    "merge is deterministic and additive") merge whole snapshots in
+    cell-index order with it. *)
 
 val to_table : snapshot -> Table.t
 (** Human-readable rendering: one row per instrument. *)

@@ -150,13 +150,13 @@ let test_longest_cell_first () =
     "horizons read off the results: index order" (List.init cells Fun.id)
     (List.rev !ran)
 
-(* Folding each cell's counts as it finishes and its sums
-   afterwards equals merging whole snapshots in cell-index order. The
-   horizons make the claim order (longest first) differ from the index
-   order, and the cells observe floats whose sum depends on the order
-   they are added in (1e16 swallows a 1.0 that -1e16 would have left
-   standing), so a fold in completion order is seen: at jobs = 1 the
-   test checks that such a fold reads differently. *)
+(* Cells that finish in any order are merged as whole snapshots in
+   cell-index order would be. The horizons make the claim order
+   (longest first) differ from the index order, and the cells observe
+   floats whose sum depends on the order they are added in (1e16
+   swallows a 1.0 that -1e16 would have left standing), so a fold in
+   completion order is seen: at jobs = 1 the test checks that such a
+   fold reads differently. *)
 let test_fold_equals_index_merge () =
   let horizon i = [| 20; 50; 10; 40; 30; 60 |].(i) in
   let value i = [| 1e16; 1.0; -1e16; 1.0; 3.0; 0.5 |].(i) in
@@ -271,14 +271,37 @@ let hist snap name =
   | Some (Stdx.Metrics.Histogram h) -> h
   | _ -> Alcotest.failf "%s missing" name
 
+(* The rows a campaign records outside its cells: the cell count, the
+   cell walls and the per-worker histograms. *)
+let campaign_row ~prefix name =
+  name = prefix ^ ".cells"
+  || name = prefix ^ ".cell_wall_s"
+  || List.mem name pool_histograms
+
+let cell_rows ~prefix snap =
+  List.filter (fun (name, _) -> not (campaign_row ~prefix name)) snap
+
+(* What [synthetic] records into a registry of its own, as cell [i]
+   with live spans. *)
+let synthetic_snapshot i =
+  let m = Stdx.Metrics.create () in
+  ignore
+    (synthetic
+       {
+         Sim.Campaign.metrics = Some m;
+         tracer = Sim.Trace.null;
+         spans = Stdx.Span.create ~metrics:m ();
+       }
+       i);
+  Stdx.Metrics.snapshot m
+
 (* A failing cell: the exception of the lowest failing index
    propagates, whichever failed first. Costs rise with the index, so at
    jobs = 1 cell 7 fails before cell 4 runs. What was written before
    the re-raise is pinned: the trace holds the cells below the failing
-   index, each in full, and no pool spans; the registry holds the
-   counts of every cell that finished, but the cell count and wall
-   samples of the merged cells only, and the per-worker histograms,
-   recorded once the pool has drained. *)
+   index, each in full, and no pool spans; the registry holds those
+   cells only (their registries, cell count and wall samples) and the
+   per-worker histograms, recorded once the pool has drained. *)
 let test_failure_prefix () =
   let cells = 10 in
   let rising i = 10 + i in
@@ -303,13 +326,12 @@ let test_failure_prefix () =
         (Test_telemetry.normalise_wall (Sim.Trace.events tr)
         = List.filteri (fun k _ -> k < 4 * 4) expected_stream);
       let snap = Stdx.Metrics.snapshot m in
-      check Alcotest.bool (name ^ ": counts of every finished cell") true
-        (Stdx.Metrics.find snap "synthetic.sum"
-        = Some
-            (Stdx.Metrics.Counter
-               (List.fold_left ( + ) 0
-                  (List.filter (fun i -> not (failing i))
-                     (List.init cells Fun.id)))));
+      let merged = Stdx.Metrics.create () in
+      List.iter
+        (fun i -> Stdx.Metrics.merge merged (synthetic_snapshot i))
+        [ 0; 1; 2; 3 ];
+      check Alcotest.bool (name ^ ": the registries of cells 0-3 only") true
+        (cell_rows ~prefix:"synthetic" snap = Stdx.Metrics.snapshot merged);
       check Alcotest.bool (name ^ ": merged cells only in <prefix>.cells") true
         (Stdx.Metrics.find snap "synthetic.cells"
         = Some (Stdx.Metrics.Counter 4));
@@ -450,6 +472,81 @@ let test_hits_do_not_beat () =
            (Stdx.Json.field (Stdx.Json.field final "hits") "failed")))
     configs
 
+(* Two cells that record "x" with different kinds: the clash is met
+   when cell 1 is merged after cell 0, however the cells finish. Cell 0
+   sleeps, so at jobs = 2 cell 1 finishes first and waits. The same
+   error is re-raised at any jobs count, and the trace and the registry
+   hold cell 0 and nothing of cell 1. *)
+let test_kind_clash_deterministic () =
+  List.iter
+    (fun jobs ->
+      let name = Printf.sprintf "jobs=%d" jobs in
+      let m = Stdx.Metrics.create () in
+      let tr = Sim.Trace.memory () in
+      (match
+         Sim.Campaign.exec ~metrics:m ~trace:tr ~spans:true ~jobs
+           ~prefix:"clash" ~n ~horizon:(Sim.Campaign.Of_result Fun.id) ~label 2
+           (fun cell i ->
+             if i = 0 then Unix.sleepf 0.05;
+             Option.iter
+               (fun m ->
+                 if i = 0 then Stdx.Metrics.incr m "x"
+                 else Stdx.Metrics.observe m "x" 1.0)
+               cell.Sim.Campaign.metrics;
+             ignore (synthetic cell i);
+             (1, 1))
+       with
+      | _ -> Alcotest.fail "a kind clash must raise"
+      | exception Invalid_argument msg ->
+        check Alcotest.string (name ^ ": the same error")
+          "Metrics: \"x\" is not a histogram" msg);
+      check Alcotest.bool (name ^ ": the trace holds cell 0's stream") true
+        (Test_telemetry.normalise_wall (Sim.Trace.events tr)
+        = List.filteri (fun k _ -> k < 4) expected_stream);
+      let cell0 = Stdx.Metrics.create () in
+      Stdx.Metrics.incr cell0 "x";
+      Stdx.Metrics.merge cell0 (synthetic_snapshot 0);
+      let snap = Stdx.Metrics.snapshot m in
+      check Alcotest.bool (name ^ ": the registry holds cell 0 only") true
+        (cell_rows ~prefix:"clash" snap = Stdx.Metrics.snapshot cell0
+        && Stdx.Metrics.find snap "clash.cells"
+           = Some (Stdx.Metrics.Counter 1)))
+    (List.sort_uniq compare [ 1; 2; Test_sim.parallel_jobs ])
+
+(* The heartbeat's terminal line carries the merge of the cell
+   registries: the caller's registry less the rows the campaign records
+   outside the cells. The cells observe order-sensitive floats, and
+   rising costs make them finish out of index order. *)
+let test_heartbeat_is_the_cell_rows () =
+  let cells = 8 in
+  let rising i = 10 + i in
+  let value i = [| 1e16; 1.0; -1e16; 1.0; 3.0; 0.5; -2.0; 7.0 |].(i) in
+  List.iter
+    (fun (name, jobs) ->
+      let m = Stdx.Metrics.create () in
+      let lines =
+        Test_obs.with_heartbeat ~interval_s:0.0 (fun hb ->
+            ignore
+              (Sim.Campaign.exec ~metrics:m ~spans:true ~heartbeat:hb ~jobs
+                 ~prefix:"window" ~n ~horizon:(Sim.Campaign.Known rising)
+                 ~label cells (fun cell i ->
+                   ignore (synthetic cell i);
+                   Option.iter
+                     (fun m ->
+                       Stdx.Metrics.observe ~buckets:[| 1.0; 1e17 |] m
+                         "window.x" (value i))
+                     cell.Sim.Campaign.metrics;
+                   (rising i, rising i)));
+            Stdx.Heartbeat.finish hb)
+      in
+      let final = Stdx.Json.parse (List.nth lines (List.length lines - 1)) in
+      check Alcotest.bool (name ^ ": terminal metrics = the cell rows") true
+        (Stdx.Json.field final "metrics"
+        = Stdx.Json.parse
+            (Stdx.Metrics.to_json
+               (cell_rows ~prefix:"window" (Stdx.Metrics.snapshot m)))))
+    configs
+
 let suite =
   [
     ( "sim.campaign",
@@ -465,6 +562,12 @@ let suite =
           test_failure_prefix;
         case "a merge that raises is re-raised after the drain"
           test_merge_failure_after_drain;
+        case "a kind clash between cells raises the same at any jobs"
+          test_kind_clash_deterministic;
+        case
+          "the heartbeat's registry is the caller's less the campaign's own \
+           rows"
+          test_heartbeat_is_the_cell_rows;
         case "one pool sample and span count per worker"
           test_one_sample_per_worker;
         case "per worker, busy + claim + idle is the drain's wall"

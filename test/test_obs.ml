@@ -183,7 +183,7 @@ let test_heartbeat_terminal_line_schema () =
         Stdx.Heartbeat.set_totals hb ~cells:1 ~cost:10.0;
         let m = Stdx.Metrics.create () in
         Stdx.Metrics.incr ~by:7 m "engine.runs";
-        Stdx.Heartbeat.add_counts hb m;
+        Stdx.Heartbeat.add hb m;
         Stdx.Heartbeat.cell_done ~rounds:120 ~worker:1 ~busy_s:1.0 ~now:2.0
           ~cost:10.0 hb;
         Stdx.Heartbeat.hit hb "failed";
@@ -270,10 +270,9 @@ let test_heartbeat_golden_line () =
         Stdx.Metrics.observe m "engine.recovery_rounds" 3.0;
         Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets m
           "hunt.cell_wall_s" 0.00123;
-        Stdx.Heartbeat.add_counts hb m;
+        Stdx.Heartbeat.add hb m;
         Stdx.Heartbeat.cell_done ~rounds:120 ~worker:1 ~busy_s:0.5 ~now:0.75
           ~cost:0.1 hb;
-        Stdx.Heartbeat.settle hb (Stdx.Metrics.rest m);
         Stdx.Heartbeat.hit hb "failed";
         Stdx.Heartbeat.hit hb "near-bound";
         set 1.5;
@@ -375,10 +374,9 @@ let test_heartbeat_floats_round_trip () =
         Stdx.Heartbeat.set_totals hb ~cells:1 ~cost:(awkward *. 3.0);
         let m = Stdx.Metrics.create () in
         Stdx.Metrics.observe ~buckets:[| 1.0 |] m "h" awkward;
-        Stdx.Heartbeat.add_counts hb m;
+        Stdx.Heartbeat.add hb m;
         Stdx.Heartbeat.cell_done ~worker:0 ~busy_s:awkward ~now:0.0
           ~cost:awkward hb;
-        Stdx.Heartbeat.settle hb (Stdx.Metrics.rest m);
         set (1.0 /. 3.0);
         Stdx.Heartbeat.finish hb)
   in

@@ -599,7 +599,7 @@ let heartbeat_lines ~label ~name =
           let m = Stdx.Metrics.create () in
           Stdx.Metrics.incr m name;
           Stdx.Heartbeat.set_totals hb ~cells:1 ~cost:1.0;
-          Stdx.Heartbeat.add_counts hb m;
+          Stdx.Heartbeat.add hb m;
           Stdx.Heartbeat.cell_done ~worker:0 ~busy_s:0.0
             ~now:(Stdx.Metrics.wall_clock ()) ~cost:1.0 hb;
           Stdx.Heartbeat.finish hb);

@@ -230,8 +230,8 @@ let test_clear_qcheck =
       && run_ops reused after = run_ops fresh after
       && Stdx.Metrics.snapshot reused = Stdx.Metrics.snapshot fresh)
 
-let test_add_counts_qcheck =
-  qcheck ~count:500 "add_counts and rest equal the snapshot merge"
+let test_add_qcheck =
+  qcheck ~count:500 "add equals the snapshot merge"
     QCheck.(triple arb_ops arb_ops arb_ops)
     (fun (target_ops, idle_ops, cell_ops) ->
       let cell = Stdx.Metrics.create () in
@@ -251,9 +251,7 @@ let test_add_counts_qcheck =
             Stdx.Metrics.merge by_snapshot (Stdx.Metrics.snapshot cell))
       in
       let b =
-        outcome (fun () ->
-            Stdx.Metrics.add_counts by_registry cell;
-            Stdx.Metrics.merge_ordered by_registry (Stdx.Metrics.rest cell))
+        outcome (fun () -> Stdx.Metrics.add by_registry cell)
       in
       a = b
       && Stdx.Metrics.snapshot by_snapshot = Stdx.Metrics.snapshot by_registry)
@@ -940,7 +938,7 @@ let suite =
         case "json and table rendering" test_metrics_json;
         test_record_qcheck;
         test_clear_qcheck;
-        test_add_counts_qcheck;
+        test_add_qcheck;
       ] );
     ( "sim.trace",
       [
