@@ -307,6 +307,75 @@ let test_r_value_increments_in_windows () =
   if !best < tau then
     Alcotest.failf "longest R-increment streak %d < tau = %d" !best tau
 
+(* ------------------------------------------------------------------ *)
+(* ablations: golden output rows                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Digest of the correct nodes' output rows, one line per round. *)
+let rows_digest ~correct outputs =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun row ->
+      List.iter
+        (fun v ->
+          Buffer.add_string b (string_of_int row.(v));
+          Buffer.add_char b ',')
+        correct;
+      Buffer.add_char b '\n')
+    outputs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The three ablated towers of [bench ablations], A(12,3) over A(4,1)
+   at c = 960, under equivocating faults. Verdict counts alone would
+   not see the boxed step drift under an ablation; these rows would. *)
+let ablated_golden_rows =
+  [
+    ("A1", [ 0; 1; 2 ], 1, "cbf667de774bbe70207ea35f08933baa");
+    ("A1", [ 0; 1; 2 ], 2, "819396ec0613b50ac958b58e38e4f997");
+    ("A1", [ 0; 5; 9 ], 1, "3ebfd6ba21fab1c388b47f1bcbf12de5");
+    ("A1", [ 0; 5; 9 ], 2, "59aba2dc03c0f13e43bad21ad5eb152b");
+    ("A2", [ 0; 1; 2 ], 1, "95dc1ae20f1ca78cb09886c125675ce4");
+    ("A2", [ 0; 1; 2 ], 2, "c385f12487d22cc37c21743e721bcd8d");
+    ("A2", [ 0; 5; 9 ], 1, "3ebfd6ba21fab1c388b47f1bcbf12de5");
+    ("A2", [ 0; 5; 9 ], 2, "98f94e8f7e4baa827cbdfc3902f2f31b");
+    ("A3", [ 0; 1; 2 ], 1, "48ef4e80197668cfaeb4ebbc055f2d85");
+    ("A3", [ 0; 1; 2 ], 2, "d0bfedafd9077ff6b6d487e7d50f4dc4");
+    ("A3", [ 0; 5; 9 ], 1, "72a365b3976044bcd72dfa0b90615066");
+    ("A3", [ 0; 5; 9 ], 2, "54d8cf0880651ccb4132b57a0ab67f8d");
+  ]
+
+let test_ablated_golden_rows () =
+  let tower ablation =
+    (Counting.Boost.construct_ablated ~ablation ~inner:inner41 ~k:3 ~big_f:3
+       ~big_c:8)
+      .Counting.Boost.spec
+  in
+  let towers =
+    [
+      ("A1", tower (Counting.Boost.Short_window 9));
+      ("A2", tower Counting.Boost.Pointer_base_m);
+      ("A3", tower Counting.Boost.Naive_phase_king);
+    ]
+  in
+  List.iter
+    (fun (label, faulty, seed, digest) ->
+      let run =
+        Sim.Network.run ~spec:(List.assoc label towers)
+          ~adversary:(Sim.Adversary.random_equivocate ()) ~faulty ~rounds:300
+          ~seed ()
+      in
+      let got =
+        rows_digest ~correct:(Sim.Network.correct_ids run)
+          run.Sim.Network.outputs
+      in
+      let name =
+        Printf.sprintf "%s faulty=[%s] seed=%d" label
+          (String.concat ";" (List.map string_of_int faulty))
+          seed
+      in
+      check Alcotest.string name digest got)
+    ablated_golden_rows
+
 let suite =
   [
     ( "boost.plan",
@@ -343,4 +412,5 @@ let suite =
         slow_case "Lemma 2: common-leader windows" test_leader_windows_appear;
         slow_case "Lemma 3: R increments" test_r_value_increments_in_windows;
       ] );
+    ("boost.ablations", [ case "golden rows of A1-A3" test_ablated_golden_rows ]);
   ]
