@@ -298,11 +298,33 @@ let paired ~off ~on =
        else "unresolved");
   }
 
+(* The first line a shell command prints ("" for none), [None] when it
+   fails. *)
+let first_line cmd =
+  let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+  let line = In_channel.input_line ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> Some (Option.value line ~default:"")
+  | _ -> None
+
+(* The commit the benches run from: [git rev-parse --short HEAD], with
+   [-dirty] when [git status --porcelain] prints anything, "unknown"
+   outside a checkout. Read once at start-up, before any bench rewrites
+   a committed record. *)
+let rev =
+  match first_line "git rev-parse --short HEAD" with
+  | None | Some "" -> "unknown"
+  | Some rev -> (
+    match first_line "git status --porcelain" with
+    | Some "" -> rev
+    | Some _ | None -> rev ^ "-dirty")
+
 let fingerprint_json () =
-  Printf.sprintf "{\"nproc\":%d,\"ocaml\":\"%s\",\"flambda\":%b}"
+  Printf.sprintf
+    "{\"nproc\":%d,\"ocaml\":\"%s\",\"flambda\":%b,\"rev\":\"%s\"}"
     (Domain.recommended_domain_count ())
     (Stdx.Json.escape Sys.ocaml_version)
-    Build_info.flambda
+    Build_info.flambda (Stdx.Json.escape rev)
 
 (* A paired measurement's JSON fields, to sit inside a bench's object. *)
 let paired_json p =

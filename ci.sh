@@ -39,6 +39,13 @@ guard "Metrics.wall_clock called in lib/sim outside campaign.ml:" \
 guard "the split registry merge is back:" \
   "$(grep -rnE 'add_counts|merge_ordered|Metrics\.rest|Heartbeat\.settle' \
      lib bin bench || true)"
+# Table 2 once: Phase_king.instruction is the one switch over the three
+# instruction kinds; ablation A3 and the sampled counter pass it their
+# thresholds instead of keeping private copies of the step.
+guard "a phase-king instruction switch outside lib/core/phase_king.ml:" \
+  "$(grep -rn 'mod 3 with' lib | grep -v '^lib/core/phase_king\.ml:' || true)"
+guard "a private phase-king step is back:" \
+  "$(grep -rnE 'naive_phase_king_step|step_sampled' lib || true)"
 # One timer in bench/: Bench_common's sampler, not Bechamel.
 guard "bechamel is back:" \
   "$(grep -n 'bechamel' dune-project bench/dune || true)"

@@ -55,11 +55,6 @@ let plan ~k ~big_f ~big_c ~n_inner ~f_inner ~inner_c =
     end
   end
 
-let plan_exn ~k ~big_f ~big_c ~n_inner ~f_inner ~inner_c =
-  match plan ~k ~big_f ~big_c ~n_inner ~f_inner ~inner_c with
-  | Ok p -> p
-  | Error msg -> invalid_arg ("Boost.plan: " ^ msg)
-
 type 's t = {
   spec : 's state Algo.Spec.t;
   params : params;
@@ -81,70 +76,42 @@ let view_of_received (inner : 's Algo.Spec.t) view_params p ~u inner_state =
   let value = inner.Algo.Spec.output ~self:slot inner_state in
   Counter_view.of_value view_params.(block) value
 
+(* Section 3.3's nested vote over [ballots] ballots per block, [ballot
+   block j] the view that block's j-th ballot reads. *)
+let leader_vote ~k ~ballots ballot =
+  let tally block field =
+    Algo.Vote.majority_int ~default:0
+      (Array.init ballots (fun j -> field (ballot block j)))
+  in
+  (* b^i: the leader pointer block i supports (majority within block i). *)
+  let block_votes =
+    Array.init k (fun i -> tally i (fun v -> v.Counter_view.b))
+  in
+  (* B: the leader block supported by a majority of blocks. *)
+  let leader = Algo.Vote.majority_int ~default:0 block_votes in
+  (* R: the round counter of block B, read by majority inside block B. *)
+  (block_votes, leader, tally leader (fun v -> v.Counter_view.r))
+
+type probe = {
+  views : Counter_view.t array;
+  block_votes : int array;
+  leader : int;
+  r_value : int;
+}
+
 let compute_vote (inner : 's Algo.Spec.t) view_params p received_inner =
   let views =
     Array.mapi
       (fun u s -> view_of_received inner view_params p ~u s)
       received_inner
   in
-  (* b^i: the leader pointer block i supports (majority within block i). *)
-  let block_votes =
-    Array.init p.k (fun i ->
-        let ballots =
-          Array.init p.n_inner (fun j ->
-              views.(node_of p ~block:i ~slot:j).Counter_view.b)
-        in
-        Algo.Vote.majority_int ~default:0 ballots)
+  let block_votes, leader, r_value =
+    leader_vote ~k:p.k ~ballots:p.n_inner (fun block j ->
+        views.(node_of p ~block ~slot:j))
   in
-  (* B: the leader block supported by a majority of blocks. *)
-  let leader = Algo.Vote.majority_int ~default:0 block_votes in
-  (* R: the round counter of block B, read by majority inside block B. *)
-  let r_ballots =
-    Array.init p.n_inner (fun j ->
-        views.(node_of p ~block:leader ~slot:j).Counter_view.r)
-  in
-  let r_value = Algo.Vote.majority_int ~default:0 r_ballots in
-  (views, block_votes, leader, r_value)
+  { views; block_votes; leader; r_value }
 
 type ablation = Short_window of int | Pointer_base_m | Naive_phase_king
-
-(* Phase king with thresholds an adversary can fake: simple majority in
-   place of N - F and "one vote" in place of F + 1 (ablation A3). *)
-let naive_phase_king_step ~cap ~big_n ~index ~(self : Phase_king.reg) ~received
-    =
-  let clamp = function
-    | Some x when x >= 0 && x < cap -> Some x
-    | Some _ | None -> None
-  in
-  let received = Array.map clamp received in
-  let majority = (big_n / 2) + 1 in
-  let count v =
-    Array.fold_left (fun acc x -> if x = v then acc + 1 else acc) 0 received
-  in
-  let increment = Phase_king.increment ~cap in
-  let ell = index / 3 in
-  match index mod 3 with
-  | 0 ->
-    let a = if count self.Phase_king.a < majority then None else self.Phase_king.a in
-    { Phase_king.a = increment a; d = self.Phase_king.d }
-  | 1 ->
-    let d = count self.Phase_king.a >= majority in
-    let rec find j =
-      if j >= cap then None
-      else if count (Some j) >= 1 then Some j
-      else find (j + 1)
-    in
-    { Phase_king.a = increment (find 0); d }
-  | _ ->
-    let a =
-      if self.Phase_king.a = None || not self.Phase_king.d then
-        let imposed =
-          match received.(ell) with None -> cap | Some x -> min cap x
-        in
-        Some ((imposed + 1) mod cap)
-      else increment self.Phase_king.a
-    in
-    { Phase_king.a; d = true }
 
 (* The flat kernel's lookup tables: pure functions of the plan, so every
    kernel instance of one codec shares them, across domains too.
@@ -533,8 +500,12 @@ let flat_kernel ic p ~big_c ~inner_c =
 
 let construct_gen ?ablation ~(inner : 's Algo.Spec.t) ~k ~big_f ~big_c () =
   let p =
-    plan_exn ~k ~big_f ~big_c ~n_inner:inner.Algo.Spec.n
-      ~f_inner:inner.Algo.Spec.f ~inner_c:inner.Algo.Spec.c
+    match
+      plan ~k ~big_f ~big_c ~n_inner:inner.Algo.Spec.n
+        ~f_inner:inner.Algo.Spec.f ~inner_c:inner.Algo.Spec.c
+    with
+    | Ok p -> p
+    | Error msg -> invalid_arg ("Boost.plan: " ^ msg)
   in
   let p =
     match ablation with
@@ -581,6 +552,12 @@ let construct_gen ?ablation ~(inner : 's Algo.Spec.t) ~k ~big_f ~big_c () =
     let inner_state = inner.Algo.Spec.random_state rng in
     { inner = inner_state; a; d }
   in
+  let thresholds =
+    match ablation with
+    | Some Naive_phase_king -> Phase_king.Majority { big_n = p.big_n }
+    | Some (Short_window _) | Some Pointer_base_m | None ->
+      Phase_king.Table2 { big_n = p.big_n; big_f }
+  in
   let transition ~self ~rng (received : 's state array) =
     let block, slot = block_of p self in
     (* Step 1: advance this block's copy of A on the block's messages. *)
@@ -591,20 +568,13 @@ let construct_gen ?ablation ~(inner : 's Algo.Spec.t) ~k ~big_f ~big_c () =
     let inner' = inner.Algo.Spec.transition ~self:slot ~rng block_messages in
     (* Step 2: leader election and round counter by nested majorities. *)
     let received_inner = Array.map (fun (s : _ state) -> s.inner) received in
-    let _views, _votes, _leader, r_value =
-      compute_vote inner view_params p received_inner
-    in
+    let { r_value; _ } = compute_vote inner view_params p received_inner in
     (* Step 3: phase-king instruction set I_R on the (a, d) registers. *)
-    let a_values = Array.map (fun (s : _ state) -> s.a) received in
-    let self_reg = { Phase_king.a = received.(self).a; d = received.(self).d } in
+    let votes = Array.map (fun (s : _ state) -> s.a) received in
     let reg =
-      match ablation with
-      | Some Naive_phase_king ->
-        naive_phase_king_step ~cap:big_c ~big_n:p.big_n ~index:r_value
-          ~self:self_reg ~received:a_values
-      | Some (Short_window _) | Some Pointer_base_m | None ->
-        Phase_king.step ~cap:big_c ~big_n:p.big_n ~big_f ~index:r_value
-          ~self:self_reg ~received:a_values
+      Phase_king.instruction ~cap:big_c thresholds ~index:r_value
+        ~self:{ Phase_king.a = received.(self).a; d = received.(self).d }
+        ~votes ~king:votes.(Phase_king.king_of_index r_value)
     in
     { inner = inner'; a = reg.Phase_king.a; d = reg.Phase_king.d }
   in
@@ -705,16 +675,6 @@ let construct ~inner ~k ~big_f ~big_c = construct_gen ~inner ~k ~big_f ~big_c ()
 let construct_ablated ~ablation ~inner ~k ~big_f ~big_c =
   construct_gen ~ablation ~inner ~k ~big_f ~big_c ()
 
-type probe = {
-  views : Counter_view.t array;
-  block_votes : int array;
-  leader : int;
-  r_value : int;
-}
-
 let probe_states t states =
-  let received_inner = Array.map (fun (s : _ state) -> s.inner) states in
-  let views, block_votes, leader, r_value =
-    compute_vote t.inner t.view_params t.params received_inner
-  in
-  { views; block_votes; leader; r_value }
+  compute_vote t.inner t.view_params t.params
+    (Array.map (fun (s : _ state) -> s.inner) states)

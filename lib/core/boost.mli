@@ -56,15 +56,6 @@ val plan :
     required when instantiating with the trivial base, cf. Corollary 1)
     and compute the derived parameters. *)
 
-val plan_exn :
-  k:int ->
-  big_f:int ->
-  big_c:int ->
-  n_inner:int ->
-  f_inner:int ->
-  inner_c:int ->
-  params
-
 type 's t = {
   spec : 's state Algo.Spec.t;  (** the boosted algorithm [B] *)
   params : params;
@@ -93,8 +84,9 @@ type ablation =
           block sweeps the candidate list only once per period and the
           staggered-overlap argument of Lemma 2 breaks (ablation A2) *)
   | Naive_phase_king
-      (** phase-king thresholds [N-F] and [F+1] replaced by simple
-          majority and 1: Byzantine votes can fake support (ablation A3) *)
+      (** Table 2's instructions with thresholds [Phase_king.Majority]
+          (simple majority and 1) in place of [N-F] and [F+1]: Byzantine
+          votes can fake support (ablation A3) *)
 
 val construct_ablated :
   ablation:ablation ->
@@ -131,6 +123,20 @@ type probe = {
 }
 
 val probe_states : 's t -> 's state array -> probe
+
+(** {2 The leader vote, shared with the sampled counter} *)
+
+val leader_vote :
+  k:int ->
+  ballots:int ->
+  (int -> int -> Counter_view.t) ->
+  int array * int * int
+(** Section 3.3's nested vote, [(block_votes, leader, r_value)]: block
+    [i] votes the majority [b] of its ballots [ballot i j], [j <
+    ballots]; the leader [B] is the majority block vote, [R] the
+    majority [r] of block [B]'s ballots (every majority defaults to 0).
+    {!probe_states} and the broadcast step vote over each block's [n]
+    nodes, the sampled counter over [M] samples of each. *)
 
 val time_bound : inner_time:int -> params -> int
 (** [T(A) + 3(F+2)(2m)^k]. *)

@@ -8,32 +8,76 @@ let increment ~cap = function
   | None -> None
   | Some x -> Some ((x + 1) mod cap)
 
-(* Out-of-range register claims from Byzantine senders collapse to the
-   reset state: an honest node can never be tricked into counting a value
-   that no honest register could hold. *)
-let clamp cap = function
-  | Some x when x >= 0 && x < cap -> Some x
-  | Some _ | None -> None
+type thresholds =
+  | Table2 of { big_n : int; big_f : int }
+  | Majority of { big_n : int }
+  | Lemma8 of { samples : int }
 
-let count_value received v =
-  Array.fold_left (fun acc x -> if x = v then acc + 1 else acc) 0 received
+(* The quorum test on the vote count [z] of our own value: keep the
+   register (I_{3l}), raise d (I_{3l+1}). *)
+let quorum th z =
+  match th with
+  | Table2 { big_n; big_f } -> z >= big_n - big_f
+  | Majority { big_n } -> 2 * z > big_n
+  | Lemma8 { samples } -> 3 * z >= 2 * samples
 
-(* z_j for j in [0, cap); index [cap] holds the count of the reset state. *)
-let histogram ~cap received =
-  let z = Array.make (cap + 1) 0 in
-  Array.iter
-    (fun x ->
-      match x with
-      | Some v -> z.(v) <- z.(v) + 1
-      | None -> z.(cap) <- z.(cap) + 1)
-    received;
-  z
+(* The support test: I_{3l+1} adopts the smallest value passing it. *)
+let support th z =
+  match th with
+  | Table2 { big_f; _ } -> z > big_f
+  | Majority _ -> z >= 1
+  | Lemma8 { samples } -> 3 * z > samples
 
-let min_supported ~cap ~big_f z =
-  let rec go j =
-    if j >= cap then None else if z.(j) > big_f then Some j else go (j + 1)
+(* The histogram bin of a register value: [0, cap) for itself, [cap] for
+   the reset state. Out-of-range claims from Byzantine senders fall into
+   the reset bin: an honest node can never be tricked into counting a
+   value that no honest register could hold. *)
+let bin ~cap = function
+  | Some x when x >= 0 && x < cap -> x
+  | Some _ | None -> cap
+
+let instruction ~cap th ~index ~self ~votes ~king =
+  let own =
+    match self.a with
+    | Some x when x < 0 || x >= cap ->
+      invalid_arg
+        (Printf.sprintf
+           "Phase_king.instruction: own register %d outside [0,%d)" x cap)
+    | a -> bin ~cap a
   in
-  go 0
+  match index mod 3 with
+  | 0 ->
+    (* I_{3l}: reset unless a quorum of votes is for our own value. *)
+    let z =
+      Array.fold_left (fun z x -> if bin ~cap x = own then z + 1 else z) 0 votes
+    in
+    { a = increment ~cap (if quorum th z then self.a else None); d = self.d }
+  | 1 ->
+    (* I_{3l+1}: support bit from a quorum on our own value; adopt the
+       smallest value with support (under Table 2's F+1, only a value
+       some honest node actually sent can clear that bar). *)
+    let z = Array.make (cap + 1) 0 in
+    Array.iter
+      (fun x ->
+        let j = bin ~cap x in
+        z.(j) <- z.(j) + 1)
+      votes;
+    let rec min_supported j =
+      if j >= cap then None
+      else if support th z.(j) then Some j
+      else min_supported (j + 1)
+    in
+    { a = increment ~cap (min_supported 0); d = quorum th z.(own) }
+  | _ ->
+    (* I_{3l+2}: nodes without a quorum-backed value adopt the king's,
+       min{C, a[l]}: the reset state is treated as the ceiling C. The
+       transient value C leaves [0, C) but the increment immediately
+       re-enters it. *)
+    let a =
+      if self.a = None || not self.d then Some ((bin ~cap king + 1) mod cap)
+      else increment ~cap self.a
+    in
+    { a; d = true }
 
 let step ~cap ~big_n ~big_f ~index ~self ~received =
   let t = tau ~big_f in
@@ -43,39 +87,8 @@ let step ~cap ~big_n ~big_f ~index ~self ~received =
     invalid_arg "Phase_king.step: received vector has wrong length";
   if big_n < big_f + 2 then
     invalid_arg "Phase_king.step: need big_n >= F + 2 so every king exists";
-  let received = Array.map (clamp cap) received in
-  let ell = king_of_index index in
-  match index mod 3 with
-  | 0 ->
-    (* I_{3l}: reset unless at least N - F nodes sent our own value. *)
-    let support = count_value received self.a in
-    let a = if support < big_n - big_f then None else self.a in
-    { a = increment ~cap a; d = self.d }
-  | 1 ->
-    (* I_{3l+1}: support bit from an N - F quorum on our own value; adopt
-       the smallest value with more than F votes (only a value some honest
-       node actually sent can clear that bar). *)
-    let z = histogram ~cap received in
-    let own_support =
-      match self.a with Some v -> z.(v) | None -> z.(cap)
-    in
-    let d = own_support >= big_n - big_f in
-    let a = min_supported ~cap ~big_f z in
-    { a = increment ~cap a; d }
-  | _ ->
-    (* I_{3l+2}: nodes without a quorum-backed value adopt the king's. *)
-    let a =
-      if self.a = None || not self.d then
-        (* min{C, a[l]}: the reset state is treated as the ceiling C. The
-           transient value C leaves [0, C) but the increment immediately
-           re-enters it. *)
-        let imposed =
-          match received.(ell) with None -> cap | Some x -> min cap x
-        in
-        Some ((imposed + 1) mod cap)
-      else increment ~cap self.a
-    in
-    { a; d = true }
+  instruction ~cap (Table2 { big_n; big_f }) ~index ~self ~votes:received
+    ~king:received.(king_of_index index)
 
 let is_faulty faulty v = List.mem v faulty
 

@@ -26,8 +26,35 @@ val tau : big_f:int -> int
 val king_of_index : int -> int
 (** [king_of_index r = r / 3], the king [l] of instruction set [I_r]. *)
 
-val increment : cap:int -> int option -> int option
-(** Increment modulo [cap]; ∞ is left unchanged. *)
+(** The two tests Table 2 puts on the vote count [z] of a value: a
+    {e quorum} keeps the register ([I_{3l}]) and raises [d]
+    ([I_{3l+1}]); {e support} lets [I_{3l+1}] adopt the value. *)
+type thresholds =
+  | Table2 of { big_n : int; big_f : int }
+      (** Table 2: quorum [z ≥ N−F], support [z > F] *)
+  | Majority of { big_n : int }
+      (** ablation A3: quorum [z > N/2], support [z ≥ 1]; Byzantine
+          votes can fake both *)
+  | Lemma8 of { samples : int }
+      (** Lemma 8 (Section 5.3), over [M = samples] samples: quorum
+          [3z ≥ 2M] ([⌈2M/3⌉] votes), support [3z > M] (strictly above
+          a third) *)
+
+val instruction :
+  cap:int ->
+  thresholds ->
+  index:int ->
+  self:reg ->
+  votes:int option array ->
+  king:int option ->
+  reg
+(** [instruction ~cap th ~index ~self ~votes ~king] executes instruction
+    set [I_index] (only [index mod 3] matters) under [th]: [I_{3l}] and
+    [I_{3l+1}] count [votes] (any length), [I_{3l+2}] imposes [king].
+    Votes and king values outside [\[0, cap)] count as ∞: a Byzantine
+    node cannot smuggle an out-of-range register. Raises
+    [Invalid_argument] if [self.a] is outside [\[0, cap)], which no
+    honest register is. *)
 
 val step :
   cap:int ->
@@ -37,12 +64,12 @@ val step :
   self:reg ->
   received:int option array ->
   reg
-(** [step ~cap ~big_n ~big_f ~index ~self ~received] executes instruction
-    set [I_index] (Table 2). [received.(u)] is the [a]-value node [u]
-    broadcast this round as seen by this node (length [big_n]); received
-    values outside [\[0, cap)] are treated as ∞ (a Byzantine node cannot
-    smuggle an out-of-range register). Raises [Invalid_argument] if
-    [index] is outside [\[0, tau)]. *)
+(** [step ~cap ~big_n ~big_f ~index ~self ~received] is Table 2's call
+    of {!instruction}: thresholds [Table2], votes [received] (the
+    [a]-values of all [big_n] nodes as this node sees them) and king
+    [received.(king_of_index index)]. Raises [Invalid_argument] if
+    [index] is outside [\[0, tau)], [received] has the wrong length or
+    [self.a] is out of range. *)
 
 (** {2 Register-level harness}
 

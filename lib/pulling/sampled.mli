@@ -8,7 +8,10 @@
     [M = Theta(log eta)] uniform samples, a 2/3-fraction test on the
     samples decides an (N-F)-quorum correctly with probability
     [1 - eta^-kappa] (Lemma 8), and a per-block sample of size M contains
-    a majority of non-faulty nodes w.h.p. (Lemma 9).
+    a majority of non-faulty nodes w.h.p. (Lemma 9). So the sampled
+    counter runs the broadcast tower's own code on its samples:
+    {!Counting.Boost.leader_vote} over [M] ballots per block, and
+    {!Counting.Phase_king.instruction} under Lemma 8's thresholds.
 
     Per round, a node pulls:
     - its [n - 1] block peers (the inner counter runs on full
@@ -61,16 +64,17 @@
       pulled bits. *)
 
 type 's state = {
-  inner : 's;
-  a : int option;
-  d : bool;
+  tower : 's Counting.Boost.state;
+      (** the inner counter and the phase-king registers [a], [d] of
+          Theorem 1's tower *)
   prev_r : int;  (** last observed round counter R, for king prediction *)
 }
 
 type 's t = {
   spec : 's state Algo.Spec.t;
-      (** the sampled counter; its codec packs (inner code, a, d, prev_r)
-          and uses {!Algo.Spec.generic_kernel} *)
+      (** the sampled counter; a state's code is the tower's code
+          [(inner code, a, d)] times [tau] plus [prev_r], and its kernel
+          is {!Algo.Spec.generic_kernel} *)
   pulls_per_round : int;  (** worst-case pulls of a non-faulty node *)
   pulls : self:int -> rng:Stdx.Rng.t -> 's state -> int array;
       (** the targets a node pulls this round, drawn from [rng] exactly

@@ -32,11 +32,19 @@ let test_king_of_index () =
   check Alcotest.int "I_0..I_2 belong to king 0" 0 (Counting.Phase_king.king_of_index 2);
   check Alcotest.int "I_3 belongs to king 1" 1 (Counting.Phase_king.king_of_index 3)
 
+(* The register increment, through I_{3l+2} of a confident node and
+   I_{3l} of a reset one backed by a quorum. *)
 let test_increment () =
+  let run ~index ~self =
+    (Counting.Phase_king.instruction ~cap:4
+       (Counting.Phase_king.Table2 { big_n = 1; big_f = 0 })
+       ~index ~self ~votes:[| self.Counting.Phase_king.a |] ~king:None)
+      .Counting.Phase_king.a
+  in
   check (Alcotest.option Alcotest.int) "wraps" (Some 0)
-    (Counting.Phase_king.increment ~cap:4 (Some 3));
+    (run ~index:2 ~self:(reg (Some 3) true));
   check (Alcotest.option Alcotest.int) "infinity fixed" None
-    (Counting.Phase_king.increment ~cap:4 None)
+    (run ~index:0 ~self:(reg None true))
 
 let test_step_index_validation () =
   let received = Array.make 4 (Some 0) in
@@ -125,6 +133,138 @@ let test_step_clamps_out_of_range () =
   in
   check (Alcotest.option Alcotest.int) "quorum of three zeros still holds"
     (Some 1) r.Counting.Phase_king.a
+
+(* An own register no honest node can hold is rejected with a named
+   [Invalid_argument] at every instruction kind. *)
+let test_step_rejects_out_of_range_own () =
+  let received = Array.make 7 (Some 1) in
+  List.iter
+    (fun (a, index) ->
+      match
+        Counting.Phase_king.step ~cap:5 ~big_n:7 ~big_f:2 ~index
+          ~self:(reg (Some a) false) ~received
+      with
+      | _ -> Alcotest.failf "own register %d accepted at I_%d" a index
+      | exception Invalid_argument msg ->
+        check Alcotest.string
+          (Printf.sprintf "own register %d at I_%d" a index)
+          (Printf.sprintf
+             "Phase_king.instruction: own register %d outside [0,5)" a)
+          msg)
+    [ (7, 0); (7, 1); (7, 2); (5, 4); (-1, 5) ]
+
+(* ------------------------------------------------------------------ *)
+(* Threshold edges: Table 2, ablation A3 and Lemma 8 on hand-built
+   vote vectors.                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A vote vector with [count] copies of each [value], in order. *)
+let votes groups =
+  Array.of_list
+    (List.concat_map (fun (v, count) -> List.init count (fun _ -> v)) groups)
+
+let reg_t = Alcotest.(pair (option int) bool)
+let pair r = (r.Counting.Phase_king.a, r.Counting.Phase_king.d)
+
+(* Under every threshold pair, I_{3l+2} makes a node without a
+   quorum-backed value take the king's, and leaves a confident one be. *)
+let check_king_imposes label run =
+  check reg_t (label ^ ": the king imposes its value") (Some 4, true)
+    (run ~index:2 ~self:(reg None false) ~king:(Some 3));
+  check reg_t (label ^ ": d = 0 yields to the king") (Some 4, true)
+    (run ~index:5 ~self:(reg (Some 1) false) ~king:(Some 3));
+  check reg_t (label ^ ": a confident node ignores the king") (Some 2, true)
+    (run ~index:2 ~self:(reg (Some 1) true) ~king:(Some 3))
+
+let test_table2_edges () =
+  (* N = 7, F = 2: quorum N - F = 5, support F + 1 = 3. *)
+  let step ~index ~self received =
+    pair
+      (Counting.Phase_king.step ~cap:5 ~big_n:7 ~big_f:2 ~index ~self
+         ~received)
+  in
+  let own = reg (Some 1) false in
+  check reg_t "N-F votes keep the register" (Some 2, false)
+    (step ~index:0 ~self:own (votes [ (Some 1, 5); (Some 3, 2) ]));
+  check reg_t "N-F-1 votes reset it" (None, false)
+    (step ~index:0 ~self:own (votes [ (Some 1, 4); (Some 3, 3) ]));
+  check reg_t "N-F votes raise d; F votes for 0 are not adopted"
+    (Some 2, true)
+    (step ~index:1 ~self:own (votes [ (Some 0, 2); (Some 1, 5) ]));
+  check reg_t "N-F-1 votes leave d = 0; F+1 votes for 0 are adopted"
+    (Some 1, false)
+    (step ~index:1 ~self:own (votes [ (Some 0, 3); (Some 1, 4) ]));
+  check_king_imposes "Table 2" (fun ~index ~self ~king ->
+      (* node index/3 is the king; the others vote 0 *)
+      let received = Array.make 7 (Some 0) in
+      received.(index / 3) <- king;
+      step ~index ~self received)
+
+(* [instruction th ~index ~self groups] on the vote vector of [groups]. *)
+let instruction ?(king = None) th ~index ~self groups =
+  pair
+    (Counting.Phase_king.instruction ~cap:5 th ~index ~self
+       ~votes:(votes groups) ~king)
+
+let test_majority_edges () =
+  (* A3: quorum z > N/2, support z >= 1. *)
+  let own = reg (Some 1) false in
+  List.iter
+    (fun big_n ->
+      let th = Counting.Phase_king.Majority { big_n } in
+      let half = big_n / 2 in
+      check reg_t
+        (Printf.sprintf "N = %d: %d votes keep the register" big_n (half + 1))
+        (Some 2, false)
+        (instruction th ~index:0 ~self:own
+           [ (Some 1, half + 1); (None, big_n - half - 1) ]);
+      check reg_t
+        (Printf.sprintf "N = %d: %d votes reset it" big_n half)
+        (None, false)
+        (instruction th ~index:0 ~self:own
+           [ (Some 1, half); (None, big_n - half) ]))
+    [ 7; 8 ];
+  let th = Counting.Phase_king.Majority { big_n = 7 } in
+  check reg_t "a single vote is adopted" (Some 1, true)
+    (instruction th ~index:1 ~self:own [ (Some 0, 1); (Some 1, 6) ]);
+  check reg_t "no vote, no value" (None, false)
+    (instruction th ~index:1 ~self:own [ (None, 7) ]);
+  check_king_imposes "A3" (fun ~index ~self ~king ->
+      instruction ~king th ~index ~self [ (Some 0, 7) ])
+
+let test_lemma8_edges () =
+  let own = reg (Some 1) false in
+  List.iter
+    (fun (samples, quorum) ->
+      (* quorum = ceil(2M/3) *)
+      let th = Counting.Phase_king.Lemma8 { samples } in
+      let label fmt = Printf.sprintf ("M = %d: " ^^ fmt) samples in
+      let for_own z = [ (Some 1, z); (Some 3, samples - z) ] in
+      check reg_t
+        (label "%d votes keep the register" quorum)
+        (Some 2, false)
+        (instruction th ~index:0 ~self:own (for_own quorum));
+      check reg_t
+        (label "%d votes reset it" (quorum - 1))
+        (None, false)
+        (instruction th ~index:0 ~self:own (for_own (quorum - 1)));
+      check reg_t
+        (label "%d votes raise d" quorum)
+        (Some 2, true)
+        (instruction th ~index:1 ~self:own (for_own quorum));
+      check reg_t
+        (label "%d votes leave d = 0" (quorum - 1))
+        (Some 2, false)
+        (instruction th ~index:1 ~self:own (for_own (quorum - 1)));
+      check_king_imposes (label "Lemma 8") (fun ~index ~self ~king ->
+          instruction ~king th ~index ~self [ (Some 0, samples) ]))
+    [ (6, 4); (7, 5); (9, 6) ];
+  (* The 1/3 bar is strict: M/3 votes are no support, one more is. *)
+  let th = Counting.Phase_king.Lemma8 { samples = 6 } in
+  check reg_t "M = 6: 2 votes for 0 are not adopted" (Some 4, false)
+    (instruction th ~index:1 ~self:own [ (Some 0, 2); (Some 3, 4) ]);
+  check reg_t "M = 6: 3 votes for 0 are adopted" (Some 1, false)
+    (instruction th ~index:1 ~self:own [ (Some 0, 3); (Some 3, 3) ])
 
 (* ------------------------------------------------------------------ *)
 (* Lemma 5: agreement persists under any instruction set and any
@@ -293,6 +433,14 @@ let suite =
         case "I_3l+2 king ignored when confident" test_step_king_ignored_when_confident;
         case "I_3l+2 with infinite king" test_step_king_infinite_value;
         case "out-of-range claims clamped" test_step_clamps_out_of_range;
+        case "out-of-range own register rejected"
+          test_step_rejects_out_of_range_own;
+      ] );
+    ( "phase_king.thresholds",
+      [
+        case "Table 2: N-F and F+1 edges" test_table2_edges;
+        case "A3: majority and a single vote" test_majority_edges;
+        case "Lemma 8: 2M/3 and the strict M/3" test_lemma8_edges;
       ] );
     ( "phase_king.lemma5",
       [

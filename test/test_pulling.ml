@@ -76,25 +76,12 @@ let test_pull_count_matches_pulls () =
       ("oblivious", oblivious ~samples:4 ~links_seed:42);
     ]
 
-(* Digests of the correct nodes' output rows, recorded from the
-   dedicated pulling simulator this library used to ship, which froze
-   faulty nodes at their initial states. The engine's [stuck] adversary
-   sends exactly those states, and every node draws its samples from
-   the same private rng stream, so the rows must be reproduced bit for
-   bit. *)
-let rows_digest ~correct outputs =
-  let b = Buffer.create 4096 in
-  Array.iter
-    (fun row ->
-      List.iter
-        (fun v ->
-          Buffer.add_string b (string_of_int row.(v));
-          Buffer.add_char b ',')
-        correct;
-      Buffer.add_char b '\n')
-    outputs;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
+(* Digests of the correct nodes' output rows ([Test_boost.rows_digest]),
+   recorded from the dedicated pulling simulator this library used to
+   ship, which froze faulty nodes at their initial states. The engine's
+   [stuck] adversary sends exactly those states, and every node draws
+   its samples from the same private rng stream, so the rows must be
+   reproduced bit for bit. *)
 let golden_rows =
   [
     ("adaptive M=6", [], 1, "550f36fdbad9b7f8e9968df732185da4");
@@ -122,7 +109,7 @@ let test_golden_rows_under_stuck () =
            (String.concat ";" (List.map string_of_int faulty))
            seed)
         digest
-        (rows_digest ~correct:(Sim.Network.correct_ids run)
+        (Test_boost.rows_digest ~correct:(Sim.Network.correct_ids run)
            run.Sim.Network.outputs))
     golden_rows
 
